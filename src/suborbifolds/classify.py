@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CandidateNotFull,
@@ -46,10 +47,12 @@ from .linalg import (
     AffineSubspace,
     Vec,
     contains_point,
+    coordinates_in_basis,
     intersect,
     mat_sub,
     mat_vec,
     identity as identity_matrix,
+    point_from_coordinates,
     sample_points,
     solve_affine,
     subspace_contained_in,
@@ -57,6 +60,7 @@ from .linalg import (
     vec,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -87,8 +91,21 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
     return ChartModel(chart.ambient_dim, stab.promote())
 
 
+def _first_moving_element(group: FiniteMatrixGroup, indices, v: AffineSubspace):
+    """First of the given elements that does not map v onto itself, or None."""
+    return next(
+        (i for i in indices if transform_subspace(group.matrix_of(i), v) != v), None
+    )
+
+
 @dataclass(frozen=True)
 class SuborbifoldCandidate:
+    """Subgroup of a chart group plus an affine subspace it leaves invariant.
+
+    The candidate is immutable, so its saturation verdict and the kernel
+    of its action are computed at most once, on first use.
+    """
+
     chart: ChartModel
     delta: Subgroup
     v: AffineSubspace
@@ -98,11 +115,20 @@ class SuborbifoldCandidate:
             raise ChartMismatch("subgroup does not live in the chart group")
         if self.v.ambient_dim != self.chart.ambient_dim:
             raise ChartMismatch("subspace ambient dimension differs from chart")
-        for i in self.delta.members:
-            if transform_subspace(self.chart.group.matrix_of(i), self.v) != self.v:
-                raise NonInvariant(
-                    f"subspace is not invariant under subgroup element {i}"
-                )
+        moving = _first_moving_element(self.chart.group, self.delta.members, self.v)
+        if moving is not None:
+            raise NonInvariant(
+                f"subspace is not invariant under subgroup element {moving}"
+            )
+
+    @cached_property
+    def saturation(self) -> Verdict:
+        return check_saturated(self)
+
+    @cached_property
+    def kernel(self) -> Subgroup:
+        """Elements of the subgroup that fix the subspace pointwise."""
+        return pointwise_stabilizer(self.delta, self.v)
 
 
 @dataclass(frozen=True)
@@ -164,28 +190,33 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
 
 
 def _require_saturated(cand: SuborbifoldCandidate) -> None:
-    verdict = check_saturated(cand)
+    verdict = cand.saturation
     if not verdict.holds:
         raise CandidateNotSaturated(f"candidate is not saturated: {verdict.witness}")
+
+
+def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded):
+    """First element outside ``excluded`` fixing a point of v, with that point."""
+    ident = identity_matrix(group.ambient_dim)
+    for g in range(group.order):
+        if g in excluded:
+            continue
+        fix = solve_affine(mat_sub(group.matrix_of(g), ident),
+                           zero_vec(group.ambient_dim))
+        meet = None if fix is None else intersect(fix, v)
+        if meet is not None:
+            return g, meet.base_point
+    return None
 
 
 def check_full(cand: SuborbifoldCandidate) -> Verdict:
     """For saturated candidates: does any outside element fix a point of v?"""
     _require_saturated(cand)
-    group = cand.chart.group
-    ident = identity_matrix(cand.chart.ambient_dim)
-    members = set(cand.delta.members)
-    for g in range(group.order):
-        if g in members:
-            continue
-        fix = solve_affine(mat_sub(group.matrix_of(g), ident),
-                           zero_vec(cand.chart.ambient_dim))
-        if fix is None:
-            continue
-        meet = intersect(fix, cand.v)
-        if meet is not None:
-            return Verdict(False, FullnessWitness(group.elements[g], meet.base_point))
-    return Verdict(True)
+    found = _first_fixing_element(cand.chart.group, cand.v, set(cand.delta.members))
+    if found is None:
+        return Verdict(True)
+    g, point = found
+    return Verdict(False, FullnessWitness(cand.chart.group.elements[g], point))
 
 
 @dataclass(frozen=True)
@@ -212,8 +243,7 @@ def check_embedded(
     are chart-relative either way.
     """
     _require_saturated(cand)
-    kernel = pointwise_stabilizer(cand.delta, cand.v)
-    complement = find_complement(cand.delta, kernel)
+    complement = find_complement(cand.delta, cand.kernel)
     if isinstance(complement, Subgroup):
         replay = SuborbifoldCandidate(cand.chart, complement, cand.v)
         if not (_acts_effectively(complement, cand.v)
@@ -222,23 +252,20 @@ def check_embedded(
         return EmbeddedResult(True, effective_delta=complement)
     if not search_all_delta:
         return EmbeddedResult(False, certificate=complement)
-    checked = 0
-    for sub in all_subgroups(cand.chart.group):
-        checked += 1
-        invariant = all(
-            transform_subspace(cand.chart.group.matrix_of(i), cand.v) == cand.v
-            for i in sub.members
-        )
-        if not invariant or not _acts_effectively(sub, cand.v):
+    subgroups = all_subgroups(cand.chart.group)
+    for checked, sub in enumerate(subgroups, start=1):
+        try:
+            other = SuborbifoldCandidate(cand.chart, sub, cand.v)
+        except NonInvariant:
             continue
-        if check_saturated(SuborbifoldCandidate(cand.chart, sub, cand.v)).holds:
+        if _acts_effectively(sub, cand.v) and check_saturated(other).holds:
             return EmbeddedResult(
                 True, effective_delta=sub, searched_all_delta=True,
                 deltas_checked=checked,
             )
     return EmbeddedResult(
         False, certificate=complement, searched_all_delta=True,
-        deltas_checked=checked,
+        deltas_checked=len(subgroups),
     )
 
 
@@ -247,7 +274,8 @@ class InducedChart:
     """The k-dimensional chart induced on the subspace.
 
     Points of the chart are basis coordinates; ``embed`` maps them back
-    to the ambient space (base point is the subgroup-fixed centroid).
+    to the ambient space. The origin of the chart is the subgroup-fixed
+    centroid ``base_point``, which the restricted linear action fixes.
     """
 
     chart: ChartModel
@@ -257,27 +285,17 @@ class InducedChart:
     restriction: GroupHom
 
     def embed(self, y: Vec) -> Vec:
-        p = self.base_point
-        for c, row in zip(y, self.basis):
-            p = vec_add(p, vec_scale(c, row))
-        return p
+        directions = _span(self.basis, len(self.base_point))
+        return vec_add(self.base_point, point_from_coordinates(directions, y))
 
     def coordinates(self, x: Vec) -> Vec:
-        from .linalg import coordinates_in_basis, affine_subspace
-
-        shifted = affine_subspace(self.base_point, self.basis)
-        return coordinates_in_basis(shifted, x)
+        directions = _span(self.basis, len(self.base_point))
+        return coordinates_in_basis(directions, vec_sub(vec(x), self.base_point))
 
 
-def _direction_coordinates(v: AffineSubspace, d: Vec) -> Vec:
-    """Coordinates of a direction vector in the canonical RREF basis."""
-    coords = tuple(d[p] for p in v.pivots())
-    rebuilt = zero_vec(v.ambient_dim)
-    for c, row in zip(coords, v.basis):
-        rebuilt = vec_add(rebuilt, vec_scale(c, row))
-    if rebuilt != d:
-        raise NonInvariant("vector leaves the direction space")
-    return coords
+def _span(basis: tuple[Vec, ...], n: int) -> AffineSubspace:
+    """Linear span of a canonical (RREF) basis, already in canonical form."""
+    return AffineSubspace(n, zero_vec(n), basis)
 
 
 def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
@@ -291,14 +309,15 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     for i in delta.members:
         centroid = vec_add(centroid, mat_vec(group.matrix_of(i), cand.v.base_point))
     centroid = vec_scale(Fraction(1, delta.order), centroid)
+    directions = _span(cand.v.basis, cand.chart.ambient_dim)
     restricted: list = []
     for i in delta.members:
         m = group.matrix_of(i)
         if mat_vec(m, centroid) != centroid:
             raise NonInvariant("centroid is not fixed by the subgroup")
-        columns = [_direction_coordinates(cand.v, mat_vec(m, b)) for b in cand.v.basis]
+        columns = [coordinates_in_basis(directions, mat_vec(m, b)) for b in cand.v.basis]
         restricted.append(tuple(tuple(col[r] for col in columns) for r in range(k)))
-    kernel = pointwise_stabilizer(delta, cand.v)
+    kernel = cand.kernel
     induced_group = FiniteMatrixGroup(set(restricted) or {identity_matrix(k)})
     if induced_group.order * kernel.order != delta.order:
         raise AssertionError("induced group order mismatch")
@@ -326,8 +345,7 @@ def isotropy_sub_point(cand: SuborbifoldCandidate, x) -> Fingerprint:
         raise PointNotInV(f"{x} is not in the candidate subspace")
     _require_saturated(cand)
     stab = stabilizer(cand.delta, x)
-    kernel = pointwise_stabilizer(cand.delta, cand.v)
-    quotient, _ = quotient_group(stab, kernel)
+    quotient, _ = quotient_group(stab, cand.kernel)
     fingerprint = iso_fingerprint(quotient)
     # Independent path: stabilizer computed inside induced-chart coordinates.
     chart = induced_chart(cand)
@@ -380,24 +398,14 @@ def full_characterization_chart(
     if not contains_point(cand.v, x):
         raise PointNotInV(f"{x} is not in the candidate subspace")
     stab = stabilizer(cand.chart.group, x)
-    for i in stab.members:
-        if transform_subspace(cand.chart.group.matrix_of(i), cand.v) != cand.v:
-            raise NonInvariant("subspace not invariant under the localized group")
+    if _first_moving_element(cand.chart.group, stab.members, cand.v) is not None:
+        raise NonInvariant("subspace not invariant under the localized group")
     return ChartModel(cand.chart.ambient_dim, stab.promote()), stab
 
 
 def contained_in_regular_part(chart: ChartModel, v: AffineSubspace) -> bool:
     """True iff no nontrivial element fixes any point of v."""
-    group = chart.group
-    ident = identity_matrix(chart.ambient_dim)
-    for g in range(group.order):
-        if g == group.identity:
-            continue
-        fix = solve_affine(mat_sub(group.matrix_of(g), ident),
-                           zero_vec(chart.ambient_dim))
-        if fix is not None and intersect(fix, v) is not None:
-            return False
-    return True
+    return _first_fixing_element(chart.group, v, {chart.group.identity}) is None
 
 
 @dataclass(frozen=True)
@@ -441,8 +449,8 @@ def classify(
     isotropy_points: tuple = (),
 ) -> ClassificationReport:
     """Full classification; fullness/embeddedness only apply when saturated."""
-    kernel = pointwise_stabilizer(cand.delta, cand.v)
-    saturated = check_saturated(cand)
+    kernel = cand.kernel
+    saturated = cand.saturation
     if not saturated.holds:
         return ClassificationReport(saturated, None, None, kernel)
     full = check_full(cand)

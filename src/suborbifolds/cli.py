@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus as corpus_mod
 from .classify import (
@@ -19,15 +17,16 @@ from .classify import (
 )
 from .errors import SuborbifoldError
 from .groups import DEFAULT_MAX_ORDER
-from .linalg import DimensionMismatch, rat, rat_str, vec
+from .linalg import rat, rat_str, vec
 from .maps import (
     fibered_product,
     graph_suborbifold,
     image_suborbifold,
     intersect_full,
     preimage_suborbifold,
+    regular_value_preimage,
 )
-from .metric import MetricProbe, lemma_metrics_check
+from .metric import lemma_metrics_check
 from .scene import (
     _lookup,
     candidate_json,
@@ -167,8 +166,6 @@ def cmd_preimage(args) -> int:
     def build(scene):
         f = _lookup(scene.maps, args.map, "map")
         if args.value is not None:
-            from .maps import regular_value_preimage
-
             return regular_value_preimage(f, _parse_point(args.value))
         q = _lookup(scene.candidates, args.target, "candidate")
         return preimage_suborbifold(f, q)
@@ -215,13 +212,7 @@ def cmd_metric_check(args) -> int:
     lines = []
     all_passed = True
     for name, probe in sorted(probes.items()):
-        if args.depth is not None or args.tol is not None:
-            probe = MetricProbe(
-                probe.group, probe.subgroup, probe.subspace, probe.sample_pairs,
-                args.depth if args.depth is not None else probe.partition_depth,
-                args.tol if args.tol is not None else probe.tolerance,
-            )
-        report = lemma_metrics_check(probe)
+        report = lemma_metrics_check(probe.with_settings(args.depth, args.tol))
         results[name] = metric_report_json(report)
         all_passed = all_passed and report.passed
         status = "PASS" if report.passed else "FAIL"
@@ -235,21 +226,7 @@ def cmd_metric_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    cases = [c for c in corpus_mod.CASES
-             if not args.filter or args.filter in c.name]
-    start = time.perf_counter()
-    if args.parallel and args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            reports = list(
-                pool.map(lambda c: corpus_mod.run_corpus(cases=[c]), cases)
-            )
-        report = corpus_mod.CorpusReport()
-        for sub in reports:
-            report.results.extend(sub.results)
-            report.mismatches.extend(sub.mismatches)
-    else:
-        report = corpus_mod.run_corpus(cases=cases)
-    report.elapsed_seconds = time.perf_counter() - start
+    report = corpus_mod.run_corpus(name_filter=args.filter)
     lines = []
     results = {}
     for entry in report.results:
@@ -278,18 +255,14 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scene", help="path to a JSON scene file")
-    common.add_argument("--report", help="also write the output to this file")
-    common.add_argument("--format", choices=["text", "machine"], default="text")
-    common.add_argument("--parallel", type=int, default=1,
-                        help="worker count for batch commands")
-    common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                        help="bound on generated group orders")
-    common.add_argument("--depth", type=int, default=None,
-                        help="partition depth for metric checks")
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance for metric checks")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--report", help="also write the output to this file")
+    output.add_argument("--format", choices=["text", "machine"], default="text")
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--scene", help="path to a JSON scene file")
+    scene.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                       help="bound on generated group orders")
+    common = [output, scene]
 
     parser = argparse.ArgumentParser(
         prog="suborb",
@@ -297,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=common,
                        help="classify candidates from a scene")
     p.add_argument("--candidate", help="candidate name (default: all)")
     p.add_argument("--search-all-delta", action="store_true",
@@ -306,49 +279,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated point; repeatable")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("isotropy", parents=[common],
+    p = sub.add_parser("isotropy", parents=common,
                        help="isotropy fingerprint at a point")
     p.add_argument("--candidate", help="candidate name (suborbifold isotropy)")
     p.add_argument("--group", help="group name (ambient isotropy)")
     p.add_argument("--point", required=True, help="comma-separated point")
     p.set_defaults(func=cmd_isotropy)
 
-    p = sub.add_parser("intersect", parents=[common],
+    p = sub.add_parser("intersect", parents=common,
                        help="transverse intersection of two full candidates")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.set_defaults(func=cmd_intersect)
 
-    p = sub.add_parser("preimage", parents=[common],
+    p = sub.add_parser("preimage", parents=common,
                        help="preimage of a full candidate or a regular value")
     p.add_argument("--map", required=True)
     p.add_argument("--target", help="target candidate name")
     p.add_argument("--value", help="regular value, comma-separated")
     p.set_defaults(func=cmd_preimage)
 
-    p = sub.add_parser("graph", parents=[common],
+    p = sub.add_parser("graph", parents=common,
                        help="graph of an equivariant map as a candidate")
     p.add_argument("--map", required=True)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("image", parents=[common],
+    p = sub.add_parser("image", parents=common,
                        help="image of a candidate under an injective immersion")
     p.add_argument("--map", required=True)
     p.add_argument("--candidate", required=True)
     p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("fibered-product", parents=[common],
+    p = sub.add_parser("fibered-product", parents=common,
                        help="fibered product of two submersions")
     p.add_argument("--left-map", required=True)
     p.add_argument("--right-map", required=True)
     p.set_defaults(func=cmd_fibered)
 
-    p = sub.add_parser("metric-check", parents=[common],
+    p = sub.add_parser("metric-check", parents=common,
                        help="quotient vs intrinsic metric coincidence")
     p.add_argument("--probe", help="probe name (default: all)")
+    p.add_argument("--depth", type=int, default=None,
+                   help="partition depth (default: the probe's)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance (default: the probe's)")
     p.set_defaults(func=cmd_metric_check)
 
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus", parents=[output],
                        help="run the built-in example corpus")
     p.add_argument("--filter", help="substring filter on case names")
     p.set_defaults(func=cmd_corpus)
@@ -361,11 +338,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SuborbifoldError, DimensionMismatch) as exc:
+    except SuborbifoldError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except AssertionError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
+        return EXIT_INTERNAL
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     vec,
     whole_space,
 )
+from .maps import product_chart
 from .metric import MetricProbe, lemma_metrics_check
 
 ROT4_GEN = mat([[0, -1], [1, 0]])
@@ -90,8 +91,6 @@ def complex_axis_candidate() -> SuborbifoldCandidate:
 
 def product_diagonal_candidate() -> SuborbifoldCandidate:
     """Diagonal of the doubled order-4 chart with the diagonal subgroup."""
-    from .maps import product_chart
-
     chart = rot4_chart()
     product = product_chart(chart, chart)
     delta = product.combined.group.subgroup_from_indices(
@@ -307,13 +306,7 @@ def run_corpus(name_filter: str | None = None, cases=CASES,
 
 def run_metric_corpus(depth: int | None = None, tolerance: float | None = None):
     """Run the metric-lemma probes; returns {name: MetricReport}."""
-    out = {}
-    for name, probe in metric_probes().items():
-        if depth is not None or tolerance is not None:
-            probe = MetricProbe(
-                probe.group, probe.subgroup, probe.subspace, probe.sample_pairs,
-                depth if depth is not None else probe.partition_depth,
-                tolerance if tolerance is not None else probe.tolerance,
-            )
-        out[name] = lemma_metrics_check(probe)
-    return out
+    return {
+        name: lemma_metrics_check(probe.with_settings(depth, tolerance))
+        for name, probe in metric_probes().items()
+    }

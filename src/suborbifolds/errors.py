@@ -113,7 +113,11 @@ class UnresolvedName(SuborbifoldError):
     pass
 
 
-class DimensionMismatchError(SuborbifoldError):
+class DimensionMismatch(SuborbifoldError, ValueError):
+    """Shapes of vectors, matrices or subspaces do not fit together."""
+
+
+class InvalidMetricSetting(SuborbifoldError):
     pass
 
 

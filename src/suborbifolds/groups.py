@@ -214,27 +214,6 @@ class AbstractGroup:
         e = self.identity
         return next(j for j in range(self.order) if self.table[i][j] == e)
 
-    def is_valid(self) -> bool:
-        n = self.order
-        rng = range(n)
-        if any(self.table[i][j] not in rng for i in rng for j in rng):
-            return False
-        try:
-            e = self.identity
-        except StopIteration:
-            return False
-        if any(self.table[j][e] != j for j in rng):
-            return False
-        for i in rng:
-            if all(self.table[i][j] != e for j in rng):
-                return False
-        return all(
-            self.table[self.table[a][b]][c] == self.table[a][self.table[b][c]]
-            for a in rng
-            for b in rng
-            for c in rng
-        )
-
 
 @dataclass(frozen=True)
 class GroupHom:

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 
+from .errors import DimensionMismatch, ParseError
+
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 def rat(x) -> Fraction:
@@ -27,7 +25,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"cannot read {x!r} as a rational") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

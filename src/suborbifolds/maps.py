@@ -15,7 +15,6 @@ from .classify import (
     SuborbifoldCandidate,
     check_embedded,
     check_full,
-    check_saturated,
     contained_in_regular_part,
     localize_chart,
 )
@@ -57,6 +56,7 @@ from .linalg import (
     mat_rank,
     mat_vec,
     solve_affine,
+    subspace_contained_in,
     vec,
     vec_add,
     vec_sub,
@@ -189,7 +189,7 @@ def graph_suborbifold(f: EquivariantAffineMap) -> SuborbifoldCandidate:
         product.pair_index(g, f.theta(g)) for g in range(f.domain.group.order)
     )
     cand = SuborbifoldCandidate(product.combined, delta, v)
-    if not check_saturated(cand).holds:
+    if not cand.saturation.holds:
         raise AssertionError("graph candidate must be saturated")
     if not check_embedded(cand).holds:
         raise AssertionError("graph candidate must be embedded")
@@ -232,12 +232,9 @@ def image_suborbifold(
                                          gamma1.matrix_of(g1))]
             )
             sol = solve_affine(relation, zero_vec(n1))
-            if sol is not None:
-                from .linalg import subspace_contained_in
-
-                if subspace_contained_in(pairs, sol):
-                    covered = True
-                    break
+            if sol is not None and subspace_contained_in(pairs, sol):
+                covered = True
+                break
         if not covered:
             raise NotInjectiveOnQuotient(
                 "map identifies distinct orbits",
@@ -249,7 +246,7 @@ def image_suborbifold(
     )
     image_v = map_subspace(f.linear, f.offset, cand.v)
     result = SuborbifoldCandidate(f.codomain, image_delta, image_v)
-    if not check_saturated(result).holds:
+    if not result.saturation.holds:
         raise AssertionError("image candidate must be saturated")
     if check_embedded(cand).holds and not check_embedded(result).holds:
         raise AssertionError("image must preserve the embedded verdict")
@@ -317,13 +314,10 @@ def preimage_suborbifold(
         raise EmptyPreimage("the preimage is empty")
     if not direction_sum_is_full(f.image_subspace(), q.v):
         raise NotTransverseToQ("map is not transverse to the target subspace")
-    gamma1_full = f.domain.group.full_subgroup()
-    from .linalg import transform_subspace
-
-    for g in range(f.domain.group.order):
-        if transform_subspace(f.domain.group.matrix_of(g), pre) != pre:
-            raise NonInvariant("preimage is not invariant under the domain group")
-    result = SuborbifoldCandidate(f.domain, gamma1_full, pre)
+    try:
+        result = SuborbifoldCandidate(f.domain, f.domain.group.full_subgroup(), pre)
+    except NonInvariant:
+        raise NonInvariant("preimage is not invariant under the domain group") from None
     expected = f.domain.ambient_dim - (f.codomain.ambient_dim - q.v.dim)
     if pre.dim != expected:
         raise AssertionError("preimage dimension formula violated")

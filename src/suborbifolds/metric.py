@@ -9,12 +9,13 @@ monotone in the partition depth, mirroring the sup over partitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .classify import ChartModel, SuborbifoldCandidate, check_saturated
 from .errors import (
     CandidateNotSaturated,
+    InvalidMetricSetting,
     NonOrthogonalGroup,
     PointsNotInSubspace,
 )
@@ -46,11 +47,23 @@ class MetricProbe:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        if self.partition_depth < 0:
+            raise InvalidMetricSetting(
+                f"partition depth must be >= 0, got {self.partition_depth}")
+        if not self.tolerance >= 0:  # also rejects NaN
+            raise InvalidMetricSetting(f"tolerance must be >= 0, got {self.tolerance}")
         _require_orthogonal(self.group)
         for x, y in self.sample_pairs:
             if not (contains_point(self.subspace, x)
                     and contains_point(self.subspace, y)):
                 raise PointsNotInSubspace(f"sample pair ({x}, {y}) leaves the subspace")
+
+    def with_settings(self, depth: int | None = None,
+                      tolerance: float | None = None) -> "MetricProbe":
+        """This probe with the given depth and tolerance, where they are not None."""
+        changes = {k: v for k, v in (("partition_depth", depth), ("tolerance", tolerance))
+                   if v is not None}
+        return replace(self, **changes) if changes else self
 
 
 def _require_orthogonal(group) -> None:
@@ -100,7 +113,13 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
 
     For each subgroup element h the straight segment from x to h y is
     refined dyadically up to the probe depth; the sup over depths is
-    taken (monotone), then the min over h.
+    taken, then the min over h.
+
+    Exact refinement sums can only grow with depth, but the float sums
+    computed here need not, so every depth is evaluated and the largest
+    kept. For the corpus pair (1/2, -1/3) on the rotation line this reads
+    0.16666666666666677, while the deepest level alone reads
+    0.1666666666666664.
     """
     x, y = vec(x), vec(y)
     if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):

@@ -39,7 +39,7 @@ from .linalg import (
     vec,
 )
 from .maps import EquivariantAffineMap
-from .metric import MetricProbe, MetricReport
+from .metric import DEFAULT_DEPTH, DEFAULT_TOLERANCE, MetricProbe, MetricReport
 
 
 @dataclass
@@ -59,6 +59,13 @@ def _lookup(table: dict, name: str, kind: str):
     return table[name]
 
 
+def _section(raw: dict, key: str) -> dict:
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"scene section {key!r} must be a JSON object")
+    return section
+
+
 def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     try:
         raw = json.loads(text)
@@ -70,9 +77,11 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     scene = SceneFile()
     kwargs = {} if max_order is None else {"max_order": max_order}
     try:
-        for name, gens in raw.get("groups", {}).items():
+        for name, gens in _section(raw, "groups").items():
+            if not isinstance(gens, list) or not gens:
+                raise ParseError(f"group {name!r} must list at least one generator")
             scene.groups[name] = generate_group([mat(g) for g in gens], **kwargs)
-        for name, spec in raw.get("subgroups", {}).items():
+        for name, spec in _section(raw, "subgroups").items():
             parent = _lookup(scene.groups, spec["parent"], "group")
             if "generator_indices" in spec:
                 closure = _closure_indices(parent, set(spec["generator_indices"]))
@@ -81,11 +90,11 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
                 scene.subgroups[name] = parent.subgroup_from_matrices(
                     [mat(m) for m in spec["generators"]]
                 )
-        for name, spec in raw.get("subspaces", {}).items():
+        for name, spec in _section(raw, "subspaces").items():
             scene.subspaces[name] = affine_subspace(
                 spec["base"], spec.get("basis", [])
             )
-        for name, spec in raw.get("candidates", {}).items():
+        for name, spec in _section(raw, "candidates").items():
             group = _lookup(scene.groups, spec["group"], "group")
             if "subgroup" in spec:
                 subgroup = _lookup(scene.subgroups, spec["subgroup"], "subgroup")
@@ -95,7 +104,7 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             scene.candidates[name] = SuborbifoldCandidate(
                 chart_from_group(group), subgroup, subspace
             )
-        for name, spec in raw.get("maps", {}).items():
+        for name, spec in _section(raw, "maps").items():
             domain = chart_from_group(
                 _lookup(scene.groups, spec["domain"], "group")
             )
@@ -115,14 +124,14 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             scene.maps[name] = EquivariantAffineMap(
                 domain, codomain, mat(spec["matrix"]), vec(spec["offset"]), theta
             )
-        for name, spec in raw.get("probes", {}).items():
+        for name, spec in _section(raw, "probes").items():
             group = _lookup(scene.groups, spec["group"], "group")
             subgroup = _lookup(scene.subgroups, spec["subgroup"], "subgroup")
             subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
             pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
             scene.probes[name] = MetricProbe(
                 group, subgroup, subspace, pairs,
-                spec.get("depth", 8), spec.get("tolerance", 1e-9),
+                spec.get("depth", DEFAULT_DEPTH), spec.get("tolerance", DEFAULT_TOLERANCE),
             )
         scene.queries = list(raw.get("queries", []))
         for query in scene.queries:

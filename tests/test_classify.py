@@ -1,6 +1,7 @@
 """Classification verdicts: worked examples, witness replay, oracle
 equivalence on randomized candidates, two-path isotropy."""
 import random
+import sys
 
 import pytest
 
@@ -145,6 +146,45 @@ def test_induced_chart_roundtrip_and_equivariance():
             assert ind.embed(mat_vec(local_mat, coords)) == mat_vec(
                 parent_mat, x
             )
+
+
+def test_induced_chart_centered_off_the_canonical_base_point():
+    # The line y = x - 1 under the reflection (x, y) -> (-y, -x): the fixed
+    # centroid (1/2, -1/2) differs from the canonical base point (0, -1).
+    group = generate_group([[[0, -1], [-1, 0]]])
+    cand = SuborbifoldCandidate(chart_from_group(group), group.full_subgroup(),
+                                affine_subspace([0, -1], [[1, 1]]))
+    ind = induced_chart(cand)
+    assert ind.base_point == vec(["1/2", "-1/2"])
+    assert ind.coordinates(ind.base_point) == vec([0])
+    assert ind.embed(ind.coordinates([2, 1])) == vec([2, 1])
+    assert isotropy_sub_point(cand, ["1/2", "-1/2"]).order == 2
+    assert isotropy_sub_point(cand, [0, -1]).order == 1
+
+
+def test_saturation_computed_once_per_candidate(monkeypatch):
+    module = sys.modules["suborbifolds.classify"]
+    original = module.check_saturated
+    calls = []
+
+    def counting(cand):
+        calls.append(cand)
+        return original(cand)
+
+    monkeypatch.setattr(module, "check_saturated", counting)
+    for points, expected_isotropy in (((), 0), (((0, 0),), 1)):
+        calls.clear()
+        cand = rotation_line_candidate()
+        report = classify(cand, isotropy_points=points)
+        assert len(report.induced_isotropy_at) == expected_isotropy
+        # the candidate's own check, then the replay of the complement
+        assert len(calls) == 2
+        assert calls[0] is cand and calls[1] is not cand
+        assert calls[1].delta == report.embedded.effective_delta
+    # a later verdict on the same candidate reuses the stored one
+    check_full(cand)
+    induced_chart(cand)
+    assert len(calls) == 2
 
 
 def test_two_path_isotropy_on_corpus_points():

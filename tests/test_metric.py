@@ -7,6 +7,7 @@ import pytest
 from suborbifolds.corpus import metric_probes, run_metric_corpus, rot4_chart, x_axis
 from suborbifolds.errors import (
     CandidateNotSaturated,
+    InvalidMetricSetting,
     NonOrthogonalGroup,
     PointsNotInSubspace,
 )
@@ -70,6 +71,12 @@ def test_probe_validates_points():
             x_axis(),
             ((vec([0, 1]), vec([1, 0])),),
         )
+    probe = metric_probes()["rotation-line"]
+    for settings in ({"depth": -1}, {"tolerance": -1e-9}, {"tolerance": float("nan")}):
+        with pytest.raises(InvalidMetricSetting):
+            probe.with_settings(**settings)
+    assert probe.with_settings() is probe
+    assert probe.with_settings(depth=0).partition_depth == 0
 
 
 def test_lemma_requires_saturated():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import suborbifolds.cli as cli
 from suborbifolds.cli import main
 from suborbifolds.errors import ParseError, UnresolvedName
 from suborbifolds.linalg import mat, mat_vec, rat, vec, contains_point
@@ -29,6 +30,13 @@ SCENE = {
             "group": "rot4", "subgroup": "trivial", "subspace": "x_axis"
         },
         "origin_point": {"group": "rot4", "subspace": "origin"},
+    },
+    "maps": {
+        "identity": {
+            "domain": "rot4", "codomain": "rot4",
+            "matrix": [[1, 0], [0, 1]], "offset": [0, 0],
+            "theta": [[0, 0], [1, 1], [2, 2], [3, 3]],
+        }
     },
     "probes": {
         "line_probe": {
@@ -72,6 +80,11 @@ def test_parse_error_on_malformed_entry():
            "subspaces": {"v": {"basis": [[1, 0]]}}}  # missing base
     with pytest.raises(ParseError):
         parse_scene(json.dumps(bad))
+    for bad in ({"groups": []},                      # a section that is not an object
+                {"groups": {"g": []}},               # a group without generators
+                {"groups": {"g": [[["1/0"]]]}}):     # an unreadable rational
+        with pytest.raises(ParseError):
+            parse_scene(json.dumps(bad))
 
 
 def test_unresolved_name():
@@ -101,18 +114,60 @@ def test_cli_classify_exit_codes(scene_path, capsys):
     assert main(["classify", "--scene", scene_path,
                  "--candidate", "missing"]) == 2
     assert main(["classify", "--scene", "/does/not/exist.json"]) == 2
+    # unreadable rationals are input errors, wherever they appear
+    for point in ("1/0", "abc", "0,1/0"):
+        assert main(["isotropy", "--scene", scene_path,
+                     "--candidate", "rotation_line", "--point", point]) == 2
+    assert main(["classify", "--scene", scene_path, "--candidate", "rotation_line",
+                 "--isotropy-point", "1/0,0"]) == 2
+    assert main(["preimage", "--scene", scene_path, "--map", "identity",
+                 "--value", "0,0"]) == 0
+    assert main(["preimage", "--scene", scene_path, "--map", "identity",
+                 "--value", "1/0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read '1/0' as a rational" in err
+    assert "Traceback" not in err
 
 
 def test_cli_corpus_ok(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
     assert "0 mismatches" in out
-    assert main(["corpus", "--parallel", "4"]) == 0
+    assert main(["corpus", "--filter", "rotation-line"]) == 0
+    out = capsys.readouterr().out
+    assert "[rotation-line] PASS" in out and "1 cases, 0 mismatches" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--parallel", "4"],
+    ["corpus", "--scene", "scenes/rotation_line.json"],
+    ["graph", "--map", "identity", "--depth", "3"],
+    ["classify", "--tol", "1e-3"],
+])
+def test_cli_flags_scoped_to_their_commands(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_metric_check(capsys):
     assert main(["metric-check"]) == 0
     assert main(["metric-check", "--depth", "4", "--tol", "1e-30"]) == 1
+    # negative or NaN settings are input errors, not failed checks
+    assert main(["metric-check", "--depth", "-1"]) == 2
+    assert main(["metric-check", "--tol", "nan"]) == 2
+    assert main(["metric-check", "--tol=-1e-9"]) == 2
+
+
+def test_cli_unexpected_exception_exits_3(scene_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    assert main(["classify", "--scene", scene_path]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_machine_report_deterministic(scene_path, capsys):
