@@ -2,13 +2,17 @@
 
 Element order is canonical (lexicographic on matrix entries), so equal
 groups have identical element lists and every reported witness is
-reproducible. Groups, subgroups and quotients expose a uniform local
-interface: ``order``, ``mult``, ``inv`` and ``identity`` on local
-indices 0..order-1.
+reproducible. Every group here answers one interface on local indices
+0..order-1: ``order``, ``mult``, ``inv`` and ``identity``. Matrix groups
+and their subgroups also expose ``parent`` (the matrix group the indices
+refer to; a matrix group is its own parent), ``members`` (the parent
+indices of the elements, in local order) and ``matrices`` (the member
+matrices in the same order), so no caller needs to tell them apart.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     GroupTooLarge,
@@ -33,6 +37,18 @@ DEFAULT_MAX_ORDER = 10_000
 SUBGROUP_ENUMERATION_BOUND = 512
 
 
+def _identity_and_inverses(table) -> tuple[int, tuple[int, ...]]:
+    """The identity (the element whose row is 0..n-1) and every inverse."""
+    identity = table.index(tuple(range(len(table))))
+    return identity, tuple(row.index(identity) for row in table)
+
+
+def _is_abelian(g) -> bool:
+    return all(
+        g.mult(i, j) == g.mult(j, i) for i in range(g.order) for j in range(i + 1, g.order)
+    )
+
+
 @dataclass(frozen=True)
 class GroupElement:
     matrix: Mat
@@ -46,33 +62,24 @@ class FiniteMatrixGroup:
         matrices = sorted(set(matrices))
         if not matrices:
             raise ValueError("a group needs at least the identity matrix")
-        # Dimension-0 charts (point candidates) get the one-element group.
-        if matrices == [()]:
-            self.ambient_dim = 0
-            self.elements = [GroupElement((), 0)]
-            self._index = {(): 0}
-            self.cayley_table = ((0,),)
-            self.identity = 0
-            self._inverse = (0,)
-            return
         self.ambient_dim = len(matrices[0])
         self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
+        self.matrices: tuple[Mat, ...] = tuple(matrices)
+        self.members = tuple(range(len(matrices)))
         self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
-        n = len(matrices)
-        table = []
-        for a in matrices:
-            row = []
-            for b in matrices:
-                prod = mat_mul(a, b)
-                if prod not in self._index:
-                    raise ValueError("matrix set is not closed under products")
-            table.append(tuple(self._index[mat_mul(a, b)] for b in matrices))
-        self.cayley_table: tuple[tuple[int, ...], ...] = tuple(table)
-        self.identity = self._index[identity_matrix(self.ambient_dim)]
-        self._inverse = tuple(
-            next(j for j in range(n) if self.cayley_table[i][j] == self.identity)
-            for i in range(n)
-        )
+        try:
+            self.cayley_table: tuple[tuple[int, ...], ...] = tuple(
+                tuple(self._index[mat_mul(a, b)] for b in matrices) for a in matrices
+            )
+        except KeyError:
+            raise ValueError("matrix set is not closed under products") from None
+        self.identity, self._inverse = _identity_and_inverses(self.cayley_table)
+        if matrices[self.identity] != identity_matrix(self.ambient_dim):
+            raise ValueError("matrix set is not a group of invertible matrices")
+
+    @property
+    def parent(self) -> "FiniteMatrixGroup":
+        return self
 
     @property
     def order(self) -> int:
@@ -82,14 +89,10 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteMatrixGroup)
-            and self.ambient_dim == other.ambient_dim
-            and [e.matrix for e in self.elements] == [e.matrix for e in other.elements]
-        )
+        return other.__class__ is self.__class__ and self.matrices == other.matrices
 
     def __hash__(self):
-        return hash(tuple(e.matrix for e in self.elements))
+        return hash(self.matrices)
 
     def mult(self, i: int, j: int) -> int:
         return self.cayley_table[i][j]
@@ -98,13 +101,13 @@ class FiniteMatrixGroup:
         return self._inverse[i]
 
     def matrix_of(self, i: int) -> Mat:
-        return self.elements[i].matrix
+        return self.matrices[i]
 
     def index_of(self, matrix: Mat) -> int:
         return self._index[matrix]
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)))
+        return Subgroup(self, self.members)
 
     def subgroup_from_indices(self, indices) -> "Subgroup":
         members = tuple(sorted(set(indices)))
@@ -113,18 +116,16 @@ class FiniteMatrixGroup:
             raise NotSubgroup("index set is not closed under the group operation")
         return sub
 
+    def subgroup_generated_by(self, indices) -> "Subgroup":
+        """Subgroup generated by the elements with the given indices."""
+        return self.subgroup_from_indices(_closure_indices(self, indices))
+
     def subgroup_from_matrices(self, matrices) -> "Subgroup":
         """Subgroup generated by the given matrices (closure is taken)."""
-        seed = {self._index[mat(m)] for m in matrices}
-        return self.subgroup_from_indices(_closure_indices(self, seed))
+        return self.subgroup_generated_by(self._index[mat(m)] for m in matrices)
 
     def is_abelian(self) -> bool:
-        t = self.cayley_table
-        return all(
-            t[i][j] == t[j][i]
-            for i in range(self.order)
-            for j in range(i + 1, self.order)
-        )
+        return _is_abelian(self)
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,10 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.parent.identity not in self.members:
+        local = {p: i for i, p in enumerate(self.members)}
+        if self.parent.identity not in local:
             raise NotSubgroup("subgroup must contain the identity")
+        object.__setattr__(self, "_local", local)
 
     @property
     def order(self) -> int:
@@ -145,47 +148,47 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def local(self, parent_index: int) -> int:
-        return self.members.index(parent_index)
-
     def mult(self, i: int, j: int) -> int:
-        return self.local(self.parent.mult(self.members[i], self.members[j]))
+        return self._local[self.parent.mult(self.members[i], self.members[j])]
 
     def inv(self, i: int) -> int:
-        return self.local(self.parent.inv(self.members[i]))
+        return self._local[self.parent.inv(self.members[i])]
 
     @property
     def identity(self) -> int:
-        return self.local(self.parent.identity)
+        return self._local[self.parent.identity]
+
+    @cached_property
+    def matrices(self) -> tuple[Mat, ...]:
+        return tuple(self.parent.matrices[i] for i in self.members)
 
     def matrix_of(self, i: int) -> Mat:
-        return self.parent.matrix_of(self.members[i])
+        return self.parent.matrices[self.members[i]]
 
     def is_closed(self) -> bool:
-        ms = set(self.members)
+        ms = self._local
         return all(
             self.parent.mult(a, b) in ms for a in self.members for b in self.members
         ) and all(self.parent.inv(a) in ms for a in self.members)
 
     def contains(self, parent_index: int) -> bool:
-        return parent_index in self.members
+        return parent_index in self._local
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return set(self.members) <= set(other.members)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         g = self.parent
-        ms = set(self.members)
         for d in other.members:
             d_inv = g.inv(d)
             for k in self.members:
-                if g.mult(g.mult(d, k), d_inv) not in ms:
+                if g.mult(g.mult(d, k), d_inv) not in self._local:
                     return False
         return True
 
     def promote(self) -> FiniteMatrixGroup:
         """The subgroup as a standalone FiniteMatrixGroup."""
-        return FiniteMatrixGroup([self.parent.matrix_of(i) for i in self.members])
+        return FiniteMatrixGroup(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -195,24 +198,23 @@ class AbstractGroup:
     ``element_labels`` records provenance (e.g. which parent cosets).
     """
 
-    order: int
     table: tuple[tuple[int, ...], ...]
     element_labels: tuple = ()
 
+    def __post_init__(self):
+        identity, inverse = _identity_and_inverses(self.table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "_inverse", inverse)
+
     @property
-    def identity(self) -> int:
-        return next(
-            i
-            for i in range(self.order)
-            if all(self.table[i][j] == j for j in range(self.order))
-        )
+    def order(self) -> int:
+        return len(self.table)
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
     def inv(self, i: int) -> int:
-        e = self.identity
-        return next(j for j in range(self.order) if self.table[i][j] == e)
+        return self._inverse[i]
 
 
 @dataclass(frozen=True)
@@ -290,28 +292,27 @@ def trivial_group(n: int) -> FiniteMatrixGroup:
 
 
 def _closure_indices(parent: FiniteMatrixGroup, seed) -> frozenset[int]:
-    members = set(seed) | {parent.identity}
+    """The seed closed under right multiplication by the seed elements.
+
+    In a finite group the products of a set already form the subgroup it
+    generates, so no inverses need to be taken.
+    """
+    seed = set(seed)
+    members = seed | {parent.identity}
     frontier = list(members)
     while frontier:
         a = frontier.pop()
-        for b in list(members):
-            for prod in (parent.mult(a, b), parent.mult(b, a)):
-                if prod not in members:
-                    members.add(prod)
-                    frontier.append(prod)
-        inv = parent.inv(a)
-        if inv not in members:
-            members.add(inv)
-            frontier.append(inv)
+        for s in seed:
+            prod = parent.mult(a, s)
+            if prod not in members:
+                members.add(prod)
+                frontier.append(prod)
     return frozenset(members)
 
 
 def all_subgroups(g) -> list[Subgroup]:
     """Every subgroup exactly once, in canonical (order, indices) order."""
-    if isinstance(g, Subgroup):
-        parent, universe = g.parent, set(g.members)
-    else:
-        parent, universe = g, set(range(g.order))
+    parent, universe = g.parent, set(g.members)
     if len(universe) > SUBGROUP_ENUMERATION_BOUND:
         raise GroupTooLarge(
             f"subgroup enumeration bounded at order {SUBGROUP_ENUMERATION_BOUND}"
@@ -331,31 +332,22 @@ def all_subgroups(g) -> list[Subgroup]:
     return subs
 
 
-def _member_indices(g) -> tuple[FiniteMatrixGroup, list[int]]:
-    if isinstance(g, Subgroup):
-        return g.parent, list(g.members)
-    return g, list(range(g.order))
-
-
 def stabilizer(g, x) -> Subgroup:
     """{gamma : gamma x = x} as a subgroup of the parent group."""
-    parent, members = _member_indices(g)
     x = vec(x)
-    kept = [i for i in members if mat_vec(parent.matrix_of(i), x) == x]
-    return Subgroup(parent, tuple(kept))
+    kept = [i for i, m in zip(g.members, g.matrices) if mat_vec(m, x) == x]
+    return Subgroup(g.parent, tuple(kept))
 
 
 def pointwise_stabilizer(g, v: AffineSubspace) -> Subgroup:
     """{gamma : gamma fixes v pointwise}, i.e. v is inside Fix(gamma)."""
-    parent, members = _member_indices(g)
-    kept = []
-    for i in members:
-        m = parent.matrix_of(i)
-        if mat_vec(m, v.base_point) == v.base_point and all(
-            mat_vec(m, d) == d for d in v.basis
-        ):
-            kept.append(i)
-    return Subgroup(parent, tuple(kept))
+    kept = [
+        i
+        for i, m in zip(g.members, g.matrices)
+        if mat_vec(m, v.base_point) == v.base_point
+        and all(mat_vec(m, d) == d for d in v.basis)
+    ]
+    return Subgroup(g.parent, tuple(kept))
 
 
 def quotient_group(d: Subgroup, k: Subgroup) -> tuple[AbstractGroup, GroupHom]:
@@ -376,7 +368,7 @@ def quotient_group(d: Subgroup, k: Subgroup) -> tuple[AbstractGroup, GroupHom]:
         tuple(coset_index[coset_of[g.mult(a, b)]] for b in reps) for a in reps
     )
     labels = tuple(tuple(sorted(coset_of[r])) for r in reps)
-    quotient = AbstractGroup(len(reps), table, labels)
+    quotient = AbstractGroup(table, labels)
     projection = GroupHom(
         d, quotient, tuple(coset_index[coset_of[a]] for a in d.members)
     )
@@ -439,22 +431,12 @@ def element_order(g, i: int) -> int:
 
 
 def iso_fingerprint(g) -> Fingerprint:
-    if isinstance(g, FiniteMatrixGroup):
-        g = g.full_subgroup()
-    n = g.order
-    orders = tuple(sorted(element_order(g, i) for i in range(n)))
-    abelian = all(
-        g.mult(i, j) == g.mult(j, i) for i in range(n) for j in range(i + 1, n)
-    )
-    return Fingerprint(n, orders, abelian)
+    orders = tuple(sorted(element_order(g, i) for i in range(g.order)))
+    return Fingerprint(g.order, orders, _is_abelian(g))
 
 
 def are_isomorphic(a, b, max_order: int = 64) -> bool:
     """Exact isomorphism test by backtracking table matching (small orders)."""
-    if isinstance(a, FiniteMatrixGroup):
-        a = a.full_subgroup()
-    if isinstance(b, FiniteMatrixGroup):
-        b = b.full_subgroup()
     if a.order != b.order:
         return False
     if a.order > max_order:

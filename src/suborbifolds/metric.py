@@ -3,8 +3,10 @@ coincide on an invariant subspace.
 
 Everything stays exact (rational squared distances, exact minima) until
 the final square roots. Straight segments suffice as candidate paths
-because the subspace is affine and the metric flat; refinement sums are
-monotone in the partition depth, mirroring the sup over partitions.
+because the subspace is affine and the metric flat. Exact refinement sums
+are monotone in the partition depth, mirroring the sup over partitions;
+the float sums computed here are not, so every depth is evaluated (see
+``intrinsic_quotient_distance``).
 """
 from __future__ import annotations
 
@@ -67,11 +69,8 @@ class MetricProbe:
 
 
 def _require_orthogonal(group) -> None:
-    parent = group.parent if isinstance(group, Subgroup) else group
-    ident = identity_matrix(parent.ambient_dim)
-    members = group.members if isinstance(group, Subgroup) else range(parent.order)
-    for i in members:
-        m = parent.matrix_of(i)
+    ident = identity_matrix(group.parent.ambient_dim)
+    for i, m in zip(group.members, group.matrices):
         if mat_mul(transpose(m), m) != ident:
             raise NonOrthogonalGroup(f"element {i} is not orthogonal")
 
@@ -84,17 +83,11 @@ def _min_orbit_sq_dist(matrices, x: Vec, y: Vec) -> Fraction:
     return min(_sq_dist(x, mat_vec(m, y)) for m in matrices)
 
 
-def _matrices(group) -> list:
-    if isinstance(group, Subgroup):
-        return [group.parent.matrix_of(i) for i in group.members]
-    return [e.matrix for e in group.elements]
-
-
 def quotient_distance(group, x, y) -> float:
     """min over the group of the Euclidean distance |x - g y|."""
     _require_orthogonal(group)
     x, y = vec(x), vec(y)
-    return math.sqrt(_min_orbit_sq_dist(_matrices(group), x, y))
+    return math.sqrt(_min_orbit_sq_dist(group.matrices, x, y))
 
 
 def _segment_sum(matrices, start: Vec, end: Vec, pieces: int) -> float:
@@ -124,13 +117,12 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     x, y = vec(x), vec(y)
     if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):
         raise PointsNotInSubspace("query points must lie in the subspace")
-    group_matrices = _matrices(probe.group)
     best = None
     for h in probe.subgroup.members:
         target = mat_vec(probe.group.matrix_of(h), y)
         sup = 0.0
         for depth in range(probe.partition_depth + 1):
-            sup = max(sup, _segment_sum(group_matrices, x, target, 2 ** depth))
+            sup = max(sup, _segment_sum(probe.group.matrices, x, target, 2 ** depth))
         if best is None or sup < best:
             best = sup
     return best

@@ -27,7 +27,6 @@ from .groups import (
     FiniteMatrixGroup,
     GroupHom,
     Subgroup,
-    _closure_indices,
     generate_group,
 )
 from .linalg import (
@@ -66,6 +65,15 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
+def _element_indices(values, order: int, what: str) -> list[int]:
+    """The values as element indices, each checked to lie in 0..order-1."""
+    values = list(values)
+    for v in values:
+        if type(v) is not int or not 0 <= v < order:
+            raise ParseError(f"{what}: element index {v!r} is not in 0..{order - 1}")
+    return values
+
+
 def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     try:
         raw = json.loads(text)
@@ -84,8 +92,8 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
         for name, spec in _section(raw, "subgroups").items():
             parent = _lookup(scene.groups, spec["parent"], "group")
             if "generator_indices" in spec:
-                closure = _closure_indices(parent, set(spec["generator_indices"]))
-                scene.subgroups[name] = parent.subgroup_from_indices(closure)
+                scene.subgroups[name] = parent.subgroup_generated_by(_element_indices(
+                    spec["generator_indices"], parent.order, f"subgroup {name!r}"))
             else:
                 scene.subgroups[name] = parent.subgroup_from_matrices(
                     [mat(m) for m in spec["generators"]]
@@ -111,16 +119,19 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             codomain = chart_from_group(
                 _lookup(scene.groups, spec["codomain"], "group")
             )
-            theta_pairs = dict(tuple(p) for p in spec["theta"])
+            if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
+                raise ParseError(f"map {name!r}: theta must list [element, image] pairs")
+            theta_pairs = dict(spec["theta"])
+            _element_indices(theta_pairs, domain.group.order, f"map {name!r} theta")
             if set(theta_pairs) != set(range(domain.group.order)):
                 raise ParseError(
                     f"map {name!r}: theta must map every domain element index"
                 )
-            theta = GroupHom(
-                domain.group,
-                codomain.group,
-                tuple(theta_pairs[i] for i in range(domain.group.order)),
+            images = _element_indices(
+                (theta_pairs[i] for i in range(domain.group.order)),
+                codomain.group.order, f"map {name!r} theta image",
             )
+            theta = GroupHom(domain.group, codomain.group, tuple(images))
             scene.maps[name] = EquivariantAffineMap(
                 domain, codomain, mat(spec["matrix"]), vec(spec["offset"]), theta
             )

@@ -9,6 +9,7 @@ from suborbifolds.errors import (
     NotFiniteWithinBound,
     NotSubgroup,
 )
+import suborbifolds.groups as groups
 from suborbifolds.groups import (
     FiniteMatrixGroup,
     Fingerprint,
@@ -28,7 +29,7 @@ from suborbifolds.groups import (
 )
 from suborbifolds.linalg import affine_subspace, mat, vec
 
-from oracles import random_candidate, signed_permutation_matrices
+from oracles import _closure, random_candidate, signed_permutation_matrices
 
 ROT4 = mat([[0, -1], [1, 0]])
 ROT2 = mat([[-1, 0], [0, -1]])
@@ -234,3 +235,38 @@ def test_trivial_and_dimension_zero_groups():
 def test_signed_permutation_pool_sizes():
     assert len(signed_permutation_matrices(2)) == 8
     assert len(signed_permutation_matrices(3)) == 48
+
+
+def test_cayley_table_one_product_per_cell(monkeypatch):
+    calls = []
+    real = groups.mat_mul
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(groups, "mat_mul", counting)
+    g = FiniteMatrixGroup(signed_permutation_matrices(3))
+    assert len(calls) == g.order ** 2 == 48 ** 2
+
+
+def test_subgroup_lookups_agree_with_parent_table():
+    g = FiniteMatrixGroup(signed_permutation_matrices(3))
+    subs = all_subgroups(g)
+    assert len(subs) == 98
+    for s in subs:
+        m = s.members
+        assert m[s.identity] == g.identity
+        for i in range(s.order):
+            assert m[s.inv(i)] == g.inv(m[i])
+            for j in range(s.order):
+                assert m[s.mult(i, j)] == g.mult(m[i], m[j])
+
+
+def test_closure_matches_oracle():
+    g = FiniteMatrixGroup(signed_permutation_matrices(3))
+    rng = random.Random(5)
+    seeds = [s.members for s in all_subgroups(g)]
+    seeds += [rng.sample(range(g.order), rng.randint(1, 3)) for _ in range(50)]
+    for seed in seeds:
+        assert groups._closure_indices(g, seed) == _closure(g, seed)

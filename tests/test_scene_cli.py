@@ -80,9 +80,26 @@ def test_parse_error_on_malformed_entry():
            "subspaces": {"v": {"basis": [[1, 0]]}}}  # missing base
     with pytest.raises(ParseError):
         parse_scene(json.dumps(bad))
+    rot4 = {"rot4": [[[0, -1], [1, 0]]]}
+
+    def subgroup(indices):
+        return {"groups": rot4,
+                "subgroups": {"s": {"parent": "rot4", "generator_indices": indices}}}
+
+    def identity_map(theta):
+        return {"groups": rot4,
+                "maps": {"f": {"domain": "rot4", "codomain": "rot4",
+                               "matrix": [[1, 0], [0, 1]], "offset": [0, 0],
+                               "theta": theta}}}
+
     for bad in ({"groups": []},                      # a section that is not an object
                 {"groups": {"g": []}},               # a group without generators
-                {"groups": {"g": [[["1/0"]]]}}):     # an unreadable rational
+                {"groups": {"g": [[["1/0"]]]}},      # an unreadable rational
+                subgroup([99]),                      # element indices out of range
+                subgroup([-1]),
+                identity_map([[0, 0], [1, 1], [2, 2], [3, 7]]),  # theta image out of range
+                identity_map([[0.0, 0], [1, 1], [2, 2], [3, 3]]),  # a non-integer index
+                identity_map([[0], [1, 0, 3]])):     # theta pairs of the wrong length
         with pytest.raises(ParseError):
             parse_scene(json.dumps(bad))
 
