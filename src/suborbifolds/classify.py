@@ -12,7 +12,9 @@ Saturation is decided exactly by a single-element covering argument: the
 pointwise condition "for every x there is h with hx = gx" collapses to
 "one h works for all x" because an affine space over Q is never a finite
 union of proper affine subspaces. This is the one place the engine
-strengthens a pointwise condition; witnesses for failures are found by
+strengthens a pointwise condition; ``check_saturated`` is its one
+implementation, and "h agrees with g on W" compares the images of W's
+base point and basis. Witnesses for failures are found by bounded
 deterministic rational sampling and always replay.
 """
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .linalg import (
     Vec,
     contains_point,
     coordinates_in_basis,
+    images,
     intersect,
     mat_sub,
     mat_vec,
@@ -55,7 +58,6 @@ from .linalg import (
     point_from_coordinates,
     sample_points,
     solve_affine,
-    subspace_contained_in,
     transform_subspace,
     vec,
     vec_add,
@@ -154,15 +156,22 @@ class Verdict:
 
 
 def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) -> Vec:
-    """Point of w_g moved into the subspace by g but by no subgroup element."""
+    """Point of w_g moved into the subspace by g but by no subgroup element.
+
+    For uncovered g each {x in w_g : hx = gx} is a proper affine subspace,
+    so the |delta| of them miss one of the (2r+1)^k sample points of
+    radius <= r once 2r+1 > |delta| (k = dim w_g); past that, g is covered.
+    """
     g_mat = group.matrix_of(g_index)
-    delta_mats = [group.matrix_of(i) for i in delta.members]
+    limit = (2 * ((delta.order + 1) // 2) + 1) ** w_g.dim
     count = 8
     while True:
-        for x in sample_points(w_g, count):
+        for x in sample_points(w_g, min(count, limit)):
             gx = mat_vec(g_mat, x)
-            if all(mat_vec(h, x) != gx for h in delta_mats):
+            if all(mat_vec(h, x) != gx for h in delta.matrices):
                 return x
+        if count >= limit:
+            raise AssertionError(f"no saturation witness for element {g_index}")
         count *= 4
 
 
@@ -175,15 +184,8 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
         w_g = intersect(v, g_inv_v)
         if w_g is None:
             continue
-        g_mat = group.matrix_of(g)
-        covered = False
-        for h in cand.delta.members:
-            agreement = solve_affine(mat_sub(g_mat, group.matrix_of(h)),
-                                     zero_vec(cand.chart.ambient_dim))
-            if agreement is not None and subspace_contained_in(w_g, agreement):
-                covered = True
-                break
-        if not covered:
+        moved = images(group.matrix_of(g), w_g)
+        if not any(images(h, w_g) == moved for h in cand.delta.matrices):
             point = _witness_point(w_g, group, cand.delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)

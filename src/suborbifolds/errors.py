@@ -60,10 +60,14 @@ class NotSubmersion(SuborbifoldError):
 
 
 class NotInjectiveOnQuotient(SuborbifoldError):
-    def __init__(self, message, element=None, solution_space=None):
+    """The map identifies orbits: a = ``point`` and g a (g = ``element``) lie
+    in the image hull, but no theta(g') maps a to g a. Both are None when
+    theta itself is not injective."""
+
+    def __init__(self, message, element=None, point=None):
         super().__init__(message)
         self.element = element
-        self.solution_space = solution_space
+        self.point = point
 
 
 class NotTransverse(SuborbifoldError):

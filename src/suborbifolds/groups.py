@@ -25,11 +25,13 @@ from .linalg import (
     AffineSubspace,
     Mat,
     identity as identity_matrix,
+    images,
     is_invertible,
     mat,
     mat_mul,
     mat_vec,
     rat,
+    rat_str,
     vec,
 )
 
@@ -122,7 +124,13 @@ class FiniteMatrixGroup:
 
     def subgroup_from_matrices(self, matrices) -> "Subgroup":
         """Subgroup generated by the given matrices (closure is taken)."""
-        return self.subgroup_generated_by(self._index[mat(m)] for m in matrices)
+        indices = []
+        for m in map(mat, matrices):
+            if m not in self._index:
+                rows = ", ".join("[" + ", ".join(map(rat_str, row)) + "]" for row in m)
+                raise NotSubgroup(f"matrix [{rows}] is not in the group")
+            indices.append(self._index[m])
+        return self.subgroup_generated_by(indices)
 
     def is_abelian(self) -> bool:
         return _is_abelian(self)
@@ -341,12 +349,8 @@ def stabilizer(g, x) -> Subgroup:
 
 def pointwise_stabilizer(g, v: AffineSubspace) -> Subgroup:
     """{gamma : gamma fixes v pointwise}, i.e. v is inside Fix(gamma)."""
-    kept = [
-        i
-        for i, m in zip(g.members, g.matrices)
-        if mat_vec(m, v.base_point) == v.base_point
-        and all(mat_vec(m, d) == d for d in v.basis)
-    ]
+    points = (v.base_point,) + v.basis
+    kept = [i for i, m in zip(g.members, g.matrices) if images(m, v) == points]
     return Subgroup(g.parent, tuple(kept))
 
 

@@ -293,6 +293,11 @@ def transform_subspace(m: Mat, v: AffineSubspace) -> AffineSubspace:
     return map_subspace(m, zero_vec(len(m)), v)
 
 
+def images(m: Mat, v: AffineSubspace) -> tuple[Vec, ...]:
+    """m applied to v's base point and basis: linear maps agree on v iff these do."""
+    return (mat_vec(m, v.base_point),) + tuple(mat_vec(m, d) for d in v.basis)
+
+
 def coordinates_in_basis(v: AffineSubspace, x: Vec) -> Vec:
     """Coordinates of a point of v with respect to its canonical basis."""
     w = vec_sub(vec(x), v.base_point)

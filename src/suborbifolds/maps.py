@@ -15,6 +15,7 @@ from .classify import (
     SuborbifoldCandidate,
     check_embedded,
     check_full,
+    check_saturated,
     contained_in_regular_part,
     localize_chart,
 )
@@ -56,7 +57,6 @@ from .linalg import (
     mat_rank,
     mat_vec,
     solve_affine,
-    subspace_contained_in,
     vec,
     vec_add,
     vec_sub,
@@ -209,38 +209,17 @@ def image_suborbifold(
         raise NotImmersion("linear part has rank below the domain dimension")
     if not f.theta.is_injective():
         raise NotInjectiveOnQuotient("theta is not injective")
-    n1 = f.domain.ambient_dim
+    # Quotient-level injectivity. As f is injective, f(x) = g f(y) means
+    # a = f(y) and g a lie in the hull, and x = g' y means g a = theta(g') a:
+    # the hull must be saturated under theta(Gamma_1).
     gamma2 = f.codomain.group
-    gamma1 = f.domain.group
-    # Quotient-level injectivity, decided exactly: every solution space of
-    # f(x) = g f(y) must be covered by a single relation x = g' y.
-    for g in range(gamma2.order):
-        g_mat = gamma2.matrix_of(g)
-        lhs = mat(
-            [row_a + tuple(-x for x in row_b)
-             for row_a, row_b in zip(f.linear, mat_mul(g_mat, f.linear))]
-        )
-        rhs = vec_sub(mat_vec(g_mat, f.offset), f.offset)
-        pairs = solve_affine(lhs, rhs)
-        if pairs is None:
-            continue
-        covered = False
-        for g1 in range(gamma1.order):
-            relation = mat(
-                [row_i + tuple(-x for x in row_g)
-                 for row_i, row_g in zip(identity_matrix(n1),
-                                         gamma1.matrix_of(g1))]
-            )
-            sol = solve_affine(relation, zero_vec(n1))
-            if sol is not None and subspace_contained_in(pairs, sol):
-                covered = True
-                break
-        if not covered:
-            raise NotInjectiveOnQuotient(
-                "map identifies distinct orbits",
-                element=gamma2.elements[g],
-                solution_space=pairs,
-            )
+    hull = SuborbifoldCandidate(
+        f.codomain, gamma2.subgroup_from_indices(f.theta.image_of), f.image_subspace()
+    )
+    witness = check_saturated(hull).witness
+    if witness is not None:
+        raise NotInjectiveOnQuotient("map identifies distinct orbits",
+                                     element=witness.element, point=witness.point)
     image_delta = gamma2.subgroup_from_indices(
         f.theta(i) for i in cand.delta.members
     )

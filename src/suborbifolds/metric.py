@@ -36,6 +36,8 @@ from .linalg import (
 )
 
 DEFAULT_DEPTH = 8
+# Each level doubles the segments per pair, so a check must stay shallow.
+MAX_DEPTH = 12
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -49,9 +51,10 @@ class MetricProbe:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        if self.partition_depth < 0:
+        depth = self.partition_depth
+        if type(depth) is not int or not 0 <= depth <= MAX_DEPTH:  # bool is not int
             raise InvalidMetricSetting(
-                f"partition depth must be >= 0, got {self.partition_depth}")
+                f"partition depth must be an integer in 0..{MAX_DEPTH}, got {depth!r}")
         if not self.tolerance >= 0:  # also rejects NaN
             raise InvalidMetricSetting(f"tolerance must be >= 0, got {self.tolerance}")
         _require_orthogonal(self.group)

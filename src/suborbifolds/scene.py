@@ -21,7 +21,7 @@ from .classify import (
     Verdict,
     chart_from_group,
 )
-from .errors import ParseError, UnresolvedName
+from .errors import NotSubgroup, ParseError, UnresolvedName
 from .groups import (
     Fingerprint,
     FiniteMatrixGroup,
@@ -95,9 +95,10 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
                 scene.subgroups[name] = parent.subgroup_generated_by(_element_indices(
                     spec["generator_indices"], parent.order, f"subgroup {name!r}"))
             else:
-                scene.subgroups[name] = parent.subgroup_from_matrices(
-                    [mat(m) for m in spec["generators"]]
-                )
+                try:
+                    scene.subgroups[name] = parent.subgroup_from_matrices(spec["generators"])
+                except NotSubgroup as exc:
+                    raise ParseError(f"subgroup {name!r}: {exc}") from exc
         for name, spec in _section(raw, "subspaces").items():
             scene.subspaces[name] = affine_subspace(
                 spec["base"], spec.get("basis", [])

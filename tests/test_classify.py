@@ -7,6 +7,7 @@ import pytest
 
 from suborbifolds.classify import (
     SuborbifoldCandidate,
+    _witness_point,
     abelian_omega_isotropy,
     chart_from_group,
     check_embedded,
@@ -258,10 +259,11 @@ def test_contained_in_regular_part():
     assert contained_in_regular_part(chart, shifted)
 
 
-def test_randomized_oracle_equivalence_quick():
+@pytest.mark.parametrize("max_group_order", [16, 48])
+def test_randomized_oracle_equivalence_quick(max_group_order):
     rng = random.Random(2024)
     for _ in range(60):
-        cand = random_candidate(rng)
+        cand = random_candidate(rng, max_group_order=max_group_order)
         verdict = check_saturated(cand)
         if verdict.holds:
             assert oracle_saturated_sampled(cand, rng)
@@ -276,6 +278,14 @@ def test_randomized_oracle_equivalence_quick():
         else:
             assert verify_saturation_witness(cand, verdict.witness)
             assert not oracle_saturated_sampled(cand, rng, samples=40)
+
+
+def test_witness_point_search_is_bounded():
+    # The identity is covered, so no witness exists; the search must stop.
+    cand = rotation_line_candidate()
+    group = cand.chart.group
+    with pytest.raises(AssertionError):
+        _witness_point(cand.v, group, cand.delta, group.identity)
 
 
 def test_corpus_flipped_expectation_raises():

@@ -33,8 +33,10 @@ from suborbifolds.errors import (
 from suborbifolds.groups import GroupHom, generate_group, trivial_group
 from suborbifolds.linalg import (
     affine_subspace,
+    contains_point,
     mat,
     mat_rank,
+    mat_vec,
     vec,
     whole_space,
 )
@@ -52,6 +54,8 @@ from suborbifolds.maps import (
     transverse_candidates,
     trivial_hom,
 )
+
+from oracles import oracle_saturated_sampled, random_candidate
 
 
 def line_into_rot4():
@@ -131,8 +135,69 @@ def test_image_rejects_orbit_collapsing_map():
     cand = SuborbifoldCandidate(t1, t1.group.full_subgroup(), whole_space(1))
     with pytest.raises(NotInjectiveOnQuotient) as err:
         image_suborbifold(f, cand)
-    assert err.value.element is not None
-    assert err.value.solution_space is not None
+    assert replays_orbit_collapse(f, err.value)
+
+
+def replays_orbit_collapse(f, err) -> bool:
+    """x and gx lie in the image hull, and no theta(g') maps x to gx."""
+    hull = f.image_subspace()
+    x = err.point
+    gx = mat_vec(err.element.matrix, x)
+    codomain = f.codomain.group
+    return (
+        contains_point(hull, x) and contains_point(hull, gx)
+        and all(mat_vec(codomain.matrix_of(f.theta(i)), x) != gx
+                for i in range(f.domain.group.order))
+    )
+
+
+def random_map(rng):
+    """A random immersion with a candidate in its domain.
+
+    Either a trivial-group chart mapped affinely into a signed-permutation
+    chart, or the inclusion of a subgroup H into its group G, scaled.
+    """
+    sample = random_candidate(rng)
+    chart = sample.chart
+    n = chart.ambient_dim
+    if rng.random() < 0.5:
+        k = rng.randint(1, n)
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            if mat_rank(mat(rows)) == k:
+                break
+        domain = trivial_chart(k)
+        f = EquivariantAffineMap(
+            domain, chart, mat(rows), vec([rng.randint(-2, 2) for _ in range(n)]),
+            trivial_hom(domain.group, chart.group),
+        )
+        return f, SuborbifoldCandidate(domain, domain.group.full_subgroup(), whole_space(k))
+    domain = chart_from_group(sample.delta.promote())
+    theta = GroupHom(domain.group, chart.group,
+                     tuple(chart.group.index_of(m) for m in domain.group.matrices))
+    scale = rng.choice([1, -1, 2, Fraction(1, 2)])
+    f = EquivariantAffineMap(
+        domain, chart, mat([[scale if i == j else 0 for j in range(n)] for i in range(n)]),
+        vec([0] * n), theta,
+    )
+    return f, SuborbifoldCandidate(domain, domain.group.full_subgroup(), sample.v)
+
+
+def test_image_randomized_maps():
+    rng = random.Random(1512)
+    rejected = built = 0
+    for _ in range(60):
+        f, cand = random_map(rng)
+        try:
+            image = image_suborbifold(f, cand)
+        except NotInjectiveOnQuotient as err:
+            assert replays_orbit_collapse(f, err)
+            rejected += 1
+        else:
+            assert check_saturated(image).holds
+            assert oracle_saturated_sampled(image, rng)
+            built += 1
+    assert rejected and built
 
 
 def test_image_requires_immersion():

@@ -1,9 +1,11 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from suborbifolds.cli import main
 from suborbifolds.corpus import metric_probes, run_metric_corpus, rot4_chart, x_axis
 from suborbifolds.errors import (
     CandidateNotSaturated,
@@ -14,11 +16,13 @@ from suborbifolds.errors import (
 from suborbifolds.groups import generate_group
 from suborbifolds.linalg import mat, mat_vec, vec
 from suborbifolds.metric import (
+    MAX_DEPTH,
     MetricProbe,
     intrinsic_quotient_distance,
     lemma_metrics_check,
     quotient_distance,
 )
+from suborbifolds.scene import parse_scene
 
 from oracles import random_candidate, sample_in_subspace
 
@@ -72,9 +76,21 @@ def test_probe_validates_points():
             ((vec([0, 1]), vec([1, 0])),),
         )
     probe = metric_probes()["rotation-line"]
-    for settings in ({"depth": -1}, {"tolerance": -1e-9}, {"tolerance": float("nan")}):
+    for settings in ({"depth": -1}, {"depth": MAX_DEPTH + 1}, {"depth": 30},
+                     {"depth": 1.5}, {"depth": True},
+                     {"tolerance": -1e-9}, {"tolerance": float("nan")}):
         with pytest.raises(InvalidMetricSetting):
             probe.with_settings(**settings)
+    assert probe.with_settings(depth=MAX_DEPTH).partition_depth == MAX_DEPTH
+    assert main(["metric-check", "--depth", "30"]) == 2
+    for depth in (1.5, True):
+        scene = {"groups": {"rot4": [[[0, -1], [1, 0]]]},
+                 "subgroups": {"all": {"parent": "rot4", "generator_indices": [1]}},
+                 "subspaces": {"origin": {"base": [0, 0]}},
+                 "probes": {"p": {"group": "rot4", "subgroup": "all", "subspace": "origin",
+                                  "pairs": [], "depth": depth}}}
+        with pytest.raises(InvalidMetricSetting):
+            parse_scene(json.dumps(scene))
     assert probe.with_settings() is probe
     assert probe.with_settings(depth=0).partition_depth == 0
 

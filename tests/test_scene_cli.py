@@ -102,6 +102,11 @@ def test_parse_error_on_malformed_entry():
                 identity_map([[0], [1, 0, 3]])):     # theta pairs of the wrong length
         with pytest.raises(ParseError):
             parse_scene(json.dumps(bad))
+    outside = {"groups": rot4,                      # a generator outside the group
+               "subgroups": {"s": {"parent": "rot4", "generators": [[[2, 0], [0, 1]]]}}}
+    with pytest.raises(ParseError) as err:
+        parse_scene(json.dumps(outside))
+    assert "'s'" in str(err.value) and "Fraction(" not in str(err.value)
 
 
 def test_unresolved_name():
