@@ -160,7 +160,9 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
 
     For uncovered g each {x in w_g : hx = gx} is a proper affine subspace,
     so the |delta| of them miss one of the (2r+1)^k sample points of
-    radius <= r once 2r+1 > |delta| (k = dim w_g); past that, g is covered.
+    radius <= r once 2r+1 > |delta| (k = dim w_g). When the first 8
+    samples miss, whether some h agrees with g on all of w_g is decided
+    exactly, so a covered g fails at once instead of after the whole cube.
     """
     g_mat = group.matrix_of(g_index)
     limit = (2 * ((delta.order + 1) // 2) + 1) ** w_g.dim
@@ -170,9 +172,17 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
             gx = mat_vec(g_mat, x)
             if all(mat_vec(h, x) != gx for h in delta.matrices):
                 return x
+        if count == 8 and any(_agrees_on(h, g_mat, w_g) for h in delta.matrices):
+            raise AssertionError(f"element {g_index} is covered on W_g: no saturation witness")
         if count >= limit:
             raise AssertionError(f"no saturation witness for element {g_index}")
         count *= 4
+
+
+def _agrees_on(h, g, w: AffineSubspace) -> bool:
+    """Does h x = g x hold for every x in w? (Solved, not compared on images.)"""
+    agree = solve_affine(mat_sub(h, g), zero_vec(w.ambient_dim))
+    return intersect(agree, w) == w
 
 
 def check_saturated(cand: SuborbifoldCandidate) -> Verdict:

@@ -61,8 +61,9 @@ class NotSubmersion(SuborbifoldError):
 
 class NotInjectiveOnQuotient(SuborbifoldError):
     """The map identifies orbits: a = ``point`` and g a (g = ``element``) lie
-    in the image hull, but no theta(g') maps a to g a. Both are None when
-    theta itself is not injective."""
+    in the image hull, but no theta(g') maps a to g a. The message names g's
+    index and a, so the pair replays from the CLI's output. Both are None
+    when theta itself is not injective."""
 
     def __init__(self, message, element=None, point=None):
         super().__init__(message)

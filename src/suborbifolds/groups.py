@@ -8,6 +8,19 @@ and their subgroups also expose ``parent`` (the matrix group the indices
 refer to; a matrix group is its own parent), ``members`` (the parent
 indices of the elements, in local order) and ``matrices`` (the member
 matrices in the same order), so no caller needs to tell them apart.
+
+Products are never computed as matrix products. Let Omega be the set of
+all columns of all elements: the orbit of the standard basis, since the
+columns of g are g e_1, ..., g e_n. Each element permutes Omega, and as
+Omega spans Q^n that action is faithful; an element is even determined
+by its column key, the indices of its n columns in Omega. The key of
+a b is (pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, so
+a Cayley cell is one n-tuple and one dict lookup. Matrix-vector products are taken
+only for the few elements whose permutations generate the rest.
+``generate_group`` finds Omega as the orbit of e_1, ..., e_n under the
+generators and caps it at n * max_order points: a group of order at most
+max_order moves each e_j to at most max_order places, so a longer orbit
+proves the group infinite or too large.
 """
 from __future__ import annotations
 
@@ -15,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    DimensionMismatch,
     GroupTooLarge,
     NonInvertibleGenerator,
     NotFiniteWithinBound,
@@ -24,11 +38,11 @@ from .errors import (
 from .linalg import (
     AffineSubspace,
     Mat,
+    Vec,
     identity as identity_matrix,
     images,
     is_invertible,
     mat,
-    mat_mul,
     mat_vec,
     rat,
     rat_str,
@@ -64,20 +78,38 @@ class FiniteMatrixGroup:
         matrices = sorted(set(matrices))
         if not matrices:
             raise ValueError("a group needs at least the identity matrix")
-        self.ambient_dim = len(matrices[0])
+        n = self.ambient_dim = len(matrices[0])
+        if any(len(m) != n or any(len(row) != n for row in m) for m in matrices):
+            raise DimensionMismatch("group matrices must be square, equal size")
         self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
         self.matrices: tuple[Mat, ...] = tuple(matrices)
         self.members = tuple(range(len(matrices)))
         self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
+        if identity_matrix(n) not in self._index:
+            raise ValueError("matrix set does not contain the identity matrix")
+        # Omega (every column of every element) and each element's column key.
+        points: dict[Vec, int] = {}
+        keys = [tuple(points.setdefault(c, len(points)) for c in zip(*m)) for m in matrices]
+        element_of = {key: i for i, key in enumerate(keys)}
+        omega = list(points)
+        identity_key = tuple(points[e] for e in zip(*identity_matrix(n)))
+        perms: list = [None] * len(matrices)
+        generators = []
+        # A KeyError means a point or a product fell outside the set.
         try:
+            # The next element not yet reached becomes a generator.
+            for i, m in enumerate(matrices):
+                if perms[i] is not None:
+                    continue
+                generators.append(_permutation(m, omega, points))
+                for p in _close_permutations(generators, len(omega), len(matrices)):
+                    perms[element_of[tuple(p[k] for k in identity_key)]] = p
             self.cayley_table: tuple[tuple[int, ...], ...] = tuple(
-                tuple(self._index[mat_mul(a, b)] for b in matrices) for a in matrices
+                tuple(element_of[tuple(p[k] for k in key)] for key in keys) for p in perms
             )
-        except KeyError:
+        except (KeyError, NotFiniteWithinBound):
             raise ValueError("matrix set is not closed under products") from None
         self.identity, self._inverse = _identity_and_inverses(self.cayley_table)
-        if matrices[self.identity] != identity_matrix(self.ambient_dim):
-            raise ValueError("matrix set is not a group of invertible matrices")
 
     @property
     def parent(self) -> "FiniteMatrixGroup":
@@ -268,31 +300,69 @@ def realify(complex_entries) -> Mat:
     return mat(rows)
 
 
-def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
-    """Closure of the generators, with canonical ordering and Cayley table."""
-    gens = [mat(g) for g in generators]
-    if gens:
-        n = len(gens[0])
-        for g in gens:
-            if len(g) != n or len(g[0]) != n:
-                raise NonInvertibleGenerator("generators must be square, equal size")
-            if not is_invertible(g):
-                raise NonInvertibleGenerator(f"generator is singular: {g}")
-    else:
-        n = 1
-    ident = identity_matrix(n)
-    seen = {ident}
-    frontier = [ident]
+def _permutation(m: Mat, omega, points) -> tuple[int, ...]:
+    """m's action on omega as a tuple of point indices.
+
+    Raises KeyError when m maps a point outside omega.
+    """
+    p = tuple(points[mat_vec(m, x)] for x in omega)
+    if len(set(p)) != len(p):
+        raise ValueError("matrix set is not a group of invertible matrices")
+    return p
+
+
+def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, ...]]:
+    """The permutations of 0..degree-1 the generators generate.
+
+    The identity is closed under right multiplication by the generators
+    (for permutations of a finite set the products already form the
+    group); ``NotFiniteWithinBound(limit)`` is raised before a group
+    grows past ``limit`` elements.
+    """
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         current = frontier.pop()
-        for g in gens:
-            prod = mat_mul(current, g)
+        for g in generators:
+            prod = tuple(current[k] for k in g)
             if prod not in seen:
-                if len(seen) >= max_order:
-                    raise NotFiniteWithinBound(max_order)
+                if len(seen) >= limit:
+                    raise NotFiniteWithinBound(limit)
                 seen.add(prod)
                 frontier.append(prod)
-    return FiniteMatrixGroup(seen)
+    return seen
+
+
+def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
+    """Closure of the generators, with canonical ordering and Cayley table.
+
+    The orbit of the standard basis is found with one matrix-vector
+    product per point and generator; it is capped at n * max_order points.
+    The generators' permutations of it are closed, and each element's
+    matrix is read off the images of the basis, which come first.
+    """
+    gens = [mat(g) for g in generators]
+    n = len(gens[0]) if gens else 1
+    for g in gens:
+        if len(g) != n or any(len(row) != n for row in g):
+            raise NonInvertibleGenerator("generators must be square, equal size")
+        if not is_invertible(g):
+            raise NonInvertibleGenerator(f"generator is singular: {g}")
+    omega = list(zip(*identity_matrix(n)))
+    points = {x: k for k, x in enumerate(omega)}
+    moves: list[list[int]] = [[] for _ in gens]
+    for x in omega:
+        for g, row in zip(gens, moves):
+            y = mat_vec(g, x)
+            if y not in points:
+                if len(points) >= n * max_order:
+                    raise NotFiniteWithinBound(max_order)
+                points[y] = len(omega)
+                omega.append(y)
+            row.append(points[y])
+    perms = _close_permutations([tuple(row) for row in moves], len(omega), max_order)
+    return FiniteMatrixGroup(tuple(zip(*(omega[k] for k in p[:n]))) for p in perms)
 
 
 def trivial_group(n: int) -> FiniteMatrixGroup:

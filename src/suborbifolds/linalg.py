@@ -133,7 +133,7 @@ def mat_rank(m: Mat) -> int:
 
 
 def is_invertible(m: Mat) -> bool:
-    return len(m) == len(m[0]) and mat_rank(m) == len(m)
+    return all(len(row) == len(m) for row in m) and mat_rank(m) == len(m)
 
 
 def mat_inverse(m: Mat) -> Mat:

@@ -56,6 +56,7 @@ from .linalg import (
     mat_mul,
     mat_rank,
     mat_vec,
+    rat_str,
     solve_affine,
     vec,
     vec_add,
@@ -218,8 +219,11 @@ def image_suborbifold(
     )
     witness = check_saturated(hull).witness
     if witness is not None:
-        raise NotInjectiveOnQuotient("map identifies distinct orbits",
-                                     element=witness.element, point=witness.point)
+        i, point = witness.element.index, ", ".join(map(rat_str, witness.point))
+        raise NotInjectiveOnQuotient(
+            f"map identifies distinct orbits: codomain element {i} moves the "
+            f"image point [{point}] within the image, and no theta(g) does",
+            element=witness.element, point=witness.point)
     image_delta = gamma2.subgroup_from_indices(
         f.theta(i) for i in cand.delta.members
     )

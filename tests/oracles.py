@@ -182,19 +182,21 @@ def verify_fullness_witness(cand: SuborbifoldCandidate, witness) -> bool:
 # Randomized candidates over signed permutation groups
 
 
+def signed_permutation(perm, signs):
+    """The matrix sending e_j to signs[i] e_i where perm[i] = j."""
+    n = len(perm)
+    return tuple(
+        tuple(Fraction(signs[i]) if perm[i] == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+
+
 def signed_permutation_matrices(n: int):
-    out = []
-    for perm in permutations(range(n)):
-        for signs in product([1, -1], repeat=n):
-            m = tuple(
-                tuple(
-                    Fraction(signs[i]) if perm[i] == j else Fraction(0)
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            out.append(m)
-    return out
+    return [
+        signed_permutation(perm, signs)
+        for perm in permutations(range(n))
+        for signs in product([1, -1], repeat=n)
+    ]
 
 
 def random_candidate(rng: random.Random, max_group_order: int = 16,
@@ -250,3 +252,60 @@ def _closure(group, seed):
                 members.add(i)
                 changed = True
     return members
+
+
+# ---------------------------------------------------------------------------
+# Matrix groups by plain matrix products (the reference for the group core)
+
+
+def oracle_mat_mul(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+              for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def oracle_group_closure(generators):
+    """Sorted elements of the group the matrices generate, by matrix products."""
+    n = len(generators[0])
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        a = frontier.pop()
+        for g in generators:
+            p = oracle_mat_mul(a, g)
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return sorted(seen)
+
+
+def hyperoctahedral_generators(n: int):
+    """B_n: the adjacent coordinate swaps and the sign change of x_0."""
+    swaps = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        swaps.append(signed_permutation(perm, [1] * n))
+    return swaps + [signed_permutation(range(n), [-1] + [1] * (n - 1))]
+
+
+def random_rational_basis_change(rng: random.Random, n: int):
+    """An invertible S with entries in {0, +-1/2, +-1, +-2} and its inverse."""
+    entries = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1),
+               Fraction(-1), Fraction(2), Fraction(-2)]
+    while True:
+        s = tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(n))
+        if oracle_rank(s) == n:
+            break
+    columns = [
+        oracle_solve(s, [Fraction(int(i == j)) for i in range(n)])[0]
+        for j in range(n)
+    ]
+    return s, tuple(zip(*columns))
+
+
+def conjugate_all(matrices, s, s_inv):
+    return [oracle_mat_mul(oracle_mat_mul(s, m), s_inv) for m in matrices]

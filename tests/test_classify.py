@@ -43,14 +43,15 @@ from suborbifolds.errors import (
     NonInvariant,
     PointNotInV,
 )
-from suborbifolds.groups import generate_group, pointwise_stabilizer
-from suborbifolds.linalg import affine_subspace, mat_vec, vec
+from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
+from suborbifolds.linalg import affine_subspace, mat_vec, vec, whole_space
 
 from oracles import (
     oracle_full,
     oracle_saturated_sampled,
     random_candidate,
     sample_in_subspace,
+    signed_permutation_matrices,
     verify_fullness_witness,
     verify_saturation_witness,
 )
@@ -286,6 +287,11 @@ def test_witness_point_search_is_bounded():
     group = cand.chart.group
     with pytest.raises(AssertionError):
         _witness_point(cand.v, group, cand.delta, group.identity)
+    # In B3 with dim W_g = 3 the sample cube has 49^3 points; a covered
+    # element is refuted exactly once the first samples miss.
+    b3 = FiniteMatrixGroup(signed_permutation_matrices(3))
+    with pytest.raises(AssertionError, match="covered"):
+        _witness_point(whole_space(3), b3, b3.full_subgroup(), b3.identity)
 
 
 def test_corpus_flipped_expectation_raises():

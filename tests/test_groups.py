@@ -1,5 +1,6 @@
 """Finite matrix groups: hand-counted lattices, Lagrange, complements,
-fingerprints under relabeling."""
+fingerprints under relabeling, and the permutation-action core against
+matrix-product and sympy references."""
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from suborbifolds.errors import (
     NotSubgroup,
 )
 import suborbifolds.groups as groups
+import suborbifolds.linalg as linalg
 from suborbifolds.groups import (
     FiniteMatrixGroup,
     Fingerprint,
@@ -27,9 +29,19 @@ from suborbifolds.groups import (
     stabilizer,
     trivial_group,
 )
-from suborbifolds.linalg import affine_subspace, mat, vec
+from suborbifolds.linalg import affine_subspace, identity, mat, mat_mul, mat_vec, vec
 
-from oracles import _closure, random_candidate, signed_permutation_matrices
+from oracles import (
+    _closure,
+    conjugate_all,
+    hyperoctahedral_generators,
+    oracle_group_closure,
+    oracle_mat_mul,
+    random_candidate,
+    random_rational_basis_change,
+    signed_permutation,
+    signed_permutation_matrices,
+)
 
 ROT4 = mat([[0, -1], [1, 0]])
 ROT2 = mat([[-1, 0], [0, -1]])
@@ -54,23 +66,77 @@ def test_generate_rot4():
     assert g.matrix_of(g.identity) == mat([[1, 0], [0, 1]])
 
 
+def _assert_matches_reference(g, reference):
+    """g has the reference's sorted elements and their products in every cell."""
+    assert list(g.matrices) == reference
+    for i, a in enumerate(reference):
+        for j, b in enumerate(reference):
+            assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(a, b)
+        assert g.mult(i, g.inv(i)) == g.identity
+
+
+def _seeded_groups(count, max_order):
+    """Generators of seeded groups: signed-permutation subgroups of dimension
+    1-4, most conjugated by a rational basis change (non-integer entries,
+    non-orthogonal)."""
+    rng = random.Random(17)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        gens = rng.sample(signed_permutation_matrices(n), rng.randint(1, 2))
+        if len(oracle_group_closure(gens)) > max_order:
+            continue
+        if rng.random() < 0.8:
+            gens = conjugate_all(gens, *random_rational_basis_change(rng, n))
+        out.append(gens)
+    return out
+
+
 def test_cayley_consistency():
     g = klein_group()
-    for i in range(g.order):
-        for j in range(g.order):
-            assert g.matrix_of(g.mult(i, j)) == mat(
-                [
-                    [
-                        sum(
-                            g.matrix_of(i)[r][k] * g.matrix_of(j)[k][c]
-                            for k in range(2)
-                        )
-                        for c in range(2)
-                    ]
-                    for r in range(2)
-                ]
-            )
-        assert g.mult(i, g.inv(i)) == g.identity
+    _assert_matches_reference(g, oracle_group_closure([SIGN_X, SIGN_Y]))
+    rng = random.Random(3)
+    realified = realify([[(0, 1), (0, 0)], [(0, 0), (-1, 0)]])
+    for gens in _seeded_groups(30, 48) + [[realified]]:
+        reference = oracle_group_closure(gens)
+        g = generate_group(gens)
+        _assert_matches_reference(g, reference)
+        shuffled = list(reference)
+        rng.shuffle(shuffled)
+        built = FiniteMatrixGroup(shuffled)
+        assert built.matrices == g.matrices and built.cayley_table == g.cayley_table
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ([ROT4], "identity"),
+    ([mat([[1, 0], [0, 1]]), ROT4], "not closed"),
+    ([mat([[1, 0], [0, 0]])], "identity"),
+    ([mat([[1, 0], [0, 1]]), mat([[1, 0], [0, 0]])], "invertible"),
+])
+def test_constructor_rejects_non_groups(matrices, message):
+    # {I, P} with P^2 = P is closed under products but P is singular.
+    with pytest.raises(ValueError, match=message):
+        FiniteMatrixGroup(matrices)
+
+
+def test_sympy_permutation_group_order_oracle():
+    sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(29)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    for gens, basis_change in ((b4, identity(4)), (conjugate_all(b4, s, s_inv), s)):
+        # The group permutes the columns S e_i of the basis change and their negatives.
+        units = list(zip(*basis_change))
+        points = units + [tuple(-x for x in e) for e in units]
+        perms = [
+            sympy_combinatorics.Permutation([points.index(mat_vec(m, x)) for x in points])
+            for m in gens
+        ]
+        g = generate_group(gens)
+        assert g.order == sympy_combinatorics.PermutationGroup(perms).order() == 384
+        for _ in range(2000):
+            i, j = rng.randrange(g.order), rng.randrange(g.order)
+            assert g.matrix_of(g.mult(i, j)) == mat_mul(g.matrix_of(i), g.matrix_of(j))
 
 
 def test_singular_generator_rejected():
@@ -230,6 +296,8 @@ def test_trivial_and_dimension_zero_groups():
     assert t.order == 1 and t.ambient_dim == 3
     z = FiniteMatrixGroup([()])
     assert z.order == 1 and z.ambient_dim == 0
+    # the empty generator is the 0 x 0 identity
+    assert generate_group([[]]) == z
 
 
 def test_signed_permutation_pool_sizes():
@@ -237,17 +305,26 @@ def test_signed_permutation_pool_sizes():
     assert len(signed_permutation_matrices(3)) == 48
 
 
-def test_cayley_table_one_product_per_cell(monkeypatch):
+def test_group_core_makes_no_matrix_product(monkeypatch):
     calls = []
-    real = groups.mat_mul
+    real = linalg.mat_mul
 
     def counting(a, b):
         calls.append(None)
         return real(a, b)
 
-    monkeypatch.setattr(groups, "mat_mul", counting)
-    g = FiniteMatrixGroup(signed_permutation_matrices(3))
-    assert len(calls) == g.order ** 2 == 48 ** 2
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    monkeypatch.setattr(groups, "mat_mul", counting, raising=False)
+    b3 = hyperoctahedral_generators(3)
+    # B3 on the first three coordinates, Z2 flipping the fourth
+    b3_z2 = [signed_permutation((1, 0, 2, 3), (1, 1, 1, 1)),
+             signed_permutation((0, 2, 1, 3), (1, 1, 1, 1)),
+             signed_permutation(range(4), (-1, 1, 1, 1)),
+             signed_permutation(range(4), (1, 1, 1, -1))]
+    for gens, order in ((b3, 48), (b3_z2, 96)):
+        g = generate_group(gens)
+        assert FiniteMatrixGroup(g.matrices).order == g.order == order
+    assert calls == []
 
 
 def test_subgroup_lookups_agree_with_parent_table():

@@ -1,12 +1,19 @@
 """Scene parsing and CLI behavior: errors, exit codes, determinism,
 witness replay from machine reports."""
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import suborbifolds.cli as cli
 from suborbifolds.cli import main
 from suborbifolds.errors import ParseError, UnresolvedName
+from suborbifolds.groups import generate_group
 from suborbifolds.linalg import mat, mat_vec, rat, vec, contains_point
 from suborbifolds.scene import parse_scene, strip_timing
 
@@ -263,3 +270,69 @@ def test_cli_metric_check_scene_probe(scene_path, capsys):
     assert main(["metric-check", "--scene", scene_path,
                  "--probe", "line_probe"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_image_rejection_names_a_replayable_witness(tmp_path, capsys):
+    # A line with the trivial group mapped onto the x-axis of the rot4 chart:
+    # the half turn identifies x with -x, which the trivial group does not.
+    rot4 = [[[0, -1], [1, 0]]]
+    scene = {
+        "groups": {"t1": [[[1]]], "rot4": rot4},
+        "subspaces": {"line": {"base": [0], "basis": [[1]]}},
+        "candidates": {"t_line": {"group": "t1", "subspace": "line"}},
+        "maps": {"onto_x": {"domain": "t1", "codomain": "rot4",
+                            "matrix": [[1], [0]], "offset": [0, 0],
+                            "theta": [[0, 3]]}},
+    }
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps(scene))
+    assert main(["image", "--scene", str(path), "--map", "onto_x",
+                 "--candidate", "t_line", "--format", "machine"]) == 2
+    err = capsys.readouterr().err
+    found = re.search(r"element (\d+) moves the image point \[([^\]]*)\]", err)
+    assert err.startswith("error: map identifies distinct orbits") and found
+    g = generate_group([mat(m) for m in rot4])
+    x = vec([rat(c.strip()) for c in found.group(2).split(",")])
+    gx = mat_vec(g.matrix_of(int(found.group(1))), x)
+    # x and gx lie on the x-axis, and theta's only image (the identity) fixes x
+    assert x[1] == 0 and gx[1] == 0 and gx != x
+
+
+ENTRY = st.sampled_from([0, "1/2", "-1/2", 1, -1, 2, -2])
+
+
+def _square(n):
+    return st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+GENERATOR_LISTS = st.one_of(
+    # same-size square matrices: finite, infinite-order or singular
+    st.integers(1, 3).flatmap(lambda n: st.lists(_square(n), min_size=1, max_size=3)),
+    # signed permutations: finite groups, so the whole pipeline runs
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).flatmap(lambda perm: st.lists(
+            st.sampled_from([1, -1]), min_size=n, max_size=n).map(
+            lambda signs: [[signs[i] if perm[i] == j else 0 for j in range(n)]
+                           for i in range(n)])),
+        min_size=1, max_size=3)),
+    # ragged, non-square, empty and mixed-size matrices
+    st.lists(st.one_of(
+        st.just([]),
+        st.lists(st.lists(ENTRY, max_size=3), max_size=3),
+        st.integers(1, 3).flatmap(_square),
+    ), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GENERATOR_LISTS)
+def test_scene_fuzz_group_generators(generators):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w") as fh:
+            json.dump({"groups": {"G": generators}}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["classify", "--scene", path, "--max-order", "64"])
+    assert rc in (0, 2), err.getvalue()
+    assert "internal" not in err.getvalue()
