@@ -56,6 +56,7 @@ from .linalg import (
     mat_vec,
     identity as identity_matrix,
     point_from_coordinates,
+    point_in_dim,
     sample_points,
     solve_affine,
     transform_subspace,
@@ -347,7 +348,7 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
 
 
 def isotropy_point(chart: ChartModel, x) -> Fingerprint:
-    return iso_fingerprint(stabilizer(chart.group, vec(x)))
+    return iso_fingerprint(stabilizer(chart.group, point_in_dim(x, chart.ambient_dim)))
 
 
 def isotropy_sub_point(cand: SuborbifoldCandidate, x) -> Fingerprint:
@@ -461,13 +462,12 @@ def classify(
     isotropy_points: tuple = (),
 ) -> ClassificationReport:
     """Full classification; fullness/embeddedness only apply when saturated."""
+    points = tuple(point_in_dim(p, cand.chart.ambient_dim) for p in isotropy_points)
     kernel = cand.kernel
     saturated = cand.saturation
     if not saturated.holds:
         return ClassificationReport(saturated, None, None, kernel)
     full = check_full(cand)
     embedded = check_embedded(cand, search_all_delta=search_all_delta)
-    isotropy = tuple(
-        (vec(p), isotropy_sub_point(cand, p)) for p in isotropy_points
-    )
+    isotropy = tuple((p, isotropy_sub_point(cand, p)) for p in points)
     return ClassificationReport(saturated, full, embedded, kernel, isotropy)

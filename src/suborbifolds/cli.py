@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 corpus/check mismatch, 2 input error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import corpus as corpus_mod
@@ -43,8 +44,25 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+# Options that take a comma-separated point. argparse reads a next token
+# such as -1,0 as an unknown option, so main() attaches it with "=".
+POINT_OPTIONS = ("--point", "--isotropy-point", "--value")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
 def _parse_point(text: str):
     return vec([rat(part.strip()) for part in text.split(",")])
+
+
+def _attach_negative_points(argv: list[str]) -> list[str]:
+    """Rewrite '--point -1,0' as '--point=-1,0' for every point option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in POINT_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _load_scene(args):
@@ -335,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_points(argv))
     try:
         return args.func(args)
     except SuborbifoldError as exc:

@@ -213,10 +213,16 @@ def _reduce_against_basis(v: AffineSubspace, w: Vec) -> Vec:
     return w
 
 
-def contains_point(v: AffineSubspace, x) -> bool:
+def point_in_dim(x, n: int) -> Vec:
+    """x as a vector, which must have n coordinates."""
     x = vec(x)
-    if len(x) != v.ambient_dim:
-        raise DimensionMismatch("point length differs from ambient dimension")
+    if len(x) != n:
+        raise DimensionMismatch(f"expected a point with {n} coordinates, got {len(x)}")
+    return x
+
+
+def contains_point(v: AffineSubspace, x) -> bool:
+    x = point_in_dim(x, v.ambient_dim)
     rem = _reduce_against_basis(v, vec_sub(x, v.base_point))
     return all(c == 0 for c in rem)
 

@@ -56,6 +56,7 @@ from .linalg import (
     mat_mul,
     mat_rank,
     mat_vec,
+    point_in_dim,
     rat_str,
     solve_affine,
     vec,
@@ -351,7 +352,7 @@ def regular_value_preimage(
     f: EquivariantAffineMap, q
 ) -> SuborbifoldCandidate:
     """Preimage of a regular value as a full candidate of dim n1 - n2."""
-    q = vec(q)
+    q = point_in_dim(q, f.codomain.ambient_dim)
     if rank_at(f) != f.codomain.ambient_dim:
         raise RankDeficient("rank of the lift is below the codomain dimension")
     if solve_affine(f.linear, vec_sub(q, f.offset)) is None:

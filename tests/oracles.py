@@ -7,6 +7,7 @@ always orthogonal and exactly representable.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -309,3 +310,42 @@ def random_rational_basis_change(rng: random.Random, n: int):
 
 def conjugate_all(matrices, s, s_inv):
     return [oracle_mat_mul(oracle_mat_mul(s, m), s_inv) for m in matrices]
+
+
+# ---------------------------------------------------------------------------
+# The metric probe by per-point evaluation (the reference for the closed form)
+
+
+def _min_orbit_sq_dist(matrices, x, y):
+    return min(sum((a - b) ** 2 for a, b in zip(x, mat_vec(m, y))) for m in matrices)
+
+
+def oracle_segment_sum(matrices, start, end, pieces):
+    """Sum over the pieces of the segment from start to end of the minimum
+    over the matrices of |p - g q|, with every piece end built as a Fraction
+    vector and every distance taken with mat_vec."""
+    total = 0.0
+    prev = start
+    for i in range(1, pieces + 1):
+        t = Fraction(i, pieces)
+        current = tuple((1 - t) * a + t * b for a, b in zip(start, end))
+        total += math.sqrt(_min_orbit_sq_dist(matrices, prev, current))
+        prev = current
+    return total
+
+
+def oracle_intrinsic_distances(probe, x, y):
+    """Entry k is the intrinsic distance from x to y at partition depth k,
+    for k = 0..probe.partition_depth, built on oracle_segment_sum: per
+    subgroup element h the sup of the segment sums over depths 0..k, then
+    the min over h. Each depth's sums are computed once for all k."""
+    x, y = vec(x), vec(y)
+    best = [None] * (probe.partition_depth + 1)
+    for h in probe.subgroup.members:
+        target = mat_vec(probe.group.matrix_of(h), y)
+        sup = 0.0
+        for depth in range(probe.partition_depth + 1):
+            sup = max(sup, oracle_segment_sum(probe.group.matrices, x, target, 2 ** depth))
+            if best[depth] is None or sup < best[depth]:
+                best[depth] = sup
+    return best

@@ -2,11 +2,13 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from suborbifolds.cli import main
 from suborbifolds.corpus import metric_probes, run_metric_corpus, rot4_chart, x_axis
+from suborbifolds import metric
 from suborbifolds.errors import (
     CandidateNotSaturated,
     InvalidMetricSetting,
@@ -14,8 +16,9 @@ from suborbifolds.errors import (
     PointsNotInSubspace,
 )
 from suborbifolds.groups import generate_group
-from suborbifolds.linalg import mat, mat_vec, vec
+from suborbifolds.linalg import contains_point, mat, mat_vec, vec, zero_vec
 from suborbifolds.metric import (
+    DEFAULT_DEPTH,
     MAX_DEPTH,
     MetricProbe,
     intrinsic_quotient_distance,
@@ -24,7 +27,7 @@ from suborbifolds.metric import (
 )
 from suborbifolds.scene import parse_scene
 
-from oracles import random_candidate, sample_in_subspace
+from oracles import oracle_intrinsic_distances, random_candidate, sample_in_subspace
 
 
 def test_quotient_distance_hand_case():
@@ -169,3 +172,73 @@ def test_failure_hint_mentions_depth():
     report = lemma_metrics_check(tight)
     if not report.passed:
         assert "depth" in report.hint
+
+
+ROTATION_SCENE = Path(__file__).resolve().parent.parent / "scenes" / "rotation_line.json"
+
+
+def _shipped_probes():
+    with open(ROTATION_SCENE) as fh:
+        scene = parse_scene(fh.read())
+    return list(metric_probes().values()) + list(scene.probes.values())
+
+
+def test_closed_form_equals_per_point_oracle_on_shipped_probes():
+    # Exact float equality: the closed form must reproduce the per-point
+    # Fraction evaluation bit for bit, so reports keep their bytes. The
+    # oracle stops at the default depth, which every shipped report uses:
+    # per-point Fraction sums up to MAX_DEPTH take about half a minute.
+    for probe in _shipped_probes():
+        probe = probe.with_settings(depth=DEFAULT_DEPTH)
+        for x, y in probe.sample_pairs:
+            expected = oracle_intrinsic_distances(probe, x, y)
+            for depth, value in enumerate(expected):
+                got = intrinsic_quotient_distance(probe.with_settings(depth=depth), x, y)
+                assert got == value, (x, y, depth)
+
+
+def test_closed_form_equals_per_point_oracle_on_random_probes():
+    rng = random.Random(2024)
+    checked = off_origin = nontrivial_h = deepest = 0
+    while checked < 30:
+        cand = random_candidate(rng, max_group_order=48)
+        if cand.v.dim == 0:
+            continue
+        group, delta = cand.chart.group, cand.delta
+        # Cap the oracle's work (one Fraction mat_vec per group element,
+        # subgroup element and piece) so the test stays short.
+        depth = rng.randint(0, 8)
+        while group.order * delta.order * (2 ** (depth + 1) - 1) > 2048:
+            depth -= 1
+        x, y = sample_in_subspace(cand.v, rng, 3)[1:]
+        probe = MetricProbe(group, delta, cand.v, ((x, y),), partition_depth=depth)
+        expected = oracle_intrinsic_distances(probe, x, y)
+        for k, value in enumerate(expected):
+            assert intrinsic_quotient_distance(probe.with_settings(depth=k), x, y) == value
+        checked += 1
+        off_origin += not contains_point(cand.v, zero_vec(len(x)))
+        nontrivial_h += delta.order > 1
+        deepest = max(deepest, depth)
+    assert off_origin >= 5 and nontrivial_h >= 10 and deepest == 8
+
+
+def test_metric_probe_work_does_not_grow_with_depth(monkeypatch):
+    # One mat_vec per group element for x, and per subgroup element h one
+    # for h y and one per group element for the segment direction; the
+    # pieces cost no matrix product at any depth.
+    calls = []
+
+    def counting_mat_vec(m, v):
+        calls.append(1)
+        return mat_vec(m, v)
+
+    monkeypatch.setattr(metric, "mat_vec", counting_mat_vec)
+    for probe in _shipped_probes():
+        g, h = probe.group.order, probe.subgroup.order
+        x, y = probe.sample_pairs[-1]
+        counts = []
+        for depth in (0, DEFAULT_DEPTH):
+            calls.clear()
+            intrinsic_quotient_distance(probe.with_settings(depth=depth), x, y)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= h * (2 * g + 1)

@@ -257,6 +257,41 @@ def test_cli_isotropy(scene_path, capsys):
                  "--candidate", "rotation_line", "--point", "0,1"]) == 2
 
 
+POINT_OPTION_CASES = [
+    (["isotropy", "--group", "rot4"], "--point", 0),
+    (["isotropy", "--candidate", "rotation_line"], "--point", 0),
+    (["classify", "--candidate", "rotation_line"], "--isotropy-point", 0),
+    # read as a value, then refused: rot4 moves it
+    (["preimage", "--map", "identity"], "--value", 2),
+]
+
+
+@pytest.mark.parametrize("command,option,code", POINT_OPTION_CASES)
+def test_cli_point_options_accept_a_leading_minus(scene_path, command, option, code, capsys):
+    argv = command + ["--scene", scene_path, "--format", "machine"]
+    for value in ("-1,0", "-1/2,0"):
+        assert main(argv + [option, value]) == code
+        separate = capsys.readouterr()
+        assert main(argv + [f"{option}={value}"]) == code
+        assert capsys.readouterr() == separate
+    # a point of the wrong length names both lengths
+    for value, got in (("-1", 1), ("1,0,0", 3)):
+        assert main(argv + [option, value]) == 2
+        err = capsys.readouterr().err
+        assert f"expected a point with 2 coordinates, got {got}" in err
+
+
+def test_cli_point_option_from_the_command_line(scene_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["suborb", "isotropy", "--scene", scene_path,
+                                     "--group", "rot4", "--point", "-1,0"])
+    assert main() == 0
+    assert "at ['-1', '0']: order 1" in capsys.readouterr().out
+    # a missing value is still argparse's error, not a rational to parse
+    with pytest.raises(SystemExit) as exc:
+        main(["isotropy", "--scene", scene_path, "--group", "rot4", "--point"])
+    assert exc.value.code == 2
+
+
 def test_cli_report_file(scene_path, tmp_path, capsys):
     report = tmp_path / "out.json"
     assert main(["classify", "--scene", scene_path, "--format", "machine",
