@@ -14,7 +14,11 @@ pointwise condition "for every x there is h with hx = gx" collapses to
 union of proper affine subspaces. This is the one place the engine
 strengthens a pointwise condition; ``check_saturated`` is its one
 implementation, and "h agrees with g on W" compares the images of W's
-base point and basis. Witnesses for failures are found by bounded
+base point and basis. Its work follows the orbit of V rather than
+|Gamma| * |Delta|: W_g = V & g^-1 V depends only on the coset
+Stab(V) g, g^-1 V is reached through the Schreier tree of the group's
+generators, and W_g with the images of it under all of Delta is built
+once per distinct g^-1 V. Witnesses for failures are found by bounded
 deterministic rational sampling and always replay.
 """
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .linalg import (
     identity as identity_matrix,
     point_from_coordinates,
     point_in_dim,
+    rat_str,
     sample_points,
     solve_affine,
     transform_subspace,
@@ -187,19 +192,61 @@ def _agrees_on(h, g, w: AffineSubspace) -> bool:
 
 
 def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
-    """Is the subspace a Delta-submanifold of the Gamma-space?"""
+    """Is the subspace a Delta-submanifold of the Gamma-space?
+
+    Every g in Gamma is tested in index order, and the first g that no
+    h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
+    Delta are covered by themselves and skipped. g^-1 V is read off the
+    Schreier tree one generator step at a time (``_SubspaceOrbit``), so
+    at most #generators * [Gamma : Stab(V)] subspaces are transformed;
+    W_g and the set of images of W_g under Delta are built once per
+    distinct g^-1 V, and each g costs one set lookup.
+    """
     group = cand.chart.group
     v = cand.v
+    orbit = _SubspaceOrbit(group, v)
+    covers: dict = {}  # g^-1 V -> (W_g, {images(h, W_g) : h in Delta}), or None
     for g in range(group.order):
-        g_inv_v = transform_subspace(group.matrix_of(group.inv(g)), v)
-        w_g = intersect(v, g_inv_v)
-        if w_g is None:
+        if cand.delta.contains(g):
             continue
-        moved = images(group.matrix_of(g), w_g)
-        if not any(images(h, w_g) == moved for h in cand.delta.matrices):
+        g_inv_v = orbit.image(group.inv(g))
+        if g_inv_v not in covers:
+            w = intersect(v, g_inv_v)
+            covers[g_inv_v] = None if w is None else (
+                w, {images(h, w) for h in cand.delta.matrices})
+        if covers[g_inv_v] is None:
+            continue
+        w_g, covered = covers[g_inv_v]
+        if images(group.matrix_of(g), w_g) not in covered:
             point = _witness_point(w_g, group, cand.delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)
+
+
+class _SubspaceOrbit:
+    """x V for the elements x of a group, computed on demand.
+
+    x V is s (y V) for x's Schreier-tree entry (s, y); each generator is
+    applied to each subspace at most once.
+    """
+
+    def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
+        self._group = group
+        self._image = {group.identity: v}
+        self._step: dict = {}
+
+    def image(self, x: int) -> AffineSubspace:
+        tree, path = self._group.schreier_tree, []
+        while x not in self._image:
+            path.append(x)
+            x = tree[x][1]
+        u = self._image[x]
+        for x in reversed(path):
+            s = tree[x][0]
+            if (s, u) not in self._step:
+                self._step[s, u] = transform_subspace(self._group.matrix_of(s), u)
+            u = self._image[x] = self._step[s, u]
+        return u
 
 
 def _require_saturated(cand: SuborbifoldCandidate) -> None:
@@ -347,6 +394,10 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     )
 
 
+def _point_not_in(x: Vec, where: str) -> PointNotInV:
+    return PointNotInV(f"[{', '.join(map(rat_str, x))}] is not in the {where}")
+
+
 def isotropy_point(chart: ChartModel, x) -> Fingerprint:
     return iso_fingerprint(stabilizer(chart.group, point_in_dim(x, chart.ambient_dim)))
 
@@ -355,7 +406,7 @@ def isotropy_sub_point(cand: SuborbifoldCandidate, x) -> Fingerprint:
     """Isotropy of a point inside the induced suborbifold chart (Delta_x / K)."""
     x = vec(x)
     if not contains_point(cand.v, x):
-        raise PointNotInV(f"{x} is not in the candidate subspace")
+        raise _point_not_in(x, "candidate subspace")
     _require_saturated(cand)
     stab = stabilizer(cand.delta, x)
     quotient, _ = quotient_group(stab, cand.kernel)
@@ -375,7 +426,7 @@ def abelian_omega_isotropy(chart: ChartModel, v: AffineSubspace, x) -> Fingerpri
         raise GroupNotAbelian("criterion requires an abelian chart group")
     x = vec(x)
     if not contains_point(v, x):
-        raise PointNotInV(f"{x} is not in the subspace")
+        raise _point_not_in(x, "subspace")
     omega = pointwise_stabilizer(chart.group, v)
     stab = stabilizer(chart.group, x)
     quotient, _ = quotient_group(stab, omega)
@@ -409,7 +460,7 @@ def full_characterization_chart(
         raise CandidateNotFull(f"candidate is not full: {verdict.witness}")
     x = vec(x)
     if not contains_point(cand.v, x):
-        raise PointNotInV(f"{x} is not in the candidate subspace")
+        raise _point_not_in(x, "candidate subspace")
     stab = stabilizer(cand.chart.group, x)
     if _first_moving_element(cand.chart.group, stab.members, cand.v) is not None:
         raise NonInvariant("subspace not invariant under the localized group")

@@ -18,7 +18,7 @@ from .classify import (
 )
 from .errors import SuborbifoldError
 from .groups import DEFAULT_MAX_ORDER
-from .linalg import rat, rat_str, vec
+from .linalg import contains_point, rat, rat_str, vec
 from .maps import (
     fibered_product,
     graph_suborbifold,
@@ -94,16 +94,25 @@ def _verdict_text(name: str, verdict) -> str:
     return f"{name}: {mark}"
 
 
+def _holds(v, point) -> bool:
+    return len(point) == v.ambient_dim and contains_point(v, point)
+
+
 def cmd_classify(args) -> int:
     scene = _load_scene(args)
     names = [args.candidate] if args.candidate else sorted(scene.candidates)
+    cands = [_lookup(scene.candidates, name, "candidate") for name in names]
+    points = [_parse_point(p) for p in args.isotropy_point or ()]
+    # Each point goes to the candidates whose subspace holds it. A point on
+    # none goes to all of them, and classify rejects it as it always has.
+    on = [[p for p in points if _holds(c.v, p)] for c in cands]
+    nowhere = [p for p in points if not any(p in held for held in on)]
     results = {}
     lines = []
-    for name in names:
-        cand = _lookup(scene.candidates, name, "candidate")
-        points = tuple(_parse_point(p) for p in args.isotropy_point or ())
+    for name, cand, held in zip(names, cands, on):
+        mine = tuple(p for p in points if p in held or p in nowhere)
         report = classify(cand, search_all_delta=args.search_all_delta,
-                          isotropy_points=points)
+                          isotropy_points=mine)
         results[name] = {
             "candidate": candidate_json(cand),
             "classification": classification_json(report),

@@ -20,7 +20,11 @@ only for the few elements whose permutations generate the rest.
 ``generate_group`` finds Omega as the orbit of e_1, ..., e_n under the
 generators and caps it at n * max_order points: a group of order at most
 max_order moves each e_j to at most max_order places, so a longer orbit
-proves the group infinite or too large.
+proves the group infinite or too large. It closes the generators'
+permutations once and hands them to the group, which checks only
+matrix sets that come from elsewhere. Every group keeps generators (the
+given ones, or those its constructor picked greedily), and its Schreier
+tree spells each element as a word in them.
 """
 from __future__ import annotations
 
@@ -74,42 +78,51 @@ class GroupElement:
 class FiniteMatrixGroup:
     """A finite group of invertible rational n x n matrices."""
 
-    def __init__(self, matrices):
-        matrices = sorted(set(matrices))
-        if not matrices:
-            raise ValueError("a group needs at least the identity matrix")
-        n = self.ambient_dim = len(matrices[0])
-        if any(len(m) != n or any(len(row) != n for row in m) for m in matrices):
-            raise DimensionMismatch("group matrices must be square, equal size")
-        self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
-        self.matrices: tuple[Mat, ...] = tuple(matrices)
-        self.members = tuple(range(len(matrices)))
-        self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
-        if identity_matrix(n) not in self._index:
-            raise ValueError("matrix set does not contain the identity matrix")
-        # Omega (every column of every element) and each element's column key.
-        points: dict[Vec, int] = {}
-        keys = [tuple(points.setdefault(c, len(points)) for c in zip(*m)) for m in matrices]
-        element_of = {key: i for i, key in enumerate(keys)}
-        omega = list(points)
-        identity_key = tuple(points[e] for e in zip(*identity_matrix(n)))
-        perms: list = [None] * len(matrices)
-        generators = []
-        # A KeyError means a point or a product fell outside the set.
+    def __init__(self, matrices, _closure=None):
+        """The group of the given matrices, checked to be one.
+
+        ``_closure`` is for generate_group, which has already closed the
+        group: the matrices then come sorted, with their permutations of an
+        Omega that starts with e_1, ..., e_n and the generator matrices,
+        and nothing is checked again.
+        """
         try:
-            # The next element not yet reached becomes a generator.
-            for i, m in enumerate(matrices):
-                if perms[i] is not None:
-                    continue
-                generators.append(_permutation(m, omega, points))
-                for p in _close_permutations(generators, len(omega), len(matrices)):
-                    perms[element_of[tuple(p[k] for k in identity_key)]] = p
+            if _closure is None:
+                matrices, keys, perms, generators = _close_matrices(matrices)
+            else:
+                perms, generators = _closure
+                keys = [p[:len(matrices[0])] for p in perms]
+            self.ambient_dim = len(matrices[0])
+            self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
+            self.matrices: tuple[Mat, ...] = tuple(matrices)
+            self.members = tuple(range(len(matrices)))
+            self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
+            self.generators = tuple(dict.fromkeys(self._index[g] for g in generators))
+            element_of = {key: i for i, key in enumerate(keys)}
             self.cayley_table: tuple[tuple[int, ...], ...] = tuple(
                 tuple(element_of[tuple(p[k] for k in key)] for key in keys) for p in perms
             )
+        # A KeyError means a point or a product fell outside the set.
         except (KeyError, NotFiniteWithinBound):
             raise ValueError("matrix set is not closed under products") from None
         self.identity, self._inverse = _identity_and_inverses(self.cayley_table)
+
+    @cached_property
+    def schreier_tree(self) -> tuple:
+        """Entry x is (s, y) with x = s y, s a generator, y nearer the identity.
+
+        A breadth-first tree from the identity (whose entry is None) on the
+        Cayley table, so every element is a short word in the generators.
+        """
+        tree: list = [None] * self.order
+        reached = [self.identity]
+        for y in reached:
+            for s in self.generators:
+                x = self.cayley_table[s][y]
+                if tree[x] is None and x != self.identity:
+                    tree[x] = (s, y)
+                    reached.append(x)
+        return tuple(tree)
 
     @property
     def parent(self) -> "FiniteMatrixGroup":
@@ -311,6 +324,39 @@ def _permutation(m: Mat, omega, points) -> tuple[int, ...]:
     return p
 
 
+def _close_matrices(matrices):
+    """Sorted matrices, column keys, permutations and greedy generators.
+
+    The keys and permutations number Omega (every column of every element)
+    in order of first appearance. The next element not yet reached becomes
+    a generator. Raises KeyError when a point or a product falls outside
+    the set.
+    """
+    matrices = sorted(set(matrices))
+    if not matrices:
+        raise ValueError("a group needs at least the identity matrix")
+    n = len(matrices[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in matrices):
+        raise DimensionMismatch("group matrices must be square, equal size")
+    if identity_matrix(n) not in matrices:
+        raise ValueError("matrix set does not contain the identity matrix")
+    points: dict[Vec, int] = {}
+    keys = [tuple(points.setdefault(c, len(points)) for c in zip(*m)) for m in matrices]
+    element_of = {key: i for i, key in enumerate(keys)}
+    omega = list(points)
+    identity_key = tuple(points[e] for e in zip(*identity_matrix(n)))
+    perms: list = [None] * len(matrices)
+    generators, gen_perms = [], []
+    for i, m in enumerate(matrices):
+        if perms[i] is not None:
+            continue
+        generators.append(m)
+        gen_perms.append(_permutation(m, omega, points))
+        for p in _close_permutations(gen_perms, len(omega), len(matrices)):
+            perms[element_of[tuple(p[k] for k in identity_key)]] = p
+    return matrices, keys, perms, generators
+
+
 def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, ...]]:
     """The permutations of 0..degree-1 the generators generate.
 
@@ -362,7 +408,9 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
                 omega.append(y)
             row.append(points[y])
     perms = _close_permutations([tuple(row) for row in moves], len(omega), max_order)
-    return FiniteMatrixGroup(tuple(zip(*(omega[k] for k in p[:n]))) for p in perms)
+    ordered = sorted((tuple(zip(*(omega[k] for k in p[:n]))), p) for p in perms)
+    return FiniteMatrixGroup([m for m, _ in ordered],
+                             _closure=([p for _, p in ordered], gens))
 
 
 def trivial_group(n: int) -> FiniteMatrixGroup:

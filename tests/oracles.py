@@ -17,13 +17,17 @@ from suborbifolds import (
     chart_from_group,
     generate_group,
 )
+from suborbifolds.classify import SaturationWitness, Verdict, _witness_point
 from suborbifolds.errors import NotFiniteWithinBound
 from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
     contains_point,
+    images,
+    intersect,
     mat_vec,
     point_from_coordinates,
+    transform_subspace,
     vec,
 )
 
@@ -128,6 +132,28 @@ def oracle_saturated_sampled(cand: SuborbifoldCandidate, rng: random.Random,
             if all(mat_vec(h, x) != gx for h in delta_mats):
                 return False
     return True
+
+
+def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
+    """Saturation by the per-element loop, the reference for the orbit walk.
+
+    For every g in index order: g^-1 V by one transform, W_g by one
+    intersect, and the images of W_g under g compared with those under
+    each h in Delta in turn; the first uncovered g is the witness, at the
+    package's witness point.
+    """
+    group = cand.chart.group
+    v = cand.v
+    for g in range(group.order):
+        g_inv_v = transform_subspace(group.matrix_of(group.inv(g)), v)
+        w_g = intersect(v, g_inv_v)
+        if w_g is None:
+            continue
+        moved = images(group.matrix_of(g), w_g)
+        if not any(images(h, w_g) == moved for h in cand.delta.matrices):
+            point = _witness_point(w_g, group, cand.delta, g)
+            return Verdict(False, SaturationWitness(group.elements[g], point))
+    return Verdict(True)
 
 
 def verify_saturation_witness(cand: SuborbifoldCandidate, witness) -> bool:
@@ -235,6 +261,37 @@ def random_candidate(rng: random.Random, max_group_order: int = 16,
         return SuborbifoldCandidate(
             chart, delta, affine_subspace(centroid, dirs)
         )
+
+
+def stabilizer_candidate(rng: random.Random, chart, basis_change=None) -> SuborbifoldCandidate:
+    """Random candidate in the given chart: a coordinate or diagonal
+    subspace, through the origin or off it, mapped by ``basis_change``
+    when given, with Delta its setwise stabilizer, the cyclic subgroup of
+    a random element of it, or the trivial group."""
+    group = chart.group
+    n = group.ambient_dim
+    coords = rng.sample(range(n), n)
+    k = rng.randint(1, n - 1)
+    units = [[Fraction(int(i == c)) for i in range(n)] for c in coords]
+    basis = units[:k]
+    if rng.random() < 0.5:  # a diagonal direction
+        basis[0] = [a + rng.choice((1, -1)) * b for a, b in zip(units[0], units[k])]
+    base = [Fraction(0)] * n
+    if rng.random() < 0.5:  # off the origin
+        for c in coords[k:]:
+            base[c] = rng.choice((Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)))
+        base[coords[-1]] = Fraction(1)
+    if basis_change is not None:
+        base = mat_vec(basis_change, vec(base))
+        basis = [mat_vec(basis_change, vec(d)) for d in basis]
+    v = affine_subspace(base, basis)
+    points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, d)) for d in v.basis]
+    stab = [i for i, m in enumerate(group.matrices)
+            if all(contains_point(v, mat_vec(m, p)) for p in points)]
+    kind = rng.randrange(3)
+    seed = stab if kind == 0 else [rng.choice(stab)] if kind == 1 else []
+    delta = group.subgroup_from_indices(_closure(group, seed))
+    return SuborbifoldCandidate(chart, delta, v)
 
 
 def _closure(group, seed):

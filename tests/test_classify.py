@@ -47,11 +47,17 @@ from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_sta
 from suborbifolds.linalg import affine_subspace, mat_vec, vec, whole_space
 
 from oracles import (
+    conjugate_all,
+    hyperoctahedral_generators,
+    oracle_check_saturated,
     oracle_full,
     oracle_saturated_sampled,
     random_candidate,
+    random_rational_basis_change,
     sample_in_subspace,
+    signed_permutation,
     signed_permutation_matrices,
+    stabilizer_candidate,
     verify_fullness_witness,
     verify_saturation_witness,
 )
@@ -279,6 +285,72 @@ def test_randomized_oracle_equivalence_quick(max_group_order):
         else:
             assert verify_saturation_witness(cand, verdict.witness)
             assert not oracle_saturated_sampled(cand, rng, samples=40)
+
+
+def _b3_times_z2_generators():
+    return [signed_permutation((1, 0, 2, 3), (1, 1, 1, 1)),
+            signed_permutation((0, 2, 1, 3), (1, 1, 1, 1)),
+            signed_permutation(range(4), (-1, 1, 1, 1)),
+            signed_permutation(range(4), (1, 1, 1, -1))]
+
+
+def test_saturation_matches_per_element_oracle_above_order_48():
+    rng = random.Random(51)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    ladder = [
+        (hyperoctahedral_generators(3), None, 10),   # order 48
+        (_b3_times_z2_generators(), None, 6),        # order 96
+        (b4, None, 5),                               # order 384
+        (conjugate_all(b4, s, s_inv), s, 5),         # B4 in a rational basis
+    ]
+    for gens, basis_change, count in ladder:
+        chart = chart_from_group(generate_group(gens))
+        verdicts = set()
+        for _ in range(count):
+            cand = stabilizer_candidate(rng, chart, basis_change)
+            got, want = check_saturated(cand), oracle_check_saturated(cand)
+            assert got.holds == want.holds
+            if not got.holds:
+                assert got.witness.element.index == want.witness.element.index
+                assert got.witness.point == want.witness.point
+            verdicts.add(got.holds)
+        assert verdicts == {True, False}
+
+
+def _count_transforms(monkeypatch, cand):
+    module = sys.modules["suborbifolds.classify"]
+    original = module.transform_subspace
+    calls = []
+
+    def counting(m, v):
+        calls.append(v)
+        return original(m, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "transform_subspace", counting)
+        verdict = check_saturated(cand)
+    return verdict, len(calls)
+
+
+def test_saturation_work_follows_the_orbit_of_v(monkeypatch):
+    # B4 whole space with Delta = Gamma: every element covers itself.
+    b4 = generate_group(hyperoctahedral_generators(4))
+    whole = SuborbifoldCandidate(chart_from_group(b4), b4.full_subgroup(), whole_space(4))
+    verdict, transforms = _count_transforms(monkeypatch, whole)
+    assert verdict.holds and transforms == 0
+    # The plane z = 1 in B3: Delta is its stabilizer (order 8, index 6), and
+    # no other element meets it, so the walk visits every element.
+    b3 = generate_group(hyperoctahedral_generators(3))
+    v = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+    delta = b3.subgroup_from_indices(
+        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+    assert delta.order == 8
+    cand = SuborbifoldCandidate(chart_from_group(b3), delta, v)
+    verdict, transforms = _count_transforms(monkeypatch, cand)
+    assert verdict.holds
+    # 3 generators * index 6 = 18; the per-element loop made |B3| = 48
+    assert transforms <= len(b3.generators) * (b3.order // delta.order) < b3.order
 
 
 def test_witness_point_search_is_bounded():

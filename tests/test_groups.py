@@ -105,6 +105,39 @@ def test_cayley_consistency():
         rng.shuffle(shuffled)
         built = FiniteMatrixGroup(shuffled)
         assert built.matrices == g.matrices and built.cayley_table == g.cayley_table
+        assert built.identity == g.identity
+        assert [built.inv(i) for i in built.members] == [g.inv(i) for i in g.members]
+        # either way the kept generators generate the group
+        for group in (g, built):
+            assert groups._closure_indices(group, group.generators) == set(group.members)
+
+
+def test_generated_group_is_closed_once(monkeypatch):
+    closures = []
+    real = groups._close_permutations
+
+    def counting(*args):
+        closures.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_close_permutations", counting)
+    b4 = generate_group(hyperoctahedral_generators(4))
+    assert b4.order == 384 and len(closures) == 1
+    assert [b4.matrix_of(i) for i in b4.generators] == hyperoctahedral_generators(4)
+
+
+def test_schreier_tree_spells_every_element():
+    for g in (generate_group(hyperoctahedral_generators(3)),
+              FiniteMatrixGroup(signed_permutation_matrices(3)), trivial_group(2)):
+        tree = g.schreier_tree
+        assert tree[g.identity] is None
+        for x in g.members:
+            steps = 0
+            while x != g.identity:
+                s, y = tree[x]
+                assert s in g.generators and g.mult(s, y) == x
+                x, steps = y, steps + 1
+                assert steps < g.order
 
 
 @pytest.mark.parametrize("matrices, message", [

@@ -252,9 +252,39 @@ def test_cli_isotropy(scene_path, capsys):
     assert main(["isotropy", "--scene", scene_path,
                  "--group", "rot4", "--point", "1,0"]) == 0
     assert "order 1" in capsys.readouterr().out
-    # a point off the subspace is an input error
+    # a point off the subspace is an input error, printed as rationals
     assert main(["isotropy", "--scene", scene_path,
-                 "--candidate", "rotation_line", "--point", "0,1"]) == 2
+                 "--candidate", "rotation_line", "--point", "0,1/2"]) == 2
+    err = capsys.readouterr().err
+    assert "error: [0, 1/2] is not in the candidate subspace" in err
+
+
+ROTATION_SCENE = os.path.join(os.path.dirname(__file__), "..", "scenes", "rotation_line.json")
+
+
+def _classify_results(argv, capsys):
+    code = main(["classify", "--scene", ROTATION_SCENE, "--format", "machine"] + argv)
+    out, err = capsys.readouterr()
+    return code, (json.loads(out)["results"] if code == 0 else err)
+
+
+def test_cli_isotropy_points_go_to_the_candidates_that_hold_them(capsys):
+    # (-1, 0) is on rotation_line's x-axis only, (1, 1) on the diagonal only
+    code, results = _classify_results(["--isotropy-point", "-1,0",
+                                       "--isotropy-point", "1,1"], capsys)
+    assert code == 0
+    for name, point in (("rotation_line", "-1,0"), ("diagonal_half_turn", "1,1")):
+        alone = _classify_results(["--candidate", name, "--isotropy-point", point], capsys)
+        assert alone == (0, {name: results[name]})
+    # a point on both candidates goes to both
+    code, results = _classify_results(["--isotropy-point", "0,0"], capsys)
+    assert code == 0 and all(len(r["classification"]["isotropy"]) == 1
+                             for r in results.values())
+    # a point on no candidate, or named with one that does not hold it, exits 2
+    for argv in (["--isotropy-point", "5,-7"],
+                 ["--candidate", "diagonal_half_turn", "--isotropy-point", "-1,0"]):
+        code, err = _classify_results(argv, capsys)
+        assert code == 2 and "is not in the candidate subspace" in err
 
 
 POINT_OPTION_CASES = [
