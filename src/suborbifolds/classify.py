@@ -99,11 +99,19 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
     return ChartModel(chart.ambient_dim, stab.promote())
 
 
-def _first_moving_element(group: FiniteMatrixGroup, indices, v: AffineSubspace):
-    """First of the given elements that does not map v onto itself, or None."""
-    return next(
-        (i for i in indices if transform_subspace(group.matrix_of(i), v) != v), None
-    )
+def _first_moving_element(sub, v: AffineSubspace):
+    """First element of the group that does not map v onto itself, or None.
+
+    v is invariant under a group exactly when it is invariant under the
+    group's generators, so the elements are scanned in index order only
+    when some generator moves v, to name the first one that does.
+    """
+    def moves(i):
+        return transform_subspace(sub.parent.matrix_of(i), v) != v
+
+    if not any(moves(i) for i in sub.generators):
+        return None
+    return next(i for i in sub.members if moves(i))
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ class SuborbifoldCandidate:
             raise ChartMismatch("subgroup does not live in the chart group")
         if self.v.ambient_dim != self.chart.ambient_dim:
             raise ChartMismatch("subspace ambient dimension differs from chart")
-        moving = _first_moving_element(self.chart.group, self.delta.members, self.v)
+        moving = _first_moving_element(self.delta, self.v)
         if moving is not None:
             raise NonInvariant(
                 f"subspace is not invariant under subgroup element {moving}"
@@ -462,7 +470,7 @@ def full_characterization_chart(
     if not contains_point(cand.v, x):
         raise _point_not_in(x, "candidate subspace")
     stab = stabilizer(cand.chart.group, x)
-    if _first_moving_element(cand.chart.group, stab.members, cand.v) is not None:
+    if _first_moving_element(stab, cand.v) is not None:
         raise NonInvariant("subspace not invariant under the localized group")
     return ChartModel(cand.chart.ambient_dim, stab.promote()), stab
 
@@ -514,6 +522,9 @@ def classify(
 ) -> ClassificationReport:
     """Full classification; fullness/embeddedness only apply when saturated."""
     points = tuple(point_in_dim(p, cand.chart.ambient_dim) for p in isotropy_points)
+    for p in points:
+        if not contains_point(cand.v, p):
+            raise _point_not_in(p, "candidate subspace")
     kernel = cand.kernel
     saturated = cand.saturation
     if not saturated.holds:

@@ -65,6 +65,18 @@ def _attach_negative_points(argv: list[str]) -> list[str]:
     return out
 
 
+def _max_order(text: str) -> int:
+    """A --max-order value: an integer in 1..DEFAULT_MAX_ORDER."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= DEFAULT_MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in 1..{DEFAULT_MAX_ORDER}, got {text!r}")
+    return value
+
+
 def _load_scene(args):
     if not args.scene:
         raise SuborbifoldError("this command requires --scene")
@@ -287,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=["text", "machine"], default="text")
     scene = argparse.ArgumentParser(add_help=False)
     scene.add_argument("--scene", help="path to a JSON scene file")
-    scene.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                       help="bound on generated group orders")
+    scene.add_argument("--max-order", type=_max_order, default=DEFAULT_MAX_ORDER,
+                       help=f"bound on generated group orders, 1..{DEFAULT_MAX_ORDER}")
     common = [output, scene]
 
     parser = argparse.ArgumentParser(

@@ -23,8 +23,10 @@ max_order moves each e_j to at most max_order places, so a longer orbit
 proves the group infinite or too large. It closes the generators'
 permutations once and hands them to the group, which checks only
 matrix sets that come from elsewhere. Every group keeps generators (the
-given ones, or those its constructor picked greedily), and its Schreier
-tree spells each element as a word in them.
+given ones, or those its constructor picked greedily; a subgroup picks
+its own greedily in member order), and its Schreier tree spells each
+element as a word in them. Complements of a normal subgroup are found by
+a search over sections, never by enumerating the subgroup lattice.
 """
 from __future__ import annotations
 
@@ -214,6 +216,11 @@ class Subgroup:
     @cached_property
     def matrices(self) -> tuple[Mat, ...]:
         return tuple(self.parent.matrices[i] for i in self.members)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Parent indices of greedy generators, picked in member order."""
+        return tuple(_greedy_generators(self.parent, self.members)[0])
 
     def matrix_of(self, i: int) -> Mat:
         return self.parent.matrices[self.members[i]]
@@ -417,8 +424,9 @@ def trivial_group(n: int) -> FiniteMatrixGroup:
     return FiniteMatrixGroup([identity_matrix(n)])
 
 
-def _closure_indices(parent: FiniteMatrixGroup, seed) -> frozenset[int]:
-    """The seed closed under right multiplication by the seed elements.
+def _closure_indices(parent: FiniteMatrixGroup, seed, limit=None):
+    """The seed closed under right multiplication by the seed elements, or
+    None as soon as it would grow past ``limit`` elements.
 
     In a finite group the products of a set already form the subgroup it
     generates, so no inverses need to be taken.
@@ -431,13 +439,37 @@ def _closure_indices(parent: FiniteMatrixGroup, seed) -> frozenset[int]:
         for s in seed:
             prod = parent.mult(a, s)
             if prod not in members:
+                if limit is not None and len(members) >= limit:
+                    return None
                 members.add(prod)
                 frontier.append(prod)
     return frozenset(members)
 
 
+def _greedy_generators(parent, members, base=()) -> tuple[list[int], list[frozenset[int]]]:
+    """Generators of the members' subgroup over ``base``, picked greedily.
+
+    Each member not yet reached, in the given order, becomes the next
+    generator q_i; returns the q_i and the subgroups <base, q_1..q_i>.
+    """
+    seed = list(base)
+    reached = _closure_indices(parent, seed)
+    picked, chain = [], []
+    for x in members:
+        if x not in reached:
+            picked.append(x)
+            seed.append(x)
+            reached = _closure_indices(parent, seed)
+            chain.append(reached)
+    return picked, chain
+
+
 def all_subgroups(g) -> list[Subgroup]:
-    """Every subgroup exactly once, in canonical (order, indices) order."""
+    """Every subgroup exactly once, in canonical (order, indices) order.
+
+    Only the whole-lattice embeddedness search (``search_all_delta``)
+    walks the lattice; it refuses groups above SUBGROUP_ENUMERATION_BOUND.
+    """
     parent, universe = g.parent, set(g.members)
     if len(universe) > SUBGROUP_ENUMERATION_BOUND:
         raise GroupTooLarge(
@@ -499,34 +531,67 @@ def quotient_group(d: Subgroup, k: Subgroup) -> tuple[AbstractGroup, GroupHom]:
 
 @dataclass(frozen=True)
 class NoComplementCertificate:
-    """All subgroups of d were exhausted without finding a complement of k."""
+    """Every section of d -> d/k was tried without finding a complement of k.
+
+    ``sections_checked`` counts the partial sections (c_1, ..., c_i) whose
+    generated subgroup was closed, pruned ones included.
+    """
 
     group_order: int
     kernel_order: int
-    subgroups_checked: int
+    sections_checked: int
 
 
 def find_complement(d: Subgroup, k: Subgroup):
     """First complement of k in d in canonical order, or a certificate.
 
-    A complement c satisfies c & k = {e} and c k = d; its existence is
-    equivalent to the projection d -> d/k having a homomorphic right
-    inverse.
+    A complement c satisfies c & k = {e} and c k = d. It is searched among
+    the sections of d -> d/k: with greedy coset generators q_1..q_r of d/k
+    (in d's member order), each c_i ranges over the coset q_i k, and a
+    prefix is dropped as soon as <c_1..c_i> grows past the order of
+    <q_1..q_i>k / k. It maps onto that quotient, so staying within its
+    order is the same as meeting k trivially. Every complement is <c>
+    for exactly one full section (c_i is its element in q_i k), and all
+    complements have one order, so the first in canonical (order,
+    members) order is the least member tuple over every surviving full
+    section; all of them are enumerated.
+
+    When k is elementary abelian and this search grows too large, the
+    complements are the solutions of a linear system over GF(p) on the
+    cocycles d/k -> k (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, section 7.6); that method is not implemented here.
     """
     if not k.is_subset_of(d):
         raise NotSubgroup("k is not contained in d")
     if not k.is_normal_in(d):
         raise NotNormal("k is not normal in d")
-    target = d.order // k.order
-    identity = d.parent.identity
-    kset = set(k.members)
-    candidates = all_subgroups(d)
-    for c in candidates:
-        if c.order != target:
-            continue
-        if set(c.members) & kset == {identity}:
-            return c
-    return NoComplementCertificate(d.order, k.order, len(candidates))
+    parent = d.parent
+    if k.order == 1:
+        return d
+    if k.order == d.order:
+        return Subgroup(parent, (parent.identity,))
+    reps, chain = _greedy_generators(parent, d.members, k.generators)
+    cosets = [[parent.mult(q, x) for x in k.members] for q in reps]
+    bounds = [len(h) // k.order for h in chain]
+    best = None
+    checked = 0
+    stack = [()]
+    while stack:
+        gens = stack.pop()
+        i = len(gens)
+        for c in cosets[i]:
+            checked += 1
+            grown = _closure_indices(parent, gens + (c,), bounds[i])
+            if grown is None:
+                continue
+            if i + 1 < len(cosets):
+                stack.append(gens + (c,))
+            else:
+                members = tuple(sorted(grown))
+                best = members if best is None else min(best, members)
+    if best is None:
+        return NoComplementCertificate(d.order, k.order, checked)
+    return Subgroup(parent, best)
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,7 @@ def embedded_json(e: EmbeddedResult | None) -> dict | None:
         out["no_complement_certificate"] = {
             "group_order": e.certificate.group_order,
             "kernel_order": e.certificate.kernel_order,
-            "subgroups_checked": e.certificate.subgroups_checked,
+            "sections_checked": e.certificate.sections_checked,
         }
     return out
 

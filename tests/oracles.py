@@ -19,6 +19,7 @@ from suborbifolds import (
 )
 from suborbifolds.classify import SaturationWitness, Verdict, _witness_point
 from suborbifolds.errors import NotFiniteWithinBound
+from suborbifolds.groups import all_subgroups
 from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
@@ -310,6 +311,62 @@ def _closure(group, seed):
                 members.add(i)
                 changed = True
     return members
+
+
+# ---------------------------------------------------------------------------
+# Complements of a normal subgroup (the references for the section search)
+
+
+def oracle_find_complement(d, k):
+    """First complement of k in d in canonical (order, members) order, or
+    None, by scanning the whole subgroup lattice of d (order <= 512)."""
+    target = d.order // k.order
+    identity = d.parent.identity
+    kset = set(k.members)
+    for c in all_subgroups(d):
+        if c.order == target and set(c.members) & kset == {identity}:
+            return c
+    return None
+
+
+def oracle_least_complement(d, k):
+    """Members of the least complement of k in d, or None, for groups whose
+    lattice is too large to scan.
+
+    Walks only the subgroups of d that meet k trivially, each reached once:
+    along x_1 < x_2 < ..., where x_i is the least element of the subgroup
+    outside <x_1..x_{i-1}>. Such a subgroup embeds in d/k, so its order
+    divides [d : k], and the complements are those of order [d : k].
+    """
+    group = d.parent
+    target = d.order // k.order
+    outside = set(k.members) - {group.identity}
+    best = None
+    stack = [(frozenset({group.identity}), (), -1)]
+    while stack:
+        h, gens, last = stack.pop()
+        if len(h) == target:
+            members = tuple(sorted(h))
+            best = members if best is None else min(best, members)
+            continue
+        for x in d.members:
+            if x <= last or x in h or x in outside:
+                continue
+            seed, grown, frontier = gens + (x,), set(h) | {x}, list(h) + [x]
+            while frontier and grown is not None:
+                a = frontier.pop()
+                for s in seed:
+                    p = group.mult(a, s)
+                    if p in grown:
+                        continue
+                    if p in outside or p < x or len(grown) == target:
+                        grown = None
+                        break
+                    grown.add(p)
+                    frontier.append(p)
+            if grown is not None and target % len(grown) == 0:
+                stack.append((frozenset(grown), seed, x))
+    return best
 
 
 # ---------------------------------------------------------------------------

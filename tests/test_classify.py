@@ -43,8 +43,9 @@ from suborbifolds.errors import (
     NonInvariant,
     PointNotInV,
 )
+import suborbifolds.groups as groups
 from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
-from suborbifolds.linalg import affine_subspace, mat_vec, vec, whole_space
+from suborbifolds.linalg import affine_subspace, mat_vec, transform_subspace, vec, whole_space
 
 from oracles import (
     conjugate_all,
@@ -101,6 +102,15 @@ def test_noninvariant_subspace_rejected():
         SuborbifoldCandidate(
             chart, chart.group.full_subgroup(), x_axis()
         )
+    # The message names the first moving element in index order, although
+    # invariance is decided on generators (here the generators of B3 move
+    # the plane, and element 0 does not).
+    b3 = generate_group(hyperoctahedral_generators(3))
+    v = affine_subspace([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+    first = next(i for i, m in enumerate(b3.matrices) if transform_subspace(m, v) != v)
+    assert first > 0
+    with pytest.raises(NonInvariant, match=f"subgroup element {first}$"):
+        SuborbifoldCandidate(chart_from_group(b3), b3.full_subgroup(), v)
 
 
 def test_complex_axis_not_embedded_even_after_search():
@@ -318,7 +328,8 @@ def test_saturation_matches_per_element_oracle_above_order_48():
         assert verdicts == {True, False}
 
 
-def _count_transforms(monkeypatch, cand):
+def _count_transforms(monkeypatch, run):
+    """run()'s result and the number of subspaces it transformed."""
     module = sys.modules["suborbifolds.classify"]
     original = module.transform_subspace
     calls = []
@@ -329,15 +340,15 @@ def _count_transforms(monkeypatch, cand):
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "transform_subspace", counting)
-        verdict = check_saturated(cand)
-    return verdict, len(calls)
+        result = run()
+    return result, len(calls)
 
 
 def test_saturation_work_follows_the_orbit_of_v(monkeypatch):
     # B4 whole space with Delta = Gamma: every element covers itself.
     b4 = generate_group(hyperoctahedral_generators(4))
     whole = SuborbifoldCandidate(chart_from_group(b4), b4.full_subgroup(), whole_space(4))
-    verdict, transforms = _count_transforms(monkeypatch, whole)
+    verdict, transforms = _count_transforms(monkeypatch, lambda: check_saturated(whole))
     assert verdict.holds and transforms == 0
     # The plane z = 1 in B3: Delta is its stabilizer (order 8, index 6), and
     # no other element meets it, so the walk visits every element.
@@ -347,10 +358,38 @@ def test_saturation_work_follows_the_orbit_of_v(monkeypatch):
         i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
     assert delta.order == 8
     cand = SuborbifoldCandidate(chart_from_group(b3), delta, v)
-    verdict, transforms = _count_transforms(monkeypatch, cand)
+    verdict, transforms = _count_transforms(monkeypatch, lambda: check_saturated(cand))
     assert verdict.holds
     # 3 generators * index 6 = 18; the per-element loop made |B3| = 48
     assert transforms <= len(b3.generators) * (b3.order // delta.order) < b3.order
+
+
+def test_invariance_is_tested_on_generators(monkeypatch):
+    # B4 whole space with Delta = Gamma: one transform per generator of Delta
+    b4 = generate_group(hyperoctahedral_generators(4))
+    delta = b4.full_subgroup()
+    cand, transforms = _count_transforms(monkeypatch, lambda: SuborbifoldCandidate(
+        chart_from_group(b4), delta, whole_space(4)))
+    assert 0 < transforms <= len(delta.generators) < 8
+    # The replay of the complement (Delta itself) adds one generator pass.
+    result, transforms = _count_transforms(monkeypatch, lambda: check_embedded(cand))
+    assert result.effective_delta == delta and transforms <= len(delta.generators)
+
+
+def test_b4_whole_group_candidates_embed_without_the_lattice(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("the subgroup lattice was enumerated")
+
+    monkeypatch.setattr(groups, "all_subgroups", no_lattice)
+    b4 = generate_group(hyperoctahedral_generators(4))
+    chart = chart_from_group(b4)
+    origin = SuborbifoldCandidate(chart, b4.full_subgroup(), affine_subspace([0] * 4, []))
+    whole = SuborbifoldCandidate(chart, b4.full_subgroup(), whole_space(4))
+    for cand, effective in ((origin, (b4.identity,)), (whole, b4.members)):
+        report = classify(cand)
+        assert report.saturated.holds and report.full.holds
+        assert report.embedded.holds
+        assert report.embedded.effective_delta.members == effective
 
 
 def test_witness_point_search_is_bounded():

@@ -35,7 +35,9 @@ from oracles import (
     _closure,
     conjugate_all,
     hyperoctahedral_generators,
+    oracle_find_complement,
     oracle_group_closure,
+    oracle_least_complement,
     oracle_mat_mul,
     random_candidate,
     random_rational_basis_change,
@@ -293,6 +295,80 @@ def test_complement_soundness_randomized():
                                 g.identity
                             }
     assert seen > 50
+
+
+def _normal_pairs(g):
+    subs = all_subgroups(g)
+    return [(d, k) for d in subs for k in subs if k.is_subset_of(d) and k.is_normal_in(d)]
+
+
+def _same_complement(result, members):
+    """find_complement's result has the given members, or both say none."""
+    if members is None:
+        return isinstance(result, NoComplementCertificate)
+    return isinstance(result, Subgroup) and result.members == tuple(members)
+
+
+def test_section_search_matches_the_lattice_on_b2_and_b3():
+    for n, count in ((2, 30), (3, 501)):
+        pairs = _normal_pairs(generate_group(hyperoctahedral_generators(n)))
+        assert len(pairs) == count
+        for d, k in pairs:
+            expected = oracle_find_complement(d, k)
+            members = None if expected is None else expected.members
+            assert _same_complement(find_complement(d, k), members)
+            # the walk used where the lattice is out of reach agrees with it
+            assert oracle_least_complement(d, k) == members
+
+
+def test_section_search_matches_the_lattice_on_conjugates_of_b3():
+    rng = random.Random(29)
+    for _ in range(2):
+        s, s_inv = random_rational_basis_change(rng, 3)
+        g = generate_group(conjugate_all(hyperoctahedral_generators(3), s, s_inv))
+        for d, k in _normal_pairs(g):
+            expected = oracle_find_complement(d, k)
+            assert _same_complement(find_complement(d, k),
+                                    None if expected is None else expected.members)
+
+
+def test_section_search_on_b4_kernels(monkeypatch):
+    g = generate_group(hyperoctahedral_generators(4))
+
+    def subgroup(keep):
+        return g.subgroup_from_indices(i for i, m in enumerate(g.matrices) if keep(m))
+
+    def diagonal(m):
+        return all(m[i][j] == 0 for i in range(4) for j in range(4) if i != j)
+
+    whole = g.full_subgroup()
+    sign_flips = subgroup(diagonal)
+    centre = subgroup(lambda m: diagonal(m) and len({m[i][i] for i in range(4)}) == 1)
+    axis_stabilizer = subgroup(lambda m: m[0][0] != 0)
+    axis_kernel = subgroup(lambda m: m[0][0] == 1)
+    assert (sign_flips.order, centre.order, axis_stabilizer.order, axis_kernel.order) == (
+        16, 2, 96, 48)
+    cases = [
+        (whole, sign_flips, oracle_least_complement(whole, sign_flips)),
+        (whole, centre, oracle_least_complement(whole, centre)),
+        (axis_stabilizer, axis_kernel,
+         oracle_find_complement(axis_stabilizer, axis_kernel).members),
+    ]
+    # a complement of S4's sign flips is a copy of S4; -I is a product of
+    # squares, so every index-2 subgroup holds it and the centre has none
+    assert [None if m is None else len(m) for _, _, m in cases] == [24, None, 2]
+
+    def no_lattice(*args):
+        raise AssertionError("find_complement enumerated the subgroup lattice")
+
+    monkeypatch.setattr(groups, "all_subgroups", no_lattice)
+    for d, k, members in cases:
+        assert _same_complement(find_complement(d, k), members)
+    assert find_complement(whole, centre) == NoComplementCertificate(384, 2, 22)
+    # the short cuts: k = {e} and k = d
+    trivial = g.subgroup_from_indices([g.identity])
+    assert find_complement(whole, trivial) == whole
+    assert find_complement(whole, whole) == trivial
 
 
 def test_fingerprint_invariant_under_relabeling():

@@ -287,6 +287,53 @@ def test_cli_isotropy_points_go_to_the_candidates_that_hold_them(capsys):
         assert code == 2 and "is not in the candidate subspace" in err
 
 
+def test_cli_isotropy_point_off_an_unsaturated_candidate(scene_path, capsys):
+    # bad_line (the x-axis with the trivial group) is not saturated; a point
+    # off its axis is still an input error, checked before any verdict
+    argv = ["classify", "--scene", scene_path, "--candidate", "bad_line"]
+    assert main(argv + ["--isotropy-point", "1,0"]) == 0
+    assert "saturated: no" in capsys.readouterr().out
+    assert main(argv + ["--isotropy-point", "0,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: [0, 1] is not in the candidate subspace" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "10001", "abc"])
+def test_cli_max_order_is_bounded_at_parse_time(value, capsys):
+    # refused before the scene is read: the file does not exist
+    for command in (["classify"], ["isotropy", "--group", "G", "--point", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--scene", "/does/not/exist.json", "--max-order", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-order: expected an integer in 1..10000, got '{value}'" in err
+        assert "cannot read scene file" not in err
+
+
+def test_cli_max_order_bounds_the_scene_groups(scene_path, capsys):
+    assert main(["classify", "--scene", scene_path, "--max-order", "4"]) == 0
+    assert main(["classify", "--scene", scene_path, "--max-order", "3"]) == 2
+    assert "group closure exceeded max_order=3" in capsys.readouterr().err
+
+
+def test_cli_no_complement_certificate_counts_sections(tmp_path, capsys):
+    # The realified order-4 action on C^2 squares to -1 on the first complex
+    # axis, which fixes the second one pointwise; that kernel of order 2 has
+    # no complement in Z4, and each of the 2 sections generates all of Z4.
+    scene = {
+        "groups": {"z4": [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]]},
+        "subspaces": {"axis": {"base": [0, 0, 0, 0], "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}},
+        "candidates": {"axis": {"group": "z4", "subspace": "axis"}},
+    }
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(scene))
+    assert main(["classify", "--scene", str(path), "--format", "machine"]) == 0
+    embedded = json.loads(capsys.readouterr().out)["results"]["axis"]["classification"]["embedded"]
+    assert not embedded["holds"]
+    assert embedded["no_complement_certificate"] == {
+        "group_order": 4, "kernel_order": 2, "sections_checked": 2}
+
+
 POINT_OPTION_CASES = [
     (["isotropy", "--group", "rot4"], "--point", 0),
     (["isotropy", "--candidate", "rotation_line"], "--point", 0),
