@@ -14,7 +14,9 @@ pointwise condition "for every x there is h with hx = gx" collapses to
 union of proper affine subspaces. This is the one place the engine
 strengthens a pointwise condition; ``check_saturated`` is its one
 implementation, and "h agrees with g on W" compares the images of W's
-base point and basis. Its work follows the orbit of V rather than
+base point and basis, as integer vectors under the group's integer
+forms, so no Fraction is built or hashed per element of Delta or of
+Gamma. Its work follows the orbit of V rather than
 |Gamma| * |Delta|: W_g = V & g^-1 V depends only on the coset
 Stab(V) g, g^-1 V is reached through the Schreier tree of the group's
 generators, and W_g with the images of it under all of Delta is built
@@ -54,7 +56,10 @@ from .linalg import (
     Vec,
     contains_point,
     coordinates_in_basis,
-    images,
+    fixed_points,
+    int_images,
+    int_mat_vec,
+    int_points,
     intersect,
     mat_sub,
     mat_vec,
@@ -62,12 +67,13 @@ from .linalg import (
     point_from_coordinates,
     point_in_dim,
     rat_str,
+    restricted_matrix,
     sample_points,
+    scaled,
     solve_affine,
     transform_subspace,
     vec,
     vec_add,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -179,12 +185,14 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
     exactly, so a covered g fails at once instead of after the whole cube.
     """
     g_mat = group.matrix_of(g_index)
+    _, forms = group.integer_forms
     limit = (2 * ((delta.order + 1) // 2) + 1) ** w_g.dim
     count = 8
     while True:
         for x in sample_points(w_g, min(count, limit)):
-            gx = mat_vec(g_mat, x)
-            if all(mat_vec(h, x) != gx for h in delta.matrices):
+            _, xs = scaled(x)
+            gx = int_mat_vec(forms[g_index], xs)
+            if all(int_mat_vec(forms[h], xs) != gx for h in delta.members):
                 return x
         if count == 8 and any(_agrees_on(h, g_mat, w_g) for h in delta.matrices):
             raise AssertionError(f"element {g_index} is covered on W_g: no saturation witness")
@@ -212,20 +220,26 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     """
     group = cand.chart.group
     v = cand.v
+    _, forms = group.integer_forms
     orbit = _SubspaceOrbit(group, v)
-    covers: dict = {}  # g^-1 V -> (W_g, {images(h, W_g) : h in Delta}), or None
+    # g^-1 V -> (W_g, int_points(W_g), {int_images(h, .) : h in Delta}), or None
+    covers: dict = {}
     for g in range(group.order):
         if cand.delta.contains(g):
             continue
         g_inv_v = orbit.image(group.inv(g))
         if g_inv_v not in covers:
             w = intersect(v, g_inv_v)
-            covers[g_inv_v] = None if w is None else (
-                w, {images(h, w) for h in cand.delta.matrices})
+            if w is None:
+                covers[g_inv_v] = None
+            else:
+                points = int_points(w)
+                covers[g_inv_v] = (
+                    w, points, {int_images(forms[h], points) for h in cand.delta.members})
         if covers[g_inv_v] is None:
             continue
-        w_g, covered = covers[g_inv_v]
-        if images(group.matrix_of(g), w_g) not in covered:
+        w_g, points, covered = covers[g_inv_v]
+        if int_images(forms[g], points) not in covered:
             point = _witness_point(w_g, group, cand.delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)
@@ -235,13 +249,16 @@ class _SubspaceOrbit:
     """x V for the elements x of a group, computed on demand.
 
     x V is s (y V) for x's Schreier-tree entry (s, y); each generator is
-    applied to each subspace at most once.
+    applied to each subspace at most once. Equal subspaces are kept as one
+    object, so later lookups of them are decided by identity rather than by
+    comparing Fractions.
     """
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
         self._group = group
         self._image = {group.identity: v}
         self._step: dict = {}
+        self._seen = {v: v}
 
     def image(self, x: int) -> AffineSubspace:
         tree, path = self._group.schreier_tree, []
@@ -252,7 +269,8 @@ class _SubspaceOrbit:
         for x in reversed(path):
             s = tree[x][0]
             if (s, u) not in self._step:
-                self._step[s, u] = transform_subspace(self._group.matrix_of(s), u)
+                moved = transform_subspace(self._group.matrix_of(s), u)
+                self._step[s, u] = self._seen.setdefault(moved, moved)
             u = self._image[x] = self._step[s, u]
         return u
 
@@ -264,14 +282,15 @@ def _require_saturated(cand: SuborbifoldCandidate) -> None:
 
 
 def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded):
-    """First element outside ``excluded`` fixing a point of v, with that point."""
-    ident = identity_matrix(group.ambient_dim)
+    """First element outside ``excluded`` fixing a point of v, with that point.
+
+    The point is the canonical base point of Fix(g) & v.
+    """
+    d, forms = group.integer_forms
     for g in range(group.order):
         if g in excluded:
             continue
-        fix = solve_affine(mat_sub(group.matrix_of(g), ident),
-                           zero_vec(group.ambient_dim))
-        meet = None if fix is None else intersect(fix, v)
+        meet = fixed_points((d, forms[g]), v)
         if meet is not None:
             return g, meet.base_point
     return None
@@ -296,8 +315,14 @@ class EmbeddedResult:
     deltas_checked: int = 0
 
 
-def _acts_effectively(delta: Subgroup, v: AffineSubspace) -> bool:
-    return pointwise_stabilizer(delta, v).order == 1
+def _acts_effectively(sub: Subgroup, fixing: Subgroup) -> bool:
+    """Does only the identity of sub fix v pointwise?
+
+    ``fixing`` is the pointwise stabilizer of v in a group that contains
+    sub, so sub's own is its intersection with ``fixing``.
+    """
+    identity = sub.parent.identity
+    return not any(fixing.contains(i) for i in sub.members if i != identity)
 
 
 def check_embedded(
@@ -314,19 +339,20 @@ def check_embedded(
     complement = find_complement(cand.delta, cand.kernel)
     if isinstance(complement, Subgroup):
         replay = SuborbifoldCandidate(cand.chart, complement, cand.v)
-        if not (_acts_effectively(complement, cand.v)
+        if not (_acts_effectively(complement, cand.kernel)
                 and check_saturated(replay).holds):
             raise AssertionError("complement failed effectiveness re-verification")
         return EmbeddedResult(True, effective_delta=complement)
     if not search_all_delta:
         return EmbeddedResult(False, certificate=complement)
     subgroups = all_subgroups(cand.chart.group)
+    fixing = pointwise_stabilizer(cand.chart.group, cand.v)
     for checked, sub in enumerate(subgroups, start=1):
         try:
             other = SuborbifoldCandidate(cand.chart, sub, cand.v)
         except NonInvariant:
             continue
-        if _acts_effectively(sub, cand.v) and check_saturated(other).holds:
+        if _acts_effectively(sub, fixing) and check_saturated(other).holds:
             return EmbeddedResult(
                 True, effective_delta=sub, searched_all_delta=True,
                 deltas_checked=checked,
@@ -372,34 +398,49 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     group = cand.chart.group
     delta = cand.delta
     k = cand.v.dim
+    d, forms = group.integer_forms
     # Centroid of the base-point orbit: a Delta-fixed point inside v.
-    centroid = zero_vec(cand.chart.ambient_dim)
-    for i in delta.members:
-        centroid = vec_add(centroid, mat_vec(group.matrix_of(i), cand.v.base_point))
-    centroid = vec_scale(Fraction(1, delta.order), centroid)
-    directions = _span(cand.v.basis, cand.chart.ambient_dim)
+    db, base = scaled(cand.v.base_point)
+    total = [sum(column) for column in zip(*(int_mat_vec(forms[i], base) for i in delta.members))]
+    centroid = tuple(Fraction(t, d * db * delta.order) for t in total)
+    _, fixed = scaled(centroid)
+    fixed_image = tuple(d * c for c in fixed)
     restricted: list = []
     for i in delta.members:
-        m = group.matrix_of(i)
-        if mat_vec(m, centroid) != centroid:
+        if int_mat_vec(forms[i], fixed) != fixed_image:
             raise NonInvariant("centroid is not fixed by the subgroup")
-        columns = [coordinates_in_basis(directions, mat_vec(m, b)) for b in cand.v.basis]
-        restricted.append(tuple(tuple(col[r] for col in columns) for r in range(k)))
+        restricted.append(restricted_matrix((d, forms[i]), cand.v))
     kernel = cand.kernel
     induced_group = FiniteMatrixGroup(set(restricted) or {identity_matrix(k)})
-    if induced_group.order * kernel.order != delta.order:
-        raise AssertionError("induced group order mismatch")
-    quotient, _ = quotient_group(delta, kernel)
-    if iso_fingerprint(induced_group) != iso_fingerprint(quotient):
-        raise AssertionError("induced group is not isomorphic to delta/kernel")
     restriction = GroupHom(
         delta,
         induced_group,
         tuple(induced_group.index_of(m) for m in restricted),
     )
+    _check_restriction(restriction, kernel)
     return InducedChart(
         ChartModel(k, induced_group), kernel, centroid, cand.v.basis, restriction
     )
+
+
+def _check_restriction(f: GroupHom, kernel: Subgroup) -> None:
+    """Assert that f maps Delta onto the induced group with kernel K.
+
+    f(a s) = f(a) f(s) for every a in Delta and every generator s gives it
+    for every pair, since each element of a finite group is a product of
+    generators; a homomorphism onto the induced group with kernel K makes
+    that group Delta/K (first isomorphism theorem).
+    """
+    delta, image = f.domain, f.codomain
+    gens = [delta.members.index(s) for s in delta.generators]
+    if any(f(delta.mult(a, s)) != image.mult(f(a), f(s))
+           for a in range(delta.order) for s in gens):
+        raise AssertionError("restriction to the subspace is not a homomorphism")
+    if set(f.image_of) != set(range(image.order)):
+        raise AssertionError("restriction is not onto the induced group")
+    fixed = [p for a, p in enumerate(delta.members) if f(a) == image.identity]
+    if tuple(fixed) != kernel.members:
+        raise AssertionError("kernel of the restriction is not the pointwise stabilizer")
 
 
 def _point_not_in(x: Vec, where: str) -> PointNotInV:

@@ -27,11 +27,20 @@ given ones, or those its constructor picked greedily; a subgroup picks
 its own greedily in member order), and its Schreier tree spells each
 element as a word in them. Complements of a normal subgroup are found by
 a search over sections, never by enumerating the subgroup lattice.
+
+Matrices are Fractions at the boundary and integers inside. On first use
+a group takes one denominator d for all its elements (the least common
+multiple of their entries' denominators) and keeps d g for each element
+g as sparse integer rows (``integer_forms``). Stabilizers, the
+saturation check and the induced chart apply these to integer vectors
+and compare integer images, which for one d are equal exactly when the
+rational images are; a Fraction is built only for a value returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -43,15 +52,20 @@ from .errors import (
 )
 from .linalg import (
     AffineSubspace,
+    IntMat,
     Mat,
     Vec,
     identity as identity_matrix,
-    images,
+    int_form,
+    int_images,
+    int_mat_vec,
+    int_points,
     is_invertible,
     mat,
     mat_vec,
     rat,
     rat_str,
+    scaled,
     vec,
 )
 
@@ -108,6 +122,17 @@ class FiniteMatrixGroup:
         except (KeyError, NotFiniteWithinBound):
             raise ValueError("matrix set is not closed under products") from None
         self.identity, self._inverse = _identity_and_inverses(self.cayley_table)
+
+    @cached_property
+    def integer_forms(self) -> tuple[int, tuple[IntMat, ...]]:
+        """(d, forms): one denominator for every element, and d m for each
+        element m as sparse integer rows, in index order.
+
+        Built on first use; stabilizers and the saturation check compare
+        integer images under these forms instead of Fraction products.
+        """
+        d = lcm(*[x.denominator for m in self.matrices for row in m for x in row])
+        return d, tuple(int_form(m, d)[1] for m in self.matrices)
 
     @cached_property
     def schreier_tree(self) -> tuple:
@@ -492,16 +517,27 @@ def all_subgroups(g) -> list[Subgroup]:
 
 def stabilizer(g, x) -> Subgroup:
     """{gamma : gamma x = x} as a subgroup of the parent group."""
-    x = vec(x)
-    kept = [i for i, m in zip(g.members, g.matrices) if mat_vec(m, x) == x]
+    _, xs = scaled(vec(x))
+    d, forms = _integer_forms(g, len(xs))
+    target = tuple(d * c for c in xs)
+    kept = [i for i in g.members if int_mat_vec(forms[i], xs) == target]
     return Subgroup(g.parent, tuple(kept))
 
 
 def pointwise_stabilizer(g, v: AffineSubspace) -> Subgroup:
     """{gamma : gamma fixes v pointwise}, i.e. v is inside Fix(gamma)."""
-    points = (v.base_point,) + v.basis
-    kept = [i for i, m in zip(g.members, g.matrices) if images(m, v) == points]
+    d, forms = _integer_forms(g, v.ambient_dim)
+    points = int_points(v)
+    target = tuple(tuple(d * c for c in xs) for xs in points)
+    kept = [i for i in g.members if int_images(forms[i], points) == target]
     return Subgroup(g.parent, tuple(kept))
+
+
+def _integer_forms(g, n: int) -> tuple[int, tuple[IntMat, ...]]:
+    """The parent group's integer forms, for vectors of length n."""
+    if n != g.parent.ambient_dim:
+        raise DimensionMismatch("matrix/vector shape mismatch")
+    return g.parent.integer_forms
 
 
 def quotient_group(d: Subgroup, k: Subgroup) -> tuple[AbstractGroup, GroupHom]:

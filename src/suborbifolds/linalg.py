@@ -1,21 +1,32 @@
 """Exact affine geometry over the rationals.
 
-Vectors and matrices are immutable tuples of ``fractions.Fraction``, so
-they hash and compare structurally. Affine subspaces are kept in a
-canonical form (reduced row-echelon basis, base point reduced modulo the
-direction space), which makes set equality plain ``==``. The empty set
-is represented by ``None`` returns; callers must handle it explicitly.
+Vectors and matrices cross this module's boundary as immutable tuples of
+``fractions.Fraction``, so they hash and compare structurally. Inside,
+the arithmetic is on integers: a vector is its least common denominator
+and integer numerators (``scaled``), a matrix m is one denominator d and
+d m as sparse integer rows of (column, entry) (``int_form``), and row
+reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): integer
+rows, each divided by its content after every step and by its pivot once
+at the end. A Fraction is built only for a coordinate of a returned
+value. Affine subspaces are kept in a canonical form (reduced
+row-echelon basis, base point reduced modulo the direction space), which
+makes set equality plain ``==``; a subspace computes its hash once. The
+empty set is represented by ``None`` returns; callers must handle it
+explicitly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, ParseError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
+# d m for a matrix m with denominator d: per row, its nonzero (column, entry) pairs.
+IntMat = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def rat(x) -> Fraction:
@@ -57,14 +68,58 @@ def identity(n: int) -> Mat:
     )
 
 
+def scaled(x) -> tuple[int, tuple[int, ...]]:
+    """(d, d x): the least common denominator of x and x's integer numerators."""
+    d = lcm(*[c.denominator for c in x])
+    return d, _over(x, d)
+
+
+def _over(x, d: int) -> tuple[int, ...]:
+    """d x as integers, for a d that is a multiple of every denominator of x."""
+    return tuple(c.numerator * (d // c.denominator) for c in x)
+
+
+def int_form(m: Mat, d: int | None = None) -> tuple[int, IntMat]:
+    """(d, d m as sparse integer rows); d defaults to m's least common denominator.
+
+    A given d must be a multiple of every denominator of m.
+    """
+    if d is None:
+        d = lcm(*[x.denominator for row in m for x in row])
+    return d, tuple(
+        tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x)
+        for row in m
+    )
+
+
+def int_mat_vec(rows: IntMat, xs) -> tuple[int, ...]:
+    """The integer rows applied to an integer vector."""
+    return tuple(sum([c * xs[j] for j, c in row]) for row in rows)
+
+
+def int_images(rows: IntMat, points) -> tuple[tuple[int, ...], ...]:
+    """The integer rows applied to each of the integer vectors ``points``."""
+    return tuple(int_mat_vec(rows, xs) for xs in points)
+
+
+def _fractions(nums, d: int) -> Vec:
+    """The vector nums / d, one Fraction per coordinate."""
+    if d == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(x, d) for x in nums)
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a:
         return a
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
-    bt = tuple(zip(*b))
+    da, rows = int_form(a)
+    db = lcm(*[x.denominator for row in b for x in row])
+    columns = [_over(col, db) for col in zip(*b)]
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        _fractions([sum([c * col[j] for j, c in row]) for col in columns], da * db)
+        for row in rows
     )
 
 
@@ -73,7 +128,9 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
         return ()
     if len(a[0]) != len(x):
         raise DimensionMismatch("matrix/vector shape mismatch")
-    return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
+    d, rows = int_form(a)
+    dx, xs = scaled(x)
+    return _fractions(int_mat_vec(rows, xs), d * dx)
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -96,29 +153,58 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def _rref_pivots(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row-echelon form with deterministic leftmost pivoting."""
-    rows = [list(r) for r in m]
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries (a zero row stays)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _int_rows(m) -> list[list[int]]:
+    """Each rational row as a primitive integer row with the same span."""
+    return [_primitive(list(scaled(row)[1])) for row in m]
+
+
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are taken leftmost, from the first row at or below the current
+    one with a nonzero entry. Row i ends as a nonzero multiple of row i of
+    the reduced row-echelon form, whose pivot column is the i-th returned
+    one; the rows past the rank end as zero. Each combination
+    (a/g) row_i - (b/g) pivot_row is divided by its content at once, so
+    entries stay as small as the reduced form allows.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        top = rows[r]
+        a = top[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            b = rows[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                rows[i] = _primitive([ag * x - bg * y for x, y in zip(rows[i], top)])
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return tuple(tuple(row) for row in rows), pivots
+    return pivots
+
+
+def _rref_pivots(m: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row-echelon form with deterministic leftmost pivoting."""
+    rows = _int_rows(m)
+    pivots = _eliminate(rows)
+    zero = (Fraction(0),) * (len(rows[0]) if rows else 0)
+    reduced = [_fractions(row, row[p]) for row, p in zip(rows, pivots)]
+    return tuple(reduced) + (zero,) * (len(rows) - len(pivots)), pivots
 
 
 def rref(m: Mat) -> tuple[Mat, int]:
@@ -127,9 +213,7 @@ def rref(m: Mat) -> tuple[Mat, int]:
 
 
 def mat_rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return rref(m)[1]
+    return len(_eliminate(_int_rows(m)))
 
 
 def is_invertible(m: Mat) -> bool:
@@ -149,16 +233,28 @@ def kernel_basis(m: Mat) -> list[Vec]:
     """Basis of {x : m x = 0}, one vector per free column."""
     if not m:
         return []
-    n_cols = len(m[0])
-    reduced, pivots = _rref_pivots(m)
-    free = [c for c in range(n_cols) if c not in pivots]
+    rows = _int_rows(m)
+    pivots = _eliminate(rows)
+    return [_fractions(v, v[f]) for f, v in _int_kernel(rows, pivots, len(m[0]))]
+
+
+def _int_kernel(rows, pivots, n_cols: int) -> list[tuple[int, list[int]]]:
+    """Integer kernel basis of eliminated rows: (f, v) per free column f.
+
+    v is a positive multiple of the kernel vector with 1 at f, 0 at the
+    other free columns and -R[i][f] at pivot p_i, for R the reduced
+    row-echelon form.
+    """
+    scale = lcm(*[row[p] for row, p in zip(rows, pivots)])
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(tuple(v))
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [0] * n_cols
+        v[f] = scale
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append((f, v))
     return basis
 
 
@@ -167,12 +263,21 @@ class AffineSubspace:
     """Canonical affine subspace base_point + span(basis) of R^n.
 
     Construct via :func:`affine_subspace`; equality of canonical values
-    is equality of point sets.
+    is equality of point sets. The hash is computed on first use and
+    kept, since hashing a Fraction takes a modular inverse.
     """
 
     ambient_dim: int
     base_point: Vec
     basis: tuple[Vec, ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.ambient_dim, self.base_point, self.basis))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def dim(self) -> int:
@@ -188,14 +293,38 @@ def affine_subspace(base_point, basis) -> AffineSubspace:
     rows = [vec(b) for b in basis]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("basis vector length differs from base point")
-    if rows:
-        reduced, pivots = _rref_pivots(tuple(rows))
-        canon_rows = reduced[: len(pivots)]
-    else:
-        canon_rows, pivots = (), []
-    for row, p in zip(canon_rows, pivots):
-        base = vec_sub(base, vec_scale(base[p], row))
-    return AffineSubspace(n, base, tuple(canon_rows))
+    d, numerators = scaled(base)
+    return _canonical(n, d, numerators, [list(scaled(r)[1]) for r in rows])
+
+
+def _canonical(n: int, d: int, base, rows: list[list[int]]) -> AffineSubspace:
+    """Canonical form of base / d + span(rows), for integer base and rows.
+
+    The rows are eliminated, and base is reduced against each pivot row
+    R_i (b <- (R_i[p] b - b[p] R_i) / R_i[p]), which sets b[p] to 0.
+    """
+    rows = [_primitive(row) for row in rows]
+    pivots = _eliminate(rows)
+    rows = rows[: len(pivots)]
+    for row, p in zip(rows, pivots):
+        b = base[p]
+        if b:
+            g = gcd(row[p], b)
+            a, b = row[p] // g, b // g
+            base = [a * x - b * y for x, y in zip(base, row)]
+            d *= a
+    basis = tuple(_fractions(row, row[p]) for row, p in zip(rows, pivots))
+    return AffineSubspace(n, _fractions(base, d), basis)
+
+
+def int_points(v: AffineSubspace) -> tuple[tuple[int, ...], ...]:
+    """v's base point and basis vectors, each scaled to integers by its own denominator.
+
+    For linear maps given as integer rows over one denominator, equal
+    ``int_images`` of these mean equal images of v's base point and
+    basis, i.e. maps that agree on v.
+    """
+    return tuple(scaled(x)[1] for x in (v.base_point,) + v.basis)
 
 
 def whole_space(n: int) -> AffineSubspace:
@@ -250,34 +379,73 @@ def as_equations(v: AffineSubspace) -> tuple[Mat, Vec]:
     return c, d
 
 
+def _int_equations(v: AffineSubspace) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Integer (c, e) with v = {y : c y = e}; no rows for the whole space."""
+    n = v.ambient_dim
+    d, base = scaled(v.base_point)
+    if v.basis:
+        rows = _int_rows(v.basis)  # already reduced: its pivots are v's
+        normals = [w for _, w in _int_kernel(rows, v.pivots(), n)]
+    else:
+        normals = [[int(i == j) for j in range(n)] for i in range(n)]
+    return ([tuple(d * c for c in w) for w in normals],
+            [sum([c * x for c, x in zip(w, base)]) for w in normals])
+
+
 def solve_affine(a: Mat, b) -> AffineSubspace | None:
-    """Full solution set of a x = b as a canonical subspace, or None."""
+    """Full solution set of a x = b as a canonical subspace, or None.
+
+    Entries may be Fractions or ints. The augmented rows are eliminated
+    as integers; the particular solution and the kernel are read off the
+    pivot rows and put in canonical form together.
+    """
     b = vec(b)
     if len(a) != len(b):
         raise DimensionMismatch("rows of a and length of b differ")
     n = len(a[0]) if a else 0
     if not a:
         return whole_space(n)
-    aug = tuple(row + (rhs,) for row, rhs in zip(a, b))
-    reduced, pivots = _rref_pivots(aug)
+    aug = _int_rows([tuple(row) + (rhs,) for row, rhs in zip(a, b)])
+    pivots = _eliminate(aug)
     if n in pivots:
         return None
-    particular = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        particular[p] = reduced[r][n]
-    return affine_subspace(tuple(particular), kernel_basis(a))
+    scale = lcm(*[row[p] for row, p in zip(aug, pivots)])
+    particular = [0] * n
+    for row, p in zip(aug, pivots):
+        particular[p] = row[n] * (scale // row[p])
+    kernel = [w for _, w in _int_kernel(aug, pivots, n)]
+    return _canonical(n, scale, particular, kernel)
 
 
 def intersect(a: AffineSubspace, b: AffineSubspace) -> AffineSubspace | None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    ca, da = as_equations(a)
-    cb, db = as_equations(b)
-    stacked = ca + cb
-    rhs = da + db
-    if not stacked:
+    ca, ea = _int_equations(a)
+    cb, eb = _int_equations(b)
+    if not (ca or cb):
         return whole_space(a.ambient_dim)
-    return solve_affine(stacked, rhs)
+    return solve_affine(ca + cb, ea + eb)
+
+
+def fixed_points(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace | None:
+    """{x in v : m x = x} as a canonical subspace, or None, for the square
+    matrix m given as (d, d m) (see ``int_form``).
+
+    One solve of v's equations stacked with d (m - I) x = 0.
+    """
+    d, rows = form
+    n = v.ambient_dim
+    if len(rows) != n:
+        raise DimensionMismatch("ambient dimensions differ")
+    c, e = _int_equations(v)
+    for i, row in enumerate(rows):
+        moved = [0] * n
+        for j, x in row:
+            moved[j] = x
+        moved[i] -= d
+        c.append(tuple(moved))
+        e.append(0)
+    return solve_affine(c, e)
 
 
 def direction_sum_is_full(a: AffineSubspace, b: AffineSubspace) -> bool:
@@ -291,17 +459,42 @@ def direction_sum_is_full(a: AffineSubspace, b: AffineSubspace) -> bool:
 
 def map_subspace(a: Mat, offset: Vec, v: AffineSubspace) -> AffineSubspace:
     """Image of v under the affine map x -> a x + offset."""
-    base = vec_add(mat_vec(a, v.base_point), offset)
-    return affine_subspace(base, [mat_vec(a, d) for d in v.basis])
+    if a and len(a[0]) != v.ambient_dim:
+        raise DimensionMismatch("matrix/vector shape mismatch")
+    d, rows = int_form(a)
+    db, base = scaled(v.base_point)
+    do, shift = scaled(offset)
+    d *= db
+    base = [y * do + s * d for y, s in zip(int_mat_vec(rows, base), shift)]
+    directions = [list(int_mat_vec(rows, scaled(u)[1])) for u in v.basis]
+    return _canonical(len(a), d * do, base, directions)
 
 
 def transform_subspace(m: Mat, v: AffineSubspace) -> AffineSubspace:
     return map_subspace(m, zero_vec(len(m)), v)
 
 
-def images(m: Mat, v: AffineSubspace) -> tuple[Vec, ...]:
-    """m applied to v's base point and basis: linear maps agree on v iff these do."""
-    return (mat_vec(m, v.base_point),) + tuple(mat_vec(m, d) for d in v.basis)
+def restricted_matrix(form: tuple[int, IntMat], v: AffineSubspace) -> Mat:
+    """The matrix of m on v's direction space, in v's canonical basis.
+
+    m is given as (d, d m) (see ``int_form``). Column j holds the
+    coordinates of m b_j, its entries at the basis pivots; ValueError is
+    raised when some m b_j is not in the direction space.
+    """
+    d, rows = form
+    pivots = v.pivots()
+    basis = [scaled(b) for b in v.basis]
+    scale = lcm(*[e for e, _ in basis])
+    spans = [[x * (scale // e) for x in b] for e, b in basis]
+    columns = []
+    for e, b in basis:
+        y = int_mat_vec(rows, b)
+        coords = [y[p] for p in pivots]
+        rebuilt = [sum([c * row[j] for c, row in zip(coords, spans)]) for j in range(len(y))]
+        if rebuilt != [scale * t for t in y]:
+            raise ValueError("image does not lie in the direction space")
+        columns.append(_fractions(coords, d * e))
+    return tuple(zip(*columns))
 
 
 def coordinates_in_basis(v: AffineSubspace, x: Vec) -> Vec:

@@ -24,9 +24,7 @@ from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
     contains_point,
-    images,
     intersect,
-    mat_vec,
     point_from_coordinates,
     transform_subspace,
     vec,
@@ -95,6 +93,50 @@ def oracle_rank(rows):
     return r
 
 
+def oracle_mat_vec(a, x):
+    """a x by Fraction products and sums, one coordinate per row.
+
+    The package multiplies integer numerators over one denominator; this is
+    the plain rational loop it replaced.
+    """
+    return tuple(sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a)
+
+
+def oracle_images(m, v):
+    """m applied to v's base point and basis: linear maps agree on v iff these do."""
+    return tuple(oracle_mat_vec(m, x) for x in (v.base_point,) + v.basis)
+
+
+def oracle_rref(m):
+    """(reduced row-echelon form, pivot columns) by Fraction Gauss-Jordan.
+
+    Leftmost pivoting, each pivot row divided by its pivot before it
+    clears its column; zero rows stay at the bottom. The package reduces
+    integer rows fraction-free instead, and must agree entry for entry.
+    """
+    rows = [list(r) for r in m]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return tuple(tuple(row) for row in rows), pivots
+
+
 # ---------------------------------------------------------------------------
 # Point sampling inside an affine subspace
 
@@ -127,10 +169,10 @@ def oracle_saturated_sampled(cand: SuborbifoldCandidate, rng: random.Random,
     delta_mats = [group.matrix_of(i) for i in cand.delta.members]
     for x in sample_in_subspace(cand.v, rng, samples):
         for g in range(group.order):
-            gx = mat_vec(group.matrix_of(g), x)
+            gx = oracle_mat_vec(group.matrix_of(g), x)
             if not contains_point(cand.v, gx):
                 continue
-            if all(mat_vec(h, x) != gx for h in delta_mats):
+            if all(oracle_mat_vec(h, x) != gx for h in delta_mats):
                 return False
     return True
 
@@ -150,8 +192,8 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
         w_g = intersect(v, g_inv_v)
         if w_g is None:
             continue
-        moved = images(group.matrix_of(g), w_g)
-        if not any(images(h, w_g) == moved for h in cand.delta.matrices):
+        moved = oracle_images(group.matrix_of(g), w_g)
+        if not any(oracle_images(h, w_g) == moved for h in cand.delta.matrices):
             point = _witness_point(w_g, group, cand.delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)
@@ -161,11 +203,11 @@ def verify_saturation_witness(cand: SuborbifoldCandidate, witness) -> bool:
     """Exact replay: witness point refutes saturation."""
     group = cand.chart.group
     x = witness.point
-    gx = mat_vec(witness.element.matrix, x)
+    gx = oracle_mat_vec(witness.element.matrix, x)
     if not (contains_point(cand.v, x) and contains_point(cand.v, gx)):
         return False
     return all(
-        mat_vec(group.matrix_of(h), x) != gx for h in cand.delta.members
+        oracle_mat_vec(group.matrix_of(h), x) != gx for h in cand.delta.members
     )
 
 
@@ -202,7 +244,7 @@ def verify_fullness_witness(cand: SuborbifoldCandidate, witness) -> bool:
     return (
         not cand.delta.contains(witness.element.index)
         and contains_point(cand.v, x)
-        and mat_vec(witness.element.matrix, x) == x
+        and oracle_mat_vec(witness.element.matrix, x) == x
     )
 
 
@@ -250,7 +292,7 @@ def random_candidate(rng: random.Random, max_group_order: int = 16,
         p = vec([rng.randint(-3, 3) for _ in range(n)])
         centroid = [Fraction(0)] * n
         for i in delta.members:
-            q = mat_vec(group.matrix_of(i), p)
+            q = oracle_mat_vec(group.matrix_of(i), p)
             centroid = [a + b for a, b in zip(centroid, q)]
         centroid = vec([c / delta.order for c in centroid])
         # Direction space: Delta-orbit span of a few random directions.
@@ -258,24 +300,30 @@ def random_candidate(rng: random.Random, max_group_order: int = 16,
         for _ in range(rng.randint(0, n)):
             d = vec([rng.randint(-2, 2) for _ in range(n)])
             for i in delta.members:
-                dirs.append(mat_vec(group.matrix_of(i), d))
+                dirs.append(oracle_mat_vec(group.matrix_of(i), d))
         return SuborbifoldCandidate(
             chart, delta, affine_subspace(centroid, dirs)
         )
 
 
-def stabilizer_candidate(rng: random.Random, chart, basis_change=None) -> SuborbifoldCandidate:
+def stabilizer_candidate(rng: random.Random, chart, basis_change=None,
+                         dims=None) -> SuborbifoldCandidate:
     """Random candidate in the given chart: a coordinate or diagonal
     subspace, through the origin or off it, mapped by ``basis_change``
     when given, with Delta its setwise stabilizer, the cyclic subgroup of
-    a random element of it, or the trivial group."""
+    a random element of it, or the trivial group.
+
+    dim V is drawn from ``dims`` (default 1..n-1); (0, n) adds points and
+    the whole space. In a reflection group such as B_n a line or plane
+    meets reflecting hyperplanes that do not preserve it, so only those
+    two are ever full there."""
     group = chart.group
     n = group.ambient_dim
     coords = rng.sample(range(n), n)
-    k = rng.randint(1, n - 1)
+    k = rng.randint(*(dims or (1, n - 1)))
     units = [[Fraction(int(i == c)) for i in range(n)] for c in coords]
     basis = units[:k]
-    if rng.random() < 0.5:  # a diagonal direction
+    if rng.random() < 0.5 and 0 < k < n:  # a diagonal direction
         basis[0] = [a + rng.choice((1, -1)) * b for a, b in zip(units[0], units[k])]
     base = [Fraction(0)] * n
     if rng.random() < 0.5:  # off the origin
@@ -283,12 +331,12 @@ def stabilizer_candidate(rng: random.Random, chart, basis_change=None) -> Suborb
             base[c] = rng.choice((Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2)))
         base[coords[-1]] = Fraction(1)
     if basis_change is not None:
-        base = mat_vec(basis_change, vec(base))
-        basis = [mat_vec(basis_change, vec(d)) for d in basis]
+        base = oracle_mat_vec(basis_change, vec(base))
+        basis = [oracle_mat_vec(basis_change, vec(d)) for d in basis]
     v = affine_subspace(base, basis)
     points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, d)) for d in v.basis]
     stab = [i for i, m in enumerate(group.matrices)
-            if all(contains_point(v, mat_vec(m, p)) for p in points)]
+            if all(contains_point(v, oracle_mat_vec(m, p)) for p in points)]
     kind = rng.randrange(3)
     seed = stab if kind == 0 else [rng.choice(stab)] if kind == 1 else []
     delta = group.subgroup_from_indices(_closure(group, seed))
@@ -431,13 +479,13 @@ def conjugate_all(matrices, s, s_inv):
 
 
 def _min_orbit_sq_dist(matrices, x, y):
-    return min(sum((a - b) ** 2 for a, b in zip(x, mat_vec(m, y))) for m in matrices)
+    return min(sum((a - b) ** 2 for a, b in zip(x, oracle_mat_vec(m, y))) for m in matrices)
 
 
 def oracle_segment_sum(matrices, start, end, pieces):
     """Sum over the pieces of the segment from start to end of the minimum
     over the matrices of |p - g q|, with every piece end built as a Fraction
-    vector and every distance taken with mat_vec."""
+    vector and every distance taken with oracle_mat_vec."""
     total = 0.0
     prev = start
     for i in range(1, pieces + 1):
@@ -456,7 +504,7 @@ def oracle_intrinsic_distances(probe, x, y):
     x, y = vec(x), vec(y)
     best = [None] * (probe.partition_depth + 1)
     for h in probe.subgroup.members:
-        target = mat_vec(probe.group.matrix_of(h), y)
+        target = oracle_mat_vec(probe.group.matrix_of(h), y)
         sup = 0.0
         for depth in range(probe.partition_depth + 1):
             sup = max(sup, oracle_segment_sum(probe.group.matrices, x, target, 2 ** depth))

@@ -2,6 +2,7 @@
 equivalence on randomized candidates, two-path isotropy."""
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -180,6 +181,63 @@ def test_induced_chart_centered_off_the_canonical_base_point():
     assert isotropy_sub_point(cand, [0, -1]).order == 1
 
 
+def _z_axis_in_b3():
+    """The z-axis in B3 with Delta its stabilizer B2 x Z2 (order 16): K is the
+    B2 acting on (x, y) (order 8) and the induced group is z -> +-z."""
+    b3 = generate_group(hyperoctahedral_generators(3))
+    delta = b3.subgroup_from_indices(
+        i for i, m in enumerate(b3.matrices) if m[2][2] != 0)
+    cand = SuborbifoldCandidate(chart_from_group(b3), delta, affine_subspace([0, 0, 0], [[0, 0, 1]]))
+    assert (delta.order, cand.kernel.order) == (16, 8)
+    return cand
+
+
+def _patched_restriction(monkeypatch, images):
+    """Make induced_chart build its restriction with images(domain, codomain, image_of)."""
+    module = sys.modules["suborbifolds.classify"]
+    real = module.GroupHom
+    monkeypatch.setattr(module, "GroupHom", lambda d, c, image_of: real(
+        d, c, tuple(images(d, c, image_of))))
+
+
+def test_induced_chart_rejects_a_wrong_map_with_equal_fingerprints(monkeypatch):
+    from suborbifolds.groups import iso_fingerprint, quotient_group
+
+    cand = _z_axis_in_b3()
+    induced = induced_chart(cand).chart.group
+    quotient, _ = quotient_group(cand.delta, cand.kernel)
+    # The fingerprint comparison cannot see the map at all: the induced
+    # group is Z2 whatever the restriction sends where.
+    assert iso_fingerprint(induced) == iso_fingerprint(quotient)
+
+    def swap_identity(domain, codomain, image_of):
+        # the identity of Delta sent to -1 and some reflection to +1
+        images = list(image_of)
+        moved = images.index(1 - codomain.identity)
+        images[domain.identity], images[moved] = images[moved], images[domain.identity]
+        return images
+
+    _patched_restriction(monkeypatch, swap_identity)
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        induced_chart(cand)
+
+
+def test_induced_chart_rejects_a_homomorphism_with_the_wrong_kernel(monkeypatch):
+    # The sign of det on the (x, y) block maps Delta onto Z2 as a
+    # homomorphism, but its kernel is not the pointwise stabilizer of the axis.
+    cand = _z_axis_in_b3()
+
+    def det_xy(domain, codomain, image_of):
+        minus = 1 - codomain.identity
+        for i in range(domain.order):
+            m = domain.matrix_of(i)
+            yield codomain.identity if m[0][0] * m[1][1] - m[0][1] * m[1][0] > 0 else minus
+
+    _patched_restriction(monkeypatch, det_xy)
+    with pytest.raises(AssertionError, match="kernel"):
+        induced_chart(cand)
+
+
 def test_saturation_computed_once_per_candidate(monkeypatch):
     module = sys.modules["suborbifolds.classify"]
     original = module.check_saturated
@@ -328,6 +386,29 @@ def test_saturation_matches_per_element_oracle_above_order_48():
         assert verdicts == {True, False}
 
 
+def test_fullness_matches_oracle_above_order_48():
+    # Candidates of every dimension in B4 (order 384) and in a rational
+    # conjugate of it, whose denominators go through the group-wide
+    # denominator of the integer forms; every witness is replayed.
+    rng = random.Random(61)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    for gens, basis_change in ((b4, None), (conjugate_all(b4, s, s_inv), s)):
+        chart = chart_from_group(generate_group(gens))
+        assert (chart.group.integer_forms[0] > 1) == (basis_change is not None)
+        verdicts = set()
+        for _ in range(8):
+            cand = stabilizer_candidate(rng, chart, basis_change, dims=(0, 4))
+            if not cand.saturation.holds:
+                continue
+            got = check_full(cand)
+            assert got.holds == oracle_full(cand)
+            if not got.holds:
+                assert verify_fullness_witness(cand, got.witness)
+            verdicts.add(got.holds)
+        assert verdicts == {True, False}
+
+
 def _count_transforms(monkeypatch, run):
     """run()'s result and the number of subspaces it transformed."""
     module = sys.modules["suborbifolds.classify"]
@@ -344,6 +425,15 @@ def _count_transforms(monkeypatch, run):
     return result, len(calls)
 
 
+def _b3_plane_z_equals_1():
+    """The plane z = 1 in B3 with Delta its stabilizer (order 8, index 6)."""
+    b3 = generate_group(hyperoctahedral_generators(3))
+    v = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+    delta = b3.subgroup_from_indices(
+        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+    return SuborbifoldCandidate(chart_from_group(b3), delta, v)
+
+
 def test_saturation_work_follows_the_orbit_of_v(monkeypatch):
     # B4 whole space with Delta = Gamma: every element covers itself.
     b4 = generate_group(hyperoctahedral_generators(4))
@@ -352,16 +442,56 @@ def test_saturation_work_follows_the_orbit_of_v(monkeypatch):
     assert verdict.holds and transforms == 0
     # The plane z = 1 in B3: Delta is its stabilizer (order 8, index 6), and
     # no other element meets it, so the walk visits every element.
-    b3 = generate_group(hyperoctahedral_generators(3))
-    v = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
-    delta = b3.subgroup_from_indices(
-        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+    cand = _b3_plane_z_equals_1()
+    b3, delta = cand.chart.group, cand.delta
     assert delta.order == 8
-    cand = SuborbifoldCandidate(chart_from_group(b3), delta, v)
     verdict, transforms = _count_transforms(monkeypatch, lambda: check_saturated(cand))
     assert verdict.holds
     # 3 generators * index 6 = 18; the per-element loop made |B3| = 48
-    assert transforms <= len(b3.generators) * (b3.order // delta.order) < b3.order
+    assert 0 < transforms <= len(b3.generators) * (b3.order // delta.order) < b3.order
+
+
+def test_saturation_covering_loop_builds_no_fraction(monkeypatch):
+    # Every Fraction that check_saturated builds or hashes must come from an
+    # orbit step or an intersection W_g, never from the loops over Delta and
+    # Gamma that compare images.
+    cand = _b3_plane_z_equals_1()
+    hash(cand.v)  # a subspace computes its hash once; take it before counting
+    module = sys.modules["suborbifolds.classify"]
+    depth, outside, keys = [0], [], []
+
+    def allowed(original):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def counted(original, what):
+        def run(*args, **kwargs):
+            if depth[0] == 0:
+                outside.append(what)
+            return original(*args, **kwargs)
+        return run
+
+    def key(rows, points):
+        keys.append(points)
+        return images_of(rows, points)
+
+    images_of = module.int_images
+    monkeypatch.setattr(module, "int_images", key)
+    monkeypatch.setattr(module, "intersect", allowed(module.intersect))
+    monkeypatch.setattr(module._SubspaceOrbit, "image", allowed(module._SubspaceOrbit.image))
+    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__, "built"))
+    monkeypatch.setattr(Fraction, "__hash__", counted(Fraction.__hash__, "hashed"))
+    assert check_saturated(cand).holds
+    monkeypatch.undo()
+    # Four lines W_g (x = +-1, y = +-1 on the plane), 8 images each, and one
+    # key per element of the 4 cosets that reach them.
+    assert len(keys) == 4 * cand.delta.order + 4 * cand.delta.order
+    assert outside == []
 
 
 def test_invariance_is_tested_on_generators(monkeypatch):

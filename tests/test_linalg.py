@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from suborbifolds.linalg import (
+    _rref_pivots,
     affine_subspace,
     as_equations,
     contains_point,
     coordinates_in_basis,
     direction_sum_is_full,
+    fixed_points,
+    identity,
+    int_form,
     intersect,
     kernel_basis,
     mat,
     mat_inverse,
     mat_mul,
     mat_rank,
+    mat_sub,
     mat_vec,
     point_from_coordinates,
     rat,
@@ -25,11 +30,13 @@ from suborbifolds.linalg import (
     single_point,
     solve_affine,
     subspace_contained_in,
+    transform_subspace,
     vec,
     whole_space,
+    zero_vec,
 )
 
-from oracles import oracle_rank, oracle_solve
+from oracles import oracle_mat_vec, oracle_rank, oracle_rref, oracle_solve
 
 rationals = st.builds(
     Fraction,
@@ -224,3 +231,103 @@ def test_direction_sum():
     b = affine_subspace([0, 0], [[0, 1]])
     assert direction_sum_is_full(a, b)
     assert not direction_sum_is_full(a, a)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction loops it replaced
+
+# Denominators 1-7, signs both ways, and zero often enough for zero rows and
+# columns and for pivots that are not in the first row.
+kernel_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+)
+
+
+def kernel_matrix(rows, cols):
+    return st.lists(
+        st.lists(kernel_rationals, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ).map(lambda m: tuple(tuple(r) for r in m))
+
+
+# Wide, tall and square, with n x 0 and 0 x 0 among them.
+kernel_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.integers(0, 6).flatmap(lambda m: kernel_matrix(n, m))
+)
+
+EDGE_MATRICES = [
+    (),                                            # 0 x 0
+    ((), (), ()),                                  # 3 x 0
+    mat([[0, 0, 0], [0, 0, 0]]),                   # zero matrix
+    mat([[-2, 4, 1], [0, -3, "1/7"]]),             # negative pivots
+    mat([[0, "-5/7", 0], [0, "3/2", 0], [0, 0, 0]]),  # zero columns, one pivot
+    mat([[1], [2], ["-1/3"], [0]]),                # tall
+    mat([["1/6", "1/4", "-1/7", 0, 2, 3]]),        # wide
+]
+
+
+def _same_entries(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        assert all(type(x) is Fraction and x == y for x, y in zip(g, w))
+
+
+@pytest.mark.parametrize("m", EDGE_MATRICES)
+def test_rref_edge_shapes_match_fraction_oracle(m):
+    reduced, pivots = _rref_pivots(m)
+    want, want_pivots = oracle_rref(m)
+    assert pivots == want_pivots
+    _same_entries(reduced, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices)
+def test_rref_matches_fraction_oracle(m):
+    reduced, pivots = _rref_pivots(m)
+    want, want_pivots = oracle_rref(m)
+    assert pivots == want_pivots
+    _same_entries(reduced, want)
+    assert mat_rank(m) == len(want_pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices, st.data())
+def test_mat_vec_matches_fraction_oracle(m, data):
+    cols = len(m[0]) if m else 0
+    x = tuple(data.draw(st.lists(kernel_rationals, min_size=cols, max_size=cols)))
+    got = mat_vec(m, x)
+    _same_entries([got], [oracle_mat_vec(m, x)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices, st.data())
+def test_rref_matches_sympy(m, data):
+    sympy = pytest.importorskip("sympy")
+    cols = len(m[0]) if m else 0
+    reduced, rank = rref(m)
+    want, pivots = sympy.Matrix(len(m), cols, [x for row in m for x in row]).rref()
+    assert rank == len(pivots)
+    expected = [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(len(m))]
+    _same_entries(reduced, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_fixed_points_match_solve_then_intersect(n, data):
+    square = data.draw(kernel_matrix(n, n))
+    base = tuple(data.draw(st.lists(kernel_rationals, min_size=n, max_size=n)))
+    rows = data.draw(st.lists(
+        st.lists(kernel_rationals, min_size=n, max_size=n), max_size=n))
+    v = affine_subspace(base, rows)
+    fix = solve_affine(mat_sub(square, identity(n)), zero_vec(n))
+    want = None if fix is None else intersect(fix, v)
+    assert fixed_points(int_form(square), v) == want
+
+
+def test_subspace_hash_is_kept_and_structural():
+    v = affine_subspace(["1/3", 0], [[1, "-2/5"]])
+    w = transform_subspace(identity(2), v)
+    assert v == w and v is not w
+    assert hash(v) == hash(w) == hash((v.ambient_dim, v.base_point, v.basis))
