@@ -29,7 +29,6 @@ from .classify import (
     isotropy_point,
     isotropy_sub_point,
     localize_chart,
-    quotient_injectivity_probe,
 )
 from .errors import SuborbifoldError
 from .groups import (
@@ -39,7 +38,6 @@ from .groups import (
     NoComplementCertificate,
     Subgroup,
     all_subgroups,
-    are_isomorphic,
     find_complement,
     generate_group,
     iso_fingerprint,

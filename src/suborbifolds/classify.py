@@ -46,6 +46,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     find_complement,
+    first_failure,
     iso_fingerprint,
     pointwise_stabilizer,
     quotient_group,
@@ -62,7 +63,6 @@ from .linalg import (
     int_points,
     intersect,
     mat_sub,
-    mat_vec,
     identity as identity_matrix,
     point_from_coordinates,
     point_in_dim,
@@ -106,26 +106,17 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
 
 
 def _first_moving_element(sub, v: AffineSubspace):
-    """First element of the group that does not map v onto itself, or None.
-
-    v is invariant under a group exactly when it is invariant under the
-    group's generators, so the elements are scanned in index order only
-    when some generator moves v, to name the first one that does.
-    """
-    def moves(i):
-        return transform_subspace(sub.parent.matrix_of(i), v) != v
-
-    if not any(moves(i) for i in sub.generators):
-        return None
-    return next(i for i in sub.members if moves(i))
+    """First element of the group that does not map v onto itself, or None."""
+    return first_failure(sub, lambda i: transform_subspace(sub.parent.matrix_of(i), v) != v)
 
 
 @dataclass(frozen=True)
 class SuborbifoldCandidate:
     """Subgroup of a chart group plus an affine subspace it leaves invariant.
 
-    The candidate is immutable, so its saturation verdict and the kernel
-    of its action are computed at most once, on first use.
+    The candidate is immutable, so its saturation verdict, the kernel of
+    its action and its induced chart are computed at most once, on first
+    use.
     """
 
     chart: ChartModel
@@ -151,6 +142,11 @@ class SuborbifoldCandidate:
     def kernel(self) -> Subgroup:
         """Elements of the subgroup that fix the subspace pointwise."""
         return pointwise_stabilizer(self.delta, self.v)
+
+    @cached_property
+    def induced(self) -> InducedChart:
+        """The chart induced on the subspace (see ``induced_chart``)."""
+        return induced_chart(self)
 
 
 @dataclass(frozen=True)
@@ -426,15 +422,11 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
 def _check_restriction(f: GroupHom, kernel: Subgroup) -> None:
     """Assert that f maps Delta onto the induced group with kernel K.
 
-    f(a s) = f(a) f(s) for every a in Delta and every generator s gives it
-    for every pair, since each element of a finite group is a product of
-    generators; a homomorphism onto the induced group with kernel K makes
-    that group Delta/K (first isomorphism theorem).
+    A homomorphism onto the induced group with kernel K makes that group
+    Delta/K (first isomorphism theorem).
     """
     delta, image = f.domain, f.codomain
-    gens = [delta.members.index(s) for s in delta.generators]
-    if any(f(delta.mult(a, s)) != image.mult(f(a), f(s))
-           for a in range(delta.order) for s in gens):
+    if not f.is_homomorphism():
         raise AssertionError("restriction to the subspace is not a homomorphism")
     if set(f.image_of) != set(range(image.order)):
         raise AssertionError("restriction is not onto the induced group")
@@ -461,7 +453,7 @@ def isotropy_sub_point(cand: SuborbifoldCandidate, x) -> Fingerprint:
     quotient, _ = quotient_group(stab, cand.kernel)
     fingerprint = iso_fingerprint(quotient)
     # Independent path: stabilizer computed inside induced-chart coordinates.
-    chart = induced_chart(cand)
+    chart = cand.induced
     coords = chart.coordinates(x)
     cross = iso_fingerprint(stabilizer(chart.chart.group, coords))
     if cross != fingerprint:
@@ -519,32 +511,6 @@ def full_characterization_chart(
 def contained_in_regular_part(chart: ChartModel, v: AffineSubspace) -> bool:
     """True iff no nontrivial element fixes any point of v."""
     return _first_fixing_element(chart.group, v, {chart.group.identity}) is None
-
-
-@dataclass(frozen=True)
-class InjectivityProbeResult:
-    passed: bool
-    witness: tuple | None = None  # (x, y): same Gamma-orbit, different H-orbits
-
-
-def quotient_injectivity_probe(
-    chart: ChartModel, h: Subgroup, v: AffineSubspace, sample_count: int = 10
-) -> InjectivityProbeResult:
-    """Sampled injectivity of the quotient inclusion: Gamma x = Gamma y => H x = H y.
-
-    Always passes for saturated candidates; on non-saturated input the
-    first refuting pair is reported.
-    """
-    group = chart.group
-    h_mats = [group.matrix_of(i) for i in h.members]
-    for x in sample_points(v, sample_count):
-        for g in range(group.order):
-            y = mat_vec(group.matrix_of(g), x)
-            if not contains_point(v, y):
-                continue
-            if all(mat_vec(m, x) != y for m in h_mats):
-                return InjectivityProbeResult(False, (x, y))
-    return InjectivityProbeResult(True)
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _verdict_text(name: str, verdict) -> str:
     if verdict is None:
         return f"{name}: n/a"
-    mark = "yes" if (verdict.holds if hasattr(verdict, "holds") else verdict) else "no"
-    return f"{name}: {mark}"
+    return f"{name}: {'yes' if verdict.holds else 'no'}"
 
 
 def _holds(v, point) -> bool:

@@ -25,7 +25,9 @@ permutations once and hands them to the group, which checks only
 matrix sets that come from elsewhere. Every group keeps generators (the
 given ones, or those its constructor picked greedily; a subgroup picks
 its own greedily in member order), and its Schreier tree spells each
-element as a word in them. Complements of a normal subgroup are found by
+element as a word in them. Normality, the homomorphism law and, through
+``first_failure``, any law whose passing elements form a subgroup are
+decided on these generators. Complements of a normal subgroup are found by
 a search over sections, never by enumerating the subgroup lattice.
 
 Matrices are Fractions at the boundary and integers inside. On first use
@@ -83,6 +85,19 @@ def _is_abelian(g) -> bool:
     return all(
         g.mult(i, j) == g.mult(j, i) for i in range(g.order) for j in range(i + 1, g.order)
     )
+
+
+def first_failure(group, fails):
+    """None when no generator of the group fails, else the first member that
+    fails, in index order (both as parent indices).
+
+    For a law whose passing elements form a subgroup, such as invariance of a
+    subspace, the law holds on the group exactly when it holds on the
+    generators; the members are scanned only to name the first failure.
+    """
+    if not any(fails(i) for i in group.generators):
+        return None
+    return next(i for i in group.members if fails(i))
 
 
 @dataclass(frozen=True)
@@ -251,10 +266,7 @@ class Subgroup:
         return self.parent.matrices[self.members[i]]
 
     def is_closed(self) -> bool:
-        ms = self._local
-        return all(
-            self.parent.mult(a, b) in ms for a in self.members for b in self.members
-        ) and all(self.parent.inv(a) in ms for a in self.members)
+        return _closure_indices(self.parent, self.members) == set(self.members)
 
     def contains(self, parent_index: int) -> bool:
         return parent_index in self._local
@@ -263,13 +275,14 @@ class Subgroup:
         return set(self.members) <= set(other.members)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
+        """Is d k d^-1 in this subgroup for every d in other and k in this one?
+
+        Conjugation by d is a homomorphism, and each d is a product of
+        other's generators, so testing the generators of both is enough.
+        """
         g = self.parent
-        for d in other.members:
-            d_inv = g.inv(d)
-            for k in self.members:
-                if g.mult(g.mult(d, k), d_inv) not in self._local:
-                    return False
-        return True
+        return all(g.mult(g.mult(d, k), g.inv(d)) in self._local
+                   for d in other.generators for k in self.generators)
 
     def promote(self) -> FiniteMatrixGroup:
         """The subgroup as a standalone FiniteMatrixGroup."""
@@ -278,13 +291,9 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class AbstractGroup:
-    """A group given only by its multiplication table.
-
-    ``element_labels`` records provenance (e.g. which parent cosets).
-    """
+    """A group given only by its multiplication table."""
 
     table: tuple[tuple[int, ...], ...]
-    element_labels: tuple = ()
 
     def __post_init__(self):
         identity, inverse = _identity_and_inverses(self.table)
@@ -314,12 +323,18 @@ class GroupHom:
         return self.image_of[i]
 
     def is_homomorphism(self) -> bool:
+        """f(e) = e, and f(a s) = f(a) f(s) for every a and domain generator s.
+
+        Every b is a product of generators, so f(a b) = f(a) f(b) follows for
+        every pair; f(e) = e covers the empty product (the trivial subgroup
+        has no generators). The domain needs generators: a matrix group or
+        a subgroup.
+        """
         d, c = self.domain, self.codomain
         f = self.image_of
-        return all(
-            f[d.mult(a, b)] == c.mult(f[a], f[b])
-            for a in range(d.order)
-            for b in range(d.order)
+        gens = [d.members.index(s) for s in d.generators]
+        return f[d.identity] == c.identity and all(
+            f[d.mult(a, s)] == c.mult(f[a], f[s]) for a in range(d.order) for s in gens
         )
 
     def is_injective(self) -> bool:
@@ -557,8 +572,7 @@ def quotient_group(d: Subgroup, k: Subgroup) -> tuple[AbstractGroup, GroupHom]:
     table = tuple(
         tuple(coset_index[coset_of[g.mult(a, b)]] for b in reps) for a in reps
     )
-    labels = tuple(tuple(sorted(coset_of[r])) for r in reps)
-    quotient = AbstractGroup(table, labels)
+    quotient = AbstractGroup(table)
     projection = GroupHom(
         d, quotient, tuple(coset_index[coset_of[a]] for a in d.members)
     )
@@ -656,62 +670,3 @@ def element_order(g, i: int) -> int:
 def iso_fingerprint(g) -> Fingerprint:
     orders = tuple(sorted(element_order(g, i) for i in range(g.order)))
     return Fingerprint(g.order, orders, _is_abelian(g))
-
-
-def are_isomorphic(a, b, max_order: int = 64) -> bool:
-    """Exact isomorphism test by backtracking table matching (small orders)."""
-    if a.order != b.order:
-        return False
-    if a.order > max_order:
-        raise GroupTooLarge(f"exact isomorphism test limited to order {max_order}")
-    if iso_fingerprint(a) != iso_fingerprint(b):
-        return False
-    n = a.order
-    orders_a = [element_order(a, i) for i in range(n)]
-    orders_b = [element_order(b, i) for i in range(n)]
-
-    mapping: dict[int, int] = {a.identity: b.identity}
-    used = {b.identity}
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return all(
-                mapping[a.mult(x, y)] == b.mult(mapping[x], mapping[y])
-                for x in range(n)
-                for y in range(n)
-            )
-        if i in mapping:
-            return extend(i + 1)
-        for j in range(n):
-            if j in used or orders_b[j] != orders_a[i]:
-                continue
-            snapshot = dict(mapping)
-            used_snapshot = set(used)
-            mapping[i] = j
-            used.add(j)
-            ok = True
-            for x in list(mapping):
-                for y in list(mapping):
-                    prod = a.mult(x, y)
-                    image = b.mult(mapping[x], mapping[y])
-                    if prod in mapping:
-                        if mapping[prod] != image:
-                            ok = False
-                    elif image in used:
-                        ok = False
-                    else:
-                        mapping[prod] = image
-                        used.add(image)
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok and extend(i + 1):
-                return True
-            mapping.clear()
-            mapping.update(snapshot)
-            used.clear()
-            used.update(used_snapshot)
-        return False
-
-    return extend(0)

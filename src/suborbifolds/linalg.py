@@ -30,9 +30,15 @@ IntMat = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction or a 'p/q' string."""
+    """Parse a rational from an int, Fraction or a 'p/q' or decimal string.
+
+    A bool is not read as 0 or 1, and a string with an exponent is refused:
+    Fraction would expand '1e1000000' into a million-digit integer.
+    """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool) or (isinstance(x, str) and "e" in x.lower()):
+        raise ParseError(f"cannot read {x!r} as a rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -220,15 +226,6 @@ def is_invertible(m: Mat) -> bool:
     return all(len(row) == len(m) for row in m) and mat_rank(m) == len(m)
 
 
-def mat_inverse(m: Mat) -> Mat:
-    n = len(m)
-    aug = tuple(row + ident_row for row, ident_row in zip(m, identity(n)))
-    reduced, pivots = _rref_pivots(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
-
-
 def kernel_basis(m: Mat) -> list[Vec]:
     """Basis of {x : m x = 0}, one vector per free column."""
     if not m:
@@ -368,18 +365,7 @@ def subspace_contained_in(a: AffineSubspace, b: AffineSubspace) -> bool:
     return all(direction_contains(b, d) for d in a.basis)
 
 
-def as_equations(v: AffineSubspace) -> tuple[Mat, Vec]:
-    """Equation form {y : C y = d} of the subspace (C may have 0 rows)."""
-    if v.basis:
-        normals = kernel_basis(v.basis)
-    else:
-        normals = list(identity(v.ambient_dim))
-    c = tuple(normals)
-    d = tuple(sum(r * x for r, x in zip(row, v.base_point)) for row in c)
-    return c, d
-
-
-def _int_equations(v: AffineSubspace) -> tuple[list[tuple[int, ...]], list[int]]:
+def equations(v: AffineSubspace) -> tuple[list[tuple[int, ...]], list[int]]:
     """Integer (c, e) with v = {y : c y = e}; no rows for the whole space."""
     n = v.ambient_dim
     d, base = scaled(v.base_point)
@@ -420,8 +406,8 @@ def solve_affine(a: Mat, b) -> AffineSubspace | None:
 def intersect(a: AffineSubspace, b: AffineSubspace) -> AffineSubspace | None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    ca, ea = _int_equations(a)
-    cb, eb = _int_equations(b)
+    ca, ea = equations(a)
+    cb, eb = equations(b)
     if not (ca or cb):
         return whole_space(a.ambient_dim)
     return solve_affine(ca + cb, ea + eb)
@@ -437,7 +423,7 @@ def fixed_points(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace 
     n = v.ambient_dim
     if len(rows) != n:
         raise DimensionMismatch("ambient dimensions differ")
-    c, e = _int_equations(v)
+    c, e = equations(v)
     for i, row in enumerate(rows):
         moved = [0] * n
         for j, x in row:

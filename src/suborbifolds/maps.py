@@ -1,8 +1,8 @@
 """Equivariant affine maps between chart models.
 
 A map is a pair (affine lift, group homomorphism) with the exact
-equivariance Theta(g) A = A g and Theta(g) b + c-consistency checked
-element by element. Transversality for affine data is a constant
+equivariance Theta(g) A = A g and Theta(g) b = b checked on the domain
+group's generators. Transversality for affine data is a constant
 condition on direction spaces, so the per-point quantifiers of the
 smooth theory collapse.
 """
@@ -39,6 +39,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteMatrixGroup,
     GroupHom,
+    first_failure,
     pointwise_stabilizer,
     stabilizer,
 )
@@ -47,9 +48,8 @@ from .linalg import (
     Mat,
     Vec,
     affine_subspace,
-    as_equations,
     direction_sum_is_full,
-    identity as identity_matrix,
+    equations,
     intersect,
     map_subspace,
     mat,
@@ -62,6 +62,7 @@ from .linalg import (
     vec,
     vec_add,
     vec_sub,
+    whole_space,
     zero_vec,
 )
 
@@ -86,13 +87,19 @@ class EquivariantAffineMap:
             raise ChartMismatch("theta does not connect the chart groups")
         if not self.theta.is_homomorphism():
             raise NonInvariant("theta is not a homomorphism")
-        for g in range(self.domain.group.order):
-            g_mat = self.domain.group.matrix_of(g)
+
+        def failing_part(g):
             t_mat = self.codomain.group.matrix_of(self.theta(g))
-            if mat_mul(t_mat, self.linear) != mat_mul(self.linear, g_mat):
-                raise NonInvariant(f"equivariance fails on element {g} (linear part)")
+            if mat_mul(t_mat, self.linear) != mat_mul(self.linear, self.domain.group.matrix_of(g)):
+                return "linear part"
             if mat_vec(t_mat, self.offset) != self.offset:
-                raise NonInvariant(f"equivariance fails on element {g} (offset)")
+                return "offset"
+            return None
+
+        # theta is a homomorphism, so the elements that pass form a subgroup.
+        g = first_failure(self.domain.group, failing_part)
+        if g is not None:
+            raise NonInvariant(f"equivariance fails on element {g} ({failing_part(g)})")
 
     def apply(self, x: Vec) -> Vec:
         return vec_add(mat_vec(self.linear, vec(x)), self.offset)
@@ -104,12 +111,9 @@ class EquivariantAffineMap:
 
     def preimage_subspace(self, v: AffineSubspace) -> AffineSubspace | None:
         """Solution set of f(x) in v."""
-        c, d = as_equations(v)
+        c, d = equations(v)
         if not c:
-            return affine_subspace(
-                zero_vec(self.domain.ambient_dim),
-                identity_matrix(self.domain.ambient_dim),
-            )
+            return whole_space(self.domain.ambient_dim)
         lhs = mat_mul(c, self.linear)
         rhs = vec_sub(d, mat_vec(c, self.offset))
         return solve_affine(lhs, rhs)
@@ -123,8 +127,8 @@ def trivial_hom(domain: FiniteMatrixGroup, codomain: FiniteMatrixGroup) -> Group
     return GroupHom(domain, codomain, (codomain.identity,) * domain.order)
 
 
-def rank_at(f: EquivariantAffineMap, x=None) -> int:
-    """Rank of the lift; constant for affine maps (x kept for uniformity)."""
+def rank_at(f: EquivariantAffineMap) -> int:
+    """Rank of the lift; the same at every point for affine maps."""
     return mat_rank(f.linear)
 
 
@@ -362,11 +366,11 @@ def regular_value_preimage(
     if stab.order != gamma2.order:
         # Localize the codomain so its group is the isotropy of q.
         local_chart = localize_chart(f.codomain, q)
-        for g in range(f.domain.group.order):
-            if mat_vec(gamma2.matrix_of(f.theta(g)), q) != q:
-                raise NotLocalized(
-                    "theta moves the regular value; localize the codomain chart"
-                )
+        if first_failure(f.domain.group,
+                         lambda g: mat_vec(gamma2.matrix_of(f.theta(g)), q) != q) is not None:
+            raise NotLocalized(
+                "theta moves the regular value; localize the codomain chart"
+            )
         theta = GroupHom(
             f.domain.group,
             local_chart.group,

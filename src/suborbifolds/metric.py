@@ -26,7 +26,7 @@ from .errors import (
     NonOrthogonalGroup,
     PointsNotInSubspace,
 )
-from .groups import FiniteMatrixGroup, Subgroup
+from .groups import FiniteMatrixGroup, Subgroup, first_failure
 from .linalg import (
     AffineSubspace,
     Vec,
@@ -81,9 +81,10 @@ class MetricProbe:
 
 def _require_orthogonal(group) -> None:
     ident = identity_matrix(group.parent.ambient_dim)
-    for i, m in zip(group.members, group.matrices):
-        if mat_mul(transpose(m), m) != ident:
-            raise NonOrthogonalGroup(f"element {i} is not orthogonal")
+    matrix_of = group.parent.matrix_of
+    i = first_failure(group, lambda i: mat_mul(transpose(matrix_of(i)), matrix_of(i)) != ident)
+    if i is not None:
+        raise NonOrthogonalGroup(f"element {i} is not orthogonal")
 
 
 def _sq_dist(x: Vec, y: Vec) -> Fraction:

@@ -140,6 +140,8 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             group = _lookup(scene.groups, spec["group"], "group")
             subgroup = _lookup(scene.subgroups, spec["subgroup"], "subgroup")
             subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
+            if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
+                raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
             pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
             scene.probes[name] = MetricProbe(
                 group, subgroup, subspace, pairs,
@@ -189,16 +191,14 @@ def subgroup_json(s: Subgroup) -> dict:
     return {"member_indices": list(s.members)}
 
 
-def witness_json(w) -> dict | None:
+def witness_json(w: SaturationWitness | FullnessWitness | None) -> dict | None:
     if w is None:
         return None
-    if isinstance(w, (SaturationWitness, FullnessWitness)):
-        return {
-            "element_index": w.element.index,
-            "element_matrix": mat_json(w.element.matrix),
-            "point": vec_json(w.point),
-        }
-    return {"detail": str(w)}
+    return {
+        "element_index": w.element.index,
+        "element_matrix": mat_json(w.element.matrix),
+        "point": vec_json(w.point),
+    }
 
 
 def verdict_json(v: Verdict | None) -> dict | None:

@@ -362,6 +362,25 @@ def _closure(group, seed):
 
 
 # ---------------------------------------------------------------------------
+# Group laws by their all-pairs definitions (the references for the
+# generator checks)
+
+
+def oracle_is_normal(k, d):
+    """Is d k d^-1 in k for every d in d and k in k?"""
+    g = k.parent
+    kset = set(k.members)
+    return all(g.mult(g.mult(x, y), g.inv(x)) in kset for x in d.members for y in k.members)
+
+
+def oracle_is_homomorphism(f):
+    """Is f(a b) = f(a) f(b) for every pair of domain elements?"""
+    d, c = f.domain, f.codomain
+    return all(f(d.mult(a, b)) == c.mult(f(a), f(b))
+               for a in range(d.order) for b in range(d.order))
+
+
+# ---------------------------------------------------------------------------
 # Complements of a normal subgroup (the references for the section search)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from suborbifolds.classify import (
     SuborbifoldCandidate,
+    _first_moving_element,
     _witness_point,
     abelian_omega_isotropy,
     chart_from_group,
@@ -22,7 +23,6 @@ from suborbifolds.classify import (
     isotropy_point,
     isotropy_sub_point,
     localize_chart,
-    quotient_injectivity_probe,
 )
 from suborbifolds.corpus import (
     ROT2,
@@ -112,6 +112,9 @@ def test_noninvariant_subspace_rejected():
     assert first > 0
     with pytest.raises(NonInvariant, match=f"subgroup element {first}$"):
         SuborbifoldCandidate(chart_from_group(b3), b3.full_subgroup(), v)
+    # A subgroup picks its generators in member order, so its first moving
+    # member is always one of them; a generated group keeps the given ones.
+    assert first not in b3.generators and _first_moving_element(b3, v) == first
 
 
 def test_complex_axis_not_embedded_even_after_search():
@@ -129,22 +132,6 @@ def test_diagonal_half_turn_obstruction():
     assert not probe.consistent
     assert probe.sub_isotropy.order == 2
     assert probe.omega_isotropy.order == 4
-
-
-def test_quotient_injectivity_probe_dichotomy():
-    sat = rotation_line_candidate()
-    assert quotient_injectivity_probe(sat.chart, sat.delta, sat.v).passed
-    chart = rot4_chart()
-    trivial = chart.group.subgroup_from_indices([chart.group.identity])
-    res = quotient_injectivity_probe(chart, trivial, x_axis())
-    assert not res.passed
-    x, y = res.witness
-    # refuting pair replays: same ambient orbit, different subgroup orbits
-    assert any(
-        mat_vec(chart.group.matrix_of(g), x) == y
-        for g in range(chart.group.order)
-    )
-    assert mat_vec(chart.group.matrix_of(chart.group.identity), x) != y
 
 
 def test_induced_chart_roundtrip_and_equivariance():
@@ -261,6 +248,24 @@ def test_saturation_computed_once_per_candidate(monkeypatch):
     check_full(cand)
     induced_chart(cand)
     assert len(calls) == 2
+
+
+def test_induced_chart_built_once_per_candidate(monkeypatch):
+    module = sys.modules["suborbifolds.classify"]
+    charts, groups_built = [], []
+    real_chart, real_init = module.induced_chart, FiniteMatrixGroup.__init__
+
+    def init(self, *args, **kwargs):
+        groups_built.append(None)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(module, "induced_chart", lambda c: charts.append(c) or real_chart(c))
+    monkeypatch.setattr(FiniteMatrixGroup, "__init__", init)
+    cand = rotation_line_candidate()
+    groups_built.clear()
+    report = classify(cand, isotropy_points=([0, 0], [1, 0], [2, 0]))
+    assert [fp.order for _, fp in report.induced_isotropy_at] == [2, 1, 1]
+    assert charts == [cand] and len(groups_built) == 1
 
 
 def test_two_path_isotropy_on_corpus_points():

@@ -100,6 +100,18 @@ def test_equivariance_enforced():
         EquivariantAffineMap(line, rot, mat([[1], [0]]), bad_offset, good_theta)
 
 
+def test_equivariance_error_names_the_first_failing_element():
+    # rot4 is generated by element 1; element 0, the half turn, fails first.
+    rot = rot4_chart()
+    assert rot.group.generators == (1,)
+    to_identity = trivial_hom(rot.group, rot.group)
+    with pytest.raises(NonInvariant, match=r"element 0 \(linear part\)$"):
+        EquivariantAffineMap(rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), to_identity)
+    with pytest.raises(NonInvariant, match=r"element 0 \(offset\)$"):
+        EquivariantAffineMap(rot, rot, mat([[0, 0], [0, 0]]), vec([1, 0]),
+                             identity_hom(rot.group))
+
+
 def test_compose():
     f = line_into_rot4()
     rot = rot4_chart()

@@ -67,6 +67,11 @@ def test_orthogonality_required():
     assert skew.order == 4
     with pytest.raises(NonOrthogonalGroup):
         quotient_distance(skew, [1, 0], [0, 1])
+    # Generated by element 2, whose inverse, element 1, fails first.
+    inverse_first = generate_group([mat([[0, Fraction(1, 2)], [-2, 0]])])
+    assert inverse_first.generators == (2,)
+    with pytest.raises(NonOrthogonalGroup, match="element 1 is"):
+        quotient_distance(inverse_first, [1, 0], [0, 1])
 
 
 def test_probe_validates_points():

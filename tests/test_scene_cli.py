@@ -109,11 +109,33 @@ def test_parse_error_on_malformed_entry():
                 identity_map([[0], [1, 0, 3]])):     # theta pairs of the wrong length
         with pytest.raises(ParseError):
             parse_scene(json.dumps(bad))
+    # a probe pair of three points (exited 3 as a ValueError from unpacking)
+    probe = json.loads(json.dumps(SCENE))
+    probe["probes"]["line_probe"]["pairs"] = [[[1, 0], [0, 0], [0, 0]]]
+    with pytest.raises(ParseError, match="probe 'line_probe'"):
+        parse_scene(json.dumps(probe))
     outside = {"groups": rot4,                      # a generator outside the group
                "subgroups": {"s": {"parent": "rot4", "generators": [[[2, 0], [0, 1]]]}}}
     with pytest.raises(ParseError) as err:
         parse_scene(json.dumps(outside))
     assert "'s'" in str(err.value) and "Fraction(" not in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["1e400", "2E3", True])
+def test_exponents_and_booleans_are_not_rationals(scene_path, tmp_path, value, capsys):
+    # Fraction would expand an exponent digit by digit, and JSON true is an int.
+    with pytest.raises(ParseError):
+        rat(value)
+    scene = json.loads(json.dumps(SCENE))
+    scene["subspaces"]["x_axis"]["base"] = [value, 0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scene))
+    assert main(["classify", "--scene", str(path)]) == 2
+    assert f"cannot read {value!r} as a rational" in capsys.readouterr().err
+    point = "true" if value is True else value
+    assert main(["isotropy", "--scene", scene_path, "--group", "rot4",
+                 "--point", f"{point},0"]) == 2
+    assert f"cannot read {point!r} as a rational" in capsys.readouterr().err
 
 
 def test_unresolved_name():
