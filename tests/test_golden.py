@@ -29,6 +29,25 @@ REPORTS = {
     "classify_hyperoctahedral_b4.json": ["classify", "--scene",
                                          "scenes/hyperoctahedral_b4.json"],
 }
+# The constructions on scenes/maps.json: each one builds a new chart group
+# (a product group, an isotropy group or an induced chart group).
+MAPS = ["--scene", "scenes/maps.json"]
+REPORTS.update({
+    "maps_graph.json": ["graph", *MAPS, "--map", "rot4_identity"],
+    "maps_image.json": ["image", *MAPS, "--map", "rot4_identity",
+                        "--candidate", "rotation_line"],
+    "maps_intersect.json": ["intersect", *MAPS, "--left", "flip_x_axis",
+                            "--right", "flip_vertical"],
+    "maps_fibered_product.json": ["fibered-product", *MAPS, "--left-map", "flip_onto_line",
+                                  "--right-map", "flip_onto_line"],
+    "maps_preimage_target.json": ["preimage", *MAPS, "--map", "flip_onto_line",
+                                  "--target", "line_origin"],
+    "maps_preimage_value.json": ["preimage", *MAPS, "--map", "plane_into_rot4",
+                                 "--value", "1,0"],
+    "maps_isotropy_candidate.json": ["isotropy", *MAPS, "--candidate", "rotation_line",
+                                     "--point", "0,0"],
+    "maps_isotropy_group.json": ["isotropy", *MAPS, "--group", "rot4", "--point", "0,0"],
+})
 
 
 def stripped_report(argv) -> str:
