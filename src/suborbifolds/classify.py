@@ -47,6 +47,7 @@ from .groups import (
     all_subgroups,
     find_complement,
     first_failure,
+    generate_group,
     iso_fingerprint,
     pointwise_stabilizer,
     quotient_group,
@@ -107,7 +108,8 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
 
 def _first_moving_element(sub, v: AffineSubspace):
     """First element of the group that does not map v onto itself, or None."""
-    return first_failure(sub, lambda i: transform_subspace(sub.parent.matrix_of(i), v) != v)
+    d, forms = sub.parent.integer_forms
+    return first_failure(sub, lambda i: transform_subspace((d, forms[i]), v) != v)
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,7 @@ class _SubspaceOrbit:
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
         self._group = group
+        self._d, self._forms = group.integer_forms
         self._image = {group.identity: v}
         self._step: dict = {}
         self._seen = {v: v}
@@ -265,7 +268,7 @@ class _SubspaceOrbit:
         for x in reversed(path):
             s = tree[x][0]
             if (s, u) not in self._step:
-                moved = transform_subspace(self._group.matrix_of(s), u)
+                moved = transform_subspace((self._d, self._forms[s]), u)
                 self._step[s, u] = self._seen.setdefault(moved, moved)
             u = self._image[x] = self._step[s, u]
         return u
@@ -401,18 +404,20 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     centroid = tuple(Fraction(t, d * db * delta.order) for t in total)
     _, fixed = scaled(centroid)
     fixed_image = tuple(d * c for c in fixed)
-    restricted: list = []
+    restricted: dict = {}
     for i in delta.members:
         if int_mat_vec(forms[i], fixed) != fixed_image:
             raise NonInvariant("centroid is not fixed by the subgroup")
-        restricted.append(restricted_matrix((d, forms[i]), cand.v))
+        restricted[i] = restricted_matrix((d, forms[i]), cand.v)
     kernel = cand.kernel
-    induced_group = FiniteMatrixGroup(set(restricted) or {identity_matrix(k)})
-    restriction = GroupHom(
-        delta,
-        induced_group,
-        tuple(induced_group.index_of(m) for m in restricted),
-    )
+    gens = [restricted[i] for i in delta.generators] or [identity_matrix(k)]
+    induced_group = generate_group(gens, max_order=delta.order)
+    try:
+        image_of = tuple(induced_group.index_of(restricted[i]) for i in delta.members)
+    except KeyError:
+        raise AssertionError("a restricted element is outside the group the restricted "
+                             "generators generate") from None
+    restriction = GroupHom(delta, induced_group, image_of)
     _check_restriction(restriction, kernel)
     return InducedChart(
         ChartModel(k, induced_group), kernel, centroid, cand.v.basis, restriction

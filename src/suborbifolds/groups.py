@@ -1,42 +1,46 @@
 """Finite groups of invertible rational matrices.
 
-Element order is canonical (lexicographic on matrix entries), so equal
-groups have identical element lists and every reported witness is
-reproducible. Every group here answers one interface on local indices
-0..order-1: ``order``, ``mult``, ``inv`` and ``identity``. Matrix groups
-and their subgroups also expose ``parent`` (the matrix group the indices
-refer to; a matrix group is its own parent), ``members`` (the parent
-indices of the elements, in local order) and ``matrices`` (the member
-matrices in the same order), so no caller needs to tell them apart.
+Every group is built by ``generate_group`` from generators, the one place
+that checks matrices; a caller with no generators, such as
+``trivial_group``, passes the identity of its dimension.
 
-Products are never computed as matrix products. Let Omega be the set of
-all columns of all elements: the orbit of the standard basis, since the
-columns of g are g e_1, ..., g e_n. Each element permutes Omega, and as
-Omega spans Q^n that action is faithful; an element is even determined
-by its column key, the indices of its n columns in Omega. The key of
-a b is (pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, so
-a Cayley cell is one n-tuple and one dict lookup. Matrix-vector products are taken
-only for the few elements whose permutations generate the rest.
-``generate_group`` finds Omega as the orbit of e_1, ..., e_n under the
-generators and caps it at n * max_order points: a group of order at most
-max_order moves each e_j to at most max_order places, so a longer orbit
-proves the group infinite or too large. It closes the generators'
-permutations once and hands them to the group, which checks only
-matrix sets that come from elsewhere. Every group keeps generators (the
-given ones, or those its constructor picked greedily; a subgroup picks
-its own greedily in member order), and its Schreier tree spells each
-element as a word in them. Normality, the homomorphism law and, through
-``first_failure``, any law whose passing elements form a subgroup are
-decided on these generators. Complements of a normal subgroup are found by
-a search over sections, never by enumerating the subgroup lattice.
+Element order is canonical (lexicographic on matrix entries), so equal
+groups have identical element lists whatever generated them, and every
+reported witness is reproducible. Every group here answers one interface
+on local indices 0..order-1: ``order``, ``mult``, ``inv`` and
+``identity``. Matrix groups and their subgroups also expose ``parent``
+(the matrix group the indices refer to; a matrix group is its own
+parent), ``members`` (the parent indices of the elements, in local order)
+and ``matrices`` (the member matrices in the same order), so no caller
+needs to tell them apart.
+
+Products are never computed as matrix products. Let Omega be the orbit of
+the standard basis e_1, ..., e_n under the generators, found with one
+matrix-vector product per point and generator and capped at
+n * max_order points: a group of order at most max_order moves each e_j
+to at most max_order places, so a longer orbit proves the group infinite
+or too large. Each element permutes Omega, and as Omega spans Q^n that
+action is faithful; an element is even determined by its column key, the
+indices in Omega of its columns g e_1, ..., g e_n, which are the first n
+entries of its permutation. The generators' permutations are closed once;
+each element's matrix is read off its key. The key of a b is
+(pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, so a Cayley
+cell is one n-tuple and one dict lookup. Every group keeps the generators
+it was built from, and its Schreier tree spells each element as a word in
+them; a subgroup picks its own generators greedily in member order.
+Normality, the homomorphism law and, through ``first_failure``, any law
+whose passing elements form a subgroup are decided on these generators.
+Complements of a normal subgroup are found by a search over sections,
+never by enumerating the subgroup lattice.
 
 Matrices are Fractions at the boundary and integers inside. On first use
 a group takes one denominator d for all its elements (the least common
 multiple of their entries' denominators) and keeps d g for each element
 g as sparse integer rows (``integer_forms``). Stabilizers, the
-saturation check and the induced chart apply these to integer vectors
-and compare integer images, which for one d are equal exactly when the
-rational images are; a Fraction is built only for a value returned.
+saturation check, the orbit of a subspace and the induced chart apply
+these to integer vectors and compare integer images, which for one d are
+equal exactly when the rational images are; a Fraction is built only for
+a value returned.
 """
 from __future__ import annotations
 
@@ -56,7 +60,6 @@ from .linalg import (
     AffineSubspace,
     IntMat,
     Mat,
-    Vec,
     identity as identity_matrix,
     int_form,
     int_images,
@@ -107,35 +110,27 @@ class GroupElement:
 
 
 class FiniteMatrixGroup:
-    """A finite group of invertible rational n x n matrices."""
+    """A finite group of invertible rational n x n matrices.
 
-    def __init__(self, matrices, _closure=None):
-        """The group of the given matrices, checked to be one.
+    Built only by ``generate_group``, which has closed the group and
+    checked its generators.
+    """
 
-        ``_closure`` is for generate_group, which has already closed the
-        group: the matrices then come sorted, with their permutations of an
-        Omega that starts with e_1, ..., e_n and the generator matrices,
-        and nothing is checked again.
-        """
-        try:
-            if _closure is None:
-                matrices, keys, perms, generators = _close_matrices(matrices)
-            else:
-                perms, generators = _closure
-                keys = [p[:len(matrices[0])] for p in perms]
-            self.ambient_dim = len(matrices[0])
-            self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
-            self.matrices: tuple[Mat, ...] = tuple(matrices)
-            self.members = tuple(range(len(matrices)))
-            self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
-            self.generators = tuple(dict.fromkeys(self._index[g] for g in generators))
-            element_of = {key: i for i, key in enumerate(keys)}
-            self.cayley_table: tuple[tuple[int, ...], ...] = tuple(
-                tuple(element_of[tuple(p[k] for k in key)] for key in keys) for p in perms
-            )
-        # A KeyError means a point or a product fell outside the set.
-        except (KeyError, NotFiniteWithinBound):
-            raise ValueError("matrix set is not closed under products") from None
+    def __init__(self, matrices, perms, generators):
+        """The sorted matrices, their permutations of an Omega that starts
+        with e_1, ..., e_n, and the generator matrices."""
+        n = len(matrices[0])
+        keys = [p[:n] for p in perms]
+        self.ambient_dim = n
+        self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
+        self.matrices: tuple[Mat, ...] = tuple(matrices)
+        self.members = tuple(range(len(matrices)))
+        self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
+        self.generators = tuple(dict.fromkeys(self._index[g] for g in generators))
+        element_of = {key: i for i, key in enumerate(keys)}
+        self.cayley_table: tuple[tuple[int, ...], ...] = tuple(
+            tuple(element_of[tuple(p[k] for k in key)] for key in keys) for p in perms
+        )
         self.identity, self._inverse = _identity_and_inverses(self.cayley_table)
 
     @cached_property
@@ -285,8 +280,11 @@ class Subgroup:
                    for d in other.generators for k in self.generators)
 
     def promote(self) -> FiniteMatrixGroup:
-        """The subgroup as a standalone FiniteMatrixGroup."""
-        return FiniteMatrixGroup(self.matrices)
+        """The subgroup as a standalone FiniteMatrixGroup, generated by its
+        generators (the trivial subgroup by the identity)."""
+        gens = [self.parent.matrices[i] for i in self.generators]
+        return generate_group(gens or [identity_matrix(self.parent.ambient_dim)],
+                              max_order=self.order)
 
 
 @dataclass(frozen=True)
@@ -360,50 +358,6 @@ def realify(complex_entries) -> Mat:
     return mat(rows)
 
 
-def _permutation(m: Mat, omega, points) -> tuple[int, ...]:
-    """m's action on omega as a tuple of point indices.
-
-    Raises KeyError when m maps a point outside omega.
-    """
-    p = tuple(points[mat_vec(m, x)] for x in omega)
-    if len(set(p)) != len(p):
-        raise ValueError("matrix set is not a group of invertible matrices")
-    return p
-
-
-def _close_matrices(matrices):
-    """Sorted matrices, column keys, permutations and greedy generators.
-
-    The keys and permutations number Omega (every column of every element)
-    in order of first appearance. The next element not yet reached becomes
-    a generator. Raises KeyError when a point or a product falls outside
-    the set.
-    """
-    matrices = sorted(set(matrices))
-    if not matrices:
-        raise ValueError("a group needs at least the identity matrix")
-    n = len(matrices[0])
-    if any(len(m) != n or any(len(row) != n for row in m) for m in matrices):
-        raise DimensionMismatch("group matrices must be square, equal size")
-    if identity_matrix(n) not in matrices:
-        raise ValueError("matrix set does not contain the identity matrix")
-    points: dict[Vec, int] = {}
-    keys = [tuple(points.setdefault(c, len(points)) for c in zip(*m)) for m in matrices]
-    element_of = {key: i for i, key in enumerate(keys)}
-    omega = list(points)
-    identity_key = tuple(points[e] for e in zip(*identity_matrix(n)))
-    perms: list = [None] * len(matrices)
-    generators, gen_perms = [], []
-    for i, m in enumerate(matrices):
-        if perms[i] is not None:
-            continue
-        generators.append(m)
-        gen_perms.append(_permutation(m, omega, points))
-        for p in _close_permutations(gen_perms, len(omega), len(matrices)):
-            perms[element_of[tuple(p[k] for k in identity_key)]] = p
-    return matrices, keys, perms, generators
-
-
 def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, ...]]:
     """The permutations of 0..degree-1 the generators generate.
 
@@ -433,10 +387,15 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
     The orbit of the standard basis is found with one matrix-vector
     product per point and generator; it is capped at n * max_order points.
     The generators' permutations of it are closed, and each element's
-    matrix is read off the images of the basis, which come first.
+    matrix is read off the images of the basis, which come first. The
+    trivial group needs the identity as its generator: an empty list has
+    no dimension.
     """
     gens = [mat(g) for g in generators]
-    n = len(gens[0]) if gens else 1
+    if not gens:
+        raise DimensionMismatch("a group needs at least one generator "
+                                "(the identity for the trivial group)")
+    n = len(gens[0])
     for g in gens:
         if len(g) != n or any(len(row) != n for row in g):
             raise NonInvertibleGenerator("generators must be square, equal size")
@@ -456,12 +415,11 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
             row.append(points[y])
     perms = _close_permutations([tuple(row) for row in moves], len(omega), max_order)
     ordered = sorted((tuple(zip(*(omega[k] for k in p[:n]))), p) for p in perms)
-    return FiniteMatrixGroup([m for m, _ in ordered],
-                             _closure=([p for _, p in ordered], gens))
+    return FiniteMatrixGroup([m for m, _ in ordered], [p for _, p in ordered], gens)
 
 
 def trivial_group(n: int) -> FiniteMatrixGroup:
-    return FiniteMatrixGroup([identity_matrix(n)])
+    return generate_group([identity_matrix(n)])
 
 
 def _closure_indices(parent: FiniteMatrixGroup, seed, limit=None):

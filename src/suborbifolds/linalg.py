@@ -447,17 +447,25 @@ def map_subspace(a: Mat, offset: Vec, v: AffineSubspace) -> AffineSubspace:
     """Image of v under the affine map x -> a x + offset."""
     if a and len(a[0]) != v.ambient_dim:
         raise DimensionMismatch("matrix/vector shape mismatch")
-    d, rows = int_form(a)
-    db, base = scaled(v.base_point)
     do, shift = scaled(offset)
+    return _image(int_form(a), do, shift, v)
+
+
+def transform_subspace(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace:
+    """Image of v under the square matrix m, given as (d, d m) (see ``int_form``)."""
+    if len(form[1]) != v.ambient_dim:
+        raise DimensionMismatch("matrix/vector shape mismatch")
+    return _image(form, 1, (0,) * v.ambient_dim, v)
+
+
+def _image(form: tuple[int, IntMat], do: int, shift, v: AffineSubspace) -> AffineSubspace:
+    """Image of v under x -> m x + shift / do, for m given as (d, d m)."""
+    d, rows = form
+    db, base = scaled(v.base_point)
     d *= db
     base = [y * do + s * d for y, s in zip(int_mat_vec(rows, base), shift)]
     directions = [list(int_mat_vec(rows, scaled(u)[1])) for u in v.basis]
-    return _canonical(len(a), d * do, base, directions)
-
-
-def transform_subspace(m: Mat, v: AffineSubspace) -> AffineSubspace:
-    return map_subspace(m, zero_vec(len(m)), v)
+    return _canonical(len(rows), d * do, base, directions)
 
 
 def restricted_matrix(form: tuple[int, IntMat], v: AffineSubspace) -> Mat:

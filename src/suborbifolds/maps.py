@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .classify import (
     ChartModel,
     SuborbifoldCandidate,
+    _require_saturated,
     check_embedded,
     check_full,
     check_saturated,
@@ -40,6 +41,7 @@ from .groups import (
     FiniteMatrixGroup,
     GroupHom,
     first_failure,
+    generate_group,
     pointwise_stabilizer,
     stabilizer,
 )
@@ -50,6 +52,7 @@ from .linalg import (
     affine_subspace,
     direction_sum_is_full,
     equations,
+    identity,
     intersect,
     map_subspace,
     mat,
@@ -165,13 +168,11 @@ def product_chart(c1: ChartModel, c2: ChartModel,
                   max_order: int = DEFAULT_MAX_ORDER) -> ProductChart:
     if c1.group.order * c2.group.order > max_order:
         raise GroupTooLarge("product group exceeds the order bound")
-    matrices = [
-        _block_diag(a.matrix, b.matrix)
-        for a in c1.group.elements
-        for b in c2.group.elements
-    ]
+    g1, g2 = c1.group, c2.group
+    gens = [_block_diag(g1.matrix_of(a), identity(c2.ambient_dim)) for a in g1.generators]
+    gens += [_block_diag(identity(c1.ambient_dim), g2.matrix_of(b)) for b in g2.generators]
     combined = ChartModel(
-        c1.ambient_dim + c2.ambient_dim, FiniteMatrixGroup(matrices)
+        c1.ambient_dim + c2.ambient_dim, generate_group(gens, max_order=max_order)
     )
     return ProductChart(c1, c2, combined)
 
@@ -208,9 +209,10 @@ def graph_suborbifold(f: EquivariantAffineMap) -> SuborbifoldCandidate:
 def image_suborbifold(
     f: EquivariantAffineMap, cand: SuborbifoldCandidate
 ) -> SuborbifoldCandidate:
-    """Push a candidate forward along an injective immersion."""
+    """Push a saturated candidate forward along an injective immersion."""
     if cand.chart != f.domain:
         raise ChartMismatch("candidate does not live in the map's domain chart")
+    _require_saturated(cand)
     if not is_immersion(f):
         raise NotImmersion("linear part has rank below the domain dimension")
     if not f.theta.is_injective():

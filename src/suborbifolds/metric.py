@@ -63,8 +63,9 @@ class MetricProbe:
         if type(depth) is not int or not 0 <= depth <= MAX_DEPTH:  # bool is not int
             raise InvalidMetricSetting(
                 f"partition depth must be an integer in 0..{MAX_DEPTH}, got {depth!r}")
-        if not self.tolerance >= 0:  # also rejects NaN
-            raise InvalidMetricSetting(f"tolerance must be >= 0, got {self.tolerance}")
+        tol = self.tolerance
+        if type(tol) not in (int, float) or not 0 <= tol < math.inf:  # bool, NaN and inf fail
+            raise InvalidMetricSetting(f"tolerance must be a finite number >= 0, got {tol!r}")
         _require_orthogonal(self.group)
         for x, y in self.sample_pairs:
             if not (contains_point(self.subspace, x)

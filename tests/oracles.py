@@ -25,9 +25,10 @@ from suborbifolds.linalg import (
     affine_subspace,
     contains_point,
     intersect,
+    map_subspace,
     point_from_coordinates,
-    transform_subspace,
     vec,
+    zero_vec,
 )
 
 
@@ -188,7 +189,7 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     group = cand.chart.group
     v = cand.v
     for g in range(group.order):
-        g_inv_v = transform_subspace(group.matrix_of(group.inv(g)), v)
+        g_inv_v = map_subspace(group.matrix_of(group.inv(g)), zero_vec(v.ambient_dim), v)
         w_g = intersect(v, g_inv_v)
         if w_g is None:
             continue

@@ -46,7 +46,9 @@ from suborbifolds.errors import (
 )
 import suborbifolds.groups as groups
 from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
-from suborbifolds.linalg import affine_subspace, mat_vec, transform_subspace, vec, whole_space
+from suborbifolds.linalg import (
+    affine_subspace, int_form, mat_vec, transform_subspace, vec, whole_space,
+)
 
 from oracles import (
     conjugate_all,
@@ -108,7 +110,7 @@ def test_noninvariant_subspace_rejected():
     # the plane, and element 0 does not).
     b3 = generate_group(hyperoctahedral_generators(3))
     v = affine_subspace([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-    first = next(i for i, m in enumerate(b3.matrices) if transform_subspace(m, v) != v)
+    first = next(i for i, m in enumerate(b3.matrices) if transform_subspace(int_form(m), v) != v)
     assert first > 0
     with pytest.raises(NonInvariant, match=f"subgroup element {first}$"):
         SuborbifoldCandidate(chart_from_group(b3), b3.full_subgroup(), v)
@@ -535,7 +537,7 @@ def test_witness_point_search_is_bounded():
         _witness_point(cand.v, group, cand.delta, group.identity)
     # In B3 with dim W_g = 3 the sample cube has 49^3 points; a covered
     # element is refuted exactly once the first samples miss.
-    b3 = FiniteMatrixGroup(signed_permutation_matrices(3))
+    b3 = generate_group(signed_permutation_matrices(3))
     with pytest.raises(AssertionError, match="covered"):
         _witness_point(whole_space(3), b3, b3.full_subgroup(), b3.identity)
 

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from suborbifolds.classify import SuborbifoldCandidate, chart_from_group, induced_chart
 from suborbifolds.errors import (
+    DimensionMismatch,
     NonInvertibleGenerator,
     NotFiniteWithinBound,
     NotSubgroup,
@@ -13,7 +15,6 @@ from suborbifolds.errors import (
 import suborbifolds.groups as groups
 import suborbifolds.linalg as linalg
 from suborbifolds.groups import (
-    FiniteMatrixGroup,
     Fingerprint,
     GroupHom,
     NoComplementCertificate,
@@ -29,7 +30,10 @@ from suborbifolds.groups import (
     stabilizer,
     trivial_group,
 )
-from suborbifolds.linalg import affine_subspace, identity, mat, mat_mul, mat_vec, vec
+from suborbifolds.linalg import (
+    affine_subspace, identity, mat, mat_mul, mat_vec, restricted_matrix, vec,
+)
+from suborbifolds.maps import _block_diag, product_chart
 
 from oracles import (
     _closure,
@@ -107,7 +111,7 @@ def test_cayley_consistency():
         _assert_matches_reference(g, reference)
         shuffled = list(reference)
         rng.shuffle(shuffled)
-        built = FiniteMatrixGroup(shuffled)
+        built = generate_group(shuffled)
         assert built.matrices == g.matrices and built.cayley_table == g.cayley_table
         assert built.identity == g.identity
         assert [built.inv(i) for i in built.members] == [g.inv(i) for i in g.members]
@@ -128,11 +132,36 @@ def test_generated_group_is_closed_once(monkeypatch):
     b4 = generate_group(hyperoctahedral_generators(4))
     assert b4.order == 384 and len(closures) == 1
     assert [b4.matrix_of(i) for i in b4.generators] == hyperoctahedral_generators(4)
+    # Every other group is generated too, each closed once from generators
+    # and equal to the closure of all its matrices by matrix products.
+    flips = b4.subgroup_from_indices(
+        i for i, m in enumerate(b4.matrices)
+        if all(m[a][b] == 0 for a in range(4) for b in range(4) if a != b))
+    b3 = generate_group(hyperoctahedral_generators(3))
+    plane = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+    plane_delta = b3.subgroup_from_indices(
+        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+    cand = SuborbifoldCandidate(chart_from_group(b3), plane_delta, plane)
+    rot4, klein = chart_from_group(rot4_group()), chart_from_group(klein_group())
+    assert len(flips.generators) > 1 and len(plane_delta.generators) > 1
+    cases = [
+        (flips.promote, flips.matrices),
+        (lambda: product_chart(rot4, klein).combined.group,
+         [_block_diag(a, b) for a in rot4.group.matrices for b in klein.group.matrices]),
+        (lambda: induced_chart(cand).chart.group,
+         [restricted_matrix(linalg.int_form(m), plane) for m in plane_delta.matrices]),
+        (lambda: trivial_group(3), [identity(3)]),
+    ]
+    for build, matrices in cases:
+        closures.clear()
+        group = build()
+        assert len(closures) == 1
+        assert list(group.matrices) == oracle_group_closure(list(matrices))
 
 
 def test_schreier_tree_spells_every_element():
     for g in (generate_group(hyperoctahedral_generators(3)),
-              FiniteMatrixGroup(signed_permutation_matrices(3)), trivial_group(2)):
+              generate_group(signed_permutation_matrices(3)), trivial_group(2)):
         tree = g.schreier_tree
         assert tree[g.identity] is None
         for x in g.members:
@@ -144,16 +173,16 @@ def test_schreier_tree_spells_every_element():
                 assert steps < g.order
 
 
-@pytest.mark.parametrize("matrices, message", [
-    ([ROT4], "identity"),
-    ([mat([[1, 0], [0, 1]]), ROT4], "not closed"),
-    ([mat([[1, 0], [0, 0]])], "identity"),
-    ([mat([[1, 0], [0, 1]]), mat([[1, 0], [0, 0]])], "invertible"),
+@pytest.mark.parametrize("generators, message", [
+    ([mat([[1, 0], [0, 0]])], "singular"),
+    ([mat([[1, 0], [0, 1]]), mat([[1, 0], [0, 0]])], "singular"),
+    ([mat([[1, 0]])], "square"),
+    ([mat([[1]]), ROT4], "square"),
 ])
-def test_constructor_rejects_non_groups(matrices, message):
+def test_generate_group_rejects_singular_and_non_square(generators, message):
     # {I, P} with P^2 = P is closed under products but P is singular.
-    with pytest.raises(ValueError, match=message):
-        FiniteMatrixGroup(matrices)
+    with pytest.raises(NonInvertibleGenerator, match=message):
+        generate_group(generators)
 
 
 def test_sympy_permutation_group_order_oracle():
@@ -489,10 +518,13 @@ def test_element_orders():
 def test_trivial_and_dimension_zero_groups():
     t = trivial_group(3)
     assert t.order == 1 and t.ambient_dim == 3
-    z = FiniteMatrixGroup([()])
+    z = trivial_group(0)
     assert z.order == 1 and z.ambient_dim == 0
     # the empty generator is the 0 x 0 identity
     assert generate_group([[]]) == z
+    # no generator at all gives no dimension to guess
+    with pytest.raises(DimensionMismatch, match="at least one generator"):
+        generate_group([])
 
 
 def test_signed_permutation_pool_sizes():
@@ -518,12 +550,12 @@ def test_group_core_makes_no_matrix_product(monkeypatch):
              signed_permutation(range(4), (1, 1, 1, -1))]
     for gens, order in ((b3, 48), (b3_z2, 96)):
         g = generate_group(gens)
-        assert FiniteMatrixGroup(g.matrices).order == g.order == order
+        assert generate_group(g.matrices).order == g.order == order
     assert calls == []
 
 
 def test_subgroup_lookups_agree_with_parent_table():
-    g = FiniteMatrixGroup(signed_permutation_matrices(3))
+    g = generate_group(signed_permutation_matrices(3))
     subs = all_subgroups(g)
     assert len(subs) == 98
     for s in subs:
@@ -536,7 +568,7 @@ def test_subgroup_lookups_agree_with_parent_table():
 
 
 def test_closure_matches_oracle():
-    g = FiniteMatrixGroup(signed_permutation_matrices(3))
+    g = generate_group(signed_permutation_matrices(3))
     rng = random.Random(5)
     seeds = [s.members for s in all_subgroups(g)]
     seeds += [rng.sample(range(g.order), rng.randint(1, 3)) for _ in range(50)]

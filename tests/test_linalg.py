@@ -320,6 +320,6 @@ def test_fixed_points_match_solve_then_intersect(n, data):
 
 def test_subspace_hash_is_kept_and_structural():
     v = affine_subspace(["1/3", 0], [[1, "-2/5"]])
-    w = transform_subspace(identity(2), v)
+    w = transform_subspace(int_form(identity(2)), v)
     assert v == w and v is not w
     assert hash(v) == hash(w) == hash((v.ambient_dim, v.base_point, v.basis))

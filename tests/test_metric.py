@@ -1,5 +1,4 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
-import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -86,19 +85,23 @@ def test_probe_validates_points():
     probe = metric_probes()["rotation-line"]
     for settings in ({"depth": -1}, {"depth": MAX_DEPTH + 1}, {"depth": 30},
                      {"depth": 1.5}, {"depth": True},
-                     {"tolerance": -1e-9}, {"tolerance": float("nan")}):
+                     {"tolerance": -1e-9}, {"tolerance": float("nan")},
+                     {"tolerance": True}, {"tolerance": float("inf")}, {"tolerance": 1e309}):
         with pytest.raises(InvalidMetricSetting):
             probe.with_settings(**settings)
     assert probe.with_settings(depth=MAX_DEPTH).partition_depth == MAX_DEPTH
     assert main(["metric-check", "--depth", "30"]) == 2
-    for depth in (1.5, True):
-        scene = {"groups": {"rot4": [[[0, -1], [1, 0]]]},
-                 "subgroups": {"all": {"parent": "rot4", "generator_indices": [1]}},
-                 "subspaces": {"origin": {"base": [0, 0]}},
-                 "probes": {"p": {"group": "rot4", "subgroup": "all", "subspace": "origin",
-                                  "pairs": [], "depth": depth}}}
+    for tol in ("inf", "1e309"):
+        assert main(["metric-check", "--tol", tol, "--format", "machine"]) == 2
+    for setting in ('"depth": 1.5', '"depth": true', '"tolerance": true',
+                    '"tolerance": 1e309'):
+        scene = ('{"groups": {"rot4": [[[0, -1], [1, 0]]]},'
+                 ' "subgroups": {"all": {"parent": "rot4", "generator_indices": [1]}},'
+                 ' "subspaces": {"origin": {"base": [0, 0]}},'
+                 ' "probes": {"p": {"group": "rot4", "subgroup": "all", "subspace": "origin",'
+                 ' "pairs": [], ' + setting + '}}}')
         with pytest.raises(InvalidMetricSetting):
-            parse_scene(json.dumps(scene))
+            parse_scene(scene)
     assert probe.with_settings() is probe
     assert probe.with_settings(depth=0).partition_depth == 0
 

@@ -432,6 +432,16 @@ def test_cli_image_rejection_names_a_replayable_witness(tmp_path, capsys):
     assert x[1] == 0 and gx[1] == 0 and gx != x
 
 
+def test_cli_image_rejects_an_unsaturated_candidate(capsys):
+    # The x-axis under the trivial subgroup of rot4: the half turn maps the
+    # axis onto itself, and no element of the subgroup matches it.
+    scene = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "scenes", "maps.json")
+    assert main(["image", "--scene", scene, "--map", "rot4_identity",
+                 "--candidate", "unsaturated_x_axis"]) == 2
+    assert capsys.readouterr().err.startswith("error: candidate is not saturated")
+
+
 ENTRY = st.sampled_from([0, "1/2", "-1/2", 1, -1, 2, -2])
 
 
