@@ -35,6 +35,7 @@ from .errors import (
     ChartMismatch,
     GroupNotAbelian,
     NonInvariant,
+    NotSubgroup,
     PointNotInV,
 )
 from .groups import (
@@ -414,7 +415,7 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     induced_group = generate_group(gens, max_order=delta.order)
     try:
         image_of = tuple(induced_group.index_of(restricted[i]) for i in delta.members)
-    except KeyError:
+    except NotSubgroup:
         raise AssertionError("a restricted element is outside the group the restricted "
                              "generators generate") from None
     restriction = GroupHom(delta, induced_group, image_of)

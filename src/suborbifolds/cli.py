@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 corpus/check mismatch, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -213,7 +214,7 @@ def cmd_preimage(args) -> int:
 
 def cmd_graph(args) -> int:
     def build(scene):
-        return graph_suborbifold(_lookup(scene.maps, args.map, "map"))
+        return graph_suborbifold(_lookup(scene.maps, args.map, "map"), args.max_order)
 
     return _construction(args, "graph", build)
 
@@ -231,7 +232,7 @@ def cmd_fibered(args) -> int:
     def build(scene):
         f1 = _lookup(scene.maps, args.left_map, "map")
         f2 = _lookup(scene.maps, args.right_map, "map")
-        return fibered_product(f1, f2)
+        return fibered_product(f1, f2, args.max_order)
 
     return _construction(args, "fibered-product", build)
 
@@ -315,44 +316,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search the whole subgroup lattice for embeddedness")
     p.add_argument("--isotropy-point", action="append",
                    help="comma-separated point; repeatable")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(handler="cmd_classify")
 
     p = sub.add_parser("isotropy", parents=common,
                        help="isotropy fingerprint at a point")
     p.add_argument("--candidate", help="candidate name (suborbifold isotropy)")
     p.add_argument("--group", help="group name (ambient isotropy)")
     p.add_argument("--point", required=True, help="comma-separated point")
-    p.set_defaults(func=cmd_isotropy)
+    p.set_defaults(handler="cmd_isotropy")
 
     p = sub.add_parser("intersect", parents=common,
                        help="transverse intersection of two full candidates")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_intersect)
+    p.set_defaults(handler="cmd_intersect")
 
     p = sub.add_parser("preimage", parents=common,
                        help="preimage of a full candidate or a regular value")
     p.add_argument("--map", required=True)
     p.add_argument("--target", help="target candidate name")
     p.add_argument("--value", help="regular value, comma-separated")
-    p.set_defaults(func=cmd_preimage)
+    p.set_defaults(handler="cmd_preimage")
 
     p = sub.add_parser("graph", parents=common,
                        help="graph of an equivariant map as a candidate")
     p.add_argument("--map", required=True)
-    p.set_defaults(func=cmd_graph)
+    p.set_defaults(handler="cmd_graph")
 
     p = sub.add_parser("image", parents=common,
                        help="image of a candidate under an injective immersion")
     p.add_argument("--map", required=True)
     p.add_argument("--candidate", required=True)
-    p.set_defaults(func=cmd_image)
+    p.set_defaults(handler="cmd_image")
 
     p = sub.add_parser("fibered-product", parents=common,
                        help="fibered product of two submersions")
     p.add_argument("--left-map", required=True)
     p.add_argument("--right-map", required=True)
-    p.set_defaults(func=cmd_fibered)
+    p.set_defaults(handler="cmd_fibered")
 
     p = sub.add_parser("metric-check", parents=common,
                        help="quotient vs intrinsic metric coincidence")
@@ -361,22 +362,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition depth (default: the probe's)")
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance (default: the probe's)")
-    p.set_defaults(func=cmd_metric_check)
+    p.set_defaults(handler="cmd_metric_check")
 
     p = sub.add_parser("corpus", parents=[output],
                        help="run the built-in example corpus")
     p.add_argument("--filter", help="substring filter on case names")
-    p.set_defaults(func=cmd_corpus)
+    p.set_defaults(handler="cmd_corpus")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_negative_points(argv))
+    args = _parser().parse_args(_attach_negative_points(argv))
     try:
-        return args.func(args)
+        # The handler is named in the parser and looked up per call, so the
+        # shared parser always runs the module's current cmd_* function.
+        return globals()[args.handler](args)
     except SuborbifoldError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

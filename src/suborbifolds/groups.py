@@ -14,39 +14,49 @@ parent), ``members`` (the parent indices of the elements, in local order)
 and ``matrices`` (the member matrices in the same order), so no caller
 needs to tell them apart.
 
-Products are never computed as matrix products. Let Omega be the orbit of
-the standard basis e_1, ..., e_n under the generators, found with one
-matrix-vector product per point and generator and capped at
-n * max_order points: a group of order at most max_order moves each e_j
-to at most max_order places, so a longer orbit proves the group infinite
-or too large. Each element permutes Omega, and as Omega spans Q^n that
-action is faithful; an element is even determined by its column key, the
-indices in Omega of its columns g e_1, ..., g e_n, which are the first n
-entries of its permutation. The generators' permutations are closed once;
-each element's matrix is read off its key. The key of a b is
-(pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, so a Cayley
-cell is one n-tuple and one dict lookup. Every group keeps the generators
-it was built from, and its Schreier tree spells each element as a word in
-them; a subgroup picks its own generators greedily in member order.
-Normality, the homomorphism law and, through ``first_failure``, any law
-whose passing elements form a subgroup are decided on these generators.
-Complements of a normal subgroup are found by a search over sections,
-never by enumerating the subgroup lattice.
+Group construction is integer arithmetic. Let Omega be the orbit of the
+standard basis e_1, ..., e_n under the generators, each point kept as
+(den, den x) with den > 0 and no common factor, found with one integer
+matrix-vector product per point and generator and capped at n * max_order
+points: a group of order at most max_order moves each e_j to at most
+max_order places, so a longer orbit proves the group infinite or too
+large. Each element permutes Omega, and as Omega spans Q^n that action is
+faithful; an element is even determined by its column key, the indices
+in Omega of its columns g e_1, ..., g e_n, which are the first n entries
+of its permutation. The generators' permutations are closed once, and
+each element's matrix is read off its key as d g, with d the least common
+multiple of the point denominators (so of every entry's denominator).
+Sorting the d g sorts the g, as d > 0. A matrix is looked up by the
+points of its columns, never by hashing Fractions; Fraction matrices are
+made on first use, one Fraction per distinct entry.
 
-Matrices are Fractions at the boundary and integers inside. On first use
-a group takes one denominator d for all its elements (the least common
-multiple of their entries' denominators) and keeps d g for each element
-g as sparse integer rows (``integer_forms``). Stabilizers, the
-saturation check, the orbit of a subspace and the induced chart apply
-these to integer vectors and compare integer images, which for one d are
-equal exactly when the rational images are; a Fraction is built only for
-a value returned.
+Products are computed on demand, never tabulated: the key of a b is
+(pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, one n-tuple
+and one dict lookup. Row a of the products is allocated the first time a
+product a b is asked and keeps each cell once computed, so a closure that
+multiplies by a few elements reads their rows as a table would, and a
+group of order 3840 builds only the rows it uses. Inverses are read off
+the permutations. Every group keeps the generators it was built from,
+and its Schreier tree spells each element as a word in them; a proper
+subgroup picks its own generators greedily in member order, and the
+whole group reuses its parent's. Normality, the homomorphism law and,
+through ``first_failure``, any law whose passing elements form a subgroup
+are decided on these generators. Complements of a normal subgroup are
+found by a search over sections, never by enumerating the subgroup
+lattice.
+
+Stabilizers, the saturation check, the orbit of a subspace and the
+induced chart apply the integer forms d g (``integer_forms``, sparse
+integer rows) to integer vectors and compare integer images, which for
+one d are equal exactly when the rational images are; a Fraction is built
+only for a value returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -67,7 +77,6 @@ from .linalg import (
     int_points,
     is_invertible,
     mat,
-    mat_vec,
     rat,
     rat_str,
     scaled,
@@ -76,12 +85,6 @@ from .linalg import (
 
 DEFAULT_MAX_ORDER = 10_000
 SUBGROUP_ENUMERATION_BOUND = 512
-
-
-def _identity_and_inverses(table) -> tuple[int, tuple[int, ...]]:
-    """The identity (the element whose row is 0..n-1) and every inverse."""
-    identity = table.index(tuple(range(len(table))))
-    return identity, tuple(row.index(identity) for row in table)
 
 
 def _is_abelian(g) -> bool:
@@ -116,46 +119,56 @@ class FiniteMatrixGroup:
     checked its generators.
     """
 
-    def __init__(self, matrices, perms, generators):
-        """The sorted matrices, their permutations of an Omega that starts
-        with e_1, ..., e_n, and the generator matrices."""
-        n = len(matrices[0])
-        keys = [p[:n] for p in perms]
+    def __init__(self, points, d, elements, generators):
+        """Omega's points (den, den x) with their indices, the first n being
+        e_1, ..., e_n; the common denominator d; the elements as (d g, pi_g)
+        in sorted order; and the generators' column keys."""
+        n = len(elements[0][0])
         self.ambient_dim = n
-        self.elements = [GroupElement(m, i) for i, m in enumerate(matrices)]
-        self.matrices: tuple[Mat, ...] = tuple(matrices)
-        self.members = tuple(range(len(matrices)))
-        self._index: dict[Mat, int] = {m: i for i, m in enumerate(matrices)}
-        self.generators = tuple(dict.fromkeys(self._index[g] for g in generators))
-        element_of = {key: i for i, key in enumerate(keys)}
-        self.cayley_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(element_of[tuple(p[k] for k in key)] for key in keys) for p in perms
-        )
-        self.identity, self._inverse = _identity_and_inverses(self.cayley_table)
+        self._points = points
+        self._int_matrices = tuple(m for m, _ in elements)
+        self._perms = tuple(p for _, p in elements)
+        self._keys = tuple(p[:n] for p in self._perms)
+        self._element_of = {key: i for i, key in enumerate(self._keys)}
+        self._rows: list = [None] * len(elements)
+        self.members = tuple(range(len(elements)))
+        self.identity = self._element_of[tuple(range(n))]
+        self.generators = tuple(dict.fromkeys(self._element_of[key] for key in generators))
+        self.integer_forms: tuple[int, tuple[IntMat, ...]] = (d, tuple(
+            tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+            for m in self._int_matrices))
 
     @cached_property
-    def integer_forms(self) -> tuple[int, tuple[IntMat, ...]]:
-        """(d, forms): one denominator for every element, and d m for each
-        element m as sparse integer rows, in index order.
+    def matrices(self) -> tuple[Mat, ...]:
+        """The elements as Fraction matrices, one Fraction per distinct entry."""
+        d = self.integer_forms[0]
+        values = {x: Fraction(x, d)
+                  for x in {x for m in self._int_matrices for row in m for x in row}}
+        return tuple(tuple(tuple(map(values.__getitem__, row)) for row in m)
+                     for m in self._int_matrices)
 
-        Built on first use; stabilizers and the saturation check compare
-        integer images under these forms instead of Fraction products.
-        """
-        d = lcm(*[x.denominator for m in self.matrices for row in m for x in row])
-        return d, tuple(int_form(m, d)[1] for m in self.matrices)
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(m, i) for i, m in enumerate(self.matrices))
+
+    @cached_property
+    def _inverse(self) -> tuple[int, ...]:
+        """Each element's inverse: its key lists where pi_g puts e_1, ..., e_n."""
+        n, element_of = self.ambient_dim, self._element_of
+        return tuple(element_of[tuple(p.index(k) for k in range(n))] for p in self._perms)
 
     @cached_property
     def schreier_tree(self) -> tuple:
         """Entry x is (s, y) with x = s y, s a generator, y nearer the identity.
 
-        A breadth-first tree from the identity (whose entry is None) on the
-        Cayley table, so every element is a short word in the generators.
+        A breadth-first tree from the identity (whose entry is None), so
+        every element is a short word in the generators.
         """
         tree: list = [None] * self.order
         reached = [self.identity]
         for y in reached:
             for s in self.generators:
-                x = self.cayley_table[s][y]
+                x = self.mult(s, y)
                 if tree[x] is None and x != self.identity:
                     tree[x] = (s, y)
                     reached.append(x)
@@ -167,19 +180,32 @@ class FiniteMatrixGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and self.matrices == other.matrices
+        return (other.__class__ is self.__class__
+                and self.integer_forms == other.integer_forms)
 
     def __hash__(self):
-        return hash(self.matrices)
+        return hash(self.integer_forms)
 
     def mult(self, i: int, j: int) -> int:
-        return self.cayley_table[i][j]
+        product = self._row(i)[j]
+        if product is None:
+            p = self._perms[i]
+            product = self._rows[i][j] = self._element_of[tuple([p[k] for k in self._keys[j]])]
+        return product
+
+    def _row(self, i: int) -> list:
+        """The products i j known so far, indexed by j (None where not yet
+        asked); ``mult`` fills a cell the first time it is asked."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = [None] * len(self._rows)
+        return row
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
@@ -188,7 +214,14 @@ class FiniteMatrixGroup:
         return self.matrices[i]
 
     def index_of(self, matrix: Mat) -> int:
-        return self._index[matrix]
+        """The index of a matrix, found from the points of its columns;
+        ``NotSubgroup`` when the matrix is not in the group."""
+        key = tuple(self._points.get(scaled(column)) for column in zip(*matrix))
+        index = self._element_of.get(key)
+        if index is None:
+            rows = ", ".join("[" + ", ".join(map(rat_str, row)) + "]" for row in matrix)
+            raise NotSubgroup(f"matrix [{rows}] is not in the group")
+        return index
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.members)
@@ -202,17 +235,11 @@ class FiniteMatrixGroup:
 
     def subgroup_generated_by(self, indices) -> "Subgroup":
         """Subgroup generated by the elements with the given indices."""
-        return self.subgroup_from_indices(_closure_indices(self, indices))
+        return Subgroup(self, tuple(sorted(_closure_indices(self, indices))))
 
     def subgroup_from_matrices(self, matrices) -> "Subgroup":
         """Subgroup generated by the given matrices (closure is taken)."""
-        indices = []
-        for m in map(mat, matrices):
-            if m not in self._index:
-                rows = ", ".join("[" + ", ".join(map(rat_str, row)) + "]" for row in m)
-                raise NotSubgroup(f"matrix [{rows}] is not in the group")
-            indices.append(self._index[m])
-        return self.subgroup_generated_by(indices)
+        return self.subgroup_generated_by([self.index_of(m) for m in map(mat, matrices)])
 
     def is_abelian(self) -> bool:
         return _is_abelian(self)
@@ -254,14 +281,19 @@ class Subgroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Parent indices of greedy generators, picked in member order."""
+        """Parent indices of generators: the parent's own for the whole
+        group, else greedy ones picked in member order."""
+        if len(self.members) == self.parent.order:
+            return self.parent.generators
         return tuple(_greedy_generators(self.parent, self.members)[0])
 
     def matrix_of(self, i: int) -> Mat:
         return self.parent.matrices[self.members[i]]
 
     def is_closed(self) -> bool:
-        return _closure_indices(self.parent, self.members) == set(self.members)
+        """Do the members form a group? They do exactly when the generators
+        picked from them generate no more than them."""
+        return _closure_indices(self.parent, self.generators) == set(self.members)
 
     def contains(self, parent_index: int) -> bool:
         return parent_index in self._local
@@ -294,9 +326,10 @@ class AbstractGroup:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        identity, inverse = _identity_and_inverses(self.table)
+        """The identity is the element whose row is 0..n-1."""
+        identity = self.table.index(tuple(range(len(self.table))))
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_inverse", tuple(row.index(identity) for row in self.table))
 
     @property
     def order(self) -> int:
@@ -321,9 +354,9 @@ class GroupHom:
         return self.image_of[i]
 
     def is_homomorphism(self) -> bool:
-        """f(e) = e, and f(a s) = f(a) f(s) for every a and domain generator s.
+        """f(e) = e, and f(s a) = f(s) f(a) for every a and domain generator s.
 
-        Every b is a product of generators, so f(a b) = f(a) f(b) follows for
+        Every b is a product of generators, so f(b a) = f(b) f(a) follows for
         every pair; f(e) = e covers the empty product (the trivial subgroup
         has no generators). The domain needs generators: a matrix group or
         a subgroup.
@@ -332,7 +365,7 @@ class GroupHom:
         f = self.image_of
         gens = [d.members.index(s) for s in d.generators]
         return f[d.identity] == c.identity and all(
-            f[d.mult(a, s)] == c.mult(f[a], f[s]) for a in range(d.order) for s in gens
+            f[d.mult(s, a)] == c.mult(f[s], f[a]) for s in gens for a in range(d.order)
         )
 
     def is_injective(self) -> bool:
@@ -382,14 +415,14 @@ def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, .
 
 
 def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
-    """Closure of the generators, with canonical ordering and Cayley table.
+    """Closure of the generators, with canonical ordering.
 
-    The orbit of the standard basis is found with one matrix-vector
-    product per point and generator; it is capped at n * max_order points.
-    The generators' permutations of it are closed, and each element's
-    matrix is read off the images of the basis, which come first. The
-    trivial group needs the identity as its generator: an empty list has
-    no dimension.
+    The orbit of the standard basis is found with one integer
+    matrix-vector product per point and generator; it is capped at
+    n * max_order points. The generators' permutations of it are closed,
+    and each element's matrix is read off the images of the basis, which
+    come first. The trivial group needs the identity as its generator: an
+    empty list has no dimension.
     """
     gens = [mat(g) for g in generators]
     if not gens:
@@ -401,12 +434,15 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
             raise NonInvertibleGenerator("generators must be square, equal size")
         if not is_invertible(g):
             raise NonInvertibleGenerator(f"generator is singular: {g}")
-    omega = list(zip(*identity_matrix(n)))
+    forms = [int_form(g) for g in gens]
+    omega = [(1, tuple(int(i == j) for i in range(n))) for j in range(n)]
     points = {x: k for k, x in enumerate(omega)}
     moves: list[list[int]] = [[] for _ in gens]
-    for x in omega:
-        for g, row in zip(gens, moves):
-            y = mat_vec(g, x)
+    for den, xs in omega:
+        for (dg, rows), row in zip(forms, moves):
+            ys = int_mat_vec(rows, xs)
+            c = gcd(den * dg, *ys)
+            y = (den * dg // c, tuple(v // c for v in ys))
             if y not in points:
                 if len(points) >= n * max_order:
                     raise NotFiniteWithinBound(max_order)
@@ -414,8 +450,10 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
                 omega.append(y)
             row.append(points[y])
     perms = _close_permutations([tuple(row) for row in moves], len(omega), max_order)
-    ordered = sorted((tuple(zip(*(omega[k] for k in p[:n]))), p) for p in perms)
-    return FiniteMatrixGroup([m for m, _ in ordered], [p for _, p in ordered], gens)
+    d = lcm(*[den for den, _ in omega])
+    columns = [tuple(v * (d // den) for v in xs) for den, xs in omega]
+    elements = sorted((tuple(zip(*[columns[k] for k in p[:n]])), p) for p in perms)
+    return FiniteMatrixGroup(points, d, elements, [tuple(row[:n]) for row in moves])
 
 
 def trivial_group(n: int) -> FiniteMatrixGroup:
@@ -423,7 +461,7 @@ def trivial_group(n: int) -> FiniteMatrixGroup:
 
 
 def _closure_indices(parent: FiniteMatrixGroup, seed, limit=None):
-    """The seed closed under right multiplication by the seed elements, or
+    """The seed closed under left multiplication by the seed elements, or
     None as soon as it would grow past ``limit`` elements.
 
     In a finite group the products of a set already form the subgroup it
@@ -431,11 +469,14 @@ def _closure_indices(parent: FiniteMatrixGroup, seed, limit=None):
     """
     seed = set(seed)
     members = seed | {parent.identity}
+    rows = [(s, parent._row(s)) for s in seed]
     frontier = list(members)
     while frontier:
         a = frontier.pop()
-        for s in seed:
-            prod = parent.mult(a, s)
+        for s, row in rows:
+            prod = row[a]
+            if prod is None:
+                prod = parent.mult(s, a)
             if prod not in members:
                 if limit is not None and len(members) >= limit:
                     return None
@@ -620,7 +661,7 @@ def element_order(g, i: int) -> int:
     order = 1
     current = i
     while current != e:
-        current = g.mult(current, i)
+        current = g.mult(i, current)
         order += 1
     return order
 

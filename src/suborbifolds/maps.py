@@ -166,8 +166,9 @@ class ProductChart:
 
 def product_chart(c1: ChartModel, c2: ChartModel,
                   max_order: int = DEFAULT_MAX_ORDER) -> ProductChart:
-    if c1.group.order * c2.group.order > max_order:
-        raise GroupTooLarge("product group exceeds the order bound")
+    order = c1.group.order * c2.group.order
+    if order > max_order:
+        raise GroupTooLarge(f"product group of order {order} exceeds max_order={max_order}")
     g1, g2 = c1.group, c2.group
     gens = [_block_diag(g1.matrix_of(a), identity(c2.ambient_dim)) for a in g1.generators]
     gens += [_block_diag(identity(c1.ambient_dim), g2.matrix_of(b)) for b in g2.generators]
@@ -177,13 +178,16 @@ def product_chart(c1: ChartModel, c2: ChartModel,
     return ProductChart(c1, c2, combined)
 
 
-def graph_suborbifold(f: EquivariantAffineMap) -> SuborbifoldCandidate:
+def graph_suborbifold(f: EquivariantAffineMap,
+                      max_order: int = DEFAULT_MAX_ORDER) -> SuborbifoldCandidate:
     """Graph {(x, f(x))} with the graph of theta as its subgroup.
 
     Always saturated and embedded; full exactly when the affine hull of
     the image avoids every nontrivial fixed-point set of the codomain.
+    The product group is refused before it is built when its order
+    exceeds ``max_order``.
     """
-    product = product_chart(f.domain, f.codomain)
+    product = product_chart(f.domain, f.codomain, max_order)
     n1 = f.domain.ambient_dim
     base = zero_vec(n1) + f.apply(zero_vec(n1))
     basis = []
@@ -317,9 +321,13 @@ def preimage_suborbifold(
 
 
 def fibered_product(
-    f1: EquivariantAffineMap, f2: EquivariantAffineMap
+    f1: EquivariantAffineMap, f2: EquivariantAffineMap, max_order: int = DEFAULT_MAX_ORDER
 ) -> SuborbifoldCandidate:
-    """Fibered product of two submersions into the same manifold chart."""
+    """Fibered product of two submersions into the same manifold chart.
+
+    The product of the domain groups is refused before it is built when
+    its order exceeds ``max_order``.
+    """
     if f1.codomain != f2.codomain:
         raise ChartMismatch("submersions must share the codomain")
     m_chart = f1.codomain
@@ -328,9 +336,9 @@ def fibered_product(
     for f in (f1, f2):
         if not is_submersion(f):
             raise NotSubmersion("both maps must be submersions")
-    product = product_chart(f1.domain, f2.domain)
+    product = product_chart(f1.domain, f2.domain, max_order)
     m = m_chart.ambient_dim
-    double = product_chart(m_chart, m_chart)
+    double = product_chart(m_chart, m_chart, max_order)
     linear = _block_diag(f1.linear, f2.linear)
     offset = f1.offset + f2.offset
     theta = trivial_hom(product.combined.group, double.combined.group)

@@ -28,6 +28,8 @@ REPORTS = {
     "classify_rotation_line.json": ["classify", "--scene", "scenes/rotation_line.json"],
     "classify_hyperoctahedral_b4.json": ["classify", "--scene",
                                          "scenes/hyperoctahedral_b4.json"],
+    "classify_hyperoctahedral_b5.json": ["classify", "--scene",
+                                         "scenes/hyperoctahedral_b5.json"],
 }
 # The constructions on scenes/maps.json: each one builds a new chart group
 # (a product group, an isotropy group or an induced chart group).

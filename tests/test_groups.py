@@ -74,13 +74,18 @@ def test_generate_rot4():
     assert g.matrix_of(g.identity) == mat([[1, 0], [0, 1]])
 
 
-def _assert_matches_reference(g, reference):
-    """g has the reference's sorted elements and their products in every cell."""
+def _assert_matches_reference(g, reference, pairs=None):
+    """g has the reference's sorted elements, their products in every cell
+    (or in the given cells), the identity and every inverse."""
     assert list(g.matrices) == reference
+    ident = identity(g.ambient_dim)
+    assert g.matrix_of(g.identity) == ident
+    if pairs is None:
+        pairs = [(i, j) for i in range(len(reference)) for j in range(len(reference))]
+    for i, j in pairs:
+        assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(reference[i], reference[j])
     for i, a in enumerate(reference):
-        for j, b in enumerate(reference):
-            assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(a, b)
-        assert g.mult(i, g.inv(i)) == g.identity
+        assert oracle_mat_mul(a, g.matrix_of(g.inv(i))) == ident
 
 
 def _seeded_groups(count, max_order):
@@ -105,19 +110,26 @@ def test_cayley_consistency():
     _assert_matches_reference(g, oracle_group_closure([SIGN_X, SIGN_Y]))
     rng = random.Random(3)
     realified = realify([[(0, 1), (0, 0)], [(0, 0), (-1, 0)]])
-    for gens in _seeded_groups(30, 48) + [[realified]]:
+    for gens in _seeded_groups(30, 96) + [[realified]]:
         reference = oracle_group_closure(gens)
         g = generate_group(gens)
-        _assert_matches_reference(g, reference)
+        # every product, inverse and the identity, whatever generated the group
         shuffled = list(reference)
         rng.shuffle(shuffled)
         built = generate_group(shuffled)
-        assert built.matrices == g.matrices and built.cayley_table == g.cayley_table
-        assert built.identity == g.identity
-        assert [built.inv(i) for i in built.members] == [g.inv(i) for i in g.members]
-        # either way the kept generators generate the group
         for group in (g, built):
+            _assert_matches_reference(group, reference)
+            # either way the kept generators generate the group
             assert groups._closure_indices(group, group.generators) == set(group.members)
+
+
+def test_b5_products_match_matrix_products():
+    # B5 is every signed permutation matrix of size 5; the products are sampled.
+    g = generate_group(hyperoctahedral_generators(5))
+    reference = sorted(signed_permutation_matrices(5))
+    rng = random.Random(5)
+    pairs = [(rng.randrange(3840), rng.randrange(3840)) for _ in range(3000)]
+    _assert_matches_reference(g, reference, pairs)
 
 
 def test_generated_group_is_closed_once(monkeypatch):
@@ -171,6 +183,41 @@ def test_schreier_tree_spells_every_element():
                 assert s in g.generators and g.mult(s, y) == x
                 x, steps = y, steps + 1
                 assert steps < g.order
+
+
+def test_b5_times_z2_is_generated_within_max_order():
+    # B5 on the first five coordinates, Z2 flipping the sixth: order 7680
+    gens = [tuple(row + (0,) for row in m) + ((0,) * 5 + (1,),)
+            for m in hyperoctahedral_generators(5)]
+    gens.append(signed_permutation(range(6), [1] * 5 + [-1]))
+    g = generate_group(gens, max_order=7680)
+    assert g.order == 7680 and g.ambient_dim == 6
+    assert g.matrix_of(g.mult(g.order - 1, g.order - 1)) == identity(6)
+    with pytest.raises(NotFiniteWithinBound, match="max_order=7679"):
+        generate_group(gens, max_order=7679)
+
+
+def test_matrix_lookup_rejects_matrices_outside_the_group():
+    g = rot4_group()
+    # d = 1 here, so a half is not even a point of Omega; 2 x has the
+    # denominator but not the column
+    outside = [mat([[2, 0], [0, 1]]), mat([["1/2", 0], [0, 1]]), mat([[0, 1], [1, 0]]),
+               mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), mat([[1]])]
+    # a conjugated group with d > 1 and a matrix with a denominator that does not divide it
+    s, s_inv = random_rational_basis_change(random.Random(31), 2)
+    conj = generate_group(conjugate_all([ROT4], s, s_inv))
+    d = conj.integer_forms[0]
+    assert d > 1
+    thirds = mat([[1, "1/3"], [0, 1]])
+    assert d % 3 != 0
+    cases = [(g, m) for m in outside] + [(conj, thirds), (conj, ROT4)]
+    for group, m in cases:
+        with pytest.raises(NotSubgroup, match="is not in the group"):
+            group.index_of(m)
+        with pytest.raises(NotSubgroup, match="is not in the group"):
+            group.subgroup_from_matrices([m])
+    for group in (g, conj):
+        assert [group.index_of(m) for m in group.matrices] == list(group.members)
 
 
 @pytest.mark.parametrize("generators, message", [

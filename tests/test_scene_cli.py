@@ -221,6 +221,20 @@ def test_cli_unexpected_exception_exits_3(scene_path, monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_cli_builds_its_parser_once(scene_path, monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or real())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["classify", "--scene", scene_path], ["corpus", "--filter", "rotation"],
+                     ["classify", "--scene", scene_path, "--candidate", "rotation_line"]):
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_machine_report_deterministic(scene_path, capsys):
     outputs = []
     for _ in range(2):
@@ -338,6 +352,50 @@ def test_cli_max_order_bounds_the_scene_groups(scene_path, capsys):
     assert "group closure exceeded max_order=3" in capsys.readouterr().err
 
 
+MAPS_SCENE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scenes", "maps.json")
+
+
+def test_cli_max_order_bounds_the_product_groups(tmp_path, monkeypatch, capsys):
+    import suborbifolds.maps as maps
+
+    graph = ["graph", "--scene", MAPS_SCENE, "--map", "rot4_identity"]
+    assert main(graph + ["--max-order", "16"]) == 0
+    capsys.readouterr()
+    # rot4 x rot4 has order 16; the bound is checked before the product is built
+    monkeypatch.setattr(maps, "generate_group", None)
+    assert main(graph + ["--max-order", "4"]) == 2
+    assert capsys.readouterr().err == "error: product group of order 16 exceeds max_order=4\n"
+    monkeypatch.undo()
+    # the fibered product of two maps out of y_flip (order 2) builds an order-4 group
+    with open(MAPS_SCENE) as fh:
+        scene = json.load(fh)
+    for section in ("groups", "subgroups", "candidates", "maps"):
+        scene[section] = {k: v for k, v in scene[section].items() if "rot4" not in json.dumps(v)
+                          and "rot4" not in k}
+    path = tmp_path / "flips.json"
+    path.write_text(json.dumps(scene))
+    fibered = ["fibered-product", "--scene", str(path),
+               "--left-map", "flip_onto_line", "--right-map", "flip_onto_line"]
+    assert main(fibered + ["--max-order", "4"]) == 0
+    capsys.readouterr()
+    assert main(fibered + ["--max-order", "3"]) == 2
+    assert capsys.readouterr().err == "error: product group of order 4 exceeds max_order=3\n"
+
+
+def test_cli_subgroup_generator_outside_the_group(tmp_path, capsys):
+    # a half is not an entry of any rot4 element, nor is a 3 x 3 matrix one
+    for generator in ([["1/2", 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        scene = json.loads(json.dumps(SCENE))
+        scene["subgroups"]["half_turn"]["generators"] = [generator]
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(scene))
+        assert main(["classify", "--scene", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: subgroup 'half_turn': matrix [") and err.endswith(
+            "] is not in the group\n")
+
+
 def test_cli_no_complement_certificate_counts_sections(tmp_path, capsys):
     # The realified order-4 action on C^2 squares to -1 on the first complex
     # axis, which fixes the second one pointwise; that kernel of order 2 has
@@ -435,9 +493,7 @@ def test_cli_image_rejection_names_a_replayable_witness(tmp_path, capsys):
 def test_cli_image_rejects_an_unsaturated_candidate(capsys):
     # The x-axis under the trivial subgroup of rot4: the half turn maps the
     # axis onto itself, and no element of the subgroup matches it.
-    scene = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "scenes", "maps.json")
-    assert main(["image", "--scene", scene, "--map", "rot4_identity",
+    assert main(["image", "--scene", MAPS_SCENE, "--map", "rot4_identity",
                  "--candidate", "unsaturated_x_axis"]) == 2
     assert capsys.readouterr().err.startswith("error: candidate is not saturated")
 
