@@ -39,11 +39,12 @@ group of order 3840 builds only the rows it uses. Inverses are read off
 the permutations. Every group keeps the generators it was built from,
 and its Schreier tree spells each element as a word in them; a proper
 subgroup picks its own generators greedily in member order, and the
-whole group reuses its parent's. Normality, the homomorphism law and,
-through ``first_failure``, any law whose passing elements form a subgroup
-are decided on these generators. Complements of a normal subgroup are
-found by a search over sections, never by enumerating the subgroup
-lattice.
+whole group reuses its parent's. Normality, commutativity, the
+homomorphism law and, through ``first_failure``, any law whose passing
+elements form a subgroup are decided on these generators, and an
+element's order is read off its permutation. Complements of a normal
+subgroup are found by a search over sections, never by enumerating the
+subgroup lattice.
 
 Stabilizers, the saturation check, the orbit of a subspace and the
 induced chart apply the integer forms d g (``integer_forms``, sparse
@@ -88,6 +89,12 @@ SUBGROUP_ENUMERATION_BOUND = 512
 
 
 def _is_abelian(g) -> bool:
+    """Do all elements commute? In a matrix group or a subgroup, elements
+    commute when its generators do; a group given only by its table is
+    tested on every pair."""
+    if hasattr(g, "generators"):
+        p, gens = g.parent, g.generators
+        return all(p.mult(a, b) == p.mult(b, a) for a in gens for b in gens)
     return all(
         g.mult(i, j) == g.mult(j, i) for i in range(g.order) for j in range(i + 1, g.order)
     )
@@ -657,6 +664,17 @@ class Fingerprint:
 
 
 def element_order(g, i: int) -> int:
+    """The least m > 0 with i^m the identity.
+
+    An element of a matrix group, or of a subgroup of one, is the identity
+    exactly when it fixes e_1, ..., e_n, so its order is the least common
+    multiple of the lengths of the cycles of its permutation of Omega
+    through them, and no product is formed. A group given only by its
+    table multiplies.
+    """
+    if hasattr(g, "parent"):
+        p = g.parent._perms[g.members[i]]
+        return lcm(*[_cycle_length(p, j) for j in range(g.parent.ambient_dim)])
     e = g.identity
     order = 1
     current = i
@@ -664,6 +682,13 @@ def element_order(g, i: int) -> int:
         current = g.mult(i, current)
         order += 1
     return order
+
+
+def _cycle_length(p, j: int) -> int:
+    k, length = p[j], 1
+    while k != j:
+        k, length = p[k], length + 1
+    return length
 
 
 def iso_fingerprint(g) -> Fingerprint:

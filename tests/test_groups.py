@@ -542,6 +542,15 @@ def test_fingerprint_invariant_under_relabeling():
     assert iso_fingerprint(a) == iso_fingerprint(b)
 
 
+def test_abelian_on_generators_matches_all_pairs():
+    g = generate_group(hyperoctahedral_generators(3))
+    subs = all_subgroups(g)
+    verdicts = [groups._is_abelian(s) for s in subs] + [g.is_abelian()]
+    pairs = [all(s.mult(i, j) == s.mult(j, i) for i in range(s.order) for j in range(s.order))
+             for s in subs + [g]]
+    assert verdicts == pairs and set(verdicts) == {True, False}
+
+
 def test_isomorphism_distinguishes_z4_and_klein():
     assert iso_fingerprint(rot4_group()) != iso_fingerprint(klein_group())
 
@@ -560,6 +569,21 @@ def test_element_orders():
     s = g.full_subgroup()
     orders = sorted(element_order(s, i) for i in range(s.order))
     assert orders == [1, 2, 4, 4]
+    # read off the permutations of Omega, against powers of the matrices,
+    # in matrix groups (rational conjugates included) and their subgroups
+    for gens in _seeded_groups(8, 96) + [hyperoctahedral_generators(3)]:
+        g = generate_group(gens)
+        ident = identity(g.ambient_dim)
+        for group in (g, g.subgroup_generated_by(g.generators[:1])):
+            for i, m in enumerate(group.matrices):
+                power, order = m, 1
+                while power != ident:
+                    power, order = oracle_mat_mul(power, m), order + 1
+                assert element_order(group, i) == order
+    # a quotient has no matrices: its elements multiply (B3 / {I, -I} is S4)
+    centre = g.subgroup_from_matrices([[[-1, 0, 0], [0, -1, 0], [0, 0, -1]]])
+    q, _ = quotient_group(g.full_subgroup(), centre)
+    assert sorted(element_order(q, i) for i in range(q.order)) == [1] + [2] * 9 + [3] * 8 + [4] * 6
 
 
 def test_trivial_and_dimension_zero_groups():
