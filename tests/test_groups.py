@@ -199,8 +199,8 @@ def test_b5_times_z2_is_generated_within_max_order():
 
 def test_matrix_lookup_rejects_matrices_outside_the_group():
     g = rot4_group()
-    # d = 1 here, so a half is not even a point of Omega; 2 x has the
-    # denominator but not the column
+    # rot4 has d = 1, so a half is no entry of any element; the others are
+    # integer matrices of the right or the wrong size that are not elements
     outside = [mat([[2, 0], [0, 1]]), mat([["1/2", 0], [0, 1]]), mat([[0, 1], [1, 0]]),
                mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), mat([[1]])]
     # a conjugated group with d > 1 and a matrix with a denominator that does not divide it
