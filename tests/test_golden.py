@@ -30,6 +30,9 @@ REPORTS = {
                                          "scenes/hyperoctahedral_b4.json"],
     "classify_hyperoctahedral_b5.json": ["classify", "--scene",
                                          "scenes/hyperoctahedral_b5.json"],
+    "isotropy_hyperoctahedral_b5.json": ["isotropy", "--scene",
+                                         "scenes/hyperoctahedral_b5.json", "--candidate",
+                                         "whole_space", "--point", "0,0,0,0,0"],
 }
 # The constructions on scenes/maps.json: each one builds a new chart group
 # (a product group, an isotropy group or an induced chart group).
