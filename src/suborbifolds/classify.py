@@ -456,8 +456,7 @@ def isotropy_sub_point(cand: SuborbifoldCandidate, x) -> Fingerprint:
         raise _point_not_in(x, "candidate subspace")
     _require_saturated(cand)
     stab = stabilizer(cand.delta, x)
-    quotient, _ = quotient_group(stab, cand.kernel)
-    fingerprint = iso_fingerprint(quotient)
+    fingerprint = quotient_group(stab, cand.kernel)
     # Independent path: stabilizer computed inside induced-chart coordinates.
     chart = cand.induced
     coords = chart.coordinates(x)
@@ -476,8 +475,7 @@ def abelian_omega_isotropy(chart: ChartModel, v: AffineSubspace, x) -> Fingerpri
         raise _point_not_in(x, "subspace")
     omega = pointwise_stabilizer(chart.group, v)
     stab = stabilizer(chart.group, x)
-    quotient, _ = quotient_group(stab, omega)
-    return iso_fingerprint(quotient)
+    return quotient_group(stab, omega)
 
 
 @dataclass(frozen=True)

@@ -152,16 +152,14 @@ def cmd_classify(args) -> int:
 def cmd_isotropy(args) -> int:
     scene = _load_scene(args)
     point = _parse_point(args.point)
-    if args.candidate:
+    if args.candidate is not None:
         cand = _lookup(scene.candidates, args.candidate, "candidate")
         fp = isotropy_sub_point(cand, point)
         subject = f"candidate {args.candidate}"
-    elif args.group:
+    else:
         group = _lookup(scene.groups, args.group, "group")
         fp = isotropy_point(chart_from_group(group), point)
         subject = f"group {args.group}"
-    else:
-        raise SuborbifoldError("isotropy needs --candidate or --group")
     payload = {
         "command": "isotropy",
         "subject": subject,
@@ -320,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isotropy", parents=common,
                        help="isotropy fingerprint at a point")
-    p.add_argument("--candidate", help="candidate name (suborbifold isotropy)")
-    p.add_argument("--group", help="group name (ambient isotropy)")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--candidate", help="candidate name (suborbifold isotropy)")
+    subject.add_argument("--group", help="group name (ambient isotropy)")
     p.add_argument("--point", required=True, help="comma-separated point")
     p.set_defaults(handler="cmd_isotropy")
 
@@ -334,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preimage", parents=common,
                        help="preimage of a full candidate or a regular value")
     p.add_argument("--map", required=True)
-    p.add_argument("--target", help="target candidate name")
-    p.add_argument("--value", help="regular value, comma-separated")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target", help="target candidate name")
+    target.add_argument("--value", help="regular value, comma-separated")
     p.set_defaults(handler="cmd_preimage")
 
     p = sub.add_parser("graph", parents=common,

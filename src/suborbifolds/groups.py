@@ -6,13 +6,15 @@ that checks matrices; a caller with no generators, such as
 
 Element order is canonical (lexicographic on matrix entries), so equal
 groups have identical element lists whatever generated them, and every
-reported witness is reproducible. Every group here answers one interface
-on local indices 0..order-1: ``order``, ``mult``, ``inv`` and
-``identity``. Matrix groups and their subgroups also expose ``parent``
-(the matrix group the indices refer to; a matrix group is its own
-parent), ``members`` (the parent indices of the elements, in local order)
-and ``matrices`` (the member matrices in the same order), so no caller
-needs to tell them apart.
+reported witness is reproducible. A matrix group and its subgroups
+expose ``parent`` (the matrix group the indices refer to; a matrix group
+is its own parent), ``members`` (the parent indices of the elements, in
+order), ``generators`` and ``matrices`` (the member matrices in member
+order), so no caller needs to tell them apart. Products are taken only
+in the parent, on parent indices (``mult``, ``inv`` and ``identity``). A
+quotient d/k is never built as a group of its own: it is read from the
+cosets of k in the parent, and ``quotient_group`` returns its fingerprint
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
 
 Group construction is integer arithmetic. Let Omega be the orbit of the
 standard basis e_1, ..., e_n under the generators, each point kept as
@@ -41,8 +43,10 @@ and its Schreier tree spells each element as a word in them; a proper
 subgroup picks its own generators greedily in member order, and the
 whole group reuses its parent's. Normality, commutativity, the
 homomorphism law and, through ``first_failure``, any law whose passing
-elements form a subgroup are decided on these generators, and an
-element's order is read off its permutation. Complements of a normal
+elements form a subgroup are decided on these generators. The order of
+a coset a k, the least m with a^m in k, is found by pushing a's column
+key through a's permutation until it is the key of a member of k; an
+element's order is that with k trivial. Complements of a normal
 subgroup are found by a search over sections, never by enumerating the
 subgroup lattice.
 
@@ -86,18 +90,6 @@ from .linalg import (
 
 DEFAULT_MAX_ORDER = 10_000
 SUBGROUP_ENUMERATION_BOUND = 512
-
-
-def _is_abelian(g) -> bool:
-    """Do all elements commute? In a matrix group or a subgroup, elements
-    commute when its generators do; a group given only by its table is
-    tested on every pair."""
-    if hasattr(g, "generators"):
-        p, gens = g.parent, g.generators
-        return all(p.mult(a, b) == p.mult(b, a) for a in gens for b in gens)
-    return all(
-        g.mult(i, j) == g.mult(j, i) for i in range(g.order) for j in range(i + 1, g.order)
-    )
 
 
 def first_failure(group, fails):
@@ -272,16 +264,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def mult(self, i: int, j: int) -> int:
-        return self._local[self.parent.mult(self.members[i], self.members[j])]
-
-    def inv(self, i: int) -> int:
-        return self._local[self.parent.inv(self.members[i])]
-
-    @property
-    def identity(self) -> int:
-        return self._local[self.parent.identity]
-
     @cached_property
     def matrices(self) -> tuple[Mat, ...]:
         return tuple(self.parent.matrices[i] for i in self.members)
@@ -327,31 +309,9 @@ class Subgroup:
 
 
 @dataclass(frozen=True)
-class AbstractGroup:
-    """A group given only by its multiplication table."""
-
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        """The identity is the element whose row is 0..n-1."""
-        identity = self.table.index(tuple(range(len(self.table))))
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "_inverse", tuple(row.index(identity) for row in self.table))
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self._inverse[i]
-
-
-@dataclass(frozen=True)
 class GroupHom:
-    """Homomorphism between two groups with the local-index interface."""
+    """Homomorphism from a matrix group or a subgroup to a matrix group;
+    ``image_of[a]`` is the image of the domain's a-th member."""
 
     domain: object
     codomain: object
@@ -365,14 +325,15 @@ class GroupHom:
 
         Every b is a product of generators, so f(b a) = f(b) f(a) follows for
         every pair; f(e) = e covers the empty product (the trivial subgroup
-        has no generators). The domain needs generators: a matrix group or
-        a subgroup.
+        has no generators). Products are the parent's, read through the
+        domain's member order.
         """
         d, c = self.domain, self.codomain
-        f = self.image_of
-        gens = [d.members.index(s) for s in d.generators]
-        return f[d.identity] == c.identity and all(
-            f[d.mult(s, a)] == c.mult(f[s], f[a]) for s in gens for a in range(d.order)
+        p, f = d.parent, self.image_of
+        local = {x: a for a, x in enumerate(d.members)}
+        return f[local[p.identity]] == c.identity and all(
+            f[local[p.mult(s, x)]] == c.mult(f[local[s]], f[a])
+            for s in d.generators for a, x in enumerate(d.members)
         )
 
     def is_injective(self) -> bool:
@@ -561,28 +522,16 @@ def _integer_forms(g, n: int) -> tuple[int, tuple[IntMat, ...]]:
     return g.parent.integer_forms
 
 
-def quotient_group(d: Subgroup, k: Subgroup) -> tuple[AbstractGroup, GroupHom]:
-    """Coset group d/k with canonical representatives and the projection."""
+def quotient_group(d: Subgroup, k: Subgroup) -> "Fingerprint":
+    """The fingerprint of d/k for k normal in d, read from the cosets of k
+    in the parent; no coset table is built."""
     if d.parent is not k.parent and d.parent != k.parent:
         raise NotSubgroup("subgroups live in different parent groups")
     if not k.is_subset_of(d):
         raise NotSubgroup("k is not contained in d")
     if not k.is_normal_in(d):
         raise NotNormal("k is not normal in d")
-    g = d.parent
-    coset_of: dict[int, frozenset[int]] = {}
-    for a in d.members:
-        coset_of[a] = frozenset(g.mult(a, ki) for ki in k.members)
-    reps = sorted({min(c) for c in coset_of.values()})
-    coset_index = {coset_of[r]: i for i, r in enumerate(reps)}
-    table = tuple(
-        tuple(coset_index[coset_of[g.mult(a, b)]] for b in reps) for a in reps
-    )
-    quotient = AbstractGroup(table)
-    projection = GroupHom(
-        d, quotient, tuple(coset_index[coset_of[a]] for a in d.members)
-    )
-    return quotient, projection
+    return _fingerprint(d, k)
 
 
 @dataclass(frozen=True)
@@ -663,34 +612,43 @@ class Fingerprint:
         return f"order {self.order}, element orders {list(self.element_orders)}, {kind}"
 
 
+def _order_modulo(g: FiniteMatrixGroup, a: int, keys) -> int:
+    """The least m > 0 with a^m in the subgroup of g whose column keys are
+    ``keys``. The key of a^m is pi_a applied to the key of a^(m-1), so no
+    product is formed."""
+    p, key, m = g._perms[a], g._keys[a], 1
+    while key not in keys:
+        key, m = tuple([p[j] for j in key]), m + 1
+    return m
+
+
+def _is_abelian(d, k: Subgroup | None = None) -> bool:
+    """Is d/k abelian (d itself when k is None)? d/k is generated by the
+    cosets of d's generators, so it is when every commutator of two
+    generators lies in k."""
+    g = d.parent
+    if k is None:
+        k = Subgroup(g, (g.identity,))
+    pairs = ((g.mult(a, b), g.mult(b, a)) for a in d.generators for b in d.generators)
+    return all(ab == ba or k.contains(g.mult(g.inv(ba), ab)) for ab, ba in pairs)
+
+
+def _fingerprint(d, k: Subgroup) -> Fingerprint:
+    """The fingerprint of d/k, for k normal in d, read from cosets in the
+    parent. Each coset a k has |k| members, each with a k's order in d/k
+    as its order modulo k; so the sorted orders of d/k are the sorted
+    orders modulo k of d's members, keeping every |k|-th."""
+    g = d.parent
+    keys = {g._keys[x] for x in k.members}
+    orders = sorted(_order_modulo(g, a, keys) for a in d.members)[::k.order]
+    return Fingerprint(d.order // k.order, tuple(orders), _is_abelian(d, k))
+
+
 def element_order(g, i: int) -> int:
-    """The least m > 0 with i^m the identity.
-
-    An element of a matrix group, or of a subgroup of one, is the identity
-    exactly when it fixes e_1, ..., e_n, so its order is the least common
-    multiple of the lengths of the cycles of its permutation of Omega
-    through them, and no product is formed. A group given only by its
-    table multiplies.
-    """
-    if hasattr(g, "parent"):
-        p = g.parent._perms[g.members[i]]
-        return lcm(*[_cycle_length(p, j) for j in range(g.parent.ambient_dim)])
-    e = g.identity
-    order = 1
-    current = i
-    while current != e:
-        current = g.mult(i, current)
-        order += 1
-    return order
-
-
-def _cycle_length(p, j: int) -> int:
-    k, length = p[j], 1
-    while k != j:
-        k, length = p[k], length + 1
-    return length
+    """The order of the i-th member of a matrix group or subgroup."""
+    return _order_modulo(g.parent, g.members[i], {g.parent._keys[g.parent.identity]})
 
 
 def iso_fingerprint(g) -> Fingerprint:
-    orders = tuple(sorted(element_order(g, i) for i in range(g.order)))
-    return Fingerprint(g.order, orders, _is_abelian(g))
+    """The fingerprint of a matrix group or subgroup: g modulo {e}."""
+    return _fingerprint(g, Subgroup(g.parent, (g.parent.identity,)))

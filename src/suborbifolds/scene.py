@@ -122,7 +122,11 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             )
             if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
                 raise ParseError(f"map {name!r}: theta must list [element, image] pairs")
-            theta_pairs = dict(spec["theta"])
+            theta_pairs = {}
+            for element, image in spec["theta"]:
+                if element in theta_pairs:
+                    raise ParseError(f"map {name!r}: theta lists element {element!r} twice")
+                theta_pairs[element] = image
             _element_indices(theta_pairs, domain.group.order, f"map {name!r} theta")
             if set(theta_pairs) != set(range(domain.group.order)):
                 raise ParseError(
@@ -147,10 +151,12 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
                 group, subgroup, subspace, pairs,
                 spec.get("depth", DEFAULT_DEPTH), spec.get("tolerance", DEFAULT_TOLERANCE),
             )
-        scene.queries = list(raw.get("queries", []))
+        scene.queries = raw.get("queries", [])
+        if not isinstance(scene.queries, list):
+            raise ParseError("scene queries must be a JSON list")
         for query in scene.queries:
-            if "command" not in query:
-                raise ParseError(f"query without a command: {query}")
+            if not isinstance(query, dict) or "command" not in query:
+                raise ParseError(f"query is not an object with a command: {query}")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed scene entry: {exc}") from exc
     except DimensionMismatch as exc:

@@ -19,7 +19,7 @@ from suborbifolds import (
 )
 from suborbifolds.classify import SaturationWitness, Verdict, _witness_point
 from suborbifolds.errors import NotFiniteWithinBound
-from suborbifolds.groups import all_subgroups
+from suborbifolds.groups import Fingerprint, all_subgroups
 from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
@@ -375,10 +375,12 @@ def oracle_is_normal(k, d):
 
 
 def oracle_is_homomorphism(f):
-    """Is f(a b) = f(a) f(b) for every pair of domain elements?"""
+    """Is f(a b) = f(a) f(b) for every pair of domain members? Products are
+    the parent's, and f is indexed in the domain's member order."""
     d, c = f.domain, f.codomain
-    return all(f(d.mult(a, b)) == c.mult(f(a), f(b))
-               for a in range(d.order) for b in range(d.order))
+    local = {x: a for a, x in enumerate(d.members)}
+    return all(f(local[d.parent.mult(x, y)]) == c.mult(f(a), f(b))
+               for a, x in enumerate(d.members) for b, y in enumerate(d.members))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +465,29 @@ def oracle_group_closure(generators):
                 seen.add(p)
                 frontier.append(p)
     return sorted(seen)
+
+
+def oracle_quotient_fingerprint(d, k):
+    """The fingerprint of d/k by matrix products alone: the cosets a k as
+    sets of matrices, each coset's order by multiplying a representative
+    until its power lies in k, and commutativity tested on every pair of
+    cosets (ab k = ba k)."""
+    kernel = set(k.matrices)
+    coset_of = {}
+    for a in d.matrices:
+        if a not in coset_of:
+            coset = frozenset(oracle_mat_mul(a, x) for x in kernel)
+            coset_of.update(dict.fromkeys(coset, coset))
+    reps = [min(coset) for coset in set(coset_of.values())]
+    orders = []
+    for a in reps:
+        power, order = a, 1
+        while power not in kernel:
+            power, order = oracle_mat_mul(power, a), order + 1
+        orders.append(order)
+    abelian = all(coset_of[oracle_mat_mul(a, b)] is coset_of[oracle_mat_mul(b, a)]
+                  for a in reps for b in reps)
+    return Fingerprint(len(reps), tuple(sorted(orders)), abelian)
 
 
 def hyperoctahedral_generators(n: int):

@@ -1,5 +1,6 @@
 """Classification verdicts: worked examples, witness replay, oracle
 equivalence on randomized candidates, two-path isotropy."""
+import os
 import random
 import sys
 from fractions import Fraction
@@ -170,6 +171,23 @@ def test_induced_chart_centered_off_the_canonical_base_point():
     assert isotropy_sub_point(cand, [0, -1]).order == 1
 
 
+def test_isotropy_of_the_b5_whole_space_multiplies_in_few_rows():
+    # Delta_x / K with K trivial, read from cosets in B5 (order 3840): a
+    # coset table filled every one of the group's product rows.
+    from suborbifolds.scene import parse_scene
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scenes", "hyperoctahedral_b5.json")
+    with open(path, encoding="utf-8") as fh:
+        cand = parse_scene(fh.read()).candidates["whole_space"]
+    origin = [0] * 5
+    fingerprint = isotropy_sub_point(cand, origin)
+    group = cand.chart.group
+    assert group.order == 3840
+    assert sum(row is not None for row in group._rows) < 50
+    assert fingerprint == isotropy_point(cand.chart, origin)
+
+
 def _z_axis_in_b3():
     """The z-axis in B3 with Delta its stabilizer B2 x Z2 (order 16): K is the
     B2 acting on (x, y) (order 8) and the induced group is z -> +-z."""
@@ -194,16 +212,16 @@ def test_induced_chart_rejects_a_wrong_map_with_equal_fingerprints(monkeypatch):
 
     cand = _z_axis_in_b3()
     induced = induced_chart(cand).chart.group
-    quotient, _ = quotient_group(cand.delta, cand.kernel)
     # The fingerprint comparison cannot see the map at all: the induced
     # group is Z2 whatever the restriction sends where.
-    assert iso_fingerprint(induced) == iso_fingerprint(quotient)
+    assert iso_fingerprint(induced) == quotient_group(cand.delta, cand.kernel)
 
     def swap_identity(domain, codomain, image_of):
         # the identity of Delta sent to -1 and some reflection to +1
         images = list(image_of)
         moved = images.index(1 - codomain.identity)
-        images[domain.identity], images[moved] = images[moved], images[domain.identity]
+        e = domain.members.index(domain.parent.identity)
+        images[e], images[moved] = images[moved], images[e]
         return images
 
     _patched_restriction(monkeypatch, swap_identity)

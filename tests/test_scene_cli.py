@@ -156,6 +156,19 @@ def test_theta_must_cover_domain():
         parse_scene(json.dumps(bad))
 
 
+def test_theta_lists_each_element_once_and_queries_are_objects():
+    scene = json.loads(open(MAPS_SCENE, encoding="utf-8").read())
+    # the last pair for a repeated element used to win, and the map failed
+    # later as "not a homomorphism"
+    scene["maps"]["rot4_identity"]["theta"] = [[0, 0], [0, 1], [1, 1], [2, 2], [3, 3]]
+    with pytest.raises(ParseError, match="map 'rot4_identity': theta lists element 0 twice"):
+        parse_scene(json.dumps(scene))
+    # a dict of queries used to pass: "command" in "command" is a substring test
+    for queries in ({"command": "x"}, ["command"], [{"map": "rot4_identity"}]):
+        with pytest.raises(ParseError, match="quer"):
+            parse_scene(json.dumps(dict(SCENE, queries=queries)))
+
+
 def test_cli_classify_exit_codes(scene_path, capsys):
     assert main(["classify", "--scene", scene_path,
                  "--candidate", "rotation_line"]) == 0
@@ -200,6 +213,26 @@ def test_cli_flags_scoped_to_their_commands(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_subject_options_are_exclusive_and_required(capsys):
+    # isotropy takes --candidate or --group, preimage --target or --value;
+    # given both, one of them was silently dropped
+    maps = ["--scene", MAPS_SCENE]
+    for argv, message in (
+        (["isotropy", "--candidate", "rotation_line", "--group", "rot4", "--point", "1,0"],
+         "argument --group: not allowed with argument --candidate"),
+        (["isotropy", "--point", "1,0"],
+         "one of the arguments --candidate --group is required"),
+        (["preimage", "--map", "plane_into_rot4", "--value", "1,0", "--target", "line_origin"],
+         "argument --target: not allowed with argument --value"),
+        (["preimage", "--map", "rot4_identity"],
+         "one of the arguments --target --value is required"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + maps)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_metric_check(capsys):
@@ -534,5 +567,83 @@ def test_scene_fuzz_group_generators(generators):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["classify", "--scene", path, "--max-order", "64"])
+    assert rc in (0, 2), err.getvalue()
+    assert "internal" not in err.getvalue()
+
+
+with open(MAPS_SCENE, encoding="utf-8") as _fh:
+    MAPS_RAW = json.load(_fh)
+
+
+def _paths(node, path):
+    """The path to node and to every value inside it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+# Every place in the sections after the groups: subgroups, subspaces,
+# candidates, maps and queries, each section itself included.
+MAPS_PATHS = [p for section in ("subgroups", "subspaces", "candidates", "maps", "queries")
+              for p in _paths(MAPS_RAW[section], (section,))]
+# Wrong types, unknown names, out-of-range indices and ill-shaped values.
+REPLACEMENTS = st.sampled_from([
+    None, True, 1.5, "nope", "1/0", -1, 4, 99, {}, [], [[]], [0], [[0, 0]],
+    [[0, 99], [1, 1]], [[1, 0, 0], [0, 1, 0]], ["rot4"], {"command": "graph"},
+])
+MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(MAPS_PATHS),
+    st.one_of(st.tuples(st.just("set"), REPLACEMENTS),
+              st.tuples(st.sampled_from(["drop", "grow"]), st.just(None)))),
+    min_size=1, max_size=3)
+# The shipped commands on scenes/maps.json, and classify of every candidate.
+MAPS_COMMANDS = [
+    ["classify"],
+    ["graph", "--map", "rot4_identity"],
+    ["image", "--map", "rot4_identity", "--candidate", "rotation_line"],
+    ["intersect", "--left", "flip_x_axis", "--right", "flip_vertical"],
+    ["fibered-product", "--left-map", "flip_onto_line", "--right-map", "flip_onto_line"],
+    ["preimage", "--map", "flip_onto_line", "--target", "line_origin"],
+    ["preimage", "--map", "plane_into_rot4", "--value", "1,0"],
+    ["isotropy", "--candidate", "rotation_line", "--point", "0,0"],
+    ["isotropy", "--group", "rot4", "--point", "0,0"],
+]
+
+
+def _mutate(scene, path, op, value):
+    """Set, drop or grow (repeat the last item, add a key) the value at path;
+    a path an earlier mutation removed is skipped."""
+    *head, last = path
+    try:
+        node = scene
+        for key in head:
+            node = node[key]
+        if op == "set":
+            node[last] = json.loads(json.dumps(value))
+        elif op == "drop":
+            del node[last]
+        elif isinstance(node[last], list):
+            node[last].append(json.loads(json.dumps(node[last][-1])) if node[last] else 0)
+        elif isinstance(node[last], dict):
+            node[last]["extra"] = "nope"
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(MUTATIONS, st.sampled_from(MAPS_COMMANDS))
+def test_scene_fuzz_maps_sections(mutations, command):
+    scene = json.loads(json.dumps(MAPS_RAW))
+    for path, (op, value) in mutations:
+        _mutate(scene, path, op, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w") as fh:
+            json.dump(scene, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(command + ["--scene", path])
     assert rc in (0, 2), err.getvalue()
     assert "internal" not in err.getvalue()
