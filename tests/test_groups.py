@@ -314,7 +314,6 @@ def test_quotient_group_z4_mod_z2():
     assert quotient_group(d, k) == Fingerprint(2, (1, 2), True)
 
 
-
 def test_complement_exists_klein():
     g = klein_group()
     d = g.full_subgroup()
