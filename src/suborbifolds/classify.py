@@ -21,13 +21,17 @@ Gamma. Its work follows the orbit of V rather than
 Stab(V) g, g^-1 V is reached through the Schreier tree of the group's
 generators, and W_g with the images of it under all of Delta is built
 once per distinct g^-1 V. Witnesses for failures are found by bounded
-deterministic rational sampling and always replay.
+deterministic rational sampling and always replay: a saturation witness
+is the first point of ``linalg.sample_points(W_g)`` whose image under g
+no element of Delta matches, so that order fixes its bytes. Points of the induced
+chart are coordinates about its centroid, through ``linalg.coordinates``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .errors import (
     CandidateNotFull,
@@ -58,7 +62,7 @@ from .linalg import (
     AffineSubspace,
     Vec,
     contains_point,
-    coordinates_in_basis,
+    coordinates,
     fixed_points,
     int_images,
     int_mat_vec,
@@ -85,16 +89,15 @@ from .linalg import (
 class ChartModel:
     """One orbifold chart: R^n with a finite rational matrix group."""
 
-    ambient_dim: int
     group: FiniteMatrixGroup
 
-    def __post_init__(self):
-        if self.group.ambient_dim != self.ambient_dim:
-            raise ChartMismatch("group dimension differs from chart dimension")
+    @property
+    def ambient_dim(self) -> int:
+        return self.group.ambient_dim
 
 
 def chart_from_group(group: FiniteMatrixGroup) -> ChartModel:
-    return ChartModel(group.ambient_dim, group)
+    return ChartModel(group)
 
 
 def localize_chart(chart: ChartModel, x0) -> ChartModel:
@@ -104,7 +107,7 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
     its matrix unchanged, so only the group shrinks.
     """
     stab = stabilizer(chart.group, vec(x0))
-    return ChartModel(chart.ambient_dim, stab.promote())
+    return ChartModel(stab.promote())
 
 
 def _first_moving_element(sub, v: AffineSubspace):
@@ -179,25 +182,30 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
 
     For uncovered g each {x in w_g : hx = gx} is a proper affine subspace,
     so the |delta| of them miss one of the (2r+1)^k sample points of
-    radius <= r once 2r+1 > |delta| (k = dim w_g). When the first 8
-    samples miss, whether some h agrees with g on all of w_g is decided
-    exactly, so a covered g fails at once instead of after the whole cube.
+    radius <= r once 2r+1 > |delta| (k = dim w_g). The samples are walked
+    once, in ``sample_points`` order. When the first 8 miss, whether some h
+    agrees with g on all of w_g is decided exactly, so a covered g fails at
+    once instead of after the whole cube.
     """
-    g_mat = group.matrix_of(g_index)
     _, forms = group.integer_forms
+
+    def unmatched(x: Vec) -> bool:
+        _, xs = scaled(x)
+        gx = int_mat_vec(forms[g_index], xs)
+        return all(int_mat_vec(forms[h], xs) != gx for h in delta.members)
+
     limit = (2 * ((delta.order + 1) // 2) + 1) ** w_g.dim
-    count = 8
-    while True:
-        for x in sample_points(w_g, min(count, limit)):
-            _, xs = scaled(x)
-            gx = int_mat_vec(forms[g_index], xs)
-            if all(int_mat_vec(forms[h], xs) != gx for h in delta.members):
-                return x
-        if count == 8 and any(_agrees_on(h, g_mat, w_g) for h in delta.matrices):
-            raise AssertionError(f"element {g_index} is covered on W_g: no saturation witness")
-        if count >= limit:
-            raise AssertionError(f"no saturation witness for element {g_index}")
-        count *= 4
+    samples = islice(sample_points(w_g), limit)
+    for x in islice(samples, 8):
+        if unmatched(x):
+            return x
+    g_mat = group.matrix_of(g_index)
+    if any(_agrees_on(h, g_mat, w_g) for h in delta.matrices):
+        raise AssertionError(f"element {g_index} is covered on W_g: no saturation witness")
+    for x in samples:
+        if unmatched(x):
+            return x
+    raise AssertionError(f"no saturation witness for element {g_index}")
 
 
 def _agrees_on(h, g, w: AffineSubspace) -> bool:
@@ -378,18 +386,20 @@ class InducedChart:
     basis: tuple[Vec, ...]
     restriction: GroupHom
 
+    @cached_property
+    def directions(self) -> AffineSubspace:
+        """The linear span of ``basis``, which is canonical as it stands."""
+        n = len(self.base_point)
+        return AffineSubspace(n, zero_vec(n), self.basis)
+
     def embed(self, y: Vec) -> Vec:
-        directions = _span(self.basis, len(self.base_point))
-        return vec_add(self.base_point, point_from_coordinates(directions, y))
+        return vec_add(self.base_point, point_from_coordinates(self.directions, y))
 
     def coordinates(self, x: Vec) -> Vec:
-        directions = _span(self.basis, len(self.base_point))
-        return coordinates_in_basis(directions, vec_sub(vec(x), self.base_point))
-
-
-def _span(basis: tuple[Vec, ...], n: int) -> AffineSubspace:
-    """Linear span of a canonical (RREF) basis, already in canonical form."""
-    return AffineSubspace(n, zero_vec(n), basis)
+        coords = coordinates(self.directions, vec_sub(vec(x), self.base_point))
+        if coords is None:
+            raise ValueError("point does not lie in the subspace")
+        return coords
 
 
 def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
@@ -421,7 +431,7 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     restriction = GroupHom(delta, induced_group, image_of)
     _check_restriction(restriction, kernel)
     return InducedChart(
-        ChartModel(k, induced_group), kernel, centroid, cand.v.basis, restriction
+        ChartModel(induced_group), kernel, centroid, cand.v.basis, restriction
     )
 
 
@@ -478,22 +488,12 @@ def abelian_omega_isotropy(chart: ChartModel, v: AffineSubspace, x) -> Fingerpri
     return quotient_group(stab, omega)
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
-    consistent: bool
-    sub_isotropy: Fingerprint
-    omega_isotropy: Fingerprint
+def full_obstruction_probe(cand: SuborbifoldCandidate, x) -> bool:
+    """Do the suborbifold isotropy and Gamma_x/Omega agree at x?
 
-
-def full_obstruction_probe(cand: SuborbifoldCandidate, x) -> ObstructionResult:
-    """Fingerprint comparison certifying the candidate admits no full structure.
-
-    A mismatch between the suborbifold isotropy and Gamma_x/Omega rules
-    out fullness at x for abelian chart groups.
+    A mismatch rules out fullness at x for abelian chart groups.
     """
-    sub = isotropy_sub_point(cand, x)
-    omega = abelian_omega_isotropy(cand.chart, cand.v, x)
-    return ObstructionResult(sub == omega, sub, omega)
+    return isotropy_sub_point(cand, x) == abelian_omega_isotropy(cand.chart, cand.v, x)
 
 
 def full_characterization_chart(
@@ -509,7 +509,7 @@ def full_characterization_chart(
     stab = stabilizer(cand.chart.group, x)
     if _first_moving_element(stab, cand.v) is not None:
         raise NonInvariant("subspace not invariant under the localized group")
-    return ChartModel(cand.chart.ambient_dim, stab.promote()), stab
+    return ChartModel(stab.promote()), stab
 
 
 def contained_in_regular_part(chart: ChartModel, v: AffineSubspace) -> bool:

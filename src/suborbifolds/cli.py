@@ -82,22 +82,27 @@ def _load_scene(args):
     if not args.scene:
         raise SuborbifoldError("this command requires --scene")
     try:
-        with open(args.scene) as fh:
+        with open(args.scene, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SuborbifoldError(f"cannot read scene file: {exc}") from exc
     return parse_scene(text, max_order=args.max_order)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Write the report file, if one is asked for, then stdout; a report
+    that cannot be written is not printed."""
     if args.format == "machine":
         output = dump_machine_report(payload)
     else:
         output = "\n".join(text_lines) + "\n"
-    sys.stdout.write(output)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(output)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            raise SuborbifoldError(f"cannot write report file: {exc}") from exc
+    sys.stdout.write(output)
 
 
 def _verdict_text(name: str, verdict) -> str:
@@ -112,7 +117,7 @@ def _holds(v, point) -> bool:
 
 def cmd_classify(args) -> int:
     scene = _load_scene(args)
-    names = [args.candidate] if args.candidate else sorted(scene.candidates)
+    names = sorted(scene.candidates) if args.candidate is None else [args.candidate]
     cands = [_lookup(scene.candidates, name, "candidate") for name in names]
     points = [_parse_point(p) for p in args.isotropy_point or ()]
     # Each point goes to the candidates whose subspace holds it. A point on
@@ -236,15 +241,9 @@ def cmd_fibered(args) -> int:
 
 
 def cmd_metric_check(args) -> int:
-    if args.scene:
-        scene = _load_scene(args)
-        probes = scene.probes
-        if args.probe:
-            probes = {args.probe: _lookup(scene.probes, args.probe, "probe")}
-    else:
-        probes = corpus_mod.metric_probes()
-        if args.probe:
-            probes = {args.probe: _lookup(probes, args.probe, "probe")}
+    probes = _load_scene(args).probes if args.scene else corpus_mod.metric_probes()
+    if args.probe is not None:
+        probes = {args.probe: _lookup(probes, args.probe, "probe")}
     results = {}
     lines = []
     all_passed = True

@@ -124,11 +124,3 @@ class DimensionMismatch(SuborbifoldError, ValueError):
 
 class InvalidMetricSetting(SuborbifoldError):
     pass
-
-
-class CorpusMismatch(SuborbifoldError):
-    def __init__(self, mismatches):
-        super().__init__(
-            "corpus verdict mismatch: " + "; ".join(str(m) for m in mismatches)
-        )
-        self.mismatches = mismatches

@@ -85,7 +85,7 @@ from .linalg import (
     rat,
     rat_str,
     scaled,
-    vec,
+    single_point,
 )
 
 DEFAULT_MAX_ORDER = 10_000
@@ -499,27 +499,18 @@ def all_subgroups(g) -> list[Subgroup]:
 
 def stabilizer(g, x) -> Subgroup:
     """{gamma : gamma x = x} as a subgroup of the parent group."""
-    _, xs = scaled(vec(x))
-    d, forms = _integer_forms(g, len(xs))
-    target = tuple(d * c for c in xs)
-    kept = [i for i in g.members if int_mat_vec(forms[i], xs) == target]
-    return Subgroup(g.parent, tuple(kept))
+    return pointwise_stabilizer(g, single_point(x))
 
 
 def pointwise_stabilizer(g, v: AffineSubspace) -> Subgroup:
     """{gamma : gamma fixes v pointwise}, i.e. v is inside Fix(gamma)."""
-    d, forms = _integer_forms(g, v.ambient_dim)
+    if v.ambient_dim != g.parent.ambient_dim:
+        raise DimensionMismatch("matrix/vector shape mismatch")
+    d, forms = g.parent.integer_forms
     points = int_points(v)
     target = tuple(tuple(d * c for c in xs) for xs in points)
     kept = [i for i in g.members if int_images(forms[i], points) == target]
     return Subgroup(g.parent, tuple(kept))
-
-
-def _integer_forms(g, n: int) -> tuple[int, tuple[IntMat, ...]]:
-    """The parent group's integer forms, for vectors of length n."""
-    if n != g.parent.ambient_dim:
-        raise DimensionMismatch("matrix/vector shape mismatch")
-    return g.parent.integer_forms
 
 
 def quotient_group(d: Subgroup, k: Subgroup) -> "Fingerprint":

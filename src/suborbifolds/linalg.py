@@ -12,13 +12,18 @@ value. Affine subspaces are kept in a canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space), which
 makes set equality plain ``==``; a subspace computes its hash once. The
 empty set is represented by ``None`` returns; callers must handle it
-explicitly.
+explicitly. A point of a subspace has one coordinates helper,
+``coordinates``, which is also the membership test. ``sample_points``
+walks the points with integer coordinates in a fixed order; the
+saturation witnesses are the first hits in that order, so the order is
+what fixes their bytes in a report.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import count as _count, product as _cartesian
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, ParseError
@@ -332,13 +337,6 @@ def single_point(p) -> AffineSubspace:
     return affine_subspace(p, ())
 
 
-def _reduce_against_basis(v: AffineSubspace, w: Vec) -> Vec:
-    for row, p in zip(v.basis, v.pivots()):
-        if w[p] != 0:
-            w = vec_sub(w, vec_scale(w[p], row))
-    return w
-
-
 def point_in_dim(x, n: int) -> Vec:
     """x as a vector, which must have n coordinates."""
     x = vec(x)
@@ -347,22 +345,19 @@ def point_in_dim(x, n: int) -> Vec:
     return x
 
 
-def contains_point(v: AffineSubspace, x) -> bool:
+def coordinates(v: AffineSubspace, x) -> Vec | None:
+    """x's coordinates in v's canonical basis, or None when x is not in v.
+
+    v's base point is zero at the basis pivots, so the coordinates are x's
+    entries there, and x is in v exactly when they rebuild x.
+    """
     x = point_in_dim(x, v.ambient_dim)
-    rem = _reduce_against_basis(v, vec_sub(x, v.base_point))
-    return all(c == 0 for c in rem)
+    coords = tuple(x[p] for p in v.pivots())
+    return coords if point_from_coordinates(v, coords) == x else None
 
 
-def direction_contains(v: AffineSubspace, d: Vec) -> bool:
-    return all(c == 0 for c in _reduce_against_basis(v, d))
-
-
-def subspace_contained_in(a: AffineSubspace, b: AffineSubspace) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    if not contains_point(b, a.base_point):
-        return False
-    return all(direction_contains(b, d) for d in a.basis)
+def contains_point(v: AffineSubspace, x) -> bool:
+    return coordinates(v, x) is not None
 
 
 def equations(v: AffineSubspace) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -491,18 +486,6 @@ def restricted_matrix(form: tuple[int, IntMat], v: AffineSubspace) -> Mat:
     return tuple(zip(*columns))
 
 
-def coordinates_in_basis(v: AffineSubspace, x: Vec) -> Vec:
-    """Coordinates of a point of v with respect to its canonical basis."""
-    w = vec_sub(vec(x), v.base_point)
-    coords = tuple(w[p] for p in v.pivots())
-    rebuilt = zero_vec(v.ambient_dim)
-    for c, row in zip(coords, v.basis):
-        rebuilt = vec_add(rebuilt, vec_scale(c, row))
-    if rebuilt != w:
-        raise ValueError("point does not lie in the subspace")
-    return coords
-
-
 def point_from_coordinates(v: AffineSubspace, y: Vec) -> Vec:
     p = v.base_point
     for c, row in zip(y, v.basis):
@@ -510,22 +493,18 @@ def point_from_coordinates(v: AffineSubspace, y: Vec) -> Vec:
     return p
 
 
-def sample_points(v: AffineSubspace, count: int) -> list[Vec]:
-    """Deterministic rational sample of points of v (base point first)."""
+def sample_points(v: AffineSubspace) -> Iterator[Vec]:
+    """v's points with integer coordinates in its canonical basis, lazily.
+
+    They come in shells of max norm 0, 1, 2, ... of the coordinates, each
+    shell in lexicographic order, so the base point is first; the
+    saturation witnesses are the first hits in this order. The basis is
+    independent, so no point comes twice.
+    """
     if v.dim == 0:
-        return [v.base_point]
-    pts: list[Vec] = []
-    seen = set()
-    radius = 0
-    while len(pts) < count:
+        yield v.base_point
+        return
+    for radius in _count():
         for coeffs in _cartesian(range(-radius, radius + 1), repeat=v.dim):
-            if max(abs(c) for c in coeffs) != radius and radius > 0:
-                continue
-            p = point_from_coordinates(v, vec(coeffs))
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-                if len(pts) == count:
-                    break
-        radius += 1
-    return pts
+            if max(map(abs, coeffs)) == radius:
+                yield point_from_coordinates(v, coeffs)

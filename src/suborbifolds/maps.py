@@ -172,9 +172,7 @@ def product_chart(c1: ChartModel, c2: ChartModel,
     g1, g2 = c1.group, c2.group
     gens = [_block_diag(g1.matrix_of(a), identity(c2.ambient_dim)) for a in g1.generators]
     gens += [_block_diag(identity(c1.ambient_dim), g2.matrix_of(b)) for b in g2.generators]
-    combined = ChartModel(
-        c1.ambient_dim + c2.ambient_dim, generate_group(gens, max_order=max_order)
-    )
+    combined = ChartModel(generate_group(gens, max_order=max_order))
     return ProductChart(c1, c2, combined)
 
 

@@ -224,7 +224,7 @@ class MetricReport:
 
 def lemma_metrics_check(probe: MetricProbe) -> MetricReport:
     """Per-pair comparison of the two metrics on the quotient of the subspace."""
-    chart = ChartModel(probe.group.ambient_dim, probe.group)
+    chart = ChartModel(probe.group)
     cand = SuborbifoldCandidate(chart, probe.subgroup, probe.subspace)
     if not check_saturated(cand).holds:
         raise CandidateNotSaturated("metric lemma requires a saturated candidate")

@@ -80,6 +80,8 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid scene JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid scene JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scene must be a JSON object")
     scene = SceneFile()

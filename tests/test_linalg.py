@@ -1,5 +1,6 @@
 """Exact linear algebra: hand-derived oracles plus property tests."""
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from suborbifolds.linalg import (
     _rref_pivots,
     affine_subspace,
     contains_point,
-    coordinates_in_basis,
+    coordinates,
     direction_sum_is_full,
     equations,
     fixed_points,
@@ -27,7 +28,6 @@ from suborbifolds.linalg import (
     sample_points,
     single_point,
     solve_affine,
-    subspace_contained_in,
     transform_subspace,
     vec,
     whole_space,
@@ -128,7 +128,7 @@ def test_solve_matches_oracle(m, data):
             shifted = tuple(p + x for p, x in zip(particular, h))
             assert contains_point(got, shifted)
         # and engine points really solve the system
-        for x in sample_points(got, 4):
+        for x in islice(sample_points(got), 4):
             assert mat_vec(m, x) == b
 
 
@@ -176,7 +176,7 @@ def test_equations_roundtrip(n, data):
         assert solve_affine(c, d) == v
     else:
         assert v == whole_space(n)
-    for x in sample_points(v, 5):
+    for x in islice(sample_points(v), 5):
         assert all(
             sum(ri * xi for ri, xi in zip(row, x)) == di
             for row, di in zip(c, d)
@@ -198,24 +198,76 @@ def test_intersection_contained_in_both(n, data):
     a, b = draw_sub(), draw_sub()
     meet = intersect(a, b)
     if meet is not None:
-        assert subspace_contained_in(meet, a)
-        assert subspace_contained_in(meet, b)
+        assert intersect(meet, a) == meet
+        assert intersect(meet, b) == meet
         assert contains_point(a, meet.base_point)
         assert contains_point(b, meet.base_point)
 
 
 def test_coordinates_roundtrip():
     v = affine_subspace([1, 2, 3], [[1, 0, 1], [0, 1, 1]])
-    for x in sample_points(v, 6):
-        assert point_from_coordinates(v, coordinates_in_basis(v, x)) == x
+    for x in islice(sample_points(v), 6):
+        assert point_from_coordinates(v, coordinates(v, x)) == x
 
 
 def test_sample_points_deterministic_and_inside():
     v = affine_subspace([0, 1], [[2, 1]])
-    a = sample_points(v, 7)
-    b = sample_points(v, 7)
+    a = list(islice(sample_points(v), 7))
+    b = list(islice(sample_points(v), 7))
     assert a == b and len(set(a)) == 7
     assert all(contains_point(v, p) for p in a)
+
+
+@pytest.mark.parametrize("base, basis", [
+    ([0, 1], [[2, 1]]),
+    (["1/2", 0, 3], [[1, 0, "-1/3"], [0, 2, 1]]),
+    ([1, 2, 3, 4], [[1, 0, 0, 1], [0, 1, 0, "1/2"], [0, 0, 1, -1]]),
+], ids=["dim1", "dim2", "dim3"])
+def test_sample_points_come_in_shells_of_max_norm(base, basis):
+    # The saturation witnesses are the first hits in this order, so it is
+    # checked point by point: the coefficient cube [-r, r]^k taken shell by
+    # shell (max norm 0, 1, ..., r), each shell in lexicographic order.
+    v = affine_subspace(base, basis)
+    k, r = v.dim, 2
+    cube = [()]
+    for _ in range(k):
+        cube = [c + (x,) for c in cube for x in range(-r, r + 1)]
+    expected = []
+    for radius in range(r + 1):
+        for coeffs in sorted(c for c in cube if max(abs(x) for x in c) == radius):
+            point = list(v.base_point)
+            for c, row in zip(coeffs, v.basis):
+                point = [p + c * x for p, x in zip(point, row)]
+            expected.append(tuple(point))
+    assert list(islice(sample_points(v), (2 * r + 1) ** k)) == expected
+    assert list(sample_points(single_point(base))) == [vec(base)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_coordinates_match_the_solved_system(n, data):
+    # x's coordinates solve  sum_j c_j b_j = x - base  with v's canonical
+    # basis vectors b_j as columns; x is in v exactly when that has a solution.
+    base = vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    rows = [vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+            for _ in range(data.draw(st.integers(0, n)))]
+    v = affine_subspace(base, rows)
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(rationals, min_size=v.dim, max_size=v.dim))
+        x = point_from_coordinates(v, coeffs)
+    else:
+        coeffs = None
+        x = vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    columns = [[b[i] for b in v.basis] for i in range(n)]
+    solved = oracle_solve(columns, [a - b for a, b in zip(x, v.base_point)])
+    if solved is None:
+        assert coordinates(v, x) is None and not contains_point(v, x)
+    else:
+        particular, free = solved
+        assert free == []
+        assert coordinates(v, x) == tuple(particular) and contains_point(v, x)
+    if coeffs is not None:
+        assert coordinates(v, x) == tuple(coeffs)
 
 
 def test_direction_sum():

@@ -177,6 +177,9 @@ def test_cli_classify_exit_codes(scene_path, capsys):
 
     assert main(["classify", "--scene", scene_path,
                  "--candidate", "missing"]) == 2
+    # an empty name is looked up like any other (it classified every candidate)
+    assert main(["classify", "--scene", scene_path, "--candidate", ""]) == 2
+    assert "unknown candidate ''" in capsys.readouterr().err
     assert main(["classify", "--scene", "/does/not/exist.json"]) == 2
     # unreadable rationals are input errors, wherever they appear
     for point in ("1/0", "abc", "0,1/0"):
@@ -235,8 +238,12 @@ def test_cli_subject_options_are_exclusive_and_required(capsys):
         assert message in capsys.readouterr().err
 
 
-def test_cli_metric_check(capsys):
+def test_cli_metric_check(scene_path, capsys):
     assert main(["metric-check"]) == 0
+    # an empty probe name is unknown (it ran every probe)
+    assert main(["metric-check", "--probe", ""]) == 2
+    assert main(["metric-check", "--scene", scene_path, "--probe", ""]) == 2
+    assert capsys.readouterr().err.count("unknown probe ''") == 2
     assert main(["metric-check", "--depth", "4", "--tol", "1e-30"]) == 1
     # negative or NaN settings are input errors, not failed checks
     assert main(["metric-check", "--depth", "-1"]) == 2
@@ -491,6 +498,27 @@ def test_cli_report_file(scene_path, tmp_path, capsys):
     json.loads(on_disk)
 
 
+@pytest.mark.parametrize("case, message", [
+    pytest.param("report", "error: cannot write report file: ", id="report_in_missing_dir"),
+    pytest.param("bytes", "error: cannot read scene file: ", id="scene_not_utf8"),
+    pytest.param("nested", "error: invalid scene JSON: ", id="scene_nested_too_deep"),
+])
+def test_cli_input_errors_exit_2(case, message, tmp_path, capsys):
+    # each exited 3 as an internal error; a report that cannot be written
+    # was printed before the failure
+    argv = ["classify", "--scene", ROTATION_SCENE]
+    if case == "report":
+        argv += ["--report", str(tmp_path / "missing" / "r.json")]
+    else:
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(b"\xff\xfe{}" if case == "bytes" else b"[" * 100000)
+        argv[2] = str(scene)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and "internal" not in captured.err
+
+
 def test_cli_metric_check_scene_probe(scene_path, capsys):
     assert main(["metric-check", "--scene", scene_path,
                  "--probe", "line_probe"]) == 0
@@ -646,4 +674,43 @@ def test_scene_fuzz_maps_sections(mutations, command):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(command + ["--scene", path])
     assert rc in (0, 2), err.getvalue()
+    assert "internal" not in err.getvalue()
+
+
+with open(ROTATION_SCENE, encoding="utf-8") as _fh:
+    ROTATION_RAW = json.load(_fh)
+
+# Every place in the probes section, and the optional depth and tolerance.
+PROBE_PATHS = list(_paths(ROTATION_RAW["probes"], ("probes",))) + [
+    ("probes", "rotation_line", "depth"), ("probes", "rotation_line", "tolerance")]
+# Wrong types and lengths, unknown names, three-point pairs, booleans,
+# unreadable rationals, huge and negative depths, non-finite tolerances,
+# and the names of a group, subgroup and subspace that do not belong together.
+PROBE_REPLACEMENTS = st.sampled_from([
+    None, True, False, 1.5, "nope", "1/0", 0, 2, -1, 12, 13, 10**6, 10**30, -10**6,
+    float("inf"), float("-inf"), float("nan"), 1e-300, {}, [], [[]], [0], [[0, 0]],
+    [1, 0, 0], ["1/2", 0], [[1, 0], [0, 0], [0, 0]], [[[1, 0], [0, 0], [0, 0]]],
+    [[[1, 0], [1, 1]]], [[[True, 0], [0, 0]]], "signs", "diag_half_turn", "diagonal",
+])
+PROBE_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(PROBE_PATHS),
+    st.one_of(st.tuples(st.just("set"), PROBE_REPLACEMENTS),
+              st.tuples(st.sampled_from(["drop", "grow"]), st.just(None)))),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROBE_MUTATIONS, st.sampled_from([[], ["--depth", "2"]]))
+def test_scene_fuzz_probes(mutations, depth):
+    scene = json.loads(json.dumps(ROTATION_RAW))
+    for path, (op, value) in mutations:
+        _mutate(scene, path, op, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w") as fh:
+            json.dump(scene, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["metric-check", "--scene", path] + depth)
+    assert rc in (0, 1, 2), err.getvalue()
     assert "internal" not in err.getvalue()
