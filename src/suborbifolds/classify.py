@@ -61,6 +61,7 @@ from .groups import (
 from .linalg import (
     AffineSubspace,
     Vec,
+    affine_subspace,
     contains_point,
     coordinates,
     fixed_points,
@@ -258,7 +259,7 @@ class _SubspaceOrbit:
     x V is s (y V) for x's Schreier-tree entry (s, y); each generator is
     applied to each subspace at most once. Equal subspaces are kept as one
     object, so later lookups of them are decided by identity rather than by
-    comparing Fractions.
+    comparing their integer forms.
     """
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
@@ -388,9 +389,8 @@ class InducedChart:
 
     @cached_property
     def directions(self) -> AffineSubspace:
-        """The linear span of ``basis``, which is canonical as it stands."""
-        n = len(self.base_point)
-        return AffineSubspace(n, zero_vec(n), self.basis)
+        """The linear span of ``basis``."""
+        return affine_subspace(zero_vec(len(self.base_point)), self.basis)
 
     def embed(self, y: Vec) -> Vec:
         return vec_add(self.base_point, point_from_coordinates(self.directions, y))
@@ -410,9 +410,9 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     k = cand.v.dim
     d, forms = group.integer_forms
     # Centroid of the base-point orbit: a Delta-fixed point inside v.
-    db, base = scaled(cand.v.base_point)
-    total = [sum(column) for column in zip(*(int_mat_vec(forms[i], base) for i in delta.members))]
-    centroid = tuple(Fraction(t, d * db * delta.order) for t in total)
+    total = [sum(column) for column in zip(*(int_mat_vec(forms[i], cand.v.base)
+                                              for i in delta.members))]
+    centroid = tuple(Fraction(t, d * cand.v.den * delta.order) for t in total)
     _, fixed = scaled(centroid)
     fixed_image = tuple(d * c for c in fixed)
     restricted: dict = {}

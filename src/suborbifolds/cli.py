@@ -79,7 +79,7 @@ def _max_order(text: str) -> int:
 
 
 def _load_scene(args):
-    if not args.scene:
+    if args.scene is None:
         raise SuborbifoldError("this command requires --scene")
     try:
         with open(args.scene, encoding="utf-8") as fh:
@@ -96,7 +96,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         output = dump_machine_report(payload)
     else:
         output = "\n".join(text_lines) + "\n"
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(output)
@@ -241,7 +241,7 @@ def cmd_fibered(args) -> int:
 
 
 def cmd_metric_check(args) -> int:
-    probes = _load_scene(args).probes if args.scene else corpus_mod.metric_probes()
+    probes = _load_scene(args).probes if args.scene is not None else corpus_mod.metric_probes()
     if args.probe is not None:
         probes = {args.probe: _lookup(probes, args.probe, "probe")}
     results = {}

@@ -8,21 +8,29 @@ d m as sparse integer rows of (column, entry) (``int_form``), and row
 reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): integer
 rows, each divided by its content after every step and by its pivot once
 at the end. A Fraction is built only for a coordinate of a returned
-value. Affine subspaces are kept in a canonical form (reduced
-row-echelon basis, base point reduced modulo the direction space), which
-makes set equality plain ``==``; a subspace computes its hash once. The
-empty set is represented by ``None`` returns; callers must handle it
-explicitly. A point of a subspace has one coordinates helper,
-``coordinates``, which is also the membership test. ``sample_points``
-walks the points with integer coordinates in a fixed order; the
-saturation witnesses are the first hits in that order, so the order is
-what fixes their bytes in a report.
+value.
+
+An affine subspace is held as integers too: its canonical form (reduced
+row-echelon basis, base point reduced modulo the direction space) is
+stored as one denominator with the base point's numerators and as
+primitive integer basis rows with positive pivots (``AffineSubspace``).
+Set equality is plain ``==`` on these integers, and a subspace computes
+its hash once. Transforms, intersections, equations and fixed spaces
+read and build the integer form only; ``base_point`` and ``basis`` are
+Fraction views, built on first read for a caller that reads a
+coordinate. The empty set is represented by ``None`` returns; callers
+must handle it explicitly. A point of a subspace has one coordinates
+helper, ``coordinates``, which is also the membership test.
+``sample_points`` walks the points with integer coordinates in a fixed
+order; the saturation witnesses are the first hits in that order, so the
+order is what fixes their bytes in a report.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import count as _count, product as _cartesian
 from math import gcd, lcm
 
@@ -171,8 +179,9 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _int_rows(m) -> list[list[int]]:
-    """Each rational row as a primitive integer row with the same span."""
-    return [_primitive(list(scaled(row)[1])) for row in m]
+    """Each row of ints and Fractions as a primitive integer row with the same span."""
+    return [_primitive(list(row) if all([type(x) is int for x in row]) else list(scaled(row)[1]))
+            for row in m]
 
 
 def _eliminate(rows: list[list[int]]) -> list[int]:
@@ -262,31 +271,44 @@ def _int_kernel(rows, pivots, n_cols: int) -> list[tuple[int, list[int]]]:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Canonical affine subspace base_point + span(basis) of R^n.
+    """Affine subspace base_point + span(basis) of R^n, in canonical integer form.
 
-    Construct via :func:`affine_subspace`; equality of canonical values
-    is equality of point sets. The hash is computed on first use and
-    kept, since hashing a Fraction takes a modular inverse.
+    The form is ``den`` > 0 and the integer numerators ``base`` of the
+    canonical base point (gcd(den, *base) = 1; zero at every pivot), and
+    the basis as ``rows``: primitive integer rows, each a positive multiple
+    of one row of the reduced row-echelon form, whose pivot columns are
+    ``pivots``. Construct via :func:`affine_subspace`; equal canonical
+    forms mean equal point sets, so equality and the hash (computed once)
+    read the integers. ``base_point`` and ``basis`` are the same subspace
+    as Fractions, built on first read.
     """
 
     ambient_dim: int
-    base_point: Vec
-    basis: tuple[Vec, ...]
+    den: int
+    base: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...] = field(compare=False)  # fixed by rows
 
     def __hash__(self) -> int:
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            h = hash((self.ambient_dim, self.base_point, self.basis))
+            h = hash((self.ambient_dim, self.den, self.base, self.rows))
             object.__setattr__(self, "_hash", h)
             return h
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
+    @cached_property
+    def base_point(self) -> Vec:
+        return _fractions(self.base, self.den)
+
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        """The reduced row-echelon basis: 1 at each pivot."""
+        return tuple(_fractions(row, row[p]) for row, p in zip(self.rows, self.pivots))
 
 
 def affine_subspace(base_point, basis) -> AffineSubspace:
@@ -300,14 +322,15 @@ def affine_subspace(base_point, basis) -> AffineSubspace:
 
 
 def _canonical(n: int, d: int, base, rows: list[list[int]]) -> AffineSubspace:
-    """Canonical form of base / d + span(rows), for integer base and rows.
+    """Canonical form of base / d + span(rows), for d > 0, integer base and rows.
 
-    The rows are eliminated, and base is reduced against each pivot row
-    R_i (b <- (R_i[p] b - b[p] R_i) / R_i[p]), which sets b[p] to 0.
+    The rows are eliminated and given positive pivots, and base is reduced
+    against each pivot row R_i (b <- (R_i[p] b - b[p] R_i) / R_i[p]),
+    which sets b[p] to 0; base and d are then divided by their gcd.
     """
     rows = [_primitive(row) for row in rows]
     pivots = _eliminate(rows)
-    rows = rows[: len(pivots)]
+    rows = [row if row[p] > 0 else [-x for x in row] for row, p in zip(rows, pivots)]
     for row, p in zip(rows, pivots):
         b = base[p]
         if b:
@@ -315,8 +338,10 @@ def _canonical(n: int, d: int, base, rows: list[list[int]]) -> AffineSubspace:
             a, b = row[p] // g, b // g
             base = [a * x - b * y for x, y in zip(base, row)]
             d *= a
-    basis = tuple(_fractions(row, row[p]) for row, p in zip(rows, pivots))
-    return AffineSubspace(n, _fractions(base, d), basis)
+    g = gcd(d, *base)
+    if g > 1:
+        d, base = d // g, [x // g for x in base]
+    return AffineSubspace(n, d, tuple(base), tuple(map(tuple, rows)), tuple(pivots))
 
 
 def int_points(v: AffineSubspace) -> tuple[tuple[int, ...], ...]:
@@ -326,11 +351,12 @@ def int_points(v: AffineSubspace) -> tuple[tuple[int, ...], ...]:
     ``int_images`` of these mean equal images of v's base point and
     basis, i.e. maps that agree on v.
     """
-    return tuple(scaled(x)[1] for x in (v.base_point,) + v.basis)
+    return (v.base,) + v.rows
 
 
 def whole_space(n: int) -> AffineSubspace:
-    return affine_subspace(zero_vec(n), identity(n))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _canonical(n, 1, [0] * n, rows)
 
 
 def single_point(p) -> AffineSubspace:
@@ -349,11 +375,19 @@ def coordinates(v: AffineSubspace, x) -> Vec | None:
     """x's coordinates in v's canonical basis, or None when x is not in v.
 
     v's base point is zero at the basis pivots, so the coordinates are x's
-    entries there, and x is in v exactly when they rebuild x.
+    entries there, and x is in v exactly when they rebuild x. The test is
+    on integers: with x = xs / dx, R_i v's rows and s a common multiple of
+    their pivots, dx den s x = dx s base + den sum_i xs[p_i] (s / R_i[p_i]) R_i.
     """
     x = point_in_dim(x, v.ambient_dim)
-    coords = tuple(x[p] for p in v.pivots())
-    return coords if point_from_coordinates(v, coords) == x else None
+    dx, xs = scaled(x)
+    scale = lcm(*[row[p] for row, p in zip(v.rows, v.pivots)])
+    weights = [xs[p] * (scale // row[p]) for row, p in zip(v.rows, v.pivots)]
+    for j, b in enumerate(v.base):
+        rebuilt = dx * scale * b + v.den * sum([w * row[j] for w, row in zip(weights, v.rows)])
+        if rebuilt != v.den * scale * xs[j]:
+            return None
+    return tuple(x[p] for p in v.pivots)
 
 
 def contains_point(v: AffineSubspace, x) -> bool:
@@ -362,11 +396,9 @@ def contains_point(v: AffineSubspace, x) -> bool:
 
 def equations(v: AffineSubspace) -> tuple[list[tuple[int, ...]], list[int]]:
     """Integer (c, e) with v = {y : c y = e}; no rows for the whole space."""
-    n = v.ambient_dim
-    d, base = scaled(v.base_point)
-    if v.basis:
-        rows = _int_rows(v.basis)  # already reduced: its pivots are v's
-        normals = [w for _, w in _int_kernel(rows, v.pivots(), n)]
+    n, d, base = v.ambient_dim, v.den, v.base
+    if v.rows:
+        normals = [w for _, w in _int_kernel(v.rows, v.pivots, n)]
     else:
         normals = [[int(i == j) for j in range(n)] for i in range(n)]
     return ([tuple(d * c for c in w) for w in normals],
@@ -376,11 +408,12 @@ def equations(v: AffineSubspace) -> tuple[list[tuple[int, ...]], list[int]]:
 def solve_affine(a: Mat, b) -> AffineSubspace | None:
     """Full solution set of a x = b as a canonical subspace, or None.
 
-    Entries may be Fractions or ints. The augmented rows are eliminated
-    as integers; the particular solution and the kernel are read off the
-    pivot rows and put in canonical form together.
+    Entries may be Fractions or ints, and an int is read as it is. The
+    augmented rows are eliminated as integers; the particular solution and
+    the kernel are read off the pivot rows and put in canonical form
+    together.
     """
-    b = vec(b)
+    b = [x if type(x) is int else rat(x) for x in b]
     if len(a) != len(b):
         raise DimensionMismatch("rows of a and length of b differ")
     n = len(a[0]) if a else 0
@@ -432,10 +465,10 @@ def fixed_points(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace 
 def direction_sum_is_full(a: AffineSubspace, b: AffineSubspace) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    stacked = a.basis + b.basis
+    stacked = [list(row) for row in a.rows + b.rows]
     if not stacked:
         return a.ambient_dim == 0
-    return mat_rank(stacked) == a.ambient_dim
+    return len(_eliminate(stacked)) == a.ambient_dim
 
 
 def map_subspace(a: Mat, offset: Vec, v: AffineSubspace) -> AffineSubspace:
@@ -456,10 +489,9 @@ def transform_subspace(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSub
 def _image(form: tuple[int, IntMat], do: int, shift, v: AffineSubspace) -> AffineSubspace:
     """Image of v under x -> m x + shift / do, for m given as (d, d m)."""
     d, rows = form
-    db, base = scaled(v.base_point)
-    d *= db
-    base = [y * do + s * d for y, s in zip(int_mat_vec(rows, base), shift)]
-    directions = [list(int_mat_vec(rows, scaled(u)[1])) for u in v.basis]
+    d *= v.den
+    base = [y * do + s * d for y, s in zip(int_mat_vec(rows, v.base), shift)]
+    directions = [list(int_mat_vec(rows, u)) for u in v.rows]
     return _canonical(len(rows), d * do, base, directions)
 
 
@@ -471,8 +503,8 @@ def restricted_matrix(form: tuple[int, IntMat], v: AffineSubspace) -> Mat:
     raised when some m b_j is not in the direction space.
     """
     d, rows = form
-    pivots = v.pivots()
-    basis = [scaled(b) for b in v.basis]
+    pivots = v.pivots
+    basis = [(b[p], b) for b, p in zip(v.rows, pivots)]
     scale = lcm(*[e for e, _ in basis])
     spans = [[x * (scale // e) for x in b] for e, b in basis]
     columns = []

@@ -34,6 +34,7 @@ from .linalg import (
     identity as identity_matrix,
     mat_mul,
     mat_vec,
+    rat_str,
     transpose,
     vec,
     vec_sub,
@@ -70,7 +71,8 @@ class MetricProbe:
         for x, y in self.sample_pairs:
             if not (contains_point(self.subspace, x)
                     and contains_point(self.subspace, y)):
-                raise PointsNotInSubspace(f"sample pair ({x}, {y}) leaves the subspace")
+                x, y = ("[" + ", ".join(map(rat_str, p)) + "]" for p in (x, y))
+                raise PointsNotInSubspace(f"sample pair {x}, {y} leaves the subspace")
 
     def with_settings(self, depth: int | None = None,
                       tolerance: float | None = None) -> "MetricProbe":

@@ -138,6 +138,22 @@ def oracle_rref(m):
     return tuple(tuple(row) for row in rows), pivots
 
 
+def oracle_canonical_subspace(base, rows):
+    """(base point, basis, pivots) of base + span(rows) in Fractions.
+
+    The basis is the nonzero rows of ``oracle_rref``; the base point has
+    each pivot row times its entry at the pivot subtracted, one row after
+    the other, so it ends zero at every pivot.
+    """
+    reduced, pivots = oracle_rref(rows) if rows else ((), [])
+    basis = tuple(tuple(Fraction(x) for x in row) for row in reduced[:len(pivots)])
+    point = [Fraction(x) for x in base]
+    for row, p in zip(basis, pivots):
+        c = point[p]
+        point = [x - c * y for x, y in zip(point, row)]
+    return tuple(point), basis, pivots
+
+
 # ---------------------------------------------------------------------------
 # Point sampling inside an affine subspace
 

@@ -518,6 +518,23 @@ def test_saturation_covering_loop_builds_no_fraction(monkeypatch):
     assert outside == []
 
 
+def test_saturation_builds_no_fractions(monkeypatch):
+    # Subspaces are integer forms inside: orbit steps, the intersections W_g
+    # and the covering keys of a saturated candidate build no Fraction vector.
+    b3_plane = _b3_plane_z_equals_1()
+    b4 = generate_group(hyperoctahedral_generators(4))
+    b4_whole = SuborbifoldCandidate(chart_from_group(b4), b4.full_subgroup(), whole_space(4))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction vector was built")
+
+    linalg = sys.modules["suborbifolds.linalg"]
+    monkeypatch.setattr(linalg, "_fractions", refuse)
+    monkeypatch.setattr(linalg, "vec", refuse)
+    assert check_saturated(b3_plane).holds
+    assert check_saturated(b4_whole).holds
+
+
 def test_invariance_is_tested_on_generators(monkeypatch):
     # B4 whole space with Delta = Gamma: one transform per generator of Delta
     b4 = generate_group(hyperoctahedral_generators(4))

@@ -1,10 +1,13 @@
 """Exact linear algebra: hand-derived oracles plus property tests."""
+import builtins
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import suborbifolds.linalg as linalg
 from suborbifolds.linalg import (
     _rref_pivots,
     affine_subspace,
@@ -15,6 +18,7 @@ from suborbifolds.linalg import (
     fixed_points,
     identity,
     int_form,
+    int_points,
     intersect,
     kernel_basis,
     mat,
@@ -26,6 +30,7 @@ from suborbifolds.linalg import (
     rat_str,
     rref,
     sample_points,
+    scaled,
     single_point,
     solve_affine,
     transform_subspace,
@@ -34,7 +39,13 @@ from suborbifolds.linalg import (
     zero_vec,
 )
 
-from oracles import oracle_mat_vec, oracle_rank, oracle_rref, oracle_solve
+from oracles import (
+    oracle_canonical_subspace,
+    oracle_mat_vec,
+    oracle_rank,
+    oracle_rref,
+    oracle_solve,
+)
 
 rationals = st.builds(
     Fraction,
@@ -370,8 +381,118 @@ def test_fixed_points_match_solve_then_intersect(n, data):
     assert fixed_points(int_form(square), v) == want
 
 
-def test_subspace_hash_is_kept_and_structural():
+def test_subspace_hash_is_kept_and_structural(monkeypatch):
+    # Equal subspaces from different constructions hash equal, and each
+    # computes its hash once: the key is read from linalg's own ``hash``.
     v = affine_subspace(["1/3", 0], [[1, "-2/5"]])
     w = transform_subspace(int_form(identity(2)), v)
     assert v == w and v is not w
-    assert hash(v) == hash(w) == hash((v.ambient_dim, v.base_point, v.basis))
+    keys = []
+
+    def counted(key):
+        keys.append(key)
+        return builtins.hash(key)
+
+    monkeypatch.setattr(linalg, "hash", counted, raising=False)
+    assert hash(v) == hash(w) == hash(v) == hash(w)
+    assert {v: 1}[w] == 1
+    assert len(keys) == 2
+
+
+# ---------------------------------------------------------------------------
+# The integer canonical form against the Fraction reduction it replaced
+
+
+def _assert_canonical(v, base, rows):
+    """v is base + span(rows): its integer form, its Fraction views and
+    ``int_points`` agree with the Fraction reduction of that presentation."""
+    point, basis, pivots = oracle_canonical_subspace(base, rows)
+    assert v.ambient_dim == len(point) and v.pivots == tuple(pivots)
+    assert v.den > 0 and gcd(v.den, *v.base) == 1
+    assert v.base == tuple(x * v.den for x in point)
+    for row, p, want in zip(v.rows, v.pivots, basis):
+        assert row[p] > 0 and gcd(*row) == 1
+        assert tuple(Fraction(x, row[p]) for x in row) == want
+    _same_entries([v.base_point], [point])
+    _same_entries(v.basis, basis)
+    # int_points once scaled each Fraction vector by its own denominator
+    assert int_points(v) == tuple(scaled(x)[1] for x in (point,) + basis)
+    w = affine_subspace(point, basis)
+    assert w == v and hash(w) == hash(v)
+
+
+def kernel_vectors(n, max_size):
+    return st.lists(st.lists(kernel_rationals, min_size=n, max_size=n).map(tuple),
+                    max_size=max_size)
+
+
+# Ambient dimension 0 and 1 included; spanning rows may be dependent or zero.
+presentations = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(kernel_rationals, min_size=n, max_size=n).map(tuple),
+    kernel_vectors(n, n + 1)))
+
+
+@pytest.mark.parametrize("base, rows", [
+    ((), ()),                                      # ambient dimension 0
+    ((Fraction(-3, 4), Fraction(5, 6)), ()),       # a point
+    ((0, Fraction(1, 3), 0), ((0, -2, 4), (0, 0, Fraction(-1, 7)))),  # negative pivots
+    ((Fraction(2, 9), 1), ((Fraction(-6, 5), Fraction(3, 10)),)),
+], ids=["ambient0", "point", "negative_pivots", "denominators"])
+def test_integer_form_edge_cases(base, rows):
+    _assert_canonical(affine_subspace(base, rows), base, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations)
+def test_integer_form_matches_fraction_reduction(presentation):
+    base, rows = presentation
+    _assert_canonical(affine_subspace(base, rows), base, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations, st.data())
+def test_transform_subspace_matches_fraction_images(presentation, data):
+    base, rows = presentation
+    m = data.draw(kernel_matrix(len(base), len(base)))
+    got = transform_subspace(int_form(m), affine_subspace(base, rows))
+    _assert_canonical(got, oracle_mat_vec(m, base), [oracle_mat_vec(m, r) for r in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[
+    st.lists(kernel_rationals, min_size=n, max_size=n).map(tuple), kernel_vectors(n, n)] * 2)))
+def test_intersect_matches_fraction_solution(subspaces):
+    # x = pa + sum s_i a_i = pb + sum t_j b_j: solve for (s, t) with the oracle
+    pa, ra, pb, rb = subspaces
+    n, k = len(pa), len(ra)
+    got = intersect(affine_subspace(pa, ra), affine_subspace(pb, rb))
+    columns = [[r[i] for r in ra] + [-r[i] for r in rb] for i in range(n)]
+    solved = oracle_solve(columns, [b - a for a, b in zip(pa, pb)])
+    if solved is None:
+        assert got is None
+        return
+
+    def along_a(coeffs):
+        return tuple(sum((c * r[i] for c, r in zip(coeffs[:k], ra)), Fraction(0))
+                     for i in range(n))
+
+    particular, free = solved
+    point = tuple(a + x for a, x in zip(pa, along_a(particular)))
+    _assert_canonical(got, point, [along_a(f) for f in free])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices, st.data())
+def test_solve_affine_matches_fraction_solution(m, data):
+    # Right-hand sides are ints or Fractions; an all-int row is read as it is.
+    b = data.draw(st.lists(st.one_of(st.integers(-9, 9), kernel_rationals),
+                           min_size=len(m), max_size=len(m)))
+    if data.draw(st.booleans()):
+        m = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in m)
+    got = solve_affine(m, b)
+    solved = oracle_solve([list(r) for r in m], b)
+    if solved is None:
+        assert got is None
+    else:
+        particular, free = solved
+        _assert_canonical(got, particular, free)

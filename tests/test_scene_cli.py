@@ -502,13 +502,20 @@ def test_cli_report_file(scene_path, tmp_path, capsys):
     pytest.param("report", "error: cannot write report file: ", id="report_in_missing_dir"),
     pytest.param("bytes", "error: cannot read scene file: ", id="scene_not_utf8"),
     pytest.param("nested", "error: invalid scene JSON: ", id="scene_nested_too_deep"),
+    pytest.param("empty_report", "error: cannot write report file: ", id="report_empty_path"),
+    pytest.param("empty_scene", "error: cannot read scene file: ", id="metric_scene_empty_path"),
 ])
 def test_cli_input_errors_exit_2(case, message, tmp_path, capsys):
-    # each exited 3 as an internal error; a report that cannot be written
-    # was printed before the failure
+    # each exited 3 as an internal error, and a report that cannot be written
+    # was printed before the failure; an empty path was taken as no path and
+    # exited 0
     argv = ["classify", "--scene", ROTATION_SCENE]
     if case == "report":
         argv += ["--report", str(tmp_path / "missing" / "r.json")]
+    elif case == "empty_report":
+        argv += ["--report", ""]
+    elif case == "empty_scene":
+        argv = ["metric-check", "--scene", ""]
     else:
         scene = tmp_path / "scene.json"
         scene.write_bytes(b"\xff\xfe{}" if case == "bytes" else b"[" * 100000)
@@ -517,6 +524,21 @@ def test_cli_input_errors_exit_2(case, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and "internal" not in captured.err
+
+
+def test_cli_off_subspace_probe_pair_names_rationals(tmp_path, capsys):
+    # The pairs were printed as tuples of Fraction reprs.
+    with open(ROTATION_SCENE, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["probes"]["rotation_line"]["subspace"] = "diagonal"
+    path = tmp_path / "probe.json"
+    for pairs, named in (([[[1, 0], [-2, 0]]], "[1, 0], [-2, 0]"),
+                         ([[[0, 0], ["1/2", 0]]], "[0, 0], [1/2, 0]")):
+        raw["probes"]["rotation_line"]["pairs"] = pairs
+        path.write_text(json.dumps(raw))
+        assert main(["metric-check", "--scene", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: sample pair {named} leaves the subspace\n"
 
 
 def test_cli_metric_check_scene_probe(scene_path, capsys):
