@@ -71,8 +71,8 @@ class MetricProbe:
         for x, y in self.sample_pairs:
             if not (contains_point(self.subspace, x)
                     and contains_point(self.subspace, y)):
-                x, y = ("[" + ", ".join(map(rat_str, p)) + "]" for p in (x, y))
-                raise PointsNotInSubspace(f"sample pair {x}, {y} leaves the subspace")
+                pair = ", ".join("[" + ", ".join(map(rat_str, p)) + "]" for p in (x, y))
+                raise PointsNotInSubspace(f"sample pair {pair} leaves the subspace")
 
     def with_settings(self, depth: int | None = None,
                       tolerance: float | None = None) -> "MetricProbe":

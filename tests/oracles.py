@@ -145,8 +145,8 @@ def oracle_canonical_subspace(base, rows):
     each pivot row times its entry at the pivot subtracted, one row after
     the other, so it ends zero at every pivot.
     """
-    reduced, pivots = oracle_rref(rows) if rows else ((), [])
-    basis = tuple(tuple(Fraction(x) for x in row) for row in reduced[:len(pivots)])
+    reduced, pivots = oracle_rref([[Fraction(x) for x in row] for row in rows])
+    basis = tuple(reduced[:len(pivots)])
     point = [Fraction(x) for x in base]
     for row, p in zip(basis, pivots):
         c = point[p]
