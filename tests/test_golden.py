@@ -25,6 +25,9 @@ GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 REPORTS = {
     "corpus.json": ["corpus"],
     "metric-check.json": ["metric-check"],
+    "metric-check-depth12.json": ["metric-check", "--depth", "12"],
+    "metric-check-rotation-line-depth12.json": ["metric-check", "--scene",
+                                                "scenes/rotation_line.json", "--depth", "12"],
     "classify_rotation_line.json": ["classify", "--scene", "scenes/rotation_line.json"],
     "classify_hyperoctahedral_b4.json": ["classify", "--scene",
                                          "scenes/hyperoctahedral_b4.json"],
