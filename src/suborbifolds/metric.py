@@ -1,14 +1,16 @@
 """Numeric check that the quotient metric and the induced intrinsic metric
 coincide on an invariant subspace.
 
-Everything stays exact (rational, then integer, squared distances and
-exact minima) until the final square roots. Straight segments suffice as
-candidate paths because the subspace is affine and the metric flat. On the
-segment from x to t, with d = t - x, the squared distance from
-p = x + r d to g q, q = x + s d, is a quadratic form in (r, s) whose six
-coefficients per group element are computed once per segment; scaled by
-one common denominator they turn each partition piece into one integer
-quadratic per element (see ``intrinsic_quotient_distance``). Exact
+Everything stays exact, on integers from the group's integer rows and the
+points' numerators, until the final square roots. Straight segments
+suffice as candidate paths because the subspace is affine and the metric
+flat. On the segment from x to t, with d = t - x, the squared distance
+from p = x + r d to g q, q = x + s d, is a quadratic form in (r, s) whose
+six integer coefficients per group element are computed once per segment
+over one common denominator; on a partition of the segment they turn each
+piece into an integer quadratic per distinct form, and the minimum over
+the group is walked along the lower envelope of those quadratics, so a
+piece costs one square root (see ``intrinsic_quotient_distance``). Exact
 refinement sums are monotone in the partition depth, mirroring the sup
 over partitions; the float sums computed here are not, so every depth is
 evaluated.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .classify import ChartModel, SuborbifoldCandidate, check_saturated
 from .errors import (
@@ -32,20 +33,22 @@ from .linalg import (
     Vec,
     contains_point,
     identity as identity_matrix,
+    int_mat_vec,
     mat_mul,
-    mat_vec,
+    point_in_dim,
     rat_str,
+    scaled,
     transpose,
     vec,
-    vec_sub,
 )
 
 DEFAULT_DEPTH = 8
 # Each level doubles the pieces per segment, and every depth up to the
 # probe's is summed: 2**(depth + 1) - 1 pieces per segment in all. A piece
-# costs one integer quadratic per group element, so at depth 12 (8191
-# pieces) `metric-check` takes about 0.3 s on the corpus probes and 0.06 s
-# on scenes/rotation_line.json (2-core Xeon, Python 3.11).
+# costs one square root on the lower envelope, so at depth 12 (8191
+# pieces) `metric-check` takes about 0.02-0.03 s on the corpus probes and
+# 5-7 ms on scenes/rotation_line.json, parsing and printing included
+# (in-process, shared 2-core Xeon, Python 3.11).
 MAX_DEPTH = 12
 DEFAULT_TOLERANCE = 1e-9
 
@@ -67,6 +70,8 @@ class MetricProbe:
         tol = self.tolerance
         if type(tol) not in (int, float) or not 0 <= tol < math.inf:  # bool, NaN and inf fail
             raise InvalidMetricSetting(f"tolerance must be a finite number >= 0, got {tol!r}")
+        if not self.sample_pairs:
+            raise InvalidMetricSetting("a metric probe needs at least one sample pair")
         _require_orthogonal(self.group)
         for x, y in self.sample_pairs:
             if not (contains_point(self.subspace, x)
@@ -90,63 +95,114 @@ def _require_orthogonal(group) -> None:
         raise NonOrthogonalGroup(f"element {i} is not orthogonal")
 
 
-def _sq_dist(x: Vec, y: Vec) -> Fraction:
-    return sum((a - b) ** 2 for a, b in zip(x, y))
+def _int_dot(x, y) -> int:
+    return sum([a * b for a, b in zip(x, y)])
 
 
-def _min_orbit_sq_dist(matrices, x: Vec, y: Vec) -> Fraction:
-    return min(_sq_dist(x, mat_vec(m, y)) for m in matrices)
+def _scaled_pair(n: int, x, y):
+    """x = xs / dx and y = ys / dy as (dx, xs), (dy, ys), each of length n."""
+    return scaled(point_in_dim(x, n)), scaled(point_in_dim(y, n))
 
 
 def quotient_distance(group, x, y) -> float:
-    """min over the group of the Euclidean distance |x - g y|."""
-    _require_orthogonal(group)
-    x, y = vec(x), vec(y)
-    return math.sqrt(_min_orbit_sq_dist(group.matrices, x, y))
+    """min over the group of the Euclidean distance |x - g y|.
 
-
-def _dot(x: Vec, y: Vec) -> Fraction:
-    return sum(a * b for a, b in zip(x, y))
-
-
-def _segment_forms(matrices, images_of_x, x: Vec, target: Vec):
-    """Integer coefficients of |p - g q|^2 on the segment from x to target.
-
-    With d = target - x, a = x - g x, p = x + r d and q = x + s d:
-    |p - g q|^2 = A + r^2 B + s^2 B' + 2r C - 2s D - 2rs E, where
-    A = a.a, B = d.d, B' = gd.gd, C = a.d, D = a.gd, E = d.gd. The identity
-    holds for any linear g. Returns (L, forms): each form is
-    (A, B, B', C, D, E) times L, the least common denominator of all of
-    them, so every entry is an int.
+    On integers: with the group's common denominator den, x = xs/dx and
+    y = ys/dy, K = den dx dy makes K x and every K g y integer vectors, and
+    the exact minimum of |K x - K g y|^2 over K^2 is one correctly rounded
+    int division.
     """
-    d = vec_sub(target, x)
-    dd = _dot(d, d)
-    exact = []
-    for m, gx in zip(matrices, images_of_x):
-        gd = mat_vec(m, d)
-        a = vec_sub(x, gx)
-        exact.append((_dot(a, a), dd, _dot(gd, gd), _dot(a, d), _dot(a, gd), _dot(d, gd)))
-    scale = math.lcm(*(Fraction(c).denominator for form in exact for c in form))
-    forms = [tuple(int(c * scale) for c in form) for form in exact]
-    return scale, forms
+    _require_orthogonal(group)
+    den, forms = group.parent.integer_forms
+    (dx, xs), (dy, ys) = _scaled_pair(group.parent.ambient_dim, x, y)
+    kx = [den * dy * c for c in xs]
+    best = min(sum([(a - dx * b) ** 2 for a, b in zip(kx, int_mat_vec(forms[i], ys))])
+               for i in group.members)
+    return math.sqrt(best / (den * dx * dy) ** 2)
+
+
+def _segment_forms(den: int, forms, parts_of_x, sd) -> set:
+    """Integer coefficients of |p - g q|^2 on a segment from x, one per distinct form.
+
+    With d the segment's direction, a = x - g x, p = x + r d and
+    q = x + s d: |p - g q|^2 = A + r^2 B + s^2 B' + 2r C - 2s D - 2rs E,
+    where A = a.a, B = d.d, B' = gd.gd, C = a.d, D = a.gd, E = d.gd. The
+    identity holds for any linear g. For an S with S x and S d = ``sd``
+    integer vectors, and g given by the integer rows den g (``forms``),
+    K = den S scales a, d and g d to integers: K a = den S x - (den g) S x,
+    K d = den sd and K g d = (den g) sd. Each form is (A, B, B', C, D, E)
+    times K^2. ``parts_of_x`` holds (K a, A K^2) per element, which do not
+    depend on the segment's end.
+    """
+    kd = [den * c for c in sd]
+    b = _int_dot(kd, kd)
+    found = set()
+    for rows, (ka, a) in zip(forms, parts_of_x):
+        kgd = int_mat_vec(rows, sd)
+        found.add((a, b, _int_dot(kgd, kgd), _int_dot(ka, kd), _int_dot(ka, kgd),
+                   _int_dot(kd, kgd)))
+    return found
+
+
+def _first_negative(a: int, b: int, c: int, lo: int, hi: int) -> int:
+    """The least integer k in lo..hi with a k^2 + b k + c < 0, or hi + 1.
+
+    The forward difference a (2k + 1) + b changes sign at most once, at
+    t = floor((-b - a) / 2a) + 1, so lo..hi splits into at most two
+    monotone runs, lo..t and t..hi. A nondecreasing run is negative
+    somewhere only if it is at its first point; a nonincreasing run is
+    negative somewhere only if it is at its last point, and then it is
+    bisected.
+    """
+    if a:
+        t = (-b - a) // (2 * a) + 1
+        runs = ((lo, min(hi, t), a > 0), (max(lo, t), hi, a < 0))
+    else:
+        runs = ((lo, hi, b < 0),)
+    for start, stop, falling in runs:
+        if start > stop:
+            continue
+        if not falling:
+            if (a * start + b) * start + c < 0:
+                return start
+        elif (a * stop + b) * stop + c < 0:
+            while start < stop:
+                mid = (start + stop) // 2
+                if (a * mid + b) * mid + c < 0:
+                    stop = mid
+                else:
+                    start = mid + 1
+            return start
+    return hi + 1
 
 
 def _segment_sum(scale: int, forms, pieces: int) -> float:
     """Sum over the pieces of the minimum over g of |p - g q|, as floats.
 
     Piece i runs from r = (i - 1)/N to s = i/N, N = pieces, so
-    N^2 L |p - g q|^2 is the integer alpha i^2 + beta i + gamma.
+    N^2 L |p - g q|^2 is the integer q(i) = alpha i^2 + beta i + gamma,
+    L = ``scale``. The minimum is walked along the lower envelope of the
+    distinct quadratics: at piece i the least one, q, is picked once, and
+    it stays least up to the first j > i at which some other p has
+    p(j) - q(j) < 0 (``_first_negative``). Pieces are summed in order, so
+    the float is the one a per-piece minimum gives.
     """
     n = pieces
-    quadratics = [(b + b2 - 2 * e,
-                   2 * (e - b) + 2 * n * (c - d),
-                   n * n * a + b - 2 * n * c)
-                  for a, b, b2, c, d, e in forms]
+    quadratics = list({(b + b2 - 2 * e,
+                        2 * (e - b) + 2 * n * (c - d),
+                        n * n * a + b - 2 * n * c)
+                       for a, b, b2, c, d, e in forms})
     denominator = scale * n * n
     total = 0.0
-    for i in range(1, n + 1):
-        best = min(alpha * i * i + beta * i + gamma for alpha, beta, gamma in quadratics)
-        total += math.sqrt(best / denominator)
+    i = 1
+    while i <= n:
+        alpha, beta, gamma = min(quadratics, key=lambda q: (q[0] * i + q[1]) * i + q[2])
+        end = n + 1
+        for a, b, c in quadratics:
+            end = _first_negative(a - alpha, b - beta, c - gamma, i + 1, end - 1)
+        for k in range(i, end):
+            total += math.sqrt(((alpha * k + beta) * k + gamma) / denominator)
+        i = end
     return total
 
 
@@ -158,14 +214,17 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     taken, then the min over h.
 
     The squared distance on a piece is a quadratic form in its end
-    parameters (see ``_segment_forms``). Its coefficients are computed
-    once per h and group element and multiplied by their common
-    denominator L, so at depth k (N = 2**k pieces) piece i costs one
-    integer quadratic per element, and the minimum over elements is an
-    exact int. Dividing it by L N^2 is Python's correctly rounded int
-    division, which gives the same float as converting the exact Fraction
-    minimum, so every sum, and every report, is what a per-point
-    evaluation with Fraction vectors gives.
+    parameters (see ``_segment_forms``). Its coefficients are exact
+    integers over one common denominator L, computed once per h and group
+    element from the group's integer rows, so at depth k (N = 2**k pieces)
+    piece i is the minimum of integer quadratics in i. Equal quadratics
+    are kept once, and the minimum is walked along their lower envelope:
+    one quadratic is picked per run of pieces it wins, and each piece
+    costs one square root (see ``_segment_sum``). Dividing the exact int
+    minimum by L N^2 is Python's correctly rounded int division, which
+    gives the same float for any common L and the same float as
+    converting the exact Fraction minimum, so every sum, and every report,
+    is what a per-point evaluation with Fraction vectors gives.
 
     Exact refinement sums can only grow with depth, but the float sums
     computed here need not, so every depth is evaluated and the largest
@@ -176,15 +235,22 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     x, y = vec(x), vec(y)
     if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):
         raise PointsNotInSubspace("query points must lie in the subspace")
-    matrices = probe.group.matrices
-    images_of_x = [mat_vec(m, x) for m in matrices]
+    den, forms = probe.group.integer_forms
+    (dx, xs), (dy, ys) = _scaled_pair(probe.group.ambient_dim, x, y)
+    # S = den dx dy: S x = den dy xs and S h y = dx (den h) ys are integers.
+    sx = [den * dy * c for c in xs]
+    parts_of_x = []
+    for rows in forms:
+        ka = [den * a - b for a, b in zip(sx, int_mat_vec(rows, sx))]
+        parts_of_x.append((ka, _int_dot(ka, ka)))
+    scale = (den * den * dx * dy) ** 2
     best = None
     for h in probe.subgroup.members:
-        target = mat_vec(probe.group.matrix_of(h), y)
-        scale, forms = _segment_forms(matrices, images_of_x, x, target)
+        sd = [dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
+        segment = _segment_forms(den, forms, parts_of_x, sd)
         sup = 0.0
         for depth in range(probe.partition_depth + 1):
-            sup = max(sup, _segment_sum(scale, forms, 2 ** depth))
+            sup = max(sup, _segment_sum(scale, segment, 2 ** depth))
         if best is None or sup < best:
             best = sup
     return best

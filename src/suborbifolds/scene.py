@@ -21,7 +21,7 @@ from .classify import (
     Verdict,
     chart_from_group,
 )
-from .errors import NotSubgroup, ParseError, UnresolvedName
+from .errors import InvalidMetricSetting, NotSubgroup, ParseError, UnresolvedName
 from .groups import (
     Fingerprint,
     FiniteMatrixGroup,
@@ -149,10 +149,13 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
                 raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
             pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
-            scene.probes[name] = MetricProbe(
-                group, subgroup, subspace, pairs,
-                spec.get("depth", DEFAULT_DEPTH), spec.get("tolerance", DEFAULT_TOLERANCE),
-            )
+            try:
+                scene.probes[name] = MetricProbe(
+                    group, subgroup, subspace, pairs,
+                    spec.get("depth", DEFAULT_DEPTH), spec.get("tolerance", DEFAULT_TOLERANCE),
+                )
+            except InvalidMetricSetting as exc:
+                raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
         scene.queries = raw.get("queries", [])
         if not isinstance(scene.queries, list):
             raise ParseError("scene queries must be a JSON list")

@@ -536,7 +536,9 @@ def conjugate_all(matrices, s, s_inv):
 
 
 # ---------------------------------------------------------------------------
-# The metric probe by per-point evaluation (the reference for the closed form)
+# The metric probe by per-point evaluation (the reference for the closed
+# form) and by one integer quadratic per form and piece (the reference for
+# the lower envelope)
 
 
 def _min_orbit_sq_dist(matrices, x, y):
@@ -554,6 +556,29 @@ def oracle_segment_sum(matrices, start, end, pieces):
         current = tuple((1 - t) * a + t * b for a, b in zip(start, end))
         total += math.sqrt(_min_orbit_sq_dist(matrices, prev, current))
         prev = current
+    return total
+
+
+def oracle_quotient_distance(group, x, y):
+    """min over the group of |x - g y|, from the Fraction minimum."""
+    return math.sqrt(_min_orbit_sq_dist(group.matrices, vec(x), vec(y)))
+
+
+def oracle_piece_segment_sum(scale, forms, pieces):
+    """The segment sum from integer forms (A, B, B', C, D, E) over the
+    common denominator ``scale``, by brute force: at every piece i, the
+    minimum over the forms of N^2 scale |p - g q|^2 = alpha i^2 + beta i +
+    gamma, one quadratic per form, then its square root over N^2 scale."""
+    n = pieces
+    quadratics = [(b + b2 - 2 * e,
+                   2 * (e - b) + 2 * n * (c - d),
+                   n * n * a + b - 2 * n * c)
+                  for a, b, b2, c, d, e in forms]
+    denominator = scale * n * n
+    total = 0.0
+    for i in range(1, n + 1):
+        best = min(alpha * i * i + beta * i + gamma for alpha, beta, gamma in quadratics)
+        total += math.sqrt(best / denominator)
     return total
 
 

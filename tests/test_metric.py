@@ -1,21 +1,32 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
 import random
 from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from suborbifolds.cli import main
 from suborbifolds.corpus import metric_probes, run_metric_corpus, rot4_chart, x_axis
 from suborbifolds import metric
 from suborbifolds.errors import (
     CandidateNotSaturated,
+    DimensionMismatch,
     InvalidMetricSetting,
     NonOrthogonalGroup,
     PointsNotInSubspace,
 )
 from suborbifolds.groups import generate_group
-from suborbifolds.linalg import contains_point, mat, mat_vec, vec, zero_vec
+from suborbifolds.linalg import (
+    contains_point,
+    int_mat_vec,
+    mat,
+    mat_vec,
+    vec,
+    whole_space,
+    zero_vec,
+)
 from suborbifolds.metric import (
     DEFAULT_DEPTH,
     MAX_DEPTH,
@@ -26,7 +37,13 @@ from suborbifolds.metric import (
 )
 from suborbifolds.scene import parse_scene
 
-from oracles import oracle_intrinsic_distances, random_candidate, sample_in_subspace
+from oracles import (
+    oracle_intrinsic_distances,
+    oracle_piece_segment_sum,
+    oracle_quotient_distance,
+    random_candidate,
+    sample_in_subspace,
+)
 
 
 def test_quotient_distance_hand_case():
@@ -231,16 +248,16 @@ def test_closed_form_equals_per_point_oracle_on_random_probes():
 
 
 def test_metric_probe_work_does_not_grow_with_depth(monkeypatch):
-    # One mat_vec per group element for x, and per subgroup element h one
-    # for h y and one per group element for the segment direction; the
+    # One int_mat_vec per group element for x, and per subgroup element h
+    # one for h y and one per group element for the segment direction; the
     # pieces cost no matrix product at any depth.
     calls = []
 
-    def counting_mat_vec(m, v):
+    def counting_int_mat_vec(rows, xs):
         calls.append(1)
-        return mat_vec(m, v)
+        return int_mat_vec(rows, xs)
 
-    monkeypatch.setattr(metric, "mat_vec", counting_mat_vec)
+    monkeypatch.setattr(metric, "int_mat_vec", counting_int_mat_vec)
     for probe in _shipped_probes():
         g, h = probe.group.order, probe.subgroup.order
         x, y = probe.sample_pairs[-1]
@@ -249,4 +266,147 @@ def test_metric_probe_work_does_not_grow_with_depth(monkeypatch):
             calls.clear()
             intrinsic_quotient_distance(probe.with_settings(depth=depth), x, y)
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= h * (2 * g + 1)
+        assert 0 < counts[0] == counts[1] <= h * (2 * g + 1)
+
+
+# A reflection with denominator 3: I - (2/3) J fixes the plane x + y + z = 0
+# and negates (1, 1, 1).
+THIRDS = generate_group([mat([["1/3", "-2/3", "-2/3"],
+                              ["-2/3", "1/3", "-2/3"],
+                              ["-2/3", "-2/3", "1/3"]])])
+
+
+def test_quotient_distance_equals_fraction_oracle():
+    rng = random.Random(41)
+    groups = [THIRDS] * 5
+    while len(groups) < 45:
+        cand = random_candidate(rng, max_group_order=48)
+        groups += [cand.chart.group, cand.delta]
+    for g in groups:
+        n = g.parent.ambient_dim
+        x, y = ([Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n)]
+                for _ in range(2))
+        assert quotient_distance(g, x, y) == oracle_quotient_distance(g, x, y)
+    # a point of the wrong length was cut short by zip when it was x
+    with pytest.raises(DimensionMismatch):
+        quotient_distance(rot4_chart().group, [1, 0, 0], [0, 1])
+
+
+def test_closed_form_equals_per_point_oracle_with_a_denominator():
+    pairs = ((vec(["1/2", 0, "-1/3"]), vec([1, "2/5", 0])),
+             (vec([0, 0, 0]), vec(["3/4", "3/4", "-1/6"])))
+    probe = MetricProbe(THIRDS, THIRDS.full_subgroup(), whole_space(3), pairs,
+                        partition_depth=6)
+    assert THIRDS.integer_forms[0] == 3 and THIRDS.order == 2
+    for x, y in pairs:
+        expected = oracle_intrinsic_distances(probe, x, y)
+        for depth, value in enumerate(expected):
+            assert intrinsic_quotient_distance(probe.with_settings(depth=depth), x, y) == value
+        assert quotient_distance(THIRDS, x, y) == oracle_quotient_distance(THIRDS, x, y)
+
+
+def test_envelope_equals_per_piece_oracle_on_shipped_probes_to_max_depth(monkeypatch):
+    # The per-point Fraction oracle stops at the default depth; the integer
+    # per-piece oracle is fast enough for every depth up to MAX_DEPTH.
+    cases = [(probe.with_settings(depth=depth), x, y)
+             for probe in _shipped_probes() for x, y in probe.sample_pairs
+             for depth in range(MAX_DEPTH + 1)]
+    got = [intrinsic_quotient_distance(*case) for case in cases]
+    monkeypatch.setattr(metric, "_segment_sum", oracle_piece_segment_sum)
+    assert got == [intrinsic_quotient_distance(*case) for case in cases]
+
+
+def _form(a, d, gd):
+    """The segment form (A, B, B', C, D, E) of integer vectors a, d and gd:
+    N^2 |p - g q|^2 on piece i is |N a + (i - 1) d - i gd|^2."""
+    def dot(u, v):
+        return sum(p * q for p, q in zip(u, v))
+    return (dot(a, a), dot(d, d), dot(gd, gd), dot(a, d), dot(a, gd), dot(d, gd))
+
+
+@st.composite
+def segments(draw):
+    """(scale, forms, pieces) with forms from integer vectors, duplicates included."""
+    pieces = draw(st.integers(1, 4096))
+    dim = draw(st.integers(1, 3))
+    small = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    # a scaled with N so that the quadratics cross inside 1..N
+    offset = st.lists(st.integers(-3 * pieces, 3 * pieces), min_size=dim, max_size=dim)
+    d = draw(small)
+    elements = draw(st.lists(st.tuples(offset, small), min_size=1, max_size=6))
+    elements += draw(st.lists(st.sampled_from(elements), max_size=3))
+    forms = [_form([c // pieces for c in a] if draw(st.booleans()) else a, d, gd)
+             for a, gd in elements]
+    return draw(st.integers(1, 36)), forms, pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments())
+def test_envelope_equals_per_piece_oracle(segment):
+    assert metric._segment_sum(*segment) == oracle_piece_segment_sum(*segment)
+
+
+def test_envelope_covers_ties_duplicates_and_each_curvature():
+    # Seeded forms from integer vectors, checked against the per-piece
+    # oracle, with a tally of what the per-piece minimum goes through: the
+    # difference quadratic between the minimiser at i and a new one at
+    # i + 1 (convex, linear or concave), pieces where distinct quadratics
+    # tie for the minimum, and duplicate forms.
+    rng = random.Random(1616)
+    switches = {-1: 0, 0: 0, 1: 0}
+    ties = duplicates = 0
+    for pieces in [1, 2, 3, 4, 5, 8, 17, 100, 256, 1000, 4096] * 20:
+        dim = rng.randint(1, 2)
+        d = [rng.randint(-2, 2) for _ in range(dim)]
+        # few images g d, so that quadratics share their curvature
+        images = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(3)]
+        elements = [([rng.randint(-2 * pieces, 2 * pieces) // rng.choice([1, pieces])
+                      for _ in range(dim)], rng.choice(images))
+                    for _ in range(rng.randint(1, 6))]
+        elements += rng.sample(elements, rng.randint(0, len(elements)))
+        forms = [_form(a, d, gd) for a, gd in elements]
+        scale = rng.randint(1, 12)
+        assert metric._segment_sum(scale, forms, pieces) == \
+            oracle_piece_segment_sum(scale, forms, pieces)
+        duplicates += len(set(forms)) < len(forms)
+        n = pieces
+        quadratics = {(b + b2 - 2 * e, 2 * (e - b) + 2 * n * (c - dd), n * n * a + b - 2 * n * c)
+                      for a, b, b2, c, dd, e in forms}
+        previous = None
+        for i in range(1, n + 1):
+            values = {q: (q[0] * i + q[1]) * i + q[2] for q in quadratics}
+            least = min(values.values())
+            winners = sorted(q for q in quadratics if values[q] == least)
+            ties += len(winners) > 1
+            if previous is not None and previous not in winners:
+                curvature = winners[0][0] - previous[0]
+                switches[(curvature > 0) - (curvature < 0)] += 1
+            if previous not in winners:
+                previous = winners[0]
+    assert min(switches.values()) >= 5 and ties >= 20 and duplicates >= 20, \
+        (switches, ties, duplicates)
+
+
+def _linear_scan(a, b, c, lo, hi):
+    return next((k for k in range(lo, hi + 1) if a * k * k + b * k + c < 0), hi + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-4, 4), st.integers(-40, 40), st.integers(-40, 40), st.integers(-6, 6),
+       st.integers(-3, 3), st.integers(-45, 45), st.integers(-45, 45))
+@example(1, 0, 0, 0, 0, 5, 4)       # lo > hi
+@example(0, 0, 0, -1, 0, 3, 2)      # lo > hi, negative everywhere
+@example(0, 0, 0, 0, -1, -10, 10)   # linear, falling through zero
+@example(-1, 0, 0, 1, 0, -5, 5)     # concave: negative on both sides of 0
+def test_first_negative_matches_a_linear_scan(a, r, s, m, e, lo, hi):
+    # a (k - r)(k - s) + m k + e: roots inside the range for each curvature
+    # sign, and a line or a constant when a is 0.
+    b, c = m - a * (r + s), a * r * s + e
+    assert metric._first_negative(a, b, c, lo, hi) == _linear_scan(a, b, c, lo, hi)
+
+
+def test_empty_probe_is_refused():
+    # A probe without pairs printed PASS with max_deviation 0.0.
+    probe = metric_probes()["rotation-line"]
+    with pytest.raises(InvalidMetricSetting, match="at least one sample pair"):
+        replace(probe, sample_pairs=())

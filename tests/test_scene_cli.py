@@ -504,11 +504,12 @@ def test_cli_report_file(scene_path, tmp_path, capsys):
     pytest.param("nested", "error: invalid scene JSON: ", id="scene_nested_too_deep"),
     pytest.param("empty_report", "error: cannot write report file: ", id="report_empty_path"),
     pytest.param("empty_scene", "error: cannot read scene file: ", id="metric_scene_empty_path"),
+    pytest.param("empty_pairs", "error: probe 'rotation_line': ", id="metric_probe_without_pairs"),
 ])
 def test_cli_input_errors_exit_2(case, message, tmp_path, capsys):
     # each exited 3 as an internal error, and a report that cannot be written
     # was printed before the failure; an empty path was taken as no path and
-    # exited 0
+    # exited 0, and so did a probe without pairs, which checked nothing
     argv = ["classify", "--scene", ROTATION_SCENE]
     if case == "report":
         argv += ["--report", str(tmp_path / "missing" / "r.json")]
@@ -516,6 +517,13 @@ def test_cli_input_errors_exit_2(case, message, tmp_path, capsys):
         argv += ["--report", ""]
     elif case == "empty_scene":
         argv = ["metric-check", "--scene", ""]
+    elif case == "empty_pairs":
+        with open(ROTATION_SCENE, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["probes"]["rotation_line"]["pairs"] = []
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(raw))
+        argv = ["metric-check", "--scene", str(scene)]
     else:
         scene = tmp_path / "scene.json"
         scene.write_bytes(b"\xff\xfe{}" if case == "bytes" else b"[" * 100000)
