@@ -32,13 +32,10 @@ from .linalg import (
     AffineSubspace,
     Vec,
     contains_point,
-    identity as identity_matrix,
     int_mat_vec,
-    mat_mul,
     point_in_dim,
     rat_str,
     scaled,
-    transpose,
     vec,
 )
 
@@ -88,9 +85,16 @@ class MetricProbe:
 
 
 def _require_orthogonal(group) -> None:
-    ident = identity_matrix(group.parent.ambient_dim)
-    matrix_of = group.parent.matrix_of
-    i = first_failure(group, lambda i: mat_mul(transpose(matrix_of(i)), matrix_of(i)) != ident)
+    """Raise unless g^T g = I on the group, tested on the integer rows of
+    den g as (den g)(den g)^T = den^2 I, which for a square g is the same."""
+    den, forms = group.parent.integer_forms
+
+    def fails(i):
+        rows = [dict(row) for row in forms[i]]
+        return any(sum([x * b.get(j, 0) for j, x in a.items()]) != (den * den if a is b else 0)
+                   for a in rows for b in rows)
+
+    i = first_failure(group, fails)
     if i is not None:
         raise NonOrthogonalGroup(f"element {i} is not orthogonal")
 
