@@ -1,7 +1,7 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
 import random
-from fractions import Fraction
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -121,6 +121,9 @@ def test_probe_validates_points():
             parse_scene(scene)
     assert probe.with_settings() is probe
     assert probe.with_settings(depth=0).partition_depth == 0
+    # a probe without pairs printed PASS with max_deviation 0.0
+    with pytest.raises(InvalidMetricSetting, match="at least one sample pair"):
+        replace(probe, sample_pairs=())
 
 
 def test_lemma_requires_saturated():
@@ -403,10 +406,3 @@ def test_first_negative_matches_a_linear_scan(a, r, s, m, e, lo, hi):
     # sign, and a line or a constant when a is 0.
     b, c = m - a * (r + s), a * r * s + e
     assert metric._first_negative(a, b, c, lo, hi) == _linear_scan(a, b, c, lo, hi)
-
-
-def test_empty_probe_is_refused():
-    # A probe without pairs printed PASS with max_deviation 0.0.
-    probe = metric_probes()["rotation-line"]
-    with pytest.raises(InvalidMetricSetting, match="at least one sample pair"):
-        replace(probe, sample_pairs=())
