@@ -56,6 +56,20 @@ REPORTS.update({
                                      "--point", "0,0"],
     "maps_isotropy_group.json": ["isotropy", *MAPS, "--group", "rot4", "--point", "0,0"],
 })
+# scenes/rational_chart.json: rationally conjugated groups on Q^2 (entries over 2, 3 and 6)
+# and equivariant maps between them, so charts, product charts and the equivariance check
+# run with a common denominator above 1.
+RATIONAL = ["--scene", "scenes/rational_chart.json"]
+REPORTS.update({
+    "rational_classify.json": ["classify", *RATIONAL, "--isotropy-point", "7/4,3/2",
+                               "--isotropy-point", "1,1/2"],
+    "rational_graph_fold.json": ["graph", *RATIONAL, "--map", "fold"],
+    "rational_graph_stretch.json": ["graph", *RATIONAL, "--map", "stretch"],
+    "rational_preimage_target.json": ["preimage", *RATIONAL, "--map", "fold",
+                                      "--target", "flip_axis"],
+    "rational_intersect.json": ["intersect", *RATIONAL, "--left", "skew_line",
+                                "--right", "skew_cross"],
+})
 
 
 def stripped_report(argv) -> str:
