@@ -39,7 +39,6 @@ from .errors import (
     ChartMismatch,
     GroupNotAbelian,
     NonInvariant,
-    NotSubgroup,
     PointNotInV,
 )
 from .groups import (
@@ -52,7 +51,7 @@ from .groups import (
     all_subgroups,
     find_complement,
     first_failure,
-    generate_group,
+    group_from_forms,
     iso_fingerprint,
     pointwise_stabilizer,
     quotient_group,
@@ -65,12 +64,14 @@ from .linalg import (
     contains_point,
     coordinates,
     fixed_points,
+    form_of_columns,
+    identity_form,
     int_images,
     int_mat_vec,
     int_points,
     intersect,
+    lowest_terms,
     mat_sub,
-    identity as identity_matrix,
     point_from_coordinates,
     point_in_dim,
     rat_str,
@@ -412,22 +413,24 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     # Centroid of the base-point orbit: a Delta-fixed point inside v.
     total = [sum(column) for column in zip(*(int_mat_vec(forms[i], cand.v.base)
                                               for i in delta.members))]
-    centroid = tuple(Fraction(t, d * cand.v.den * delta.order) for t in total)
-    _, fixed = scaled(centroid)
+    den = d * cand.v.den * delta.order
+    centroid = tuple(Fraction(t, den) for t in total)
+    _, fixed = lowest_terms(den, total)
     fixed_image = tuple(d * c for c in fixed)
+    # Each restricted element as the columns of its matrix, the points its
+    # group looks it up by.
     restricted: dict = {}
     for i in delta.members:
         if int_mat_vec(forms[i], fixed) != fixed_image:
             raise NonInvariant("centroid is not fixed by the subgroup")
         restricted[i] = restricted_matrix((d, forms[i]), cand.v)
     kernel = cand.kernel
-    gens = [restricted[i] for i in delta.generators] or [identity_matrix(k)]
-    induced_group = generate_group(gens, max_order=delta.order)
-    try:
-        image_of = tuple(induced_group.index_of(restricted[i]) for i in delta.members)
-    except NotSubgroup:
+    gens = [form_of_columns(restricted[i]) for i in delta.generators] or [identity_form(k)]
+    induced_group = group_from_forms(gens, max_order=delta.order)
+    image_of = tuple(induced_group.element_with_columns(restricted[i]) for i in delta.members)
+    if None in image_of:
         raise AssertionError("a restricted element is outside the group the restricted "
-                             "generators generate") from None
+                             "generators generate")
     restriction = GroupHom(delta, induced_group, image_of)
     _check_restriction(restriction, kernel)
     return InducedChart(

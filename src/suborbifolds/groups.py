@@ -1,7 +1,12 @@
 """Finite groups of invertible rational matrices.
 
-Every group is built by ``generate_group`` from generators, the one place
-that checks matrices; a caller with no generators, such as
+Every group is built by ``group_from_forms`` from generators given as
+integer forms (d, d g), the one place that checks them. ``generate_group``
+reads generators written as ints, Fractions or "p/q" strings into those
+forms (``linalg.int_matrix``, one reader with ``affine_subspace``), and
+the package's own constructions (product charts, promoted subgroups,
+induced charts) pass the integer forms of matrices they already hold, so
+no Fraction is built on the way. A caller with no generators, such as
 ``trivial_group``, passes the identity of its dimension.
 
 Element order is canonical (lexicographic on matrix entries), so equal
@@ -22,15 +27,26 @@ standard basis e_1, ..., e_n under the generators, each point kept as
 matrix-vector product per point and generator and capped at n * max_order
 points: a group of order at most max_order moves each e_j to at most
 max_order places, so a longer orbit proves the group infinite or too
-large. Each element permutes Omega, and as Omega spans Q^n that action is
-faithful; an element is even determined by its column key, the indices
-in Omega of its columns g e_1, ..., g e_n, which are the first n entries
-of its permutation. The generators' permutations are closed once, and
-each element's matrix is read off its key as d g, with d the least common
-multiple of the point denominators (so of every entry's denominator).
+large. Each generator must permute Omega: one that is injective on the
+finite Omega it preserves permutes it, and as Omega spans Q^n it is then
+invertible, while a singular one cannot be injective there. So a group
+that is built costs no rank test; only a generator that is not square or
+not injective on Omega, or an orbit past its cap, sends the generators
+through the one-by-one check (square, then invertible by a rank test),
+which names the same generator with the same message as checking every
+generator first. Each element permutes Omega, and as Omega spans Q^n
+that action is faithful; an element is even determined by its column
+key, the indices in Omega of its columns g e_1, ..., g e_n, which are the
+first n entries of its permutation. The generators' permutations are
+closed once, and each element's matrix is read off its key as d g, with
+d the least common multiple of the point denominators (so of every
+entry's denominator).
 Sorting the d g sorts the g, as d > 0. A matrix is looked up by the
-points of its columns, never by hashing Fractions; Fraction matrices are
-made on first use, one Fraction per distinct entry.
+points of its columns (``element_with_columns``), never by hashing
+Fractions: a product chart finds diag(a, b) from the columns of a and b
+(``columns``), and an induced chart a restricted element from its integer
+columns. Fraction matrices are made on first use, one Fraction per
+distinct entry.
 
 Products are computed on demand, never tabulated: the key of a b is
 (pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, one n-tuple
@@ -61,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -75,17 +91,18 @@ from .linalg import (
     AffineSubspace,
     IntMat,
     Mat,
-    identity as identity_matrix,
-    int_form,
+    identity_form,
     int_images,
     int_mat_vec,
+    int_matrix,
     int_points,
     is_invertible,
+    lowest_terms,
     mat,
     rat,
     rat_str,
-    scaled,
     single_point,
+    sparse,
 )
 
 DEFAULT_MAX_ORDER = 10_000
@@ -125,6 +142,7 @@ class FiniteMatrixGroup:
         n = len(elements[0][0])
         self.ambient_dim = n
         self._points = points
+        self._omega = tuple(points)
         self._int_matrices = tuple(m for m, _ in elements)
         self._perms = tuple(p for _, p in elements)
         self._keys = tuple(p[:n] for p in self._perms)
@@ -133,9 +151,8 @@ class FiniteMatrixGroup:
         self.members = tuple(range(len(elements)))
         self.identity = self._element_of[tuple(range(n))]
         self.generators = tuple(dict.fromkeys(self._element_of[key] for key in generators))
-        self.integer_forms: tuple[int, tuple[IntMat, ...]] = (d, tuple(
-            tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
-            for m in self._int_matrices))
+        self.integer_forms: tuple[int, tuple[IntMat, ...]] = (
+            d, tuple(map(sparse, self._int_matrices)))
 
     @cached_property
     def matrices(self) -> tuple[Mat, ...]:
@@ -212,14 +229,28 @@ class FiniteMatrixGroup:
     def matrix_of(self, i: int) -> Mat:
         return self.matrices[i]
 
-    def index_of(self, matrix: Mat) -> int:
-        """The index of a matrix, found from the points of its columns;
-        ``NotSubgroup`` when the matrix is not in the group."""
-        key = tuple(self._points.get(scaled(column)) for column in zip(*matrix))
-        index = self._element_of.get(key)
+    def columns(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The columns g e_1, ..., g e_n of element i as points (den, den x)
+        of Omega, read off its key."""
+        omega = self._omega
+        return tuple([omega[k] for k in self._keys[i]])
+
+    def element_with_columns(self, columns) -> int | None:
+        """The index of the element whose columns are the given points
+        (den, den x) in lowest terms, or None when no element has them."""
+        points = self._points
+        return self._element_of.get(tuple([points.get(c) for c in columns]))
+
+    def index_of(self, matrix) -> int:
+        """The index of a matrix (entries as ``read_rational`` reads them),
+        found from the points of its columns; ``NotSubgroup`` when the
+        matrix is not in the group."""
+        d, rows = int_matrix(matrix)
+        index = self.element_with_columns(lowest_terms(d, c) for c in zip(*rows))
         if index is None:
-            rows = ", ".join("[" + ", ".join(map(rat_str, row)) + "]" for row in matrix)
-            raise NotSubgroup(f"matrix [{rows}] is not in the group")
+            text = ", ".join("[" + ", ".join(rat_str(Fraction(x, d)) for x in row) + "]"
+                             for row in rows)
+            raise NotSubgroup(f"matrix [{text}] is not in the group")
         return index
 
     def full_subgroup(self) -> "Subgroup":
@@ -238,7 +269,7 @@ class FiniteMatrixGroup:
 
     def subgroup_from_matrices(self, matrices) -> "Subgroup":
         """Subgroup generated by the given matrices (closure is taken)."""
-        return self.subgroup_generated_by([self.index_of(m) for m in map(mat, matrices)])
+        return self.subgroup_generated_by([self.index_of(m) for m in matrices])
 
     def is_abelian(self) -> bool:
         return _is_abelian(self)
@@ -303,9 +334,10 @@ class Subgroup:
     def promote(self) -> FiniteMatrixGroup:
         """The subgroup as a standalone FiniteMatrixGroup, generated by its
         generators (the trivial subgroup by the identity)."""
-        gens = [self.parent.matrices[i] for i in self.generators]
-        return generate_group(gens or [identity_matrix(self.parent.ambient_dim)],
-                              max_order=self.order)
+        d, forms = self.parent.integer_forms
+        gens = [(d, forms[i]) for i in self.generators]
+        return group_from_forms(gens or [identity_form(self.parent.ambient_dim)],
+                                max_order=self.order)
 
 
 @dataclass(frozen=True)
@@ -373,7 +405,7 @@ def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, .
     while frontier:
         current = frontier.pop()
         for g in generators:
-            prod = tuple(current[k] for k in g)
+            prod = tuple([current[k] for k in g])
             if prod not in seen:
                 if len(seen) >= limit:
                     raise NotFiniteWithinBound(limit)
@@ -385,38 +417,53 @@ def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, .
 def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
     """Closure of the generators, with canonical ordering.
 
-    The orbit of the standard basis is found with one integer
-    matrix-vector product per point and generator; it is capped at
-    n * max_order points. The generators' permutations of it are closed,
-    and each element's matrix is read off the images of the basis, which
-    come first. The trivial group needs the identity as its generator: an
-    empty list has no dimension.
+    Each generator is read once into integer rows over its own
+    denominator (``int_matrix``: ints, Fractions and "p/q" strings) and
+    handed to ``group_from_forms``. The trivial group needs the identity as
+    its generator: an empty list has no dimension.
     """
-    gens = [mat(g) for g in generators]
-    if not gens:
+    matrices = [int_matrix(g) for g in generators]
+    if not matrices:
         raise DimensionMismatch("a group needs at least one generator "
                                 "(the identity for the trivial group)")
-    n = len(gens[0])
-    for g in gens:
-        if len(g) != n or any(len(row) != n for row in g):
-            raise NonInvertibleGenerator("generators must be square, equal size")
-        if not is_invertible(g):
-            raise NonInvertibleGenerator(f"generator is singular: {g}")
-    forms = [int_form(g) for g in gens]
+    n = len(matrices[0][1])
+    if any(len(rows) != n or any(len(row) != n for row in rows) for _, rows in matrices):
+        _refuse_generators(n, matrices)
+    return group_from_forms([(d, sparse(rows)) for d, rows in matrices], max_order)
+
+
+def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
+    """The group generated by n x n matrices given as (d, d g) with sparse
+    integer rows (see ``linalg.int_form``), at least one of them.
+
+    The orbit Omega of the standard basis is found with one integer
+    matrix-vector product per point and generator; it is capped at
+    n * max_order points. Each generator must then permute Omega: one that
+    is injective on the finite Omega it preserves permutes it, and as Omega
+    spans Q^n it is invertible, while a singular one cannot be injective
+    there. Only when a generator is not, or the orbit outgrows its cap, are
+    the generators checked one by one (``_refuse_generators``), so a
+    singular generator is named as such. The permutations are closed, and
+    each element's matrix is read off the images of the basis, which come
+    first.
+    """
+    n = len(forms[0][1])
     omega = [(1, tuple(int(i == j) for i in range(n))) for j in range(n)]
     points = {x: k for k, x in enumerate(omega)}
-    moves: list[list[int]] = [[] for _ in gens]
+    moves: list[list[int]] = [[] for _ in forms]
     for den, xs in omega:
         for (dg, rows), row in zip(forms, moves):
-            ys = int_mat_vec(rows, xs)
-            c = gcd(den * dg, *ys)
-            y = (den * dg // c, tuple(v // c for v in ys))
+            y = lowest_terms(den * dg, int_mat_vec(rows, xs))
             if y not in points:
                 if len(points) >= n * max_order:
+                    _refuse_generators(n, _dense(n, forms))
                     raise NotFiniteWithinBound(max_order)
                 points[y] = len(omega)
                 omega.append(y)
             row.append(points[y])
+    if any(len(set(row)) < len(row) for row in moves):
+        _refuse_generators(n, _dense(n, forms))
+        raise AssertionError("a generator that does not permute its orbit passed the rank test")
     perms = _close_permutations([tuple(row) for row in moves], len(omega), max_order)
     d = lcm(*[den for den, _ in omega])
     columns = [tuple(v * (d // den) for v in xs) for den, xs in omega]
@@ -424,8 +471,31 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
     return FiniteMatrixGroup(points, d, elements, [tuple(row[:n]) for row in moves])
 
 
+def _dense(n: int, forms) -> list:
+    """Sparse forms (d, d g) of n x n matrices as (d, dense integer rows)."""
+    dense = []
+    for d, rows in forms:
+        full = [[0] * n for _ in rows]
+        for out, row in zip(full, rows):
+            for j, x in row:
+                out[j] = x
+        dense.append((d, full))
+    return dense
+
+
+def _refuse_generators(n: int, matrices) -> None:
+    """Raise ``NonInvertibleGenerator`` for the first generator, in order,
+    that is not n x n or is singular; the matrices are (d, dense d g)."""
+    for d, rows in matrices:
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise NonInvertibleGenerator("generators must be square, equal size")
+        if not is_invertible(rows):
+            g = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+            raise NonInvertibleGenerator(f"generator is singular: {g}")
+
+
 def trivial_group(n: int) -> FiniteMatrixGroup:
-    return generate_group([identity_matrix(n)])
+    return group_from_forms([identity_form(n)])
 
 
 def _closure_indices(parent: FiniteMatrixGroup, seed, limit=None):

@@ -8,7 +8,10 @@ d m as sparse integer rows of (column, entry) (``int_form``), and row
 reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): integer
 rows, each divided by its content after every step and by its pivot once
 at the end. A Fraction is built only for a coordinate of a returned
-value.
+value. Input is read by one reader, ``read_rational``: an int, a
+Fraction or a plain "p" or "p/q" string goes straight to integers
+(``int_vector``, ``int_matrix``, and so ``affine_subspace`` and group
+generators), and any other form is accepted or refused by ``rat``.
 
 An affine subspace is held as integers too: its canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space) is
@@ -27,6 +30,7 @@ order is what fixes their bytes in a report.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +64,82 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"cannot read {x!r} as a rational") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
+
+
+# An int or fraction written "p" or "p/q" in ASCII digits, with an optional
+# leading minus; ``read_rational`` reads these without building a Fraction.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def read_rational(x) -> tuple[int, int]:
+    """x as (numerator, denominator) in lowest terms, the denominator positive.
+
+    Ints, Fractions and plain "p" or "p/q" strings with q > 0 are read
+    here. Anything else goes through ``rat``, so exponents, booleans, a
+    zero denominator and every other form are accepted or refused by one
+    set of rules, with the same error.
+    """
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    if type(x) is str:
+        plain = _PLAIN_RATIONAL(x)
+        if plain is not None:
+            p, q = plain.groups()
+            try:
+                if q is None:
+                    return int(p), 1
+                p, q = int(p), int(q)
+            except ValueError:  # past the int digit limit: rat refuses it
+                pass
+            else:
+                if q:
+                    g = gcd(p, q)
+                    return p // g, q // g
+    x = rat(x)
+    return x.numerator, x.denominator
+
+
+def int_vector(xs) -> tuple[int, tuple[int, ...]]:
+    """(d, d x) for x read entry by entry with ``read_rational``, d the least
+    common denominator; the integer form ``scaled`` gives of ``vec(xs)``."""
+    parts = [read_rational(x) for x in xs]
+    d = lcm(*[q for _, q in parts])
+    return d, tuple([p * (d // q) for p, q in parts])
+
+
+def int_matrix(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d m) as dense integer rows for m read entry by entry with
+    ``read_rational``, d the least common denominator; rows of unequal
+    length raise ``DimensionMismatch`` as in ``mat``."""
+    parts = [[read_rational(x) for x in row] for row in rows]
+    if parts and any(len(row) != len(parts[0]) for row in parts):
+        raise DimensionMismatch("ragged matrix rows")
+    d = lcm(*[q for row in parts for _, q in row])
+    return d, tuple(tuple([p * (d // q) for p, q in row]) for row in parts)
+
+
+def sparse(rows) -> IntMat:
+    """Dense integer rows as sparse rows of their nonzero (column, entry) pairs."""
+    return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
+
+
+def identity_form(n: int) -> tuple[int, IntMat]:
+    """The n x n identity as (1, sparse integer rows)."""
+    return 1, tuple(((i, 1),) for i in range(n))
+
+
+def lowest_terms(d: int, xs) -> tuple[int, tuple[int, ...]]:
+    """The point xs / d as (den, den x) with gcd(den, *den x) = 1, for d > 0."""
+    c = gcd(d, *xs)
+    return d // c, tuple([x // c for x in xs])
+
+
+def form_of_columns(columns) -> tuple[int, IntMat]:
+    """(d, d m) for the square matrix m whose columns are the points (den, den x)."""
+    d = lcm(*[den for den, _ in columns])
+    return d, sparse(zip(*[[x * (d // den) for x in xs] for den, xs in columns]))
 
 
 def rat_str(x: Fraction) -> str:
@@ -113,7 +193,7 @@ def int_form(m: Mat, d: int | None = None) -> tuple[int, IntMat]:
 
 def int_mat_vec(rows: IntMat, xs) -> tuple[int, ...]:
     """The integer rows applied to an integer vector."""
-    return tuple(sum([c * xs[j] for j, c in row]) for row in rows)
+    return tuple([sum([c * xs[j] for j, c in row]) for row in rows])
 
 
 def int_images(rows: IntMat, points) -> tuple[tuple[int, ...], ...]:
@@ -312,13 +392,14 @@ class AffineSubspace:
 
 
 def affine_subspace(base_point, basis) -> AffineSubspace:
-    base = vec(base_point)
-    n = len(base)
-    rows = [vec(b) for b in basis]
+    """base_point + span(basis) in canonical form; every coordinate is read
+    with ``read_rational``."""
+    d, numerators = int_vector(base_point)
+    n = len(numerators)
+    rows = [list(int_vector(b)[1]) for b in basis]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("basis vector length differs from base point")
-    d, numerators = scaled(base)
-    return _canonical(n, d, numerators, [list(scaled(r)[1]) for r in rows])
+    return _canonical(n, d, numerators, rows)
 
 
 def _canonical(n: int, d: int, base, rows: list[list[int]]) -> AffineSubspace:
@@ -495,12 +576,16 @@ def _image(form: tuple[int, IntMat], do: int, shift, v: AffineSubspace) -> Affin
     return _canonical(len(rows), d * do, base, directions)
 
 
-def restricted_matrix(form: tuple[int, IntMat], v: AffineSubspace) -> Mat:
-    """The matrix of m on v's direction space, in v's canonical basis.
+def restricted_matrix(form: tuple[int, IntMat],
+                      v: AffineSubspace) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The columns of the matrix of m on v's direction space, in v's
+    canonical basis, each as a point (den, den c) in lowest terms.
 
     m is given as (d, d m) (see ``int_form``). Column j holds the
     coordinates of m b_j, its entries at the basis pivots; ValueError is
     raised when some m b_j is not in the direction space.
+    ``form_of_columns`` turns the columns into (d', d' r) for the
+    restricted matrix r.
     """
     d, rows = form
     pivots = v.pivots
@@ -514,8 +599,8 @@ def restricted_matrix(form: tuple[int, IntMat], v: AffineSubspace) -> Mat:
         rebuilt = [sum([c * row[j] for c, row in zip(coords, spans)]) for j in range(len(y))]
         if rebuilt != [scale * t for t in y]:
             raise ValueError("image does not lie in the direction space")
-        columns.append(_fractions(coords, d * e))
-    return tuple(zip(*columns))
+        columns.append(lowest_terms(d * e, coords))
+    return tuple(columns)
 
 
 def point_from_coordinates(v: AffineSubspace, y: Vec) -> Vec:

@@ -41,7 +41,7 @@ from .groups import (
     FiniteMatrixGroup,
     GroupHom,
     first_failure,
-    generate_group,
+    group_from_forms,
     pointwise_stabilizer,
     stabilizer,
 )
@@ -52,7 +52,9 @@ from .linalg import (
     affine_subspace,
     direction_sum_is_full,
     equations,
-    identity,
+    int_mat_vec,
+    int_matrix,
+    int_vector,
     intersect,
     map_subspace,
     mat,
@@ -62,6 +64,7 @@ from .linalg import (
     point_in_dim,
     rat_str,
     solve_affine,
+    sparse,
     vec,
     vec_add,
     vec_sub,
@@ -90,12 +93,24 @@ class EquivariantAffineMap:
             raise ChartMismatch("theta does not connect the chart groups")
         if not self.theta.is_homomorphism():
             raise NonInvariant("theta is not a homomorphism")
+        # On integers, for the columns g e_k = xs / den: with dense = dl L, lin
+        # its sparse rows and theta(g) = t / d2, theta(g) L e_k = L g e_k reads
+        # den t (dl L e_k) = d2 lin xs; theta(g) c = c reads t off = d2 off,
+        # for off a positive multiple of c.
+        _, dense = int_matrix(self.linear)
+        lin, lin_columns = sparse(dense), list(zip(*dense))
+        _, off = int_vector(self.offset)
+        d2, images = self.codomain.group.integer_forms
+        fixed_offset = tuple(d2 * c for c in off)
+        domain = self.domain.group
 
         def failing_part(g):
-            t_mat = self.codomain.group.matrix_of(self.theta(g))
-            if mat_mul(t_mat, self.linear) != mat_mul(self.linear, self.domain.group.matrix_of(g)):
-                return "linear part"
-            if mat_vec(t_mat, self.offset) != self.offset:
+            t = images[self.theta(g)]
+            for (den, xs), column in zip(domain.columns(g), lin_columns):
+                if ([den * y for y in int_mat_vec(t, column)]
+                        != [d2 * y for y in int_mat_vec(lin, xs)]):
+                    return "linear part"
+            if int_mat_vec(t, off) != fixed_offset:
                 return "offset"
             return None
 
@@ -160,19 +175,32 @@ class ProductChart:
     combined: ChartModel
 
     def pair_index(self, i: int, j: int) -> int:
-        m = _block_diag(self.left.group.matrix_of(i), self.right.group.matrix_of(j))
-        return self.combined.group.index_of(m)
+        """The index of diag(a_i, b_j), looked up by its columns: a_i's
+        columns padded with zeros, then b_j's shifted past them."""
+        n1, n2 = self.left.ambient_dim, self.right.ambient_dim
+        columns = [(den, xs + (0,) * n2) for den, xs in self.left.group.columns(i)]
+        columns += [(den, (0,) * n1 + xs) for den, xs in self.right.group.columns(j)]
+        index = self.combined.group.element_with_columns(columns)
+        if index is None:
+            raise AssertionError(f"the pair ({i}, {j}) is not in the product group")
+        return index
 
 
 def product_chart(c1: ChartModel, c2: ChartModel,
                   max_order: int = DEFAULT_MAX_ORDER) -> ProductChart:
+    """The chart of the product group, generated by diag(a, I) and diag(I, b)
+    for the factors' generators, built from the factors' integer forms."""
     order = c1.group.order * c2.group.order
     if order > max_order:
         raise GroupTooLarge(f"product group of order {order} exceeds max_order={max_order}")
-    g1, g2 = c1.group, c2.group
-    gens = [_block_diag(g1.matrix_of(a), identity(c2.ambient_dim)) for a in g1.generators]
-    gens += [_block_diag(identity(c1.ambient_dim), g2.matrix_of(b)) for b in g2.generators]
-    combined = ChartModel(generate_group(gens, max_order=max_order))
+    n1, n2 = c1.ambient_dim, c2.ambient_dim
+    (d1, forms1), (d2, forms2) = c1.group.integer_forms, c2.group.integer_forms
+    gens = [(d1, forms1[a] + tuple(((n1 + i, d1),) for i in range(n2)))
+            for a in c1.group.generators]
+    gens += [(d2, tuple(((i, d2),) for i in range(n1))
+              + tuple(tuple((n1 + j, x) for j, x in row) for row in forms2[b]))
+             for b in c2.group.generators]
+    combined = ChartModel(group_from_forms(gens, max_order=max_order))
     return ProductChart(c1, c2, combined)
 
 

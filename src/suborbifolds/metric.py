@@ -239,6 +239,12 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     x, y = vec(x), vec(y)
     if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):
         raise PointsNotInSubspace("query points must lie in the subspace")
+    return _intrinsic_distance(probe, x, y)
+
+
+def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
+    """``intrinsic_quotient_distance`` for points known to lie in the
+    subspace, such as a probe's sample pairs, which the probe checked."""
     den, forms = probe.group.integer_forms
     (dx, xs), (dy, ys) = _scaled_pair(probe.group.ambient_dim, x, y)
     # S = den dx dy: S x = den dy xs and S h y = dx (den h) ys are integers.
@@ -303,6 +309,6 @@ def lemma_metrics_check(probe: MetricProbe) -> MetricReport:
     results = []
     for x, y in probe.sample_pairs:
         quotient = quotient_distance(probe.subgroup, x, y)
-        intrinsic = intrinsic_quotient_distance(probe, x, y)
+        intrinsic = _intrinsic_distance(probe, x, y)
         results.append(PairResult(vec(x), vec(y), quotient, intrinsic))
     return MetricReport(tuple(results), probe.tolerance)

@@ -2,9 +2,15 @@
 
 A scene is a JSON document naming groups (generator lists), subgroups,
 affine subspaces, candidates, equivariant maps and metric probes, plus a
-list of queries. Rationals are strings "p/q" (the "/q" may be omitted);
-parsing is exact. The machine report format is deterministic JSON with
-sorted keys; timing lives under a single "timing" key so reports can be
+list of queries. Rationals are JSON integers or strings "p/q" (the "/q"
+may be omitted); parsing is exact. Group generators, subgroup generators
+and subspaces are read straight into integers (``linalg.read_rational``):
+an int or a plain "p" or "p/q" string builds no Fraction, and any other
+form goes through ``rat``, which reads decimal strings and refuses
+exponents, booleans and zero denominators. A map's linear part and
+offset and a probe's points are kept as Fractions, so they are read as
+Fractions. The machine report format is deterministic JSON with sorted
+keys; timing lives under a single "timing" key so reports can be
 compared modulo timing.
 """
 from __future__ import annotations
@@ -90,7 +96,7 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
         for name, gens in _section(raw, "groups").items():
             if not isinstance(gens, list) or not gens:
                 raise ParseError(f"group {name!r} must list at least one generator")
-            scene.groups[name] = generate_group([mat(g) for g in gens], **kwargs)
+            scene.groups[name] = generate_group(gens, **kwargs)
         for name, spec in _section(raw, "subgroups").items():
             parent = _lookup(scene.groups, spec["parent"], "group")
             if "generator_indices" in spec:

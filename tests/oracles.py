@@ -18,14 +18,24 @@ from suborbifolds import (
     generate_group,
 )
 from suborbifolds.classify import SaturationWitness, Verdict, _witness_point
-from suborbifolds.errors import NotFiniteWithinBound
-from suborbifolds.groups import Fingerprint, all_subgroups
+from suborbifolds.errors import DimensionMismatch, NonInvertibleGenerator, NotFiniteWithinBound
+from suborbifolds.groups import (
+    DEFAULT_MAX_ORDER,
+    Fingerprint,
+    FiniteMatrixGroup,
+    _close_permutations,
+    all_subgroups,
+)
 from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
     contains_point,
+    int_form,
+    int_mat_vec,
     intersect,
+    is_invertible,
     map_subspace,
+    mat,
     point_from_coordinates,
     vec,
     zero_vec,
@@ -481,6 +491,56 @@ def oracle_group_closure(generators):
                 seen.add(p)
                 frontier.append(p)
     return sorted(seen)
+
+
+def oracle_generate_group(generators, max_order: int = DEFAULT_MAX_ORDER):
+    """The validate-first ``generate_group``: every generator is read into a
+    Fraction matrix (``mat``) and checked square and invertible by a rank
+    test, in order, before the orbit of the basis is walked and closed."""
+    gens = [mat(g) for g in generators]
+    if not gens:
+        raise DimensionMismatch("a group needs at least one generator "
+                                "(the identity for the trivial group)")
+    n = len(gens[0])
+    for g in gens:
+        if len(g) != n or any(len(row) != n for row in g):
+            raise NonInvertibleGenerator("generators must be square, equal size")
+        if not is_invertible(g):
+            raise NonInvertibleGenerator(f"generator is singular: {g}")
+    forms = [int_form(g) for g in gens]
+    omega = [(1, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    points = {x: k for k, x in enumerate(omega)}
+    moves = [[] for _ in gens]
+    for den, xs in omega:
+        for (dg, rows), row in zip(forms, moves):
+            ys = int_mat_vec(rows, xs)
+            c = math.gcd(den * dg, *ys)
+            y = (den * dg // c, tuple(v // c for v in ys))
+            if y not in points:
+                if len(points) >= n * max_order:
+                    raise NotFiniteWithinBound(max_order)
+                points[y] = len(omega)
+                omega.append(y)
+            row.append(points[y])
+    perms = _close_permutations([tuple(row) for row in moves], len(omega), max_order)
+    d = math.lcm(*[den for den, _ in omega])
+    columns = [tuple(v * (d // den) for v in xs) for den, xs in omega]
+    elements = sorted((tuple(zip(*[columns[k] for k in p[:n]])), p) for p in perms)
+    return FiniteMatrixGroup(points, d, elements, [tuple(row[:n]) for row in moves])
+
+
+def oracle_equivariance_failure(domain, codomain, linear, offset, images):
+    """(element, part) for the first element g of the domain group, in index
+    order, at which theta(g) L = L g or theta(g) c = c fails, by Fraction
+    matrix products (``images[g]`` is theta(g)'s index in the codomain
+    group); None when both hold everywhere."""
+    for g, g_mat in enumerate(domain.matrices):
+        t = codomain.matrix_of(images[g])
+        if oracle_mat_mul(t, linear) != oracle_mat_mul(linear, g_mat):
+            return g, "linear part"
+        if oracle_mat_vec(t, offset) != tuple(offset):
+            return g, "offset"
+    return None
 
 
 def oracle_quotient_fingerprint(d, k):

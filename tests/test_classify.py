@@ -1,5 +1,6 @@
 """Classification verdicts: worked examples, witness replay, oracle
 equivalence on randomized candidates, two-path isotropy."""
+import json
 import os
 import random
 import sys
@@ -47,6 +48,7 @@ from suborbifolds.errors import (
 )
 import suborbifolds.groups as groups
 from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
+from suborbifolds.scene import parse_scene
 from suborbifolds.linalg import (
     affine_subspace, int_form, mat_vec, transform_subspace, vec, whole_space,
 )
@@ -533,6 +535,53 @@ def test_saturation_builds_no_fractions(monkeypatch):
     monkeypatch.setattr(linalg, "vec", refuse)
     assert check_saturated(b3_plane).holds
     assert check_saturated(b4_whole).holds
+
+
+def test_scene_construction_builds_no_fractions(monkeypatch):
+    # An all-integer scene is read as integers: generators, subgroup
+    # generators and subspaces build no Fraction, and no rank test runs,
+    # as invertibility is read off the orbit permutations.
+    b3 = [[[int(x) for x in row] for row in m] for m in hyperoctahedral_generators(3)]
+    text = json.dumps({
+        "groups": {"b3": b3, "rot4": [[[0, -1], [1, 0]]]},
+        "subgroups": {
+            "plane_pair": {"parent": "b3", "generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+            "half_turn": {"parent": "rot4", "generator_indices": [0]},
+        },
+        "subspaces": {"plane": {"base": [0, 0, 1], "basis": [[1, 0, 0], [0, 1, 0]]},
+                      "x_axis": {"base": ["0", "-0"], "basis": [["2/2", "0/3"]]}},
+        "candidates": {"plane": {"group": "b3", "subgroup": "plane_pair", "subspace": "plane"},
+                       "line": {"group": "rot4", "subgroup": "half_turn",
+                                "subspace": "x_axis"}},
+    })
+
+    def refuse(*args):
+        raise AssertionError("a Fraction or a rank test was used")
+
+    linalg = sys.modules["suborbifolds.linalg"]
+    for name in ("mat_rank", "_fractions", "rat", "scaled"):
+        monkeypatch.setattr(linalg, name, refuse)
+    scene = parse_scene(text)
+    assert scene.groups["b3"].order == 48 and len(scene.candidates) == 2
+    assert scene.subgroups["plane_pair"].order == 2
+
+
+def test_induced_chart_builds_no_fractions(monkeypatch):
+    # The restricted elements are integer columns: their group is built from
+    # integer forms and each element is looked up by its columns, not by
+    # index_of on a Fraction matrix. Only the returned centroid is a Fraction.
+    cand = _b3_plane_z_equals_1()
+    assert cand.saturation.holds and cand.v.basis and cand.kernel
+
+    def refuse(*args):
+        raise AssertionError("a Fraction matrix was built or scaled")
+
+    linalg = sys.modules["suborbifolds.linalg"]
+    monkeypatch.setattr(linalg, "_fractions", refuse)
+    monkeypatch.setattr(linalg, "scaled", refuse)
+    monkeypatch.setattr(FiniteMatrixGroup, "index_of", refuse)
+    chart = induced_chart(cand)
+    assert chart.chart.group.order == 8 and chart.base_point == (0, 0, 1)
 
 
 def test_invariance_is_tested_on_generators(monkeypatch):

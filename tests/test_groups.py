@@ -2,8 +2,10 @@
 fingerprints under relabeling, and the permutation-action core against
 matrix-product and sympy references."""
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suborbifolds.classify import SuborbifoldCandidate, chart_from_group, induced_chart
 from suborbifolds.errors import (
@@ -11,6 +13,7 @@ from suborbifolds.errors import (
     NonInvertibleGenerator,
     NotFiniteWithinBound,
     NotSubgroup,
+    ParseError,
 )
 import suborbifolds.groups as groups
 import suborbifolds.linalg as linalg
@@ -40,6 +43,7 @@ from oracles import (
     conjugate_all,
     hyperoctahedral_generators,
     oracle_find_complement,
+    oracle_generate_group,
     oracle_group_closure,
     oracle_is_homomorphism,
     oracle_is_normal,
@@ -133,6 +137,11 @@ def test_b5_products_match_matrix_products():
     _assert_matches_reference(g, reference, pairs)
 
 
+def _from_columns(columns):
+    """The Fraction matrix whose columns are the points (den, den x)."""
+    return tuple(zip(*[tuple(Fraction(x, den) for x in xs) for den, xs in columns]))
+
+
 def test_generated_group_is_closed_once(monkeypatch):
     closures = []
     real = groups._close_permutations
@@ -162,7 +171,8 @@ def test_generated_group_is_closed_once(monkeypatch):
         (lambda: product_chart(rot4, klein).combined.group,
          [_block_diag(a, b) for a in rot4.group.matrices for b in klein.group.matrices]),
         (lambda: induced_chart(cand).chart.group,
-         [restricted_matrix(linalg.int_form(m), plane) for m in plane_delta.matrices]),
+         [_from_columns(restricted_matrix(linalg.int_form(m), plane))
+          for m in plane_delta.matrices]),
         (lambda: trivial_group(3), [identity(3)]),
     ]
     for build, matrices in cases:
@@ -231,6 +241,106 @@ def test_generate_group_rejects_singular_and_non_square(generators, message):
     # {I, P} with P^2 = P is closed under products but P is singular.
     with pytest.raises(NonInvertibleGenerator, match=message):
         generate_group(generators)
+
+
+def _outcome(build, *args):
+    """What a call gives: the exception class and message, or the built
+    group's integer forms and generators."""
+    try:
+        group = build(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    return group.integer_forms, group.generators
+
+
+ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -2, "1/2", "-1/2", "2/4", "3", "-0",
+                         Fraction(1, 3), Fraction(-3, 2)])
+# Entries ``rat`` refuses (and some it accepts in forms the fast reader leaves to it).
+ODD_ENTRY = st.sampled_from(["1/0", "x", "", True, False, 1.5, None, "1e3", "+1", " 1",
+                             "01", "1_0", "1/-2", "-", "\u0661", [1]])
+
+
+def _square(n, entry=ENTRY):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _signed_permutation(n):
+    return st.permutations(range(n)).flatmap(lambda perm: st.lists(
+        st.sampled_from([1, -1]), min_size=n, max_size=n).map(
+        lambda signs: [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]))
+
+
+# Singular with a finite orbit (a projection), singular with an infinite
+# orbit, and invertible of infinite order.
+SPECIAL = {2: [[[1, 0], [0, 0]], [[2, 0], [0, 0]], [[0, "1/2"], [0, 0]], [[1, 1], [0, 1]],
+               [[0, -2], ["1/2", 0]]],
+           3: [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 0]],
+               [[1, "1/3", 0], [0, 1, 0], [0, 0, 1]]]}
+def _diagonally_conjugated(matrices, scales):
+    """The matrices conjugated by diag(scales), entries written as "p/q"."""
+    return [[[str(Fraction(x * scales[i], scales[j])) for j, x in enumerate(row)]
+             for i, row in enumerate(m)] for m in matrices]
+
+
+GENERATOR_LISTS = st.one_of(
+    # same-size square matrices: finite, infinite-order or singular
+    st.integers(1, 3).flatmap(lambda n: st.lists(_square(n), min_size=1, max_size=3)),
+    # finite groups of signed permutations, conjugated by diag(1|2|3, ...)
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(_signed_permutation(n), min_size=1, max_size=3),
+        st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n)).map(
+        lambda t: _diagonally_conjugated(*t))),
+    # finite groups of signed permutations, with one special matrix put in
+    st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.lists(_signed_permutation(n), min_size=1, max_size=3),
+        st.sampled_from(SPECIAL[n]), st.integers(0, 3)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])),
+    # ragged, non-square, empty and mixed-size matrices
+    st.lists(st.one_of(
+        st.just([]),
+        st.lists(st.lists(ENTRY, max_size=3), max_size=3),
+        st.integers(1, 3).flatmap(_square),
+    ), max_size=3),
+    # unreadable or unusual entries, and rows or matrices that are not lists
+    st.lists(st.one_of(
+        st.integers(1, 3).flatmap(lambda n: _square(n, st.one_of(ENTRY, ODD_ENTRY))),
+        st.sampled_from([5, "12", [5], [[1, 0], 7]]),
+    ), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(GENERATOR_LISTS, st.sampled_from([1, 8, 64, 64]))
+def test_generate_group_matches_the_validate_first_oracle(generators, max_order):
+    # Invertibility is read off the orbit's permutations; the generators are
+    # checked one by one only on a failure path, so every error names the
+    # same generator with the same message as checking them first.
+    expected = _outcome(oracle_generate_group, generators, max_order)
+    assert _outcome(generate_group, generators, max_order) == expected
+
+
+def test_generate_group_error_paths_match_the_oracle():
+    # Each failure path at least once: a non-square generator after a
+    # singular one, singular ones with finite and infinite orbits,
+    # infinite order, an empty list, a zero-dimensional identity, an
+    # unreadable entry and a ragged matrix.
+    cases = [
+        [[[1, 0], [0, 0]], [[1, 0]]],
+        [[[0, 1], [1, 0]], [[1, 0], [0, 0]]],
+        [[[0, 1], [1, 0]], [[2, 0], [0, 0]]],
+        [[[1, 1], [0, 1]]],
+        [],
+        [[]],
+        [[[1, 0], [0, "1/0"]]],
+        [[[1, 0], [0]]],
+    ]
+    seen = set()
+    for generators in cases:
+        expected = _outcome(oracle_generate_group, generators, 16)
+        assert _outcome(generate_group, generators, 16) == expected
+        seen.add(expected[0] if isinstance(expected[0], type) else "group")
+    assert {NonInvertibleGenerator, NotFiniteWithinBound, DimensionMismatch, ParseError,
+            "group"} <= seen
 
 
 def test_sympy_permutation_group_order_oracle():

@@ -2,7 +2,7 @@
 import builtins
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,9 @@ from suborbifolds.linalg import (
     fixed_points,
     identity,
     int_form,
+    int_matrix,
     int_points,
+    int_vector,
     intersect,
     kernel_basis,
     mat,
@@ -28,6 +30,7 @@ from suborbifolds.linalg import (
     point_from_coordinates,
     rat,
     rat_str,
+    read_rational,
     rref,
     sample_points,
     scaled,
@@ -72,6 +75,64 @@ def test_rat_roundtrip():
     assert rat("-1.25") == Fraction(-5, 4) and rat("+.5") == Fraction(1, 2)
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5"
+
+
+def _result(read, x):
+    """read(x), or the class and message of what it raised."""
+    try:
+        return read(x)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+
+
+def _parts_via_rat(x):
+    f = rat(x)
+    return f.numerator, f.denominator
+
+
+RATIONAL_TEXT = st.one_of(
+    st.text(alphabet="0123456789-+/ _.eE\u0661\uff11\n", max_size=8),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.sampled_from(["01", "+1", " 1", "1 ", "1_0", "1/-2", "-", "/2", "1/", "1/0", "-0/7",
+                     "\u0661", "\uff11/2", "1\n", "1" * 5000, "1/" + "2" * 5000]),
+)
+OTHER_VALUES = st.one_of(st.integers(), st.fractions(), st.booleans(), st.floats(),
+                         st.none(), st.just([1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(RATIONAL_TEXT, OTHER_VALUES))
+def test_read_rational_agrees_with_rat(x):
+    # The plain forms are read without a Fraction; everything else goes to
+    # rat, so every value reads the same and every refusal is the same error.
+    got = _result(read_rational, x)
+    assert got == _result(_parts_via_rat, x)
+    if not isinstance(got[0], type):
+        assert got[1] > 0 and gcd(*got) == 1
+
+
+def _fraction_reading(read):
+    """The integer form of what ``read`` gives as Fractions, as ``int_vector``
+    and ``int_matrix`` give it."""
+    def reading(x):
+        value = read(x)
+        if value and isinstance(value[0], tuple):
+            d = lcm(*[c.denominator for row in value for c in row])
+            return d, tuple(tuple(int(c * d) for c in row) for row in value)
+        return scaled(value)
+    return reading
+
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9), RATIONAL_TEXT,
+                    st.booleans(), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRIES, max_size=4),
+       st.lists(st.lists(ENTRIES, max_size=3), max_size=3))
+def test_integer_readers_agree_with_vec_and_mat(xs, rows):
+    assert _result(int_vector, xs) == _result(_fraction_reading(vec), xs)
+    assert _result(int_matrix, rows) == _result(_fraction_reading(mat), rows)
 
 
 def test_rank_hand_cases():

@@ -1,6 +1,7 @@
 """Equivariant maps and the geometric constructions built from them."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,7 @@ from suborbifolds.linalg import (
 )
 from suborbifolds.maps import (
     EquivariantAffineMap,
+    _block_diag,
     compose,
     fibered_product,
     graph_suborbifold,
@@ -54,8 +56,19 @@ from suborbifolds.maps import (
     transverse_candidates,
     trivial_hom,
 )
+from suborbifolds.scene import parse_scene
 
-from oracles import oracle_saturated_sampled, random_candidate
+from oracles import (
+    conjugate_all,
+    oracle_equivariance_failure,
+    oracle_mat_mul,
+    oracle_saturated_sampled,
+    random_candidate,
+    random_rational_basis_change,
+    signed_permutation_matrices,
+)
+
+RATIONAL_SCENE = Path(__file__).resolve().parents[1] / "scenes" / "rational_chart.json"
 
 
 def line_into_rot4():
@@ -110,6 +123,81 @@ def test_equivariance_error_names_the_first_failing_element():
     with pytest.raises(NonInvariant, match=r"element 0 \(offset\)$"):
         EquivariantAffineMap(rot, rot, mat([[0, 0], [0, 0]]), vec([1, 0]),
                              identity_hom(rot.group))
+
+
+def _conjugated_chart(matrices, s, s_inv):
+    return chart_from_group(generate_group(conjugate_all(matrices, s, s_inv)))
+
+
+def test_equivariance_check_matches_fraction_products():
+    # Signed permutation groups conjugated by rational basis changes S1 and
+    # S2, so both charts have denominators; L = S2 S1^-1 intertwines them.
+    # L, a multiple of it, a perturbation of it or a random L, with a zero,
+    # random or fixed offset, under the conjugation theta or the trivial one.
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        perms = signed_permutation_matrices(n)
+        gens = rng.sample(perms, rng.randint(1, min(2, len(perms))))
+        s1, s1_inv = random_rational_basis_change(rng, n)
+        s2, s2_inv = random_rational_basis_change(rng, n)
+        domain = _conjugated_chart(gens, s1, s1_inv)
+        codomain = _conjugated_chart(gens, s2, s2_inv)
+        # theta(S1 g S1^-1) = S2 g S2^-1 = (S2 S1^-1) (S1 g S1^-1) (S1 S2^-1)
+        bridge, back = oracle_mat_mul(s2, s1_inv), oracle_mat_mul(s1, s2_inv)
+        images = [codomain.group.index_of(oracle_mat_mul(oracle_mat_mul(bridge, m), back))
+                  for m in domain.group.matrices]
+        kind = rng.choice(["bridge", "multiple", "perturbed", "random"])
+        scale = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 3]))
+        linear = [[scale * x for x in row] for row in bridge]
+        if kind == "perturbed":
+            linear[rng.randrange(n)][rng.randrange(n)] += Fraction(1, rng.choice([1, 2]))
+        elif kind == "random":
+            linear = [[Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)]
+                      for _ in range(n)]
+        offset = [Fraction(0)] * n
+        if rng.random() < 0.5:
+            offset = [Fraction(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(n)]
+        if rng.random() < 0.25:
+            images = [codomain.group.identity] * domain.group.order
+        theta = GroupHom(domain.group, codomain.group, tuple(images))
+        linear, offset = mat(linear), vec(offset)
+        expected = oracle_equivariance_failure(domain.group, codomain.group, linear, offset,
+                                               images)
+        if expected is None:
+            EquivariantAffineMap(domain, codomain, linear, offset, theta)
+            seen.add("holds")
+            continue
+        g, part = expected
+        with pytest.raises(NonInvariant) as raised:
+            EquivariantAffineMap(domain, codomain, linear, offset, theta)
+        assert str(raised.value) == f"equivariance fails on element {g} ({part})"
+        seen.add(part)
+        seen.add("element > 0" if g > 0 else "element 0")
+    assert seen == {"holds", "linear part", "offset", "element 0", "element > 0"}
+
+
+def test_pair_index_matches_the_block_matrix_index():
+    # rot4 x rot4 (integer entries) and the rational scene's maps (entries
+    # over 2, 3 and 6): every pair, looked up by columns, against index_of
+    # of the block-diagonal Fraction matrix.
+    scene = parse_scene(RATIONAL_SCENE.read_text())
+    pairs = [(rot4_chart(), rot4_chart())]
+    pairs += [(f.domain, f.codomain) for f in scene.maps.values()]
+    pairs.append((chart_from_group(scene.groups["tall_b2"]),
+                  chart_from_group(scene.groups["skew_klein"])))
+    assert any(c.group.integer_forms[0] > 1 for pair in pairs for c in pair)
+    for left, right in pairs:
+        product = product_chart(left, right)
+        combined = product.combined.group
+        assert combined.order == left.group.order * right.group.order
+        indices = [[product.pair_index(i, j) for j in range(right.group.order)]
+                   for i in range(left.group.order)]
+        for i, a in enumerate(left.group.matrices):
+            for j, b in enumerate(right.group.matrices):
+                assert indices[i][j] == combined.index_of(_block_diag(a, b))
+        assert sorted(x for row in indices for x in row) == list(combined.members)
 
 
 def test_compose():

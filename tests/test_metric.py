@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from suborbifolds.cli import main
 from suborbifolds.corpus import metric_probes, run_metric_corpus, rot4_chart, x_axis
-from suborbifolds import metric
+from suborbifolds import linalg, metric
 from suborbifolds.errors import (
     CandidateNotSaturated,
     DimensionMismatch,
@@ -270,6 +270,31 @@ def test_metric_probe_work_does_not_grow_with_depth(monkeypatch):
             intrinsic_quotient_distance(probe.with_settings(depth=depth), x, y)
             counts.append(len(calls))
         assert 0 < counts[0] == counts[1] <= h * (2 * g + 1)
+
+
+def test_metric_check_tests_each_sample_point_once(monkeypatch, capsys):
+    # The probe checks its sample pairs when it is built; its run computes
+    # the intrinsic distance of the checked pairs without checking them
+    # again, while intrinsic_quotient_distance still checks its points.
+    calls = []
+    coordinates = linalg.coordinates
+
+    def counting(v, x):
+        calls.append(1)
+        return coordinates(v, x)
+
+    for argv, probes in ((["metric-check"], metric_probes()),
+                         (["metric-check", "--scene", str(ROTATION_SCENE)],
+                          parse_scene(ROTATION_SCENE.read_text()).probes)):
+        monkeypatch.setattr(linalg, "coordinates", counting)
+        calls.clear()
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert len(calls) == 2 * sum(len(p.sample_pairs) for p in probes.values())
+    capsys.readouterr()
+    probe = metric_probes()["rotation-line"]
+    with pytest.raises(PointsNotInSubspace, match="query points must lie in the subspace"):
+        intrinsic_quotient_distance(probe, vec([0, 1]), vec([1, 0]))
 
 
 # A reflection with denominator 3: I - (2/3) J fixes the plane x + y + z = 0

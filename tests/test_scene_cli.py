@@ -403,7 +403,7 @@ def test_cli_max_order_bounds_the_product_groups(tmp_path, monkeypatch, capsys):
     assert main(graph + ["--max-order", "16"]) == 0
     capsys.readouterr()
     # rot4 x rot4 has order 16; the bound is checked before the product is built
-    monkeypatch.setattr(maps, "generate_group", None)
+    monkeypatch.setattr(maps, "group_from_forms", None)
     assert main(graph + ["--max-order", "4"]) == 2
     assert capsys.readouterr().err == "error: product group of order 16 exceeds max_order=4\n"
     monkeypatch.undo()
