@@ -30,10 +30,11 @@ max_order places, so a longer orbit proves the group infinite or too
 large. Each generator must permute Omega: one that is injective on the
 finite Omega it preserves permutes it, and as Omega spans Q^n it is then
 invertible, while a singular one cannot be injective there. So a group
-that is built costs no rank test; only a generator that is not square or
-not injective on Omega, or an orbit past its cap, sends the generators
-through the one-by-one check (square, then invertible by a rank test),
-which names the same generator with the same message as checking every
+that is built from a short orbit costs no rank test; only a generator
+that is not square or not injective on Omega, or an orbit past
+``CHECK_ORBIT_PAST`` points per dimension, sends the generators through
+the one-by-one check (square, then invertible by a rank test), which
+names the same generator with the same message as checking every
 generator first. Each element permutes Omega, and as Omega spans Q^n
 that action is faithful; an element is even determined by its column
 key, the indices in Omega of its columns g e_1, ..., g e_n, which are the
@@ -107,6 +108,12 @@ from .linalg import (
 
 DEFAULT_MAX_ORDER = 10_000
 SUBGROUP_ENUMERATION_BOUND = 512
+# Once the orbit of the basis passes this many points per dimension, the
+# generators are checked one by one, so a singular generator with an
+# infinite orbit is named at once rather than after n * max_order points
+# (about 1 s at the default bound). A signed permutation group has 2
+# points per dimension.
+CHECK_ORBIT_PAST = 64
 
 
 def first_failure(group, fails):
@@ -441,9 +448,10 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
     n * max_order points. Each generator must then permute Omega: one that
     is injective on the finite Omega it preserves permutes it, and as Omega
     spans Q^n it is invertible, while a singular one cannot be injective
-    there. Only when a generator is not, or the orbit outgrows its cap, are
-    the generators checked one by one (``_refuse_generators``), so a
-    singular generator is named as such. The permutations are closed, and
+    there. Only when a generator is not, or the orbit passes
+    ``CHECK_ORBIT_PAST`` points per dimension or its cap, are the
+    generators checked one by one (``_refuse_generators``), so a singular
+    generator is named as such. The permutations are closed, and
     each element's matrix is read off the images of the basis, which come
     first.
     """
@@ -458,6 +466,8 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
                 if len(points) >= n * max_order:
                     _refuse_generators(n, _dense(n, forms))
                     raise NotFiniteWithinBound(max_order)
+                if len(points) == n * CHECK_ORBIT_PAST:
+                    _refuse_generators(n, _dense(n, forms))
                 points[y] = len(omega)
                 omega.append(y)
             row.append(points[y])

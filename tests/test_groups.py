@@ -343,6 +343,25 @@ def test_generate_group_error_paths_match_the_oracle():
             "group"} <= seen
 
 
+def test_singular_generator_with_an_infinite_orbit_is_refused_early(monkeypatch):
+    # diag(2, 0) sends e_1 to 2^k e_1, so the orbit never closes; the
+    # generators are checked once it passes CHECK_ORBIT_PAST points per
+    # dimension, not after the n * max_order points of the default cap.
+    products = []
+    real = groups.int_mat_vec
+
+    def counting(rows, xs):
+        products.append(None)
+        return real(rows, xs)
+
+    monkeypatch.setattr(groups, "int_mat_vec", counting)
+    generators = [[[0, 1], [1, 0]], [[2, 0], [0, 0]]]
+    expected = _outcome(oracle_generate_group, generators)
+    assert expected[0] is NonInvertibleGenerator and "singular" in expected[1]
+    assert _outcome(generate_group, generators) == expected
+    assert len(products) <= 2 * (2 * groups.CHECK_ORBIT_PAST + 1)
+
+
 def test_sympy_permutation_group_order_oracle():
     sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(29)
