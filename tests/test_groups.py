@@ -248,7 +248,7 @@ def _outcome(build, *args):
     group's integer forms and generators."""
     try:
         group = build(*args)
-    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+    except Exception as exc:
         return type(exc), str(exc)
     return group.integer_forms, group.generators
 
@@ -270,12 +270,15 @@ def _signed_permutation(n):
         lambda signs: [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]))
 
 
-# Singular with a finite orbit (a projection), singular with an infinite
-# orbit, and invertible of infinite order.
+# Singular with a finite orbit (a projection, a nilpotent), singular with
+# an infinite orbit, invertible of infinite order, and a rational rotation
+# of order 4.
 SPECIAL = {2: [[[1, 0], [0, 0]], [[2, 0], [0, 0]], [[0, "1/2"], [0, 0]], [[1, 1], [0, 1]],
                [[0, -2], ["1/2", 0]]],
            3: [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 0]],
                [[1, "1/3", 0], [0, 1, 0], [0, 0, 1]]]}
+
+
 def _diagonally_conjugated(matrices, scales):
     """The matrices conjugated by diag(scales), entries written as "p/q"."""
     return [[[str(Fraction(x * scales[i], scales[j])) for j, x in enumerate(row)]

@@ -81,7 +81,7 @@ def _result(read, x):
     """read(x), or the class and message of what it raised."""
     try:
         return read(x)
-    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+    except Exception as exc:
         return type(exc), str(exc)
 
 
