@@ -17,10 +17,16 @@ implementation, and "h agrees with g on W" compares the images of W's
 base point and basis, as integer vectors under the group's integer
 forms, so no Fraction is built or hashed per element of Delta or of
 Gamma. Its work follows the orbit of V rather than
-|Gamma| * |Delta|: W_g = V & g^-1 V depends only on the coset
-Stab(V) g, g^-1 V is reached through the Schreier tree of the group's
-generators, and W_g with the images of it under all of Delta is built
-once per distinct g^-1 V. Witnesses for failures are found by bounded
+|Gamma| * |Delta|. W_g = V & g^-1 V depends only on the coset Stab(V) g:
+g^-1 V is reached through the Schreier tree of the group's generators,
+and W_g is solved once per distinct g^-1 V by pulling V's equations
+back through g (x is in g^-1 V exactly when g x satisfies them) and
+solving them in V's own k coordinates (``linalg.meet``). This part
+depends on the chart and V alone, so it is one object per candidate
+(``SuborbifoldCandidate.orbit_of_v``), built at most once and shared by
+the candidates ``with_delta`` makes: the replay of the complement and
+each subgroup of the lattice search. Only the images of each W_g under
+Delta are built per candidate. Witnesses for failures are found by bounded
 deterministic rational sampling and always replay: a saturation witness
 is the first point of ``linalg.sample_points(W_g)`` whose image under g
 no element of Delta matches, so that order fixes its bytes. Points of the induced
@@ -63,6 +69,7 @@ from .linalg import (
     affine_subspace,
     contains_point,
     coordinates,
+    equations,
     fixed_points,
     form_of_columns,
     identity_form,
@@ -72,6 +79,7 @@ from .linalg import (
     intersect,
     lowest_terms,
     mat_sub,
+    meet,
     point_from_coordinates,
     point_in_dim,
     rat_str,
@@ -123,8 +131,8 @@ class SuborbifoldCandidate:
     """Subgroup of a chart group plus an affine subspace it leaves invariant.
 
     The candidate is immutable, so its saturation verdict, the kernel of
-    its action and its induced chart are computed at most once, on first
-    use.
+    its action, its induced chart and the V-only part of saturation
+    (``orbit_of_v``) are computed at most once, on first use.
     """
 
     chart: ChartModel
@@ -145,6 +153,21 @@ class SuborbifoldCandidate:
     @cached_property
     def saturation(self) -> Verdict:
         return check_saturated(self)
+
+    @cached_property
+    def orbit_of_v(self) -> OrbitOfV:
+        """The orbit of V and the meets W_g, shared by ``with_delta``."""
+        return OrbitOfV(self.chart.group, self.v)
+
+    def with_delta(self, delta: Subgroup) -> SuborbifoldCandidate:
+        """The candidate with the same chart and V and subgroup delta.
+
+        Its invariance is checked as for any candidate, and it shares this
+        candidate's ``orbit_of_v``, which depends only on the chart and V.
+        """
+        other = SuborbifoldCandidate(self.chart, delta, self.v)
+        other.__dict__["orbit_of_v"] = self.orbit_of_v
+        return other
 
     @cached_property
     def kernel(self) -> Subgroup:
@@ -221,54 +244,56 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
 
     Every g in Gamma is tested in index order, and the first g that no
     h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
-    Delta are covered by themselves and skipped. g^-1 V is read off the
-    Schreier tree one generator step at a time (``_SubspaceOrbit``), so
-    at most #generators * [Gamma : Stab(V)] subspaces are transformed;
-    W_g and the set of images of W_g under Delta are built once per
-    distinct g^-1 V, and each g costs one set lookup.
+    Delta are covered by themselves and skipped. W_g depends on V alone:
+    the candidate's ``orbit_of_v`` reads g^-1 V off the Schreier tree and
+    solves W_g once per distinct g^-1 V, in V's own coordinates, so
+    candidates with the same chart and V share that work. Only the set of
+    images of W_g under Delta is built here, once per distinct W_g, and
+    each g costs one set lookup.
     """
     group = cand.chart.group
-    v = cand.v
     _, forms = group.integer_forms
-    orbit = _SubspaceOrbit(group, v)
-    # g^-1 V -> (W_g, int_points(W_g), {int_images(h, .) : h in Delta}), or None
-    covers: dict = {}
+    orbit = cand.orbit_of_v
+    covers: dict = {}  # W_g -> {int_images(h, W_g) : h in Delta}
     for g in range(group.order):
         if cand.delta.contains(g):
             continue
-        g_inv_v = orbit.image(group.inv(g))
-        if g_inv_v not in covers:
-            w = intersect(v, g_inv_v)
-            if w is None:
-                covers[g_inv_v] = None
-            else:
-                points = int_points(w)
-                covers[g_inv_v] = (
-                    w, points, {int_images(forms[h], points) for h in cand.delta.members})
-        if covers[g_inv_v] is None:
+        found = orbit.w_g(g)
+        if found is None:
             continue
-        w_g, points, covered = covers[g_inv_v]
+        w_g, points = found
+        covered = covers.get(w_g)
+        if covered is None:
+            covered = covers[w_g] = {int_images(forms[h], points) for h in cand.delta.members}
         if int_images(forms[g], points) not in covered:
             point = _witness_point(w_g, group, cand.delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)
 
 
-class _SubspaceOrbit:
-    """x V for the elements x of a group, computed on demand.
+class OrbitOfV:
+    """The part of saturation that depends only on the chart group and V.
 
-    x V is s (y V) for x's Schreier-tree entry (s, y); each generator is
-    applied to each subspace at most once. Equal subspaces are kept as one
-    object, so later lookups of them are decided by identity rather than by
-    comparing their integer forms.
+    ``image(x)`` is x V, which is s (y V) for x's Schreier-tree entry
+    (s, y); each generator is applied to each subspace at most once, and
+    equal subspaces are kept as one object, so later lookups of them are
+    decided by identity rather than by comparing their integer forms.
+    ``w_g(g)`` is W_g = V & g^-1 V with its ``int_points``, or None when
+    it is empty. x is in g^-1 V exactly when (c (d g)) x = d e, for V's
+    equations c x = e and the group's integer form d g, so W_g is that
+    system solved on V (``linalg.meet``), once per distinct g^-1 V.
     """
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
         self._group = group
         self._d, self._forms = group.integer_forms
+        self._v = v
+        self._equations = equations(v)
         self._image = {group.identity: v}
         self._step: dict = {}
         self._seen = {v: v}
+        self._w: dict = {}  # g^-1 V -> (W_g, int_points(W_g)) or None
+        self._w_of: dict = {}  # g -> the same entry
 
     def image(self, x: int) -> AffineSubspace:
         tree, path = self._group.schreier_tree, []
@@ -283,6 +308,28 @@ class _SubspaceOrbit:
                 self._step[s, u] = self._seen.setdefault(moved, moved)
             u = self._image[x] = self._step[s, u]
         return u
+
+    def w_g(self, g: int):
+        try:
+            return self._w_of[g]
+        except KeyError:
+            pass
+        g_inv_v = self.image(self._group.inv(g))
+        if g_inv_v not in self._w:
+            c, e = self._equations
+            rows = self._forms[g]
+            pulled = []
+            for row in c:
+                out = [0] * len(row)
+                for a, form_row in zip(row, rows):
+                    if a:
+                        for j, x in form_row:
+                            out[j] += a * x
+                pulled.append(out)
+            w = meet(self._v, pulled, [self._d * x for x in e])
+            self._w[g_inv_v] = None if w is None else (w, int_points(w))
+        found = self._w_of[g] = self._w[g_inv_v]
+        return found
 
 
 def _require_saturated(cand: SuborbifoldCandidate) -> None:
@@ -300,9 +347,9 @@ def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded)
     for g in range(group.order):
         if g in excluded:
             continue
-        meet = fixed_points((d, forms[g]), v)
-        if meet is not None:
-            return g, meet.base_point
+        fixed = fixed_points((d, forms[g]), v)
+        if fixed is not None:
+            return g, fixed.base_point
     return None
 
 
@@ -348,7 +395,7 @@ def check_embedded(
     _require_saturated(cand)
     complement = find_complement(cand.delta, cand.kernel)
     if isinstance(complement, Subgroup):
-        replay = SuborbifoldCandidate(cand.chart, complement, cand.v)
+        replay = cand.with_delta(complement)
         if not (_acts_effectively(complement, cand.kernel)
                 and check_saturated(replay).holds):
             raise AssertionError("complement failed effectiveness re-verification")
@@ -359,7 +406,7 @@ def check_embedded(
     fixing = pointwise_stabilizer(cand.chart.group, cand.v)
     for checked, sub in enumerate(subgroups, start=1):
         try:
-            other = SuborbifoldCandidate(cand.chart, sub, cand.v)
+            other = cand.with_delta(sub)
         except NonInvariant:
             continue
         if _acts_effectively(sub, fixing) and check_saturated(other).holds:

@@ -6,6 +6,7 @@ acceptance suite and the `corpus` CLI command.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,10 +226,19 @@ CASES = (
 )
 
 
+@functools.cache
+def _probe_charts() -> tuple[ChartModel, ChartModel]:
+    """The rot4 and Klein charts of the metric probes, built once per process."""
+    return rot4_chart(), klein_chart()
+
+
 def metric_probes() -> dict[str, MetricProbe]:
-    """Corpus probes for the metric-coincidence lemma."""
-    rot = rot4_chart()
-    klein = klein_chart()
+    """Corpus probes for the metric-coincidence lemma.
+
+    The two charts are constants, built once per process; each probe is
+    built, with its membership and orthogonality checks, on every call.
+    """
+    rot, klein = _probe_charts()
     return {
         "rotation-line": MetricProbe(
             rot.group,

@@ -19,9 +19,10 @@ stored as one denominator with the base point's numerators and as
 primitive integer basis rows with positive pivots (``AffineSubspace``).
 Set equality is plain ``==`` on these integers, and a subspace computes
 its hash once. Transforms, intersections, equations and fixed spaces
-read and build the integer form only; ``base_point`` and ``basis`` are
-Fraction views, built on first read for a caller that reads a
-coordinate. The empty set is represented by ``None`` returns; callers
+read and build the integer form only, and a subspace cut by equations
+is solved in its own coordinates (``meet``, which serves ``intersect``
+and ``fixed_points``); ``base_point`` and ``basis`` are Fraction views,
+built on first read for a caller that reads a coordinate. The empty set is represented by ``None`` returns; callers
 must handle it explicitly. A point of a subspace has one coordinates
 helper, ``coordinates``, which is also the membership test.
 ``sample_points`` walks the points with integer coordinates in a fixed
@@ -512,35 +513,65 @@ def solve_affine(a: Mat, b) -> AffineSubspace | None:
     return _canonical(n, scale, particular, kernel)
 
 
+def meet(v: AffineSubspace, c, e) -> AffineSubspace | None:
+    """{x in v : c x = e} as a canonical subspace, or None when it is empty.
+
+    c is a list of integer rows of length n and e their integer right-hand
+    sides. The system is solved in v's own k coordinates: with v's form
+    (den, base, rows R_i), x = (base + sum_i s_i R_i) / den, and c x = e
+    becomes the m x (k + 1) integer system sum_i s_i (c R_i) = den e - c base.
+    Its rows are eliminated once, and the particular solution and kernel
+    are mapped back through the R_i into one ``_canonical``. When every
+    equation holds on all of v, v itself is returned.
+    """
+    k, n = len(v.rows), v.ambient_dim
+    system = []
+    for row, rhs in zip(c, e):
+        entries = [sum([a * x for a, x in zip(row, r) if a]) for r in v.rows]
+        entries.append(v.den * rhs - sum([a * x for a, x in zip(row, v.base) if a]))
+        if any(entries):
+            system.append(entries)
+    if not system:
+        return v
+    pivots = _eliminate(system)
+    if k in pivots:
+        return None
+    scale = lcm(*[row[p] for row, p in zip(system, pivots)])
+    base = [scale * x for x in v.base]
+    for row, p in zip(system, pivots):
+        s = row[k] * (scale // row[p])
+        base = [x + s * y for x, y in zip(base, v.rows[p])]
+    directions = [[sum([w[i] * r[j] for i, r in enumerate(v.rows) if w[i]]) for j in range(n)]
+                  for _, w in _int_kernel(system, pivots, k)]
+    return _canonical(n, v.den * scale, base, directions)
+
+
 def intersect(a: AffineSubspace, b: AffineSubspace) -> AffineSubspace | None:
+    """a & b as a canonical subspace, or None: b's equations solved on a
+    (``meet``)."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    ca, ea = equations(a)
-    cb, eb = equations(b)
-    if not (ca or cb):
-        return whole_space(a.ambient_dim)
-    return solve_affine(ca + cb, ea + eb)
+    return meet(a, *equations(b))
 
 
 def fixed_points(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace | None:
     """{x in v : m x = x} as a canonical subspace, or None, for the square
     matrix m given as (d, d m) (see ``int_form``).
 
-    One solve of v's equations stacked with d (m - I) x = 0.
+    The rows of d (m - I) x = 0 solved on v (``meet``).
     """
     d, rows = form
     n = v.ambient_dim
     if len(rows) != n:
         raise DimensionMismatch("ambient dimensions differ")
-    c, e = equations(v)
+    moved = []
     for i, row in enumerate(rows):
-        moved = [0] * n
+        dense = [0] * n
         for j, x in row:
-            moved[j] = x
-        moved[i] -= d
-        c.append(tuple(moved))
-        e.append(0)
-    return solve_affine(c, e)
+            dense[j] = x
+        dense[i] -= d
+        moved.append(dense)
+    return meet(v, moved, [0] * n)
 
 
 def direction_sum_is_full(a: AffineSubspace, b: AffineSubspace) -> bool:

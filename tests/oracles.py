@@ -30,14 +30,16 @@ from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
     contains_point,
+    equations,
     int_form,
     int_mat_vec,
-    intersect,
     is_invertible,
     map_subspace,
     mat,
     point_from_coordinates,
+    solve_affine,
     vec,
+    whole_space,
     zero_vec,
 )
 
@@ -164,6 +166,24 @@ def oracle_canonical_subspace(base, rows):
     return tuple(point), basis, pivots
 
 
+def oracle_meet(v: AffineSubspace, c, e):
+    """{x in v : c x = e} by one stacked solve in all n coordinates.
+
+    v's equations and the rows c x = e go into one ``solve_affine``; the
+    package solves the same set in v's own coordinates (``linalg.meet``).
+    """
+    cv, ev = equations(v)
+    rows, rhs = cv + [tuple(row) for row in c], ev + list(e)
+    if not rows:
+        return whole_space(v.ambient_dim)
+    return solve_affine(rows, rhs)
+
+
+def oracle_intersect(a: AffineSubspace, b: AffineSubspace):
+    """a & b by both sides' equations stacked in one solve (``oracle_meet``)."""
+    return oracle_meet(a, *equations(b))
+
+
 # ---------------------------------------------------------------------------
 # Point sampling inside an affine subspace
 
@@ -207,8 +227,8 @@ def oracle_saturated_sampled(cand: SuborbifoldCandidate, rng: random.Random,
 def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     """Saturation by the per-element loop, the reference for the orbit walk.
 
-    For every g in index order: g^-1 V by one transform, W_g by one
-    intersect, and the images of W_g under g compared with those under
+    For every g in index order: g^-1 V by one transform, W_g by the
+    stacked solve ``oracle_intersect``, and the images of W_g under g compared with those under
     each h in Delta in turn; the first uncovered g is the witness, at the
     package's witness point.
     """
@@ -216,7 +236,7 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     v = cand.v
     for g in range(group.order):
         g_inv_v = map_subspace(group.matrix_of(group.inv(g)), zero_vec(v.ambient_dim), v)
-        w_g = intersect(v, g_inv_v)
+        w_g = oracle_intersect(v, g_inv_v)
         if w_g is None:
             continue
         moved = oracle_images(group.matrix_of(g), w_g)

@@ -249,15 +249,23 @@ def test_induced_chart_rejects_a_homomorphism_with_the_wrong_kernel(monkeypatch)
 def test_saturation_computed_once_per_candidate(monkeypatch):
     module = sys.modules["suborbifolds.classify"]
     original = module.check_saturated
-    calls = []
+    calls, orbits = [], []
 
     def counting(cand):
         calls.append(cand)
         return original(cand)
 
+    real_orbit_init = module.OrbitOfV.__init__
+
+    def orbit_init(self, *args):
+        orbits.append(self)
+        real_orbit_init(self, *args)
+
     monkeypatch.setattr(module, "check_saturated", counting)
+    monkeypatch.setattr(module.OrbitOfV, "__init__", orbit_init)
     for points, expected_isotropy in (((), 0), (((0, 0),), 1)):
         calls.clear()
+        orbits.clear()
         cand = rotation_line_candidate()
         report = classify(cand, isotropy_points=points)
         assert len(report.induced_isotropy_at) == expected_isotropy
@@ -265,10 +273,48 @@ def test_saturation_computed_once_per_candidate(monkeypatch):
         assert len(calls) == 2
         assert calls[0] is cand and calls[1] is not cand
         assert calls[1].delta == report.embedded.effective_delta
+        # one orbit of V serves both: the replay only rebuilds its covering sets
+        assert len(orbits) == 1
+        assert calls[0].orbit_of_v is calls[1].orbit_of_v is orbits[0]
     # a later verdict on the same candidate reuses the stored one
     check_full(cand)
     induced_chart(cand)
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(orbits) == 1
+
+
+def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
+    # complex-axis has no complement of its kernel, so every subgroup of the
+    # chart group is tried; each subgroup candidate reuses the orbit of V.
+    module = sys.modules["suborbifolds.classify"]
+    original_check, original_with = module.check_saturated, SuborbifoldCandidate.with_delta
+    calls, built, orbits = [], [], []
+
+    def counting(cand):
+        calls.append(cand)
+        return original_check(cand)
+
+    def with_delta(self, delta):
+        other = original_with(self, delta)
+        built.append(other)
+        return other
+
+    real_orbit_init = module.OrbitOfV.__init__
+
+    def orbit_init(self, *args):
+        orbits.append(self)
+        real_orbit_init(self, *args)
+
+    monkeypatch.setattr(module, "check_saturated", counting)
+    monkeypatch.setattr(SuborbifoldCandidate, "with_delta", with_delta)
+    monkeypatch.setattr(module.OrbitOfV, "__init__", orbit_init)
+    cand = complex_axis_candidate()
+    report = classify(cand, search_all_delta=True)
+    embedded = report.embedded
+    assert not embedded.holds and embedded.searched_all_delta
+    assert len(built) == embedded.deltas_checked == len(groups.all_subgroups(cand.chart.group))
+    assert calls[0] is cand and len(calls) >= 2
+    assert len(orbits) == 1
+    assert all(other.orbit_of_v is orbits[0] for other in built + calls)
 
 
 def test_induced_chart_built_once_per_candidate(monkeypatch):
@@ -508,8 +554,8 @@ def test_saturation_covering_loop_builds_no_fraction(monkeypatch):
 
     images_of = module.int_images
     monkeypatch.setattr(module, "int_images", key)
-    monkeypatch.setattr(module, "intersect", allowed(module.intersect))
-    monkeypatch.setattr(module._SubspaceOrbit, "image", allowed(module._SubspaceOrbit.image))
+    monkeypatch.setattr(module, "meet", allowed(module.meet))
+    monkeypatch.setattr(module.OrbitOfV, "image", allowed(module.OrbitOfV.image))
     monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__, "built"))
     monkeypatch.setattr(Fraction, "__hash__", counted(Fraction.__hash__, "hashed"))
     assert check_saturated(cand).holds

@@ -27,6 +27,7 @@ from suborbifolds.linalg import (
     mat_rank,
     mat_sub,
     mat_vec,
+    meet,
     point_from_coordinates,
     rat,
     rat_str,
@@ -44,6 +45,8 @@ from suborbifolds.linalg import (
 
 from oracles import (
     oracle_canonical_subspace,
+    oracle_intersect,
+    oracle_meet,
     oracle_mat_vec,
     oracle_rank,
     oracle_rref,
@@ -438,8 +441,69 @@ def test_fixed_points_match_solve_then_intersect(n, data):
         st.lists(kernel_rationals, min_size=n, max_size=n), max_size=n))
     v = affine_subspace(base, rows)
     fix = solve_affine(mat_sub(square, identity(n)), zero_vec(n))
-    want = None if fix is None else intersect(fix, v)
+    want = None if fix is None else oracle_intersect(fix, v)
     assert fixed_points(int_form(square), v) == want
+
+
+_small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def _meet_cases(draw):
+    """(v, c, e): v with k = 0..n basis rows in R^n, n <= 5, denominators <= 6,
+    and integer equations among which are zero rows, multiples of earlier
+    rows (rank-deficient), clashes with earlier rows (inconsistent) and rows
+    of v's own equations (holding on all of v)."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    base = draw(st.lists(_small_rationals, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_small_rationals, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    v = affine_subspace(base, rows)
+    own_c, own_e = equations(v)
+    c, e = [], []
+    kinds = st.sampled_from(["random", "zero", "multiple", "clash", "own"])
+    for kind in draw(st.lists(kinds, max_size=5)):
+        if kind == "zero":
+            c.append([0] * n)
+            e.append(draw(st.sampled_from([0, 0, 1])))
+        elif kind in ("multiple", "clash") and c:
+            i = draw(st.integers(0, len(c) - 1))
+            f = draw(st.integers(-3, 3))
+            c.append([f * x for x in c[i]])
+            e.append(f * e[i] + (draw(st.integers(1, 3)) if kind == "clash" else 0))
+        elif kind == "own" and own_c:
+            i = draw(st.integers(0, len(own_c) - 1))
+            c.append(list(own_c[i]))
+            e.append(own_e[i])
+        else:
+            c.append(draw(st.lists(_small_ints, min_size=n, max_size=n)))
+            e.append(draw(_small_ints))
+    return v, c, e
+
+
+@settings(max_examples=400, deadline=None)
+@given(_meet_cases())
+def test_meet_matches_the_stacked_solve(case):
+    v, c, e = case
+    got = meet(v, c, e)
+    assert got == oracle_meet(v, c, e)
+    if got is not None:
+        assert got.ambient_dim == v.ambient_dim
+        assert all(contains_point(v, x) for x in islice(sample_points(got), 3))
+
+
+def test_meet_hand_cases():
+    plane = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+    # x = y on the plane z = 1: the line through (0, 0, 1) along (1, 1, 0)
+    assert meet(plane, [[1, -1, 0]], [0]) == affine_subspace([0, 0, 1], [[1, 1, 0]])
+    # an equation that holds on all of the plane returns the plane itself
+    assert meet(plane, [[0, 0, 2]], [2]) is plane
+    # z = 2 misses it, and so does 0 = 1
+    assert meet(plane, [[0, 0, 1]], [2]) is None
+    assert meet(plane, [[0, 0, 0]], [1]) is None
+    assert meet(plane, [], []) is plane
 
 
 def test_subspace_hash_is_kept_and_structural(monkeypatch):

@@ -1,5 +1,6 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -295,6 +296,27 @@ def test_metric_check_tests_each_sample_point_once(monkeypatch, capsys):
     probe = metric_probes()["rotation-line"]
     with pytest.raises(PointsNotInSubspace, match="query points must lie in the subspace"):
         intrinsic_quotient_distance(probe, vec([0, 1]), vec([1, 0]))
+
+
+def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
+    # The two corpus charts are constants: a later call builds no group, but
+    # it still builds both probes and runs their orthogonality checks.
+    corpus = sys.modules["suborbifolds.corpus"]
+    first = metric_probes()
+    checked = []
+    require_orthogonal = metric._require_orthogonal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a corpus chart was built again")
+
+    monkeypatch.setattr(corpus, "generate_group", refuse)
+    monkeypatch.setattr(metric, "_require_orthogonal",
+                        lambda group: checked.append(group) or require_orthogonal(group))
+    second = metric_probes()
+    assert len(checked) == len(second) == 2
+    for name, probe in second.items():
+        assert probe is not first[name] and probe == first[name]
+        assert probe.group is first[name].group
 
 
 # A reflection with denominator 3: I - (2/3) J fixes the plane x + y + z = 0
