@@ -19,11 +19,12 @@ stored as one denominator with the base point's numerators and as
 primitive integer basis rows with positive pivots (``AffineSubspace``).
 Set equality is plain ``==`` on these integers, and a subspace computes
 its hash once. Transforms, intersections, equations and fixed spaces
-read and build the integer form only, and a subspace cut by equations
-is solved in its own coordinates (``meet``, which serves ``intersect``
-and ``fixed_points``); ``base_point`` and ``basis`` are Fraction views,
-built on first read for a caller that reads a coordinate. The empty set is represented by ``None`` returns; callers
-must handle it explicitly. A point of a subspace has one coordinates
+read and build the integer form only. ``solve_affine`` is the one
+affine solver: a subspace cut by equations is solved in its own
+coordinates through it (``meet``, which serves ``intersect`` and
+``fixed_points``). ``base_point`` and ``basis`` are Fraction views,
+built on first read for a caller that reads a coordinate. The empty set
+is represented by ``None`` returns; callers must handle it explicitly. A point of a subspace has one coordinates
 helper, ``coordinates``, which is also the membership test.
 ``sample_points`` walks the points with integer coordinates in a fixed
 order; the saturation witnesses are the first hits in that order, so the
@@ -493,7 +494,7 @@ def solve_affine(a: Mat, b) -> AffineSubspace | None:
     Entries may be Fractions or ints, and an int is read as it is. The
     augmented rows are eliminated as integers; the particular solution and
     the kernel are read off the pivot rows and put in canonical form
-    together.
+    together. ``meet`` solves its systems here too.
     """
     b = [x if type(x) is int else rat(x) for x in b]
     if len(a) != len(b):
@@ -519,31 +520,29 @@ def meet(v: AffineSubspace, c, e) -> AffineSubspace | None:
     c is a list of integer rows of length n and e their integer right-hand
     sides. The system is solved in v's own k coordinates: with v's form
     (den, base, rows R_i), x = (base + sum_i s_i R_i) / den, and c x = e
-    becomes the m x (k + 1) integer system sum_i s_i (c R_i) = den e - c base.
-    Its rows are eliminated once, and the particular solution and kernel
-    are mapped back through the R_i into one ``_canonical``. When every
-    equation holds on all of v, v itself is returned.
+    becomes the m x k integer system sum_i s_i (c R_i) = den e - c base.
+    ``solve_affine`` solves it, and its solution set is mapped back
+    through the R_i into one ``_canonical``. When every equation holds on
+    all of v, v itself is returned.
     """
-    k, n = len(v.rows), v.ambient_dim
-    system = []
+    a, b = [], []
     for row, rhs in zip(c, e):
-        entries = [sum([a * x for a, x in zip(row, r) if a]) for r in v.rows]
-        entries.append(v.den * rhs - sum([a * x for a, x in zip(row, v.base) if a]))
-        if any(entries):
-            system.append(entries)
-    if not system:
+        entries = [sum([x * y for x, y in zip(row, r) if x]) for r in v.rows]
+        shift = v.den * rhs - sum([x * y for x, y in zip(row, v.base) if x])
+        if shift or any(entries):
+            a.append(entries)
+            b.append(shift)
+    if not a:
         return v
-    pivots = _eliminate(system)
-    if k in pivots:
+    s = solve_affine(a, b)
+    if s is None:
         return None
-    scale = lcm(*[row[p] for row, p in zip(system, pivots)])
-    base = [scale * x for x in v.base]
-    for row, p in zip(system, pivots):
-        s = row[k] * (scale // row[p])
-        base = [x + s * y for x, y in zip(base, v.rows[p])]
-    directions = [[sum([w[i] * r[j] for i, r in enumerate(v.rows) if w[i]]) for j in range(n)]
-                  for _, w in _int_kernel(system, pivots, k)]
-    return _canonical(n, v.den * scale, base, directions)
+
+    def through_v(ws):
+        return [sum([w * r[j] for w, r in zip(ws, v.rows) if w]) for j in range(v.ambient_dim)]
+
+    base = [s.den * x + y for x, y in zip(v.base, through_v(s.base))]
+    return _canonical(v.ambient_dim, v.den * s.den, base, [through_v(w) for w in s.rows])
 
 
 def intersect(a: AffineSubspace, b: AffineSubspace) -> AffineSubspace | None:
