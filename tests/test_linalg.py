@@ -506,6 +506,18 @@ def test_meet_hand_cases():
     assert meet(plane, [], []) is plane
 
 
+def test_meet_solves_its_k_column_system_with_solve_affine(monkeypatch):
+    # meet has no solver of its own: x = y on the plane z = 1 is s_1 - s_2 = 0
+    # in the plane's two coordinates, and a row that holds on all of the
+    # plane is dropped before any solve.
+    systems = []
+    real = linalg.solve_affine
+    monkeypatch.setattr(linalg, "solve_affine", lambda a, b: systems.append((a, b)) or real(a, b))
+    plane = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+    assert meet(plane, [[1, -1, 0], [0, 0, 2]], [0, 2]) == affine_subspace([0, 0, 1], [[1, 1, 0]])
+    assert systems == [([[1, -1]], [0])]
+
+
 def test_subspace_hash_is_kept_and_structural(monkeypatch):
     # Equal subspaces from different constructions hash equal, and each
     # computes its hash once: the key is read from linalg's own ``hash``.
