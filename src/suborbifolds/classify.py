@@ -22,11 +22,13 @@ g^-1 V is reached through the Schreier tree of the group's generators,
 and W_g is solved once per distinct g^-1 V by pulling V's equations
 back through g (x is in g^-1 V exactly when g x satisfies them) and
 solving them in V's own k coordinates (``linalg.meet``). This part
-depends on the chart and V alone, so it is one object per candidate
-(``SuborbifoldCandidate.orbit_of_v``), built at most once and shared by
-the candidates ``with_delta`` makes: the replay of the complement and
-each subgroup of the lattice search. Only the images of each W_g under
-Delta are built per candidate. Witnesses for failures are found by bounded
+depends on the chart group and V alone, so it is kept on the group
+(``OrbitOfV.of``) for the ``ORBITS_OF_V_KEPT`` most recently used V, and
+candidates with the same group and V share it whatever their Delta: the
+replay of the complement, each subgroup of the lattice search and later
+calls. With each W_g it keeps every element's images of W_g's points,
+filled on first use, so a candidate only gathers Delta's images into one
+set per W_g. Witnesses for failures are found by bounded
 deterministic rational sampling and always replay: a saturation witness
 is the first point of ``linalg.sample_points(W_g)`` whose image under g
 no element of Delta matches, so that order fixes its bytes. Points of the induced
@@ -131,8 +133,11 @@ class SuborbifoldCandidate:
     """Subgroup of a chart group plus an affine subspace it leaves invariant.
 
     The candidate is immutable, so its saturation verdict, the kernel of
-    its action, its induced chart and the V-only part of saturation
-    (``orbit_of_v``) are computed at most once, on first use.
+    its action and its induced chart are computed at most once, on first
+    use. The V-only part of saturation (``orbit_of_v``) is kept on the
+    chart group instead, for the ``ORBITS_OF_V_KEPT`` most recently used
+    V, so candidates with the same group and V share it whatever their
+    Delta.
     """
 
     chart: ChartModel
@@ -154,20 +159,10 @@ class SuborbifoldCandidate:
     def saturation(self) -> Verdict:
         return check_saturated(self)
 
-    @cached_property
+    @property
     def orbit_of_v(self) -> OrbitOfV:
-        """The orbit of V and the meets W_g, shared by ``with_delta``."""
-        return OrbitOfV(self.chart.group, self.v)
-
-    def with_delta(self, delta: Subgroup) -> SuborbifoldCandidate:
-        """The candidate with the same chart and V and subgroup delta.
-
-        Its invariance is checked as for any candidate, and it shares this
-        candidate's ``orbit_of_v``, which depends only on the chart and V.
-        """
-        other = SuborbifoldCandidate(self.chart, delta, self.v)
-        other.__dict__["orbit_of_v"] = self.orbit_of_v
-        return other
+        """The orbit of V and the meets W_g, from the chart group's store."""
+        return OrbitOfV.of(self.chart.group, self.v)
 
     @cached_property
     def kernel(self) -> Subgroup:
@@ -245,44 +240,72 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     Every g in Gamma is tested in index order, and the first g that no
     h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
     Delta are covered by themselves and skipped. W_g depends on V alone:
-    the candidate's ``orbit_of_v`` reads g^-1 V off the Schreier tree and
-    solves W_g once per distinct g^-1 V, in V's own coordinates, so
-    candidates with the same chart and V share that work. Only the set of
-    images of W_g under Delta is built here, once per distinct W_g, and
-    each g costs one set lookup.
+    the chart group's ``OrbitOfV`` for V reads g^-1 V off the Schreier
+    tree, solves W_g once per distinct g^-1 V in V's own coordinates and
+    keeps each element's images of W_g's points once asked, for the
+    ``ORBITS_OF_V_KEPT`` most recently used V, so candidates with the same
+    group and V share that work whatever their Delta. Only the set of
+    Delta's images is gathered here, once per distinct W_g, and each g
+    costs one list read and one set lookup.
     """
     group = cand.chart.group
-    _, forms = group.integer_forms
+    delta = cand.delta
     orbit = cand.orbit_of_v
-    covers: dict = {}  # W_g -> {int_images(h, W_g) : h in Delta}
+    image_on = orbit.image_on
+    covers: dict = {}  # W_g -> {h's images of W_g's points : h in Delta}
     for g in range(group.order):
-        if cand.delta.contains(g):
+        if delta.contains(g):
             continue
-        found = orbit.w_g(g)
-        if found is None:
+        entry = orbit.w_g(g)
+        if entry is None:
             continue
-        w_g, points = found
+        w_g = entry[0]
         covered = covers.get(w_g)
         if covered is None:
-            covered = covers[w_g] = {int_images(forms[h], points) for h in cand.delta.members}
-        if int_images(forms[g], points) not in covered:
-            point = _witness_point(w_g, group, cand.delta, g)
+            covered = covers[w_g] = {image_on(entry, h) for h in delta.members}
+        if image_on(entry, g) not in covered:
+            point = _witness_point(w_g, group, delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)
+
+
+# How many subspaces a chart group keeps the OrbitOfV of. Four covered the
+# coordinate, diagonal and off-origin subspaces one chart's candidates
+# alternate between; an unbounded store raised peak memory by about 11%.
+ORBITS_OF_V_KEPT = 4
 
 
 class OrbitOfV:
     """The part of saturation that depends only on the chart group and V.
 
+    ``of(group, v)`` is the group's OrbitOfV for v: the group keeps the
+    ``ORBITS_OF_V_KEPT`` most recently used and drops the least recently
+    used, so candidates on one group and one V share it whatever their
+    Delta, and a dropped V is built again when next asked for.
+
     ``image(x)`` is x V, which is s (y V) for x's Schreier-tree entry
     (s, y); each generator is applied to each subspace at most once, and
     equal subspaces are kept as one object, so later lookups of them are
     decided by identity rather than by comparing their integer forms.
-    ``w_g(g)`` is W_g = V & g^-1 V with its ``int_points``, or None when
-    it is empty. x is in g^-1 V exactly when (c (d g)) x = d e, for V's
-    equations c x = e and the group's integer form d g, so W_g is that
-    system solved on V (``linalg.meet``), once per distinct g^-1 V.
+    ``w_g(g)`` is the entry (W_g, int_points(W_g), images) for
+    W_g = V & g^-1 V, or None when it is empty; equal W_g share one entry.
+    x is in g^-1 V exactly when (c (d g)) x = d e, for V's equations
+    c x = e and the group's integer form d g, so W_g is that system solved
+    on V (``linalg.meet``), once per distinct g^-1 V. ``images`` holds one
+    slot per element of the group, and ``image_on(entry, h)`` fills h's
+    ``int_images`` on W_g's points the first time it is asked.
     """
+
+    @classmethod
+    def of(cls, group: FiniteMatrixGroup, v: AffineSubspace) -> OrbitOfV:
+        store = group.orbits_of_v
+        orbit = store.pop(v, None)
+        if orbit is None:
+            orbit = cls(group, v)
+            if len(store) >= ORBITS_OF_V_KEPT:
+                del store[next(iter(store))]
+        store[v] = orbit
+        return orbit
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
         self._group = group
@@ -292,8 +315,9 @@ class OrbitOfV:
         self._image = {group.identity: v}
         self._step: dict = {}
         self._seen = {v: v}
-        self._w: dict = {}  # g^-1 V -> (W_g, int_points(W_g)) or None
+        self._w: dict = {}  # g^-1 V -> its entry, or None
         self._w_of: dict = {}  # g -> the same entry
+        self._entry_of: dict = {}  # W_g -> its entry
 
     def image(self, x: int) -> AffineSubspace:
         tree, path = self._group.schreier_tree, []
@@ -327,8 +351,21 @@ class OrbitOfV:
                             out[j] += a * x
                 pulled.append(out)
             w = meet(self._v, pulled, [self._d * x for x in e])
-            self._w[g_inv_v] = None if w is None else (w, int_points(w))
+            entry = None
+            if w is not None:
+                entry = self._entry_of.get(w)
+                if entry is None:
+                    entry = self._entry_of[w] = (w, int_points(w), [None] * self._group.order)
+            self._w[g_inv_v] = entry
         found = self._w_of[g] = self._w[g_inv_v]
+        return found
+
+    def image_on(self, entry, h: int) -> tuple:
+        """Element h's ``int_images`` on the points of the entry's W_g."""
+        _, points, images = entry
+        found = images[h]
+        if found is None:
+            found = images[h] = int_images(self._forms[h], points)
         return found
 
 
@@ -395,7 +432,7 @@ def check_embedded(
     _require_saturated(cand)
     complement = find_complement(cand.delta, cand.kernel)
     if isinstance(complement, Subgroup):
-        replay = cand.with_delta(complement)
+        replay = SuborbifoldCandidate(cand.chart, complement, cand.v)
         if not (_acts_effectively(complement, cand.kernel)
                 and check_saturated(replay).holds):
             raise AssertionError("complement failed effectiveness re-verification")
@@ -406,7 +443,7 @@ def check_embedded(
     fixing = pointwise_stabilizer(cand.chart.group, cand.v)
     for checked, sub in enumerate(subgroups, start=1):
         try:
-            other = cand.with_delta(sub)
+            other = SuborbifoldCandidate(cand.chart, sub, cand.v)
         except NonInvariant:
             continue
         if _acts_effectively(sub, fixing) and check_saturated(other).holds:

@@ -263,6 +263,8 @@ def cmd_metric_check(args) -> int:
 
 def cmd_corpus(args) -> int:
     report = corpus_mod.run_corpus(name_filter=args.filter)
+    if not report.results:
+        raise SuborbifoldError(f"no corpus case matches filter {args.filter!r}")
     lines = []
     results = {}
     for entry in report.results:

@@ -160,6 +160,9 @@ class FiniteMatrixGroup:
         self.generators = tuple(dict.fromkeys(self._element_of[key] for key in generators))
         self.integer_forms: tuple[int, tuple[IntMat, ...]] = (
             d, tuple(map(sparse, self._int_matrices)))
+        # The saturation work of the last few subspaces asked about, least
+        # recently used first (``classify.OrbitOfV.of``).
+        self.orbits_of_v: dict = {}
 
     @cached_property
     def matrices(self) -> tuple[Mat, ...]:

@@ -48,7 +48,9 @@ from suborbifolds.errors import (
 )
 import suborbifolds.groups as groups
 from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
-from suborbifolds.scene import parse_scene
+from suborbifolds.scene import (
+    candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
+)
 from suborbifolds.linalg import (
     affine_subspace, int_form, mat_vec, transform_subspace, vec, whole_space,
 )
@@ -175,7 +177,9 @@ def test_induced_chart_centered_off_the_canonical_base_point():
 def test_isotropy_of_the_b5_whole_space_multiplies_in_few_rows():
     # Delta_x / K with K trivial, read from cosets in B5 (order 3840): a
     # coset table filled every one of the group's product rows.
-    from suborbifolds.scene import parse_scene
+    from suborbifolds.scene import (
+    candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
+)
 
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "scenes", "hyperoctahedral_b5.json")
@@ -246,34 +250,42 @@ def test_induced_chart_rejects_a_homomorphism_with_the_wrong_kernel(monkeypatch)
         induced_chart(cand)
 
 
-def test_saturation_computed_once_per_candidate(monkeypatch):
+def _counting_orbits(monkeypatch):
+    """Record every OrbitOfV built from now on."""
     module = sys.modules["suborbifolds.classify"]
-    original = module.check_saturated
-    calls, orbits = [], []
-
-    def counting(cand):
-        calls.append(cand)
-        return original(cand)
-
+    orbits = []
     real_orbit_init = module.OrbitOfV.__init__
 
     def orbit_init(self, *args):
         orbits.append(self)
         real_orbit_init(self, *args)
 
-    monkeypatch.setattr(module, "check_saturated", counting)
     monkeypatch.setattr(module.OrbitOfV, "__init__", orbit_init)
+    return orbits
+
+
+def test_saturation_computed_once_per_candidate(monkeypatch):
+    module = sys.modules["suborbifolds.classify"]
+    original = module.check_saturated
+    calls = []
+
+    def counting(cand):
+        calls.append(cand)
+        return original(cand)
+
+    monkeypatch.setattr(module, "check_saturated", counting)
+    orbits = _counting_orbits(monkeypatch)
     for points, expected_isotropy in (((), 0), (((0, 0),), 1)):
         calls.clear()
         orbits.clear()
-        cand = rotation_line_candidate()
+        cand = rotation_line_candidate()  # a fresh chart group each time
         report = classify(cand, isotropy_points=points)
         assert len(report.induced_isotropy_at) == expected_isotropy
         # the candidate's own check, then the replay of the complement
         assert len(calls) == 2
         assert calls[0] is cand and calls[1] is not cand
         assert calls[1].delta == report.embedded.effective_delta
-        # one orbit of V serves both: the replay only rebuilds its covering sets
+        # one orbit of V serves both: the replay only gathers its covering sets
         assert len(orbits) == 1
         assert calls[0].orbit_of_v is calls[1].orbit_of_v is orbits[0]
     # a later verdict on the same candidate reuses the stored one
@@ -286,35 +298,148 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
     # complex-axis has no complement of its kernel, so every subgroup of the
     # chart group is tried; each subgroup candidate reuses the orbit of V.
     module = sys.modules["suborbifolds.classify"]
-    original_check, original_with = module.check_saturated, SuborbifoldCandidate.with_delta
-    calls, built, orbits = [], [], []
+    original_check = module.check_saturated
+    original_post_init = SuborbifoldCandidate.__post_init__
+    calls, built = [], []
 
     def counting(cand):
         calls.append(cand)
         return original_check(cand)
 
-    def with_delta(self, delta):
-        other = original_with(self, delta)
-        built.append(other)
-        return other
+    def post_init(self):
+        built.append(self)
+        original_post_init(self)
 
-    real_orbit_init = module.OrbitOfV.__init__
-
-    def orbit_init(self, *args):
-        orbits.append(self)
-        real_orbit_init(self, *args)
-
+    cand = complex_axis_candidate()  # a fresh chart group
     monkeypatch.setattr(module, "check_saturated", counting)
-    monkeypatch.setattr(SuborbifoldCandidate, "with_delta", with_delta)
-    monkeypatch.setattr(module.OrbitOfV, "__init__", orbit_init)
-    cand = complex_axis_candidate()
+    monkeypatch.setattr(SuborbifoldCandidate, "__post_init__", post_init)
+    orbits = _counting_orbits(monkeypatch)
     report = classify(cand, search_all_delta=True)
     embedded = report.embedded
     assert not embedded.holds and embedded.searched_all_delta
     assert len(built) == embedded.deltas_checked == len(groups.all_subgroups(cand.chart.group))
     assert calls[0] is cand and len(calls) >= 2
     assert len(orbits) == 1
-    assert all(other.orbit_of_v is orbits[0] for other in built + calls)
+    assert all(other.orbit_of_v is orbits[0] for other in calls)
+    assert list(cand.chart.group.orbits_of_v) == [cand.v]
+
+
+def _b3():
+    return generate_group(hyperoctahedral_generators(3))
+
+
+def _b3_times_z2():
+    """B3 x Z2 in R^4: B3 on the first three coordinates, a sign on the last."""
+    lifted = [[list(row) + [0] for row in m] + [[0, 0, 0, 1]]
+              for m in hyperoctahedral_generators(3)]
+    return generate_group(lifted + [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]])
+
+
+# Coordinate, diagonal and off-origin subspaces, as (base, basis), by dimension.
+_STORE_SUBSPACES = {
+    3: (([0, 0, 0], [[1, 0, 0]]), ([0, 0, 0], [[1, 0, 0], [0, 1, 0]]),
+        ([0, 0, 0], [[1, 1, 0]]), ([0, 0, 0], [[1, -1, 0], [0, 0, 1]]),
+        ([0, 0, 1], [[1, 0, 0]]), ([0, Fraction(1, 2), 1], [[1, 0, 0]])),
+    4: (([0, 0, 0, 0], [[1, 0, 0, 0], [0, 0, 0, 1]]), ([0, 0, 0, 0], [[1, 1, 0, 0]]),
+        ([0, 0, 0, 0], [[1, 0, -1, 0], [0, 0, 0, 1]]), ([0, 0, 0, 2], [[1, 0, 0, 0]]),
+        ([0, 0, Fraction(-1, 2), 0], [[1, 0, 0, 0], [0, 0, 0, 1]])),
+}
+
+
+def _store_cases(group):
+    """(V, Delta's members) for each subspace above: its whole setwise
+    stabilizer first, then up to three of its order-2 subgroups."""
+    d, forms = group.integer_forms
+    cases = []
+    for base, basis in _STORE_SUBSPACES[group.ambient_dim]:
+        v = affine_subspace(base, basis)
+        stab = tuple(i for i in group.members if transform_subspace((d, forms[i]), v) == v)
+        involutions = [i for i in stab
+                       if i != group.identity and group.mult(i, i) == group.identity]
+        cases.append((v, stab))
+        step = max(1, len(involutions) // 3)
+        cases.extend((v, (group.identity, i)) for i in involutions[::step][:3])
+    return cases
+
+
+def _candidate(chart, members, v):
+    return SuborbifoldCandidate(chart, chart.group.subgroup_from_indices(members), v)
+
+
+def _outcome(cand):
+    """The saturation verdict, its witness as (element index, point), and
+    the candidate's machine report without timing."""
+    report = classify(cand)
+    saturated = report.saturated
+    witness = saturated.witness
+    payload = {"candidate": candidate_json(cand), "classification": classification_json(report)}
+    return (saturated.holds, witness and (witness.element.index, witness.point),
+            dump_machine_report(strip_timing(payload)))
+
+
+@pytest.mark.parametrize("make_group", [_b3, _b3_times_z2])
+def test_a_warm_orbit_store_changes_no_verdict_witness_or_report(make_group):
+    cases = _store_cases(make_group())
+    fresh = [_outcome(_candidate(chart_from_group(make_group()), members, v))
+             for v, members in cases]
+    # saturated and unsaturated candidates both, so the witness path runs
+    assert {holds for holds, _, _ in fresh} == {True, False}
+    chart = chart_from_group(make_group())
+    rng = random.Random(19)
+    for warm in (False, True):
+        order = list(range(len(cases)))
+        rng.shuffle(order)
+        for i in order:
+            v, members = cases[i]
+            cand = _candidate(chart, members, v)
+            assert _outcome(cand) == fresh[i]
+            if warm:
+                oracle = oracle_check_saturated(cand)
+                assert oracle.holds == fresh[i][0]
+                if not oracle.holds:
+                    assert (oracle.witness.element.index, oracle.witness.point) == fresh[i][1]
+                    assert verify_saturation_witness(cand, cand.saturation.witness)
+    assert len(chart.group.orbits_of_v) <= 4
+
+
+def test_the_orbit_store_keeps_the_four_most_recent_subspaces(monkeypatch):
+    module = sys.modules["suborbifolds.classify"]
+    assert module.ORBITS_OF_V_KEPT == 4
+    group = _b3()
+    chart = chart_from_group(group)
+    whole = {}  # V -> its whole stabilizer, in the order of _STORE_SUBSPACES
+    for v, members in _store_cases(group):
+        whole.setdefault(v, members)
+    subspaces = list(whole)
+    assert len(subspaces) > 4
+    orbits = _counting_orbits(monkeypatch)
+    verdicts = [classify(_candidate(chart, whole[v], v)).saturated for v in subspaces]
+    assert len(orbits) == len(subspaces)
+    assert list(group.orbits_of_v) == subspaces[-4:]
+    # A dropped V is built again, with the same verdict, and drops the
+    # least recently used one in turn.
+    assert check_saturated(_candidate(chart, whole[subspaces[0]], subspaces[0])) == verdicts[0]
+    assert len(orbits) == len(subspaces) + 1
+    assert list(group.orbits_of_v) == subspaces[-3:] + subspaces[:1]
+    # A V still kept is not built again, and becomes the most recently used.
+    kept = subspaces[-3]
+    assert check_saturated(_candidate(chart, whole[kept], kept)) == verdicts[-3]
+    assert len(orbits) == len(subspaces) + 1
+    assert list(group.orbits_of_v) == subspaces[-2:] + subspaces[:1] + [kept]
+
+
+def test_candidates_on_one_group_and_v_build_one_orbit(monkeypatch):
+    # Two candidates built apart, each with its own chart object and V object,
+    # on one group and equal V with different Delta: one OrbitOfV serves both.
+    group = _b3()
+    (v, stab), (_, order_two) = _store_cases(group)[:2]
+    orbits = _counting_orbits(monkeypatch)
+    a = _candidate(chart_from_group(group), stab, v)
+    b = _candidate(chart_from_group(group), order_two, affine_subspace(v.base_point, v.basis))
+    assert a.delta != b.delta and a.v is not b.v
+    check_saturated(a)
+    check_saturated(b)
+    assert len(orbits) == 1 and a.orbit_of_v is b.orbit_of_v is orbits[0]
 
 
 def test_induced_chart_built_once_per_candidate(monkeypatch):

@@ -205,6 +205,20 @@ def test_cli_corpus_ok(capsys):
     assert "[rotation-line] PASS" in out and "1 cases, 0 mismatches" in out
 
 
+def test_cli_corpus_filter_matching_no_case_exits_2(capsys):
+    # A filter that selects nothing is an input error, not a vacuous pass.
+    assert main(["corpus", "--filter", "zzz", "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no corpus case matches filter 'zzz'" in captured.err
+    # The empty filter is a substring of every name, so it selects them all.
+    assert main(["corpus", "--filter", "", "--format", "machine"]) == 0
+    everything = json.loads(capsys.readouterr().out)
+    assert main(["corpus", "--format", "machine"]) == 0
+    assert everything["ok"] and everything["results"]
+    assert everything["results"].keys() == json.loads(capsys.readouterr().out)["results"].keys()
+
+
 @pytest.mark.parametrize("argv", [
     ["corpus", "--parallel", "4"],
     ["corpus", "--scene", "scenes/rotation_line.json"],
