@@ -272,8 +272,8 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
 
 # How many subspaces a chart group keeps the OrbitOfV of. On the ladder
 # benchmark (B2, B3 and B3 x Z2 charts; 2-core Xeon, Python 3.11.7) 4 gave
-# most of what an unbounded store gave, 1508 against 1615 queries/s (1035
-# with none), for 0.2 MB of peak memory instead of 1.9 MB (10%).
+# most of what an unbounded store gave, 1498 against 1647 queries/s (995
+# with none), for 0.3 MB of peak memory instead of 2.5 MB (13%).
 ORBITS_OF_V_KEPT = 4
 
 
