@@ -36,7 +36,6 @@ chart are coordinates about its centroid, through ``linalg.coordinates``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -96,9 +95,10 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
+from .records import record, set_field
 
 
-@dataclass(frozen=True)
+@record
 class ChartModel:
     """One orbifold chart: R^n with a finite rational matrix group."""
 
@@ -129,7 +129,7 @@ def _first_moving_element(sub, v: AffineSubspace):
     return first_failure(sub, lambda i: transform_subspace((d, forms[i]), v) != v)
 
 
-@dataclass(frozen=True)
+@record
 class SuborbifoldCandidate:
     """Subgroup of a chart group plus an affine subspace it leaves invariant.
 
@@ -144,6 +144,12 @@ class SuborbifoldCandidate:
     chart: ChartModel
     delta: Subgroup
     v: AffineSubspace
+
+    def __init__(self, chart, delta, v):
+        set_field(self, "chart", chart)
+        set_field(self, "delta", delta)
+        set_field(self, "v", v)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.delta.parent != self.chart.group:
@@ -176,7 +182,7 @@ class SuborbifoldCandidate:
         return induced_chart(self)
 
 
-@dataclass(frozen=True)
+@record
 class SaturationWitness:
     """g maps point into the subspace but no subgroup element matches it."""
 
@@ -184,7 +190,7 @@ class SaturationWitness:
     point: Vec
 
 
-@dataclass(frozen=True)
+@record
 class FullnessWitness:
     """g outside the subgroup fixing a point of the subspace."""
 
@@ -192,10 +198,14 @@ class FullnessWitness:
     point: Vec
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     holds: bool
     witness: object = None
+
+    def __init__(self, holds, witness=None):
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
 
 def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) -> Vec:
@@ -240,7 +250,8 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
 
     Every g in Gamma is tested in index order, and the first g that no
     h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
-    Delta are covered by themselves and skipped. W_g depends on V alone:
+    Delta are covered by themselves and skipped, so when Delta is the whole
+    group the verdict holds without asking the store. W_g depends on V alone:
     the chart group's ``OrbitOfV`` for V reads g^-1 V off the Schreier
     tree, solves W_g once per distinct g^-1 V in V's own coordinates and
     keeps each element's images of W_g's points once asked, for the
@@ -251,6 +262,8 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     """
     group = cand.chart.group
     delta = cand.delta
+    if delta.order == group.order:  # every g is in Delta
+        return Verdict(True)
     orbit = cand.orbit_of_v
     image_on = orbit.image_on
     covers: dict = {}  # W_g -> {h's images of W_g's points : h in Delta}
@@ -266,7 +279,7 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
             covered = covers[w_g] = {image_on(entry, h) for h in delta.members}
         if image_on(entry, g) not in covered:
             point = _witness_point(w_g, group, delta, g)
-            return Verdict(False, SaturationWitness(group.elements[g], point))
+            return Verdict(False, SaturationWitness(group.element(g), point))
     return Verdict(True)
 
 
@@ -401,10 +414,10 @@ def check_full(cand: SuborbifoldCandidate) -> Verdict:
     if found is None:
         return Verdict(True)
     g, point = found
-    return Verdict(False, FullnessWitness(cand.chart.group.elements[g], point))
+    return Verdict(False, FullnessWitness(cand.chart.group.element(g), point))
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddedResult:
     holds: bool
     effective_delta: Subgroup | None = None
@@ -461,7 +474,7 @@ def check_embedded(
     )
 
 
-@dataclass(frozen=True)
+@record
 class InducedChart:
     """The k-dimensional chart induced on the subspace.
 
@@ -608,7 +621,7 @@ def contained_in_regular_part(chart: ChartModel, v: AffineSubspace) -> bool:
     return _first_fixing_element(chart.group, v, {chart.group.identity}) is None
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     saturated: Verdict
     full: Verdict | None

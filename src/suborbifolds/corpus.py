@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classify import (
@@ -27,6 +26,7 @@ from .linalg import (
 )
 from .maps import product_chart
 from .metric import MetricProbe, lemma_metrics_check
+from .records import field, record
 
 ROT4_GEN = mat([[0, -1], [1, 0]])
 ROT2 = mat([[-1, 0], [0, -1]])
@@ -111,7 +111,7 @@ def open_candidate(chart: ChartModel) -> SuborbifoldCandidate:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CorpusCase:
     name: str
     build: callable
@@ -263,7 +263,7 @@ def metric_probes() -> dict[str, MetricProbe]:
     }
 
 
-@dataclass
+@record(frozen=False)
 class CorpusReport:
     results: list = field(default_factory=list)
     mismatches: list = field(default_factory=list)

@@ -75,7 +75,6 @@ only for a value returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -105,6 +104,7 @@ from .linalg import (
     single_point,
     sparse,
 )
+from .records import record, set_field
 
 DEFAULT_MAX_ORDER = 10_000
 SUBGROUP_ENUMERATION_BOUND = 512
@@ -129,10 +129,14 @@ def first_failure(group, fails):
     return next(i for i in group.members if fails(i))
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     matrix: Mat
     index: int
+
+    def __init__(self, matrix, index):
+        set_field(self, "matrix", matrix)
+        set_field(self, "index", index)
 
 
 class FiniteMatrixGroup:
@@ -176,6 +180,10 @@ class FiniteMatrixGroup:
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(m, i) for i, m in enumerate(self.matrices))
+
+    def element(self, i: int) -> GroupElement:
+        """Element i with its matrix; builds no other element's matrix."""
+        return GroupElement(self.matrix_of(i), i)
 
     @cached_property
     def _inverse(self) -> tuple[int, ...]:
@@ -237,7 +245,13 @@ class FiniteMatrixGroup:
         return self._inverse[i]
 
     def matrix_of(self, i: int) -> Mat:
-        return self.matrices[i]
+        """Element i as a Fraction matrix; only this one is built unless
+        ``matrices`` already holds them all."""
+        matrices = self.__dict__.get("matrices")
+        if matrices is not None:
+            return matrices[i]
+        d = self.integer_forms[0]
+        return tuple(tuple([Fraction(x, d) for x in row]) for row in self._int_matrices[i])
 
     def columns(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The columns g e_1, ..., g e_n of element i as points (den, den x)
@@ -285,18 +299,20 @@ class FiniteMatrixGroup:
         return _is_abelian(self)
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """Subgroup of a FiniteMatrixGroup given by sorted parent indices."""
 
     parent: FiniteMatrixGroup
     members: tuple[int, ...]
 
-    def __post_init__(self):
-        local = {p: i for i, p in enumerate(self.members)}
-        if self.parent.identity not in local:
+    def __init__(self, parent, members):
+        local = {p: i for i, p in enumerate(members)}
+        if parent.identity not in local:
             raise NotSubgroup("subgroup must contain the identity")
-        object.__setattr__(self, "_local", local)
+        set_field(self, "parent", parent)
+        set_field(self, "members", members)
+        set_field(self, "_local", local)
 
     @property
     def order(self) -> int:
@@ -318,7 +334,7 @@ class Subgroup:
         return tuple(_greedy_generators(self.parent, self.members)[0])
 
     def matrix_of(self, i: int) -> Mat:
-        return self.parent.matrices[self.members[i]]
+        return self.parent.matrix_of(self.members[i])
 
     def is_closed(self) -> bool:
         """Do the members form a group? They do exactly when the generators
@@ -350,7 +366,7 @@ class Subgroup:
                                 max_order=self.order)
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     """Homomorphism from a matrix group or a subgroup to a matrix group;
     ``image_of[a]`` is the image of the domain's a-th member."""
@@ -608,7 +624,7 @@ def quotient_group(d: Subgroup, k: Subgroup) -> "Fingerprint":
     return _fingerprint(d, k)
 
 
-@dataclass(frozen=True)
+@record
 class NoComplementCertificate:
     """Every section of d -> d/k was tried without finding a complement of k.
 
@@ -673,7 +689,7 @@ def find_complement(d: Subgroup, k: Subgroup):
     return Subgroup(parent, best)
 
 
-@dataclass(frozen=True)
+@record
 class Fingerprint:
     """Cheap isomorphism invariant: order, element-order multiset, abelian."""
 

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count as _count, product as _cartesian
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, ParseError
+from .records import field, record, set_field
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -103,10 +103,18 @@ def read_rational(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def _entries(xs, what: str):
+    """xs, or ParseError when it is a string: read entry by entry, "12"
+    would be the list of its characters."""
+    if isinstance(xs, str):
+        raise ParseError(f"expected {what} as a list, got the string {xs!r}")
+    return xs
+
+
 def int_vector(xs) -> tuple[int, tuple[int, ...]]:
     """(d, d x) for x read entry by entry with ``read_rational``, d the least
     common denominator; the integer form ``scaled`` gives of ``vec(xs)``."""
-    parts = [read_rational(x) for x in xs]
+    parts = [read_rational(x) for x in _entries(xs, "a vector")]
     d = lcm(*[q for _, q in parts])
     return d, tuple([p * (d // q) for p, q in parts])
 
@@ -115,7 +123,8 @@ def int_matrix(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, d m) as dense integer rows for m read entry by entry with
     ``read_rational``, d the least common denominator; rows of unequal
     length raise ``DimensionMismatch`` as in ``mat``."""
-    parts = [[read_rational(x) for x in row] for row in rows]
+    parts = [[read_rational(x) for x in _entries(row, "a matrix row")]
+             for row in _entries(rows, "a matrix")]
     if parts and any(len(row) != len(parts[0]) for row in parts):
         raise DimensionMismatch("ragged matrix rows")
     d = lcm(*[q for row in parts for _, q in row])
@@ -149,11 +158,12 @@ def rat_str(x: Fraction) -> str:
 
 
 def vec(xs) -> Vec:
-    return tuple(rat(x) for x in xs)
+    return tuple(rat(x) for x in _entries(xs, "a vector"))
 
 
 def mat(rows) -> Mat:
-    m = tuple(vec(r) for r in rows)
+    m = tuple(tuple(rat(x) for x in _entries(r, "a matrix row"))
+              for r in _entries(rows, "a matrix"))
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionMismatch("ragged matrix rows")
     return m
@@ -351,7 +361,7 @@ def _int_kernel(rows, pivots, n_cols: int) -> list[tuple[int, list[int]]]:
     return basis
 
 
-@dataclass(frozen=True)
+@record
 class AffineSubspace:
     """Affine subspace base_point + span(basis) of R^n, in canonical integer form.
 
@@ -370,6 +380,21 @@ class AffineSubspace:
     base: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...] = field(compare=False)  # fixed by rows
+
+    def __init__(self, ambient_dim, den, base, rows, pivots):
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "den", den)
+        set_field(self, "base", base)
+        set_field(self, "rows", rows)
+        set_field(self, "pivots", pivots)
+
+    def __eq__(self, other):
+        # Written out rather than shared: it decides the dict lookups of
+        # saturation's orbit store.
+        if other.__class__ is self.__class__:
+            return ((self.ambient_dim, self.den, self.base, self.rows)
+                    == (other.ambient_dim, other.den, other.base, other.rows))
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:

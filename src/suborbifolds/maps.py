@@ -8,8 +8,6 @@ smooth theory collapse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import (
     ChartModel,
     SuborbifoldCandidate,
@@ -71,9 +69,10 @@ from .linalg import (
     whole_space,
     zero_vec,
 )
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class EquivariantAffineMap:
     domain: ChartModel
     codomain: ChartModel
@@ -168,7 +167,7 @@ def _block_diag(a: Mat, b: Mat) -> Mat:
     return mat(rows)
 
 
-@dataclass(frozen=True)
+@record
 class ProductChart:
     left: ChartModel
     right: ChartModel

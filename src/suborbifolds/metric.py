@@ -18,7 +18,6 @@ evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .classify import ChartModel, SuborbifoldCandidate, check_saturated
 from .errors import (
@@ -38,6 +37,7 @@ from .linalg import (
     scaled,
     vec,
 )
+from .records import record, replace
 
 DEFAULT_DEPTH = 8
 # Each level doubles the pieces per segment, and every depth up to the
@@ -50,7 +50,7 @@ MAX_DEPTH = 12
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class MetricProbe:
     group: FiniteMatrixGroup
     subgroup: Subgroup
@@ -266,7 +266,7 @@ def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
     return best
 
 
-@dataclass(frozen=True)
+@record
 class PairResult:
     x: Vec
     y: Vec
@@ -278,7 +278,7 @@ class PairResult:
         return abs(self.quotient - self.intrinsic)
 
 
-@dataclass(frozen=True)
+@record
 class MetricReport:
     pairs: tuple[PairResult, ...]
     tolerance: float

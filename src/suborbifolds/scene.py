@@ -16,7 +16,7 @@ compared modulo timing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .classify import (
     ClassificationReport,
@@ -45,9 +45,10 @@ from .linalg import (
 )
 from .maps import EquivariantAffineMap
 from .metric import DEFAULT_DEPTH, DEFAULT_TOLERANCE, MetricProbe, MetricReport
+from .records import field, record
 
 
-@dataclass
+@record(frozen=False)
 class SceneFile:
     groups: dict[str, FiniteMatrixGroup] = field(default_factory=dict)
     subgroups: dict[str, Subgroup] = field(default_factory=dict)
@@ -281,8 +282,83 @@ def metric_report_json(report: MetricReport) -> dict:
 
 
 def dump_machine_report(payload: dict) -> str:
-    """Canonical JSON: sorted keys, no float repr surprises beyond repr()."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, no float repr surprises beyond repr().
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
+    and a newline, written here because ``json`` encodes an indented
+    document in pure Python. A payload holding anything but dicts with
+    string keys, lists, tuples, strings, ints, floats, booleans and None is
+    left to ``json.dumps`` whole, so it is written, or refused, as
+    ``json`` would.
+    """
+    out: list[str] = []
+    try:
+        _write_json(payload, "\n", out.append)
+    except _NotPlainJSON:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_INFINITY = float("inf")
+
+
+class _NotPlainJSON(Exception):
+    """A value ``_write_json`` leaves to ``json.dumps``."""
+
+
+def _write_json(value, newline: str, append) -> None:
+    """Pass value's JSON text, in pieces, to append, as ``json.dumps`` writes
+    it with ``sort_keys=True, indent=2``; newline is the line break and
+    indent of value's own line."""
+    kind = type(value)
+    if kind is str:
+        append(encode_basestring_ascii(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif kind is float:
+        if value != value:
+            append("NaN")
+        elif value == _INFINITY:
+            append("Infinity")
+        elif value == -_INFINITY:
+            append("-Infinity")
+        else:
+            append(float.__repr__(value))
+    elif value is None or kind is bool:
+        append("null" if value is None else "true" if value else "false")
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator, following = "{" + inner, "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise _NotPlainJSON
+            append(separator)
+            separator = following
+            append(encode_basestring_ascii(key))
+            append(": ")
+            _write_json(value[key], inner, append)
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator, following = "[" + inner, "," + inner
+        for item in value:
+            append(separator)
+            separator = following
+            if type(item) is str:  # most items: coordinates written as rationals
+                append(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, append)
+        append(newline + "]")
+    else:
+        raise _NotPlainJSON
+
 
 
 def strip_timing(payload):

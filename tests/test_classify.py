@@ -444,6 +444,38 @@ def test_candidates_on_one_group_and_v_build_one_orbit(monkeypatch):
     assert len(orbits) == 1 and a.orbit_of_v is b.orbit_of_v is orbits[0]
 
 
+def test_a_whole_group_candidate_is_saturated_without_the_orbit_store(monkeypatch):
+    # Every g is in Delta, so no W_g is asked for: the store is not built
+    # for V, and keeps the subspaces it held.
+    group = _b3()
+    chart = chart_from_group(group)
+    (kept, stab), _ = _store_cases(group)[:2]
+    check_saturated(_candidate(chart, stab, kept))
+    orbits = _counting_orbits(monkeypatch)
+    for v in (whole_space(3), affine_subspace([0, 0, 0], [])):
+        cand = SuborbifoldCandidate(chart, group.full_subgroup(), v)
+        assert check_saturated(cand).holds and oracle_check_saturated(cand).holds
+    assert orbits == [] and list(group.orbits_of_v) == [kept]
+    fresh = _b3()
+    assert check_saturated(SuborbifoldCandidate(
+        chart_from_group(fresh), fresh.full_subgroup(), whole_space(3))).holds
+    assert fresh.orbits_of_v == {}
+
+
+def test_witnesses_build_only_their_own_element():
+    # group.elements would build a Fraction matrix for every element
+    cand = rotation_line_candidate()
+    trivial = cand.chart.group.subgroup_from_indices([cand.chart.group.identity])
+    unsaturated = SuborbifoldCandidate(cand.chart, trivial, cand.v)
+    witnesses = [check_saturated(unsaturated).witness, check_full(cand).witness]
+    group = cand.chart.group
+    assert "matrices" not in vars(group)
+    for witness in witnesses:
+        assert witness.element == group.elements[witness.element.index]
+    assert group.matrix_of(witnesses[0].element.index) is group.matrices[
+        witnesses[0].element.index]
+
+
 def test_a_chart_group_is_freed_once_its_candidates_are_gone():
     # The group keeps its OrbitOfV, which must not keep the group in turn:
     # without a reference cycle the group goes as soon as its last user does.
@@ -816,11 +848,10 @@ def test_witness_point_search_is_bounded():
 
 
 def test_corpus_flipped_expectation_raises():
-    import dataclasses
-
     from suborbifolds.corpus import CASES
+    from suborbifolds.records import replace
 
-    flipped = dataclasses.replace(
+    flipped = replace(
         CASES[0], expected={**CASES[0].expected, "full": True}
     )
     report = run_corpus(cases=[flipped])

@@ -16,6 +16,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suborbifolds import cli
 from suborbifolds.scene import dump_machine_report, strip_timing
@@ -87,6 +88,45 @@ def test_machine_report_matches_golden(name, monkeypatch):
     with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
         golden = fh.read()
     assert stripped_report(REPORTS[name]) == golden
+
+
+def _json_dumps(payload) -> str:
+    """The report bytes as ``json`` writes them."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_report_writer_matches_json_on_every_golden_report():
+    for name in sorted(REPORTS):
+        with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert dump_machine_report(payload) == _json_dumps(payload), name
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([-0.0, 1e-300, 5e-324, 1e300, float("nan"), float("inf"),
+                     -float("inf"), "", "\x00\x1f\x7f\"\\/", "é\u2028\U0001f600"]),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json(payload):
+    assert dump_machine_report(payload) == _json_dumps(payload)
+
+
+def test_report_writer_leaves_other_payloads_to_json():
+    for payload in ({2: "b", 1: {"x": ()}}, {"a": [{True: None}]}):
+        assert dump_machine_report(payload) == _json_dumps(payload)
+    for payload in ({"a": object()}, {1: 0, "b": 0}):
+        with pytest.raises(TypeError):
+            dump_machine_report(payload)
 
 
 def main() -> int:

@@ -1,7 +1,6 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from suborbifolds.metric import (
     lemma_metrics_check,
     quotient_distance,
 )
+from suborbifolds.records import replace
 from suborbifolds.scene import parse_scene
 
 from oracles import (

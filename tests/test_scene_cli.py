@@ -109,6 +109,25 @@ def test_parse_error_on_malformed_entry():
                 identity_map([[0], [1, 0, 3]])):     # theta pairs of the wrong length
         with pytest.raises(ParseError):
             parse_scene(json.dumps(bad))
+    # A string where a vector or a matrix row belongs was read as the list of
+    # its characters: "10" as the x-axis, ["01", "10"] as the swap matrix.
+    def a_map(matrix, offset):
+        return {"groups": rot4,
+                "maps": {"f": {"domain": "rot4", "codomain": "rot4", "matrix": matrix,
+                               "offset": offset, "theta": [[i, i] for i in range(4)]}}}
+
+    for bad, expected in (
+            ({"groups": rot4, "subspaces": {"v": {"base": [0, 0], "basis": ["10"]}}},
+             "a vector as a list, got the string '10'"),
+            ({"groups": rot4, "subspaces": {"v": {"base": "12"}}},
+             "a vector as a list, got the string '12'"),
+            ({"groups": {"g": [["01", "10"]]}}, "a matrix row as a list, got the string '01'"),
+            ({"groups": {"g": [[[1, 0], "-10"]]}}, "a matrix row as a list, got the string '-10'"),
+            ({"groups": {"g": ["10"]}}, "a matrix as a list, got the string '10'"),
+            (a_map(["10", "01"], [0, 0]), "a matrix row as a list, got the string '10'"),
+            (a_map([[1, 0], [0, 1]], "00"), "a vector as a list, got the string '00'")):
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            parse_scene(json.dumps(bad))
     # a probe pair of three points (exited 3 as a ValueError from unpacking)
     probe = json.loads(json.dumps(SCENE))
     probe["probes"]["line_probe"]["pairs"] = [[[1, 0], [0, 0], [0, 0]]]
@@ -136,6 +155,21 @@ def test_exponents_and_booleans_are_not_rationals(scene_path, tmp_path, value, c
     assert main(["isotropy", "--scene", scene_path, "--group", "rot4",
                  "--point", f"{point},0"]) == 2
     assert f"cannot read {point!r} as a rational" in capsys.readouterr().err
+
+
+def test_a_string_for_a_vector_or_a_matrix_row_exits_2(tmp_path, capsys):
+    # Both commands exited 0: "10" read as the x-axis, ["01", "10"] as a swap.
+    scene = json.loads(json.dumps(SCENE))
+    scene["subspaces"]["x_axis"]["basis"] = ["10"]
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(scene))
+    assert main(["classify", "--scene", str(path)]) == 2
+    assert "got the string '10'" in capsys.readouterr().err
+    scene = json.loads(json.dumps(SCENE))
+    scene["groups"]["swap"] = [["01", "10"]]
+    path.write_text(json.dumps(scene))
+    assert main(["isotropy", "--scene", str(path), "--group", "swap", "--point", "0,0"]) == 2
+    assert "got the string '01'" in capsys.readouterr().err
 
 
 def test_unresolved_name():
