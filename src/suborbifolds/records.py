@@ -39,22 +39,20 @@ class FrozenInstanceError(AttributeError):
 
 
 class _Field:
-    """A field's default, its default factory and whether it is compared."""
+    """A field's default factory and whether it is compared."""
 
-    __slots__ = ("default", "default_factory", "compare")
+    __slots__ = ("default_factory", "compare")
 
-    def __init__(self, default, default_factory, compare):
-        self.default = default
+    def __init__(self, default_factory, compare):
         self.default_factory = default_factory
         self.compare = compare
 
 
-def field(*, default=_MISSING, default_factory=_MISSING, compare=True) -> _Field:
-    """A field with a default value, a factory called for each instance,
-    or ``compare=False`` to leave it out of equality and the hash."""
-    if default is not _MISSING and default_factory is not _MISSING:
-        raise ValueError("cannot specify both default and default_factory")
-    return _Field(default, default_factory, compare)
+def field(*, default_factory=_MISSING, compare=True) -> _Field:
+    """A field whose default is made by calling ``default_factory`` for
+    each instance, or which ``compare=False`` leaves out of equality and
+    the hash. A plain default is written as the class attribute's value."""
+    return _Field(default_factory, compare)
 
 
 class _Spec:
@@ -72,10 +70,8 @@ class _Spec:
         if len(compared) == 1:
             get = attrgetter(compared[0])
             self.key = lambda obj: (get(obj),)
-        elif compared:
-            self.key = attrgetter(*compared)
         else:
-            self.key = lambda obj: ()
+            self.key = attrgetter(*compared)
 
     def bind(self, cls, args, kwargs) -> list:
         """The field values, in order, for a call with these arguments."""
@@ -147,20 +143,16 @@ def _make_record(cls, frozen: bool):
     names, defaults, compared = [], {}, []
     for name in own.get("__annotations__", {}):
         value = own.get(name, _MISSING)
-        spec = value if isinstance(value, _Field) else _Field(value, _MISSING, True)
-        if spec.default_factory is not _MISSING:
-            defaults[name] = (spec.default_factory, True)
-        elif spec.default is not _MISSING:
-            defaults[name] = (spec.default, False)
-        elif defaults:
-            raise TypeError(f"non-default argument {name!r} follows default argument")
+        compare = True
         if isinstance(value, _Field):
-            if spec.default is _MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, spec.default)
+            delattr(cls, name)
+            compare = value.compare
+            if value.default_factory is not _MISSING:
+                defaults[name] = (value.default_factory, True)
+        elif value is not _MISSING:
+            defaults[name] = (value, False)
         names.append(name)
-        if spec.compare:
+        if compare:
             compared.append(name)
     cls._record_spec = _Spec(tuple(names), defaults, hasattr(cls, "__post_init__"),
                              tuple(compared))
