@@ -182,8 +182,14 @@ class FiniteMatrixGroup:
         return tuple(GroupElement(m, i) for i, m in enumerate(self.matrices))
 
     def element(self, i: int) -> GroupElement:
-        """Element i with its matrix; builds no other element's matrix."""
-        return GroupElement(self.matrix_of(i), i)
+        """Element i with its matrix; builds no other element's matrix
+        unless ``matrices`` already holds them all."""
+        matrices = self.__dict__.get("matrices")
+        if matrices is not None:
+            return GroupElement(matrices[i], i)
+        d = self.integer_forms[0]
+        return GroupElement(
+            tuple(tuple([Fraction(x, d) for x in row]) for row in self._int_matrices[i]), i)
 
     @cached_property
     def _inverse(self) -> tuple[int, ...]:
@@ -245,13 +251,7 @@ class FiniteMatrixGroup:
         return self._inverse[i]
 
     def matrix_of(self, i: int) -> Mat:
-        """Element i as a Fraction matrix; only this one is built unless
-        ``matrices`` already holds them all."""
-        matrices = self.__dict__.get("matrices")
-        if matrices is not None:
-            return matrices[i]
-        d = self.integer_forms[0]
-        return tuple(tuple([Fraction(x, d) for x in row]) for row in self._int_matrices[i])
+        return self.matrices[i]
 
     def columns(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The columns g e_1, ..., g e_n of element i as points (den, den x)
@@ -334,7 +334,7 @@ class Subgroup:
         return tuple(_greedy_generators(self.parent, self.members)[0])
 
     def matrix_of(self, i: int) -> Mat:
-        return self.parent.matrix_of(self.members[i])
+        return self.parent.matrices[self.members[i]]
 
     def is_closed(self) -> bool:
         """Do the members form a group? They do exactly when the generators

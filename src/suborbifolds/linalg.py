@@ -40,7 +40,7 @@ from itertools import count as _count, product as _cartesian
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, ParseError
-from .records import field, record, set_field
+from .records import record, set_field
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -379,7 +379,7 @@ class AffineSubspace:
     den: int
     base: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(compare=False)  # fixed by rows
+    pivots: tuple[int, ...]  # fixed by rows, so __eq__ and __hash__ leave it out
 
     def __init__(self, ambient_dim, den, base, rows, pivots):
         set_field(self, "ambient_dim", ambient_dim)

@@ -4,8 +4,8 @@
 ``dataclasses.dataclass`` gave the package's value classes: an
 ``__init__`` taking the fields in declaration order, with their
 defaults, that then calls ``__post_init__`` when the class has one;
-equality between instances of one class on the compared fields; a hash
-of the tuple of those fields; the repr ``Name(field=value!r, ...)``; and,
+equality between instances of one class on all their fields; a hash of
+the tuple of the fields; the repr ``Name(field=value!r, ...)``; and,
 unless ``frozen=False``, fields that cannot be set or deleted
 (``FrozenInstanceError``). A record that is not frozen is unhashable.
 
@@ -39,39 +39,38 @@ class FrozenInstanceError(AttributeError):
 
 
 class _Field:
-    """A field's default factory and whether it is compared."""
+    """A field's default factory."""
 
-    __slots__ = ("default_factory", "compare")
+    __slots__ = ("default_factory",)
 
-    def __init__(self, default_factory, compare):
+    def __init__(self, default_factory):
         self.default_factory = default_factory
-        self.compare = compare
 
 
-def field(*, default_factory=_MISSING, compare=True) -> _Field:
+def field(*, default_factory) -> _Field:
     """A field whose default is made by calling ``default_factory`` for
-    each instance, or which ``compare=False`` leaves out of equality and
-    the hash. A plain default is written as the class attribute's value."""
-    return _Field(default_factory, compare)
+    each instance. A plain default is written as the class attribute's
+    value."""
+    return _Field(default_factory)
 
 
 class _Spec:
     """A record class's fields: their names in order, the defaults (as
     (value, is a factory)) of those that have one, whether the class has a
     ``__post_init__``, and a function from an instance to the tuple of its
-    compared fields."""
+    fields."""
 
     __slots__ = ("names", "defaults", "post_init", "key")
 
-    def __init__(self, names, defaults, post_init, compared):
+    def __init__(self, names, defaults, post_init):
         self.names = names
         self.defaults = defaults
         self.post_init = post_init
-        if len(compared) == 1:
-            get = attrgetter(compared[0])
+        if len(names) == 1:
+            get = attrgetter(names[0])
             self.key = lambda obj: (get(obj),)
         else:
-            self.key = attrgetter(*compared)
+            self.key = attrgetter(*names)
 
     def bind(self, cls, args, kwargs) -> list:
         """The field values, in order, for a call with these arguments."""
@@ -140,22 +139,16 @@ def record(cls=None, *, frozen: bool = True):
 
 def _make_record(cls, frozen: bool):
     own = cls.__dict__
-    names, defaults, compared = [], {}, []
+    names, defaults = [], {}
     for name in own.get("__annotations__", {}):
         value = own.get(name, _MISSING)
-        compare = True
         if isinstance(value, _Field):
             delattr(cls, name)
-            compare = value.compare
-            if value.default_factory is not _MISSING:
-                defaults[name] = (value.default_factory, True)
+            defaults[name] = (value.default_factory, True)
         elif value is not _MISSING:
             defaults[name] = (value, False)
         names.append(name)
-        if compare:
-            compared.append(name)
-    cls._record_spec = _Spec(tuple(names), defaults, hasattr(cls, "__post_init__"),
-                             tuple(compared))
+    cls._record_spec = _Spec(tuple(names), defaults, hasattr(cls, "__post_init__"))
     methods = {"__init__": _init, "__repr__": _repr, "__eq__": _eq}
     for name, method in methods.items():
         if name not in own:

@@ -351,14 +351,10 @@ def _write_json(value, newline: str, append) -> None:
         for item in value:
             append(separator)
             separator = following
-            if type(item) is str:  # most items: coordinates written as rationals
-                append(encode_basestring_ascii(item))
-            else:
-                _write_json(item, inner, append)
+            _write_json(item, inner, append)
         append(newline + "]")
     else:
         raise _NotPlainJSON
-
 
 
 def strip_timing(payload):

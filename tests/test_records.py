@@ -38,13 +38,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == "[]"
 
 
-def test_the_hash_is_the_hash_of_the_compared_fields():
+def test_the_hash_is_the_hash_of_the_fields():
     fp = Fingerprint(4, (1, 2, 4, 4), True)
     assert hash(fp) == hash((4, (1, 2, 4, 4), True))
     group = rot4_chart().group
     sub = group.full_subgroup()
     assert hash(sub) == hash((group, sub.members))
-    # pivots are fixed by rows and are not compared
+    # AffineSubspace hashes itself: pivots are fixed by rows and left out
     v = AffineSubspace(2, 1, (0, 0), ((1, 0),), (0,))
     other = AffineSubspace(2, 1, (0, 0), ((1, 0),), (1,))
     assert v == other and hash(v) == hash(other) == hash((2, 1, (0, 0), ((1, 0),)))
