@@ -70,6 +70,10 @@ REPORTS.update({
                                       "--target", "flip_axis"],
     "rational_intersect.json": ["intersect", *RATIONAL, "--left", "skew_line",
                                 "--right", "skew_cross"],
+    "rational_image_stretch.json": ["image", *RATIONAL, "--map", "stretch",
+                                    "--candidate", "b2_across"],
+    "rational_preimage_value.json": ["preimage", *RATIONAL, "--map", "stretch",
+                                     "--value", "0,0"],
 })
 
 
