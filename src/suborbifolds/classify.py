@@ -78,9 +78,7 @@ from .linalg import (
     int_images,
     int_mat_vec,
     int_points,
-    intersect,
     lowest_terms,
-    mat_sub,
     meet,
     point_from_coordinates,
     point_in_dim,
@@ -88,7 +86,6 @@ from .linalg import (
     restricted_matrix,
     sample_points,
     scaled,
-    solve_affine,
     transform_subspace,
     vec,
     vec_add,
@@ -230,8 +227,7 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
     for x in islice(samples, 8):
         if unmatched(x):
             return x
-    g_mat = group.matrix_of(g_index)
-    if any(_agrees_on(h, g_mat, w_g) for h in delta.matrices):
+    if any(_agrees_on(group, h, g_index, w_g) for h in delta.members):
         raise AssertionError(f"element {g_index} is covered on W_g: no saturation witness")
     for x in samples:
         if unmatched(x):
@@ -239,10 +235,11 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
     raise AssertionError(f"no saturation witness for element {g_index}")
 
 
-def _agrees_on(h, g, w: AffineSubspace) -> bool:
-    """Does h x = g x hold for every x in w? (Solved, not compared on images.)"""
-    agree = solve_affine(mat_sub(h, g), zero_vec(w.ambient_dim))
-    return intersect(agree, w) == w
+def _agrees_on(group, h: int, g: int, w: AffineSubspace) -> bool:
+    """Does h x = g x hold for every x in w? (Solved, not compared on images:
+    h^-1 g must fix w pointwise, ``fixed_points`` on its integer form.)"""
+    d, forms = group.integer_forms
+    return fixed_points((d, forms[group.mult(group.inv(h), g)]), w) == w
 
 
 def check_saturated(cand: SuborbifoldCandidate) -> Verdict:

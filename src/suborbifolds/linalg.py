@@ -1,17 +1,22 @@
 """Exact affine geometry over the rationals.
 
-Vectors and matrices cross this module's boundary as immutable tuples of
-``fractions.Fraction``, so they hash and compare structurally. Inside,
-the arithmetic is on integers: a vector is its least common denominator
-and integer numerators (``scaled``), a matrix m is one denominator d and
-d m as sparse integer rows of (column, entry) (``int_form``), and row
-reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): integer
-rows, each divided by its content after every step and by its pivot once
-at the end. A Fraction is built only for a coordinate of a returned
-value. Input is read by one reader, ``read_rational``: an int, a
-Fraction or a plain "p" or "p/q" string goes straight to integers
-(``int_vector``, ``int_matrix``, and so ``affine_subspace`` and group
-generators), and any other form is accepted or refused by ``rat``.
+Points cross this module's boundary as immutable tuples of
+``fractions.Fraction``, so they hash and compare structurally. Matrices
+cross it as integer forms: one denominator d and d m, as dense integer
+rows (``int_matrix``, as maps hold their linear part) or as sparse rows
+of (column, entry) (``sparse``, as groups hold their elements); the
+solvers and rank tests also take rows of ints and Fractions. Inside, the
+arithmetic is on integers: a vector is its least common denominator and
+integer numerators (``scaled``), and row reduction is fraction-free
+(Bareiss, Math. Comp. 22, 1968): integer rows, each divided by its
+content after every step and by its pivot once at the end. A Fraction is
+built only for a coordinate of a returned value. ``mat_mul`` is the one
+Fraction matrix product left; the package no longer calls it, and
+``perfbench/spans.py`` still wraps it by name. Input is read by one
+reader, ``read_rational``: an int, a Fraction or a plain "p" or "p/q"
+string goes straight to integers (``int_vector``, ``int_matrix``, and so
+``affine_subspace``, group generators and maps), and any other form is
+accepted or refused by ``rat``.
 
 An affine subspace is held as integers too: its canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space) is
@@ -35,7 +40,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cached_property
 from itertools import count as _count, product as _cartesian
 from math import gcd, lcm
 
@@ -234,20 +238,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_vec(a: Mat, x: Vec) -> Vec:
-    if not a:
-        return ()
-    if len(a[0]) != len(x):
-        raise DimensionMismatch("matrix/vector shape mismatch")
-    d, rows = int_form(a)
-    dx, xs = scaled(x)
-    return _fractions(int_mat_vec(rows, xs), d * dx)
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def vec_add(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y))
 
@@ -258,10 +248,6 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
 
 def vec_scale(c: Fraction, x: Vec) -> Vec:
     return tuple(c * a for a in x)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -308,20 +294,6 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
         if r == n_rows:
             break
     return pivots
-
-
-def _rref_pivots(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row-echelon form with deterministic leftmost pivoting."""
-    rows = _int_rows(m)
-    pivots = _eliminate(rows)
-    zero = (Fraction(0),) * (len(rows[0]) if rows else 0)
-    reduced = [_fractions(row, row[p]) for row, p in zip(rows, pivots)]
-    return tuple(reduced) + (zero,) * (len(rows) - len(pivots)), pivots
-
-
-def rref(m: Mat) -> tuple[Mat, int]:
-    reduced, pivots = _rref_pivots(m)
-    return reduced, len(pivots)
 
 
 def mat_rank(m: Mat) -> int:
@@ -396,26 +368,35 @@ class AffineSubspace:
                     == (other.ambient_dim, other.den, other.base, other.rows))
         return NotImplemented
 
+    # Cached with set_field, not in the instance __dict__ (as cached_property
+    # does), which on CPython 3.11 would slow every later field read.
     def __hash__(self) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
+        h = getattr(self, "_hash", None)
+        if h is None:
             h = hash((self.ambient_dim, self.den, self.base, self.rows))
-            object.__setattr__(self, "_hash", h)
-            return h
+            set_field(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    @cached_property
+    @property
     def base_point(self) -> Vec:
-        return _fractions(self.base, self.den)
+        point = getattr(self, "_base_point", None)
+        if point is None:
+            point = _fractions(self.base, self.den)
+            set_field(self, "_base_point", point)
+        return point
 
-    @cached_property
+    @property
     def basis(self) -> tuple[Vec, ...]:
         """The reduced row-echelon basis: 1 at each pivot."""
-        return tuple(_fractions(row, row[p]) for row, p in zip(self.rows, self.pivots))
+        basis = getattr(self, "_basis", None)
+        if basis is None:
+            basis = tuple(_fractions(row, row[p]) for row, p in zip(self.rows, self.pivots))
+            set_field(self, "_basis", basis)
+        return basis
 
 
 def affine_subspace(base_point, basis) -> AffineSubspace:
@@ -607,12 +588,13 @@ def direction_sum_is_full(a: AffineSubspace, b: AffineSubspace) -> bool:
     return len(_eliminate(stacked)) == a.ambient_dim
 
 
-def map_subspace(a: Mat, offset: Vec, v: AffineSubspace) -> AffineSubspace:
-    """Image of v under the affine map x -> a x + offset."""
-    if a and len(a[0]) != v.ambient_dim:
+def map_subspace(linear, offset, v: AffineSubspace) -> AffineSubspace:
+    """Image of v under x -> a x + b, for a as (d, d a) in dense integer rows
+    and b as (e, e b) (``int_matrix``, ``int_vector``)."""
+    d, rows = linear
+    if rows and len(rows[0]) != v.ambient_dim:
         raise DimensionMismatch("matrix/vector shape mismatch")
-    do, shift = scaled(offset)
-    return _image(int_form(a), do, shift, v)
+    return _image((d, sparse(rows)), *offset, v)
 
 
 def transform_subspace(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace:

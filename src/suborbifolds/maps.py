@@ -5,8 +5,14 @@ equivariance Theta(g) A = A g and Theta(g) b = b checked on the domain
 group's generators. Transversality for affine data is a constant
 condition on direction spaces, so the per-point quantifiers of the
 smooth theory collapse.
+
+The lift is held as integers, its linear part as (d, d A) in dense rows
+and its offset as (e, e b) (``linalg.int_matrix``, ``linalg.int_vector``),
+and every map operation computes on these rows.
 """
 from __future__ import annotations
+
+from math import gcd
 
 from .classify import (
     ChartModel,
@@ -16,12 +22,12 @@ from .classify import (
     check_full,
     check_saturated,
     contained_in_regular_part,
-    localize_chart,
 )
 from .errors import (
     ChartMismatch,
     CandidateNotFull,
     CodomainNotManifold,
+    DimensionMismatch,
     EmptyPreimage,
     GroupTooLarge,
     NonInvariant,
@@ -45,8 +51,6 @@ from .groups import (
 )
 from .linalg import (
     AffineSubspace,
-    Mat,
-    Vec,
     affine_subspace,
     direction_sum_is_full,
     equations,
@@ -54,58 +58,60 @@ from .linalg import (
     int_matrix,
     int_vector,
     intersect,
+    lowest_terms,
     map_subspace,
-    mat,
-    mat_mul,
     mat_rank,
-    mat_vec,
     point_in_dim,
     rat_str,
+    single_point,
     solve_affine,
     sparse,
-    vec,
-    vec_add,
-    vec_sub,
     whole_space,
-    zero_vec,
 )
 from .records import record
 
 
 @record
 class EquivariantAffineMap:
+    """x -> A x + b between chart models, with theta. A and b are read from
+    ints, Fractions or "p/q" strings into the canonical integer forms of
+    ``int_matrix`` and ``int_vector``, so equal maps compare equal."""
+
     domain: ChartModel
     codomain: ChartModel
-    linear: Mat
-    offset: Vec
+    linear: tuple[int, tuple[tuple[int, ...], ...]]
+    offset: tuple[int, tuple[int, ...]]
     theta: GroupHom
 
-    def __post_init__(self):
-        n1, n2 = self.domain.ambient_dim, self.codomain.ambient_dim
-        if len(self.linear) != n2 or (self.linear and len(self.linear[0]) != n1):
+    def __init__(self, domain, codomain, linear, offset, theta):
+        self._build(domain, codomain, int_matrix(linear), int_vector(offset), theta)
+
+    def _build(self, domain, codomain, linear, offset, theta):
+        """Store the fields, A and b as canonical integer forms, and check
+        the shapes and the equivariance."""
+        self.__dict__.update(domain=domain, codomain=codomain, linear=linear,
+                             offset=offset, theta=theta)
+        n1, n2 = domain.ambient_dim, codomain.ambient_dim
+        dense, off = linear[1], offset[1]
+        if len(dense) != n2 or (dense and len(dense[0]) != n1):
             raise ChartMismatch("linear part has wrong shape")
-        if len(self.offset) != n2:
+        if len(off) != n2:
             raise ChartMismatch("offset has wrong length")
-        if self.theta.domain != self.domain.group or (
-            self.theta.codomain != self.codomain.group
-        ):
+        if theta.domain != domain.group or theta.codomain != codomain.group:
             raise ChartMismatch("theta does not connect the chart groups")
-        if not self.theta.is_homomorphism():
+        if not theta.is_homomorphism():
             raise NonInvariant("theta is not a homomorphism")
-        # On integers, for the columns g e_k = xs / den: with dense = dl L, lin
-        # its sparse rows and theta(g) = t / d2, theta(g) L e_k = L g e_k reads
-        # den t (dl L e_k) = d2 lin xs; theta(g) c = c reads t off = d2 off,
-        # for off a positive multiple of c.
-        _, dense = int_matrix(self.linear)
+        # On integers, for the columns g e_k = xs / den: with dense = dl A, lin
+        # its sparse rows and theta(g) = t / d2, theta(g) A e_k = A g e_k reads
+        # den t (dl A e_k) = d2 lin xs; theta(g) b = b reads t off = d2 off,
+        # for off a positive multiple of b.
         lin, lin_columns = sparse(dense), list(zip(*dense))
-        _, off = int_vector(self.offset)
-        d2, images = self.codomain.group.integer_forms
+        d2, images = codomain.group.integer_forms
         fixed_offset = tuple(d2 * c for c in off)
-        domain = self.domain.group
 
         def failing_part(g):
-            t = images[self.theta(g)]
-            for (den, xs), column in zip(domain.columns(g), lin_columns):
+            t = images[theta(g)]
+            for (den, xs), column in zip(domain.group.columns(g), lin_columns):
                 if ([den * y for y in int_mat_vec(t, column)]
                         != [d2 * y for y in int_mat_vec(lin, xs)]):
                     return "linear part"
@@ -114,26 +120,47 @@ class EquivariantAffineMap:
             return None
 
         # theta is a homomorphism, so the elements that pass form a subgroup.
-        g = first_failure(self.domain.group, failing_part)
+        g = first_failure(domain.group, failing_part)
         if g is not None:
             raise NonInvariant(f"equivariance fails on element {g} ({failing_part(g)})")
 
-    def apply(self, x: Vec) -> Vec:
-        return vec_add(mat_vec(self.linear, vec(x)), self.offset)
-
     def image_subspace(self) -> AffineSubspace:
         """Affine hull of the image."""
-        cols = tuple(zip(*self.linear)) if self.linear else ()
-        return affine_subspace(self.offset, cols)
+        return map_subspace(self.linear, self.offset, whole_space(self.domain.ambient_dim))
 
     def preimage_subspace(self, v: AffineSubspace) -> AffineSubspace | None:
-        """Solution set of f(x) in v."""
-        c, d = equations(v)
+        """Solution set of f(x) in v.
+
+        With v = {y : c y = e} (``equations``), A = L / d and b = o / e0,
+        c (A x + b) = e reads e0 (c L) x = d (e0 e - c o).
+        """
+        d, rows = self.linear
+        e0, off = self.offset
+        if v.ambient_dim != len(rows):
+            raise DimensionMismatch("matrix product shape mismatch")
+        c, e = equations(v)
         if not c:
             return whole_space(self.domain.ambient_dim)
-        lhs = mat_mul(c, self.linear)
-        rhs = vec_sub(d, mat_vec(c, self.offset))
+        lhs = [[e0 * x for x in row] for row in _times(c, rows, self.domain.ambient_dim)]
+        rhs = [d * (e0 * y - sum([x * o for x, o in zip(row, off)])) for row, y in zip(c, e)]
         return solve_affine(lhs, rhs)
+
+
+def _from_forms(domain, codomain, linear, offset, theta) -> EquivariantAffineMap:
+    """The map whose linear part and offset are the integer forms (d, d A)
+    and (e, e b) for any positive d and e, brought to lowest terms."""
+    d, rows = linear
+    c = gcd(d, *[x for row in rows for x in row])
+    f = EquivariantAffineMap.__new__(EquivariantAffineMap)
+    f._build(domain, codomain, (d // c, tuple(tuple([x // c for x in row]) for row in rows)),
+             lowest_terms(*offset), theta)
+    return f
+
+
+def _times(a, b, n: int) -> tuple[tuple[int, ...], ...]:
+    """The product of the dense integer matrices a and b, for b with n columns."""
+    return tuple(tuple([sum([x * row[j] for x, row in zip(r, b)]) for j in range(n)])
+                 for r in a)
 
 
 def identity_hom(group: FiniteMatrixGroup) -> GroupHom:
@@ -146,7 +173,7 @@ def trivial_hom(domain: FiniteMatrixGroup, codomain: FiniteMatrixGroup) -> Group
 
 def rank_at(f: EquivariantAffineMap) -> int:
     """Rank of the lift; the same at every point for affine maps."""
-    return mat_rank(f.linear)
+    return mat_rank(f.linear[1])
 
 
 def is_immersion(f: EquivariantAffineMap) -> bool:
@@ -155,16 +182,6 @@ def is_immersion(f: EquivariantAffineMap) -> bool:
 
 def is_submersion(f: EquivariantAffineMap) -> bool:
     return rank_at(f) == f.codomain.ambient_dim
-
-
-def _block_diag(a: Mat, b: Mat) -> Mat:
-    cols_a = len(a[0]) if a else 0
-    cols_b = len(b[0]) if b else 0
-    zero_right = (0,) * cols_b
-    zero_left = (0,) * cols_a
-    rows = [row + zero_right for row in a]
-    rows += [zero_left + row for row in b]
-    return mat(rows)
 
 
 @record
@@ -214,13 +231,11 @@ def graph_suborbifold(f: EquivariantAffineMap,
     """
     product = product_chart(f.domain, f.codomain, max_order)
     n1 = f.domain.ambient_dim
-    base = zero_vec(n1) + f.apply(zero_vec(n1))
-    basis = []
-    for j in range(n1):
-        e = tuple(1 if i == j else 0 for i in range(n1))
-        e = vec(e)
-        basis.append(e + tuple(mat_vec(f.linear, e)))
-    v = affine_subspace(base, basis)
+    # V is the image of the domain under x -> (x, A x + b).
+    d, rows = f.linear
+    e, off = f.offset
+    lift = tuple(tuple([d * (i == j) for j in range(n1)]) for i in range(n1)) + rows
+    v = map_subspace((d, lift), (e, (0,) * n1 + off), whole_space(n1))
     delta = product.combined.group.subgroup_from_indices(
         product.pair_index(g, f.theta(g)) for g in range(f.domain.group.order)
     )
@@ -364,25 +379,23 @@ def fibered_product(
     product = product_chart(f1.domain, f2.domain, max_order)
     m = m_chart.ambient_dim
     double = product_chart(m_chart, m_chart, max_order)
-    linear = _block_diag(f1.linear, f2.linear)
-    offset = f1.offset + f2.offset
+    # diag(A1, A2) over d1 d2 and (b1, b2) over e1 e2.
+    (d1, a1), (d2, a2) = f1.linear, f2.linear
+    (e1, o1), (e2, o2) = f1.offset, f2.offset
+    n1, n2 = f1.domain.ambient_dim, f2.domain.ambient_dim
+    linear = (d1 * d2, tuple([tuple([x * d2 for x in row]) + (0,) * n2 for row in a1]
+                             + [(0,) * n1 + tuple([x * d1 for x in row]) for row in a2]))
+    offset = (e1 * e2, tuple([x * e2 for x in o1] + [x * e1 for x in o2]))
     theta = trivial_hom(product.combined.group, double.combined.group)
-    big_map = EquivariantAffineMap(product.combined, double.combined, linear,
-                                   offset, theta)
-    diag_base = zero_vec(2 * m)
-    diag_basis = [
-        vec(tuple(1 if i == j else 0 for i in range(m)))
-        + vec(tuple(1 if i == j else 0 for i in range(m)))
-        for j in range(m)
-    ]
+    big_map = _from_forms(product.combined, double.combined, linear, offset, theta)
+    diag_basis = [[int(i == j) for i in range(m)] * 2 for j in range(m)]
     diagonal = SuborbifoldCandidate(
         double.combined,
         double.combined.group.full_subgroup(),
-        affine_subspace(diag_base, diag_basis),
+        affine_subspace([0] * (2 * m), diag_basis),
     )
     result = preimage_suborbifold(big_map, diagonal)
-    expected = f1.domain.ambient_dim + f2.domain.ambient_dim - m
-    if result.v.dim != expected:
+    if result.v.dim != n1 + n2 - m:
         raise AssertionError("fibered product dimension formula violated")
     return result
 
@@ -394,32 +407,27 @@ def regular_value_preimage(
     q = point_in_dim(q, f.codomain.ambient_dim)
     if rank_at(f) != f.codomain.ambient_dim:
         raise RankDeficient("rank of the lift is below the codomain dimension")
-    if solve_affine(f.linear, vec_sub(q, f.offset)) is None:
+    value = single_point(q)
+    if f.preimage_subspace(value) is None:
         raise NotInImage("value is not attained by the map")
     gamma2 = f.codomain.group
     stab = stabilizer(gamma2, q)
     if stab.order != gamma2.order:
-        # Localize the codomain so its group is the isotropy of q.
-        local_chart = localize_chart(f.codomain, q)
-        if first_failure(f.domain.group,
-                         lambda g: mat_vec(gamma2.matrix_of(f.theta(g)), q) != q) is not None:
+        # Localize the codomain so its group is the isotropy of q: theta(g)
+        # must fix q, and is found in the promoted stabilizer by its columns.
+        if first_failure(f.domain.group, lambda g: not stab.contains(f.theta(g))) is not None:
             raise NotLocalized(
                 "theta moves the regular value; localize the codomain chart"
             )
+        local = stab.promote()
         theta = GroupHom(
             f.domain.group,
-            local_chart.group,
-            tuple(
-                local_chart.group.index_of(gamma2.matrix_of(f.theta(g)))
-                for g in range(f.domain.group.order)
-            ),
+            local,
+            tuple(local.element_with_columns(gamma2.columns(f.theta(g)))
+                  for g in range(f.domain.group.order)),
         )
-        f = EquivariantAffineMap(f.domain, local_chart, f.linear, f.offset, theta)
-    point = SuborbifoldCandidate(
-        f.codomain,
-        f.codomain.group.full_subgroup(),
-        affine_subspace(q, ()),
-    )
+        f = _from_forms(f.domain, ChartModel(local), f.linear, f.offset, theta)
+    point = SuborbifoldCandidate(f.codomain, f.codomain.group.full_subgroup(), value)
     result = preimage_suborbifold(f, point)
     expected = f.domain.ambient_dim - f.codomain.ambient_dim
     if result.v.dim != expected:
@@ -433,11 +441,15 @@ def compose(
     """g after f, with theta composed."""
     if f.codomain != g.domain:
         raise ChartMismatch("maps are not composable")
-    linear = mat_mul(g.linear, f.linear)
-    offset = vec_add(mat_vec(g.linear, f.offset), g.offset)
+    (dg, a), (df, b) = g.linear, f.linear
+    (eg, og), (ef, of) = g.offset, f.offset
+    linear = (dg * df, _times(a, b, f.domain.ambient_dim))
+    # A_g b_f + b_g over dg ef eg.
+    offset = (dg * ef * eg, tuple([sum([x * y for x, y in zip(row, of)]) * eg + z * dg * ef
+                                   for row, z in zip(a, og)]))
     theta = GroupHom(
         f.domain.group,
         g.codomain.group,
         tuple(g.theta(f.theta(i)) for i in range(f.domain.group.order)),
     )
-    return EquivariantAffineMap(f.domain, g.codomain, linear, offset, theta)
+    return _from_forms(f.domain, g.codomain, linear, offset, theta)

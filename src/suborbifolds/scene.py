@@ -3,14 +3,14 @@
 A scene is a JSON document naming groups (generator lists), subgroups,
 affine subspaces, candidates, equivariant maps and metric probes, plus a
 list of queries. Rationals are JSON integers or strings "p/q" (the "/q"
-may be omitted); parsing is exact. Group generators, subgroup generators
-and subspaces are read straight into integers (``linalg.read_rational``):
-an int or a plain "p" or "p/q" string builds no Fraction, and any other
-form goes through ``rat``, which reads decimal strings and refuses
-exponents, booleans and zero denominators. A map's linear part and
-offset and a probe's points are kept as Fractions, so they are read as
-Fractions. The machine report format is deterministic JSON with sorted
-keys; timing lives under a single "timing" key so reports can be
+may be omitted); parsing is exact. Group generators, subgroup generators,
+subspaces and a map's linear part and offset are read straight into
+integers (``linalg.read_rational``): an int or a plain "p" or "p/q"
+string builds no Fraction, and any other form goes through ``rat``,
+which reads decimal strings and refuses exponents, booleans and zero
+denominators. A probe's points are kept as Fractions, so they are read
+as Fractions. The machine report format is deterministic JSON with
+sorted keys; timing lives under a single "timing" key so reports can be
 compared modulo timing.
 """
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .linalg import (
     AffineSubspace,
     DimensionMismatch,
     affine_subspace,
-    mat,
     rat_str,
     vec,
 )
@@ -147,7 +146,7 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
             )
             theta = GroupHom(domain.group, codomain.group, tuple(images))
             scene.maps[name] = EquivariantAffineMap(
-                domain, codomain, mat(spec["matrix"]), vec(spec["offset"]), theta
+                domain, codomain, spec["matrix"], spec["offset"], theta
             )
         for name, spec in _section(raw, "probes").items():
             group = _lookup(scene.groups, spec["group"], "group")

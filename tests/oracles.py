@@ -34,7 +34,6 @@ from suborbifolds.linalg import (
     int_form,
     int_mat_vec,
     is_invertible,
-    map_subspace,
     mat,
     point_from_coordinates,
     solve_affine,
@@ -113,6 +112,13 @@ def oracle_mat_vec(a, x):
     the plain rational loop it replaced.
     """
     return tuple(sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a)
+
+
+def oracle_map_subspace(m, offset, v):
+    """The image of v under x -> m x + offset: the image of v's base point
+    and m applied to its basis, by Fraction products, in canonical form."""
+    base = tuple(y + c for y, c in zip(oracle_mat_vec(m, v.base_point), offset))
+    return affine_subspace(base, [oracle_mat_vec(m, b) for b in v.basis])
 
 
 def oracle_images(m, v):
@@ -235,7 +241,7 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     group = cand.chart.group
     v = cand.v
     for g in range(group.order):
-        g_inv_v = map_subspace(group.matrix_of(group.inv(g)), zero_vec(v.ambient_dim), v)
+        g_inv_v = oracle_map_subspace(group.matrix_of(group.inv(g)), zero_vec(v.ambient_dim), v)
         w_g = oracle_intersect(v, g_inv_v)
         if w_g is None:
             continue
@@ -495,6 +501,13 @@ def oracle_mat_mul(a, b):
               for j in range(len(b[0])))
         for i in range(len(a))
     )
+
+
+def oracle_block_diag(a, b):
+    """diag(a, b) for Fraction matrices a and b."""
+    zero_right = (Fraction(0),) * (len(b[0]) if b else 0)
+    zero_left = (Fraction(0),) * (len(a[0]) if a else 0)
+    return tuple(tuple(row) + zero_right for row in a) + tuple(zero_left + tuple(row) for row in b)
 
 
 def oracle_group_closure(generators):

@@ -12,6 +12,7 @@ import pytest
 
 from suborbifolds.classify import (
     SuborbifoldCandidate,
+    _agrees_on,
     _first_moving_element,
     _witness_point,
     abelian_omega_isotropy,
@@ -54,7 +55,7 @@ from suborbifolds.scene import (
     candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
 )
 from suborbifolds.linalg import (
-    affine_subspace, int_form, mat_vec, transform_subspace, vec, whole_space,
+    affine_subspace, int_form, transform_subspace, vec, whole_space,
 )
 
 from oracles import (
@@ -62,6 +63,8 @@ from oracles import (
     hyperoctahedral_generators,
     oracle_check_saturated,
     oracle_full,
+    oracle_images,
+    oracle_mat_vec,
     oracle_saturated_sampled,
     random_candidate,
     random_rational_basis_change,
@@ -157,7 +160,7 @@ def test_induced_chart_roundtrip_and_equivariance():
         local_mat = ind.chart.group.matrix_of(local)
         for x in sample_in_subspace(cand.v, random.Random(4), 4):
             coords = ind.coordinates(x)
-            assert ind.embed(mat_vec(local_mat, coords)) == mat_vec(
+            assert ind.embed(oracle_mat_vec(local_mat, coords)) == oracle_mat_vec(
                 parent_mat, x
             )
 
@@ -761,8 +764,10 @@ def test_saturation_builds_no_fractions(monkeypatch):
 
 def test_scene_construction_builds_no_fractions(monkeypatch):
     # An all-integer scene is read as integers: generators, subgroup
-    # generators and subspaces build no Fraction, and no rank test runs,
-    # as invertibility is read off the orbit permutations.
+    # generators, subspaces and maps build no Fraction, and no rank test
+    # runs, as invertibility is read off the orbit permutations. So is a
+    # scene written with "p/q" strings: the shipped map scenes check each
+    # map's equivariance on integer forms.
     b3 = [[[int(x) for x in row] for row in m] for m in hyperoctahedral_generators(3)]
     text = json.dumps({
         "groups": {"b3": b3, "rot4": [[[0, -1], [1, 0]]]},
@@ -786,6 +791,10 @@ def test_scene_construction_builds_no_fractions(monkeypatch):
     scene = parse_scene(text)
     assert scene.groups["b3"].order == 48 and len(scene.candidates) == 2
     assert scene.subgroups["plane_pair"].order == 2
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for name, maps in (("maps.json", 3), ("rational_chart.json", 2)):
+        with open(os.path.join(root, "scenes", name), encoding="utf-8") as fh:
+            assert len(parse_scene(fh.read()).maps) == maps
 
 
 def test_induced_chart_builds_no_fractions(monkeypatch):
@@ -845,6 +854,23 @@ def test_witness_point_search_is_bounded():
     b3 = generate_group(signed_permutation_matrices(3))
     with pytest.raises(AssertionError, match="covered"):
         _witness_point(whole_space(3), b3, b3.full_subgroup(), b3.identity)
+
+
+def test_agrees_on_matches_fraction_images():
+    # _agrees_on solves h^-1 g x = x on W; h and g agree on W exactly when
+    # their Fraction images of W's base point and basis are equal.
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(60):
+        cand = random_candidate(rng, max_group_order=48)
+        group = cand.chart.group
+        h = rng.randrange(group.order)
+        g = h if rng.random() < 0.2 else rng.randrange(group.order)
+        want = (oracle_images(group.matrix_of(h), cand.v)
+                == oracle_images(group.matrix_of(g), cand.v))
+        assert _agrees_on(group, h, g, cand.v) == want
+        seen.add((want, h == g))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_corpus_flipped_expectation_raises():

@@ -34,9 +34,9 @@ from suborbifolds.groups import (
     trivial_group,
 )
 from suborbifolds.linalg import (
-    affine_subspace, identity, mat, mat_mul, mat_vec, restricted_matrix, vec,
+    affine_subspace, identity, mat, restricted_matrix, vec,
 )
-from suborbifolds.maps import _block_diag, product_chart
+from suborbifolds.maps import product_chart
 
 from oracles import (
     _closure,
@@ -47,8 +47,10 @@ from oracles import (
     oracle_group_closure,
     oracle_is_homomorphism,
     oracle_is_normal,
+    oracle_block_diag,
     oracle_least_complement,
     oracle_mat_mul,
+    oracle_mat_vec,
     oracle_quotient_fingerprint,
     random_candidate,
     random_rational_basis_change,
@@ -169,7 +171,7 @@ def test_generated_group_is_closed_once(monkeypatch):
     cases = [
         (flips.promote, flips.matrices),
         (lambda: product_chart(rot4, klein).combined.group,
-         [_block_diag(a, b) for a in rot4.group.matrices for b in klein.group.matrices]),
+         [oracle_block_diag(a, b) for a in rot4.group.matrices for b in klein.group.matrices]),
         (lambda: induced_chart(cand).chart.group,
          [_from_columns(restricted_matrix(linalg.int_form(m), plane))
           for m in plane_delta.matrices]),
@@ -375,14 +377,14 @@ def test_sympy_permutation_group_order_oracle():
         units = list(zip(*basis_change))
         points = units + [tuple(-x for x in e) for e in units]
         perms = [
-            sympy_combinatorics.Permutation([points.index(mat_vec(m, x)) for x in points])
+            sympy_combinatorics.Permutation([points.index(oracle_mat_vec(m, x)) for x in points])
             for m in gens
         ]
         g = generate_group(gens)
         assert g.order == sympy_combinatorics.PermutationGroup(perms).order() == 384
         for _ in range(2000):
             i, j = rng.randrange(g.order), rng.randrange(g.order)
-            assert g.matrix_of(g.mult(i, j)) == mat_mul(g.matrix_of(i), g.matrix_of(j))
+            assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(g.matrix_of(i), g.matrix_of(j))
 
 
 def test_singular_generator_rejected():

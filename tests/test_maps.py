@@ -35,15 +35,15 @@ from suborbifolds.groups import GroupHom, generate_group, trivial_group
 from suborbifolds.linalg import (
     affine_subspace,
     contains_point,
+    map_subspace,
     mat,
     mat_rank,
-    mat_vec,
+    single_point,
     vec,
     whole_space,
 )
 from suborbifolds.maps import (
     EquivariantAffineMap,
-    _block_diag,
     compose,
     fibered_product,
     graph_suborbifold,
@@ -60,15 +60,20 @@ from suborbifolds.scene import parse_scene
 
 from oracles import (
     conjugate_all,
+    oracle_block_diag,
     oracle_equivariance_failure,
+    oracle_map_subspace,
     oracle_mat_mul,
+    oracle_mat_vec,
     oracle_saturated_sampled,
+    oracle_solve,
     random_candidate,
     random_rational_basis_change,
     signed_permutation_matrices,
 )
 
 RATIONAL_SCENE = Path(__file__).resolve().parents[1] / "scenes" / "rational_chart.json"
+MAPS_SCENE = RATIONAL_SCENE.with_name("maps.json")
 
 
 def line_into_rot4():
@@ -196,7 +201,7 @@ def test_pair_index_matches_the_block_matrix_index():
                    for i in range(left.group.order)]
         for i, a in enumerate(left.group.matrices):
             for j, b in enumerate(right.group.matrices):
-                assert indices[i][j] == combined.index_of(_block_diag(a, b))
+                assert indices[i][j] == combined.index_of(oracle_block_diag(a, b))
         assert sorted(x for row in indices for x in row) == list(combined.members)
 
 
@@ -209,6 +214,77 @@ def test_compose():
     g = compose(ident, f)
     assert g.linear == f.linear and g.offset == f.offset
     assert [g.theta(i) for i in range(2)] == [f.theta(i) for i in range(2)]
+
+
+def _fraction_map(f):
+    """f's linear part and offset as a Fraction matrix and vector."""
+    (d, rows), (e, offset) = f.linear, f.offset
+    return ([[Fraction(x, d) for x in row] for row in rows],
+            tuple(Fraction(x, e) for x in offset))
+
+
+def _oracle_preimage(linear, offset, v):
+    """{x : A x + b in v} by one Fraction solve of A x - B t = p - b in
+    (x, t), for v = p + span(B), projected onto x."""
+    n1 = len(linear[0])
+    rows = [list(row) + [-b[i] for b in v.basis] for i, row in enumerate(linear)]
+    solved = oracle_solve(rows, [p - c for p, c in zip(v.base_point, offset)])
+    if solved is None:
+        return None
+    particular, homogeneous = solved
+    return affine_subspace(particular[:n1], [h[:n1] for h in homogeneous])
+
+
+def test_map_subspaces_match_fraction_oracle():
+    # Every map of the two shipped map scenes and compositions of them,
+    # with denominators in the linear part and the offset: the image hull,
+    # images of the domain's subspaces, preimages of the codomain's, and
+    # the graph's V, against Fraction products and a Fraction solve.
+    maps_scene = parse_scene(MAPS_SCENE.read_text())
+    rational = parse_scene(RATIONAL_SCENE.read_text())
+    rotation, stretch = maps_scene.maps["rot4_identity"], rational.maps["stretch"]
+    # stretch^-1 and x -> 2 x + (0, 1/3) on skew_flip, whose group fixes (0, t).
+    unstretch = EquivariantAffineMap(
+        stretch.codomain, stretch.domain, [[2, 0], [0, "1/3"]], [0, 0],
+        GroupHom(stretch.codomain.group, stretch.domain.group,
+                 tuple(stretch.theta.image_of.index(i) for i in range(8))))
+    flip = rational.maps["fold"].codomain
+    doubling = EquivariantAffineMap(flip, flip, [[2, 0], [0, 2]], [0, "1/3"],
+                                    identity_hom(flip.group))
+    pairs = [(rotation, maps_scene.maps["plane_into_rot4"]), (rotation, rotation),
+             (unstretch, stretch), (doubling, rational.maps["fold"])]
+    composed = []
+    for g, f in pairs:
+        gf = compose(g, f)
+        (a, b), (c, d) = _fraction_map(g), _fraction_map(f)
+        assert _fraction_map(gf) == (
+            [list(row) for row in oracle_mat_mul(a, c)],
+            tuple(x + y for x, y in zip(oracle_mat_vec(a, d), b)))
+        composed.append(gf)
+    assert compose(unstretch, stretch) == EquivariantAffineMap(
+        stretch.domain, stretch.domain, [[1, 0], [0, 1]], [0, 0],
+        identity_hom(stretch.domain.group))
+    subspaces = list(maps_scene.subspaces.values()) + list(rational.subspaces.values())
+    maps = list(maps_scene.maps.values()) + list(rational.maps.values()) + composed
+    preimages = 0
+    for f in maps:
+        linear, offset = _fraction_map(f)
+        n1, n2 = f.domain.ambient_dim, f.codomain.ambient_dim
+        units = [tuple(Fraction(int(i == j)) for i in range(n1)) for j in range(n1)]
+        assert f.image_subspace() == affine_subspace(
+            offset, [oracle_mat_vec(linear, e) for e in units])
+        assert graph_suborbifold(f).v == affine_subspace(
+            (0,) * n1 + offset, [e + oracle_mat_vec(linear, e) for e in units])
+        for u in subspaces + [whole_space(n1)]:
+            if u.ambient_dim == n1:
+                assert map_subspace(f.linear, f.offset, u) == oracle_map_subspace(
+                    linear, offset, u)
+        for v in subspaces + [whole_space(n2), single_point(offset)]:
+            if v.ambient_dim == n2:
+                want = _oracle_preimage(linear, offset, v)
+                assert f.preimage_subspace(v) == want
+                preimages += want is not None
+    assert len(maps) == 9 and preimages > 20
 
 
 def test_image_reproduces_rotation_line():
@@ -242,11 +318,11 @@ def replays_orbit_collapse(f, err) -> bool:
     """x and gx lie in the image hull, and no theta(g') maps x to gx."""
     hull = f.image_subspace()
     x = err.point
-    gx = mat_vec(err.element.matrix, x)
+    gx = oracle_mat_vec(err.element.matrix, x)
     codomain = f.codomain.group
     return (
         contains_point(hull, x) and contains_point(hull, gx)
-        and all(mat_vec(codomain.matrix_of(f.theta(i)), x) != gx
+        and all(oracle_mat_vec(codomain.matrix_of(f.theta(i)), x) != gx
                 for i in range(f.domain.group.order))
     )
 

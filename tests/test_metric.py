@@ -22,7 +22,6 @@ from suborbifolds.linalg import (
     contains_point,
     int_mat_vec,
     mat,
-    mat_vec,
     vec,
     whole_space,
     zero_vec,
@@ -40,6 +39,7 @@ from suborbifolds.scene import parse_scene
 
 from oracles import (
     oracle_intrinsic_distances,
+    oracle_mat_vec,
     oracle_piece_segment_sum,
     oracle_quotient_distance,
     random_candidate,
@@ -75,7 +75,7 @@ def test_quotient_distance_is_pseudometric():
         assert dxy <= quotient_distance(g, x, z) + quotient_distance(g, z, y) + 1e-12
         # G-invariance
         for idx in range(g.order):
-            gx = mat_vec(g.matrix_of(idx), x)
+            gx = oracle_mat_vec(g.matrix_of(idx), x)
             assert quotient_distance(g, gx, y) == pytest.approx(dxy, abs=1e-12)
 
 
@@ -234,7 +234,7 @@ def test_closed_form_equals_per_point_oracle_on_random_probes():
         if cand.v.dim == 0:
             continue
         group, delta = cand.chart.group, cand.delta
-        # Cap the oracle's work (one Fraction mat_vec per group element,
+        # Cap the oracle's work (one oracle_mat_vec per group element,
         # subgroup element and piece) so the test stays short.
         depth = rng.randint(0, 8)
         while group.order * delta.order * (2 ** (depth + 1) - 1) > 2048:

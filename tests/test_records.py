@@ -77,8 +77,10 @@ def test_fields_of_a_frozen_record_cannot_be_set_or_deleted():
     with pytest.raises(records.FrozenInstanceError, match="'den'"):
         del v.den
     assert v.den == 1
-    # cached_property writes past __setattr__
-    assert v.basis == v.basis and "basis" in vars(v)
+    # cached_property and set_field write past __setattr__
+    cand = _unsaturated()
+    assert cand.saturation is cand.saturation and "saturation" in vars(cand)
+    assert v.basis is v.basis and v.base_point is v.base_point and hash(v) == hash(v)
     report = CorpusReport()
     report.elapsed_seconds = 1.5
     assert report.elapsed_seconds == 1.5
