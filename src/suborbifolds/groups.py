@@ -460,7 +460,7 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
 
 def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
     """The group generated by n x n matrices given as (d, d g) with sparse
-    integer rows (see ``linalg.int_form``), at least one of them.
+    integer rows (see ``linalg.sparse``), at least one of them.
 
     The orbit Omega of the standard basis is found with one integer
     matrix-vector product per point and generator; it is capped at

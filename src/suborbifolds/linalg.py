@@ -10,13 +10,12 @@ arithmetic is on integers: a vector is its least common denominator and
 integer numerators (``scaled``), and row reduction is fraction-free
 (Bareiss, Math. Comp. 22, 1968): integer rows, each divided by its
 content after every step and by its pivot once at the end. A Fraction is
-built only for a coordinate of a returned value. ``mat_mul`` is the one
-Fraction matrix product left; the package no longer calls it, and
-``perfbench/spans.py`` still wraps it by name. Input is read by one
-reader, ``read_rational``: an int, a Fraction or a plain "p" or "p/q"
-string goes straight to integers (``int_vector``, ``int_matrix``, and so
-``affine_subspace``, group generators and maps), and any other form is
-accepted or refused by ``rat``.
+built only for a coordinate of a returned value; ``mat_mul`` multiplies
+dense integer rows. Input is read by one reader, ``read_rational``: an
+int, a Fraction or a plain "p" or "p/q" string goes straight to integers
+(``int_vector``, ``int_matrix``, and so ``affine_subspace``, group
+generators and maps), and any other form is accepted or refused by
+``rat``.
 
 An affine subspace is held as integers too: its canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space) is
@@ -186,25 +185,7 @@ def identity(n: int) -> Mat:
 def scaled(x) -> tuple[int, tuple[int, ...]]:
     """(d, d x): the least common denominator of x and x's integer numerators."""
     d = lcm(*[c.denominator for c in x])
-    return d, _over(x, d)
-
-
-def _over(x, d: int) -> tuple[int, ...]:
-    """d x as integers, for a d that is a multiple of every denominator of x."""
-    return tuple(c.numerator * (d // c.denominator) for c in x)
-
-
-def int_form(m: Mat, d: int | None = None) -> tuple[int, IntMat]:
-    """(d, d m as sparse integer rows); d defaults to m's least common denominator.
-
-    A given d must be a multiple of every denominator of m.
-    """
-    if d is None:
-        d = lcm(*[x.denominator for row in m for x in row])
-    return d, tuple(
-        tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x)
-        for row in m
-    )
+    return d, tuple(c.numerator * (d // c.denominator) for c in x)
 
 
 def int_mat_vec(rows: IntMat, xs) -> tuple[int, ...]:
@@ -217,25 +198,17 @@ def int_images(rows: IntMat, points) -> tuple[tuple[int, ...], ...]:
     return tuple(int_mat_vec(rows, xs) for xs in points)
 
 
+def mat_mul(a, b, n: int) -> tuple[tuple[int, ...], ...]:
+    """The product of the dense integer matrices a and b, for b with n columns."""
+    return tuple(tuple([sum([x * row[j] for x, row in zip(r, b)]) for j in range(n)])
+                 for r in a)
+
+
 def _fractions(nums, d: int) -> Vec:
     """The vector nums / d, one Fraction per coordinate."""
     if d == 1:
         return tuple(map(Fraction, nums))
     return tuple(Fraction(x, d) for x in nums)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if not a:
-        return a
-    if len(a[0]) != len(b):
-        raise DimensionMismatch("matrix product shape mismatch")
-    da, rows = int_form(a)
-    db = lcm(*[x.denominator for row in b for x in row])
-    columns = [_over(col, db) for col in zip(*b)]
-    return tuple(
-        _fractions([sum([c * col[j] for j, c in row]) for col in columns], da * db)
-        for row in rows
-    )
 
 
 def vec_add(x: Vec, y: Vec) -> Vec:
@@ -561,7 +534,7 @@ def intersect(a: AffineSubspace, b: AffineSubspace) -> AffineSubspace | None:
 
 def fixed_points(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace | None:
     """{x in v : m x = x} as a canonical subspace, or None, for the square
-    matrix m given as (d, d m) (see ``int_form``).
+    matrix m given as (d, d m) in sparse rows (``sparse``).
 
     The rows of d (m - I) x = 0 solved on v (``meet``).
     """
@@ -598,7 +571,7 @@ def map_subspace(linear, offset, v: AffineSubspace) -> AffineSubspace:
 
 
 def transform_subspace(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace:
-    """Image of v under the square matrix m, given as (d, d m) (see ``int_form``)."""
+    """Image of v under the square matrix m, given as (d, d m) in sparse rows (``sparse``)."""
     if len(form[1]) != v.ambient_dim:
         raise DimensionMismatch("matrix/vector shape mismatch")
     return _image(form, 1, (0,) * v.ambient_dim, v)
@@ -618,7 +591,7 @@ def restricted_matrix(form: tuple[int, IntMat],
     """The columns of the matrix of m on v's direction space, in v's
     canonical basis, each as a point (den, den c) in lowest terms.
 
-    m is given as (d, d m) (see ``int_form``). Column j holds the
+    m is given as (d, d m) in sparse rows (``sparse``). Column j holds the
     coordinates of m b_j, its entries at the basis pivots; ValueError is
     raised when some m b_j is not in the direction space.
     ``form_of_columns`` turns the columns into (d', d' r) for the

@@ -60,6 +60,7 @@ from .linalg import (
     intersect,
     lowest_terms,
     map_subspace,
+    mat_mul,
     mat_rank,
     point_in_dim,
     rat_str,
@@ -141,7 +142,7 @@ class EquivariantAffineMap:
         c, e = equations(v)
         if not c:
             return whole_space(self.domain.ambient_dim)
-        lhs = [[e0 * x for x in row] for row in _times(c, rows, self.domain.ambient_dim)]
+        lhs = [[e0 * x for x in row] for row in mat_mul(c, rows, self.domain.ambient_dim)]
         rhs = [d * (e0 * y - sum([x * o for x, o in zip(row, off)])) for row, y in zip(c, e)]
         return solve_affine(lhs, rhs)
 
@@ -155,12 +156,6 @@ def _from_forms(domain, codomain, linear, offset, theta) -> EquivariantAffineMap
     f._build(domain, codomain, (d // c, tuple(tuple([x // c for x in row]) for row in rows)),
              lowest_terms(*offset), theta)
     return f
-
-
-def _times(a, b, n: int) -> tuple[tuple[int, ...], ...]:
-    """The product of the dense integer matrices a and b, for b with n columns."""
-    return tuple(tuple([sum([x * row[j] for x, row in zip(r, b)]) for j in range(n)])
-                 for r in a)
 
 
 def identity_hom(group: FiniteMatrixGroup) -> GroupHom:
@@ -443,7 +438,7 @@ def compose(
         raise ChartMismatch("maps are not composable")
     (dg, a), (df, b) = g.linear, f.linear
     (eg, og), (ef, of) = g.offset, f.offset
-    linear = (dg * df, _times(a, b, f.domain.ambient_dim))
+    linear = (dg * df, mat_mul(a, b, f.domain.ambient_dim))
     # A_g b_f + b_g over dg ef eg.
     offset = (dg * ef * eg, tuple([sum([x * y for x, y in zip(row, of)]) * eg + z * dg * ef
                                    for row, z in zip(a, og)]))

@@ -31,7 +31,6 @@ from suborbifolds.linalg import (
     affine_subspace,
     contains_point,
     equations,
-    int_form,
     int_mat_vec,
     is_invertible,
     mat,
@@ -493,6 +492,18 @@ def oracle_least_complement(d, k):
 
 # ---------------------------------------------------------------------------
 # Matrix groups by plain matrix products (the reference for the group core)
+
+
+def int_form(m, d=None):
+    """(d, d m as sparse integer rows) for the Fraction matrix m; d defaults
+    to m's least common denominator and must be a multiple of every
+    denominator of m."""
+    if d is None:
+        d = math.lcm(*[x.denominator for row in m for x in row])
+    return d, tuple(
+        tuple((j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x)
+        for row in m
+    )
 
 
 def oracle_mat_mul(a, b):

@@ -55,12 +55,13 @@ from suborbifolds.scene import (
     candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
 )
 from suborbifolds.linalg import (
-    affine_subspace, int_form, transform_subspace, vec, whole_space,
+    affine_subspace, transform_subspace, vec, whole_space,
 )
 
 from oracles import (
     conjugate_all,
     hyperoctahedral_generators,
+    int_form,
     oracle_check_saturated,
     oracle_full,
     oracle_images,

@@ -16,7 +16,6 @@ from suborbifolds.linalg import (
     equations,
     fixed_points,
     identity,
-    int_form,
     int_mat_vec,
     int_matrix,
     int_points,
@@ -42,6 +41,7 @@ from suborbifolds.linalg import (
 )
 
 from oracles import (
+    int_form,
     oracle_canonical_subspace,
     oracle_intersect,
     oracle_meet,

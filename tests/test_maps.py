@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from suborbifolds import records
 from suborbifolds.classify import (
     SuborbifoldCandidate,
     chart_from_group,
@@ -215,6 +216,19 @@ def test_compose():
     assert g.linear == f.linear and g.offset == f.offset
     assert [g.theta(i) for i in range(2)] == [f.theta(i) for i in range(2)]
 
+
+
+def test_fields_do_not_round_trip_through_the_constructor():
+    # linear and offset hold the integer forms (d, d A) and (e, e b); the
+    # constructor reads a matrix and a vector, so a map is rebuilt from its
+    # linear part and offset as rationals, and records.replace is refused.
+    f = parse_scene(RATIONAL_SCENE.read_text()).maps["stretch"]
+    assert f.linear[0] > 1
+    with pytest.raises(TypeError):
+        EquivariantAffineMap(f.domain, f.codomain, f.linear, f.offset, f.theta)
+    with pytest.raises(TypeError):
+        records.replace(f, theta=f.theta)
+    assert EquivariantAffineMap(f.domain, f.codomain, *_fraction_map(f), f.theta) == f
 
 def _fraction_map(f):
     """f's linear part and offset as a Fraction matrix and vector."""
