@@ -36,7 +36,7 @@ from .scene import (
     dump_machine_report,
     fingerprint_json,
     metric_report_json,
-    parse_scene,
+    read_scene,
 )
 
 EXIT_OK = 0
@@ -79,6 +79,7 @@ def _max_order(text: str) -> int:
 
 
 def _load_scene(args):
+    """The --scene file, read; each entry is built when a command looks it up."""
     if args.scene is None:
         raise SuborbifoldError("this command requires --scene")
     try:
@@ -86,7 +87,7 @@ def _load_scene(args):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SuborbifoldError(f"cannot read scene file: {exc}") from exc
-    return parse_scene(text, max_order=args.max_order)
+    return read_scene(text, max_order=args.max_order)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -118,6 +119,8 @@ def _holds(v, point) -> bool:
 def cmd_classify(args) -> int:
     scene = _load_scene(args)
     names = sorted(scene.candidates) if args.candidate is None else [args.candidate]
+    if not names:
+        raise SuborbifoldError("the scene has no candidates to classify")
     cands = [_lookup(scene.candidates, name, "candidate") for name in names]
     points = [_parse_point(p) for p in args.isotropy_point or ()]
     # Each point goes to the candidates whose subspace holds it. A point on
@@ -242,6 +245,8 @@ def cmd_fibered(args) -> int:
 
 def cmd_metric_check(args) -> int:
     probes = _load_scene(args).probes if args.scene is not None else corpus_mod.metric_probes()
+    if not probes:
+        raise SuborbifoldError("the scene has no metric probes to check")
     if args.probe is not None:
         probes = {args.probe: _lookup(probes, args.probe, "probe")}
     results = {}

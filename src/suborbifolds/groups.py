@@ -1,12 +1,13 @@
 """Finite groups of invertible rational matrices.
 
 Every group is built by ``group_from_forms`` from generators given as
-integer forms (d, d g), the one place that checks them. ``generate_group``
-reads generators written as ints, Fractions or "p/q" strings into those
-forms (``linalg.int_matrix``, one reader with ``affine_subspace``), and
-the package's own constructions (product charts, promoted subgroups,
-induced charts) pass the integer forms of matrices they already hold, so
-no Fraction is built on the way. A caller with no generators, such as
+integer forms (d, d g), the one place that checks them.
+``read_generators`` reads generators written as ints, Fractions or "p/q"
+strings into those forms (``linalg.int_matrix``, one reader with
+``affine_subspace``) for ``generate_group``, and the package's own
+constructions (product charts, promoted subgroups, induced charts) pass
+the integer forms of matrices they already hold, so no Fraction is built
+on the way. A caller with no generators, such as
 ``trivial_group``, passes the identity of its dimension.
 
 Element order is canonical (lexicographic on matrix entries), so equal
@@ -269,7 +270,12 @@ class FiniteMatrixGroup:
         """The index of a matrix (entries as ``read_rational`` reads them),
         found from the points of its columns; ``NotSubgroup`` when the
         matrix is not in the group."""
-        d, rows = int_matrix(matrix)
+        return self.index_of_form(int_matrix(matrix))
+
+    def index_of_form(self, form) -> int:
+        """``index_of`` for a matrix m given as (d, d m) in dense integer
+        rows, as ``int_matrix`` reads it."""
+        d, rows = form
         index = self.element_with_columns(lowest_terms(d, c) for c in zip(*rows))
         if index is None:
             text = ", ".join("[" + ", ".join(rat_str(Fraction(x, d)) for x in row) + "]"
@@ -440,13 +446,19 @@ def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, .
     return seen
 
 
-def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
-    """Closure of the generators, with canonical ordering.
+@record
+class GeneratorForms:
+    """Generators as ``read_generators`` returns them: integer forms
+    (d, d g) with sparse rows, all n x n."""
 
-    Each generator is read once into integer rows over its own
+    forms: tuple[tuple[int, IntMat], ...]
+
+
+def read_generators(generators) -> GeneratorForms:
+    """The generators, each read once into integer rows over its own
     denominator (``int_matrix``: ints, Fractions and "p/q" strings) and
-    handed to ``group_from_forms``. The trivial group needs the identity as
-    its generator: an empty list has no dimension.
+    checked to be square and of one size. The trivial group needs the
+    identity as its generator: an empty list has no dimension.
     """
     matrices = [int_matrix(g) for g in generators]
     if not matrices:
@@ -455,7 +467,20 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
     n = len(matrices[0][1])
     if any(len(rows) != n or any(len(row) != n for row in rows) for _, rows in matrices):
         _refuse_generators(n, matrices)
-    return group_from_forms([(d, sparse(rows)) for d, rows in matrices], max_order)
+    return GeneratorForms(tuple([(d, sparse(rows)) for d, rows in matrices]))
+
+
+def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
+    """Closure of the generators, with canonical ordering.
+
+    The generators are matrices, read by ``read_generators``, or what
+    ``read_generators`` returned for them (a scene reads its groups when
+    it is read and builds each on first use); ``group_from_forms`` closes
+    them.
+    """
+    if type(generators) is not GeneratorForms:
+        generators = read_generators(generators)
+    return group_from_forms(generators.forms, max_order)
 
 
 def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:

@@ -32,7 +32,6 @@ from .errors import (
     GroupTooLarge,
     NonInvariant,
     NotImmersion,
-    NotInImage,
     NotInjectiveOnQuotient,
     NotLocalized,
     NotSubmersion,
@@ -147,7 +146,7 @@ class EquivariantAffineMap:
         return solve_affine(lhs, rhs)
 
 
-def _from_forms(domain, codomain, linear, offset, theta) -> EquivariantAffineMap:
+def map_from_forms(domain, codomain, linear, offset, theta) -> EquivariantAffineMap:
     """The map whose linear part and offset are the integer forms (d, d A)
     and (e, e b) for any positive d and e, brought to lowest terms."""
     d, rows = linear
@@ -382,7 +381,7 @@ def fibered_product(
                              + [(0,) * n1 + tuple([x * d1 for x in row]) for row in a2]))
     offset = (e1 * e2, tuple([x * e2 for x in o1] + [x * e1 for x in o2]))
     theta = trivial_hom(product.combined.group, double.combined.group)
-    big_map = _from_forms(product.combined, double.combined, linear, offset, theta)
+    big_map = map_from_forms(product.combined, double.combined, linear, offset, theta)
     diag_basis = [[int(i == j) for i in range(m)] * 2 for j in range(m)]
     diagonal = SuborbifoldCandidate(
         double.combined,
@@ -400,11 +399,10 @@ def regular_value_preimage(
 ) -> SuborbifoldCandidate:
     """Preimage of a regular value as a full candidate of dim n1 - n2."""
     q = point_in_dim(q, f.codomain.ambient_dim)
+    # A lift of full rank onto the codomain attains every value, so q's
+    # preimage is solved once, in preimage_suborbifold.
     if rank_at(f) != f.codomain.ambient_dim:
         raise RankDeficient("rank of the lift is below the codomain dimension")
-    value = single_point(q)
-    if f.preimage_subspace(value) is None:
-        raise NotInImage("value is not attained by the map")
     gamma2 = f.codomain.group
     stab = stabilizer(gamma2, q)
     if stab.order != gamma2.order:
@@ -421,8 +419,8 @@ def regular_value_preimage(
             tuple(local.element_with_columns(gamma2.columns(f.theta(g)))
                   for g in range(f.domain.group.order)),
         )
-        f = _from_forms(f.domain, ChartModel(local), f.linear, f.offset, theta)
-    point = SuborbifoldCandidate(f.codomain, f.codomain.group.full_subgroup(), value)
+        f = map_from_forms(f.domain, ChartModel(local), f.linear, f.offset, theta)
+    point = SuborbifoldCandidate(f.codomain, f.codomain.group.full_subgroup(), single_point(q))
     result = preimage_suborbifold(f, point)
     expected = f.domain.ambient_dim - f.codomain.ambient_dim
     if result.v.dim != expected:
@@ -447,4 +445,4 @@ def compose(
         g.codomain.group,
         tuple(g.theta(f.theta(i)) for i in range(f.domain.group.order)),
     )
-    return _from_forms(f.domain, g.codomain, linear, offset, theta)
+    return map_from_forms(f.domain, g.codomain, linear, offset, theta)

@@ -60,15 +60,7 @@ class MetricProbe:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        depth = self.partition_depth
-        if type(depth) is not int or not 0 <= depth <= MAX_DEPTH:  # bool is not int
-            raise InvalidMetricSetting(
-                f"partition depth must be an integer in 0..{MAX_DEPTH}, got {depth!r}")
-        tol = self.tolerance
-        if type(tol) not in (int, float) or not 0 <= tol < math.inf:  # bool, NaN and inf fail
-            raise InvalidMetricSetting(f"tolerance must be a finite number >= 0, got {tol!r}")
-        if not self.sample_pairs:
-            raise InvalidMetricSetting("a metric probe needs at least one sample pair")
+        check_settings(self.partition_depth, self.tolerance, self.sample_pairs)
         _require_orthogonal(self.group)
         for x, y in self.sample_pairs:
             if not (contains_point(self.subspace, x)
@@ -82,6 +74,21 @@ class MetricProbe:
         changes = {k: v for k, v in (("partition_depth", depth), ("tolerance", tolerance))
                    if v is not None}
         return replace(self, **changes) if changes else self
+
+
+def check_settings(depth, tolerance, sample_pairs) -> None:
+    """Raise ``InvalidMetricSetting`` unless the depth is an integer in
+    0..MAX_DEPTH, the tolerance a finite number >= 0 and there is at least
+    one sample pair."""
+    if type(depth) is not int or not 0 <= depth <= MAX_DEPTH:  # bool is not int
+        raise InvalidMetricSetting(
+            f"partition depth must be an integer in 0..{MAX_DEPTH}, got {depth!r}")
+    if type(tolerance) not in (int, float) or not 0 <= tolerance < math.inf:
+        # bool, NaN and inf fail
+        raise InvalidMetricSetting(
+            f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    if not sample_pairs:
+        raise InvalidMetricSetting("a metric probe needs at least one sample pair")
 
 
 def _require_orthogonal(group) -> None:

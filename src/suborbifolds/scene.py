@@ -9,13 +9,35 @@ integers (``linalg.read_rational``): an int or a plain "p" or "p/q"
 string builds no Fraction, and any other form goes through ``rat``,
 which reads decimal strings and refuses exponents, booleans and zero
 denominators. A probe's points are kept as Fractions, so they are read
-as Fractions. The machine report format is deterministic JSON with
-sorted keys; timing lives under a single "timing" key so reports can be
-compared modulo timing.
+as Fractions.
+
+A scene is checked in two steps. ``read_scene`` checks the structure of
+every entry when the file is read: the sections, the JSON shape of each
+entry, the keys it needs, every rational (read into its integer form),
+that a group's generators are square and of one size, every name an
+entry refers to (``UnresolvedName`` when unknown), a probe's depth,
+tolerance and pairs, and the queries; subspaces are built there too. A
+group, subgroup, candidate, map or probe is built the first time it is
+looked up, and kept, so an entry read twice is built once: the closure
+(``--max-order``, infinite groups, singular generators), element
+indices against the group order, subgroup generators in their parent,
+theta covering the domain, candidate invariance, map equivariance and
+the probe's orthogonality and pairs on its subspace are checked then.
+The CLI builds only what its command reads, so such a fault in an entry
+it does not read is not reported. ``parse_scene`` reads, then builds
+every entry in section order, and reports any fault. A failed build
+raises what ``parse_scene`` raises for it: ``KeyError`` and
+``TypeError`` become ``ParseError``, as does ``DimensionMismatch``.
+
+The machine report format is deterministic JSON with sorted keys;
+timing lives under a single "timing" key so reports can be compared
+modulo timing.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .classify import (
@@ -34,34 +56,84 @@ from .groups import (
     GroupHom,
     Subgroup,
     generate_group,
+    read_generators,
 )
 from .linalg import (
     AffineSubspace,
     DimensionMismatch,
     affine_subspace,
+    int_matrix,
+    int_vector,
     rat_str,
     vec,
 )
-from .maps import EquivariantAffineMap
-from .metric import DEFAULT_DEPTH, DEFAULT_TOLERANCE, MetricProbe, MetricReport
+from .maps import EquivariantAffineMap, map_from_forms
+from .metric import (
+    DEFAULT_DEPTH,
+    DEFAULT_TOLERANCE,
+    MetricProbe,
+    MetricReport,
+    check_settings,
+)
 from .records import field, record
 
 
 @record(frozen=False)
 class SceneFile:
-    groups: dict[str, FiniteMatrixGroup] = field(default_factory=dict)
-    subgroups: dict[str, Subgroup] = field(default_factory=dict)
+    """A scene's entries by section and name. ``parse_scene`` gives plain
+    dicts; from ``read_scene`` each section but ``subspaces`` is a mapping
+    that builds an entry on its first lookup."""
+
+    groups: Mapping[str, FiniteMatrixGroup] = field(default_factory=dict)
+    subgroups: Mapping[str, Subgroup] = field(default_factory=dict)
     subspaces: dict[str, AffineSubspace] = field(default_factory=dict)
-    candidates: dict[str, SuborbifoldCandidate] = field(default_factory=dict)
-    maps: dict[str, EquivariantAffineMap] = field(default_factory=dict)
-    probes: dict[str, MetricProbe] = field(default_factory=dict)
+    candidates: Mapping[str, SuborbifoldCandidate] = field(default_factory=dict)
+    maps: Mapping[str, EquivariantAffineMap] = field(default_factory=dict)
+    probes: Mapping[str, MetricProbe] = field(default_factory=dict)
     queries: list[dict] = field(default_factory=list)
 
 
-def _lookup(table: dict, name: str, kind: str):
+class _Entries(Mapping):
+    """One section's entries by name. An entry is built by its recipe, a
+    function of no arguments, the first time it is looked up, and kept;
+    the errors of a build are reported as ``parse_scene`` reports them."""
+
+    def __init__(self):
+        self.recipes: dict = {}
+        self._built: dict = {}
+
+    def __getitem__(self, name):
+        built = self._built
+        if name in built:
+            return built[name]
+        recipe = self.recipes[name]
+        try:
+            entry = built[name] = recipe()
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed scene entry: {exc}") from exc
+        except DimensionMismatch as exc:
+            raise ParseError(str(exc)) from exc
+        return entry
+
+    def __contains__(self, name) -> bool:
+        return name in self.recipes
+
+    def __iter__(self):
+        return iter(self.recipes)
+
+    def __len__(self) -> int:
+        return len(self.recipes)
+
+
+def _known(table, name: str, kind: str) -> str:
+    """The name, or ``UnresolvedName`` when the table has no such entry."""
     if name not in table:
         raise UnresolvedName(f"unknown {kind} {name!r}")
-    return table[name]
+    return name
+
+
+def _lookup(table, name: str, kind: str):
+    return table[_known(table, name, kind)]
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -80,7 +152,52 @@ def _element_indices(values, order: int, what: str) -> list[int]:
     return values
 
 
-def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
+def _subgroup(groups, name, parent, indices, forms) -> Subgroup:
+    """Subgroup ``name`` of the group ``parent``, generated by the elements
+    with the given indices, or, when indices is None, by the matrices
+    given as integer forms."""
+    parent = groups[parent]
+    if indices is not None:
+        return parent.subgroup_generated_by(
+            _element_indices(indices, parent.order, f"subgroup {name!r}"))
+    try:
+        return parent.subgroup_generated_by([parent.index_of_form(m) for m in forms])
+    except NotSubgroup as exc:
+        raise ParseError(f"subgroup {name!r}: {exc}") from exc
+
+
+def _candidate(groups, subgroups, group, subgroup, subspace) -> SuborbifoldCandidate:
+    """The candidate on the named group, with the named subgroup or, when
+    subgroup is None, the whole group."""
+    group = groups[group]
+    delta = group.full_subgroup() if subgroup is None else subgroups[subgroup]
+    return SuborbifoldCandidate(chart_from_group(group), delta, subspace)
+
+
+def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> EquivariantAffineMap:
+    """Map ``name`` between the named groups' charts; theta_pairs maps
+    domain element indices to codomain ones."""
+    domain = chart_from_group(groups[domain])
+    codomain = chart_from_group(groups[codomain])
+    order = domain.group.order
+    _element_indices(theta_pairs, order, f"map {name!r} theta")
+    if set(theta_pairs) != set(range(order)):
+        raise ParseError(f"map {name!r}: theta must map every domain element index")
+    images = _element_indices((theta_pairs[i] for i in range(order)),
+                              codomain.group.order, f"map {name!r} theta image")
+    theta = GroupHom(domain.group, codomain.group, tuple(images))
+    return map_from_forms(domain, codomain, linear, offset, theta)
+
+
+def _probe(groups, subgroups, group, subgroup, subspace, pairs, depth,
+           tolerance) -> MetricProbe:
+    return MetricProbe(groups[group], subgroups[subgroup], subspace, pairs, depth, tolerance)
+
+
+def read_scene(text: str, max_order: int | None = None) -> SceneFile:
+    """The scene in text, read and checked for structure, with each group,
+    subgroup, candidate, map and probe built the first time it is looked
+    up (see the module docstring for what is checked when)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -90,44 +207,36 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
         raise ParseError(f"invalid scene JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scene must be a JSON object")
-    scene = SceneFile()
+    scene = SceneFile(groups=_Entries(), subgroups=_Entries(), candidates=_Entries(),
+                      maps=_Entries(), probes=_Entries())
+    groups, subgroups = scene.groups, scene.subgroups
     kwargs = {} if max_order is None else {"max_order": max_order}
     try:
         for name, gens in _section(raw, "groups").items():
             if not isinstance(gens, list) or not gens:
                 raise ParseError(f"group {name!r} must list at least one generator")
-            scene.groups[name] = generate_group(gens, **kwargs)
+            groups.recipes[name] = partial(generate_group, read_generators(gens), **kwargs)
         for name, spec in _section(raw, "subgroups").items():
-            parent = _lookup(scene.groups, spec["parent"], "group")
+            parent = _known(groups, spec["parent"], "group")
             if "generator_indices" in spec:
-                scene.subgroups[name] = parent.subgroup_generated_by(_element_indices(
-                    spec["generator_indices"], parent.order, f"subgroup {name!r}"))
+                indices, forms = list(spec["generator_indices"]), None
             else:
-                try:
-                    scene.subgroups[name] = parent.subgroup_from_matrices(spec["generators"])
-                except NotSubgroup as exc:
-                    raise ParseError(f"subgroup {name!r}: {exc}") from exc
+                indices, forms = None, [int_matrix(m) for m in spec["generators"]]
+            subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
         for name, spec in _section(raw, "subspaces").items():
             scene.subspaces[name] = affine_subspace(
                 spec["base"], spec.get("basis", [])
             )
         for name, spec in _section(raw, "candidates").items():
-            group = _lookup(scene.groups, spec["group"], "group")
-            if "subgroup" in spec:
-                subgroup = _lookup(scene.subgroups, spec["subgroup"], "subgroup")
-            else:
-                subgroup = group.full_subgroup()
+            group = _known(groups, spec["group"], "group")
+            subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
+                        if "subgroup" in spec else None)
             subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
-            scene.candidates[name] = SuborbifoldCandidate(
-                chart_from_group(group), subgroup, subspace
-            )
+            scene.candidates.recipes[name] = partial(_candidate, groups, subgroups, group,
+                                                     subgroup, subspace)
         for name, spec in _section(raw, "maps").items():
-            domain = chart_from_group(
-                _lookup(scene.groups, spec["domain"], "group")
-            )
-            codomain = chart_from_group(
-                _lookup(scene.groups, spec["codomain"], "group")
-            )
+            domain = _known(groups, spec["domain"], "group")
+            codomain = _known(groups, spec["codomain"], "group")
             if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
                 raise ParseError(f"map {name!r}: theta must list [element, image] pairs")
             theta_pairs = {}
@@ -135,33 +244,24 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
                 if element in theta_pairs:
                     raise ParseError(f"map {name!r}: theta lists element {element!r} twice")
                 theta_pairs[element] = image
-            _element_indices(theta_pairs, domain.group.order, f"map {name!r} theta")
-            if set(theta_pairs) != set(range(domain.group.order)):
-                raise ParseError(
-                    f"map {name!r}: theta must map every domain element index"
-                )
-            images = _element_indices(
-                (theta_pairs[i] for i in range(domain.group.order)),
-                codomain.group.order, f"map {name!r} theta image",
-            )
-            theta = GroupHom(domain.group, codomain.group, tuple(images))
-            scene.maps[name] = EquivariantAffineMap(
-                domain, codomain, spec["matrix"], spec["offset"], theta
-            )
+            scene.maps.recipes[name] = partial(
+                _map, groups, name, domain, codomain, theta_pairs,
+                int_matrix(spec["matrix"]), int_vector(spec["offset"]))
         for name, spec in _section(raw, "probes").items():
-            group = _lookup(scene.groups, spec["group"], "group")
-            subgroup = _lookup(scene.subgroups, spec["subgroup"], "subgroup")
+            group = _known(groups, spec["group"], "group")
+            subgroup = _known(subgroups, spec["subgroup"], "subgroup")
             subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
             if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
                 raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
             pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
+            depth = spec.get("depth", DEFAULT_DEPTH)
+            tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
             try:
-                scene.probes[name] = MetricProbe(
-                    group, subgroup, subspace, pairs,
-                    spec.get("depth", DEFAULT_DEPTH), spec.get("tolerance", DEFAULT_TOLERANCE),
-                )
+                check_settings(depth, tolerance, pairs)
             except InvalidMetricSetting as exc:
                 raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
+            scene.probes.recipes[name] = partial(_probe, groups, subgroups, group, subgroup,
+                                                 subspace, pairs, depth, tolerance)
         scene.queries = raw.get("queries", [])
         if not isinstance(scene.queries, list):
             raise ParseError("scene queries must be a JSON list")
@@ -173,6 +273,15 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from exc
     return scene
+
+
+def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
+    """The scene in text with every entry built: ``read_scene``, then each
+    group, subgroup, candidate, map and probe in section order."""
+    scene = read_scene(text, max_order)
+    return SceneFile(groups=dict(scene.groups), subgroups=dict(scene.subgroups),
+                     subspaces=scene.subspaces, candidates=dict(scene.candidates),
+                     maps=dict(scene.maps), probes=dict(scene.probes), queries=scene.queries)
 
 
 # ---------------------------------------------------------------------------

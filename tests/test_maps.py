@@ -584,6 +584,23 @@ def test_regular_value_hand_cases():
         regular_value_preimage(ident, [1, 0])
 
 
+def test_regular_value_preimage_solves_once(monkeypatch):
+    # A lift of full rank attains every value; the value's preimage was solved
+    # once to test that, then again for the candidate.
+    f = parse_scene(MAPS_SCENE.read_text()).maps["plane_into_rot4"]
+    solve = EquivariantAffineMap.preimage_subspace
+    calls = []
+
+    def counted(self, v):
+        calls.append(v)
+        return solve(self, v)
+
+    monkeypatch.setattr(EquivariantAffineMap, "preimage_subspace", counted)
+    result = regular_value_preimage(f, [1, 0])
+    assert len(calls) == 1
+    assert result.v == affine_subspace([1, 0], [])
+
+
 def test_fibered_product_and_codomain_check():
     sign = chart_from_group(generate_group([mat([[1, 0], [0, -1]])]))
     t1 = trivial_chart(1)

@@ -255,6 +255,30 @@ def test_cli_corpus_filter_matching_no_case_exits_2(capsys):
     assert everything["results"].keys() == json.loads(capsys.readouterr().out)["results"].keys()
 
 
+def test_cli_classify_of_a_scene_without_candidates_exits_2(tmp_path, capsys):
+    # It printed "results": {} and exited 0, having checked nothing.
+    path = tmp_path / "group_only.json"
+    path.write_text(json.dumps({"groups": SCENE["groups"]}))
+    assert main(["classify", "--scene", str(path), "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the scene has no candidates to classify\n"
+
+
+@pytest.mark.parametrize("scene", ["group_only", "maps.json"])
+def test_cli_metric_check_of_a_scene_without_probes_exits_2(scene, tmp_path, capsys):
+    # Each printed "results": {} and exited 0, having checked nothing.
+    if scene == "maps.json":
+        path = MAPS_SCENE
+    else:
+        path = tmp_path / "group_only.json"
+        path.write_text(json.dumps({"groups": SCENE["groups"]}))
+    assert main(["metric-check", "--scene", str(path), "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the scene has no metric probes to check\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["corpus", "--parallel", "4"],
     ["corpus", "--scene", "scenes/rotation_line.json"],
