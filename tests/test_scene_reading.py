@@ -134,24 +134,29 @@ WORKLOAD_SCENE = {
 }
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of each group the scene module builds."""
+    calls = []
+    generate = scene_mod.generate_group
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(scene_mod, "generate_group", counted)
+    return calls
+
+
 @pytest.mark.parametrize("command, groups", [
     (["classify"], 2),                                       # G and C
     (["intersect", "--left", "whole", "--right", "target"], 1),  # C
     (["graph", "--map", "f"], 2),                            # D and C
     (["preimage", "--map", "f", "--target", "target"], 2),   # D and C
 ])
-def test_each_command_builds_only_the_groups_it_reads(command, groups, tmp_path, monkeypatch,
-                                                      capsys):
+def test_each_command_builds_only_the_groups_it_reads(command, groups, built, tmp_path, capsys):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(WORKLOAD_SCENE))
-    built = []
-    generate = scene_mod.generate_group
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return generate(*args, **kwargs)
-
-    monkeypatch.setattr(scene_mod, "generate_group", counted)
     assert main(command + ["--scene", str(path)]) == 0
     assert len(built) == groups
     # parse_scene builds all three
@@ -160,15 +165,7 @@ def test_each_command_builds_only_the_groups_it_reads(command, groups, tmp_path,
     assert len(built) == 3
 
 
-def test_an_entry_looked_up_twice_is_built_once(monkeypatch):
-    built = []
-    generate = scene_mod.generate_group
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return generate(*args, **kwargs)
-
-    monkeypatch.setattr(scene_mod, "generate_group", counted)
+def test_an_entry_looked_up_twice_is_built_once(built):
     scene = scene_mod.read_scene(json.dumps(BASE))
     assert built == []
     # rot4 is read by the candidate, its subgroup and the map's two charts
