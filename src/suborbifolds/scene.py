@@ -106,13 +106,7 @@ class _Entries(Mapping):
         built = self._built
         if name in built:
             return built[name]
-        recipe = self.recipes[name]
-        try:
-            entry = built[name] = recipe()
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed scene entry: {exc}") from exc
-        except DimensionMismatch as exc:
-            raise ParseError(str(exc)) from exc
+        entry = built[name] = _checked(self.recipes[name])
         return entry
 
     def __contains__(self, name) -> bool:
@@ -123,6 +117,17 @@ class _Entries(Mapping):
 
     def __len__(self) -> int:
         return len(self.recipes)
+
+
+def _checked(read, *args):
+    """read(*args), with a ``KeyError`` or ``TypeError`` reported as a
+    malformed scene entry and a ``DimensionMismatch`` as a ``ParseError``."""
+    try:
+        return read(*args)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed scene entry: {exc}") from exc
+    except DimensionMismatch as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _known(table, name: str, kind: str) -> str:
@@ -207,71 +212,72 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
         raise ParseError(f"invalid scene JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scene must be a JSON object")
+    return _checked(_read_entries, raw, max_order)
+
+
+def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
+    """The entries of the scene's JSON object, checked and left to build
+    as ``read_scene`` says."""
     scene = SceneFile(groups=_Entries(), subgroups=_Entries(), candidates=_Entries(),
                       maps=_Entries(), probes=_Entries())
     groups, subgroups = scene.groups, scene.subgroups
     kwargs = {} if max_order is None else {"max_order": max_order}
-    try:
-        for name, gens in _section(raw, "groups").items():
-            if not isinstance(gens, list) or not gens:
-                raise ParseError(f"group {name!r} must list at least one generator")
-            groups.recipes[name] = partial(generate_group, read_generators(gens), **kwargs)
-        for name, spec in _section(raw, "subgroups").items():
-            parent = _known(groups, spec["parent"], "group")
-            if "generator_indices" in spec:
-                indices, forms = list(spec["generator_indices"]), None
-            else:
-                indices, forms = None, [int_matrix(m) for m in spec["generators"]]
-            subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
-        for name, spec in _section(raw, "subspaces").items():
-            scene.subspaces[name] = affine_subspace(
-                spec["base"], spec.get("basis", [])
-            )
-        for name, spec in _section(raw, "candidates").items():
-            group = _known(groups, spec["group"], "group")
-            subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
-                        if "subgroup" in spec else None)
-            subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
-            scene.candidates.recipes[name] = partial(_candidate, groups, subgroups, group,
-                                                     subgroup, subspace)
-        for name, spec in _section(raw, "maps").items():
-            domain = _known(groups, spec["domain"], "group")
-            codomain = _known(groups, spec["codomain"], "group")
-            if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
-                raise ParseError(f"map {name!r}: theta must list [element, image] pairs")
-            theta_pairs = {}
-            for element, image in spec["theta"]:
-                if element in theta_pairs:
-                    raise ParseError(f"map {name!r}: theta lists element {element!r} twice")
-                theta_pairs[element] = image
-            scene.maps.recipes[name] = partial(
-                _map, groups, name, domain, codomain, theta_pairs,
-                int_matrix(spec["matrix"]), int_vector(spec["offset"]))
-        for name, spec in _section(raw, "probes").items():
-            group = _known(groups, spec["group"], "group")
-            subgroup = _known(subgroups, spec["subgroup"], "subgroup")
-            subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
-            if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
-                raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
-            pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
-            depth = spec.get("depth", DEFAULT_DEPTH)
-            tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
-            try:
-                check_settings(depth, tolerance, pairs)
-            except InvalidMetricSetting as exc:
-                raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
-            scene.probes.recipes[name] = partial(_probe, groups, subgroups, group, subgroup,
-                                                 subspace, pairs, depth, tolerance)
-        scene.queries = raw.get("queries", [])
-        if not isinstance(scene.queries, list):
-            raise ParseError("scene queries must be a JSON list")
-        for query in scene.queries:
-            if not isinstance(query, dict) or "command" not in query:
-                raise ParseError(f"query is not an object with a command: {query}")
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed scene entry: {exc}") from exc
-    except DimensionMismatch as exc:
-        raise ParseError(str(exc)) from exc
+    for name, gens in _section(raw, "groups").items():
+        if not isinstance(gens, list) or not gens:
+            raise ParseError(f"group {name!r} must list at least one generator")
+        groups.recipes[name] = partial(generate_group, read_generators(gens), **kwargs)
+    for name, spec in _section(raw, "subgroups").items():
+        parent = _known(groups, spec["parent"], "group")
+        if "generator_indices" in spec:
+            indices, forms = list(spec["generator_indices"]), None
+        else:
+            indices, forms = None, [int_matrix(m) for m in spec["generators"]]
+        subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
+    for name, spec in _section(raw, "subspaces").items():
+        scene.subspaces[name] = affine_subspace(
+            spec["base"], spec.get("basis", [])
+        )
+    for name, spec in _section(raw, "candidates").items():
+        group = _known(groups, spec["group"], "group")
+        subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
+                    if "subgroup" in spec else None)
+        subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
+        scene.candidates.recipes[name] = partial(_candidate, groups, subgroups, group,
+                                                 subgroup, subspace)
+    for name, spec in _section(raw, "maps").items():
+        domain = _known(groups, spec["domain"], "group")
+        codomain = _known(groups, spec["codomain"], "group")
+        if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
+            raise ParseError(f"map {name!r}: theta must list [element, image] pairs")
+        theta_pairs = {}
+        for element, image in spec["theta"]:
+            if element in theta_pairs:
+                raise ParseError(f"map {name!r}: theta lists element {element!r} twice")
+            theta_pairs[element] = image
+        scene.maps.recipes[name] = partial(
+            _map, groups, name, domain, codomain, theta_pairs,
+            int_matrix(spec["matrix"]), int_vector(spec["offset"]))
+    for name, spec in _section(raw, "probes").items():
+        group = _known(groups, spec["group"], "group")
+        subgroup = _known(subgroups, spec["subgroup"], "subgroup")
+        subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
+        if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
+            raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
+        pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
+        depth = spec.get("depth", DEFAULT_DEPTH)
+        tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
+        try:
+            check_settings(depth, tolerance, pairs)
+        except InvalidMetricSetting as exc:
+            raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
+        scene.probes.recipes[name] = partial(_probe, groups, subgroups, group, subgroup,
+                                             subspace, pairs, depth, tolerance)
+    scene.queries = raw.get("queries", [])
+    if not isinstance(scene.queries, list):
+        raise ParseError("scene queries must be a JSON list")
+    for query in scene.queries:
+        if not isinstance(query, dict) or "command" not in query:
+            raise ParseError(f"query is not an object with a command: {query}")
     return scene
 
 
