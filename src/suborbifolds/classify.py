@@ -31,8 +31,24 @@ filled on first use, so a candidate only gathers Delta's images into one
 set per W_g. Witnesses for failures are found by bounded
 deterministic rational sampling and always replay: a saturation witness
 is the first point of ``linalg.sample_points(W_g)`` whose image under g
-no element of Delta matches, so that order fixes its bytes. Points of the induced
-chart are coordinates about its centroid, through ``linalg.coordinates``.
+no element of Delta matches, so that order fixes its bytes.
+
+Fullness reads the same store: a point of V that g fixes lies in W_g, so
+an element whose W_g is empty is skipped, and Fix(g) & V is solved on
+W_g, once per W_g and image of W_g's points (elements with equal images
+act alike on W_g). The elements are still scanned in index order, and the
+canonical form of the fixed set is unique, so the witness is the one a
+solve on V for every element would give.
+
+The induced chart restricts only Delta's generators (``restricted_matrix``)
+and the centroid is tested on them alone: what the generators fix, Delta
+fixes. Restriction to V is a homomorphism, so each member's image is read
+off a walk of Delta from the identity, x = s y giving f(x) = f(s) f(y),
+one product in the induced group per member. ``_check_restriction`` then
+tests the homomorphism law on every (generator, member) pair, that the map
+is onto and that its kernel is the independently computed pointwise
+stabilizer. Points of the induced chart are coordinates about its
+centroid, through ``linalg.coordinates``.
 """
 from __future__ import annotations
 
@@ -405,13 +421,38 @@ def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded)
 
 
 def check_full(cand: SuborbifoldCandidate) -> Verdict:
-    """For saturated candidates: does any outside element fix a point of v?"""
+    """For saturated candidates: does any outside element fix a point of v?
+
+    The elements are scanned in index order, as ``_first_fixing_element``
+    scans them, and the first that fixes a point is the witness, with the
+    canonical base point of its fixed points on v. A point of v that g
+    fixes lies in W_g = v & g^-1 v, so g with W_g empty is skipped and
+    Fix(g) & v is solved on W_g, from the chart group's ``OrbitOfV``; and
+    elements with equal images of W_g's points act alike on W_g, so the
+    solve is made once per W_g and image.
+    """
     _require_saturated(cand)
-    found = _first_fixing_element(cand.chart.group, cand.v, set(cand.delta.members))
-    if found is None:
+    group = cand.chart.group
+    delta = cand.delta
+    if delta.order == group.order:  # no element outside Delta
         return Verdict(True)
-    g, point = found
-    return Verdict(False, FullnessWitness(cand.chart.group.element(g), point))
+    d, forms = group.integer_forms
+    orbit = cand.orbit_of_v
+    solved: dict = {}  # (W_g, g's images of W_g's points) -> Fix(g) & W_g
+    for g in range(group.order):
+        if delta.contains(g):
+            continue
+        entry = orbit.w_g(g)
+        if entry is None:
+            continue
+        key = (entry[0], orbit.image_on(entry, g))
+        if key in solved:
+            fixed = solved[key]
+        else:
+            fixed = solved[key] = fixed_points((d, forms[g]), entry[0])
+        if fixed is not None:
+            return Verdict(False, FullnessWitness(group.element(g), fixed.base_point))
+    return Verdict(True)
 
 
 @record
@@ -502,7 +543,16 @@ class InducedChart:
 
 
 def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
-    """Restrict the subgroup action to subspace coordinates (Prop.-style chart)."""
+    """Restrict the subgroup action to subspace coordinates (Prop.-style chart).
+
+    Only Delta's generators are restricted, and the induced group is the
+    group their restrictions generate. Restriction to V is a homomorphism,
+    so a member x = s y (s a generator) has image f(s) f(y): Delta is
+    walked from the identity, one product in the induced group per member.
+    ``_check_restriction`` still tests the homomorphism law on every
+    (generator, member) pair and compares the kernel with the independent
+    pointwise stabilizer.
+    """
     _require_saturated(cand)
     group = cand.chart.group
     delta = cand.delta
@@ -515,24 +565,34 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     centroid = tuple(Fraction(t, den) for t in total)
     _, fixed = lowest_terms(den, total)
     fixed_image = tuple(d * c for c in fixed)
-    # Each restricted element as the columns of its matrix, the points its
-    # group looks it up by.
-    restricted: dict = {}
-    for i in delta.members:
-        if int_mat_vec(forms[i], fixed) != fixed_image:
+    # Each restricted generator as the columns of its matrix, the points
+    # its group looks it up by; a point the generators fix, Delta fixes.
+    restricted = []
+    for s in delta.generators:
+        if int_mat_vec(forms[s], fixed) != fixed_image:
             raise NonInvariant("centroid is not fixed by the subgroup")
-        restricted[i] = restricted_matrix((d, forms[i]), cand.v)
-    kernel = cand.kernel
-    gens = [form_of_columns(restricted[i]) for i in delta.generators] or [identity_form(k)]
+        restricted.append(restricted_matrix((d, forms[s]), cand.v))
+    gens = [form_of_columns(columns) for columns in restricted] or [identity_form(k)]
     induced_group = group_from_forms(gens, max_order=delta.order)
-    image_of = tuple(induced_group.element_with_columns(restricted[i]) for i in delta.members)
-    if None in image_of:
-        raise AssertionError("a restricted element is outside the group the restricted "
-                             "generators generate")
-    restriction = GroupHom(delta, induced_group, image_of)
-    _check_restriction(restriction, kernel)
+    image = {group.identity: induced_group.identity}
+    steps = []
+    for s, columns in zip(delta.generators, restricted):
+        f_s = induced_group.element_with_columns(columns)
+        if f_s is None:
+            raise AssertionError("a restricted generator is outside the group the "
+                                 "restricted generators generate")
+        steps.append((s, f_s))
+    reached = [group.identity]
+    for y in reached:
+        for s, f_s in steps:
+            x = group.mult(s, y)
+            if x not in image:
+                image[x] = induced_group.mult(f_s, image[y])
+                reached.append(x)
+    restriction = GroupHom(delta, induced_group, tuple([image[i] for i in delta.members]))
+    _check_restriction(restriction, cand.kernel)
     return InducedChart(
-        ChartModel(induced_group), kernel, centroid, cand.v.basis, restriction
+        ChartModel(induced_group), cand.kernel, centroid, cand.v.basis, restriction
     )
 
 

@@ -72,7 +72,12 @@ Stabilizers, the saturation check, the orbit of a subspace and the
 induced chart apply the integer forms d g (``integer_forms``, sparse
 integer rows) to integer vectors and compare integer images, which for
 one d are equal exactly when the rational images are; a Fraction is built
-only for a value returned.
+only for a value returned. A pointwise stabilizer filters the members
+point by point, so each later point is tested on the survivors only; the
+induced chart restricts only Delta's generators and reads each member's
+image off products in the induced group. Stabilizers are not computed
+with a stabilizer chain (Schreier-Sims): a generic point's orbit has full
+length, so at the orders used here a chain would not pay.
 """
 from __future__ import annotations
 
@@ -93,7 +98,6 @@ from .linalg import (
     IntMat,
     Mat,
     identity_form,
-    int_images,
     int_mat_vec,
     int_matrix,
     int_points,
@@ -627,13 +631,19 @@ def stabilizer(g, x) -> Subgroup:
 
 
 def pointwise_stabilizer(g, v: AffineSubspace) -> Subgroup:
-    """{gamma : gamma fixes v pointwise}, i.e. v is inside Fix(gamma)."""
+    """{gamma : gamma fixes v pointwise}, i.e. v is inside Fix(gamma).
+
+    The members are filtered point by point, v's base point and then each
+    basis row, each test on the survivors of the last, in member order.
+    """
     if v.ambient_dim != g.parent.ambient_dim:
         raise DimensionMismatch("matrix/vector shape mismatch")
     d, forms = g.parent.integer_forms
-    points = int_points(v)
-    target = tuple(tuple(d * c for c in xs) for xs in points)
-    kept = [i for i in g.members if int_images(forms[i], points) == target]
+    kept = g.members
+    for xs in int_points(v):  # the base point, then each basis row
+        if any(xs):  # every element fixes the origin
+            target = tuple([d * c for c in xs])
+            kept = [i for i in kept if int_mat_vec(forms[i], xs) == target]
     return Subgroup(g.parent, tuple(kept))
 
 

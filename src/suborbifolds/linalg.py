@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import partial
 from itertools import count as _count, product as _cartesian
 from math import gcd, lcm
 
@@ -375,12 +376,19 @@ class AffineSubspace:
 def affine_subspace(base_point, basis) -> AffineSubspace:
     """base_point + span(basis) in canonical form; every coordinate is read
     with ``read_rational``."""
+    return read_subspace(base_point, basis)()
+
+
+def read_subspace(base_point, basis):
+    """base_point + span(basis) read into integers with ``read_rational``
+    and checked to be of one length, as a function of no arguments that
+    returns its canonical form (the row elimination is left to the call)."""
     d, numerators = int_vector(base_point)
     n = len(numerators)
     rows = [list(int_vector(b)[1]) for b in basis]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("basis vector length differs from base point")
-    return _canonical(n, d, numerators, rows)
+    return partial(_canonical, n, d, numerators, rows)
 
 
 def _canonical(n: int, d: int, base, rows: list[list[int]]) -> AffineSubspace:

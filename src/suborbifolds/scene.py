@@ -14,15 +14,17 @@ as Fractions.
 A scene is checked in two steps. ``read_scene`` checks the structure of
 every entry when the file is read: the sections, the JSON shape of each
 entry, the keys it needs, every rational (read into its integer form),
-that a group's generators are square and of one size, every name an
-entry refers to (``UnresolvedName`` when unknown), a probe's depth,
-tolerance and pairs, and the queries; subspaces are built there too. A
-group, subgroup, candidate, map or probe is built the first time it is
-looked up, and kept, so an entry read twice is built once: the closure
-(``--max-order``, infinite groups, singular generators), element
-indices against the group order, subgroup generators in their parent,
-theta covering the domain, candidate invariance, map equivariance and
-the probe's orthogonality and pairs on its subspace are checked then.
+that a group's generators are square and of one size and a subspace's
+basis vectors as long as its base point, every name an entry refers to
+(``UnresolvedName`` when unknown), a probe's depth, tolerance and pairs,
+and the queries. A group, subgroup, subspace, candidate, map or probe is
+built the first time it is looked up, and kept, so an entry read twice
+is built once. A subspace's canonical form (``linalg.read_subspace``)
+is computed then, and the closure (``--max-order``, infinite groups,
+singular generators), element indices against the group order,
+subgroup generators in their parent, theta covering the domain,
+candidate invariance, map equivariance and the probe's orthogonality
+and pairs on its subspace are checked then.
 The CLI builds only what its command reads, so such a fault in an entry
 it does not read is not reported. ``parse_scene`` reads, then builds
 every entry in section order, and reports any fault. A failed build
@@ -61,10 +63,10 @@ from .groups import (
 from .linalg import (
     AffineSubspace,
     DimensionMismatch,
-    affine_subspace,
     int_matrix,
     int_vector,
     rat_str,
+    read_subspace,
     vec,
 )
 from .maps import EquivariantAffineMap, map_from_forms
@@ -81,12 +83,12 @@ from .records import field, record
 @record(frozen=False)
 class SceneFile:
     """A scene's entries by section and name. ``parse_scene`` gives plain
-    dicts; from ``read_scene`` each section but ``subspaces`` is a mapping
-    that builds an entry on its first lookup."""
+    dicts; from ``read_scene`` each section is a mapping that builds an
+    entry on its first lookup."""
 
     groups: Mapping[str, FiniteMatrixGroup] = field(default_factory=dict)
     subgroups: Mapping[str, Subgroup] = field(default_factory=dict)
-    subspaces: dict[str, AffineSubspace] = field(default_factory=dict)
+    subspaces: Mapping[str, AffineSubspace] = field(default_factory=dict)
     candidates: Mapping[str, SuborbifoldCandidate] = field(default_factory=dict)
     maps: Mapping[str, EquivariantAffineMap] = field(default_factory=dict)
     probes: Mapping[str, MetricProbe] = field(default_factory=dict)
@@ -171,12 +173,12 @@ def _subgroup(groups, name, parent, indices, forms) -> Subgroup:
         raise ParseError(f"subgroup {name!r}: {exc}") from exc
 
 
-def _candidate(groups, subgroups, group, subgroup, subspace) -> SuborbifoldCandidate:
-    """The candidate on the named group, with the named subgroup or, when
-    subgroup is None, the whole group."""
+def _candidate(groups, subgroups, subspaces, group, subgroup, subspace) -> SuborbifoldCandidate:
+    """The candidate on the named group and subspace, with the named
+    subgroup or, when subgroup is None, the whole group."""
     group = groups[group]
     delta = group.full_subgroup() if subgroup is None else subgroups[subgroup]
-    return SuborbifoldCandidate(chart_from_group(group), delta, subspace)
+    return SuborbifoldCandidate(chart_from_group(group), delta, subspaces[subspace])
 
 
 def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> EquivariantAffineMap:
@@ -194,9 +196,10 @@ def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> Equivar
     return map_from_forms(domain, codomain, linear, offset, theta)
 
 
-def _probe(groups, subgroups, group, subgroup, subspace, pairs, depth,
+def _probe(groups, subgroups, subspaces, group, subgroup, subspace, pairs, depth,
            tolerance) -> MetricProbe:
-    return MetricProbe(groups[group], subgroups[subgroup], subspace, pairs, depth, tolerance)
+    return MetricProbe(groups[group], subgroups[subgroup], subspaces[subspace], pairs,
+                       depth, tolerance)
 
 
 def read_scene(text: str, max_order: int | None = None) -> SceneFile:
@@ -218,9 +221,9 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
 def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
     """The entries of the scene's JSON object, checked and left to build
     as ``read_scene`` says."""
-    scene = SceneFile(groups=_Entries(), subgroups=_Entries(), candidates=_Entries(),
-                      maps=_Entries(), probes=_Entries())
-    groups, subgroups = scene.groups, scene.subgroups
+    scene = SceneFile(groups=_Entries(), subgroups=_Entries(), subspaces=_Entries(),
+                      candidates=_Entries(), maps=_Entries(), probes=_Entries())
+    groups, subgroups, subspaces = scene.groups, scene.subgroups, scene.subspaces
     kwargs = {} if max_order is None else {"max_order": max_order}
     for name, gens in _section(raw, "groups").items():
         if not isinstance(gens, list) or not gens:
@@ -234,16 +237,14 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
             indices, forms = None, [int_matrix(m) for m in spec["generators"]]
         subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
     for name, spec in _section(raw, "subspaces").items():
-        scene.subspaces[name] = affine_subspace(
-            spec["base"], spec.get("basis", [])
-        )
+        subspaces.recipes[name] = read_subspace(spec["base"], spec.get("basis", []))
     for name, spec in _section(raw, "candidates").items():
         group = _known(groups, spec["group"], "group")
         subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
                     if "subgroup" in spec else None)
-        subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
-        scene.candidates.recipes[name] = partial(_candidate, groups, subgroups, group,
-                                                 subgroup, subspace)
+        subspace = _known(subspaces, spec["subspace"], "subspace")
+        scene.candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
+                                                 group, subgroup, subspace)
     for name, spec in _section(raw, "maps").items():
         domain = _known(groups, spec["domain"], "group")
         codomain = _known(groups, spec["codomain"], "group")
@@ -260,7 +261,7 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
     for name, spec in _section(raw, "probes").items():
         group = _known(groups, spec["group"], "group")
         subgroup = _known(subgroups, spec["subgroup"], "subgroup")
-        subspace = _lookup(scene.subspaces, spec["subspace"], "subspace")
+        subspace = _known(subspaces, spec["subspace"], "subspace")
         if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
             raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
         pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
@@ -270,8 +271,8 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
             check_settings(depth, tolerance, pairs)
         except InvalidMetricSetting as exc:
             raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
-        scene.probes.recipes[name] = partial(_probe, groups, subgroups, group, subgroup,
-                                             subspace, pairs, depth, tolerance)
+        scene.probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
+                                             subgroup, subspace, pairs, depth, tolerance)
     scene.queries = raw.get("queries", [])
     if not isinstance(scene.queries, list):
         raise ParseError("scene queries must be a JSON list")
@@ -286,7 +287,7 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     group, subgroup, candidate, map and probe in section order."""
     scene = read_scene(text, max_order)
     return SceneFile(groups=dict(scene.groups), subgroups=dict(scene.subgroups),
-                     subspaces=scene.subspaces, candidates=dict(scene.candidates),
+                     subspaces=dict(scene.subspaces), candidates=dict(scene.candidates),
                      maps=dict(scene.maps), probes=dict(scene.probes), queries=scene.queries)
 
 

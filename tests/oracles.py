@@ -25,16 +25,20 @@ from suborbifolds.groups import (
     FiniteMatrixGroup,
     _close_permutations,
     all_subgroups,
+    group_from_forms,
 )
 from suborbifolds.linalg import (
     AffineSubspace,
     affine_subspace,
     contains_point,
     equations,
+    form_of_columns,
+    identity_form,
     int_mat_vec,
     is_invertible,
     mat,
     point_from_coordinates,
+    restricted_matrix,
     solve_affine,
     vec,
     whole_space,
@@ -298,6 +302,37 @@ def verify_fullness_witness(cand: SuborbifoldCandidate, witness) -> bool:
         and contains_point(cand.v, x)
         and oracle_mat_vec(witness.element.matrix, x) == x
     )
+
+
+# ---------------------------------------------------------------------------
+# The induced chart and the pointwise stabilizer element by element (the
+# references for the walk from Delta's generators and the point-by-point
+# filter)
+
+
+def oracle_induced_chart(cand: SuborbifoldCandidate):
+    """The induced chart's ``image_of``, its group's integer forms and its
+    centroid, with every member of Delta restricted to V and looked up by
+    its columns, and the centroid summed on Fraction matrices."""
+    group, delta, v = cand.chart.group, cand.delta, cand.v
+    d, forms = group.integer_forms
+    restricted = {i: restricted_matrix((d, forms[i]), v) for i in delta.members}
+    gens = [form_of_columns(restricted[i]) for i in delta.generators]
+    induced = group_from_forms(gens or [identity_form(v.dim)], max_order=delta.order)
+    image_of = tuple(induced.element_with_columns(restricted[i]) for i in delta.members)
+    total = [Fraction(0)] * v.ambient_dim
+    for i in delta.members:
+        total = [a + b for a, b in zip(total, oracle_mat_vec(group.matrix_of(i), v.base_point))]
+    return image_of, induced.integer_forms, tuple(c / delta.order for c in total)
+
+
+def oracle_pointwise_stabilizer(g, v: AffineSubspace) -> tuple[int, ...]:
+    """The members of g fixing v's base point and base point + each basis
+    vector, tested one member at a time on Fraction matrices."""
+    points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, u)) for u in v.basis]
+    parent = g.parent
+    return tuple(i for i in g.members
+                 if all(oracle_mat_vec(parent.matrix_of(i), x) == x for x in points))
 
 
 # ---------------------------------------------------------------------------

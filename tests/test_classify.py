@@ -13,6 +13,7 @@ import pytest
 from suborbifolds.classify import (
     SuborbifoldCandidate,
     _agrees_on,
+    _first_fixing_element,
     _first_moving_element,
     _witness_point,
     abelian_omega_isotropy,
@@ -65,7 +66,9 @@ from oracles import (
     oracle_check_saturated,
     oracle_full,
     oracle_images,
+    oracle_induced_chart,
     oracle_mat_vec,
+    oracle_pointwise_stabilizer,
     oracle_saturated_sampled,
     random_candidate,
     random_rational_basis_change,
@@ -659,6 +662,117 @@ def test_fullness_matches_oracle_above_order_48():
                 assert verify_fullness_witness(cand, got.witness)
             verdicts.add(got.holds)
         assert verdicts == {True, False}
+
+
+def _b5_candidates():
+    """The whole-space and axis candidates of scenes/hyperoctahedral_b5.json,
+    on one B5 (order 3840)."""
+    from suborbifolds.scene import read_scene
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scenes", "hyperoctahedral_b5.json")
+    with open(path, encoding="utf-8") as fh:
+        candidates = read_scene(fh.read()).candidates
+    return candidates["whole_space"], candidates["axis_line"]
+
+
+def test_induced_chart_matches_the_per_member_restriction(monkeypatch):
+    # The walk from Delta's generators against every member restricted to V:
+    # the same image of each member, the same induced group and centroid.
+    rng = random.Random(83)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    cases = []
+    for gens, basis_change in ((hyperoctahedral_generators(3), None),
+                               (_b3_times_z2_generators(), None), (b4, None),
+                               (conjugate_all(b4, s, s_inv), s)):
+        chart = chart_from_group(generate_group(gens))
+        found = 0
+        while found < 4:
+            cand = stabilizer_candidate(rng, chart, basis_change, dims=(0, len(gens[0])))
+            if cand.saturation.holds:
+                cases.append(cand)
+                found += 1
+    whole, axis = _b5_candidates()
+    module = sys.modules["suborbifolds.classify"]
+    restricted = []
+    real = module.restricted_matrix
+    monkeypatch.setattr(module, "restricted_matrix",
+                        lambda *args: restricted.append(None) or real(*args))
+    chart = induced_chart(whole)
+    assert len(restricted) == len(whole.delta.generators) < 8
+    monkeypatch.undo()
+    assert chart.chart.group.order == 3840
+    for cand in cases + [whole, axis]:
+        chart = induced_chart(cand)
+        image_of, forms, centroid = oracle_induced_chart(cand)
+        assert chart.restriction.image_of == image_of
+        assert chart.chart.group.integer_forms == forms
+        assert chart.base_point == centroid
+    assert len({cand.delta.order for cand in cases}) > 2
+    assert any(cand.kernel.order > 1 for cand in cases)
+
+
+def test_fullness_matches_the_per_element_scan():
+    # check_full solves on W_g, once per W_g and image, where the scan
+    # solves on V for every element outside Delta: the same first element
+    # and the same point; and pointwise_stabilizer filtering point by point
+    # keeps the members a per-member test keeps.
+    rng = random.Random(80)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    found = set()
+    for gens, basis_change in ((_b3_times_z2_generators(), None), (b4, None),
+                               (conjugate_all(b4, s, s_inv), s)):
+        chart = chart_from_group(generate_group(gens))
+        group = chart.group
+        verdicts = []
+        while len(verdicts) < 6:
+            cand = stabilizer_candidate(rng, chart, basis_change, dims=(0, 4))
+            for g in (cand.delta, group):
+                assert pointwise_stabilizer(g, cand.v).members == \
+                    oracle_pointwise_stabilizer(g, cand.v)
+            if not cand.saturation.holds:
+                continue
+            got = check_full(cand)
+            want = _first_fixing_element(group, cand.v, set(cand.delta.members))
+            if want is None:
+                assert got.holds
+            else:
+                assert not got.holds
+                assert (got.witness.element.index, got.witness.point) == want
+            verdicts.append((got.holds, any(cand.v.base)))
+        assert not all(holds for holds, _ in verdicts)
+        found |= set(verdicts)
+    assert {holds for holds, _ in found} == {True, False}
+    assert {shifted for _, shifted in found} == {True, False}
+
+
+def test_fullness_solves_fewer_systems_than_elements_outside_delta(monkeypatch):
+    # An off-origin point of B4 with Delta its stabilizer is full; the scan
+    # solved once per element outside Delta, the orbit store not once.
+    b4 = generate_group(hyperoctahedral_generators(4))
+    point = affine_subspace([1, 1, 0, 2], [])
+    delta = groups.stabilizer(b4, point.base_point)
+    cand = SuborbifoldCandidate(chart_from_group(b4), delta, point)
+    assert cand.saturation.holds and (b4.order, delta.order) == (384, 4)
+    module = sys.modules["suborbifolds.classify"]
+    solves = []
+    real = module.fixed_points
+    monkeypatch.setattr(module, "fixed_points",
+                        lambda *args: solves.append(None) or real(*args))
+    assert check_full(cand).holds
+    assert len(solves) < b4.order - delta.order
+    # A line through that point meets reflecting hyperplanes: not full.
+    line = affine_subspace([1, 1, 0, 2], [[0, 0, 1, 0]])
+    d, forms = b4.integer_forms
+    stab = b4.subgroup_from_indices(
+        i for i in b4.members if transform_subspace((d, forms[i]), line) == line)
+    cand = SuborbifoldCandidate(chart_from_group(b4), stab, line)
+    solves.clear()
+    got = check_full(cand)
+    assert not got.holds and verify_fullness_witness(cand, got.witness)
+    assert 0 < len(solves) < b4.order - stab.order
 
 
 def _count_transforms(monkeypatch, run):

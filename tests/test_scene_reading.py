@@ -4,13 +4,14 @@
 command reads, so a semantic fault in another entry does not stop it.
 """
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import suborbifolds.scene as scene_mod
 from suborbifolds.cli import main
-from suborbifolds.errors import SuborbifoldError
+from suborbifolds.errors import ParseError, SuborbifoldError
 from suborbifolds.scene import parse_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -182,3 +183,24 @@ def test_every_shipped_scene_passes_parse_scene(path):
     raw = json.loads(path.read_text(encoding="utf-8"))
     for section in ("groups", "subgroups", "subspaces", "candidates", "maps", "probes"):
         assert list(getattr(scene, section)) == list(raw.get(section, {}))
+
+
+def test_subspaces_are_made_canonical_on_first_lookup(monkeypatch):
+    # Their rationals and lengths are read with the file; the row elimination
+    # waits for the first lookup, and a candidate and a probe on one subspace
+    # share the one it made.
+    linalg = sys.modules["suborbifolds.linalg"]
+    made = []
+    real = linalg._canonical
+    monkeypatch.setattr(linalg, "_canonical", lambda *args: made.append(args) or real(*args))
+    scene = scene_mod.read_scene(json.dumps(BASE))
+    assert made == [] and list(scene.subspaces) == ["x_axis", "origin"]
+    origin = scene.subspaces["origin"]
+    assert len(made) == 1 and scene.subspaces["origin"] is origin
+    line = scene.candidates["flip_line"].v
+    assert line is scene.subspaces["x_axis"] is scene.probes["line_probe"].subspace
+    assert line == linalg.affine_subspace([0, 0], [[1, 0]])
+    assert parse_scene(json.dumps(BASE)).subspaces == {"x_axis": line, "origin": origin}
+    ragged = {"subspaces": {"v": {"base": [0, 0], "basis": [[1, 0, 0]]}}}
+    with pytest.raises(ParseError, match="basis vector length"):
+        scene_mod.read_scene(json.dumps(ragged))
