@@ -423,13 +423,10 @@ def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded)
 def check_full(cand: SuborbifoldCandidate) -> Verdict:
     """For saturated candidates: does any outside element fix a point of v?
 
-    The elements are scanned in index order, as ``_first_fixing_element``
-    scans them, and the first that fixes a point is the witness, with the
-    canonical base point of its fixed points on v. A point of v that g
-    fixes lies in W_g = v & g^-1 v, so g with W_g empty is skipped and
-    Fix(g) & v is solved on W_g, from the chart group's ``OrbitOfV``; and
-    elements with equal images of W_g's points act alike on W_g, so the
-    solve is made once per W_g and image.
+    The first such element in index order is the witness, with the
+    canonical base point of its fixed points on v, as
+    ``_first_fixing_element`` would find them; each Fix(g) & v is solved
+    on W_g from the chart group's ``OrbitOfV`` (see the module docstring).
     """
     _require_saturated(cand)
     group = cand.chart.group
@@ -545,13 +542,9 @@ class InducedChart:
 def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     """Restrict the subgroup action to subspace coordinates (Prop.-style chart).
 
-    Only Delta's generators are restricted, and the induced group is the
-    group their restrictions generate. Restriction to V is a homomorphism,
-    so a member x = s y (s a generator) has image f(s) f(y): Delta is
-    walked from the identity, one product in the induced group per member.
-    ``_check_restriction`` still tests the homomorphism law on every
-    (generator, member) pair and compares the kernel with the independent
-    pointwise stabilizer.
+    Only Delta's generators are restricted; a member x = s y (s a
+    generator) has image f(s) f(y), read off a walk of Delta from the
+    identity (see the module docstring).
     """
     _require_saturated(cand)
     group = cand.chart.group

@@ -284,7 +284,7 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
 
 def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     """The scene in text with every entry built: ``read_scene``, then each
-    group, subgroup, candidate, map and probe in section order."""
+    group, subgroup, subspace, candidate, map and probe in section order."""
     scene = read_scene(text, max_order)
     return SceneFile(groups=dict(scene.groups), subgroups=dict(scene.subgroups),
                      subspaces=dict(scene.subspaces), candidates=dict(scene.candidates),
