@@ -544,7 +544,8 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
 
     Only Delta's generators are restricted; a member x = s y (s a
     generator) has image f(s) f(y), read off a walk of Delta from the
-    identity (see the module docstring).
+    identity (see the module docstring). For V = R^n and Delta = Gamma the
+    induced group is the chart group itself.
     """
     _require_saturated(cand)
     group = cand.chart.group
@@ -565,8 +566,13 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
         if int_mat_vec(forms[s], fixed) != fixed_image:
             raise NonInvariant("centroid is not fixed by the subgroup")
         restricted.append(restricted_matrix((d, forms[s]), cand.v))
-    gens = [form_of_columns(columns) for columns in restricted] or [identity_form(k)]
-    induced_group = group_from_forms(gens, max_order=delta.order)
+    if k == group.ambient_dim and delta.order == group.order:
+        # V = R^n has the standard basis, so each restricted generator is
+        # its generator and the group they generate is the chart group.
+        induced_group = group
+    else:
+        gens = [form_of_columns(columns) for columns in restricted] or [identity_form(k)]
+        induced_group = group_from_forms(gens, max_order=delta.order)
     image = {group.identity: induced_group.identity}
     steps = []
     for s, columns in zip(delta.generators, restricted):

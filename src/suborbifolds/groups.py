@@ -336,12 +336,19 @@ class Subgroup:
         return tuple(self.parent.matrices[i] for i in self.members)
 
     @cached_property
+    def _span(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        """Parent indices of generators and the subgroup they generate: the
+        parent's own for the whole group, else greedy ones picked in member
+        order, with the last closure of the greedy chain."""
+        parent = self.parent
+        if len(self.members) == parent.order:
+            return parent.generators, frozenset(parent.members)
+        picked, chain = _greedy_generators(parent, self.members)
+        return tuple(picked), chain[-1] if chain else frozenset({parent.identity})
+
+    @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Parent indices of generators: the parent's own for the whole
-        group, else greedy ones picked in member order."""
-        if len(self.members) == self.parent.order:
-            return self.parent.generators
-        return tuple(_greedy_generators(self.parent, self.members)[0])
+        return self._span[0]
 
     def matrix_of(self, i: int) -> Mat:
         return self.parent.matrices[self.members[i]]
@@ -349,7 +356,7 @@ class Subgroup:
     def is_closed(self) -> bool:
         """Do the members form a group? They do exactly when the generators
         picked from them generate no more than them."""
-        return _closure_indices(self.parent, self.generators) == set(self.members)
+        return self._span[1] == set(self.members)
 
     def contains(self, parent_index: int) -> bool:
         return parent_index in self._local

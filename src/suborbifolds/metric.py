@@ -10,7 +10,8 @@ six integer coefficients per group element are computed once per segment
 over one common denominator; on a partition of the segment they turn each
 piece into an integer quadratic per distinct form, and the minimum over
 the group is walked along the lower envelope of those quadratics, so a
-piece costs one square root (see ``intrinsic_quotient_distance``). Exact
+run of pieces on one constant quadratic costs one square root (see
+``intrinsic_quotient_distance``). Exact
 refinement sums are monotone in the partition depth, mirroring the sup
 over partitions; the float sums computed here are not, so every depth is
 evaluated.
@@ -18,6 +19,9 @@ evaluated.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from .classify import ChartModel, SuborbifoldCandidate, check_saturated
 from .errors import (
@@ -41,10 +45,11 @@ from .records import record, replace
 
 DEFAULT_DEPTH = 8
 # Each level doubles the pieces per segment, and every depth up to the
-# probe's is summed: 2**(depth + 1) - 1 pieces per segment in all. A piece
-# costs one square root on the lower envelope, so at depth 12 (8191
-# pieces) `metric-check` takes about 0.02-0.03 s on the corpus probes and
-# 5-7 ms on scenes/rotation_line.json, parsing and printing included
+# probe's is summed: 2**(depth + 1) - 1 pieces per segment in all. On the
+# lower envelope a constant run costs one square root and one float
+# addition per piece, and nearly every piece lies in one, so at depth 12
+# (8191 pieces) `metric-check` takes about 8-12 ms on the corpus probes
+# and 2-3 ms on scenes/rotation_line.json, parsing and printing included
 # (in-process, shared 2-core Xeon, Python 3.11).
 MAX_DEPTH = 12
 DEFAULT_TOLERANCE = 1e-9
@@ -124,6 +129,12 @@ def quotient_distance(group, x, y) -> float:
     int division.
     """
     _require_orthogonal(group)
+    return _quotient_distance(group, x, y)
+
+
+def _quotient_distance(group, x, y) -> float:
+    """``quotient_distance`` for a group known to be orthogonal, such as a
+    probe's subgroup, whose whole group the probe checked."""
     den, forms = group.parent.integer_forms
     (dx, xs), (dy, ys) = _scaled_pair(group.parent.ambient_dim, x, y)
     kx = [den * dy * c for c in xs]
@@ -195,8 +206,11 @@ def _segment_sum(scale: int, forms, pieces: int) -> float:
     L = ``scale``. The minimum is walked along the lower envelope of the
     distinct quadratics: at piece i the least one, q, is picked once, and
     it stays least up to the first j > i at which some other p has
-    p(j) - q(j) < 0 (``_first_negative``). Pieces are summed in order, so
-    the float is the one a per-piece minimum gives.
+    p(j) - q(j) < 0 (``_first_negative``). On a constant q (alpha = beta
+    = 0, the identity's form) every piece of the run has one value, so a
+    constant run costs one square root. Pieces are added one at a time in
+    order (``reduce``, not ``sum``, which is compensated from Python 3.12
+    on), so the float is the one a per-piece minimum gives.
     """
     n = pieces
     quadratics = list({(b + b2 - 2 * e,
@@ -211,8 +225,11 @@ def _segment_sum(scale: int, forms, pieces: int) -> float:
         end = n + 1
         for a, b, c in quadratics:
             end = _first_negative(a - alpha, b - beta, c - gamma, i + 1, end - 1)
-        for k in range(i, end):
-            total += math.sqrt(((alpha * k + beta) * k + gamma) / denominator)
+        if alpha or beta:
+            for k in range(i, end):
+                total += math.sqrt(((alpha * k + beta) * k + gamma) / denominator)
+        else:
+            total = reduce(add, repeat(math.sqrt(gamma / denominator), end - i), total)
         i = end
     return total
 
@@ -230,12 +247,12 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     element from the group's integer rows, so at depth k (N = 2**k pieces)
     piece i is the minimum of integer quadratics in i. Equal quadratics
     are kept once, and the minimum is walked along their lower envelope:
-    one quadratic is picked per run of pieces it wins, and each piece
-    costs one square root (see ``_segment_sum``). Dividing the exact int
-    minimum by L N^2 is Python's correctly rounded int division, which
-    gives the same float for any common L and the same float as
-    converting the exact Fraction minimum, so every sum, and every report,
-    is what a per-point evaluation with Fraction vectors gives.
+    one quadratic is picked per run of pieces it wins, and a run on a
+    constant quadratic costs one square root (see ``_segment_sum``).
+    Dividing the exact int minimum by L N^2 is Python's correctly rounded
+    int division, which gives the same float for any common L and the same
+    float as converting the exact Fraction minimum, so every sum, and every
+    report, is what a per-point evaluation with Fraction vectors gives.
 
     Exact refinement sums can only grow with depth, but the float sums
     computed here need not, so every depth is evaluated and the largest
@@ -315,7 +332,7 @@ def lemma_metrics_check(probe: MetricProbe) -> MetricReport:
         raise CandidateNotSaturated("metric lemma requires a saturated candidate")
     results = []
     for x, y in probe.sample_pairs:
-        quotient = quotient_distance(probe.subgroup, x, y)
+        quotient = _quotient_distance(probe.subgroup, x, y)
         intrinsic = _intrinsic_distance(probe, x, y)
         results.append(PairResult(vec(x), vec(y), quotient, intrinsic))
     return MetricReport(tuple(results), probe.tolerance)

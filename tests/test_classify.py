@@ -713,6 +713,21 @@ def test_induced_chart_matches_the_per_member_restriction(monkeypatch):
     assert any(cand.kernel.order > 1 for cand in cases)
 
 
+def test_whole_space_whole_group_induced_chart_is_the_chart_group():
+    # V = R^n has the standard basis, so with Delta = Gamma every restricted
+    # generator is its generator: the chart group is used, not rebuilt.
+    b3 = chart_from_group(generate_group(hyperoctahedral_generators(3)))
+    whole, _ = _b5_candidates()
+    for cand in (SuborbifoldCandidate(b3, b3.group.full_subgroup(), whole_space(3)), whole):
+        group = cand.chart.group
+        assert cand.delta.order == group.order and cand.v.dim == group.ambient_dim
+        chart = induced_chart(cand)
+        assert chart.chart.group is group
+        image_of, forms, centroid = oracle_induced_chart(cand)
+        assert chart.restriction.image_of == image_of == tuple(group.members)
+        assert group.integer_forms == forms and chart.base_point == centroid
+
+
 def test_fullness_matches_the_per_element_scan():
     # check_full solves on W_g, once per W_g and image, where the scan
     # solves on V for every element outside Delta: the same first element

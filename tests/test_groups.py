@@ -426,6 +426,30 @@ def test_subgroup_from_indices_rejects_nonclosed():
         g.subgroup_from_indices([g.identity, rot4_index])
 
 
+def test_subgroup_from_indices_closes_each_span_once(monkeypatch):
+    # The greedy generators close <q_1..q_i> once per pick; is_closed reads
+    # the last of those closures instead of closing the generators again.
+    b3 = generate_group(hyperoctahedral_generators(3))
+    seeds = []
+    closure = groups._closure_indices
+
+    def counting(parent, seed, limit=None):
+        seeds.append(frozenset(seed))
+        return closure(parent, seed, limit)
+
+    monkeypatch.setattr(groups, "_closure_indices", counting)
+    plane = b3.subgroup_from_indices(
+        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+    assert plane.order == 8 and len(plane.generators) > 1
+    assert len(seeds) == len(set(seeds)) == 1 + len(plane.generators)
+    assert closure(b3, plane.generators) == set(plane.members)
+    quarter_turn = next(i for i in plane.members if element_order(b3, i) == 4)
+    seeds.clear()
+    with pytest.raises(NotSubgroup):
+        b3.subgroup_from_indices([b3.identity, quarter_turn])
+    assert len(seeds) == len(set(seeds)) == 2
+
+
 def test_subgroup_from_matrices_generates():
     g = rot4_group()
     s = g.subgroup_from_matrices([ROT4])

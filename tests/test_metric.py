@@ -298,6 +298,34 @@ def test_metric_check_tests_each_sample_point_once(monkeypatch, capsys):
         intrinsic_quotient_distance(probe, vec([0, 1]), vec([1, 0]))
 
 
+def test_metric_check_tests_orthogonality_once_per_probe(monkeypatch, capsys):
+    # Building a probe checks its whole group; its run reads the quotient
+    # distance of each pair on the subgroup without checking it again,
+    # while quotient_distance still checks its group.
+    checked = []
+    require_orthogonal = metric._require_orthogonal
+    monkeypatch.setattr(metric, "_require_orthogonal",
+                        lambda group: checked.append(group) or require_orthogonal(group))
+    for argv, count in ((["metric-check"], len(metric_probes())),
+                        (["metric-check", "--scene", str(ROTATION_SCENE)],
+                         len(parse_scene(ROTATION_SCENE.read_text()).probes))):
+        checked.clear()
+        assert main(argv) == 0
+        assert len(checked) == count
+    capsys.readouterr()
+    for probe in _shipped_probes():
+        assert len(probe.sample_pairs) > 1
+        checked.clear()
+        lemma_metrics_check(probe)
+        assert checked == []
+    skew = generate_group([mat([[0, Fraction(-1, 2)], [2, 0]])])
+    for group in (skew, skew.full_subgroup()):
+        with pytest.raises(NonOrthogonalGroup):
+            quotient_distance(group, [1, 0], [0, 1])
+    with pytest.raises(NonOrthogonalGroup):
+        MetricProbe(skew, skew.full_subgroup(), whole_space(2), ((vec([1, 0]), vec([0, 1])),))
+
+
 def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
     # The two corpus charts are constants: a later call builds no group, but
     # it still builds both probes and runs their orthogonality checks.
@@ -376,14 +404,16 @@ def _form(a, d, gd):
 
 @st.composite
 def segments(draw):
-    """(scale, forms, pieces) with forms from integer vectors, duplicates included."""
+    """(scale, forms, pieces) with forms from integer vectors, duplicates
+    included, and always the identity's form (a = 0, g d = d), whose
+    quadratic is constant, as on every real segment."""
     pieces = draw(st.integers(1, 4096))
     dim = draw(st.integers(1, 3))
     small = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     # a scaled with N so that the quadratics cross inside 1..N
     offset = st.lists(st.integers(-3 * pieces, 3 * pieces), min_size=dim, max_size=dim)
     d = draw(small)
-    elements = draw(st.lists(st.tuples(offset, small), min_size=1, max_size=6))
+    elements = [([0] * dim, d)] + draw(st.lists(st.tuples(offset, small), max_size=6))
     elements += draw(st.lists(st.sampled_from(elements), max_size=3))
     forms = [_form([c // pieces for c in a] if draw(st.booleans()) else a, d, gd)
              for a, gd in elements]
@@ -396,23 +426,35 @@ def test_envelope_equals_per_piece_oracle(segment):
     assert metric._segment_sum(*segment) == oracle_piece_segment_sum(*segment)
 
 
-def test_envelope_covers_ties_duplicates_and_each_curvature():
-    # Seeded forms from integer vectors, checked against the per-piece
-    # oracle, with a tally of what the per-piece minimum goes through: the
-    # difference quadratic between the minimiser at i and a new one at
-    # i + 1 (convex, linear or concave), pieces where distinct quadratics
-    # tie for the minimum, and duplicate forms.
+def test_envelope_covers_ties_duplicates_and_each_curvature(monkeypatch):
+    # Seeded forms from integer vectors, always with the identity's
+    # (constant) one, checked against the per-piece oracle, with a tally of
+    # what the per-piece minimum goes through: the difference quadratic
+    # between the minimiser at i and a new one at i + 1 (convex, linear or
+    # concave), pieces where distinct quadratics tie for the minimum,
+    # duplicate forms, and the pieces summed in constant runs and in the
+    # others.
     rng = random.Random(1616)
     switches = {-1: 0, 0: 0, 1: 0}
     ties = duplicates = 0
-    for pieces in [1, 2, 3, 4, 5, 8, 17, 100, 256, 1000, 4096] * 20:
+    constant_pieces = []
+    repeat = metric.repeat
+    monkeypatch.setattr(metric, "repeat",
+                        lambda value, times: constant_pieces.append(times) or repeat(value, times))
+    all_pieces = [1, 2, 3, 4, 5, 8, 17, 100, 256, 1000, 4096] * 20
+    for pieces in all_pieces:
         dim = rng.randint(1, 2)
-        d = [rng.randint(-2, 2) for _ in range(dim)]
-        # few images g d, so that quadratics share their curvature
-        images = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(3)]
-        elements = [([rng.randint(-2 * pieces, 2 * pieces) // rng.choice([1, pieces])
-                      for _ in range(dim)], rng.choice(images))
-                    for _ in range(rng.randint(1, 6))]
+        length = rng.choice([1, pieces])
+        d = [rng.randint(-2, 2) * length for _ in range(dim)]
+        # two images g d, so that quadratics share their curvature; near a
+        # long d, so that other quadratics undercut the identity's on long
+        # runs
+        near = d if length > 1 else [0] * dim
+        images = [[c + rng.randint(-2, 2) for c in near] for _ in range(2)]
+        elements = [([0] * dim, d)] + [
+            ([rng.randint(-2 * pieces, 2 * pieces) // rng.choice([1, pieces])
+              for _ in range(dim)], rng.choice(images))
+            for _ in range(rng.randint(2, 8))]
         elements += rng.sample(elements, rng.randint(0, len(elements)))
         forms = [_form(a, d, gd) for a, gd in elements]
         scale = rng.randint(1, 12)
@@ -433,8 +475,11 @@ def test_envelope_covers_ties_duplicates_and_each_curvature():
                 switches[(curvature > 0) - (curvature < 0)] += 1
             if previous not in winners:
                 previous = winners[0]
+    constant = sum(constant_pieces)
+    others = sum(all_pieces) - constant
     assert min(switches.values()) >= 5 and ties >= 20 and duplicates >= 20, \
         (switches, ties, duplicates)
+    assert constant >= 20000 and others >= 5000, (constant, others)
 
 
 def _linear_scan(a, b, c, lo, hi):
