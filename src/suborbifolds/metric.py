@@ -11,10 +11,9 @@ over one common denominator; on a partition of the segment they turn each
 piece into an integer quadratic per distinct form, and the minimum over
 the group is walked along the lower envelope of those quadratics, so a
 run of pieces on one constant quadratic costs one square root (see
-``intrinsic_quotient_distance``). Exact
-refinement sums are monotone in the partition depth, mirroring the sup
-over partitions; the float sums computed here are not, so every depth is
-evaluated.
+``intrinsic_quotient_distance``). Exact refinement sums are monotone in
+the partition depth, mirroring the sup over partitions; the float sums
+computed here are not, so every depth is evaluated.
 """
 from __future__ import annotations
 
