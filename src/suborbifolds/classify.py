@@ -28,17 +28,23 @@ candidates with the same group and V share it whatever their Delta: the
 replay of the complement, each subgroup of the lattice search and later
 calls. With each W_g it keeps every element's images of W_g's points,
 filled on first use, so a candidate only gathers Delta's images into one
-set per W_g. Witnesses for failures are found by bounded
-deterministic rational sampling and always replay: a saturation witness
-is the first point of ``linalg.sample_points(W_g)`` whose image under g
-no element of Delta matches, so that order fixes its bytes.
+set per W_g. The verdict is constant on each coset Delta g, as V is
+Delta-invariant: W_hg = V & g^-1 h^-1 V = W_g, and if h' covers g then
+h h' covers h g. So the scan tests one g per coset, the first in index
+order, and marks the whole coset decided; the first uncovered g, and so
+the witness, are those of the scan over every element. Witnesses for
+failures are found by bounded deterministic rational sampling and always
+replay: a saturation witness is the first point of
+``linalg.sample_points(W_g)`` whose image under g no element of Delta
+matches, so that order fixes its bytes.
 
 Fullness reads the same store: a point of V that g fixes lies in W_g, so
 an element whose W_g is empty is skipped, and Fix(g) & V is solved on
 W_g, once per W_g and image of W_g's points (elements with equal images
-act alike on W_g). The elements are still scanned in index order, and the
-canonical form of the fixed set is unique, so the witness is the one a
-solve on V for every element would give.
+act alike on W_g). Every element is still scanned, in index order (fixing
+a point of V is not constant on a coset Delta g), and the canonical form
+of the fixed set is unique, so the witness is the one a solve on V for
+every element would give.
 
 The induced chart restricts only Delta's generators (``restricted_matrix``)
 and the centroid is tested on them alone: what the generators fix, Delta
@@ -261,17 +267,20 @@ def _agrees_on(group, h: int, g: int, w: AffineSubspace) -> bool:
 def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     """Is the subspace a Delta-submanifold of the Gamma-space?
 
-    Every g in Gamma is tested in index order, and the first g that no
-    h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
+    The elements of Gamma are scanned in index order, and the first g that
+    no h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
     Delta are covered by themselves and skipped, so when Delta is the whole
-    group the verdict holds without asking the store. W_g depends on V alone:
-    the chart group's ``OrbitOfV`` for V reads g^-1 V off the Schreier
-    tree, solves W_g once per distinct g^-1 V in V's own coordinates and
-    keeps each element's images of W_g's points once asked, for the
-    ``ORBITS_OF_V_KEPT`` most recently used V, so candidates with the same
-    group and V share that work whatever their Delta. Only the set of
-    Delta's images is gathered here, once per distinct W_g, and each g
-    costs one list read and one set lookup.
+    group the verdict holds without asking the store. The verdict is the
+    same for every element of the coset Delta g (see the module
+    docstring), so once g is decided its coset, read off the permutations
+    (``coset``), is skipped. W_g depends on V alone: the chart group's
+    ``OrbitOfV`` for V reads g^-1 V off the Schreier tree, solves W_g once
+    per distinct g^-1 V in V's own coordinates and keeps each element's
+    images of W_g's points once asked, for the ``ORBITS_OF_V_KEPT`` most
+    recently used V, so candidates with the same group and V share that
+    work whatever their Delta. Only the set of Delta's images is gathered
+    here, once per distinct W_g, and each coset costs one image of W_g's
+    points, one set lookup and |Delta| gathers.
     """
     group = cand.chart.group
     delta = cand.delta
@@ -280,19 +289,23 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     orbit = cand.orbit_of_v
     image_on = orbit.image_on
     covers: dict = {}  # W_g -> {h's images of W_g's points : h in Delta}
+    decided = bytearray(group.order)
+    for h in delta.members:
+        decided[h] = 1
     for g in range(group.order):
-        if delta.contains(g):
+        if decided[g]:
             continue
         entry = orbit.w_g(g)
-        if entry is None:
-            continue
-        w_g = entry[0]
-        covered = covers.get(w_g)
-        if covered is None:
-            covered = covers[w_g] = {image_on(entry, h) for h in delta.members}
-        if image_on(entry, g) not in covered:
-            point = _witness_point(w_g, group, delta, g)
-            return Verdict(False, SaturationWitness(group.element(g), point))
+        if entry is not None:
+            w_g = entry[0]
+            covered = covers.get(w_g)
+            if covered is None:
+                covered = covers[w_g] = {image_on(entry, h) for h in delta.members}
+            if image_on(entry, g) not in covered:
+                point = _witness_point(w_g, group, delta, g)
+                return Verdict(False, SaturationWitness(group.element(g), point))
+        for x in group.coset(delta.members, g):
+            decided[x] = 1
     return Verdict(True)
 
 
@@ -552,9 +565,14 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     delta = cand.delta
     k = cand.v.dim
     d, forms = group.integer_forms
-    # Centroid of the base-point orbit: a Delta-fixed point inside v.
-    total = [sum(column) for column in zip(*(int_mat_vec(forms[i], cand.v.base)
-                                              for i in delta.members))]
+    # Centroid of the base-point orbit: a Delta-fixed point inside v. Every
+    # element fixes the origin, so a base point there needs no sum or test.
+    base = cand.v.base
+    if any(base):
+        total = [sum(column) for column in zip(*(int_mat_vec(forms[i], base)
+                                                  for i in delta.members))]
+    else:
+        total = [0] * len(base)
     den = d * cand.v.den * delta.order
     centroid = tuple(Fraction(t, den) for t in total)
     _, fixed = lowest_terms(den, total)
@@ -563,7 +581,7 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     # its group looks it up by; a point the generators fix, Delta fixes.
     restricted = []
     for s in delta.generators:
-        if int_mat_vec(forms[s], fixed) != fixed_image:
+        if any(fixed) and int_mat_vec(forms[s], fixed) != fixed_image:
             raise NonInvariant("centroid is not fixed by the subgroup")
         restricted.append(restricted_matrix((d, forms[s]), cand.v))
     if k == group.ambient_dim and delta.order == group.order:

@@ -51,11 +51,15 @@ columns. Fraction matrices are made on first use, one Fraction per
 distinct entry.
 
 Products are computed on demand, never tabulated: the key of a b is
-(pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, one n-tuple
-and one dict lookup. Row a of the products is allocated the first time a
-product a b is asked and keeps each cell once computed, so a closure that
-multiplies by a few elements reads their rows as a table would, and a
-group of order 3840 builds only the rows it uses. Inverses are read off
+(pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, read by one
+``operator.itemgetter`` call per product (b's gather, built for every
+element on the first product) and one dict lookup; the closure of the
+generators' permutations gathers the same way. ``coset`` reads the
+products h b for the members h of a subgroup without touching a row. Row
+a of the products is allocated the first time a product a b is asked and
+keeps each cell once computed, so a closure that multiplies by a few
+elements reads their rows as a table would, and a group of order 3840
+builds only the rows it uses. Inverses are read off
 the permutations. Every group keeps the generators it was built from,
 and its Schreier tree spells each element as a word in them; a proper
 subgroup picks its own generators greedily in member order, and the
@@ -70,7 +74,9 @@ subgroup lattice.
 
 Stabilizers, the saturation check, the orbit of a subspace and the
 induced chart apply the integer forms d g (``integer_forms``, sparse
-integer rows) to integer vectors and compare integer images, which for
+integer rows; a monomial element, such as every element of a signed
+permutation group, is a ``linalg.Monomial`` applied with one gather per
+coordinate) to integer vectors and compare integer images, which for
 one d are equal exactly when the rational images are; a Fraction is built
 only for a value returned. A pointwise stabilizer filters the members
 point by point, so each later point is tested on the survivors only; the
@@ -84,6 +90,7 @@ from __future__ import annotations
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -237,12 +244,22 @@ class FiniteMatrixGroup:
     def __hash__(self):
         return hash(self.integer_forms)
 
+    @cached_property
+    def _gathers(self) -> tuple:
+        """Per element j, the gather that reads the key of i j off pi_i."""
+        return tuple(map(_gather, self._keys))
+
     def mult(self, i: int, j: int) -> int:
         product = self._row(i)[j]
         if product is None:
-            p = self._perms[i]
-            product = self._rows[i][j] = self._element_of[tuple([p[k] for k in self._keys[j]])]
+            product = self._rows[i][j] = self._element_of[self._gathers[j](self._perms[i])]
         return product
+
+    def coset(self, members, j: int) -> list[int]:
+        """The products h j for h in ``members``, in that order, read off the
+        permutations without filling a row of products."""
+        gather, perms, element_of = self._gathers[j], self._perms, self._element_of
+        return [element_of[gather(perms[h])] for h in members]
 
     def _row(self, i: int) -> list:
         """The products i j known so far, indexed by j (None where not yet
@@ -434,6 +451,15 @@ def realify(complex_entries) -> Mat:
     return mat(rows)
 
 
+def _gather(key):
+    """The function p -> tuple(p[k] for k in key), one ``itemgetter`` call
+    when key has two or more entries (with one it would return a scalar,
+    with none it cannot be built)."""
+    if len(key) > 1:
+        return itemgetter(*key)
+    return lambda p: tuple([p[k] for k in key])
+
+
 def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, ...]]:
     """The permutations of 0..degree-1 the generators generate.
 
@@ -443,12 +469,13 @@ def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, .
     grows past ``limit`` elements.
     """
     identity = tuple(range(degree))
+    gathers = [_gather(g) for g in generators]
     seen = {identity}
     frontier = [identity]
     while frontier:
         current = frontier.pop()
-        for g in generators:
-            prod = tuple([current[k] for k in g])
+        for gather in gathers:
+            prod = gather(current)
             if prod not in seen:
                 if len(seen) >= limit:
                     raise NotFiniteWithinBound(limit)
@@ -750,7 +777,7 @@ def _order_modulo(g: FiniteMatrixGroup, a: int, keys) -> int:
     product is formed."""
     p, key, m = g._perms[a], g._keys[a], 1
     while key not in keys:
-        key, m = tuple([p[j] for j in key]), m + 1
+        key, m = tuple(map(p.__getitem__, key)), m + 1
     return m
 
 

@@ -4,18 +4,19 @@ Points cross this module's boundary as immutable tuples of
 ``fractions.Fraction``, so they hash and compare structurally. Matrices
 cross it as integer forms: one denominator d and d m, as dense integer
 rows (``int_matrix``, as maps hold their linear part) or as sparse rows
-of (column, entry) (``sparse``, as groups hold their elements); the
-solvers and rank tests also take rows of ints and Fractions. Inside, the
-arithmetic is on integers: a vector is its least common denominator and
-integer numerators (``scaled``), and row reduction is fraction-free
-(Bareiss, Math. Comp. 22, 1968): integer rows, each divided by its
-content after every step and by its pivot once at the end. A Fraction is
-built only for a coordinate of a returned value; ``mat_mul`` multiplies
-dense integer rows. Input is read by one reader, ``read_rational``: an
-int, a Fraction or a plain "p" or "p/q" string goes straight to integers
-(``int_vector``, ``int_matrix``, and so ``affine_subspace``, group
-generators and maps), and any other form is accepted or refused by
-``rat``.
+of (column, entry) (``sparse``, as groups hold their elements; rows of
+one entry each are marked ``Monomial`` and applied by one gather per
+coordinate); the solvers and rank tests also take rows of ints and
+Fractions. Inside, the arithmetic is on integers: a vector is its least
+common denominator and integer numerators (``scaled``), and row
+reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): integer
+rows, each divided by its content after every step and by its pivot
+once at the end. A Fraction is built only for a coordinate of a returned
+value; ``mat_mul`` multiplies dense integer rows. Input is read by one
+reader, ``read_rational``: an int, a Fraction or a plain "p" or "p/q"
+string goes straight to integers (``int_vector``, ``int_matrix``, and so
+``affine_subspace``, group generators and maps), and any other form is
+accepted or refused by ``rat``.
 
 An affine subspace is held as integers too: its canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space) is
@@ -135,14 +136,30 @@ def int_matrix(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(tuple([p * (d // q) for p, q in row]) for row in parts)
 
 
+class Monomial(tuple):
+    """Sparse rows that each hold exactly one entry, as ``sparse`` marks
+    them: a monomial matrix, such as a signed or scaled permutation. It
+    compares and hashes as the plain tuple of its rows."""
+
+    __slots__ = ()
+
+
 def sparse(rows) -> IntMat:
-    """Dense integer rows as sparse rows of their nonzero (column, entry) pairs."""
-    return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
+    """Dense integer rows as sparse rows of their nonzero (column, entry) pairs.
+
+    When every row holds exactly one entry the rows are returned as a
+    ``Monomial``, which ``int_mat_vec`` applies with one gather and scale
+    per coordinate; the path is chosen here, once per form.
+    """
+    rows = tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
+    if all([len(row) == 1 for row in rows]):
+        return Monomial(rows)
+    return rows
 
 
 def identity_form(n: int) -> tuple[int, IntMat]:
     """The n x n identity as (1, sparse integer rows)."""
-    return 1, tuple(((i, 1),) for i in range(n))
+    return 1, Monomial([((i, 1),) for i in range(n)])
 
 
 def lowest_terms(d: int, xs) -> tuple[int, tuple[int, ...]]:
@@ -190,13 +207,16 @@ def scaled(x) -> tuple[int, tuple[int, ...]]:
 
 
 def int_mat_vec(rows: IntMat, xs) -> tuple[int, ...]:
-    """The integer rows applied to an integer vector."""
+    """The integer rows applied to an integer vector: for a ``Monomial``
+    one product c xs[j] per row, else one sum per row."""
+    if rows.__class__ is Monomial:
+        return tuple([c * xs[j] for ((j, c),) in rows])
     return tuple([sum([c * xs[j] for j, c in row]) for row in rows])
 
 
 def int_images(rows: IntMat, points) -> tuple[tuple[int, ...], ...]:
     """The integer rows applied to each of the integer vectors ``points``."""
-    return tuple(int_mat_vec(rows, xs) for xs in points)
+    return tuple([int_mat_vec(rows, xs) for xs in points])
 
 
 def mat_mul(a, b, n: int) -> tuple[tuple[int, ...], ...]:

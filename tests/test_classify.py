@@ -56,7 +56,7 @@ from suborbifolds.scene import (
     candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
 )
 from suborbifolds.linalg import (
-    affine_subspace, transform_subspace, vec, whole_space,
+    affine_subspace, transform_subspace, vec, whole_space, zero_vec,
 )
 
 from oracles import (
@@ -67,6 +67,9 @@ from oracles import (
     oracle_full,
     oracle_images,
     oracle_induced_chart,
+    oracle_intersect,
+    oracle_map_subspace,
+    oracle_mat_mul,
     oracle_mat_vec,
     oracle_pointwise_stabilizer,
     oracle_saturated_sampled,
@@ -713,6 +716,31 @@ def test_induced_chart_matches_the_per_member_restriction(monkeypatch):
     assert any(cand.kernel.order > 1 for cand in cases)
 
 
+def test_a_centroid_at_the_origin_costs_no_mat_vec(monkeypatch):
+    # Every element fixes the origin, so a linear V's centroid is summed
+    # and tested without applying an element; the chart is unchanged.
+    rng = random.Random(89)
+    chart = chart_from_group(generate_group(hyperoctahedral_generators(3)))
+    linear, off_origin = [], []
+    while len(linear) < 4 or not off_origin:
+        cand = stabilizer_candidate(rng, chart, dims=(0, 3))
+        if cand.saturation.holds:
+            (off_origin if any(cand.v.base) else linear).append(cand)
+    whole, _ = _b5_candidates()
+    module = sys.modules["suborbifolds.classify"]
+    real, calls = module.int_mat_vec, []
+    monkeypatch.setattr(module, "int_mat_vec", lambda *args: calls.append(None) or real(*args))
+    for cand in linear + [whole] + off_origin[:1]:
+        del calls[:]
+        chart = induced_chart(cand)
+        assert len(calls) == (0 if cand in linear or cand is whole
+                              else cand.delta.order + len(cand.delta.generators))
+        image_of, forms, centroid = oracle_induced_chart(cand)
+        assert chart.restriction.image_of == image_of
+        assert chart.chart.group.integer_forms == forms
+        assert chart.base_point == centroid
+
+
 def test_whole_space_whole_group_induced_chart_is_the_chart_group():
     # V = R^n has the standard basis, so with Delta = Gamma every restricted
     # generator is its generator: the chart group is used, not rebuilt.
@@ -870,9 +898,60 @@ def test_saturation_covering_loop_builds_no_fraction(monkeypatch):
     assert check_saturated(cand).holds
     monkeypatch.undo()
     # Four lines W_g (x = +-1, y = +-1 on the plane), 8 images each, and one
-    # key per element of the 4 cosets that reach them.
-    assert len(keys) == 4 * cand.delta.order + 4 * cand.delta.order
+    # key for each of the 4 cosets Delta g that reach them: the scan tests
+    # one element per coset.
+    assert len(keys) == 4 * cand.delta.order + 4
     assert outside == []
+
+
+def test_saturation_tests_one_element_per_coset(monkeypatch):
+    # W_hg = W_g for h in Delta, and h h' covers h g when h' covers g, so
+    # check_saturated asks image_on for one element outside Delta per coset
+    # Delta g it decides with W_g nonempty, the least in index order, and
+    # for Delta's images once per distinct W_g; the witness is the
+    # per-element oracle's. Cosets and W_g come from Fraction matrices here.
+    rng = random.Random(97)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    module = sys.modules["suborbifolds.classify"]
+    real, calls = module.OrbitOfV.image_on, []
+    monkeypatch.setattr(module.OrbitOfV, "image_on",
+                        lambda self, entry, h: calls.append(h) or real(self, entry, h))
+    for gens, basis_change in ((_b3_times_z2_generators(), None), (b4, None),
+                               (conjugate_all(b4, s, s_inv), s)):
+        chart = chart_from_group(generate_group(gens))
+        group = chart.group
+        index = {m: i for i, m in enumerate(group.matrices)}
+        verdicts, drawn = set(), 0
+        while drawn < 4 or (len(verdicts) < 2 and drawn < 30):
+            drawn += 1
+            cand = stabilizer_candidate(rng, chart, basis_change)
+            delta, v = cand.delta, cand.v
+            del calls[:]
+            got = check_saturated(cand)
+            asked = list(calls)
+            want = oracle_check_saturated(cand)
+            assert got.holds == want.holds
+            last = group.order - 1
+            if not got.holds:
+                last = got.witness.element.index
+                assert last == want.witness.element.index
+                assert got.witness.point == want.witness.point
+            decided, tested, meets = set(delta.members), [], set()
+            for g in range(last + 1):
+                if g in decided:
+                    continue
+                decided |= {index[oracle_mat_mul(h, group.matrix_of(g))] for h in delta.matrices}
+                g_inv_v = oracle_map_subspace(group.matrix_of(group.inv(g)),
+                                              zero_vec(v.ambient_dim), v)
+                w_g = oracle_intersect(v, g_inv_v)
+                if w_g is not None:
+                    tested.append(g)
+                    meets.add(w_g)
+            assert [h for h in asked if not delta.contains(h)] == tested
+            assert sum(1 for h in asked if delta.contains(h)) == delta.order * len(meets)
+            verdicts.add(got.holds)
+        assert verdicts == {True, False}
 
 
 def test_saturation_builds_no_fractions(monkeypatch):

@@ -371,9 +371,14 @@ def test_singular_generator_with_an_infinite_orbit_is_refused_early(monkeypatch)
 def test_sympy_permutation_group_order_oracle():
     sympy_combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(29)
-    b4 = hyperoctahedral_generators(4)
+    b4, b5 = hyperoctahedral_generators(4), hyperoctahedral_generators(5)
     s, s_inv = random_rational_basis_change(rng, 4)
-    for gens, basis_change in ((b4, identity(4)), (conjugate_all(b4, s, s_inv), s)):
+    # A rational conjugate of B5 moves e_j along an orbit of up to 3840
+    # points, so its 3840 permutations of Omega would take about 0.4 GB;
+    # B5 is checked as signed permutations only.
+    cases = [(b4, identity(4), 384), (conjugate_all(b4, s, s_inv), s, 384),
+             (b5, identity(5), 3840)]
+    for gens, basis_change, order in cases:
         # The group permutes the columns S e_i of the basis change and their negatives.
         units = list(zip(*basis_change))
         points = units + [tuple(-x for x in e) for e in units]
@@ -382,7 +387,7 @@ def test_sympy_permutation_group_order_oracle():
             for m in gens
         ]
         g = generate_group(gens)
-        assert g.order == sympy_combinatorics.PermutationGroup(perms).order() == 384
+        assert g.order == sympy_combinatorics.PermutationGroup(perms).order() == order
         for _ in range(2000):
             i, j = rng.randrange(g.order), rng.randrange(g.order)
             assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(g.matrix_of(i), g.matrix_of(j))
@@ -775,6 +780,29 @@ def test_trivial_and_dimension_zero_groups():
     # no generator at all gives no dimension to guess
     with pytest.raises(DimensionMismatch, match="at least one generator"):
         generate_group([])
+
+
+def test_gathers_at_dimensions_zero_and_one():
+    # A column key of 0 or 1 entries cannot be gathered by one itemgetter
+    # call; the 0-dimensional group and the 1-dimensional ones ({+-1} and
+    # the trivial group) multiply, invert and take orders as matrices do.
+    for gens in ([[]], [[[1]]], [[[-1]]]):
+        g = generate_group(gens)
+        reference = oracle_group_closure(gens)
+        _assert_matches_reference(g, reference)
+        ident = identity(g.ambient_dim)
+        orders = []
+        for i, m in enumerate(g.matrices):
+            power, order = m, 1
+            while power != ident:
+                power, order = oracle_mat_mul(power, m), order + 1
+            assert element_order(g, i) == order
+            orders.append(order)
+        abelian = all(oracle_mat_mul(a, b) == oracle_mat_mul(b, a)
+                      for a in reference for b in reference)
+        assert iso_fingerprint(g) == Fingerprint(len(reference), tuple(sorted(orders)), abelian)
+        assert [g.coset(g.members, j) for j in g.members] == [
+            [g.mult(h, j) for h in g.members] for j in g.members]
 
 
 def test_signed_permutation_pool_sizes():

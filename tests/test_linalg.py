@@ -17,6 +17,7 @@ from suborbifolds.linalg import (
     fixed_points,
     identity,
     int_mat_vec,
+    int_images,
     int_matrix,
     int_points,
     int_vector,
@@ -642,3 +643,58 @@ def test_solve_affine_matches_fraction_solution(m, data):
     else:
         particular, free = solved
         _assert_canonical(got, particular, free)
+
+
+def _monomial(perm, entries):
+    """The matrix with entry entries[i] at (i, perm[i]) and zeros elsewhere."""
+    return tuple(tuple(c if j == p else Fraction(0) for j in range(len(perm)))
+                 for p, c in zip(perm, entries))
+
+
+# Signed permutations and scaled monomials (entries such as -2 and 1/2, as
+# in wide_b2 of scenes/rational_chart.json), n = 0 to 4.
+monomial_matrices = st.integers(0, 4).flatmap(lambda n: st.builds(
+    _monomial, st.permutations(range(n)),
+    st.lists(st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                       st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                 st.integers(1, 7))),
+             min_size=n, max_size=n)))
+
+NOT_MONOMIAL = [
+    mat([[1, "-2/3"], [0, -1]]),   # skew_klein of scenes/rational_chart.json
+    mat([[-1, 0], ["1/2", 1]]),    # skew_flip
+    mat([[1, 0], [0, 0]]),         # a zero row
+    mat([[0, 1, 0], [2, 0, "1/3"], [0, 0, 1]]),  # a two-entry row
+    mat([[0]]),                    # n = 1, the zero row
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monomial_matrices, st.sampled_from(NOT_MONOMIAL), kernel_matrices), st.data())
+def test_monomial_forms_are_marked_and_applied_like_the_oracle(m, data):
+    # sparse marks exactly the forms with one entry per row; both kinds of
+    # form give the oracle's images, and a marked form is its plain tuple.
+    d, rows = int_matrix(m)
+    form = sparse(rows)
+    plain = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    assert (type(form) is linalg.Monomial) == all(
+        sum(1 for x in row if x) == 1 for row in m)
+    assert form == plain and plain == form and hash(form) == hash(plain)
+    assert {plain: 1}.get(form) == 1 and (d, (form,)) == (d, (plain,))
+    cols = len(m[0]) if m else 0
+    points = data.draw(st.lists(st.lists(kernel_rationals, min_size=cols, max_size=cols)
+                                .map(tuple), max_size=3))
+    for x in points:
+        dx, xs = scaled(x)
+        want = [d * dx * y for y in oracle_mat_vec(m, x)]
+        assert list(int_mat_vec(form, xs)) == list(int_mat_vec(plain, xs)) == want
+    integer_points = [scaled(x)[1] for x in points]
+    want = tuple(tuple(int(d * y) for y in oracle_mat_vec(m, xs)) for xs in integer_points)
+    assert int_images(form, integer_points) == int_images(plain, integer_points) == want
+
+
+def test_identity_forms_are_marked_at_every_dimension():
+    for n in (0, 1, 3):
+        _, rows = linalg.identity_form(n)
+        assert type(rows) is linalg.Monomial
+        assert int_mat_vec(rows, tuple(range(n))) == tuple(range(n))
