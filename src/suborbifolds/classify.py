@@ -104,6 +104,7 @@ from .linalg import (
     meet,
     point_from_coordinates,
     point_in_dim,
+    pull_back,
     rat_str,
     restricted_matrix,
     sample_points,
@@ -384,16 +385,7 @@ class OrbitOfV:
         g_inv_v = self.image(self._group.inv(g))
         if g_inv_v not in self._w:
             c, e = self._equations
-            rows = self._forms[g]
-            pulled = []
-            for row in c:
-                out = [0] * len(row)
-                for a, form_row in zip(row, rows):
-                    if a:
-                        for j, x in form_row:
-                            out[j] += a * x
-                pulled.append(out)
-            w = meet(self._v, pulled, [self._d * x for x in e])
+            w = meet(self._v, pull_back(c, self._forms[g]), [self._d * x for x in e])
             entry = None
             if w is not None:
                 entry = self._entry_of.get(w)

@@ -26,7 +26,7 @@ from .linalg import (
 )
 from .maps import product_chart
 from .metric import MetricProbe, lemma_metrics_check
-from .records import field, record
+from .records import record
 
 ROT4_GEN = mat([[0, -1], [1, 0]])
 ROT2 = mat([[-1, 0], [0, -1]])
@@ -263,11 +263,11 @@ def metric_probes() -> dict[str, MetricProbe]:
     }
 
 
-@record(frozen=False)
+@record
 class CorpusReport:
-    results: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    results: list
+    mismatches: list
+    elapsed_seconds: float
 
     @property
     def ok(self) -> bool:
@@ -275,7 +275,7 @@ class CorpusReport:
 
 
 def run_corpus(name_filter: str | None = None, cases=CASES) -> CorpusReport:
-    report = CorpusReport()
+    results, mismatches = [], []
     start = time.perf_counter()
     for case in cases:
         if name_filter and name_filter not in case.name:
@@ -292,11 +292,10 @@ def run_corpus(name_filter: str | None = None, cases=CASES) -> CorpusReport:
             "observed": observed,
             "passed": not mismatched,
         }
-        report.results.append(entry)
+        results.append(entry)
         if mismatched:
-            report.mismatches.append((case.name, mismatched))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+            mismatches.append((case.name, mismatched))
+    return CorpusReport(results, mismatches, time.perf_counter() - start)
 
 
 def run_metric_corpus(depth: int | None = None, tolerance: float | None = None):

@@ -91,10 +91,6 @@ class RankDeficient(SuborbifoldError):
     pass
 
 
-class NotInImage(SuborbifoldError):
-    pass
-
-
 class NotLocalized(SuborbifoldError):
     """Codomain chart group is not the isotropy along the target subspace.
 

@@ -36,7 +36,8 @@ that is not square or not injective on Omega, or an orbit past
 ``CHECK_ORBIT_PAST`` points per dimension, sends the generators through
 the one-by-one check (square, then invertible by a rank test), which
 names the same generator with the same message as checking every
-generator first. Each element permutes Omega, and as Omega spans Q^n
+generator first; after it, a generator whose traces show infinite order
+is refused at once. Each element permutes Omega, and as Omega spans Q^n
 that action is faithful; an element is even determined by its column
 key, the indices in Omega of its columns g e_1, ..., g e_n, which are the
 first n entries of its permutation. The generators' permutations are
@@ -104,6 +105,7 @@ from .linalg import (
     AffineSubspace,
     IntMat,
     Mat,
+    dense,
     identity_form,
     int_mat_vec,
     int_matrix,
@@ -111,6 +113,7 @@ from .linalg import (
     is_invertible,
     lowest_terms,
     mat,
+    mat_mul,
     rat,
     rat_str,
     single_point,
@@ -123,8 +126,8 @@ SUBGROUP_ENUMERATION_BOUND = 512
 # Once the orbit of the basis passes this many points per dimension, the
 # generators are checked one by one, so a singular generator with an
 # infinite orbit is named at once rather than after n * max_order points
-# (about 1 s at the default bound). A signed permutation group has 2
-# points per dimension.
+# (about 1 s at the default bound), and most invertible ones are refused
+# by their traces. A signed permutation group has 2 points per dimension.
 CHECK_ORBIT_PAST = 64
 
 
@@ -533,9 +536,10 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
     there. Only when a generator is not, or the orbit passes
     ``CHECK_ORBIT_PAST`` points per dimension or its cap, are the
     generators checked one by one (``_refuse_generators``), so a singular
-    generator is named as such. The permutations are closed, and
-    each element's matrix is read off the images of the basis, which come
-    first.
+    generator is named as such; past ``CHECK_ORBIT_PAST`` their traces are
+    checked next (``_refuse_infinite_order``). The permutations are
+    closed, and each element's matrix is read off the images of the basis,
+    which come first.
     """
     n = len(forms[0][1])
     omega = [(1, tuple(int(i == j) for i in range(n))) for j in range(n)]
@@ -549,7 +553,9 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
                     _refuse_generators(n, _dense(n, forms))
                     raise NotFiniteWithinBound(max_order)
                 if len(points) == n * CHECK_ORBIT_PAST:
-                    _refuse_generators(n, _dense(n, forms))
+                    matrices = _dense(n, forms)
+                    _refuse_generators(n, matrices)
+                    _refuse_infinite_order(n, matrices, max_order)
                 points[y] = len(omega)
                 omega.append(y)
             row.append(points[y])
@@ -565,14 +571,19 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
 
 def _dense(n: int, forms) -> list:
     """Sparse forms (d, d g) of n x n matrices as (d, dense integer rows)."""
-    dense = []
-    for d, rows in forms:
-        full = [[0] * n for _ in rows]
-        for out, row in zip(full, rows):
-            for j, x in row:
-                out[j] = x
-        dense.append((d, full))
-    return dense
+    return [(d, dense(rows, n)) for d, rows in forms]
+
+
+def _refuse_infinite_order(n: int, matrices, max_order: int) -> None:
+    """Raise ``NotFiniteWithinBound(max_order)`` for the first generator
+    (d, dense d g) with tr(g) or tr(g^2) not an integer of absolute value at
+    most n. For g of finite order both are sums of n roots of unity and
+    rational, so integers; a g that passes may still have infinite order."""
+    for d, rows in matrices:
+        for m, scale in ((rows, d), (mat_mul(rows, rows, n), d * d)):
+            trace = sum([m[i][i] for i in range(n)])
+            if trace % scale or abs(trace) > n * scale:
+                raise NotFiniteWithinBound(max_order)
 
 
 def _refuse_generators(n: int, matrices) -> None:

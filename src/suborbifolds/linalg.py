@@ -7,16 +7,19 @@ rows (``int_matrix``, as maps hold their linear part) or as sparse rows
 of (column, entry) (``sparse``, as groups hold their elements; rows of
 one entry each are marked ``Monomial`` and applied by one gather per
 coordinate); the solvers and rank tests also take rows of ints and
-Fractions. Inside, the arithmetic is on integers: a vector is its least
-common denominator and integer numerators (``scaled``), and row
-reduction is fraction-free (Bareiss, Math. Comp. 22, 1968): integer
-rows, each divided by its content after every step and by its pivot
-once at the end. A Fraction is built only for a coordinate of a returned
-value; ``mat_mul`` multiplies dense integer rows. Input is read by one
-reader, ``read_rational``: an int, a Fraction or a plain "p" or "p/q"
-string goes straight to integers (``int_vector``, ``int_matrix``, and so
-``affine_subspace``, group generators and maps), and any other form is
-accepted or refused by ``rat``.
+Fractions. Only this module reads or builds sparse rows; other modules
+pass a form whole (to ``int_mat_vec``, ``fixed_points``, ``dense``,
+``pull_back``, ``block_form`` and the like). Inside, the arithmetic is
+on integers: a vector is its least common denominator and integer
+numerators (``scaled``), and row reduction is fraction-free (Bareiss,
+Math. Comp. 22, 1968): integer rows, each divided by its content after
+every step and by its pivot once at the end. A Fraction is built only
+for a coordinate of a returned value; ``mat_mul`` multiplies dense
+integer rows. Input is read by one reader, ``read_rational``: an int, a
+Fraction or a plain "p" or "p/q" string goes straight to integers
+(``int_vector``, ``int_matrix``, and so ``affine_subspace``, group
+generators and maps), and any other form is accepted or refused by
+``rat``.
 
 An affine subspace is held as integers too: its canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space) is
@@ -157,6 +160,43 @@ def sparse(rows) -> IntMat:
     return rows
 
 
+def dense(rows: IntMat, n: int) -> list[list[int]]:
+    """Sparse rows as dense integer rows of length n, the inverse of ``sparse``."""
+    full = []
+    for row in rows:
+        out = [0] * n
+        for j, x in row:
+            out[j] = x
+        full.append(out)
+    return full
+
+
+def block_form(form: tuple[int, IntMat], before: int, after: int) -> tuple[int, IntMat]:
+    """diag(I_before, m, I_after) as (d, sparse rows), for the square matrix
+    m given as (d, d m) in sparse rows; a ``Monomial`` form stays one."""
+    d, rows = form
+    end = before + len(rows)
+    block = ([((i, d),) for i in range(before)]
+             + [tuple([(before + j, x) for j, x in row]) for row in rows]
+             + [((i, d),) for i in range(end, end + after)])
+    return d, (Monomial(block) if rows.__class__ is Monomial else tuple(block))
+
+
+def pull_back(c, rows: IntMat) -> list[list[int]]:
+    """c (d m) for integer rows c and the square d m as sparse rows, so that
+    c x = e pulls back to (c (d m)) x = d e; a row of c costs O(nnz) where
+    a dense product would cost O(n^2)."""
+    pulled = []
+    for row in c:
+        out = [0] * len(row)
+        for a, form_row in zip(row, rows):
+            if a:
+                for j, x in form_row:
+                    out[j] += a * x
+        pulled.append(out)
+    return pulled
+
+
 def identity_form(n: int) -> tuple[int, IntMat]:
     """The n x n identity as (1, sparse integer rows)."""
     return 1, Monomial([((i, 1),) for i in range(n)])
@@ -192,12 +232,6 @@ def mat(rows) -> Mat:
 
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
 
 
 def scaled(x) -> tuple[int, tuple[int, ...]]:
@@ -570,13 +604,9 @@ def fixed_points(form: tuple[int, IntMat], v: AffineSubspace) -> AffineSubspace 
     n = v.ambient_dim
     if len(rows) != n:
         raise DimensionMismatch("ambient dimensions differ")
-    moved = []
-    for i, row in enumerate(rows):
-        dense = [0] * n
-        for j, x in row:
-            dense[j] = x
-        dense[i] -= d
-        moved.append(dense)
+    moved = dense(rows, n)
+    for i, row in enumerate(moved):
+        row[i] -= d
     return meet(v, moved, [0] * n)
 
 

@@ -51,6 +51,7 @@ from .groups import (
 from .linalg import (
     AffineSubspace,
     affine_subspace,
+    block_form,
     direction_sum_is_full,
     equations,
     int_mat_vec,
@@ -205,11 +206,8 @@ def product_chart(c1: ChartModel, c2: ChartModel,
         raise GroupTooLarge(f"product group of order {order} exceeds max_order={max_order}")
     n1, n2 = c1.ambient_dim, c2.ambient_dim
     (d1, forms1), (d2, forms2) = c1.group.integer_forms, c2.group.integer_forms
-    gens = [(d1, forms1[a] + tuple(((n1 + i, d1),) for i in range(n2)))
-            for a in c1.group.generators]
-    gens += [(d2, tuple(((i, d2),) for i in range(n1))
-              + tuple(tuple((n1 + j, x) for j, x in row) for row in forms2[b]))
-             for b in c2.group.generators]
+    gens = [block_form((d1, forms1[a]), 0, n2) for a in c1.group.generators]
+    gens += [block_form((d2, forms2[b]), n1, 0) for b in c2.group.generators]
     combined = ChartModel(group_from_forms(gens, max_order=max_order))
     return ProductChart(c1, c2, combined)
 

@@ -34,6 +34,7 @@ from .linalg import (
     AffineSubspace,
     Vec,
     contains_point,
+    dense,
     int_mat_vec,
     point_in_dim,
     rat_str,
@@ -101,9 +102,8 @@ def _require_orthogonal(group) -> None:
     den, forms = group.parent.integer_forms
 
     def fails(i):
-        rows = [dict(row) for row in forms[i]]
-        return any(sum([x * b.get(j, 0) for j, x in a.items()]) != (den * den if a is b else 0)
-                   for a in rows for b in rows)
+        rows = dense(forms[i], len(forms[i]))
+        return any(_int_dot(a, b) != (den * den if a is b else 0) for a in rows for b in rows)
 
     i = first_failure(group, fails)
     if i is not None:

@@ -5,9 +5,10 @@
 ``__init__`` taking the fields in declaration order, with their
 defaults, that then calls ``__post_init__`` when the class has one;
 equality between instances of one class on all their fields; a hash of
-the tuple of the fields; the repr ``Name(field=value!r, ...)``; and,
-unless ``frozen=False``, fields that cannot be set or deleted
-(``FrozenInstanceError``). A record that is not frozen is unhashable.
+the tuple of the fields; the repr ``Name(field=value!r, ...)``; and
+fields that cannot be set or deleted (``FrozenInstanceError``). Every
+record is frozen; a default is one value shared by every instance, and a
+record with a list or dict field is unhashable.
 
 The methods are functions shared by every record, which read the class's
 field list; building a class generates no code, so importing the package
@@ -38,27 +39,10 @@ class FrozenInstanceError(AttributeError):
     """A field of a frozen record was set or deleted."""
 
 
-class _Field:
-    """A field's default factory."""
-
-    __slots__ = ("default_factory",)
-
-    def __init__(self, default_factory):
-        self.default_factory = default_factory
-
-
-def field(*, default_factory) -> _Field:
-    """A field whose default is made by calling ``default_factory`` for
-    each instance. A plain default is written as the class attribute's
-    value."""
-    return _Field(default_factory)
-
-
 class _Spec:
-    """A record class's fields: their names in order, the defaults (as
-    (value, is a factory)) of those that have one, whether the class has a
-    ``__post_init__``, and a function from an instance to the tuple of its
-    fields."""
+    """A record class's fields: their names in order, the defaults of those
+    that have one, whether the class has a ``__post_init__``, and a function
+    from an instance to the tuple of its fields."""
 
     __slots__ = ("names", "defaults", "post_init", "key")
 
@@ -83,8 +67,7 @@ class _Spec:
             if name in kwargs:
                 values.append(kwargs.pop(name))
             elif name in self.defaults:
-                default, factory = self.defaults[name]
-                values.append(default() if factory else default)
+                values.append(self.defaults[name])
             else:
                 missing.append(name)
         for name in kwargs:
@@ -130,23 +113,14 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, *, frozen: bool = True):
-    """Make ``cls`` a record class; use as ``@record`` or ``@record(frozen=False)``."""
-    if cls is None:
-        return lambda cls: _make_record(cls, frozen)
-    return _make_record(cls, frozen)
-
-
-def _make_record(cls, frozen: bool):
+def record(cls):
+    """Make ``cls`` a frozen record class; use as ``@record``."""
     own = cls.__dict__
     names, defaults = [], {}
     for name in own.get("__annotations__", {}):
         value = own.get(name, _MISSING)
-        if isinstance(value, _Field):
-            delattr(cls, name)
-            defaults[name] = (value.default_factory, True)
-        elif value is not _MISSING:
-            defaults[name] = (value, False)
+        if value is not _MISSING:
+            defaults[name] = value
         names.append(name)
     cls._record_spec = _Spec(tuple(names), defaults, hasattr(cls, "__post_init__"))
     methods = {"__init__": _init, "__repr__": _repr, "__eq__": _eq}
@@ -156,10 +130,9 @@ def _make_record(cls, frozen: bool):
     # A class body that defines __eq__ alone gets __hash__ = None from Python;
     # that is not a hash of its own.
     if own.get("__hash__") is None:
-        cls.__hash__ = _hash if frozen else None
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
+        cls.__hash__ = _hash
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
 
 

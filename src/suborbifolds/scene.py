@@ -77,22 +77,22 @@ from .metric import (
     MetricReport,
     check_settings,
 )
-from .records import field, record
+from .records import record
 
 
-@record(frozen=False)
+@record
 class SceneFile:
     """A scene's entries by section and name. ``parse_scene`` gives plain
     dicts; from ``read_scene`` each section is a mapping that builds an
     entry on its first lookup."""
 
-    groups: Mapping[str, FiniteMatrixGroup] = field(default_factory=dict)
-    subgroups: Mapping[str, Subgroup] = field(default_factory=dict)
-    subspaces: Mapping[str, AffineSubspace] = field(default_factory=dict)
-    candidates: Mapping[str, SuborbifoldCandidate] = field(default_factory=dict)
-    maps: Mapping[str, EquivariantAffineMap] = field(default_factory=dict)
-    probes: Mapping[str, MetricProbe] = field(default_factory=dict)
-    queries: list[dict] = field(default_factory=list)
+    groups: Mapping[str, FiniteMatrixGroup]
+    subgroups: Mapping[str, Subgroup]
+    subspaces: Mapping[str, AffineSubspace]
+    candidates: Mapping[str, SuborbifoldCandidate]
+    maps: Mapping[str, EquivariantAffineMap]
+    probes: Mapping[str, MetricProbe]
+    queries: list[dict]
 
 
 class _Entries(Mapping):
@@ -221,9 +221,8 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
 def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
     """The entries of the scene's JSON object, checked and left to build
     as ``read_scene`` says."""
-    scene = SceneFile(groups=_Entries(), subgroups=_Entries(), subspaces=_Entries(),
-                      candidates=_Entries(), maps=_Entries(), probes=_Entries())
-    groups, subgroups, subspaces = scene.groups, scene.subgroups, scene.subspaces
+    groups, subgroups, subspaces = _Entries(), _Entries(), _Entries()
+    candidates, maps, probes = _Entries(), _Entries(), _Entries()
     kwargs = {} if max_order is None else {"max_order": max_order}
     for name, gens in _section(raw, "groups").items():
         if not isinstance(gens, list) or not gens:
@@ -243,8 +242,8 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
         subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
                     if "subgroup" in spec else None)
         subspace = _known(subspaces, spec["subspace"], "subspace")
-        scene.candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
-                                                 group, subgroup, subspace)
+        candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
+                                           group, subgroup, subspace)
     for name, spec in _section(raw, "maps").items():
         domain = _known(groups, spec["domain"], "group")
         codomain = _known(groups, spec["codomain"], "group")
@@ -255,7 +254,7 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
             if element in theta_pairs:
                 raise ParseError(f"map {name!r}: theta lists element {element!r} twice")
             theta_pairs[element] = image
-        scene.maps.recipes[name] = partial(
+        maps.recipes[name] = partial(
             _map, groups, name, domain, codomain, theta_pairs,
             int_matrix(spec["matrix"]), int_vector(spec["offset"]))
     for name, spec in _section(raw, "probes").items():
@@ -271,15 +270,15 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
             check_settings(depth, tolerance, pairs)
         except InvalidMetricSetting as exc:
             raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
-        scene.probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
-                                             subgroup, subspace, pairs, depth, tolerance)
-    scene.queries = raw.get("queries", [])
-    if not isinstance(scene.queries, list):
+        probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
+                                       subgroup, subspace, pairs, depth, tolerance)
+    queries = raw.get("queries", [])
+    if not isinstance(queries, list):
         raise ParseError("scene queries must be a JSON list")
-    for query in scene.queries:
+    for query in queries:
         if not isinstance(query, dict) or "command" not in query:
             raise ParseError(f"query is not an object with a command: {query}")
-    return scene
+    return SceneFile(groups, subgroups, subspaces, candidates, maps, probes, queries)
 
 
 def parse_scene(text: str, max_order: int | None = None) -> SceneFile:

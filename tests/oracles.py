@@ -541,6 +541,11 @@ def int_form(m, d=None):
     )
 
 
+def identity(n: int):
+    """The n x n identity as a Fraction matrix."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
 def oracle_mat_mul(a, b):
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
@@ -558,8 +563,7 @@ def oracle_block_diag(a, b):
 
 def oracle_group_closure(generators):
     """Sorted elements of the group the matrices generate, by matrix products."""
-    n = len(generators[0])
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    ident = identity(len(generators[0]))
     seen = {ident}
     frontier = [ident]
     while frontier:

@@ -34,7 +34,7 @@ from suborbifolds.groups import (
     trivial_group,
 )
 from suborbifolds.linalg import (
-    affine_subspace, identity, mat, restricted_matrix, vec,
+    affine_subspace, mat, restricted_matrix, vec,
 )
 from suborbifolds.maps import product_chart
 
@@ -42,6 +42,7 @@ from oracles import (
     _closure,
     conjugate_all,
     hyperoctahedral_generators,
+    identity,
     int_form,
     oracle_find_complement,
     oracle_generate_group,
@@ -366,6 +367,78 @@ def test_singular_generator_with_an_infinite_orbit_is_refused_early(monkeypatch)
     assert expected[0] is NonInvertibleGenerator and "singular" in expected[1]
     assert _outcome(generate_group, generators) == expected
     assert len(products) <= 2 * (2 * groups.CHECK_ORBIT_PAST + 1)
+
+
+def _padded(block, n=5):
+    """diag(block, I) as an n x n integer matrix."""
+    k = len(block)
+    return [[block[i][j] if i < k and j < k else int(i == j) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("generator, error, message", [
+    # traces 1004 and 6 exceed n = 5; [[1, 1], [1, 0]] (trace 4) by tr(g^2) = 6
+    (_padded([[1000]]), NotFiniteWithinBound, "group closure exceeded max_order=10000"),
+    (_padded([[3, 1], [1, 0]]), NotFiniteWithinBound, "group closure exceeded max_order=10000"),
+    (_padded([[1, 1], [1, 0]]), NotFiniteWithinBound, "group closure exceeded max_order=10000"),
+    # singular, with trace 5: still named as singular, not refused by its trace
+    ([[5, 0], [0, 0]], NonInvertibleGenerator, "generator is singular"),
+])
+def test_generators_of_infinite_order_are_refused_by_their_traces(monkeypatch, generator, error,
+                                                                    message):
+    # Each orbit of the basis is infinite. Past CHECK_ORBIT_PAST points per
+    # dimension the generators are checked, singular first, then by tr(g) and
+    # tr(g^2), which for finite order are integers of absolute value at most
+    # n; the walk to n * max_order points of growing size took 1.8-9.3 s.
+    products = []
+    real = groups.int_mat_vec
+
+    def counting(rows, xs):
+        products.append(None)
+        return real(rows, xs)
+
+    monkeypatch.setattr(groups, "int_mat_vec", counting)
+    with pytest.raises(error) as err:
+        generate_group([generator])
+    assert str(err.value).startswith(message)
+    assert len(products) <= len(generator) * groups.CHECK_ORBIT_PAST + 1
+
+
+def test_rational_conjugates_past_the_orbit_check_pass_the_trace_test(monkeypatch):
+    # A conjugate's orbit of the basis can pass CHECK_ORBIT_PAST points per
+    # dimension, so its generators meet the trace test, which every element
+    # of finite order passes.
+    checked = []
+    real = groups._refuse_infinite_order
+
+    def recording(n, matrices, max_order):
+        checked.append(n)
+        real(n, matrices, max_order)
+
+    monkeypatch.setattr(groups, "_refuse_infinite_order", recording)
+    rng = random.Random(29)
+    s4, s4_inv = random_rational_basis_change(rng, 4)
+    # S^-1 = I - step has the columns e_1 and e_j + e_(j-1) / j for j = 2..5,
+    # in distinct orbits of B5, so Omega has 10 + 4 * 80 points, past
+    # 5 * CHECK_ORBIT_PAST; S is the sum of the powers of step.
+    step = tuple(tuple(Fraction(-1, j + 1) if j == i + 1 else Fraction(0) for j in range(5))
+                 for i in range(5))
+    s5, power = identity(5), identity(5)
+    for _ in range(4):
+        power = oracle_mat_mul(power, step)
+        s5 = tuple(tuple(a + b for a, b in zip(r, q)) for r, q in zip(s5, power))
+    s5_inv = tuple(tuple(a - b for a, b in zip(r, q)) for r, q in zip(identity(5), step))
+    assert oracle_mat_mul(s5, s5_inv) == identity(5)
+    for gens, order in ((conjugate_all(hyperoctahedral_generators(4), s4, s4_inv), 384),
+                        (conjugate_all(hyperoctahedral_generators(5), s5, s5_inv), 3840)):
+        n = len(gens[0])
+        del checked[:]
+        g = generate_group(gens)
+        assert g.order == order and checked == [n]
+        assert len(g._omega) > n * groups.CHECK_ORBIT_PAST
+        for _ in range(50):
+            i, j = rng.randrange(g.order), rng.randrange(g.order)
+            assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(g.matrix_of(i), g.matrix_of(j))
 
 
 def test_sympy_permutation_group_order_oracle():

@@ -12,10 +12,10 @@ from suborbifolds.linalg import (
     affine_subspace,
     contains_point,
     coordinates,
+    dense,
     direction_sum_is_full,
     equations,
     fixed_points,
-    identity,
     int_mat_vec,
     int_images,
     int_matrix,
@@ -27,6 +27,7 @@ from suborbifolds.linalg import (
     mat_rank,
     meet,
     point_from_coordinates,
+    pull_back,
     rat,
     rat_str,
     read_rational,
@@ -42,9 +43,11 @@ from suborbifolds.linalg import (
 )
 
 from oracles import (
+    identity,
     int_form,
     oracle_canonical_subspace,
     oracle_intersect,
+    oracle_mat_mul,
     oracle_meet,
     oracle_mat_vec,
     oracle_rank,
@@ -698,3 +701,19 @@ def test_identity_forms_are_marked_at_every_dimension():
         _, rows = linalg.identity_form(n)
         assert type(rows) is linalg.Monomial
         assert int_mat_vec(rows, tuple(range(n))) == tuple(range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monomial_matrices, st.sampled_from(NOT_MONOMIAL),
+                 st.integers(0, 4).flatmap(lambda n: kernel_matrix(n, n))), st.data())
+def test_dense_inverts_sparse_and_pull_back_is_the_oracle_product(m, data):
+    # A square form's sparse rows densify back to its integer rows, and the
+    # equations c pulled back through it are c (d m), the oracle's product.
+    d, rows = int_matrix(m)
+    n = len(rows)
+    form = sparse(rows)
+    assert dense(form, n) == [list(row) for row in rows]
+    assert sparse(dense(form, n)) == form
+    c = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=3))
+    want = [[d * x for x in row] for row in oracle_mat_mul(c, m)] if n else [[] for _ in c]
+    assert pull_back(c, form) == want

@@ -17,23 +17,39 @@ from suborbifolds.classify import (
 )
 from suborbifolds.corpus import (
     ROT2,
+    klein_chart,
     line_chart,
     point_candidate,
     rot4_chart,
     rotation_line_candidate,
+    x_axis,
 )
 from suborbifolds.errors import (
+    ChartMismatch,
     CodomainNotManifold,
     EmptyPreimage,
+    GroupTooLarge,
     NonInvariant,
     NotImmersion,
     NotInjectiveOnQuotient,
     NotLocalized,
+    NotNormal,
+    NotSubmersion,
     NotTransverse,
     NotTransverseToQ,
+    RankDeficient,
 )
-from suborbifolds.groups import GroupHom, generate_group, trivial_group
+from suborbifolds.groups import (
+    GroupHom,
+    all_subgroups,
+    find_complement,
+    generate_group,
+    group_from_forms,
+    quotient_group,
+    trivial_group,
+)
 from suborbifolds.linalg import (
+    Monomial,
     affine_subspace,
     contains_point,
     map_subspace,
@@ -61,6 +77,9 @@ from suborbifolds.scene import parse_scene
 
 from oracles import (
     conjugate_all,
+    hyperoctahedral_generators,
+    identity,
+    int_form,
     oracle_block_diag,
     oracle_equivariance_failure,
     oracle_map_subspace,
@@ -98,6 +117,63 @@ def trivial_map(n1, n2, rows, offset=None):
         d, c, mat(rows), vec(offset or [0] * n2),
         trivial_hom(d.group, c.group),
     )
+
+
+def _identity_map(chart):
+    n = chart.ambient_dim
+    return EquivariantAffineMap(chart, chart, identity(n), [0] * n, identity_hom(chart.group))
+
+
+def _on_klein():
+    klein = klein_chart()
+    return SuborbifoldCandidate(klein, klein.group.full_subgroup(), x_axis())
+
+
+def _reflection_in_b2():
+    """B2 and the subgroup of one reflection, which is not normal in it."""
+    b2 = generate_group(hyperoctahedral_generators(2))
+    return b2.full_subgroup(), b2.subgroup_from_matrices([mat([[1, 0], [0, -1]])])
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: SuborbifoldCandidate(rot4_chart(), klein_chart().group.full_subgroup(), x_axis()),
+     ChartMismatch, "subgroup does not live in the chart group"),
+    (lambda: SuborbifoldCandidate(rot4_chart(), rot4_chart().group.full_subgroup(),
+                                  single_point([0])),
+     ChartMismatch, "subspace ambient dimension differs from chart"),
+    (lambda: EquivariantAffineMap(rot4_chart(), rot4_chart(), [[1, 0]], [0, 0],
+                                  identity_hom(rot4_chart().group)),
+     ChartMismatch, "linear part has wrong shape"),
+    (lambda: EquivariantAffineMap(rot4_chart(), rot4_chart(), identity(2), [0],
+                                  identity_hom(rot4_chart().group)),
+     ChartMismatch, "offset has wrong length"),
+    (lambda: EquivariantAffineMap(rot4_chart(), rot4_chart(), identity(2), [0, 0],
+                                  identity_hom(klein_chart().group)),
+     ChartMismatch, "theta does not connect the chart groups"),
+    (lambda: image_suborbifold(_identity_map(rot4_chart()), _on_klein()),
+     ChartMismatch, "candidate does not live in the map's domain chart"),
+    (lambda: transverse_candidates(rot4_chart(), _on_klein(), rotation_line_candidate()),
+     ChartMismatch, "candidates do not share the chart"),
+    (lambda: preimage_suborbifold(_identity_map(rot4_chart()), _on_klein()),
+     ChartMismatch, "target candidate does not live in the codomain chart"),
+    (lambda: fibered_product(trivial_map(1, 1, [[1]]), trivial_map(1, 2, [[1], [0]])),
+     ChartMismatch, "submersions must share the codomain"),
+    (lambda: compose(_identity_map(rot4_chart()), _identity_map(klein_chart())),
+     ChartMismatch, "maps are not composable"),
+    (lambda: quotient_group(*_reflection_in_b2()), NotNormal, "k is not normal in d"),
+    (lambda: find_complement(*_reflection_in_b2()), NotNormal, "k is not normal in d"),
+    (lambda: all_subgroups(generate_group(hyperoctahedral_generators(5)).full_subgroup()),
+     GroupTooLarge, "subgroup enumeration bounded at order 512"),
+    (lambda: fibered_product(trivial_map(1, 1, [[0]]), trivial_map(1, 1, [[1]])),
+     NotSubmersion, "both maps must be submersions"),
+    (lambda: regular_value_preimage(trivial_map(2, 2, [[1, 0], [1, 0]]), [0, 0]),
+     RankDeficient, "rank of the lift is below the codomain dimension"),
+])
+def test_each_refusal_names_its_reason(refused, error, message):
+    # Every raise site of these refusals, each with its exact type and message.
+    with pytest.raises(error) as raised:
+        refused()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_equivariance_enforced():
@@ -184,18 +260,46 @@ def test_equivariance_check_matches_fraction_products():
     assert seen == {"holds", "linear part", "offset", "element 0", "element > 0"}
 
 
-def test_pair_index_matches_the_block_matrix_index():
-    # rot4 x rot4 (integer entries) and the rational scene's maps (entries
-    # over 2, 3 and 6): every pair, looked up by columns, against index_of
-    # of the block-diagonal Fraction matrix.
+def test_pair_index_matches_the_block_matrix_index(monkeypatch):
+    # rot4 x rot4 and B3 x Z2 (integer entries) and the rational scene's maps
+    # (entries over 2, 3 and 6): every pair, looked up by columns, against
+    # index_of of the block-diagonal Fraction matrix. The product's
+    # generators diag(a, I) and diag(I, b) are the oracle's block matrices,
+    # and a monomial factor's blocks keep the Monomial mark.
+    import suborbifolds.maps as maps
+
+    built = []
+
+    def recording(gens, max_order):
+        built.append(gens)
+        return group_from_forms(gens, max_order)
+
+    monkeypatch.setattr(maps, "group_from_forms", recording)
     scene = parse_scene(RATIONAL_SCENE.read_text())
-    pairs = [(rot4_chart(), rot4_chart())]
+    b3 = chart_from_group(generate_group(hyperoctahedral_generators(3)))
+    pairs = [(rot4_chart(), rot4_chart()), (b3, line_chart())]
     pairs += [(f.domain, f.codomain) for f in scene.maps.values()]
     pairs.append((chart_from_group(scene.groups["tall_b2"]),
                   chart_from_group(scene.groups["skew_klein"])))
     assert any(c.group.integer_forms[0] > 1 for pair in pairs for c in pair)
+    marks = set()
     for left, right in pairs:
+        del built[:]
         product = product_chart(left, right)
+        (gens,) = built
+        n1, n2 = left.ambient_dim, right.ambient_dim
+        blocks = [(left.group, a, lambda m: oracle_block_diag(m, identity(n2)))
+                  for a in left.group.generators]
+        blocks += [(right.group, b, lambda m: oracle_block_diag(identity(n1), m))
+                   for b in right.group.generators]
+        assert len(gens) == len(blocks)
+        for gen, (group, i, block) in zip(gens, blocks):
+            d, forms = group.integer_forms
+            assert gen == int_form(block(group.matrix_of(i)), d)
+            assert type(gen[1]) is type(forms[i])
+            marks.add(type(gen[1]))
+        if left is b3:
+            assert all(type(rows) is Monomial for _, rows in gens)
         combined = product.combined.group
         assert combined.order == left.group.order * right.group.order
         indices = [[product.pair_index(i, j) for j in range(right.group.order)]
@@ -204,6 +308,7 @@ def test_pair_index_matches_the_block_matrix_index():
             for j, b in enumerate(right.group.matrices):
                 assert indices[i][j] == combined.index_of(oracle_block_diag(a, b))
         assert sorted(x for row in indices for x in row) == list(combined.members)
+    assert marks == {Monomial, tuple}
 
 
 def test_compose():

@@ -20,7 +20,11 @@ from suborbifolds.errors import CandidateNotSaturated
 from suborbifolds.groups import Fingerprint, GroupElement, Subgroup, generate_group
 from suborbifolds.linalg import AffineSubspace
 from suborbifolds.metric import MetricProbe
-from suborbifolds.scene import SceneFile
+from suborbifolds.scene import SceneFile, read_scene
+
+
+def _empty_scene():
+    return SceneFile({}, {}, {}, {}, {}, {}, [])
 
 
 def _unsaturated():
@@ -49,10 +53,11 @@ def test_the_hash_is_the_hash_of_the_fields():
     other = AffineSubspace(2, 1, (0, 0), ((1, 0),), (1,))
     assert v == other and hash(v) == hash(other) == hash((2, 1, (0, 0), ((1, 0),)))
     assert v != AffineSubspace(2, 2, (1, 0), ((1, 0),), (0,))
+    # frozen, but their dict and list fields have no hash
     with pytest.raises(TypeError, match="unhashable"):
-        hash(SceneFile())
+        hash(_empty_scene())
     with pytest.raises(TypeError, match="unhashable"):
-        hash(CorpusReport())
+        hash(CorpusReport([], [], 0.0))
 
 
 def test_records_of_different_classes_are_never_equal():
@@ -62,7 +67,7 @@ def test_records_of_different_classes_are_never_equal():
     assert saturation == SaturationWitness(GroupElement(((1,),), 0), (0,))
     assert Verdict(True) != (True, None)
     assert SaturationWitness.__eq__(saturation, fullness) is NotImplemented
-    assert SceneFile() == SceneFile() and SceneFile() != CorpusReport()
+    assert _empty_scene() == _empty_scene() and _empty_scene() != CorpusReport([], [], 0.0)
 
 
 def test_fields_of_a_frozen_record_cannot_be_set_or_deleted():
@@ -81,9 +86,14 @@ def test_fields_of_a_frozen_record_cannot_be_set_or_deleted():
     cand = _unsaturated()
     assert cand.saturation is cand.saturation and "saturation" in vars(cand)
     assert v.basis is v.basis and v.base_point is v.base_point and hash(v) == hash(v)
-    report = CorpusReport()
-    report.elapsed_seconds = 1.5
-    assert report.elapsed_seconds == 1.5
+    report = CorpusReport([], [], 0.0)
+    for record, name in ((report, "results"), (_empty_scene(), "queries"),
+                         (read_scene("{}"), "groups")):
+        with pytest.raises(records.FrozenInstanceError, match=repr(name)):
+            setattr(record, name, [])
+    with pytest.raises(records.FrozenInstanceError, match="'elapsed_seconds'"):
+        report.elapsed_seconds = 1.5
+    assert report.elapsed_seconds == 0.0
 
 
 def test_a_witness_repr_is_the_former_dataclass_repr():
@@ -120,7 +130,6 @@ def test_constructors_keep_their_signatures():
     assert EmbeddedResult(True).deltas_checked == 0
     assert EmbeddedResult(False, None, None, True, 3) == EmbeddedResult(
         False, searched_all_delta=True, deltas_checked=3)
-    assert CorpusReport().results == [] and CorpusReport().results is not CorpusReport().results
     assert Verdict(holds=True) == Verdict(True, None)
     calls = [
         lambda: Fingerprint(4, (1,)),  # a missing argument
@@ -128,6 +137,8 @@ def test_constructors_keep_their_signatures():
         lambda: Fingerprint(4, (1,), True, order=4),  # one argument twice
         lambda: Fingerprint(4, (1,), True, False),  # too many
         lambda: ChartModel(),
+        lambda: CorpusReport(),  # built once, with every field
+        lambda: SceneFile(),
         lambda: Verdict(),  # the records that write their own __init__
         lambda: Verdict(True, witness=None, colour="red"),
         lambda: AffineSubspace(2, 1, (0, 0), ((1, 0),)),

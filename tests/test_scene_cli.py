@@ -466,6 +466,18 @@ def test_cli_max_order_bounds_the_scene_groups(scene_path, capsys):
     assert "group closure exceeded max_order=3" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_scene_group_of_infinite_order_at_once(tmp_path, capsys):
+    # diag(1000, 1, 1, 1, 1) has trace 1004 > 5, so it cannot have finite
+    # order; its orbit of the basis was walked to 5 * 10000 points first.
+    big = [[1000 if i == j == 0 else int(i == j) for j in range(5)] for i in range(5)]
+    scene = {"groups": {"big": [big]}, "subspaces": {"origin": {"base": [0] * 5}},
+             "candidates": {"point": {"group": "big", "subspace": "origin"}}}
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(scene))
+    assert main(["classify", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err == "error: group closure exceeded max_order=10000\n"
+
+
 MAPS_SCENE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "scenes", "maps.json")
 
