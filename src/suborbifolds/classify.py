@@ -463,7 +463,6 @@ class EmbeddedResult:
     effective_delta: Subgroup | None = None
     certificate: NoComplementCertificate | None = None
     searched_all_delta: bool = False
-    deltas_checked: int = 0
 
 
 def _acts_effectively(sub: Subgroup, fixing: Subgroup) -> bool:
@@ -498,20 +497,14 @@ def check_embedded(
         return EmbeddedResult(False, certificate=complement)
     subgroups = all_subgroups(cand.chart.group)
     fixing = pointwise_stabilizer(cand.chart.group, cand.v)
-    for checked, sub in enumerate(subgroups, start=1):
+    for sub in subgroups:
         try:
             other = SuborbifoldCandidate(cand.chart, sub, cand.v)
         except NonInvariant:
             continue
         if _acts_effectively(sub, fixing) and check_saturated(other).holds:
-            return EmbeddedResult(
-                True, effective_delta=sub, searched_all_delta=True,
-                deltas_checked=checked,
-            )
-    return EmbeddedResult(
-        False, certificate=complement, searched_all_delta=True,
-        deltas_checked=len(subgroups),
-    )
+            return EmbeddedResult(True, effective_delta=sub, searched_all_delta=True)
+    return EmbeddedResult(False, certificate=complement, searched_all_delta=True)
 
 
 @record

@@ -25,7 +25,7 @@ from .linalg import (
     whole_space,
 )
 from .maps import product_chart
-from .metric import MetricProbe, lemma_metrics_check
+from .metric import MetricProbe
 from .records import record
 
 ROT4_GEN = mat([[0, -1], [1, 0]])
@@ -296,11 +296,3 @@ def run_corpus(name_filter: str | None = None, cases=CASES) -> CorpusReport:
         if mismatched:
             mismatches.append((case.name, mismatched))
     return CorpusReport(results, mismatches, time.perf_counter() - start)
-
-
-def run_metric_corpus(depth: int | None = None, tolerance: float | None = None):
-    """Run the metric-lemma probes; returns {name: MetricReport}."""
-    return {
-        name: lemma_metrics_check(probe.with_settings(depth, tolerance))
-        for name, probe in metric_probes().items()
-    }

@@ -15,8 +15,8 @@ groups have identical element lists whatever generated them, and every
 reported witness is reproducible. A matrix group and its subgroups
 expose ``parent`` (the matrix group the indices refer to; a matrix group
 is its own parent), ``members`` (the parent indices of the elements, in
-order), ``generators`` and ``matrices`` (the member matrices in member
-order), so no caller needs to tell them apart. Products are taken only
+order) and ``generators``, so no caller needs to tell them apart; a
+member's matrix is its parent's. Products are taken only
 in the parent, on parent indices (``mult``, ``inv`` and ``identity``). A
 quotient d/k is never built as a group of its own: it is read from the
 cosets of k in the parent, and ``quotient_group`` returns its fingerprint
@@ -36,8 +36,9 @@ that is not square or not injective on Omega, or an orbit past
 ``CHECK_ORBIT_PAST`` points per dimension, sends the generators through
 the one-by-one check (square, then invertible by a rank test), which
 names the same generator with the same message as checking every
-generator first; after it, a generator whose traces show infinite order
-is refused at once. Each element permutes Omega, and as Omega spans Q^n
+generator first; after it, a generator of infinite order is refused at
+once, by its traces or by a power that is not the identity. Each element
+permutes Omega, and as Omega spans Q^n
 that action is faithful; an element is even determined by its column
 key, the indices in Omega of its columns g e_1, ..., g e_n, which are the
 first n entries of its permutation. The generators' permutations are
@@ -48,8 +49,9 @@ Sorting the d g sorts the g, as d > 0. A matrix is looked up by the
 points of its columns (``element_with_columns``), never by hashing
 Fractions: a product chart finds diag(a, b) from the columns of a and b
 (``columns``), and an induced chart a restricted element from its integer
-columns. Fraction matrices are made on first use, one Fraction per
-distinct entry.
+columns. The element's Fraction matrix is read off d g only for a value
+returned: ``element(i)`` builds one, for a witness, and ``elements``
+every one, sharing one Fraction per distinct entry.
 
 Products are computed on demand, never tabulated: the key of a b is
 (pi_a[k] for k in key(b)), with pi_a a's permutation of Omega, read by one
@@ -90,7 +92,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -126,8 +128,8 @@ SUBGROUP_ENUMERATION_BOUND = 512
 # Once the orbit of the basis passes this many points per dimension, the
 # generators are checked one by one, so a singular generator with an
 # infinite orbit is named at once rather than after n * max_order points
-# (about 1 s at the default bound), and most invertible ones are refused
-# by their traces. A signed permutation group has 2 points per dimension.
+# (about 1 s at the default bound), and one of infinite order is refused.
+# A signed permutation group has 2 points per dimension.
 CHECK_ORBIT_PAST = 64
 
 
@@ -149,10 +151,6 @@ class GroupElement:
     matrix: Mat
     index: int
 
-    def __init__(self, matrix, index):
-        set_field(self, "matrix", matrix)
-        set_field(self, "index", index)
-
 
 class FiniteMatrixGroup:
     """A finite group of invertible rational n x n matrices.
@@ -169,7 +167,6 @@ class FiniteMatrixGroup:
         self.ambient_dim = n
         self._points = points
         self._omega = tuple(points)
-        self._int_matrices = tuple(m for m, _ in elements)
         self._perms = tuple(p for _, p in elements)
         self._keys = tuple(p[:n] for p in self._perms)
         self._element_of = {key: i for i, key in enumerate(self._keys)}
@@ -178,33 +175,27 @@ class FiniteMatrixGroup:
         self.identity = self._element_of[tuple(range(n))]
         self.generators = tuple(dict.fromkeys(self._element_of[key] for key in generators))
         self.integer_forms: tuple[int, tuple[IntMat, ...]] = (
-            d, tuple(map(sparse, self._int_matrices)))
+            d, tuple([sparse(m) for m, _ in elements]))
         # The saturation work of the last few subspaces asked about, least
         # recently used first (``classify.OrbitOfV.of``).
         self.orbits_of_v: dict = {}
 
     @cached_property
-    def matrices(self) -> tuple[Mat, ...]:
-        """The elements as Fraction matrices, one Fraction per distinct entry."""
-        d = self.integer_forms[0]
-        values = {x: Fraction(x, d)
-                  for x in {x for m in self._int_matrices for row in m for x in row}}
-        return tuple(tuple(tuple(map(values.__getitem__, row)) for row in m)
-                     for m in self._int_matrices)
-
-    @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(m, i) for i, m in enumerate(self.matrices))
+        """Every element with its Fraction matrix, in index order, one
+        Fraction object per distinct entry."""
+        d, forms = self.integer_forms
+        rows = [dense(m, self.ambient_dim) for m in forms]
+        values = {x: Fraction(x, d) for x in {x for m in rows for row in m for x in row}}
+        return tuple([GroupElement(tuple([tuple(map(values.__getitem__, row)) for row in m]), i)
+                      for i, m in enumerate(rows)])
 
     def element(self, i: int) -> GroupElement:
-        """Element i with its matrix; builds no other element's matrix
-        unless ``matrices`` already holds them all."""
-        matrices = self.__dict__.get("matrices")
-        if matrices is not None:
-            return GroupElement(matrices[i], i)
-        d = self.integer_forms[0]
-        return GroupElement(
-            tuple(tuple([Fraction(x, d) for x in row]) for row in self._int_matrices[i]), i)
+        """Element i with its Fraction matrix, built without the other
+        elements' (a witness needs one element, ``elements`` every one)."""
+        d, forms = self.integer_forms
+        return GroupElement(tuple([tuple([Fraction(x, d) for x in row])
+                                   for row in dense(forms[i], self.ambient_dim)]), i)
 
     @cached_property
     def _inverse(self) -> tuple[int, ...]:
@@ -274,9 +265,6 @@ class FiniteMatrixGroup:
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
-
-    def matrix_of(self, i: int) -> Mat:
-        return self.matrices[i]
 
     def columns(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The columns g e_1, ..., g e_n of element i as points (den, den x)
@@ -352,10 +340,6 @@ class Subgroup:
         return len(self.members)
 
     @cached_property
-    def matrices(self) -> tuple[Mat, ...]:
-        return tuple(self.parent.matrices[i] for i in self.members)
-
-    @cached_property
     def _span(self) -> tuple[tuple[int, ...], frozenset[int]]:
         """Parent indices of generators and the subgroup they generate: the
         parent's own for the whole group, else greedy ones picked in member
@@ -369,9 +353,6 @@ class Subgroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         return self._span[0]
-
-    def matrix_of(self, i: int) -> Mat:
-        return self.parent.matrices[self.members[i]]
 
     def is_closed(self) -> bool:
         """Do the members form a group? They do exactly when the generators
@@ -536,7 +517,7 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
     there. Only when a generator is not, or the orbit passes
     ``CHECK_ORBIT_PAST`` points per dimension or its cap, are the
     generators checked one by one (``_refuse_generators``), so a singular
-    generator is named as such; past ``CHECK_ORBIT_PAST`` their traces are
+    generator is named as such; past ``CHECK_ORBIT_PAST`` their orders are
     checked next (``_refuse_infinite_order``). The permutations are
     closed, and each element's matrix is read off the images of the basis,
     which come first.
@@ -576,14 +557,42 @@ def _dense(n: int, forms) -> list:
 
 def _refuse_infinite_order(n: int, matrices, max_order: int) -> None:
     """Raise ``NotFiniteWithinBound(max_order)`` for the first generator
-    (d, dense d g) with tr(g) or tr(g^2) not an integer of absolute value at
-    most n. For g of finite order both are sums of n roots of unity and
-    rational, so integers; a g that passes may still have infinite order."""
-    for d, rows in matrices:
-        for m, scale in ((rows, d), (mat_mul(rows, rows, n), d * d)):
-            trace = sum([m[i][i] for i in range(n)])
-            if trace % scale or abs(trace) > n * scale:
+    (d, dense d g) of infinite order.
+
+    Each eigenvalue of a g of finite order is a root of unity of some order
+    k, whose minimal polynomial over Q has degree phi(k) <= n, and g is
+    diagonalizable; so g has finite order exactly when g^M = I for
+    M = lcm{k : phi(k) <= n} (each such k is at most 2 n^2, as
+    phi(k) >= sqrt(k / 2)). g^M is found by repeated squaring, and first
+    each square g^(2^j) must have a trace that is an integer of absolute
+    value at most n, as a sum of n roots of unity that is rational; most g
+    of infinite order fail that at g or g^2.
+    """
+    exponent = lcm(*[k for k in range(1, 2 * n * n + 1)
+                     if sum([gcd(j, k) == 1 for j in range(k)]) <= n])
+    identity = (1, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
+    for form in matrices:
+        power, result, e = form, identity, exponent
+        while e:  # power is g^(2^j); result is g^(exponent mod 2^j)
+            d, rows = power
+            trace = sum([rows[i][i] for i in range(n)])
+            if trace % d or abs(trace) > n * d:
                 raise NotFiniteWithinBound(max_order)
+            if e & 1:
+                result = _product(n, result, power)
+            e >>= 1
+            if e:
+                power = _product(n, power, power)
+        if result != identity:
+            raise NotFiniteWithinBound(max_order)
+
+
+def _product(n: int, a, b):
+    """a b for n x n matrices a and b given as (den, dense integer rows), in
+    lowest terms: no common factor of den and every entry."""
+    den, rows = a[0] * b[0], mat_mul(a[1], b[1], n)
+    common = gcd(den, *[x for row in rows for x in row])
+    return den // common, tuple([tuple([x // common for x in row]) for row in rows])
 
 
 def _refuse_generators(n: int, matrices) -> None:

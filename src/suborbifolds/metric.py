@@ -41,7 +41,7 @@ from .linalg import (
     scaled,
     vec,
 )
-from .records import record, replace
+from .records import record
 
 DEFAULT_DEPTH = 8
 # Each level doubles the pieces per segment, and every depth up to the
@@ -76,9 +76,11 @@ class MetricProbe:
     def with_settings(self, depth: int | None = None,
                       tolerance: float | None = None) -> "MetricProbe":
         """This probe with the given depth and tolerance, where they are not None."""
-        changes = {k: v for k, v in (("partition_depth", depth), ("tolerance", tolerance))
-                   if v is not None}
-        return replace(self, **changes) if changes else self
+        if depth is None and tolerance is None:
+            return self
+        return MetricProbe(self.group, self.subgroup, self.subspace, self.sample_pairs,
+                           self.partition_depth if depth is None else depth,
+                           self.tolerance if tolerance is None else tolerance)
 
 
 def check_settings(depth, tolerance, sample_pairs) -> None:

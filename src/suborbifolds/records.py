@@ -135,14 +135,3 @@ def record(cls):
     cls.__delattr__ = _frozen_delattr
     return cls
 
-
-def replace(obj, **changes):
-    """A new record of obj's class with the given fields changed; the new
-    record is built by its class's ``__init__``, so it is checked again."""
-    spec = getattr(obj.__class__, "_record_spec", None)
-    if spec is None:
-        raise TypeError("replace() should be called on record instances")
-    for name in spec.names:
-        if name not in changes:
-            changes[name] = getattr(obj, name)
-    return obj.__class__(**changes)

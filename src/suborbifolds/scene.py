@@ -400,25 +400,17 @@ def dump_machine_report(payload: dict) -> str:
 
     The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
     and a newline, written here because ``json`` encodes an indented
-    document in pure Python. A payload holding anything but dicts with
-    string keys, lists, tuples, strings, ints, floats, booleans and None is
-    left to ``json.dumps`` whole, so it is written, or refused, as
-    ``json`` would.
+    document in pure Python. The payload may hold only dicts with string
+    keys, lists, tuples, strings, ints, floats, booleans and None; anything
+    else raises ``TypeError``, as it does in ``json``.
     """
     out: list[str] = []
-    try:
-        _write_json(payload, "\n", out.append)
-    except _NotPlainJSON:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_json(payload, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
 _INFINITY = float("inf")
-
-
-class _NotPlainJSON(Exception):
-    """A value ``_write_json`` leaves to ``json.dumps``."""
 
 
 def _write_json(value, newline: str, append) -> None:
@@ -449,7 +441,7 @@ def _write_json(value, newline: str, append) -> None:
         separator, following = "{" + inner, "," + inner
         for key in sorted(value):
             if type(key) is not str:
-                raise _NotPlainJSON
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             append(separator)
             separator = following
             append(encode_basestring_ascii(key))
@@ -468,7 +460,7 @@ def _write_json(value, newline: str, append) -> None:
             _write_json(item, inner, append)
         append(newline + "]")
     else:
-        raise _NotPlainJSON
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def strip_timing(payload):

@@ -46,6 +46,13 @@ from suborbifolds.linalg import (
 )
 
 
+def matrices_of(g) -> list:
+    """The Fraction matrices of a matrix group's or subgroup's members, in
+    member order, read off the parent's cached ``elements``."""
+    elements = g.parent.elements
+    return [elements[i].matrix for i in g.members]
+
+
 # ---------------------------------------------------------------------------
 # Self-contained exact linear algebra (the oracle's own solver)
 
@@ -222,10 +229,10 @@ def oracle_saturated_sampled(cand: SuborbifoldCandidate, rng: random.Random,
     it is cross-checked against the engine both ways in the tests.
     """
     group = cand.chart.group
-    delta_mats = [group.matrix_of(i) for i in cand.delta.members]
+    delta_mats = [group.elements[i].matrix for i in cand.delta.members]
     for x in sample_in_subspace(cand.v, rng, samples):
         for g in range(group.order):
-            gx = oracle_mat_vec(group.matrix_of(g), x)
+            gx = oracle_mat_vec(group.elements[g].matrix, x)
             if not contains_point(cand.v, gx):
                 continue
             if all(oracle_mat_vec(h, x) != gx for h in delta_mats):
@@ -244,12 +251,13 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     group = cand.chart.group
     v = cand.v
     for g in range(group.order):
-        g_inv_v = oracle_map_subspace(group.matrix_of(group.inv(g)), zero_vec(v.ambient_dim), v)
+        g_inv_v = oracle_map_subspace(group.elements[group.inv(g)].matrix,
+                                      zero_vec(v.ambient_dim), v)
         w_g = oracle_intersect(v, g_inv_v)
         if w_g is None:
             continue
-        moved = oracle_images(group.matrix_of(g), w_g)
-        if not any(oracle_images(h, w_g) == moved for h in cand.delta.matrices):
+        moved = oracle_images(group.elements[g].matrix, w_g)
+        if not any(oracle_images(h, w_g) == moved for h in matrices_of(cand.delta)):
             point = _witness_point(w_g, group, cand.delta, g)
             return Verdict(False, SaturationWitness(group.elements[g], point))
     return Verdict(True)
@@ -263,7 +271,7 @@ def verify_saturation_witness(cand: SuborbifoldCandidate, witness) -> bool:
     if not (contains_point(cand.v, x) and contains_point(cand.v, gx)):
         return False
     return all(
-        oracle_mat_vec(group.matrix_of(h), x) != gx for h in cand.delta.members
+        oracle_mat_vec(group.elements[h].matrix, x) != gx for h in cand.delta.members
     )
 
 
@@ -276,7 +284,7 @@ def oracle_full(cand: SuborbifoldCandidate) -> bool:
     for g in range(group.order):
         if g in members:
             continue
-        m = group.matrix_of(g)
+        m = group.elements[g].matrix
         # (g - I) x = 0  and  x - B t = base, unknowns (x, t).
         k = cand.v.dim
         rows = []
@@ -322,7 +330,8 @@ def oracle_induced_chart(cand: SuborbifoldCandidate):
     image_of = tuple(induced.element_with_columns(restricted[i]) for i in delta.members)
     total = [Fraction(0)] * v.ambient_dim
     for i in delta.members:
-        total = [a + b for a, b in zip(total, oracle_mat_vec(group.matrix_of(i), v.base_point))]
+        image = oracle_mat_vec(group.elements[i].matrix, v.base_point)
+        total = [a + b for a, b in zip(total, image)]
     return image_of, induced.integer_forms, tuple(c / delta.order for c in total)
 
 
@@ -332,7 +341,7 @@ def oracle_pointwise_stabilizer(g, v: AffineSubspace) -> tuple[int, ...]:
     points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, u)) for u in v.basis]
     parent = g.parent
     return tuple(i for i in g.members
-                 if all(oracle_mat_vec(parent.matrix_of(i), x) == x for x in points))
+                 if all(oracle_mat_vec(parent.elements[i].matrix, x) == x for x in points))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +388,7 @@ def random_candidate(rng: random.Random, max_group_order: int = 16,
         p = vec([rng.randint(-3, 3) for _ in range(n)])
         centroid = [Fraction(0)] * n
         for i in delta.members:
-            q = oracle_mat_vec(group.matrix_of(i), p)
+            q = oracle_mat_vec(group.elements[i].matrix, p)
             centroid = [a + b for a, b in zip(centroid, q)]
         centroid = vec([c / delta.order for c in centroid])
         # Direction space: Delta-orbit span of a few random directions.
@@ -387,7 +396,7 @@ def random_candidate(rng: random.Random, max_group_order: int = 16,
         for _ in range(rng.randint(0, n)):
             d = vec([rng.randint(-2, 2) for _ in range(n)])
             for i in delta.members:
-                dirs.append(oracle_mat_vec(group.matrix_of(i), d))
+                dirs.append(oracle_mat_vec(group.elements[i].matrix, d))
         return SuborbifoldCandidate(
             chart, delta, affine_subspace(centroid, dirs)
         )
@@ -422,7 +431,7 @@ def stabilizer_candidate(rng: random.Random, chart, basis_change=None,
         basis = [oracle_mat_vec(basis_change, vec(d)) for d in basis]
     v = affine_subspace(base, basis)
     points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, d)) for d in v.basis]
-    stab = [i for i, m in enumerate(group.matrices)
+    stab = [i for i, m in enumerate(matrices_of(group))
             if all(contains_point(v, oracle_mat_vec(m, p)) for p in points)]
     kind = rng.randrange(3)
     seed = stab if kind == 0 else [rng.choice(stab)] if kind == 1 else []
@@ -617,8 +626,8 @@ def oracle_equivariance_failure(domain, codomain, linear, offset, images):
     order, at which theta(g) L = L g or theta(g) c = c fails, by Fraction
     matrix products (``images[g]`` is theta(g)'s index in the codomain
     group); None when both hold everywhere."""
-    for g, g_mat in enumerate(domain.matrices):
-        t = codomain.matrix_of(images[g])
+    for g, g_mat in enumerate(matrices_of(domain)):
+        t = codomain.elements[images[g]].matrix
         if oracle_mat_mul(t, linear) != oracle_mat_mul(linear, g_mat):
             return g, "linear part"
         if oracle_mat_vec(t, offset) != tuple(offset):
@@ -631,9 +640,9 @@ def oracle_quotient_fingerprint(d, k):
     sets of matrices, each coset's order by multiplying a representative
     until its power lies in k, and commutativity tested on every pair of
     cosets (ab k = ba k)."""
-    kernel = set(k.matrices)
+    kernel = set(matrices_of(k))
     coset_of = {}
-    for a in d.matrices:
+    for a in matrices_of(d):
         if a not in coset_of:
             coset = frozenset(oracle_mat_mul(a, x) for x in kernel)
             coset_of.update(dict.fromkeys(coset, coset))
@@ -704,7 +713,7 @@ def oracle_segment_sum(matrices, start, end, pieces):
 
 def oracle_quotient_distance(group, x, y):
     """min over the group of |x - g y|, from the Fraction minimum."""
-    return math.sqrt(_min_orbit_sq_dist(group.matrices, vec(x), vec(y)))
+    return math.sqrt(_min_orbit_sq_dist(matrices_of(group), vec(x), vec(y)))
 
 
 def oracle_piece_segment_sum(scale, forms, pieces):
@@ -733,10 +742,10 @@ def oracle_intrinsic_distances(probe, x, y):
     x, y = vec(x), vec(y)
     best = [None] * (probe.partition_depth + 1)
     for h in probe.subgroup.members:
-        target = oracle_mat_vec(probe.group.matrix_of(h), y)
+        target = oracle_mat_vec(probe.group.elements[h].matrix, y)
         sup = 0.0
         for depth in range(probe.partition_depth + 1):
-            sup = max(sup, oracle_segment_sum(probe.group.matrices, x, target, 2 ** depth))
+            sup = max(sup, oracle_segment_sum(matrices_of(probe.group), x, target, 2 ** depth))
             if best[depth] is None or sup < best[depth]:
                 best[depth] = sup
     return best

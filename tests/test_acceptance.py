@@ -21,10 +21,10 @@ from suborbifolds.corpus import (
     CASES,
     complex_axis_candidate,
     diagonal_half_turn_candidate,
+    metric_probes,
     product_diagonal_candidate,
     rotation_line_candidate,
     run_corpus,
-    run_metric_corpus,
 )
 from suborbifolds.errors import (
     EmptyPreimage,
@@ -53,6 +53,7 @@ from suborbifolds.maps import (
     transverse_candidates,
     trivial_hom,
 )
+from suborbifolds.metric import lemma_metrics_check
 from suborbifolds.classify import chart_from_group
 
 from oracles import (
@@ -254,7 +255,8 @@ def test_criterion_5_splitting_soundness():
 
 def test_criterion_6_metric_coincidence():
     start = time.perf_counter()
-    reports = run_metric_corpus(depth=8, tolerance=1e-9)
+    reports = {name: lemma_metrics_check(probe.with_settings(8, 1e-9))
+               for name, probe in metric_probes().items()}
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in reports.values()) and elapsed < 10.0
     worst = max(r.max_deviation for r in reports.values())

@@ -63,6 +63,7 @@ from oracles import (
     conjugate_all,
     hyperoctahedral_generators,
     int_form,
+    matrices_of,
     oracle_check_saturated,
     oracle_full,
     oracle_images,
@@ -127,7 +128,8 @@ def test_noninvariant_subspace_rejected():
     # the plane, and element 0 does not).
     b3 = generate_group(hyperoctahedral_generators(3))
     v = affine_subspace([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-    first = next(i for i, m in enumerate(b3.matrices) if transform_subspace(int_form(m), v) != v)
+    first = next(i for i, m in enumerate(matrices_of(b3))
+                 if transform_subspace(int_form(m), v) != v)
     assert first > 0
     with pytest.raises(NonInvariant, match=f"subgroup element {first}$"):
         SuborbifoldCandidate(chart_from_group(b3), b3.full_subgroup(), v)
@@ -142,7 +144,6 @@ def test_complex_axis_not_embedded_even_after_search():
     assert not result.holds
     assert result.searched_all_delta
     assert result.certificate is not None
-    assert result.deltas_checked >= 3
 
 
 def test_diagonal_half_turn_obstruction():
@@ -161,10 +162,9 @@ def test_induced_chart_roundtrip_and_equivariance():
         coords = ind.coordinates(x)
         assert ind.embed(coords) == x
     # embedding intertwines the restricted action with the ambient one
-    for i in range(cand.delta.order):
-        parent_mat = cand.delta.matrix_of(i)
+    for i, parent_mat in enumerate(matrices_of(cand.delta)):
         local = ind.restriction(i)
-        local_mat = ind.chart.group.matrix_of(local)
+        local_mat = ind.chart.group.elements[local].matrix
         for x in sample_in_subspace(cand.v, random.Random(4), 4):
             coords = ind.coordinates(x)
             assert ind.embed(oracle_mat_vec(local_mat, coords)) == oracle_mat_vec(
@@ -210,7 +210,7 @@ def _z_axis_in_b3():
     B2 acting on (x, y) (order 8) and the induced group is z -> +-z."""
     b3 = generate_group(hyperoctahedral_generators(3))
     delta = b3.subgroup_from_indices(
-        i for i, m in enumerate(b3.matrices) if m[2][2] != 0)
+        i for i, m in enumerate(matrices_of(b3)) if m[2][2] != 0)
     cand = SuborbifoldCandidate(chart_from_group(b3), delta, affine_subspace([0, 0, 0], [[0, 0, 1]]))
     assert (delta.order, cand.kernel.order) == (16, 8)
     return cand
@@ -253,8 +253,7 @@ def test_induced_chart_rejects_a_homomorphism_with_the_wrong_kernel(monkeypatch)
 
     def det_xy(domain, codomain, image_of):
         minus = 1 - codomain.identity
-        for i in range(domain.order):
-            m = domain.matrix_of(i)
+        for m in matrices_of(domain):
             yield codomain.identity if m[0][0] * m[1][1] - m[0][1] * m[1][0] > 0 else minus
 
     _patched_restriction(monkeypatch, det_xy)
@@ -329,7 +328,7 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
     report = classify(cand, search_all_delta=True)
     embedded = report.embedded
     assert not embedded.holds and embedded.searched_all_delta
-    assert len(built) == embedded.deltas_checked == len(groups.all_subgroups(cand.chart.group))
+    assert len(built) == len(groups.all_subgroups(cand.chart.group))
     assert calls[0] is cand and len(calls) >= 2
     assert len(orbits) == 1
     assert all(other.orbit_of_v is orbits[0] for other in calls)
@@ -479,11 +478,9 @@ def test_witnesses_build_only_their_own_element():
     unsaturated = SuborbifoldCandidate(cand.chart, trivial, cand.v)
     witnesses = [check_saturated(unsaturated).witness, check_full(cand).witness]
     group = cand.chart.group
-    assert "matrices" not in vars(group)
+    assert "elements" not in vars(group)
     for witness in witnesses:
         assert witness.element == group.elements[witness.element.index]
-    assert group.matrix_of(witnesses[0].element.index) is group.matrices[
-        witnesses[0].element.index]
 
 
 def test_a_chart_group_is_freed_once_its_candidates_are_gone():
@@ -839,7 +836,7 @@ def _b3_plane_z_equals_1():
     b3 = generate_group(hyperoctahedral_generators(3))
     v = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
     delta = b3.subgroup_from_indices(
-        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+        i for i, m in enumerate(matrices_of(b3)) if m[2] == (0, 0, 1))
     return SuborbifoldCandidate(chart_from_group(b3), delta, v)
 
 
@@ -921,7 +918,7 @@ def test_saturation_tests_one_element_per_coset(monkeypatch):
                                (conjugate_all(b4, s, s_inv), s)):
         chart = chart_from_group(generate_group(gens))
         group = chart.group
-        index = {m: i for i, m in enumerate(group.matrices)}
+        index = {m: i for i, m in enumerate(matrices_of(group))}
         verdicts, drawn = set(), 0
         while drawn < 4 or (len(verdicts) < 2 and drawn < 30):
             drawn += 1
@@ -941,8 +938,9 @@ def test_saturation_tests_one_element_per_coset(monkeypatch):
             for g in range(last + 1):
                 if g in decided:
                     continue
-                decided |= {index[oracle_mat_mul(h, group.matrix_of(g))] for h in delta.matrices}
-                g_inv_v = oracle_map_subspace(group.matrix_of(group.inv(g)),
+                g_mat = group.elements[g].matrix
+                decided |= {index[oracle_mat_mul(h, g_mat)] for h in matrices_of(delta)}
+                g_inv_v = oracle_map_subspace(group.elements[group.inv(g)].matrix,
                                               zero_vec(v.ambient_dim), v)
                 w_g = oracle_intersect(v, g_inv_v)
                 if w_g is not None:
@@ -1075,20 +1073,19 @@ def test_agrees_on_matches_fraction_images():
         group = cand.chart.group
         h = rng.randrange(group.order)
         g = h if rng.random() < 0.2 else rng.randrange(group.order)
-        want = (oracle_images(group.matrix_of(h), cand.v)
-                == oracle_images(group.matrix_of(g), cand.v))
+        want = (oracle_images(group.elements[h].matrix, cand.v)
+                == oracle_images(group.elements[g].matrix, cand.v))
         assert _agrees_on(group, h, g, cand.v) == want
         seen.add((want, h == g))
     assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_corpus_flipped_expectation_raises():
-    from suborbifolds.corpus import CASES
-    from suborbifolds.records import replace
+    from suborbifolds.corpus import CASES, CorpusCase
 
-    flipped = replace(
-        CASES[0], expected={**CASES[0].expected, "full": True}
-    )
+    case = CASES[0]
+    flipped = CorpusCase(case.name, case.build, {**case.expected, "full": True},
+                         case.search_all_delta, case.checks)
     report = run_corpus(cases=[flipped])
     assert not report.ok
     assert report.mismatches[0][0] == CASES[0].name

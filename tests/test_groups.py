@@ -44,6 +44,7 @@ from oracles import (
     hyperoctahedral_generators,
     identity,
     int_form,
+    matrices_of,
     oracle_find_complement,
     oracle_generate_group,
     oracle_group_closure,
@@ -80,21 +81,21 @@ def test_generate_rot4():
     assert g.is_abelian()
     # canonical element order is lexicographic on matrix entries
     assert g.elements[0].matrix == ROT2
-    assert g.matrix_of(g.identity) == mat([[1, 0], [0, 1]])
+    assert g.elements[g.identity].matrix == mat([[1, 0], [0, 1]])
 
 
 def _assert_matches_reference(g, reference, pairs=None):
     """g has the reference's sorted elements, their products in every cell
     (or in the given cells), the identity and every inverse."""
-    assert list(g.matrices) == reference
+    assert matrices_of(g) == reference
     ident = identity(g.ambient_dim)
-    assert g.matrix_of(g.identity) == ident
+    assert g.elements[g.identity].matrix == ident
     if pairs is None:
         pairs = [(i, j) for i in range(len(reference)) for j in range(len(reference))]
     for i, j in pairs:
-        assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(reference[i], reference[j])
+        assert g.elements[g.mult(i, j)].matrix == oracle_mat_mul(reference[i], reference[j])
     for i, a in enumerate(reference):
-        assert oracle_mat_mul(a, g.matrix_of(g.inv(i))) == ident
+        assert oracle_mat_mul(a, g.elements[g.inv(i)].matrix) == ident
 
 
 def _seeded_groups(count, max_order):
@@ -157,33 +158,34 @@ def test_generated_group_is_closed_once(monkeypatch):
     monkeypatch.setattr(groups, "_close_permutations", counting)
     b4 = generate_group(hyperoctahedral_generators(4))
     assert b4.order == 384 and len(closures) == 1
-    assert [b4.matrix_of(i) for i in b4.generators] == hyperoctahedral_generators(4)
+    assert [b4.elements[i].matrix for i in b4.generators] == hyperoctahedral_generators(4)
     # Every other group is generated too, each closed once from generators
     # and equal to the closure of all its matrices by matrix products.
     flips = b4.subgroup_from_indices(
-        i for i, m in enumerate(b4.matrices)
+        i for i, m in enumerate(matrices_of(b4))
         if all(m[a][b] == 0 for a in range(4) for b in range(4) if a != b))
     b3 = generate_group(hyperoctahedral_generators(3))
     plane = affine_subspace([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
     plane_delta = b3.subgroup_from_indices(
-        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+        i for i, m in enumerate(matrices_of(b3)) if m[2] == (0, 0, 1))
     cand = SuborbifoldCandidate(chart_from_group(b3), plane_delta, plane)
     rot4, klein = chart_from_group(rot4_group()), chart_from_group(klein_group())
     assert len(flips.generators) > 1 and len(plane_delta.generators) > 1
     cases = [
-        (flips.promote, flips.matrices),
+        (flips.promote, matrices_of(flips)),
         (lambda: product_chart(rot4, klein).combined.group,
-         [oracle_block_diag(a, b) for a in rot4.group.matrices for b in klein.group.matrices]),
+         [oracle_block_diag(a, b)
+          for a in matrices_of(rot4.group) for b in matrices_of(klein.group)]),
         (lambda: induced_chart(cand).chart.group,
          [_from_columns(restricted_matrix(int_form(m), plane))
-          for m in plane_delta.matrices]),
+          for m in matrices_of(plane_delta)]),
         (lambda: trivial_group(3), [identity(3)]),
     ]
     for build, matrices in cases:
         closures.clear()
         group = build()
         assert len(closures) == 1
-        assert list(group.matrices) == oracle_group_closure(list(matrices))
+        assert matrices_of(group) == oracle_group_closure(list(matrices))
 
 
 def test_schreier_tree_spells_every_element():
@@ -200,6 +202,20 @@ def test_schreier_tree_spells_every_element():
                 assert steps < g.order
 
 
+def test_element_matches_the_cached_elements():
+    # Both views read the integer forms: element(i) builds one matrix, and
+    # elements every one, with one Fraction object per distinct entry.
+    s, s_inv = random_rational_basis_change(random.Random(37), 4)
+    conj = generate_group(conjugate_all(hyperoctahedral_generators(4), s, s_inv))
+    assert conj.integer_forms[0] > 1
+    for g in (generate_group(hyperoctahedral_generators(3)), conj, trivial_group(3)):
+        assert [g.element(i) for i in g.members] == list(g.elements)
+        assert [e.index for e in g.elements] == list(g.members)
+        entries = [x for e in g.elements for row in e.matrix for x in row]
+        assert {type(x) for x in entries} == {Fraction}
+        assert len({id(x) for x in entries}) == len(set(entries))
+
+
 def test_b5_times_z2_is_generated_within_max_order():
     # B5 on the first five coordinates, Z2 flipping the sixth: order 7680
     gens = [tuple(row + (0,) for row in m) + ((0,) * 5 + (1,),)
@@ -207,7 +223,7 @@ def test_b5_times_z2_is_generated_within_max_order():
     gens.append(signed_permutation(range(6), [1] * 5 + [-1]))
     g = generate_group(gens, max_order=7680)
     assert g.order == 7680 and g.ambient_dim == 6
-    assert g.matrix_of(g.mult(g.order - 1, g.order - 1)) == identity(6)
+    assert g.elements[g.mult(g.order - 1, g.order - 1)].matrix == identity(6)
     with pytest.raises(NotFiniteWithinBound, match="max_order=7679"):
         generate_group(gens, max_order=7679)
 
@@ -232,7 +248,7 @@ def test_matrix_lookup_rejects_matrices_outside_the_group():
         with pytest.raises(NotSubgroup, match="is not in the group"):
             group.subgroup_from_matrices([m])
     for group in (g, conj):
-        assert [group.index_of(m) for m in group.matrices] == list(group.members)
+        assert [group.index_of(m) for m in matrices_of(group)] == list(group.members)
 
 
 @pytest.mark.parametrize("generators, message", [
@@ -383,13 +399,18 @@ def _padded(block, n=5):
     (_padded([[1, 1], [1, 0]]), NotFiniteWithinBound, "group closure exceeded max_order=10000"),
     # singular, with trace 5: still named as singular, not refused by its trace
     ([[5, 0], [0, 0]], NonInvertibleGenerator, "generator is singular"),
+    # unipotent, so every trace is n; refused as g^M != I, M = lcm{k : phi(k) <= n}
+    (_padded([[1, 1], [0, 1]]), NotFiniteWithinBound, "group closure exceeded max_order=10000"),
+    ([[int(j in (i, i + 1)) for j in range(10)] for i in range(10)], NotFiniteWithinBound,
+     "group closure exceeded max_order=10000"),
 ])
 def test_generators_of_infinite_order_are_refused_by_their_traces(monkeypatch, generator, error,
                                                                     message):
     # Each orbit of the basis is infinite. Past CHECK_ORBIT_PAST points per
     # dimension the generators are checked, singular first, then by tr(g) and
     # tr(g^2), which for finite order are integers of absolute value at most
-    # n; the walk to n * max_order points of growing size took 1.8-9.3 s.
+    # n, then by g^M = I; the walk to n * max_order points of growing size
+    # took 0.4-9.3 s.
     products = []
     real = groups.int_mat_vec
 
@@ -436,9 +457,10 @@ def test_rational_conjugates_past_the_orbit_check_pass_the_trace_test(monkeypatc
         g = generate_group(gens)
         assert g.order == order and checked == [n]
         assert len(g._omega) > n * groups.CHECK_ORBIT_PAST
+        matrices = matrices_of(g)
         for _ in range(50):
             i, j = rng.randrange(g.order), rng.randrange(g.order)
-            assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(g.matrix_of(i), g.matrix_of(j))
+            assert matrices[g.mult(i, j)] == oracle_mat_mul(matrices[i], matrices[j])
 
 
 def test_sympy_permutation_group_order_oracle():
@@ -461,9 +483,10 @@ def test_sympy_permutation_group_order_oracle():
         ]
         g = generate_group(gens)
         assert g.order == sympy_combinatorics.PermutationGroup(perms).order() == order
+        matrices = matrices_of(g)
         for _ in range(2000):
             i, j = rng.randrange(g.order), rng.randrange(g.order)
-            assert g.matrix_of(g.mult(i, j)) == oracle_mat_mul(g.matrix_of(i), g.matrix_of(j))
+            assert matrices[g.mult(i, j)] == oracle_mat_mul(matrices[i], matrices[j])
 
 
 def test_singular_generator_rejected():
@@ -517,7 +540,7 @@ def test_subgroup_from_indices_closes_each_span_once(monkeypatch):
 
     monkeypatch.setattr(groups, "_closure_indices", counting)
     plane = b3.subgroup_from_indices(
-        i for i, m in enumerate(b3.matrices) if m[2] == (0, 0, 1))
+        i for i, m in enumerate(matrices_of(b3)) if m[2] == (0, 0, 1))
     assert plane.order == 8 and len(plane.generators) > 1
     assert len(seeds) == len(set(seeds)) == 1 + len(plane.generators)
     assert closure(b3, plane.generators) == set(plane.members)
@@ -649,7 +672,7 @@ def test_section_search_on_b4_kernels(monkeypatch):
     g = generate_group(hyperoctahedral_generators(4))
 
     def subgroup(keep):
-        return g.subgroup_from_indices(i for i, m in enumerate(g.matrices) if keep(m))
+        return g.subgroup_from_indices(i for i, m in enumerate(matrices_of(g)) if keep(m))
 
     def diagonal(m):
         return all(m[i][j] == 0 for i in range(4) for j in range(4) if i != j)
@@ -694,7 +717,7 @@ def test_quotient_fingerprint_matches_coset_oracle():
     # and the sign-flip and centre kernels of B4
     b4 = generate_group(hyperoctahedral_generators(4))
     flips = b4.subgroup_from_indices(
-        i for i, m in enumerate(b4.matrices)
+        i for i, m in enumerate(matrices_of(b4))
         if all(m[a][b] == 0 for a in range(4) for b in range(4) if a != b))
     centre = b4.subgroup_from_matrices([[[-1 if a == b else 0 for b in range(4)]
                                          for a in range(4)]])
@@ -731,7 +754,7 @@ def _seeded_homomorphisms(rng):
         x = rng.choice(g.members)
         out.append(GroupHom(d, g, tuple(g.mult(g.mult(x, m), g.inv(x)) for m in d.members)))
     # the sign of the determinant, onto Z2 from the whole group
-    sign = [z2.index_of(mat([[-1 if _odd(m) else 1]])) for m in g.matrices]
+    sign = [z2.index_of(mat([[-1 if _odd(m) else 1]])) for m in matrices_of(g)]
     out.append(GroupHom(g, z2, tuple(sign)))
     return out
 
@@ -780,7 +803,7 @@ def test_normality_work_is_generator_pairs(monkeypatch):
     g = generate_group(hyperoctahedral_generators(4))
     whole = g.full_subgroup()
     flips = g.subgroup_from_indices(
-        i for i, m in enumerate(g.matrices)
+        i for i, m in enumerate(matrices_of(g))
         if all(m[a][b] == 0 for a in range(4) for b in range(4) if a != b))
     assert flips.order == 16
     # generators are picked before counting: they take closures of their own
@@ -832,7 +855,7 @@ def test_element_orders():
         g = generate_group(gens)
         ident = identity(g.ambient_dim)
         for group in (g, g.subgroup_generated_by(g.generators[:1])):
-            for i, m in enumerate(group.matrices):
+            for i, m in enumerate(matrices_of(group)):
                 power, order = m, 1
                 while power != ident:
                     power, order = oracle_mat_mul(power, m), order + 1
@@ -865,7 +888,7 @@ def test_gathers_at_dimensions_zero_and_one():
         _assert_matches_reference(g, reference)
         ident = identity(g.ambient_dim)
         orders = []
-        for i, m in enumerate(g.matrices):
+        for i, m in enumerate(matrices_of(g)):
             power, order = m, 1
             while power != ident:
                 power, order = oracle_mat_mul(power, m), order + 1
@@ -901,7 +924,7 @@ def test_group_core_makes_no_matrix_product(monkeypatch):
              signed_permutation(range(4), (1, 1, 1, -1))]
     for gens, order in ((b3, 48), (b3_z2, 96)):
         g = generate_group(gens)
-        assert generate_group(g.matrices).order == g.order == order
+        assert generate_group(matrices_of(g)).order == g.order == order
     assert calls == []
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from suborbifolds.cli import main
-from suborbifolds.corpus import metric_probes, run_metric_corpus, rot4_chart, x_axis
+from suborbifolds.corpus import metric_probes, rot4_chart, x_axis
 from suborbifolds import linalg, metric
 from suborbifolds.errors import (
     CandidateNotSaturated,
@@ -34,7 +34,6 @@ from suborbifolds.metric import (
     lemma_metrics_check,
     quotient_distance,
 )
-from suborbifolds.records import replace
 from suborbifolds.scene import parse_scene
 
 from oracles import (
@@ -75,7 +74,7 @@ def test_quotient_distance_is_pseudometric():
         assert dxy <= quotient_distance(g, x, z) + quotient_distance(g, z, y) + 1e-12
         # G-invariance
         for idx in range(g.order):
-            gx = oracle_mat_vec(g.matrix_of(idx), x)
+            gx = oracle_mat_vec(g.elements[idx].matrix, x)
             assert quotient_distance(g, gx, y) == pytest.approx(dxy, abs=1e-12)
 
 
@@ -124,7 +123,8 @@ def test_probe_validates_points():
     assert probe.with_settings(depth=0).partition_depth == 0
     # a probe without pairs printed PASS with max_deviation 0.0
     with pytest.raises(InvalidMetricSetting, match="at least one sample pair"):
-        replace(probe, sample_pairs=())
+        MetricProbe(probe.group, probe.subgroup, probe.subspace, (),
+                    probe.partition_depth, probe.tolerance)
 
 
 def test_lemma_requires_saturated():
@@ -161,7 +161,8 @@ def test_intrinsic_at_least_quotient():
 
 
 def test_corpus_metric_coincidence():
-    for name, report in run_metric_corpus().items():
+    for name, probe in metric_probes().items():
+        report = lemma_metrics_check(probe)
         assert report.passed, (name, report.max_deviation)
         assert report.max_deviation <= 1e-9
 

@@ -112,24 +112,12 @@ def test_a_witness_repr_is_the_former_dataclass_repr():
         "AffineSubspace(ambient_dim=2, den=1, base=(0, 0), rows=((1, 0),), pivots=(0,))")
 
 
-def test_replace_builds_a_checked_copy():
-    fp = Fingerprint(4, (1, 2, 4, 4), True)
-    changed = records.replace(fp, abelian=False)
-    assert changed == Fingerprint(4, (1, 2, 4, 4), False) and fp.abelian
-    assert records.replace(Verdict(True), witness=1) == Verdict(True, 1)
-    with pytest.raises(TypeError):
-        records.replace(fp, colour="red")
-    with pytest.raises(TypeError):
-        records.replace(object())
-
-
 def test_constructors_keep_their_signatures():
     group = generate_group([[[-1]]])
     chart = ChartModel(group=group)
     assert chart == ChartModel(group)
-    assert EmbeddedResult(True).deltas_checked == 0
-    assert EmbeddedResult(False, None, None, True, 3) == EmbeddedResult(
-        False, searched_all_delta=True, deltas_checked=3)
+    assert EmbeddedResult(False, None, None, True) == EmbeddedResult(
+        False, searched_all_delta=True)
     assert Verdict(holds=True) == Verdict(True, None)
     calls = [
         lambda: Fingerprint(4, (1,)),  # a missing argument

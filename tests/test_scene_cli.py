@@ -662,7 +662,7 @@ def test_cli_image_rejection_names_a_replayable_witness(tmp_path, capsys):
     assert err.startswith("error: map identifies distinct orbits") and found
     g = generate_group([mat(m) for m in rot4])
     x = vec([rat(c.strip()) for c in found.group(2).split(",")])
-    gx = oracle_mat_vec(g.matrix_of(int(found.group(1))), x)
+    gx = oracle_mat_vec(g.elements[int(found.group(1))].matrix, x)
     # x and gx lie on the x-axis, and theta's only image (the identity) fixes x
     assert x[1] == 0 and gx[1] == 0 and gx != x
 
