@@ -17,7 +17,7 @@ from .classify import (
     isotropy_point,
     isotropy_sub_point,
 )
-from .errors import SuborbifoldError
+from .errors import NotFiniteWithinBound, SuborbifoldError
 from .groups import DEFAULT_MAX_ORDER
 from .linalg import contains_point, rat, rat_str, vec
 from .maps import (
@@ -249,6 +249,10 @@ def cmd_metric_check(args) -> int:
         raise SuborbifoldError("the scene has no metric probes to check")
     if args.probe is not None:
         probes = {args.probe: _lookup(probes, args.probe, "probe")}
+    # The corpus charts are built once per process without the bound, so the
+    # bound is checked on their orders, as a scene's groups are when built.
+    if any(probe.group.order > args.max_order for probe in probes.values()):
+        raise NotFiniteWithinBound(args.max_order)
     results = {}
     lines = []
     all_passed = True

@@ -3,6 +3,12 @@
 Each case builds a candidate, classifies it and compares against the
 expected verdicts. The corpus doubles as the ground truth for the
 acceptance suite and the `corpus` CLI command.
+
+The charts of the cases and of the metric probes are constants: each is
+built once per process, on first use, and every case and probe reads that
+one copy with its product rows and orbit-of-V stores. Candidates, probes
+and verdicts are still built on every call. The public builders
+(``rot4_chart()``, ``rotation_line_candidate()``, ...) return fresh charts.
 """
 from __future__ import annotations
 
@@ -67,36 +73,59 @@ def second_complex_axis():
     return affine_subspace([0, 0, 0, 0], [[0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def rotation_line_candidate() -> SuborbifoldCandidate:
-    """Rotation-by-pi subgroup acting on the x-axis in the order-4 chart."""
-    chart = rot4_chart()
+@functools.cache
+def _shared(build):
+    """What ``build()`` returns, built once per process on first use."""
+    return build()
+
+
+def _rot4_squared():
+    rot4 = _shared(rot4_chart)
+    return product_chart(rot4, rot4)
+
+
+def _rotation_line(chart: ChartModel) -> SuborbifoldCandidate:
     delta = chart.group.subgroup_from_matrices([ROT2])
     return SuborbifoldCandidate(chart, delta, x_axis())
 
 
-def diagonal_half_turn_candidate() -> SuborbifoldCandidate:
-    """Diagonal line under the sign-flip group, subgroup {I, -I}."""
-    chart = klein_chart()
+def _diagonal_half_turn(chart: ChartModel) -> SuborbifoldCandidate:
     delta = chart.group.subgroup_from_matrices([ROT2])
     return SuborbifoldCandidate(chart, delta, plane_diagonal())
 
 
-def complex_axis_candidate() -> SuborbifoldCandidate:
-    """Second complex axis under the realified order-4 action."""
-    chart = z4_realified_chart()
+def _complex_axis(chart: ChartModel) -> SuborbifoldCandidate:
     return SuborbifoldCandidate(
         chart, chart.group.full_subgroup(), second_complex_axis()
     )
 
 
+def _product_diagonal(product) -> SuborbifoldCandidate:
+    delta = product.combined.group.subgroup_from_indices(
+        product.pair_index(g, g) for g in range(product.left.group.order)
+    )
+    return SuborbifoldCandidate(product.combined, delta, r4_diagonal())
+
+
+def rotation_line_candidate() -> SuborbifoldCandidate:
+    """Rotation-by-pi subgroup acting on the x-axis in the order-4 chart."""
+    return _rotation_line(rot4_chart())
+
+
+def diagonal_half_turn_candidate() -> SuborbifoldCandidate:
+    """Diagonal line under the sign-flip group, subgroup {I, -I}."""
+    return _diagonal_half_turn(klein_chart())
+
+
+def complex_axis_candidate() -> SuborbifoldCandidate:
+    """Second complex axis under the realified order-4 action."""
+    return _complex_axis(z4_realified_chart())
+
+
 def product_diagonal_candidate() -> SuborbifoldCandidate:
     """Diagonal of the doubled order-4 chart with the diagonal subgroup."""
     chart = rot4_chart()
-    product = product_chart(chart, chart)
-    delta = product.combined.group.subgroup_from_indices(
-        product.pair_index(g, g) for g in range(chart.group.order)
-    )
-    return SuborbifoldCandidate(product.combined, delta, r4_diagonal())
+    return _product_diagonal(product_chart(chart, chart))
 
 
 def point_candidate(chart: ChartModel) -> SuborbifoldCandidate:
@@ -168,56 +197,56 @@ def _no_complement_check(cand, report):
 CASES = (
     CorpusCase(
         "rotation-line",
-        rotation_line_candidate,
+        lambda: _rotation_line(_shared(rot4_chart)),
         {"saturated": True, "full": False, "embedded": True,
          "fullness_witness": True},
         checks=(_fullness_witness_check(ROT4_GEN, [0, 0]),),
     ),
     CorpusCase(
         "point-in-rotation-chart",
-        lambda: point_candidate(rot4_chart()),
+        lambda: point_candidate(_shared(rot4_chart)),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "point-in-line-chart",
-        lambda: point_candidate(line_chart()),
+        lambda: point_candidate(_shared(line_chart)),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "point-in-sign-chart",
-        lambda: point_candidate(klein_chart()),
+        lambda: point_candidate(_shared(klein_chart)),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "open-rotation-chart",
-        lambda: open_candidate(rot4_chart()),
+        lambda: open_candidate(_shared(rot4_chart)),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "open-line-chart",
-        lambda: open_candidate(line_chart()),
+        lambda: open_candidate(_shared(line_chart)),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "open-sign-chart",
-        lambda: open_candidate(klein_chart()),
+        lambda: open_candidate(_shared(klein_chart)),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "product-diagonal",
-        product_diagonal_candidate,
+        lambda: _product_diagonal(_shared(_rot4_squared)),
         {"saturated": True, "full": False, "embedded": True},
     ),
     CorpusCase(
         "diagonal-half-turn",
-        diagonal_half_turn_candidate,
+        lambda: _diagonal_half_turn(_shared(klein_chart)),
         {"saturated": True, "full": False, "embedded": True,
          "obstruction_expected": True, "obstruction_consistent": False},
         checks=(_obstruction_check([0, 0], expect_consistent=False),),
     ),
     CorpusCase(
         "complex-axis",
-        complex_axis_candidate,
+        lambda: _complex_axis(_shared(z4_realified_chart)),
         {"saturated": True, "full": True, "embedded": False,
          "no_complement_certificate": True, "searched_all_delta": True},
         search_all_delta=True,
@@ -226,19 +255,14 @@ CASES = (
 )
 
 
-@functools.cache
-def _probe_charts() -> tuple[ChartModel, ChartModel]:
-    """The rot4 and Klein charts of the metric probes, built once per process."""
-    return rot4_chart(), klein_chart()
-
-
 def metric_probes() -> dict[str, MetricProbe]:
     """Corpus probes for the metric-coincidence lemma.
 
-    The two charts are constants, built once per process; each probe is
-    built, with its membership and orthogonality checks, on every call.
+    The probes read the rot4 and Klein charts the corpus cases read, built
+    once per process; each probe is built, with its membership and
+    orthogonality checks, on every call.
     """
-    rot, klein = _probe_charts()
+    rot, klein = _shared(rot4_chart), _shared(klein_chart)
     return {
         "rotation-line": MetricProbe(
             rot.group,

@@ -335,6 +335,13 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
     assert list(cand.chart.group.orbits_of_v) == [cand.v]
 
 
+def test_public_corpus_builders_return_fresh_charts():
+    # The corpus cases share one chart per process; the public builders do
+    # not, so the counting tests above start from an empty orbit store.
+    assert rot4_chart().group is not rot4_chart().group
+    assert rotation_line_candidate().chart.group is not rotation_line_candidate().chart.group
+
+
 def _b3():
     return generate_group(hyperoctahedral_generators(3))
 

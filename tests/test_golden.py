@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -92,6 +93,24 @@ def test_machine_report_matches_golden(name, monkeypatch):
     with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
         golden = fh.read()
     assert stripped_report(REPORTS[name]) == golden
+
+
+def test_corpus_report_matches_golden_on_warm_charts(monkeypatch):
+    # The corpus charts are built once per process and shared by every case,
+    # so neither an earlier run nor the order the cases ran in may change
+    # a report.
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(GOLDEN_DIR, "corpus.json"), encoding="utf-8", newline="") as fh:
+        golden = fh.read()
+    stripped_report(["corpus"])
+    assert stripped_report(["corpus"]) == golden
+    results = json.loads(golden)["results"]
+    names = sorted(results)
+    random.Random(5).shuffle(names)
+    for name in names:
+        report = json.loads(stripped_report(["corpus", "--filter", name]))
+        assert report["results"] == {name: results[name]}
+        assert stripped_report(["corpus"]) == golden
 
 
 def _json_dumps(payload) -> str:

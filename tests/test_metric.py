@@ -328,10 +328,12 @@ def test_metric_check_tests_orthogonality_once_per_probe(monkeypatch, capsys):
 
 
 def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
-    # The two corpus charts are constants: a later call builds no group, but
-    # it still builds both probes and runs their orthogonality checks.
+    # The corpus charts are constants, shared by the cases and the probes: a
+    # later call builds no group, but it still builds both probes and runs
+    # their orthogonality checks, and still classifies every case.
     corpus = sys.modules["suborbifolds.corpus"]
     first = metric_probes()
+    assert corpus.run_corpus().ok
     checked = []
     require_orthogonal = metric._require_orthogonal
 
@@ -339,6 +341,7 @@ def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
         raise AssertionError("a corpus chart was built again")
 
     monkeypatch.setattr(corpus, "generate_group", refuse)
+    monkeypatch.setattr(corpus, "product_chart", refuse)
     monkeypatch.setattr(metric, "_require_orthogonal",
                         lambda group: checked.append(group) or require_orthogonal(group))
     second = metric_probes()
@@ -346,6 +349,13 @@ def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
     for name, probe in second.items():
         assert probe is not first[name] and probe == first[name]
         assert probe.group is first[name].group
+    assert corpus.run_corpus().ok
+    charts = {case.name: case.build().chart for case in corpus.CASES}
+    for name, probe in second.items():
+        assert charts[name].group is probe.group
+    assert charts["point-in-rotation-chart"] is charts["rotation-line"]
+    assert charts["open-sign-chart"] is charts["diagonal-half-turn"]
+    assert charts["open-line-chart"] is charts["point-in-line-chart"]
 
 
 # A reflection with denominator 3: I - (2/3) J fixes the plane x + y + z = 0

@@ -193,7 +193,8 @@ def test_theta_must_cover_domain():
 
 
 def test_theta_lists_each_element_once_and_queries_are_objects():
-    scene = json.loads(open(MAPS_SCENE, encoding="utf-8").read())
+    with open(MAPS_SCENE, encoding="utf-8") as fh:
+        scene = json.load(fh)
     # the last pair for a repeated element used to win, and the map failed
     # later as "not a homomorphism"
     scene["maps"]["rot4_identity"]["theta"] = [[0, 0], [0, 1], [1, 1], [2, 2], [3, 3]]
@@ -464,6 +465,17 @@ def test_cli_max_order_bounds_the_scene_groups(scene_path, capsys):
     assert main(["classify", "--scene", scene_path, "--max-order", "4"]) == 0
     assert main(["classify", "--scene", scene_path, "--max-order", "3"]) == 2
     assert "group closure exceeded max_order=3" in capsys.readouterr().err
+
+
+def test_cli_max_order_bounds_the_corpus_probe_groups(capsys):
+    # Without --scene the probes read the corpus charts, built once per
+    # process, so the bound is checked on their orders (4) before any distance.
+    assert main(["metric-check", "--max-order", "4"]) == 0
+    capsys.readouterr()
+    assert main(["metric-check", "--max-order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group closure exceeded max_order=3\n"
 
 
 def test_cli_refuses_a_scene_group_of_infinite_order_at_once(tmp_path, capsys):
