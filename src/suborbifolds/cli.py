@@ -244,15 +244,18 @@ def cmd_fibered(args) -> int:
 
 
 def cmd_metric_check(args) -> int:
-    probes = _load_scene(args).probes if args.scene is not None else corpus_mod.metric_probes()
+    if args.scene is not None:
+        probes = _load_scene(args).probes
+    else:
+        probes = corpus_mod.metric_probes()
+        # The corpus charts are built once per process without the bound, so
+        # the bound is checked on their orders, as a scene's groups are when built.
+        if any(probe.group.order > args.max_order for probe in probes.values()):
+            raise NotFiniteWithinBound(args.max_order)
     if not probes:
         raise SuborbifoldError("the scene has no metric probes to check")
     if args.probe is not None:
         probes = {args.probe: _lookup(probes, args.probe, "probe")}
-    # The corpus charts are built once per process without the bound, so the
-    # bound is checked on their orders, as a scene's groups are when built.
-    if any(probe.group.order > args.max_order for probe in probes.values()):
-        raise NotFiniteWithinBound(args.max_order)
     results = {}
     lines = []
     all_passed = True

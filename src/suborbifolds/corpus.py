@@ -7,8 +7,10 @@ acceptance suite and the `corpus` CLI command.
 The charts of the cases and of the metric probes are constants: each is
 built once per process, on first use, and every case and probe reads that
 one copy with its product rows and orbit-of-V stores. Candidates, probes
-and verdicts are still built on every call. The public builders
-(``rot4_chart()``, ``rotation_line_candidate()``, ...) return fresh charts.
+and verdicts are still built on every call. The chart builders
+(``rot4_chart()``, ``klein_chart()``, ...) return fresh charts, and each
+candidate builder (``rotation_line_candidate(chart)``, ...) uses the chart
+it is given.
 """
 from __future__ import annotations
 
@@ -84,48 +86,32 @@ def _rot4_squared():
     return product_chart(rot4, rot4)
 
 
-def _rotation_line(chart: ChartModel) -> SuborbifoldCandidate:
+def rotation_line_candidate(chart: ChartModel) -> SuborbifoldCandidate:
+    """Rotation-by-pi subgroup acting on the x-axis in the order-4 chart."""
     delta = chart.group.subgroup_from_matrices([ROT2])
     return SuborbifoldCandidate(chart, delta, x_axis())
 
 
-def _diagonal_half_turn(chart: ChartModel) -> SuborbifoldCandidate:
+def diagonal_half_turn_candidate(chart: ChartModel) -> SuborbifoldCandidate:
+    """Diagonal line under the sign-flip group, subgroup {I, -I}."""
     delta = chart.group.subgroup_from_matrices([ROT2])
     return SuborbifoldCandidate(chart, delta, plane_diagonal())
 
 
-def _complex_axis(chart: ChartModel) -> SuborbifoldCandidate:
+def complex_axis_candidate(chart: ChartModel) -> SuborbifoldCandidate:
+    """Second complex axis under the realified order-4 action."""
     return SuborbifoldCandidate(
         chart, chart.group.full_subgroup(), second_complex_axis()
     )
 
 
-def _product_diagonal(product) -> SuborbifoldCandidate:
+def product_diagonal_candidate(product) -> SuborbifoldCandidate:
+    """Diagonal of the doubled order-4 chart ``product_chart(rot, rot)``
+    with the diagonal subgroup."""
     delta = product.combined.group.subgroup_from_indices(
         product.pair_index(g, g) for g in range(product.left.group.order)
     )
     return SuborbifoldCandidate(product.combined, delta, r4_diagonal())
-
-
-def rotation_line_candidate() -> SuborbifoldCandidate:
-    """Rotation-by-pi subgroup acting on the x-axis in the order-4 chart."""
-    return _rotation_line(rot4_chart())
-
-
-def diagonal_half_turn_candidate() -> SuborbifoldCandidate:
-    """Diagonal line under the sign-flip group, subgroup {I, -I}."""
-    return _diagonal_half_turn(klein_chart())
-
-
-def complex_axis_candidate() -> SuborbifoldCandidate:
-    """Second complex axis under the realified order-4 action."""
-    return _complex_axis(z4_realified_chart())
-
-
-def product_diagonal_candidate() -> SuborbifoldCandidate:
-    """Diagonal of the doubled order-4 chart with the diagonal subgroup."""
-    chart = rot4_chart()
-    return _product_diagonal(product_chart(chart, chart))
 
 
 def point_candidate(chart: ChartModel) -> SuborbifoldCandidate:
@@ -197,7 +183,7 @@ def _no_complement_check(cand, report):
 CASES = (
     CorpusCase(
         "rotation-line",
-        lambda: _rotation_line(_shared(rot4_chart)),
+        lambda: rotation_line_candidate(_shared(rot4_chart)),
         {"saturated": True, "full": False, "embedded": True,
          "fullness_witness": True},
         checks=(_fullness_witness_check(ROT4_GEN, [0, 0]),),
@@ -234,19 +220,19 @@ CASES = (
     ),
     CorpusCase(
         "product-diagonal",
-        lambda: _product_diagonal(_shared(_rot4_squared)),
+        lambda: product_diagonal_candidate(_shared(_rot4_squared)),
         {"saturated": True, "full": False, "embedded": True},
     ),
     CorpusCase(
         "diagonal-half-turn",
-        lambda: _diagonal_half_turn(_shared(klein_chart)),
+        lambda: diagonal_half_turn_candidate(_shared(klein_chart)),
         {"saturated": True, "full": False, "embedded": True,
          "obstruction_expected": True, "obstruction_consistent": False},
         checks=(_obstruction_check([0, 0], expect_consistent=False),),
     ),
     CorpusCase(
         "complex-axis",
-        lambda: _complex_axis(_shared(z4_realified_chart)),
+        lambda: complex_axis_candidate(_shared(z4_realified_chart)),
         {"saturated": True, "full": True, "embedded": False,
          "no_complement_certificate": True, "searched_all_delta": True},
         search_all_delta=True,

@@ -21,10 +21,13 @@ from suborbifolds.corpus import (
     CASES,
     complex_axis_candidate,
     diagonal_half_turn_candidate,
+    klein_chart,
     metric_probes,
     product_diagonal_candidate,
+    rot4_chart,
     rotation_line_candidate,
     run_corpus,
+    z4_realified_chart,
 )
 from suborbifolds.errors import (
     EmptyPreimage,
@@ -50,6 +53,7 @@ from suborbifolds.maps import (
     identity_hom,
     intersect_full,
     preimage_suborbifold,
+    product_chart,
     transverse_candidates,
     trivial_hom,
 )
@@ -184,11 +188,12 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_two_path_isotropy():
     # isotropy_sub_point internally computes Delta_x/K and the
     # induced-chart stabilizer and raises if the fingerprints disagree.
+    rot = rot4_chart()
     corpus_candidates = [
-        rotation_line_candidate(),
-        diagonal_half_turn_candidate(),
-        complex_axis_candidate(),
-        product_diagonal_candidate(),
+        rotation_line_candidate(rot4_chart()),
+        diagonal_half_turn_candidate(klein_chart()),
+        complex_axis_candidate(z4_realified_chart()),
+        product_diagonal_candidate(product_chart(rot, rot)),
     ]
     checked = 0
     for cand in corpus_candidates:
@@ -266,7 +271,6 @@ def test_criterion_6_metric_coincidence():
 
 def test_criterion_7_graph_dichotomy():
     rng = random.Random(1007)
-    from suborbifolds.corpus import rot4_chart
     from fractions import Fraction
 
     built = full_count = 0

@@ -42,6 +42,7 @@ from suborbifolds.corpus import (
     rotation_line_candidate,
     run_corpus,
     x_axis,
+    z4_realified_chart,
 )
 from suborbifolds.errors import (
     CandidateNotFull,
@@ -52,6 +53,7 @@ from suborbifolds.errors import (
 )
 import suborbifolds.groups as groups
 from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
+from suborbifolds.maps import product_chart
 from suborbifolds.scene import (
     candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
 )
@@ -91,7 +93,7 @@ def test_corpus_all_pass():
 
 
 def test_rotation_line_verdicts_and_witness():
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     assert check_saturated(cand).holds
     full = check_full(cand)
     assert not full.holds
@@ -139,7 +141,7 @@ def test_noninvariant_subspace_rejected():
 
 
 def test_complex_axis_not_embedded_even_after_search():
-    cand = complex_axis_candidate()
+    cand = complex_axis_candidate(z4_realified_chart())
     result = check_embedded(cand, search_all_delta=True)
     assert not result.holds
     assert result.searched_all_delta
@@ -147,14 +149,14 @@ def test_complex_axis_not_embedded_even_after_search():
 
 
 def test_diagonal_half_turn_obstruction():
-    cand = diagonal_half_turn_candidate()
+    cand = diagonal_half_turn_candidate(klein_chart())
     assert not full_obstruction_probe(cand, [0, 0])
     assert isotropy_sub_point(cand, [0, 0]).order == 2
     assert abelian_omega_isotropy(cand.chart, cand.v, [0, 0]).order == 4
 
 
 def test_induced_chart_roundtrip_and_equivariance():
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     ind = induced_chart(cand)
     assert ind.chart.ambient_dim == 1
     assert ind.chart.group.order == 2
@@ -289,7 +291,7 @@ def test_saturation_computed_once_per_candidate(monkeypatch):
     for points, expected_isotropy in (((), 0), (((0, 0),), 1)):
         calls.clear()
         orbits.clear()
-        cand = rotation_line_candidate()  # a fresh chart group each time
+        cand = rotation_line_candidate(rot4_chart())  # a fresh chart group each time
         report = classify(cand, isotropy_points=points)
         assert len(report.induced_isotropy_at) == expected_isotropy
         # the candidate's own check, then the replay of the complement
@@ -321,7 +323,7 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
         built.append(self)
         original_post_init(self)
 
-    cand = complex_axis_candidate()  # a fresh chart group
+    cand = complex_axis_candidate(z4_realified_chart())  # a fresh chart group
     monkeypatch.setattr(module, "check_saturated", counting)
     monkeypatch.setattr(SuborbifoldCandidate, "__post_init__", post_init)
     orbits = _counting_orbits(monkeypatch)
@@ -336,10 +338,16 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
 
 
 def test_public_corpus_builders_return_fresh_charts():
-    # The corpus cases share one chart per process; the public builders do
-    # not, so the counting tests above start from an empty orbit store.
+    # The corpus cases share one chart per process; the chart builders do
+    # not, and each candidate builder uses the chart it is given, so the
+    # counting tests above start from an empty orbit store.
     assert rot4_chart().group is not rot4_chart().group
-    assert rotation_line_candidate().chart.group is not rotation_line_candidate().chart.group
+    assert klein_chart().group is not klein_chart().group
+    assert z4_realified_chart().group is not z4_realified_chart().group
+    rot = rot4_chart()
+    assert rotation_line_candidate(rot).chart is rot
+    product = product_chart(rot, rot)
+    assert product_diagonal_candidate(product).chart is product.combined
 
 
 def _b3():
@@ -480,7 +488,7 @@ def test_a_whole_group_candidate_is_saturated_without_the_orbit_store(monkeypatc
 
 def test_witnesses_build_only_their_own_element():
     # group.elements would build a Fraction matrix for every element
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     trivial = cand.chart.group.subgroup_from_indices([cand.chart.group.identity])
     unsaturated = SuborbifoldCandidate(cand.chart, trivial, cand.v)
     witnesses = [check_saturated(unsaturated).witness, check_full(cand).witness]
@@ -493,7 +501,7 @@ def test_witnesses_build_only_their_own_element():
 def test_a_chart_group_is_freed_once_its_candidates_are_gone():
     # The group keeps its OrbitOfV, which must not keep the group in turn:
     # without a reference cycle the group goes as soon as its last user does.
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     classify(cand)
     assert cand.chart.group.orbits_of_v
     group = weakref.ref(cand.chart.group)
@@ -518,7 +526,7 @@ def test_induced_chart_built_once_per_candidate(monkeypatch):
 
     monkeypatch.setattr(module, "induced_chart", lambda c: charts.append(c) or real_chart(c))
     monkeypatch.setattr(FiniteMatrixGroup, "__init__", init)
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     groups_built.clear()
     report = classify(cand, isotropy_points=([0, 0], [1, 0], [2, 0]))
     assert [fp.order for _, fp in report.induced_isotropy_at] == [2, 1, 1]
@@ -526,15 +534,16 @@ def test_induced_chart_built_once_per_candidate(monkeypatch):
 
 
 def test_two_path_isotropy_on_corpus_points():
+    rot = rot4_chart()
     cases = [
-        (rotation_line_candidate(), [0, 0], 2),
-        (rotation_line_candidate(), [1, 0], 1),
-        (diagonal_half_turn_candidate(), [0, 0], 2),
-        (diagonal_half_turn_candidate(), [1, 1], 1),
-        (complex_axis_candidate(), [0, 0, 0, 0], 2),
-        (complex_axis_candidate(), [0, 0, 1, 0], 1),
-        (product_diagonal_candidate(), [0, 0, 0, 0], 4),
-        (product_diagonal_candidate(), [1, 0, 1, 0], 1),
+        (rotation_line_candidate(rot4_chart()), [0, 0], 2),
+        (rotation_line_candidate(rot4_chart()), [1, 0], 1),
+        (diagonal_half_turn_candidate(klein_chart()), [0, 0], 2),
+        (diagonal_half_turn_candidate(klein_chart()), [1, 1], 1),
+        (complex_axis_candidate(z4_realified_chart()), [0, 0, 0, 0], 2),
+        (complex_axis_candidate(z4_realified_chart()), [0, 0, 1, 0], 1),
+        (product_diagonal_candidate(product_chart(rot, rot)), [0, 0, 0, 0], 4),
+        (product_diagonal_candidate(product_chart(rot, rot)), [1, 0, 1, 0], 1),
     ]
     for cand, point, expected_order in cases:
         fp = isotropy_sub_point(cand, point)  # internal cross-check
@@ -543,7 +552,7 @@ def test_two_path_isotropy_on_corpus_points():
 
 def test_isotropy_point_outside_subspace_rejected():
     with pytest.raises(PointNotInV):
-        isotropy_sub_point(rotation_line_candidate(), [0, 1])
+        isotropy_sub_point(rotation_line_candidate(rot4_chart()), [0, 1])
 
 
 def test_ambient_isotropy():
@@ -568,7 +577,7 @@ def test_localize_chart():
 
 
 def test_full_characterization_chart():
-    cand = diagonal_half_turn_candidate()
+    cand = diagonal_half_turn_candidate(klein_chart())
     with pytest.raises(CandidateNotFull):
         full_characterization_chart(cand, [0, 0])
     # a genuinely full candidate: the diagonal with the full sign group
@@ -1059,7 +1068,7 @@ def test_b4_whole_group_candidates_embed_without_the_lattice(monkeypatch):
 
 def test_witness_point_search_is_bounded():
     # The identity is covered, so no witness exists; the search must stop.
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     group = cand.chart.group
     with pytest.raises(AssertionError):
         _witness_point(cand.v, group, cand.delta, group.identity)
@@ -1099,7 +1108,7 @@ def test_corpus_flipped_expectation_raises():
 
 
 def test_classify_report_shape():
-    cand = rotation_line_candidate()
+    cand = rotation_line_candidate(rot4_chart())
     report = classify(cand, isotropy_points=([0, 0], [2, 0]))
     assert report.saturated.holds
     assert report.kernel.order == 1

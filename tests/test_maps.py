@@ -152,7 +152,7 @@ def _reflection_in_b2():
      ChartMismatch, "theta does not connect the chart groups"),
     (lambda: image_suborbifold(_identity_map(rot4_chart()), _on_klein()),
      ChartMismatch, "candidate does not live in the map's domain chart"),
-    (lambda: transverse_candidates(rot4_chart(), _on_klein(), rotation_line_candidate()),
+    (lambda: transverse_candidates(rot4_chart(), _on_klein(), rotation_line_candidate(rot4_chart())),
      ChartMismatch, "candidates do not share the chart"),
     (lambda: preimage_suborbifold(_identity_map(rot4_chart()), _on_klein()),
      ChartMismatch, "target candidate does not live in the codomain chart"),
@@ -411,7 +411,7 @@ def test_image_reproduces_rotation_line():
         line, line.group.full_subgroup(), whole_space(1)
     )
     img = image_suborbifold(f, cand)
-    expected = rotation_line_candidate()
+    expected = rotation_line_candidate(rot4_chart())
     assert img.v == expected.v
     assert img.delta.members == expected.delta.members
     rep = classify(img)
