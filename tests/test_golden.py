@@ -27,7 +27,12 @@ GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 REPORTS = {
     "corpus.json": ["corpus"],
     "metric-check.json": ["metric-check"],
+    # At depth 0 the deepest level is the only one, the edge case of the
+    # metric probe's pruning by the deepest sum.
+    "metric-check-depth0.json": ["metric-check", "--depth", "0"],
     "metric-check-depth12.json": ["metric-check", "--depth", "12"],
+    "metric-check-rotation-line-depth0.json": ["metric-check", "--scene",
+                                               "scenes/rotation_line.json", "--depth", "0"],
     "metric-check-rotation-line-depth12.json": ["metric-check", "--scene",
                                                 "scenes/rotation_line.json", "--depth", "12"],
     "classify_rotation_line.json": ["classify", "--scene", "scenes/rotation_line.json"],
