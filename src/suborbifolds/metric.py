@@ -8,19 +8,23 @@ flat. On the segment from x to t, with d = t - x, the squared distance
 from p = x + r d to g q, q = x + s d, is a quadratic form in (r, s) whose
 six integer coefficients per group element are computed once per segment
 over one common denominator; on a partition of the segment they turn each
-piece into an integer quadratic per distinct form, and the minimum over
-the group is walked along the lower envelope of those quadratics, so a
-run of pieces on one constant quadratic costs one square root (see
-``intrinsic_quotient_distance``). Exact refinement sums are monotone in
-the partition depth, mirroring the sup over partitions; the float sums
-computed here are not, so every depth is evaluated.
+piece into an integer quadratic per distinct form, constant or strictly
+convex. The least constant one is the minimum over the group on every
+piece but those of the integer intervals where a convex one dips below
+it, found exactly with ``math.isqrt``, so the pieces off those intervals
+cost one square root (see ``intrinsic_quotient_distance``). Exact
+refinement sums are monotone in the partition depth, mirroring the sup
+over partitions; the float sums computed here are not, so every depth
+counts, but a sum at any one depth bounds the sup from below, and a
+subgroup element whose sum already reaches the best sup is dropped.
 """
 from __future__ import annotations
 
+import copy
 import math
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, mul
 
 from .classify import ChartModel, SuborbifoldCandidate, check_saturated
 from .errors import (
@@ -41,16 +45,16 @@ from .linalg import (
     scaled,
     vec,
 )
-from .records import record
+from .records import record, set_field
 
 DEFAULT_DEPTH = 8
-# Each level doubles the pieces per segment, and every depth up to the
-# probe's is summed: 2**(depth + 1) - 1 pieces per segment in all. On the
-# lower envelope a constant run costs one square root and one float
-# addition per piece, and nearly every piece lies in one, so at depth 12
-# (8191 pieces) `metric-check` takes about 8-12 ms on the corpus probes
-# and 2-3 ms on scenes/rotation_line.json, parsing and printing included
-# (in-process, shared 2-core Xeon, Python 3.11).
+# Each level doubles the pieces per segment: the winning segment sums
+# 2**(depth + 1) - 1 pieces over its depths, every other segment at least
+# its deepest 2**depth. A piece at the least constant quadratic costs one
+# float addition, and nearly every piece is one, so at depth 12 (8191
+# pieces) `metric-check` takes about 6-8 ms on the corpus probes and 2 ms
+# on scenes/rotation_line.json, parsing and printing included (in-process,
+# shared 2-core Xeon, Python 3.11).
 MAX_DEPTH = 12
 DEFAULT_TOLERANCE = 1e-9
 
@@ -78,9 +82,14 @@ class MetricProbe:
         """This probe with the given depth and tolerance, where they are not None."""
         if depth is None and tolerance is None:
             return self
-        return MetricProbe(self.group, self.subgroup, self.subspace, self.sample_pairs,
-                           self.partition_depth if depth is None else depth,
-                           self.tolerance if tolerance is None else tolerance)
+        depth = self.partition_depth if depth is None else depth
+        tolerance = self.tolerance if tolerance is None else tolerance
+        # The group and the sample pairs were checked when self was built.
+        check_settings(depth, tolerance, self.sample_pairs)
+        probe = copy.copy(self)
+        set_field(probe, "partition_depth", depth)
+        set_field(probe, "tolerance", tolerance)
+        return probe
 
 
 def check_settings(depth, tolerance, sample_pairs) -> None:
@@ -113,7 +122,7 @@ def _require_orthogonal(group) -> None:
 
 
 def _int_dot(x, y) -> int:
-    return sum([a * b for a, b in zip(x, y)])
+    return sum(map(mul, x, y))
 
 
 def _scaled_pair(n: int, x, y):
@@ -155,48 +164,44 @@ def _segment_forms(den: int, forms, parts_of_x, sd) -> set:
     K = den S scales a, d and g d to integers: K a = den S x - (den g) S x,
     K d = den sd and K g d = (den g) sd. Each form is (A, B, B', C, D, E)
     times K^2. ``parts_of_x`` holds (K a, A K^2) per element, which do not
-    depend on the segment's end.
+    depend on the segment's end. The group is orthogonal, as a probe's is,
+    so B' = |K g d|^2 = |K d|^2 = B.
     """
     kd = [den * c for c in sd]
     b = _int_dot(kd, kd)
     found = set()
     for rows, (ka, a) in zip(forms, parts_of_x):
         kgd = int_mat_vec(rows, sd)
-        found.add((a, b, _int_dot(kgd, kgd), _int_dot(ka, kd), _int_dot(ka, kgd),
-                   _int_dot(kd, kgd)))
+        found.add((a, b, b, _int_dot(ka, kd), _int_dot(ka, kgd), _int_dot(kd, kgd)))
     return found
 
 
-def _first_negative(a: int, b: int, c: int, lo: int, hi: int) -> int:
-    """The least integer k in lo..hi with a k^2 + b k + c < 0, or hi + 1.
+def _below_zero(alpha: int, beta: int, gamma: int, lo: int, hi: int) -> range:
+    """The integers k in lo..hi with alpha k^2 + beta k + gamma < 0.
 
-    The forward difference a (2k + 1) + b changes sign at most once, at
-    t = floor((-b - a) / 2a) + 1, so lo..hi splits into at most two
-    monotone runs, lo..t and t..hi. A nondecreasing run is negative
-    somewhere only if it is at its first point; a nonincreasing run is
-    negative somewhere only if it is at its last point, and then it is
-    bisected.
+    A segment's quadratics are constant or strictly convex: alpha =
+    |K d - K g d|^2 >= 0, and alpha = 0 means g d = d, which makes beta = 0
+    (see ``_segment_sum``). A convex one is negative strictly between its
+    real roots (-beta -+ sqrt(disc)) / 2 alpha, so the integers where it is
+    negative run from the least integer above the lower root to the greatest
+    below the upper one. With ``math.isqrt`` of disc for its square root,
+    each end is one of two neighbouring integers, and the quadratic's exact
+    value at the outer one settles which.
     """
-    if a:
-        t = (-b - a) // (2 * a) + 1
-        runs = ((lo, min(hi, t), a > 0), (max(lo, t), hi, a < 0))
-    else:
-        runs = ((lo, hi, b < 0),)
-    for start, stop, falling in runs:
-        if start > stop:
-            continue
-        if not falling:
-            if (a * start + b) * start + c < 0:
-                return start
-        elif (a * stop + b) * stop + c < 0:
-            while start < stop:
-                mid = (start + stop) // 2
-                if (a * mid + b) * mid + c < 0:
-                    stop = mid
-                else:
-                    start = mid + 1
-            return start
-    return hi + 1
+    assert alpha > 0 or (alpha == 0 and beta == 0), (alpha, beta)
+    if not alpha:
+        return range(lo, hi + 1) if gamma < 0 else range(0)
+    disc = beta * beta - 4 * alpha * gamma
+    if disc <= 0:
+        return range(0)
+    root = math.isqrt(disc)
+    first = (-beta - root) // (2 * alpha) + 1
+    if (alpha * (first - 1) + beta) * (first - 1) + gamma < 0:
+        first -= 1
+    last = -((beta - root) // (2 * alpha)) - 1
+    if (alpha * (last + 1) + beta) * (last + 1) + gamma < 0:
+        last += 1
+    return range(max(first, lo), min(last, hi) + 1)
 
 
 def _segment_sum(scale: int, forms, pieces: int) -> float:
@@ -204,35 +209,45 @@ def _segment_sum(scale: int, forms, pieces: int) -> float:
 
     Piece i runs from r = (i - 1)/N to s = i/N, N = pieces, so
     N^2 L |p - g q|^2 is the integer q(i) = alpha i^2 + beta i + gamma,
-    L = ``scale``. The minimum is walked along the lower envelope of the
-    distinct quadratics: at piece i the least one, q, is picked once, and
-    it stays least up to the first j > i at which some other p has
-    p(j) - q(j) < 0 (``_first_negative``). On a constant q (alpha = beta
-    = 0, the identity's form) every piece of the run has one value, so a
-    constant run costs one square root. Pieces are added one at a time in
-    order (``reduce``, not ``sum``, which is compensated from Python 3.12
-    on), so the float is the one a per-piece minimum gives.
+    L = ``scale``, with alpha = B + B' - 2E = K^2 |d - g d|^2 and
+    beta = 2(E - B) + 2N(C - D). Where alpha = 0, g d = d, so D = C and
+    E = B and beta = 0: each quadratic is constant or strictly convex. The
+    identity's is constant, so the least constant, the floor, is the minimum
+    on every piece but those where some convex quadratic dips below it, and
+    each of those does on one interval of pieces (``_below_zero``). Off the
+    union of these intervals every piece is the floor, one square root for
+    all of them; on it the exact integer minimum of the quadratics that dip
+    there is taken per piece, then its square root. Pieces are added one at
+    a time in order (``reduce``, not ``sum``, which is compensated from
+    Python 3.12 on), so the float is the one a per-piece minimum gives.
     """
     n = pieces
-    quadratics = list({(b + b2 - 2 * e,
-                        2 * (e - b) + 2 * n * (c - d),
-                        n * n * a + b - 2 * n * c)
-                       for a, b, b2, c, d, e in forms})
+    quadratics = {(b + b2 - 2 * e, 2 * (e - b) + 2 * n * (c - d), n * n * a + b - 2 * n * c)
+                  for a, b, b2, c, d, e in forms}
+    floor = min(c for a, b, c in quadratics if not (a or b))
+    dips = []
+    for alpha, beta, gamma in quadratics:
+        if alpha or beta:
+            ks = _below_zero(alpha, beta, gamma - floor, 1, n)
+            if ks:
+                dips.append((ks.start, ks.stop, alpha, beta, gamma))
+    dips.sort()
     denominator = scale * n * n
+    at_floor = math.sqrt(floor / denominator)
     total = 0.0
     i = 1
-    while i <= n:
-        alpha, beta, gamma = min(quadratics, key=lambda q: (q[0] * i + q[1]) * i + q[2])
-        end = n + 1
-        for a, b, c in quadratics:
-            end = _first_negative(a - alpha, b - beta, c - gamma, i + 1, end - 1)
-        if alpha or beta:
-            for k in range(i, end):
-                total += math.sqrt(((alpha * k + beta) * k + gamma) / denominator)
-        else:
-            total = reduce(add, repeat(math.sqrt(gamma / denominator), end - i), total)
-        i = end
-    return total
+    while dips:
+        start, stop, *q = dips.pop(0)
+        run = [q]
+        while dips and dips[0][0] <= stop:
+            _, end, *q = dips.pop(0)
+            stop = max(stop, end)
+            run.append(q)
+        total = reduce(add, repeat(at_floor, start - i), total)
+        for k in range(start, stop):
+            total += math.sqrt(min((a * k + b) * k + c for a, b, c in run) / denominator)
+        i = stop
+    return reduce(add, repeat(at_floor, n + 1 - i), total)
 
 
 def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
@@ -247,19 +262,27 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     integers over one common denominator L, computed once per h and group
     element from the group's integer rows, so at depth k (N = 2**k pieces)
     piece i is the minimum of integer quadratics in i. Equal quadratics
-    are kept once, and the minimum is walked along their lower envelope:
-    one quadratic is picked per run of pieces it wins, and a run on a
-    constant quadratic costs one square root (see ``_segment_sum``).
+    are kept once. Each is constant or strictly convex, and the least
+    constant one is the minimum except on the integer intervals where a
+    convex one is below it, so the pieces off those intervals cost one
+    square root, and those on them the exact integer minimum of the
+    quadratics below and a square root each (see ``_segment_sum``).
     Dividing the exact int minimum by L N^2 is Python's correctly rounded
     int division, which gives the same float for any common L and the same
     float as converting the exact Fraction minimum, so every sum, and every
     report, is what a per-point evaluation with Fraction vectors gives.
 
     Exact refinement sums can only grow with depth, but the float sums
-    computed here need not, so every depth is evaluated and the largest
-    kept. For the corpus pair (1/2, -1/3) on the rotation line this reads
-    0.16666666666666677, while the deepest level alone reads
-    0.1666666666666664.
+    computed here need not, so the sup is over every depth. For the corpus
+    pair (1/2, -1/3) on the rotation line it reads 0.16666666666666677,
+    while the deepest level alone reads 0.1666666666666664. Still, the sum
+    at any one depth bounds an h's sup from below, and the min over h keeps
+    a new sup only when it is strictly less, so an h is dropped as soon as
+    one of its sums reaches the best sup so far, and the value returned is
+    the one every sum gives. The segments are taken shortest first and each
+    from its deepest sum down, so that the first segment nearly always wins
+    and the others are dropped at their deepest sum: at the default depth
+    the ten corpus pairs take 100 sums where every sum would be 180.
     """
     x, y = vec(x), vec(y)
     if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):
@@ -279,14 +302,24 @@ def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
         ka = [den * a - b for a, b in zip(sx, int_mat_vec(rows, sx))]
         parts_of_x.append((ka, _int_dot(ka, ka)))
     scale = (den * den * dx * dy) ** 2
-    best = None
-    for h in probe.subgroup.members:
-        sd = [dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
+    # A segment's sums are at most about its length |x - h y|, as each
+    # piece's minimum is at most the piece's length, and on a saturated
+    # probe the least sup is the least of these lengths.
+    directions = sorted(([dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
+                         for h in probe.subgroup.members),
+                        key=lambda sd: _int_dot(sd, sd))
+    depth = probe.partition_depth
+    best = math.inf
+    for sd in directions:
         segment = _segment_forms(den, forms, parts_of_x, sd)
-        sup = 0.0
-        for depth in range(probe.partition_depth + 1):
-            sup = max(sup, _segment_sum(scale, segment, 2 ** depth))
-        if best is None or sup < best:
+        # Any one sum bounds h's sup from below; the deepest is nearly always
+        # the largest.
+        sup = _segment_sum(scale, segment, 2 ** depth)
+        for k in range(depth - 1, -1, -1):
+            if sup >= best:
+                break
+            sup = max(sup, _segment_sum(scale, segment, 2 ** k))
+        if sup < best:
             best = sup
     return best
 

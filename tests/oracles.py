@@ -749,3 +749,29 @@ def oracle_intrinsic_distances(probe, x, y):
             if best[depth] is None or sup < best[depth]:
                 best[depth] = sup
     return best
+
+
+def oracle_piece_sums(probe, x, y):
+    """Per subgroup element h, in member order, the list of the segment sums
+    from x to h y at depths 0..probe.partition_depth, every depth summed by
+    oracle_piece_segment_sum. The forms come from the Fraction vectors
+    a = x - g x, d = h y - x and g d, scaled to integers by their least
+    common denominator K, over the common denominator K^2. The intrinsic
+    distance at depth k is the min over h of the max of entries 0..k."""
+    x, y = vec(x), vec(y)
+    matrices = matrices_of(probe.group)
+    sums = []
+    for h in probe.subgroup.members:
+        d = [t - s for t, s in zip(oracle_mat_vec(probe.group.elements[h].matrix, y), x)]
+        vectors = [([s - t for s, t in zip(x, oracle_mat_vec(g, x))], d, oracle_mat_vec(g, d))
+                   for g in matrices]
+        k = math.lcm(*(c.denominator for triple in vectors for v in triple for c in v))
+
+        def dot(u, v):
+            return int(sum(k * p * k * q for p, q in zip(u, v)))
+
+        forms = [(dot(a, a), dot(d, d), dot(gd, gd), dot(a, d), dot(a, gd), dot(d, gd))
+                 for a, d, gd in vectors]
+        sums.append([oracle_piece_segment_sum(k * k, forms, 2 ** depth)
+                     for depth in range(probe.partition_depth + 1)])
+    return sums

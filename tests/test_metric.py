@@ -1,6 +1,7 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
 import random
 import sys
+from itertools import accumulate
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from suborbifolds.errors import (
     NonOrthogonalGroup,
     PointsNotInSubspace,
 )
-from suborbifolds.groups import generate_group
+from suborbifolds.groups import all_subgroups, generate_group
 from suborbifolds.linalg import (
     contains_point,
     int_mat_vec,
@@ -37,9 +38,11 @@ from suborbifolds.metric import (
 from suborbifolds.scene import parse_scene
 
 from oracles import (
+    hyperoctahedral_generators,
     oracle_intrinsic_distances,
     oracle_mat_vec,
     oracle_piece_segment_sum,
+    oracle_piece_sums,
     oracle_quotient_distance,
     random_candidate,
     sample_in_subspace,
@@ -121,6 +124,10 @@ def test_probe_validates_points():
             parse_scene(scene)
     assert probe.with_settings() is probe
     assert probe.with_settings(depth=0).partition_depth == 0
+    # the copy equals the probe built with those settings, and leaves self as it was
+    assert probe.with_settings(depth=3, tolerance=0.5) == MetricProbe(
+        probe.group, probe.subgroup, probe.subspace, probe.sample_pairs, 3, 0.5)
+    assert (probe.partition_depth, probe.tolerance) == (DEFAULT_DEPTH, 1e-9)
     # a probe without pairs printed PASS with max_deviation 0.0
     with pytest.raises(InvalidMetricSetting, match="at least one sample pair"):
         MetricProbe(probe.group, probe.subgroup, probe.subspace, (),
@@ -285,14 +292,17 @@ def test_metric_check_tests_each_sample_point_once(monkeypatch, capsys):
         calls.append(1)
         return coordinates(v, x)
 
+    # --depth and --tol rebuild no probe: the new settings are checked alone.
     for argv, probes in ((["metric-check"], metric_probes()),
                          (["metric-check", "--scene", str(ROTATION_SCENE)],
                           parse_scene(ROTATION_SCENE.read_text()).probes)):
-        monkeypatch.setattr(linalg, "coordinates", counting)
-        calls.clear()
-        assert main(argv) == 0
-        monkeypatch.undo()
-        assert len(calls) == 2 * sum(len(p.sample_pairs) for p in probes.values())
+        for settings_argv in ([], ["--depth", "12"], ["--tol", "1e-6"],
+                              ["--depth", "0", "--tol", "0"]):
+            monkeypatch.setattr(linalg, "coordinates", counting)
+            calls.clear()
+            assert main(argv + settings_argv) == 0
+            monkeypatch.undo()
+            assert len(calls) == 2 * sum(len(p.sample_pairs) for p in probes.values())
     capsys.readouterr()
     probe = metric_probes()["rotation-line"]
     with pytest.raises(PointsNotInSubspace, match="query points must lie in the subspace"):
@@ -310,9 +320,11 @@ def test_metric_check_tests_orthogonality_once_per_probe(monkeypatch, capsys):
     for argv, count in ((["metric-check"], len(metric_probes())),
                         (["metric-check", "--scene", str(ROTATION_SCENE)],
                          len(parse_scene(ROTATION_SCENE.read_text()).probes))):
-        checked.clear()
-        assert main(argv) == 0
-        assert len(checked) == count
+        for settings_argv in ([], ["--depth", "12"], ["--tol", "1e-6"],
+                              ["--depth", "0", "--tol", "0"]):
+            checked.clear()
+            assert main(argv + settings_argv) == 0
+            assert len(checked) == count
     capsys.readouterr()
     for probe in _shipped_probes():
         assert len(probe.sample_pairs) > 1
@@ -494,18 +506,111 @@ def test_envelope_covers_ties_duplicates_and_each_curvature(monkeypatch):
 
 
 def _linear_scan(a, b, c, lo, hi):
-    return next((k for k in range(lo, hi + 1) if a * k * k + b * k + c < 0), hi + 1)
+    return [k for k in range(lo, hi + 1) if (a * k + b) * k + c < 0]
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(-4, 4), st.integers(-40, 40), st.integers(-40, 40), st.integers(-6, 6),
-       st.integers(-3, 3), st.integers(-45, 45), st.integers(-45, 45))
-@example(1, 0, 0, 0, 0, 5, 4)       # lo > hi
-@example(0, 0, 0, -1, 0, 3, 2)      # lo > hi, negative everywhere
-@example(0, 0, 0, 0, -1, -10, 10)   # linear, falling through zero
-@example(-1, 0, 0, 1, 0, -5, 5)     # concave: negative on both sides of 0
-def test_first_negative_matches_a_linear_scan(a, r, s, m, e, lo, hi):
-    # a (k - r)(k - s) + m k + e: roots inside the range for each curvature
-    # sign, and a line or a constant when a is 0.
-    b, c = m - a * (r + s), a * r * s + e
-    assert metric._first_negative(a, b, c, lo, hi) == _linear_scan(a, b, c, lo, hi)
+@given(st.integers(0, 1000), st.integers(-40, 40), st.integers(-40, 40),
+       st.integers(-10 ** 4, 10 ** 4),
+       st.one_of(st.just(0), st.integers(-10 ** 12, 10 ** 12)),
+       st.integers(-50, 50), st.integers(-50, 50))
+@example(1, 0, 0, 5, 0, -10, 10)      # discriminant < 0
+@example(1, 2, 2, 0, 0, -10, 10)      # discriminant 0: zero at 2, negative nowhere
+@example(1, 2, 3, 0, 0, -10, 10)      # perfect square, roots 2 and 3: no integer between
+@example(2, 1, 4, 0, 0, -10, 10)      # perfect square, roots 1 and 4: 2..3
+@example(1, 1, 4, 0, 0, 1, 4)         # roots at lo and hi
+@example(1, 1, 4, 0, 0, 2, 3)         # the range ends inside the interval
+@example(1, 0, 0, -2, 0, -5, 5)       # roots -+sqrt 2: isqrt is one short at both ends
+@example(1, 0, 0, -9, 0, 5, 4)        # lo > hi
+@example(0, 0, 0, -1, 0, -3, 3)       # constant and negative: all of lo..hi
+@example(0, 0, 0, 0, 0, -3, 3)        # constant zero: nowhere
+@example(1000, 0, 1, -1, 10 ** 12, -5, 5)   # roots near 10**12, apart by about 1
+def test_below_zero_matches_a_linear_scan(a, r, s, e, center, lo, hi):
+    # a (k - center - r)(k - center - s) + e, scanned on a window near the
+    # roots: for a > 0 every kind of discriminant, integer and irrational
+    # roots, both near 0 and near 10**12, where isqrt must be exact; for
+    # a = 0 a constant.
+    b, c = -a * (2 * center + r + s), a * (center + r) * (center + s) + e
+    lo, hi = center + lo, center + hi
+    assert list(metric._below_zero(a, b, c, lo, hi)) == _linear_scan(a, b, c, lo, hi)
+
+
+def test_below_zero_refuses_a_linear_quadratic():
+    # alpha = 0 forces beta = 0 on a real segment (g d = d), so a line is a
+    # fault in the forms, not an input.
+    for beta in (1, -3):
+        with pytest.raises(AssertionError):
+            metric._below_zero(0, beta, 0, 0, 10)
+    with pytest.raises(AssertionError):
+        metric._below_zero(-1, 0, 0, 0, 10)
+
+
+def _pruning_cases(rng):
+    """(probe, x, y) with probes of every kind the pruning meets: the
+    shipped probes, THIRDS, and B2 and B3 on the whole space with
+    subgroups of order >= 4 (every one of B2's, 8 random ones of B3's) and
+    random points, at random depths."""
+    cases = [(probe, x, y) for probe in _shipped_probes() for x, y in probe.sample_pairs]
+    pairs = ((vec(["1/2", 0, "-1/3"]), vec([1, "2/5", 0])),
+             (vec([0, 0, 0]), vec(["3/4", "3/4", "-1/6"])))
+    cases += [(MetricProbe(THIRDS, THIRDS.full_subgroup(), whole_space(3), pairs), x, y)
+              for x, y in pairs]
+    for n, count in ((2, 4), (3, 8)):
+        group = generate_group(hyperoctahedral_generators(n))
+        subgroups = sorted((s for s in all_subgroups(group) if s.order >= 4),
+                           key=lambda s: s.members)
+        for delta in rng.sample(subgroups, count):
+            x, y = ([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(2))
+            probe = MetricProbe(group, delta, whole_space(n), ((vec(x), vec(y)),),
+                                partition_depth=rng.randint(0, 7))
+            cases.append((probe, vec(x), vec(y)))
+    return cases
+
+
+def test_pruned_distance_equals_every_sup_at_every_depth():
+    # Dropping an h once one of its sums reaches the best sup so far, and
+    # walking the shortest segments first, gives the min over h of the
+    # per-h sup over all depths, every sum computed: at every depth, on
+    # pairs whose minimiser is the first member and on pairs where it is
+    # not.
+    rng = random.Random(4729)
+    later_minimiser = large = 0
+    for probe, x, y in _pruning_cases(rng):
+        sups = [list(accumulate(row, max)) for row in oracle_piece_sums(probe, x, y)]
+        for depth in range(probe.partition_depth + 1):
+            got = intrinsic_quotient_distance(probe.with_settings(depth=depth), x, y)
+            assert got == min(row[depth] for row in sups), (x, y, depth)
+        last = [row[-1] for row in sups]
+        later_minimiser += last.index(min(last)) > 0
+        large += probe.subgroup.order >= 4
+    assert later_minimiser >= 5 and large == 12, (later_minimiser, large)
+
+
+def test_golden_pair_sup_is_not_at_the_deepest_level():
+    # The float sums need not grow with depth: on the rotation line the
+    # pair (1/2, -1/3) has its sup above its deepest sum, so the pruning
+    # may drop an h at its deepest sum but must not stop there for the
+    # minimiser, the half turn.
+    probe = metric_probes()["rotation-line"]
+    x, y = vec(["1/2", 0]), vec(["-1/3", 0])
+    assert (x, y) in probe.sample_pairs
+    half_turn, identity = oracle_piece_sums(probe, x, y)
+    assert half_turn[-1] == 0.1666666666666664 < max(half_turn) == 0.16666666666666677
+    assert identity[-1] > max(half_turn)
+    assert intrinsic_quotient_distance(probe, x, y) == 0.16666666666666677
+
+
+def test_corpus_probes_drop_subgroup_elements_that_cannot_win(monkeypatch):
+    # Unpruned, each pair sums every depth for every h: |Delta| (D + 1) sums.
+    calls = []
+    segment_sum = metric._segment_sum
+    monkeypatch.setattr(metric, "_segment_sum",
+                        lambda *args: calls.append(1) or segment_sum(*args))
+    for depth in (DEFAULT_DEPTH, MAX_DEPTH):
+        for probe in metric_probes().values():
+            probe = probe.with_settings(depth=depth)
+            for x, y in probe.sample_pairs:
+                calls.clear()
+                intrinsic_quotient_distance(probe, x, y)
+                assert len(calls) < probe.subgroup.order * (depth + 1), (x, y, depth)
