@@ -20,7 +20,6 @@ subgroup element whose sum already reaches the best sup is dropped.
 """
 from __future__ import annotations
 
-import copy
 import math
 from functools import reduce
 from itertools import repeat
@@ -45,7 +44,7 @@ from .linalg import (
     scaled,
     vec,
 )
-from .records import record, set_field
+from .records import record
 
 DEFAULT_DEPTH = 8
 # Each level doubles the pieces per segment: the winning segment sums
@@ -86,9 +85,8 @@ class MetricProbe:
         tolerance = self.tolerance if tolerance is None else tolerance
         # The group and the sample pairs were checked when self was built.
         check_settings(depth, tolerance, self.sample_pairs)
-        probe = copy.copy(self)
-        set_field(probe, "partition_depth", depth)
-        set_field(probe, "tolerance", tolerance)
+        probe = object.__new__(MetricProbe)
+        probe.__dict__.update(self.__dict__, partition_depth=depth, tolerance=tolerance)
         return probe
 
 
@@ -177,16 +175,14 @@ def _segment_forms(den: int, forms, parts_of_x, sd) -> set:
 
 
 def _below_zero(alpha: int, beta: int, gamma: int, lo: int, hi: int) -> range:
-    """The integers k in lo..hi with alpha k^2 + beta k + gamma < 0.
+    """The integers k in lo..hi with alpha k^2 + beta k + gamma < 0, for a
+    constant (alpha = beta = 0) or strictly convex quadratic, as a
+    segment's are (see ``_segment_sum``).
 
-    A segment's quadratics are constant or strictly convex: alpha =
-    |K d - K g d|^2 >= 0, and alpha = 0 means g d = d, which makes beta = 0
-    (see ``_segment_sum``). A convex one is negative strictly between its
-    real roots (-beta -+ sqrt(disc)) / 2 alpha, so the integers where it is
-    negative run from the least integer above the lower root to the greatest
-    below the upper one. With ``math.isqrt`` of disc for its square root,
-    each end is one of two neighbouring integers, and the quadratic's exact
-    value at the outer one settles which.
+    A convex one is negative strictly between its real roots
+    (-beta -+ sqrt(disc)) / 2 alpha. With ``math.isqrt`` for the square
+    root, each end of the integer run is one of two neighbours, and the
+    quadratic's exact value at the outer one settles which.
     """
     assert alpha > 0 or (alpha == 0 and beta == 0), (alpha, beta)
     if not alpha:
@@ -261,28 +257,22 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     parameters (see ``_segment_forms``). Its coefficients are exact
     integers over one common denominator L, computed once per h and group
     element from the group's integer rows, so at depth k (N = 2**k pieces)
-    piece i is the minimum of integer quadratics in i. Equal quadratics
-    are kept once. Each is constant or strictly convex, and the least
-    constant one is the minimum except on the integer intervals where a
-    convex one is below it, so the pieces off those intervals cost one
-    square root, and those on them the exact integer minimum of the
-    quadratics below and a square root each (see ``_segment_sum``).
-    Dividing the exact int minimum by L N^2 is Python's correctly rounded
-    int division, which gives the same float for any common L and the same
-    float as converting the exact Fraction minimum, so every sum, and every
-    report, is what a per-point evaluation with Fraction vectors gives.
+    piece i is the minimum of integer quadratics in i (see
+    ``_segment_sum``). Dividing the exact int minimum by L N^2 is Python's
+    correctly rounded int division, which gives the same float for any
+    common L and the same float as converting the exact Fraction minimum,
+    so every sum, and every report, is what a per-point evaluation with
+    Fraction vectors gives.
 
     Exact refinement sums can only grow with depth, but the float sums
     computed here need not, so the sup is over every depth. For the corpus
     pair (1/2, -1/3) on the rotation line it reads 0.16666666666666677,
-    while the deepest level alone reads 0.1666666666666664. Still, the sum
-    at any one depth bounds an h's sup from below, and the min over h keeps
-    a new sup only when it is strictly less, so an h is dropped as soon as
-    one of its sums reaches the best sup so far, and the value returned is
-    the one every sum gives. The segments are taken shortest first and each
-    from its deepest sum down, so that the first segment nearly always wins
-    and the others are dropped at their deepest sum: at the default depth
-    the ten corpus pairs take 100 sums where every sum would be 180.
+    while the deepest level alone reads 0.1666666666666664. Still, any one
+    sum bounds an h's sup from below, and the min over h keeps only a
+    strictly smaller sup, so an h is dropped once one of its sums reaches
+    the best sup so far and the value is the one every sum gives. Taking
+    the segments shortest first, each from its deepest sum down, the ten
+    corpus pairs need 100 sums at the default depth instead of 180.
     """
     x, y = vec(x), vec(y)
     if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):
