@@ -250,7 +250,8 @@ def cmd_metric_check(args) -> int:
         probes = corpus_mod.metric_probes()
         # The corpus charts are built once per process without the bound, so
         # the bound is checked on their orders, as a scene's groups are when built.
-        if any(probe.group.order > args.max_order for probe in probes.values()):
+        if any(probe.candidate.chart.group.order > args.max_order
+               for probe in probes.values()):
             raise NotFiniteWithinBound(args.max_order)
     if not probes:
         raise SuborbifoldError("the scene has no metric probes to check")
@@ -277,28 +278,17 @@ def cmd_corpus(args) -> int:
     report = corpus_mod.run_corpus(name_filter=args.filter)
     if not report.results:
         raise SuborbifoldError(f"no corpus case matches filter {args.filter!r}")
+    mismatches = dict(report.mismatches)
     lines = []
-    results = {}
-    for entry in report.results:
-        status = "PASS" if entry["passed"] else "FAIL"
-        lines.append(f"[{entry['name']}] {status}")
-        if not entry["passed"]:
-            for key in entry["expected"]:
-                if entry["observed"].get(key) != entry["expected"][key]:
-                    lines.append(
-                        f"  {key}: expected {entry['expected'][key]}, "
-                        f"observed {entry['observed'].get(key)}"
-                    )
-        results[entry["name"]] = {
-            "expected": entry["expected"],
-            "observed": entry["observed"],
-            "passed": entry["passed"],
-        }
+    for name in report.results:
+        lines.append(f"[{name}] {'FAIL' if name in mismatches else 'PASS'}")
+        for key, (expected, observed) in mismatches.get(name, {}).items():
+            lines.append(f"  {key}: expected {expected}, observed {observed}")
     lines.append(
         f"{len(report.results)} cases, {len(report.mismatches)} mismatches "
         f"({report.elapsed_seconds:.2f}s)"
     )
-    _emit(args, {"command": "corpus", "results": results,
+    _emit(args, {"command": "corpus", "results": report.results,
                  "ok": report.ok,
                  "timing": {"seconds": report.elapsed_seconds}}, lines)
     return EXIT_OK if report.ok else EXIT_MISMATCH

@@ -244,16 +244,13 @@ CASES = (
 def metric_probes() -> dict[str, MetricProbe]:
     """Corpus probes for the metric-coincidence lemma.
 
-    The probes read the rot4 and Klein charts the corpus cases read, built
-    once per process; each probe is built, with its membership and
-    orthogonality checks, on every call.
+    The probes are on the candidates of the corpus cases of the same name,
+    on the rot4 and Klein charts those cases read, built once per process;
+    each candidate and probe is built, with its checks, on every call.
     """
-    rot, klein = _shared(rot4_chart), _shared(klein_chart)
     return {
         "rotation-line": MetricProbe(
-            rot.group,
-            rot.group.subgroup_from_matrices([ROT2]),
-            x_axis(),
+            rotation_line_candidate(_shared(rot4_chart)),
             tuple(
                 (vec([a, 0]), vec([b, 0]))
                 for a, b in [(1, -2), (0, 1), (Fraction(1, 2), Fraction(-1, 3)),
@@ -261,9 +258,7 @@ def metric_probes() -> dict[str, MetricProbe]:
             ),
         ),
         "diagonal-half-turn": MetricProbe(
-            klein.group,
-            klein.group.subgroup_from_matrices([ROT2]),
-            plane_diagonal(),
+            diagonal_half_turn_candidate(_shared(klein_chart)),
             tuple(
                 (vec([a, a]), vec([b, b]))
                 for a, b in [(1, -1), (0, 2), (Fraction(1, 3), Fraction(-1, 2)),
@@ -275,7 +270,11 @@ def metric_probes() -> dict[str, MetricProbe]:
 
 @record
 class CorpusReport:
-    results: list
+    """Per case name, its expected and observed values and whether they
+    agree, as the ``corpus`` command reports them; per failing case, its
+    name and the (expected, observed) pair of each key that differs."""
+
+    results: dict
     mismatches: list
     elapsed_seconds: float
 
@@ -285,7 +284,7 @@ class CorpusReport:
 
 
 def run_corpus(name_filter: str | None = None, cases=CASES) -> CorpusReport:
-    results, mismatches = [], []
+    results, mismatches = {}, []
     start = time.perf_counter()
     for case in cases:
         if name_filter and name_filter not in case.name:
@@ -296,13 +295,11 @@ def run_corpus(name_filter: str | None = None, cases=CASES) -> CorpusReport:
             for key in case.expected
             if observed.get(key) != case.expected[key]
         }
-        entry = {
-            "name": case.name,
+        results[case.name] = {
             "expected": case.expected,
             "observed": observed,
             "passed": not mismatched,
         }
-        results.append(entry)
         if mismatched:
             mismatches.append((case.name, mismatched))
     return CorpusReport(results, mismatches, time.perf_counter() - start)

@@ -25,16 +25,15 @@ from functools import reduce
 from itertools import repeat
 from operator import add, mul
 
-from .classify import ChartModel, SuborbifoldCandidate, check_saturated
+from .classify import SuborbifoldCandidate
 from .errors import (
     CandidateNotSaturated,
     InvalidMetricSetting,
     NonOrthogonalGroup,
     PointsNotInSubspace,
 )
-from .groups import FiniteMatrixGroup, Subgroup, first_failure
+from .groups import first_failure
 from .linalg import (
-    AffineSubspace,
     Vec,
     contains_point,
     dense,
@@ -60,19 +59,21 @@ DEFAULT_TOLERANCE = 1e-9
 
 @record
 class MetricProbe:
-    group: FiniteMatrixGroup
-    subgroup: Subgroup
-    subspace: AffineSubspace
+    """The metric lemma's check on a candidate: sample pairs on its V, a
+    partition depth and a tolerance. The candidate checks Delta and V; the
+    probe checks its settings, that Gamma is orthogonal and its pairs on V."""
+
+    candidate: SuborbifoldCandidate
     sample_pairs: tuple[tuple[Vec, Vec], ...]
     partition_depth: int = DEFAULT_DEPTH
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         check_settings(self.partition_depth, self.tolerance, self.sample_pairs)
-        _require_orthogonal(self.group)
+        _require_orthogonal(self.candidate.chart.group)
+        v = self.candidate.v
         for x, y in self.sample_pairs:
-            if not (contains_point(self.subspace, x)
-                    and contains_point(self.subspace, y)):
+            if not (contains_point(v, x) and contains_point(v, y)):
                 pair = ", ".join("[" + ", ".join(map(rat_str, p)) + "]" for p in (x, y))
                 raise PointsNotInSubspace(f"sample pair {pair} leaves the subspace")
 
@@ -83,7 +84,8 @@ class MetricProbe:
             return self
         depth = self.partition_depth if depth is None else depth
         tolerance = self.tolerance if tolerance is None else tolerance
-        # The group and the sample pairs were checked when self was built.
+        # The group and the sample pairs were checked when self was built,
+        # and the copy shares self's candidate, with its saturation verdict.
         check_settings(depth, tolerance, self.sample_pairs)
         probe = object.__new__(MetricProbe)
         probe.__dict__.update(self.__dict__, partition_depth=depth, tolerance=tolerance)
@@ -142,7 +144,7 @@ def quotient_distance(group, x, y) -> float:
 
 def _quotient_distance(group, x, y) -> float:
     """``quotient_distance`` for a group known to be orthogonal, such as a
-    probe's subgroup, whose whole group the probe checked."""
+    probe's Delta, whose whole group the probe checked."""
     den, forms = group.parent.integer_forms
     (dx, xs), (dy, ys) = _scaled_pair(group.parent.ambient_dim, x, y)
     kx = [den * dy * c for c in xs]
@@ -274,8 +276,8 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     the segments shortest first, each from its deepest sum down, the ten
     corpus pairs need 100 sums at the default depth instead of 180.
     """
-    x, y = vec(x), vec(y)
-    if not (contains_point(probe.subspace, x) and contains_point(probe.subspace, y)):
+    x, y, v = vec(x), vec(y), probe.candidate.v
+    if not (contains_point(v, x) and contains_point(v, y)):
         raise PointsNotInSubspace("query points must lie in the subspace")
     return _intrinsic_distance(probe, x, y)
 
@@ -283,8 +285,9 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
 def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
     """``intrinsic_quotient_distance`` for points known to lie in the
     subspace, such as a probe's sample pairs, which the probe checked."""
-    den, forms = probe.group.integer_forms
-    (dx, xs), (dy, ys) = _scaled_pair(probe.group.ambient_dim, x, y)
+    group = probe.candidate.chart.group
+    den, forms = group.integer_forms
+    (dx, xs), (dy, ys) = _scaled_pair(group.ambient_dim, x, y)
     # S = den dx dy: S x = den dy xs and S h y = dx (den h) ys are integers.
     sx = [den * dy * c for c in xs]
     parts_of_x = []
@@ -296,7 +299,7 @@ def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
     # piece's minimum is at most the piece's length, and on a saturated
     # probe the least sup is the least of these lengths.
     directions = sorted(([dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
-                         for h in probe.subgroup.members),
+                         for h in probe.candidate.delta.members),
                         key=lambda sd: _int_dot(sd, sd))
     depth = probe.partition_depth
     best = math.inf
@@ -350,13 +353,12 @@ class MetricReport:
 
 def lemma_metrics_check(probe: MetricProbe) -> MetricReport:
     """Per-pair comparison of the two metrics on the quotient of the subspace."""
-    chart = ChartModel(probe.group)
-    cand = SuborbifoldCandidate(chart, probe.subgroup, probe.subspace)
-    if not check_saturated(cand).holds:
+    if not probe.candidate.saturation.holds:
         raise CandidateNotSaturated("metric lemma requires a saturated candidate")
+    delta = probe.candidate.delta
     results = []
     for x, y in probe.sample_pairs:
-        quotient = _quotient_distance(probe.subgroup, x, y)
+        quotient = _quotient_distance(delta, x, y)
         intrinsic = _intrinsic_distance(probe, x, y)
         results.append(PairResult(vec(x), vec(y), quotient, intrinsic))
     return MetricReport(tuple(results), probe.tolerance)

@@ -1,8 +1,8 @@
 """Declarative scene files and machine-readable report serialization.
 
 A scene is a JSON document naming groups (generator lists), subgroups,
-affine subspaces, candidates, equivariant maps and metric probes, plus a
-list of queries. Rationals are JSON integers or strings "p/q" (the "/q"
+affine subspaces, candidates, equivariant maps and metric probes; other
+keys are ignored. Rationals are JSON integers or strings "p/q" (the "/q"
 may be omitted); parsing is exact. Group generators, subgroup generators,
 subspaces and a map's linear part and offset are read straight into
 integers (``linalg.read_rational``): an int or a plain "p" or "p/q"
@@ -16,8 +16,8 @@ every entry when the file is read: the sections, the JSON shape of each
 entry, the keys it needs, every rational (read into its integer form),
 that a group's generators are square and of one size and a subspace's
 basis vectors as long as its base point, every name an entry refers to
-(``UnresolvedName`` when unknown), a probe's depth, tolerance and pairs,
-and the queries. A group, subgroup, subspace, candidate, map or probe is
+(``UnresolvedName`` when unknown), and a probe's depth, tolerance and
+pairs. A group, subgroup, subspace, candidate, map or probe is
 built the first time it is looked up, and kept, so an entry read twice
 is built once. A subspace's canonical form (``linalg.read_subspace``)
 is computed then, and the closure (``--max-order``, infinite groups,
@@ -28,8 +28,9 @@ and pairs on its subspace are checked then.
 The CLI builds only what its command reads, so such a fault in an entry
 it does not read is not reported. ``parse_scene`` reads, then builds
 every entry in section order, and reports any fault. A failed build
-raises what ``parse_scene`` raises for it: ``KeyError`` and
-``TypeError`` become ``ParseError``, as does ``DimensionMismatch``.
+raises what ``parse_scene`` raises for it, with a ``DimensionMismatch``
+as a ``ParseError``; a ``KeyError`` or ``TypeError`` from a build is a
+fault of the package, not of the scene, and is not translated.
 
 The machine report format is deterministic JSON with sorted keys;
 timing lives under a single "timing" key so reports can be compared
@@ -92,13 +93,12 @@ class SceneFile:
     candidates: Mapping[str, SuborbifoldCandidate]
     maps: Mapping[str, EquivariantAffineMap]
     probes: Mapping[str, MetricProbe]
-    queries: list[dict]
 
 
 class _Entries(Mapping):
     """One section's entries by name. An entry is built by its recipe, a
     function of no arguments, the first time it is looked up, and kept;
-    the errors of a build are reported as ``parse_scene`` reports them."""
+    a ``DimensionMismatch`` in a build is reported as a ``ParseError``."""
 
     def __init__(self):
         self.recipes: dict = {}
@@ -108,7 +108,10 @@ class _Entries(Mapping):
         built = self._built
         if name in built:
             return built[name]
-        entry = built[name] = _checked(self.recipes[name])
+        try:
+            entry = built[name] = self.recipes[name]()
+        except DimensionMismatch as exc:
+            raise ParseError(str(exc)) from exc
         return entry
 
     def __contains__(self, name) -> bool:
@@ -148,6 +151,26 @@ def _section(raw: dict, key: str) -> dict:
     if not isinstance(section, dict):
         raise ParseError(f"scene section {key!r} must be a JSON object")
     return section
+
+
+class _Spec(dict):
+    """A scene entry's JSON object; a key it lacks is a ``ParseError``
+    naming the section, the entry and the key."""
+
+    def __init__(self, section: str, name: str, spec):
+        self.where = f"scene section {section!r}: entry {name!r}"
+        if not isinstance(spec, dict):
+            raise ParseError(f"{self.where} must be a JSON object")
+        super().__init__(spec)
+
+    def __missing__(self, key):
+        raise ParseError(f"{self.where} lacks the key {key!r}")
+
+
+def _specs(raw: dict, section: str):
+    """The section's entries as (name, ``_Spec``) pairs."""
+    return [(name, _Spec(section, name, spec))
+            for name, spec in _section(raw, section).items()]
 
 
 def _element_indices(values, order: int, what: str) -> list[int]:
@@ -198,8 +221,8 @@ def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> Equivar
 
 def _probe(groups, subgroups, subspaces, group, subgroup, subspace, pairs, depth,
            tolerance) -> MetricProbe:
-    return MetricProbe(groups[group], subgroups[subgroup], subspaces[subspace], pairs,
-                       depth, tolerance)
+    return MetricProbe(_candidate(groups, subgroups, subspaces, group, subgroup, subspace),
+                       pairs, depth, tolerance)
 
 
 def read_scene(text: str, max_order: int | None = None) -> SceneFile:
@@ -228,23 +251,23 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
         if not isinstance(gens, list) or not gens:
             raise ParseError(f"group {name!r} must list at least one generator")
         groups.recipes[name] = partial(generate_group, read_generators(gens), **kwargs)
-    for name, spec in _section(raw, "subgroups").items():
+    for name, spec in _specs(raw, "subgroups"):
         parent = _known(groups, spec["parent"], "group")
         if "generator_indices" in spec:
             indices, forms = list(spec["generator_indices"]), None
         else:
             indices, forms = None, [int_matrix(m) for m in spec["generators"]]
         subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
-    for name, spec in _section(raw, "subspaces").items():
+    for name, spec in _specs(raw, "subspaces"):
         subspaces.recipes[name] = read_subspace(spec["base"], spec.get("basis", []))
-    for name, spec in _section(raw, "candidates").items():
+    for name, spec in _specs(raw, "candidates"):
         group = _known(groups, spec["group"], "group")
         subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
                     if "subgroup" in spec else None)
         subspace = _known(subspaces, spec["subspace"], "subspace")
         candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
                                            group, subgroup, subspace)
-    for name, spec in _section(raw, "maps").items():
+    for name, spec in _specs(raw, "maps"):
         domain = _known(groups, spec["domain"], "group")
         codomain = _known(groups, spec["codomain"], "group")
         if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
@@ -257,7 +280,7 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
         maps.recipes[name] = partial(
             _map, groups, name, domain, codomain, theta_pairs,
             int_matrix(spec["matrix"]), int_vector(spec["offset"]))
-    for name, spec in _section(raw, "probes").items():
+    for name, spec in _specs(raw, "probes"):
         group = _known(groups, spec["group"], "group")
         subgroup = _known(subgroups, spec["subgroup"], "subgroup")
         subspace = _known(subspaces, spec["subspace"], "subspace")
@@ -272,13 +295,7 @@ def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
             raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
         probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
                                        subgroup, subspace, pairs, depth, tolerance)
-    queries = raw.get("queries", [])
-    if not isinstance(queries, list):
-        raise ParseError("scene queries must be a JSON list")
-    for query in queries:
-        if not isinstance(query, dict) or "command" not in query:
-            raise ParseError(f"query is not an object with a command: {query}")
-    return SceneFile(groups, subgroups, subspaces, candidates, maps, probes, queries)
+    return SceneFile(groups, subgroups, subspaces, candidates, maps, probes)
 
 
 def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
@@ -287,7 +304,7 @@ def parse_scene(text: str, max_order: int | None = None) -> SceneFile:
     scene = read_scene(text, max_order)
     return SceneFile(groups=dict(scene.groups), subgroups=dict(scene.subgroups),
                      subspaces=dict(scene.subspaces), candidates=dict(scene.candidates),
-                     maps=dict(scene.maps), probes=dict(scene.probes), queries=scene.queries)
+                     maps=dict(scene.maps), probes=dict(scene.probes))
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +480,6 @@ def _write_json(value, newline: str, append) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def strip_timing(payload):
-    """Recursively drop timing fields (for byte-identical comparisons)."""
-    if isinstance(payload, dict):
-        return {
-            k: strip_timing(v)
-            for k, v in payload.items()
-            if k not in ("timing", "seconds", "elapsed_seconds")
-        }
-    if isinstance(payload, list):
-        return [strip_timing(v) for v in payload]
-    return payload
+def strip_timing(payload: dict) -> dict:
+    """The report without its "timing" key (for byte-identical comparisons)."""
+    return {k: v for k, v in payload.items() if k != "timing"}

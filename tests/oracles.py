@@ -740,12 +740,13 @@ def oracle_intrinsic_distances(probe, x, y):
     subgroup element h the sup of the segment sums over depths 0..k, then
     the min over h. Each depth's sums are computed once for all k."""
     x, y = vec(x), vec(y)
+    group = probe.candidate.chart.group
     best = [None] * (probe.partition_depth + 1)
-    for h in probe.subgroup.members:
-        target = oracle_mat_vec(probe.group.elements[h].matrix, y)
+    for h in probe.candidate.delta.members:
+        target = oracle_mat_vec(group.elements[h].matrix, y)
         sup = 0.0
         for depth in range(probe.partition_depth + 1):
-            sup = max(sup, oracle_segment_sum(matrices_of(probe.group), x, target, 2 ** depth))
+            sup = max(sup, oracle_segment_sum(matrices_of(group), x, target, 2 ** depth))
             if best[depth] is None or sup < best[depth]:
                 best[depth] = sup
     return best
@@ -759,10 +760,11 @@ def oracle_piece_sums(probe, x, y):
     common denominator K, over the common denominator K^2. The intrinsic
     distance at depth k is the min over h of the max of entries 0..k."""
     x, y = vec(x), vec(y)
-    matrices = matrices_of(probe.group)
+    group = probe.candidate.chart.group
+    matrices = matrices_of(group)
     sums = []
-    for h in probe.subgroup.members:
-        d = [t - s for t, s in zip(oracle_mat_vec(probe.group.elements[h].matrix, y), x)]
+    for h in probe.candidate.delta.members:
+        d = [t - s for t, s in zip(oracle_mat_vec(group.elements[h].matrix, y), x)]
         vectors = [([s - t for s, t in zip(x, oracle_mat_vec(g, x))], d, oracle_mat_vec(g, d))
                    for g in matrices]
         k = math.lcm(*(c.denominator for triple in vectors for v in triple for c in v))

@@ -118,6 +118,25 @@ def test_corpus_report_matches_golden_on_warm_charts(monkeypatch):
         assert stripped_report(["corpus"]) == golden
 
 
+def test_every_shipped_scene_has_a_golden_report():
+    # REPORTS is the one list of shipped commands, and the CI golden step
+    # runs every one of them.
+    shipped = {f"scenes/{name}" for name in os.listdir(os.path.join(ROOT, "scenes"))
+               if name.endswith(".json")}
+    reported = {argv[i + 1] for argv in REPORTS.values()
+                for i, arg in enumerate(argv) if arg == "--scene"}
+    assert shipped and shipped <= reported, shipped - reported
+
+
+def test_strip_timing_drops_only_the_timing_key():
+    # A "seconds" or "elapsed_seconds" key outside "timing" stays, so the
+    # golden and determinism checks compare it.
+    payload = {"command": "corpus", "timing": {"seconds": 0.5}, "seconds": 1,
+               "results": {"a": {"elapsed_seconds": 2, "timing": 3}}}
+    assert strip_timing(payload) == {"command": "corpus", "seconds": 1,
+                                     "results": {"a": {"elapsed_seconds": 2, "timing": 3}}}
+
+
 def _json_dumps(payload) -> str:
     """The report bytes as ``json`` writes them."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

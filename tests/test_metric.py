@@ -1,4 +1,5 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
+import json
 import random
 import sys
 from itertools import accumulate
@@ -8,11 +9,20 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from suborbifolds.classify import ChartModel, SuborbifoldCandidate
 from suborbifolds.cli import main
-from suborbifolds.corpus import metric_probes, rot4_chart, x_axis
+from suborbifolds.corpus import (
+    SIGN_X,
+    klein_chart,
+    metric_probes,
+    rot4_chart,
+    rotation_line_candidate,
+    x_axis,
+)
 from suborbifolds import linalg, metric
 from suborbifolds.errors import (
     CandidateNotSaturated,
+    ChartMismatch,
     DimensionMismatch,
     InvalidMetricSetting,
     NonOrthogonalGroup,
@@ -47,6 +57,12 @@ from oracles import (
     random_candidate,
     sample_in_subspace,
 )
+
+
+def _on_whole_space(group, delta=None):
+    """The candidate of delta, by default the whole group, on all of R^n."""
+    delta = group.full_subgroup() if delta is None else delta
+    return SuborbifoldCandidate(ChartModel(group), delta, whole_space(group.ambient_dim))
 
 
 def test_quotient_distance_hand_case():
@@ -94,12 +110,9 @@ def test_orthogonality_required():
 
 
 def test_probe_validates_points():
-    chart = rot4_chart()
     with pytest.raises(PointsNotInSubspace):
         MetricProbe(
-            chart.group,
-            chart.group.full_subgroup(),
-            x_axis(),
+            rotation_line_candidate(rot4_chart()),
             ((vec([0, 1]), vec([1, 0])),),
         )
     probe = metric_probes()["rotation-line"]
@@ -126,22 +139,59 @@ def test_probe_validates_points():
     assert probe.with_settings(depth=0).partition_depth == 0
     # the copy equals the probe built with those settings, and leaves self as it was
     assert probe.with_settings(depth=3, tolerance=0.5) == MetricProbe(
-        probe.group, probe.subgroup, probe.subspace, probe.sample_pairs, 3, 0.5)
+        probe.candidate, probe.sample_pairs, 3, 0.5)
     assert (probe.partition_depth, probe.tolerance) == (DEFAULT_DEPTH, 1e-9)
     # a probe without pairs printed PASS with max_deviation 0.0
     with pytest.raises(InvalidMetricSetting, match="at least one sample pair"):
-        MetricProbe(probe.group, probe.subgroup, probe.subspace, (),
-                    probe.partition_depth, probe.tolerance)
+        MetricProbe(probe.candidate, (), probe.partition_depth, probe.tolerance)
 
 
 def test_lemma_requires_saturated():
     chart = rot4_chart()
     trivial = chart.group.subgroup_from_indices([chart.group.identity])
     probe = MetricProbe(
-        chart.group, trivial, x_axis(), ((vec([0, 0]), vec([1, 0])),)
+        SuborbifoldCandidate(chart, trivial, x_axis()), ((vec([0, 0]), vec([1, 0])),)
     )
     with pytest.raises(CandidateNotSaturated):
         lemma_metrics_check(probe)
+
+
+def test_a_probe_on_a_subgroup_of_another_group_is_refused():
+    # A Klein subgroup on the rot4 chart was accepted: for {I, diag(-1, 1)},
+    # intrinsic_quotient_distance read rot4's elements at its member indices,
+    # a quarter turn in place of diag(-1, 1), and gave 2.236 from (1, 0) to
+    # (-2, 0) instead of 1. A scene's probe was built so too, and refused
+    # only by lemma_metrics_check.
+    rot, klein = rot4_chart(), klein_chart()
+    flip = klein.group.subgroup_from_matrices([SIGN_X])
+    with pytest.raises(ChartMismatch, match="subgroup does not live in the chart group"):
+        MetricProbe(SuborbifoldCandidate(rot, flip, x_axis()), ((vec([1, 0]), vec([-2, 0])),))
+    raw = json.loads(ROTATION_SCENE.read_text())
+    raw["probes"]["rotation_line"]["subgroup"] = "diag_half_turn"
+    with pytest.raises(ChartMismatch, match="subgroup does not live in the chart group"):
+        parse_scene(json.dumps(raw))
+
+
+def test_lemma_reads_the_saturation_of_the_probes_candidate(monkeypatch):
+    # lemma_metrics_check builds no chart and no candidate: it reads the
+    # verdict of the probe's candidate, which every copy with_settings makes
+    # shares, so the verdict is computed once per probe.
+    classify = sys.modules["suborbifolds.classify"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma_metrics_check built a chart or a candidate")
+
+    check_saturated = classify.check_saturated
+    for probe in _shipped_probes():
+        verdicts = []
+        monkeypatch.setattr(classify, "check_saturated",
+                            lambda cand: verdicts.append(cand) or check_saturated(cand))
+        monkeypatch.setattr(classify.ChartModel, "__init__", refuse)
+        monkeypatch.setattr(classify.SuborbifoldCandidate, "__init__", refuse)
+        for depth, tolerance in ((None, None), (0, None), (MAX_DEPTH, 1e-6), (None, 0.5)):
+            assert lemma_metrics_check(probe.with_settings(depth, tolerance)).passed
+        monkeypatch.undo()
+        assert len(verdicts) == 1 and verdicts[0] is probe.candidate
 
 
 def test_refinement_monotone_in_depth():
@@ -149,10 +199,7 @@ def test_refinement_monotone_in_depth():
     x, y = probe.sample_pairs[0]
     values = []
     for depth in range(0, 6):
-        p = MetricProbe(
-            probe.group, probe.subgroup, probe.subspace, probe.sample_pairs,
-            depth, probe.tolerance,
-        )
+        p = MetricProbe(probe.candidate, probe.sample_pairs, depth, probe.tolerance)
         values.append(intrinsic_quotient_distance(p, x, y))
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
@@ -162,7 +209,7 @@ def test_intrinsic_at_least_quotient():
     # path length can never undercut the chordal quotient distance
     for probe in metric_probes().values():
         for x, y in probe.sample_pairs:
-            dq = quotient_distance(probe.subgroup, x, y)
+            dq = quotient_distance(probe.candidate.delta, x, y)
             di = intrinsic_quotient_distance(probe, x, y)
             assert di >= dq - 1e-12
 
@@ -187,9 +234,7 @@ def test_randomized_saturated_candidates_coincide():
         devs = []
         for depth in (4, 6, 8):
             probe = MetricProbe(
-                cand.chart.group, cand.delta, cand.v,
-                tuple((pts[0], p) for p in pts[1:]),
-                partition_depth=depth,
+                cand, tuple((pts[0], p) for p in pts[1:]), partition_depth=depth,
             )
             devs.append(lemma_metrics_check(probe).max_deviation)
         # deviations converge to zero as the partition refines
@@ -202,10 +247,7 @@ def test_randomized_saturated_candidates_coincide():
 def test_failure_hint_mentions_depth():
     # force a failure by shrinking tolerance below float noise
     probe = metric_probes()["diagonal-half-turn"]
-    tight = MetricProbe(
-        probe.group, probe.subgroup, probe.subspace, probe.sample_pairs,
-        probe.partition_depth, 1e-16,
-    )
+    tight = MetricProbe(probe.candidate, probe.sample_pairs, probe.partition_depth, 1e-16)
     report = lemma_metrics_check(tight)
     if not report.passed:
         assert "depth" in report.hint
@@ -248,7 +290,7 @@ def test_closed_form_equals_per_point_oracle_on_random_probes():
         while group.order * delta.order * (2 ** (depth + 1) - 1) > 2048:
             depth -= 1
         x, y = sample_in_subspace(cand.v, rng, 3)[1:]
-        probe = MetricProbe(group, delta, cand.v, ((x, y),), partition_depth=depth)
+        probe = MetricProbe(cand, ((x, y),), partition_depth=depth)
         expected = oracle_intrinsic_distances(probe, x, y)
         for k, value in enumerate(expected):
             assert intrinsic_quotient_distance(probe.with_settings(depth=k), x, y) == value
@@ -271,7 +313,7 @@ def test_metric_probe_work_does_not_grow_with_depth(monkeypatch):
 
     monkeypatch.setattr(metric, "int_mat_vec", counting_int_mat_vec)
     for probe in _shipped_probes():
-        g, h = probe.group.order, probe.subgroup.order
+        g, h = probe.candidate.chart.group.order, probe.candidate.delta.order
         x, y = probe.sample_pairs[-1]
         counts = []
         for depth in (0, DEFAULT_DEPTH):
@@ -336,13 +378,14 @@ def test_metric_check_tests_orthogonality_once_per_probe(monkeypatch, capsys):
         with pytest.raises(NonOrthogonalGroup):
             quotient_distance(group, [1, 0], [0, 1])
     with pytest.raises(NonOrthogonalGroup):
-        MetricProbe(skew, skew.full_subgroup(), whole_space(2), ((vec([1, 0]), vec([0, 1])),))
+        MetricProbe(_on_whole_space(skew), ((vec([1, 0]), vec([0, 1])),))
 
 
 def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
     # The corpus charts are constants, shared by the cases and the probes: a
     # later call builds no group, but it still builds both probes and runs
-    # their orthogonality checks, and still classifies every case.
+    # their orthogonality checks, and still classifies every case. Each
+    # probe is on the candidate its corpus case classifies.
     corpus = sys.modules["suborbifolds.corpus"]
     first = metric_probes()
     assert corpus.run_corpus().ok
@@ -360,11 +403,13 @@ def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
     assert len(checked) == len(second) == 2
     for name, probe in second.items():
         assert probe is not first[name] and probe == first[name]
-        assert probe.group is first[name].group
+        assert probe.candidate.chart is first[name].candidate.chart
     assert corpus.run_corpus().ok
-    charts = {case.name: case.build().chart for case in corpus.CASES}
+    candidates = {case.name: case.build() for case in corpus.CASES}
+    charts = {name: cand.chart for name, cand in candidates.items()}
     for name, probe in second.items():
-        assert charts[name].group is probe.group
+        assert candidates[name] == probe.candidate
+        assert charts[name] is probe.candidate.chart
     assert charts["point-in-rotation-chart"] is charts["rotation-line"]
     assert charts["open-sign-chart"] is charts["diagonal-half-turn"]
     assert charts["open-line-chart"] is charts["point-in-line-chart"]
@@ -396,8 +441,7 @@ def test_quotient_distance_equals_fraction_oracle():
 def test_closed_form_equals_per_point_oracle_with_a_denominator():
     pairs = ((vec(["1/2", 0, "-1/3"]), vec([1, "2/5", 0])),
              (vec([0, 0, 0]), vec(["3/4", "3/4", "-1/6"])))
-    probe = MetricProbe(THIRDS, THIRDS.full_subgroup(), whole_space(3), pairs,
-                        partition_depth=6)
+    probe = MetricProbe(_on_whole_space(THIRDS), pairs, partition_depth=6)
     assert THIRDS.integer_forms[0] == 3 and THIRDS.order == 2
     for x, y in pairs:
         expected = oracle_intrinsic_distances(probe, x, y)
@@ -553,8 +597,7 @@ def _pruning_cases(rng):
     cases = [(probe, x, y) for probe in _shipped_probes() for x, y in probe.sample_pairs]
     pairs = ((vec(["1/2", 0, "-1/3"]), vec([1, "2/5", 0])),
              (vec([0, 0, 0]), vec(["3/4", "3/4", "-1/6"])))
-    cases += [(MetricProbe(THIRDS, THIRDS.full_subgroup(), whole_space(3), pairs), x, y)
-              for x, y in pairs]
+    cases += [(MetricProbe(_on_whole_space(THIRDS), pairs), x, y) for x, y in pairs]
     for n, count in ((2, 4), (3, 8)):
         group = generate_group(hyperoctahedral_generators(n))
         subgroups = sorted((s for s in all_subgroups(group) if s.order >= 4),
@@ -562,7 +605,7 @@ def _pruning_cases(rng):
         for delta in rng.sample(subgroups, count):
             x, y = ([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
                     for _ in range(2))
-            probe = MetricProbe(group, delta, whole_space(n), ((vec(x), vec(y)),),
+            probe = MetricProbe(_on_whole_space(group, delta), ((vec(x), vec(y)),),
                                 partition_depth=rng.randint(0, 7))
             cases.append((probe, vec(x), vec(y)))
     return cases
@@ -583,7 +626,7 @@ def test_pruned_distance_equals_every_sup_at_every_depth():
             assert got == min(row[depth] for row in sups), (x, y, depth)
         last = [row[-1] for row in sups]
         later_minimiser += last.index(min(last)) > 0
-        large += probe.subgroup.order >= 4
+        large += probe.candidate.delta.order >= 4
     assert later_minimiser >= 5 and large == 12, (later_minimiser, large)
 
 
@@ -613,4 +656,4 @@ def test_corpus_probes_drop_subgroup_elements_that_cannot_win(monkeypatch):
             for x, y in probe.sample_pairs:
                 calls.clear()
                 intrinsic_quotient_distance(probe, x, y)
-                assert len(calls) < probe.subgroup.order * (depth + 1), (x, y, depth)
+                assert len(calls) < probe.candidate.delta.order * (depth + 1), (x, y, depth)

@@ -15,7 +15,7 @@ from suborbifolds.classify import (
     _require_saturated,
     check_saturated,
 )
-from suborbifolds.corpus import CorpusReport, rot4_chart, x_axis
+from suborbifolds.corpus import CorpusReport, rot4_chart, rotation_line_candidate, x_axis
 from suborbifolds.errors import CandidateNotSaturated
 from suborbifolds.groups import Fingerprint, GroupElement, Subgroup, generate_group
 from suborbifolds.linalg import AffineSubspace
@@ -24,7 +24,7 @@ from suborbifolds.scene import SceneFile, read_scene
 
 
 def _empty_scene():
-    return SceneFile({}, {}, {}, {}, {}, {}, [])
+    return SceneFile({}, {}, {}, {}, {}, {})
 
 
 def _unsaturated():
@@ -87,7 +87,7 @@ def test_fields_of_a_frozen_record_cannot_be_set_or_deleted():
     assert cand.saturation is cand.saturation and "saturation" in vars(cand)
     assert v.basis is v.basis and v.base_point is v.base_point and hash(v) == hash(v)
     report = CorpusReport([], [], 0.0)
-    for record, name in ((report, "results"), (_empty_scene(), "queries"),
+    for record, name in ((report, "results"), (_empty_scene(), "probes"),
                          (read_scene("{}"), "groups")):
         with pytest.raises(records.FrozenInstanceError, match=repr(name)):
             setattr(record, name, [])
@@ -133,7 +133,7 @@ def test_constructors_keep_their_signatures():
         lambda: Subgroup(group),
         lambda: GroupElement(((1,),)),
         lambda: SuborbifoldCandidate(chart, group.full_subgroup()),
-        lambda: MetricProbe(group, group.full_subgroup(), x_axis()),
+        lambda: MetricProbe(rotation_line_candidate(rot4_chart())),  # no sample pairs
     ]
     for call in calls:
         with pytest.raises(TypeError):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -53,7 +54,6 @@ SCENE = {
             "pairs": [[["1/2", 0], [-1, 0]], [[0, 0], [3, 0]]],
         }
     },
-    "queries": [{"command": "classify", "candidate": "rotation_line"}],
 }
 
 
@@ -72,7 +72,9 @@ def test_parse_scene_builds_objects():
     assert scene.candidates["rotation_line"].v.dim == 1
     assert scene.candidates["origin_point"].delta.order == 4
     assert len(scene.probes["line_probe"].sample_pairs) == 2
-    assert scene.queries[0]["command"] == "classify"
+    # a key that names no section, such as the former "queries", is ignored
+    queries = [{"command": "classify", "candidate": "rotation_line"}]
+    assert list(parse_scene(json.dumps(dict(SCENE, queries=queries))).probes) == ["line_probe"]
     # rationals round-trip exactly
     x, _ = scene.probes["line_probe"].sample_pairs[0]
     assert x == vec(["1/2", 0])
@@ -192,7 +194,7 @@ def test_theta_must_cover_domain():
         parse_scene(json.dumps(bad))
 
 
-def test_theta_lists_each_element_once_and_queries_are_objects():
+def test_theta_lists_each_element_once():
     with open(MAPS_SCENE, encoding="utf-8") as fh:
         scene = json.load(fh)
     # the last pair for a repeated element used to win, and the map failed
@@ -200,10 +202,6 @@ def test_theta_lists_each_element_once_and_queries_are_objects():
     scene["maps"]["rot4_identity"]["theta"] = [[0, 0], [0, 1], [1, 1], [2, 2], [3, 3]]
     with pytest.raises(ParseError, match="map 'rot4_identity': theta lists element 0 twice"):
         parse_scene(json.dumps(scene))
-    # a dict of queries used to pass: "command" in "command" is a substring test
-    for queries in ({"command": "x"}, ["command"], [{"map": "rot4_identity"}]):
-        with pytest.raises(ParseError, match="quer"):
-            parse_scene(json.dumps(dict(SCENE, queries=queries)))
 
 
 def test_cli_classify_exit_codes(scene_path, capsys):
@@ -324,6 +322,29 @@ def test_cli_metric_check(scene_path, capsys):
     assert main(["metric-check", "--depth", "-1"]) == 2
     assert main(["metric-check", "--tol", "nan"]) == 2
     assert main(["metric-check", "--tol=-1e-9"]) == 2
+
+
+def test_cli_corpus_prints_each_mismatch(monkeypatch, capsys):
+    # The text lines come from the report's mismatches, the machine report's
+    # results are the report's own.
+    corpus = sys.modules["suborbifolds.corpus"]
+    case = corpus.CASES[0]
+    flipped = corpus.CorpusCase(case.name, case.build, {**case.expected, "full": True},
+                                case.search_all_delta, case.checks)
+    run_corpus = corpus.run_corpus
+    monkeypatch.setattr(corpus, "run_corpus", lambda name_filter=None: run_corpus(
+        name_filter, cases=(flipped,) + corpus.CASES[1:]))
+    assert main(["corpus", "--filter", "rotation"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["[rotation-line] FAIL", "  full: expected True, observed False",
+                         "[point-in-rotation-chart] PASS", "[open-rotation-chart] PASS"]
+    assert lines[4].startswith("3 cases, 1 mismatches (")
+    assert main(["corpus", "--filter", "rotation", "--format", "machine"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and sorted(payload["results"]) == [
+        "open-rotation-chart", "point-in-rotation-chart", "rotation-line"]
+    assert payload["results"]["rotation-line"] == {
+        "expected": dict(flipped.expected), "observed": dict(case.observe()), "passed": False}
 
 
 def test_cli_unexpected_exception_exits_3(scene_path, monkeypatch, capsys):
@@ -741,8 +762,8 @@ def _paths(node, path):
 
 
 # Every place in the sections after the groups: subgroups, subspaces,
-# candidates, maps and queries, each section itself included.
-MAPS_PATHS = [p for section in ("subgroups", "subspaces", "candidates", "maps", "queries")
+# candidates and maps, each section itself included.
+MAPS_PATHS = [p for section in ("subgroups", "subspaces", "candidates", "maps")
               for p in _paths(MAPS_RAW[section], (section,))]
 # Wrong types, unknown names, out-of-range indices and ill-shaped values.
 REPLACEMENTS = st.sampled_from([

@@ -105,7 +105,8 @@ def test_structural_faults_in_an_unread_entry_still_exit_2(tmp_path, capsys):
              "unknown group 'nope'"),
             ({"candidates": {"bad": {"group": "rot4", "subspace": "nope"}}},
              "unknown subspace 'nope'"),
-            ({"candidates": {"bad": {"group": "rot4"}}}, "malformed scene entry: 'subspace'"),
+            ({"candidates": {"bad": {"group": "rot4"}}},
+             "scene section 'candidates': entry 'bad' lacks the key 'subspace'"),
             (_bad_map(theta=[[0, 0], [0, 1]]), "theta lists element 0 twice"),
             (_bad_map(offset=["1/0", 0]), "cannot read '1/0' as a rational"),
             ({"probes": {"bad": dict(BASE["probes"]["line_probe"], depth=13)}},
@@ -113,6 +114,48 @@ def test_structural_faults_in_an_unread_entry_still_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(_with(extra)))
         assert main(CLASSIFY_LINE + ["--scene", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+# Per section, an entry of BASE and a key its entries need.
+NEEDED = {"subgroups": ("half_turn", "parent"), "subspaces": ("x_axis", "base"),
+          "candidates": ("rotation_line", "subspace"), "maps": ("identity", "theta"),
+          "probes": ("line_probe", "pairs")}
+
+
+@pytest.mark.parametrize("section", sorted(NEEDED))
+def test_a_malformed_entry_is_named_by_section_entry_and_key(section, tmp_path, capsys):
+    # A string or a number for an entry gave Python's own message ("string
+    # indices must be integers, not 'str'"), and a missing key its bare name.
+    name, key = NEEDED[section]
+    where = f"scene section {section!r}: entry 'bad'"
+    lacking = {k: v for k, v in BASE[section][name].items() if k != key}
+    cases = [("x", f"{where} must be a JSON object"), (5, f"{where} must be a JSON object"),
+             ([], f"{where} must be a JSON object"), (lacking, f"{where} lacks the key {key!r}")]
+    if section == "subgroups":  # generators are needed where no indices are given
+        cases.append(({"parent": "rot4"}, f"{where} lacks the key 'generators'"))
+    path = tmp_path / "scene.json"
+    for entry, message in cases:
+        text = json.dumps(_with({section: {"bad": entry}}))
+        with pytest.raises(ParseError) as err:
+            parse_scene(text)
+        assert str(err.value) == message
+        path.write_text(text)
+        assert main(CLASSIFY_LINE + ["--scene", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_package_fault_in_a_build_exits_3(error, monkeypatch, capsys):
+    # Only a DimensionMismatch in a build is a fault of the scene; a KeyError
+    # or TypeError there was reported as a malformed scene entry (exit 2).
+    groups = sys.modules["suborbifolds.groups"]
+
+    def broken(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(groups, "group_from_forms", broken)
+    assert main(["classify", "--scene", str(SCENES / "rotation_line.json")]) == 3
+    assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('boom')}\n"
 
 
 # One scene of the benchmark's scenes workload: a main group G with two
@@ -198,7 +241,7 @@ def test_subspaces_are_made_canonical_on_first_lookup(monkeypatch):
     origin = scene.subspaces["origin"]
     assert len(made) == 1 and scene.subspaces["origin"] is origin
     line = scene.candidates["flip_line"].v
-    assert line is scene.subspaces["x_axis"] is scene.probes["line_probe"].subspace
+    assert line is scene.subspaces["x_axis"] is scene.probes["line_probe"].candidate.v
     assert line == linalg.affine_subspace([0, 0], [[1, 0]])
     assert parse_scene(json.dumps(BASE)).subspaces == {"x_axis": line, "origin": origin}
     ragged = {"subspaces": {"v": {"base": [0, 0], "basis": [[1, 0, 0]]}}}
