@@ -51,7 +51,6 @@ from .linalg import (
     AffineSubspace,
     affine_subspace,
     intersect,
-    kernel_basis,
     mat,
     rat,
     rat_str,
@@ -62,10 +61,8 @@ from .linalg import (
 )
 from .maps import (
     EquivariantAffineMap,
-    compose,
     fibered_product,
     graph_suborbifold,
-    identity_hom,
     image_suborbifold,
     intersect_full,
     is_immersion,

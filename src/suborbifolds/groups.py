@@ -823,11 +823,6 @@ def _fingerprint(d, k: Subgroup) -> Fingerprint:
     return Fingerprint(d.order // k.order, tuple(orders), _is_abelian(d, k))
 
 
-def element_order(g, i: int) -> int:
-    """The order of the i-th member of a matrix group or subgroup."""
-    return _order_modulo(g.parent, g.members[i], {g.parent._keys[g.parent.identity]})
-
-
 def iso_fingerprint(g) -> Fingerprint:
     """The fingerprint of a matrix group or subgroup: g modulo {e}."""
     return _fingerprint(g, Subgroup(g.parent, (g.parent.identity,)))

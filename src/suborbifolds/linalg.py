@@ -19,7 +19,10 @@ integer rows. Input is read by one reader, ``read_rational``: an int, a
 Fraction or a plain "p" or "p/q" string goes straight to integers
 (``int_vector``, ``int_matrix``, and so ``affine_subspace``, group
 generators and maps), and any other form is accepted or refused by
-``rat``.
+``rat``; a value of any other type, such as a float, a bool, None or a
+list, is a ``ParseError`` there. A vector, a matrix, its rows and a
+basis are read from a list or a tuple only (``_entries``); a string, a
+dict or a number in their place is a ``ParseError`` too.
 
 An affine subspace is held as integers too: its canonical form (reduced
 row-echelon basis, base point reduced modulo the direction space) is
@@ -57,23 +60,24 @@ IntMat = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction or a 'p/q' or decimal string.
+    """Parse a rational from an int, Fraction or a 'p/q' or decimal string;
+    anything else is a ``ParseError``.
 
     A bool is not read as 0 or 1, and a string with an exponent is refused:
-    Fraction would expand '1e1000000' into a million-digit integer.
+    Fraction would expand '1e1000000' into a million-digit integer. So is
+    a string with an underscore, which Fraction reads as a digit separator
+    from Python 3.11 ('1_0' is 10) and refuses before.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool) or (isinstance(x, str) and "e" in x.lower()):
-        raise ParseError(f"cannot read {x!r} as a rational")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and "e" not in x.lower() and "_" not in x:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"cannot read {x!r} as a rational") from None
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+            pass
+    raise ParseError(f"cannot read {x!r} as a rational")
 
 
 # An int or fraction written "p" or "p/q" in ASCII digits, with an optional
@@ -112,11 +116,13 @@ def read_rational(x) -> tuple[int, int]:
 
 
 def _entries(xs, what: str):
-    """xs, or ParseError when it is a string: read entry by entry, "12"
-    would be the list of its characters."""
-    if isinstance(xs, str):
-        raise ParseError(f"expected {what} as a list, got the string {xs!r}")
-    return xs
+    """xs, or ParseError unless it is a list or a tuple: read entry by entry,
+    the string "12" would be the list of its characters and a dict the list
+    of its keys."""
+    if isinstance(xs, (list, tuple)):
+        return xs
+    got = f"the string {xs!r}" if isinstance(xs, str) else repr(xs)
+    raise ParseError(f"expected {what} as a list, got {got}")
 
 
 def int_vector(xs) -> tuple[int, tuple[int, ...]]:
@@ -332,15 +338,6 @@ def is_invertible(m: Mat) -> bool:
     return all(len(row) == len(m) for row in m) and mat_rank(m) == len(m)
 
 
-def kernel_basis(m: Mat) -> list[Vec]:
-    """Basis of {x : m x = 0}, one vector per free column."""
-    if not m:
-        return []
-    rows = _int_rows(m)
-    pivots = _eliminate(rows)
-    return [_fractions(v, v[f]) for f, v in _int_kernel(rows, pivots, len(m[0]))]
-
-
 def _int_kernel(rows, pivots, n_cols: int) -> list[tuple[int, list[int]]]:
     """Integer kernel basis of eliminated rows: (f, v) per free column f.
 
@@ -439,7 +436,7 @@ def read_subspace(base_point, basis):
     returns its canonical form (the row elimination is left to the call)."""
     d, numerators = int_vector(base_point)
     n = len(numerators)
-    rows = [list(int_vector(b)[1]) for b in basis]
+    rows = [list(int_vector(b)[1]) for b in _entries(basis, "a basis")]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("basis vector length differs from base point")
     return partial(_canonical, n, d, numerators, rows)

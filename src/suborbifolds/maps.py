@@ -158,10 +158,6 @@ def map_from_forms(domain, codomain, linear, offset, theta) -> EquivariantAffine
     return f
 
 
-def identity_hom(group: FiniteMatrixGroup) -> GroupHom:
-    return GroupHom(group, group, tuple(range(group.order)))
-
-
 def trivial_hom(domain: FiniteMatrixGroup, codomain: FiniteMatrixGroup) -> GroupHom:
     return GroupHom(domain, codomain, (codomain.identity,) * domain.order)
 
@@ -424,23 +420,3 @@ def regular_value_preimage(
     if result.v.dim != expected:
         raise AssertionError("regular value dimension formula violated")
     return result
-
-
-def compose(
-    g: EquivariantAffineMap, f: EquivariantAffineMap
-) -> EquivariantAffineMap:
-    """g after f, with theta composed."""
-    if f.codomain != g.domain:
-        raise ChartMismatch("maps are not composable")
-    (dg, a), (df, b) = g.linear, f.linear
-    (eg, og), (ef, of) = g.offset, f.offset
-    linear = (dg * df, mat_mul(a, b, f.domain.ambient_dim))
-    # A_g b_f + b_g over dg ef eg.
-    offset = (dg * ef * eg, tuple([sum([x * y for x, y in zip(row, of)]) * eg + z * dg * ef
-                                   for row, z in zip(a, og)]))
-    theta = GroupHom(
-        f.domain.group,
-        g.codomain.group,
-        tuple(g.theta(f.theta(i)) for i in range(f.domain.group.order)),
-    )
-    return map_from_forms(f.domain, g.codomain, linear, offset, theta)

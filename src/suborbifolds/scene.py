@@ -7,9 +7,9 @@ may be omitted); parsing is exact. Group generators, subgroup generators,
 subspaces and a map's linear part and offset are read straight into
 integers (``linalg.read_rational``): an int or a plain "p" or "p/q"
 string builds no Fraction, and any other form goes through ``rat``,
-which reads decimal strings and refuses exponents, booleans and zero
-denominators. A probe's points are kept as Fractions, so they are read
-as Fractions.
+which reads decimal strings and refuses exponents, underscores,
+booleans, zero denominators and every other JSON type. A probe's points
+are kept as Fractions, so they are read as Fractions.
 
 A scene is checked in two steps. ``read_scene`` checks the structure of
 every entry when the file is read: the sections, the JSON shape of each
@@ -17,7 +17,11 @@ entry, the keys it needs, every rational (read into its integer form),
 that a group's generators are square and of one size and a subspace's
 basis vectors as long as its base point, every name an entry refers to
 (``UnresolvedName`` when unknown), and a probe's depth, tolerance and
-pairs. A group, subgroup, subspace, candidate, map or probe is
+pairs. Each value's JSON type is checked where it is read: a list where
+a list belongs (``linalg._entries``), a rational, a name that is a
+string, a theta element that is an int. A fault found while an entry is
+read is raised with its message prefixed by the section and the entry
+(``_located``). A group, subgroup, subspace, candidate, map or probe is
 built the first time it is looked up, and kept, so an entry read twice
 is built once. A subspace's canonical form (``linalg.read_subspace``)
 is computed then, and the closure (``--max-order``, infinite groups,
@@ -29,8 +33,9 @@ The CLI builds only what its command reads, so such a fault in an entry
 it does not read is not reported. ``parse_scene`` reads, then builds
 every entry in section order, and reports any fault. A failed build
 raises what ``parse_scene`` raises for it, with a ``DimensionMismatch``
-as a ``ParseError``; a ``KeyError`` or ``TypeError`` from a build is a
-fault of the package, not of the scene, and is not translated.
+as a ``ParseError``. A ``KeyError`` or ``TypeError``, whether raised
+while a scene is read or while an entry is built, is a fault of the
+package, not of the scene, and is not translated.
 
 The machine report format is deterministic JSON with sorted keys;
 timing lives under a single "timing" key so reports can be compared
@@ -52,7 +57,7 @@ from .classify import (
     Verdict,
     chart_from_group,
 )
-from .errors import InvalidMetricSetting, NotSubgroup, ParseError, UnresolvedName
+from .errors import NotSubgroup, ParseError, SuborbifoldError, UnresolvedName
 from .groups import (
     Fingerprint,
     FiniteMatrixGroup,
@@ -64,6 +69,7 @@ from .groups import (
 from .linalg import (
     AffineSubspace,
     DimensionMismatch,
+    _entries,
     int_matrix,
     int_vector,
     rat_str,
@@ -124,19 +130,11 @@ class _Entries(Mapping):
         return len(self.recipes)
 
 
-def _checked(read, *args):
-    """read(*args), with a ``KeyError`` or ``TypeError`` reported as a
-    malformed scene entry and a ``DimensionMismatch`` as a ``ParseError``."""
-    try:
-        return read(*args)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed scene entry: {exc}") from exc
-    except DimensionMismatch as exc:
-        raise ParseError(str(exc)) from exc
-
-
 def _known(table, name: str, kind: str) -> str:
-    """The name, or ``UnresolvedName`` when the table has no such entry."""
+    """The name, or ``UnresolvedName`` when the table has no such entry; a
+    name that is not a string is a ``ParseError``."""
+    if type(name) is not str:
+        raise ParseError(f"expected the name of a {kind}, got {name!r}")
     if name not in table:
         raise UnresolvedName(f"unknown {kind} {name!r}")
     return name
@@ -153,12 +151,26 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
+def _where(section: str, name: str) -> str:
+    return f"scene section {section!r}: entry {name!r}"
+
+
+def _located(exc: SuborbifoldError, section: str, name: str) -> SuborbifoldError:
+    """exc, raised while reading entry ``name`` of ``section``, as the error
+    to report: its message prefixed by both unless it names them already,
+    as a ``_Spec``'s does, and a ``DimensionMismatch`` as a ``ParseError``."""
+    where, message = _where(section, name), str(exc)
+    if not message.startswith(where):
+        message = f"{where}: {message}"
+    return (ParseError if isinstance(exc, DimensionMismatch) else type(exc))(message)
+
+
 class _Spec(dict):
     """A scene entry's JSON object; a key it lacks is a ``ParseError``
     naming the section, the entry and the key."""
 
     def __init__(self, section: str, name: str, spec):
-        self.where = f"scene section {section!r}: entry {name!r}"
+        self.where = _where(section, name)
         if not isinstance(spec, dict):
             raise ParseError(f"{self.where} must be a JSON object")
         super().__init__(spec)
@@ -238,63 +250,77 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
         raise ParseError(f"invalid scene JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scene must be a JSON object")
-    return _checked(_read_entries, raw, max_order)
-
-
-def _read_entries(raw: dict, max_order: int | None) -> SceneFile:
-    """The entries of the scene's JSON object, checked and left to build
-    as ``read_scene`` says."""
     groups, subgroups, subspaces = _Entries(), _Entries(), _Entries()
     candidates, maps, probes = _Entries(), _Entries(), _Entries()
     kwargs = {} if max_order is None else {"max_order": max_order}
     for name, gens in _section(raw, "groups").items():
-        if not isinstance(gens, list) or not gens:
-            raise ParseError(f"group {name!r} must list at least one generator")
-        groups.recipes[name] = partial(generate_group, read_generators(gens), **kwargs)
-    for name, spec in _specs(raw, "subgroups"):
-        parent = _known(groups, spec["parent"], "group")
-        if "generator_indices" in spec:
-            indices, forms = list(spec["generator_indices"]), None
-        else:
-            indices, forms = None, [int_matrix(m) for m in spec["generators"]]
-        subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
-    for name, spec in _specs(raw, "subspaces"):
-        subspaces.recipes[name] = read_subspace(spec["base"], spec.get("basis", []))
-    for name, spec in _specs(raw, "candidates"):
-        group = _known(groups, spec["group"], "group")
-        subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
-                    if "subgroup" in spec else None)
-        subspace = _known(subspaces, spec["subspace"], "subspace")
-        candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
-                                           group, subgroup, subspace)
-    for name, spec in _specs(raw, "maps"):
-        domain = _known(groups, spec["domain"], "group")
-        codomain = _known(groups, spec["codomain"], "group")
-        if not all(isinstance(p, list) and len(p) == 2 for p in spec["theta"]):
-            raise ParseError(f"map {name!r}: theta must list [element, image] pairs")
-        theta_pairs = {}
-        for element, image in spec["theta"]:
-            if element in theta_pairs:
-                raise ParseError(f"map {name!r}: theta lists element {element!r} twice")
-            theta_pairs[element] = image
-        maps.recipes[name] = partial(
-            _map, groups, name, domain, codomain, theta_pairs,
-            int_matrix(spec["matrix"]), int_vector(spec["offset"]))
-    for name, spec in _specs(raw, "probes"):
-        group = _known(groups, spec["group"], "group")
-        subgroup = _known(subgroups, spec["subgroup"], "subgroup")
-        subspace = _known(subspaces, spec["subspace"], "subspace")
-        if not all(isinstance(p, list) and len(p) == 2 for p in spec["pairs"]):
-            raise ParseError(f"probe {name!r}: pairs must list [x, y] point pairs")
-        pairs = tuple((vec(x), vec(y)) for x, y in spec["pairs"])
-        depth = spec.get("depth", DEFAULT_DEPTH)
-        tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
         try:
+            groups.recipes[name] = partial(
+                generate_group, read_generators(_entries(gens, "the generators")), **kwargs)
+        except SuborbifoldError as exc:
+            raise _located(exc, "groups", name) from exc
+    for name, spec in _specs(raw, "subgroups"):
+        try:
+            parent = _known(groups, spec["parent"], "group")
+            if "generator_indices" in spec:
+                indices = list(_entries(spec["generator_indices"], "the generator indices"))
+                forms = None
+            else:
+                indices = None
+                forms = [int_matrix(m) for m in _entries(spec["generators"], "the generators")]
+            subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
+        except SuborbifoldError as exc:
+            raise _located(exc, "subgroups", name) from exc
+    for name, spec in _specs(raw, "subspaces"):
+        try:
+            subspaces.recipes[name] = read_subspace(spec["base"], spec.get("basis", []))
+        except SuborbifoldError as exc:
+            raise _located(exc, "subspaces", name) from exc
+    for name, spec in _specs(raw, "candidates"):
+        try:
+            group = _known(groups, spec["group"], "group")
+            subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
+                        if "subgroup" in spec else None)
+            subspace = _known(subspaces, spec["subspace"], "subspace")
+            candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
+                                               group, subgroup, subspace)
+        except SuborbifoldError as exc:
+            raise _located(exc, "candidates", name) from exc
+    for name, spec in _specs(raw, "maps"):
+        try:
+            domain = _known(groups, spec["domain"], "group")
+            codomain = _known(groups, spec["codomain"], "group")
+            theta = _entries(spec["theta"], "theta")
+            if not all(isinstance(p, list) and len(p) == 2 for p in theta):
+                raise ParseError("theta must list [element, image] pairs")
+            theta_pairs = {}
+            for element, image in theta:
+                if type(element) is not int:
+                    raise ParseError(f"theta: element index {element!r} is not an integer")
+                if element in theta_pairs:
+                    raise ParseError(f"theta lists element {element!r} twice")
+                theta_pairs[element] = image
+            maps.recipes[name] = partial(
+                _map, groups, name, domain, codomain, theta_pairs,
+                int_matrix(spec["matrix"]), int_vector(spec["offset"]))
+        except SuborbifoldError as exc:
+            raise _located(exc, "maps", name) from exc
+    for name, spec in _specs(raw, "probes"):
+        try:
+            group = _known(groups, spec["group"], "group")
+            subgroup = _known(subgroups, spec["subgroup"], "subgroup")
+            subspace = _known(subspaces, spec["subspace"], "subspace")
+            pairs = _entries(spec["pairs"], "the sample pairs")
+            if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+                raise ParseError("pairs must list [x, y] point pairs")
+            pairs = tuple((vec(x), vec(y)) for x, y in pairs)
+            depth = spec.get("depth", DEFAULT_DEPTH)
+            tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
             check_settings(depth, tolerance, pairs)
-        except InvalidMetricSetting as exc:
-            raise InvalidMetricSetting(f"probe {name!r}: {exc}") from exc
-        probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
-                                       subgroup, subspace, pairs, depth, tolerance)
+            probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
+                                           subgroup, subspace, pairs, depth, tolerance)
+        except SuborbifoldError as exc:
+            raise _located(exc, "probes", name) from exc
     return SceneFile(groups, subgroups, subspaces, candidates, maps, probes)
 
 

@@ -34,6 +34,7 @@ from suborbifolds.errors import (
     NotTransverseToQ,
 )
 from suborbifolds.groups import (
+    GroupHom,
     pointwise_stabilizer,
     quotient_group,
     stabilizer,
@@ -50,7 +51,6 @@ from suborbifolds.maps import (
     EquivariantAffineMap,
     fibered_product,
     graph_suborbifold,
-    identity_hom,
     intersect_full,
     preimage_suborbifold,
     product_chart,
@@ -280,7 +280,7 @@ def test_criterion_7_graph_dichotomy():
             c = Fraction(rng.randint(-3, 3))
             f = EquivariantAffineMap(
                 rot, rot, mat([[c, 0], [0, c]]), vec([0, 0]),
-                identity_hom(rot.group) if c != 0
+                GroupHom(rot.group, rot.group, tuple(range(rot.group.order))) if c != 0
                 else trivial_hom(rot.group, rot.group),
             )
         else:

@@ -22,7 +22,6 @@ from suborbifolds.linalg import (
     int_points,
     int_vector,
     intersect,
-    kernel_basis,
     mat,
     mat_rank,
     meet,
@@ -158,8 +157,8 @@ def test_solve_affine_inconsistent():
 
 
 def test_kernel_hand_case():
-    basis = kernel_basis(mat([[1, 1, 0]]))
-    v = affine_subspace([0, 0, 0], basis)
+    # the kernel of x + y as the solution set of x + y = 0
+    v = solve_affine(mat([[1, 1, 0]]), [0])
     assert v.dim == 2
     assert contains_point(v, [1, -1, 5])
     assert not contains_point(v, [1, 0, 0])

@@ -36,6 +36,7 @@ from suborbifolds.errors import (
     NotSubmersion,
     NotTransverse,
     NotTransverseToQ,
+    ParseError,
     RankDeficient,
 )
 from suborbifolds.groups import (
@@ -60,12 +61,11 @@ from suborbifolds.linalg import (
 )
 from suborbifolds.maps import (
     EquivariantAffineMap,
-    compose,
     fibered_product,
     graph_suborbifold,
-    identity_hom,
     image_suborbifold,
     intersect_full,
+    map_from_forms,
     preimage_suborbifold,
     product_chart,
     regular_value_preimage,
@@ -119,9 +119,13 @@ def trivial_map(n1, n2, rows, offset=None):
     )
 
 
+def _identity_hom(group):
+    return GroupHom(group, group, tuple(range(group.order)))
+
+
 def _identity_map(chart):
     n = chart.ambient_dim
-    return EquivariantAffineMap(chart, chart, identity(n), [0] * n, identity_hom(chart.group))
+    return EquivariantAffineMap(chart, chart, identity(n), [0] * n, _identity_hom(chart.group))
 
 
 def _on_klein():
@@ -142,13 +146,13 @@ def _reflection_in_b2():
                                   single_point([0])),
      ChartMismatch, "subspace ambient dimension differs from chart"),
     (lambda: EquivariantAffineMap(rot4_chart(), rot4_chart(), [[1, 0]], [0, 0],
-                                  identity_hom(rot4_chart().group)),
+                                  _identity_hom(rot4_chart().group)),
      ChartMismatch, "linear part has wrong shape"),
     (lambda: EquivariantAffineMap(rot4_chart(), rot4_chart(), identity(2), [0],
-                                  identity_hom(rot4_chart().group)),
+                                  _identity_hom(rot4_chart().group)),
      ChartMismatch, "offset has wrong length"),
     (lambda: EquivariantAffineMap(rot4_chart(), rot4_chart(), identity(2), [0, 0],
-                                  identity_hom(klein_chart().group)),
+                                  _identity_hom(klein_chart().group)),
      ChartMismatch, "theta does not connect the chart groups"),
     (lambda: image_suborbifold(_identity_map(rot4_chart()), _on_klein()),
      ChartMismatch, "candidate does not live in the map's domain chart"),
@@ -158,8 +162,6 @@ def _reflection_in_b2():
      ChartMismatch, "target candidate does not live in the codomain chart"),
     (lambda: fibered_product(trivial_map(1, 1, [[1]]), trivial_map(1, 2, [[1], [0]])),
      ChartMismatch, "submersions must share the codomain"),
-    (lambda: compose(_identity_map(rot4_chart()), _identity_map(klein_chart())),
-     ChartMismatch, "maps are not composable"),
     (lambda: quotient_group(*_reflection_in_b2()), NotNormal, "k is not normal in d"),
     (lambda: find_complement(*_reflection_in_b2()), NotNormal, "k is not normal in d"),
     (lambda: all_subgroups(generate_group(hyperoctahedral_generators(5)).full_subgroup()),
@@ -204,7 +206,7 @@ def test_equivariance_error_names_the_first_failing_element():
         EquivariantAffineMap(rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), to_identity)
     with pytest.raises(NonInvariant, match=r"element 0 \(offset\)$"):
         EquivariantAffineMap(rot, rot, mat([[0, 0], [0, 0]]), vec([1, 0]),
-                             identity_hom(rot.group))
+                             _identity_hom(rot.group))
 
 
 def _conjugated_chart(matrices, s, s_inv):
@@ -311,17 +313,6 @@ def test_pair_index_matches_the_block_matrix_index(monkeypatch):
     assert marks == {Monomial, tuple}
 
 
-def test_compose():
-    f = line_into_rot4()
-    rot = rot4_chart()
-    ident = EquivariantAffineMap(
-        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), identity_hom(rot.group)
-    )
-    g = compose(ident, f)
-    assert g.linear == f.linear and g.offset == f.offset
-    assert [g.theta(i) for i in range(2)] == [f.theta(i) for i in range(2)]
-
-
 
 def test_fields_do_not_round_trip_through_the_constructor():
     # linear and offset hold the integer forms (d, d A) and (e, e b); the
@@ -329,9 +320,23 @@ def test_fields_do_not_round_trip_through_the_constructor():
     # linear part and offset as rationals.
     f = parse_scene(RATIONAL_SCENE.read_text()).maps["stretch"]
     assert f.linear[0] > 1
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError, match="expected a matrix row as a list, got"):
         EquivariantAffineMap(f.domain, f.codomain, f.linear, f.offset, f.theta)
     assert EquivariantAffineMap(f.domain, f.codomain, *_fraction_map(f), f.theta) == f
+
+def _composed(g, f):
+    """g after f, from the products of their integer forms, which are not in
+    lowest terms: ``map_from_forms`` brings them there."""
+    (dg, a), (df, b) = g.linear, f.linear
+    (eg, og), (ef, of) = g.offset, f.offset
+    linear = (dg * df, [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a])
+    # A_g b_f + b_g over dg ef eg.
+    offset = (dg * ef * eg, [sum(x * y for x, y in zip(row, of)) * eg + z * dg * ef
+                             for row, z in zip(a, og)])
+    theta = GroupHom(f.domain.group, g.codomain.group,
+                     tuple(g.theta(f.theta(i)) for i in range(f.domain.group.order)))
+    return map_from_forms(f.domain, g.codomain, linear, offset, theta)
+
 
 def _fraction_map(f):
     """f's linear part and offset as a Fraction matrix and vector."""
@@ -367,20 +372,20 @@ def test_map_subspaces_match_fraction_oracle():
                  tuple(stretch.theta.image_of.index(i) for i in range(8))))
     flip = rational.maps["fold"].codomain
     doubling = EquivariantAffineMap(flip, flip, [[2, 0], [0, 2]], [0, "1/3"],
-                                    identity_hom(flip.group))
+                                    _identity_hom(flip.group))
     pairs = [(rotation, maps_scene.maps["plane_into_rot4"]), (rotation, rotation),
              (unstretch, stretch), (doubling, rational.maps["fold"])]
     composed = []
     for g, f in pairs:
-        gf = compose(g, f)
+        gf = _composed(g, f)
         (a, b), (c, d) = _fraction_map(g), _fraction_map(f)
         assert _fraction_map(gf) == (
             [list(row) for row in oracle_mat_mul(a, c)],
             tuple(x + y for x, y in zip(oracle_mat_vec(a, d), b)))
         composed.append(gf)
-    assert compose(unstretch, stretch) == EquivariantAffineMap(
+    assert _composed(unstretch, stretch) == EquivariantAffineMap(
         stretch.domain, stretch.domain, [[1, 0], [0, 1]], [0, 0],
-        identity_hom(stretch.domain.group))
+        _identity_hom(stretch.domain.group))
     subspaces = list(maps_scene.subspaces.values()) + list(rational.subspaces.values())
     maps = list(maps_scene.maps.values()) + list(rational.maps.values()) + composed
     preimages = 0
@@ -506,7 +511,7 @@ def test_graph_dichotomy_hand_cases():
     # identity on the rotation chart: image hull hits the singular origin
     rot = rot4_chart()
     ident = EquivariantAffineMap(
-        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), identity_hom(rot.group)
+        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), _identity_hom(rot.group)
     )
     g1 = graph_suborbifold(ident)
     assert check_saturated(g1).holds and check_embedded(g1).holds
@@ -534,7 +539,7 @@ def test_graph_dichotomy_randomized():
             f = EquivariantAffineMap(
                 rot, rot,
                 mat([[c, 0], [0, c]]), vec([0, 0]),
-                identity_hom(rot.group) if c != 0
+                _identity_hom(rot.group) if c != 0
                 else trivial_hom(rot.group, rot.group),
             )
         else:
@@ -678,7 +683,7 @@ def test_regular_value_hand_cases():
     # auto-localization: identity on the rotation chart at the origin
     rot = rot4_chart()
     ident = EquivariantAffineMap(
-        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), identity_hom(rot.group)
+        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), _identity_hom(rot.group)
     )
     rv0 = regular_value_preimage(ident, [0, 0])
     assert rv0.v.dim == 0
@@ -716,7 +721,7 @@ def test_fibered_product_and_codomain_check():
     # nontrivial codomain group is refused
     rot = rot4_chart()
     ident = EquivariantAffineMap(
-        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), identity_hom(rot.group)
+        rot, rot, mat([[1, 0], [0, 1]]), vec([0, 0]), _identity_hom(rot.group)
     )
     with pytest.raises(CodomainNotManifold):
         fibered_product(ident, ident)

@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import suborbifolds.cli as cli
 from suborbifolds.cli import main
-from suborbifolds.errors import ParseError, UnresolvedName
+from suborbifolds.errors import ParseError, SuborbifoldError, UnresolvedName
 from suborbifolds.groups import generate_group
 from suborbifolds.linalg import mat, rat, vec, contains_point
-from suborbifolds.scene import parse_scene, strip_timing
+from suborbifolds.scene import parse_scene, read_scene, strip_timing
 
 from oracles import oracle_mat_vec
 
@@ -114,7 +114,8 @@ def test_parse_error_on_malformed_entry():
         with pytest.raises(ParseError):
             parse_scene(json.dumps(bad))
     # A string where a vector or a matrix row belongs was read as the list of
-    # its characters: "10" as the x-axis, ["01", "10"] as the swap matrix.
+    # its characters: "10" as the x-axis, ["01", "10"] as the swap matrix; an
+    # object as the list of its keys, so {} as an empty basis or generator list.
     def a_map(matrix, offset):
         return {"groups": rot4,
                 "maps": {"f": {"domain": "rot4", "codomain": "rot4", "matrix": matrix,
@@ -129,13 +130,24 @@ def test_parse_error_on_malformed_entry():
             ({"groups": {"g": [[[1, 0], "-10"]]}}, "a matrix row as a list, got the string '-10'"),
             ({"groups": {"g": ["10"]}}, "a matrix as a list, got the string '10'"),
             (a_map(["10", "01"], [0, 0]), "a matrix row as a list, got the string '10'"),
-            (a_map([[1, 0], [0, 1]], "00"), "a vector as a list, got the string '00'")):
+            (a_map([[1, 0], [0, 1]], "00"), "a vector as a list, got the string '00'"),
+            ({"groups": rot4, "subspaces": {"v": {"base": [0, 0], "basis": {}}}},
+             "scene section 'subspaces': entry 'v': expected a basis as a list, got {}"),
+            ({"groups": rot4, "subspaces": {"v": {"base": 5}}}, "a vector as a list, got 5"),
+            ({"groups": rot4, "subgroups": {"s": {"parent": "rot4", "generators": {}}}},
+             "scene section 'subgroups': entry 's': expected the generators as a list, got {}"),
+            ({"groups": rot4, "subgroups": {"s": {"parent": "rot4", "generator_indices": {}}}},
+             "expected the generator indices as a list, got {}"),
+            ({"groups": {"g": {}}}, "scene section 'groups': entry 'g': expected the generators"),
+            ({"groups": rot4, "subgroups": {"s": {"parent": ["rot4"], "generators": []}}},
+             "expected the name of a group, got ['rot4']")):
         with pytest.raises(ParseError, match=re.escape(expected)):
             parse_scene(json.dumps(bad))
     # a probe pair of three points (exited 3 as a ValueError from unpacking)
     probe = json.loads(json.dumps(SCENE))
     probe["probes"]["line_probe"]["pairs"] = [[[1, 0], [0, 0], [0, 0]]]
-    with pytest.raises(ParseError, match="probe 'line_probe'"):
+    with pytest.raises(ParseError, match=re.escape(
+            "scene section 'probes': entry 'line_probe': pairs must list [x, y] point pairs")):
         parse_scene(json.dumps(probe))
     outside = {"groups": rot4,                      # a generator outside the group
                "subgroups": {"s": {"parent": "rot4", "generators": [[[2, 0], [0, 1]]]}}}
@@ -144,9 +156,10 @@ def test_parse_error_on_malformed_entry():
     assert "'s'" in str(err.value) and "Fraction(" not in str(err.value)
 
 
-@pytest.mark.parametrize("value", ["1e400", "2E3", True])
+@pytest.mark.parametrize("value", ["1e400", "2E3", True, "1_0", "1_0/3"])
 def test_exponents_and_booleans_are_not_rationals(scene_path, tmp_path, value, capsys):
-    # Fraction would expand an exponent digit by digit, and JSON true is an int.
+    # Fraction would expand an exponent digit by digit, JSON true is an int,
+    # and Fraction reads "1_0" as 10 from Python 3.11 but refuses it before.
     with pytest.raises(ParseError):
         rat(value)
     scene = json.loads(json.dumps(SCENE))
@@ -200,7 +213,8 @@ def test_theta_lists_each_element_once():
     # the last pair for a repeated element used to win, and the map failed
     # later as "not a homomorphism"
     scene["maps"]["rot4_identity"]["theta"] = [[0, 0], [0, 1], [1, 1], [2, 2], [3, 3]]
-    with pytest.raises(ParseError, match="map 'rot4_identity': theta lists element 0 twice"):
+    with pytest.raises(ParseError, match="scene section 'maps': entry 'rot4_identity': "
+                                         "theta lists element 0 twice"):
         parse_scene(json.dumps(scene))
 
 
@@ -623,7 +637,8 @@ def test_cli_report_file(scene_path, tmp_path, capsys):
     pytest.param("nested", "error: invalid scene JSON: ", id="scene_nested_too_deep"),
     pytest.param("empty_report", "error: cannot write report file: ", id="report_empty_path"),
     pytest.param("empty_scene", "error: cannot read scene file: ", id="metric_scene_empty_path"),
-    pytest.param("empty_pairs", "error: probe 'rotation_line': ", id="metric_probe_without_pairs"),
+    pytest.param("empty_pairs", "error: scene section 'probes': entry 'rotation_line': ",
+                 id="metric_probe_without_pairs"),
 ])
 def test_cli_input_errors_exit_2(case, message, tmp_path, capsys):
     # each exited 3 as an internal error, and a report that cannot be written
@@ -863,3 +878,59 @@ def test_scene_fuzz_probes(mutations, depth):
             rc = main(["metric-check", "--scene", path] + depth)
     assert rc in (0, 1, 2), err.getvalue()
     assert "internal" not in err.getvalue()
+
+
+SCENES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenes")
+# One value of each JSON type, a list of a name and a bool, each put in turn
+# in place of every entry and every value inside one.
+TYPE_MUTATIONS = [5, "x", [], {}, None, ["g"], 1.5, True]
+PYTHON_PHRASES = ("object is not", "unhashable", "not iterable", "not subscriptable",
+                  "string indices")
+
+
+def _type_mutations(name, first_scalar_only=False):
+    """(section, entry, scene text) for each value below the top level of the
+    shipped scene ``name`` replaced by each of TYPE_MUTATIONS; with
+    first_scalar_only, a list that holds no list or object has only its
+    first item replaced."""
+    with open(os.path.join(SCENES_DIR, name), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for path in _paths(raw, ()):
+        if len(path) < 2:
+            continue
+        if first_scalar_only and isinstance(path[-1], int) and path[-1] > 0:
+            items = raw
+            for key in path[:-1]:
+                items = items[key]
+            if not any(isinstance(item, (list, dict)) for item in items):
+                continue
+        for value in TYPE_MUTATIONS:
+            scene = json.loads(json.dumps(raw))
+            _mutate(scene, path, "set", value)
+            yield path[0], path[1], json.dumps(scene)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SCENES_DIR) if n.endswith(".json")))
+def test_a_wrong_json_type_in_a_shipped_scene_is_refused_where_it_is(name):
+    # Such a scene was refused with Python's own text and no location
+    # ("malformed scene entry: unhashable type: 'list'"), or {} was read as
+    # an empty basis or generator list.
+    for section, entry, text in _type_mutations(name):
+        try:
+            read_scene(text)
+        except SuborbifoldError as exc:
+            message = str(exc)
+            assert f"scene section {section!r}" in message, message
+            assert f"entry {entry!r}" in message, message
+            assert not any(phrase in message for phrase in PYTHON_PHRASES), message
+
+
+@pytest.mark.parametrize("name", ["maps.json", "rational_chart.json", "rotation_line.json"])
+def test_a_wrong_json_type_in_a_small_scene_builds_or_is_refused(name):
+    # parse_scene builds every entry, so a value that passed the reader
+    # reaches the groups, maps and probes; B4 and B5 take too long to build.
+    for _, _, text in _type_mutations(name, first_scalar_only=True):
+        try:
+            parse_scene(text)
+        except SuborbifoldError:
+            pass

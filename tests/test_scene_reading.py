@@ -3,6 +3,7 @@
 ``parse_scene`` builds every entry; the CLI builds only the entries its
 command reads, so a semantic fault in another entry does not stop it.
 """
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -110,7 +111,8 @@ def test_structural_faults_in_an_unread_entry_still_exit_2(tmp_path, capsys):
             (_bad_map(theta=[[0, 0], [0, 1]]), "theta lists element 0 twice"),
             (_bad_map(offset=["1/0", 0]), "cannot read '1/0' as a rational"),
             ({"probes": {"bad": dict(BASE["probes"]["line_probe"], depth=13)}},
-             "probe 'bad': partition depth must be an integer in 0..12, got 13")):
+             "scene section 'probes': entry 'bad': "
+             "partition depth must be an integer in 0..12, got 13")):
         path.write_text(json.dumps(_with(extra)))
         assert main(CLASSIFY_LINE + ["--scene", str(path)]) == 2
         assert message in capsys.readouterr().err
@@ -147,15 +149,22 @@ def test_a_malformed_entry_is_named_by_section_entry_and_key(section, tmp_path, 
 @pytest.mark.parametrize("error", [TypeError, KeyError])
 def test_a_package_fault_in_a_build_exits_3(error, monkeypatch, capsys):
     # Only a DimensionMismatch in a build is a fault of the scene; a KeyError
-    # or TypeError there was reported as a malformed scene entry (exit 2).
+    # or TypeError there, or while the scene was read, was reported as a
+    # malformed scene entry (exit 2).
     groups = sys.modules["suborbifolds.groups"]
 
     def broken(*args, **kwargs):
         raise error("boom")
 
+    scene = str(SCENES / "rotation_line.json")
+    internal = f"internal error: {error.__name__}: {error('boom')}\n"
     monkeypatch.setattr(groups, "group_from_forms", broken)
-    assert main(["classify", "--scene", str(SCENES / "rotation_line.json")]) == 3
-    assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('boom')}\n"
+    assert main(["classify", "--scene", scene]) == 3
+    assert capsys.readouterr().err == internal
+    monkeypatch.undo()
+    monkeypatch.setattr(scene_mod, "read_generators", broken)
+    assert main(["classify", "--scene", scene]) == 3
+    assert capsys.readouterr().err == internal
 
 
 # One scene of the benchmark's scenes workload: a main group G with two
@@ -226,6 +235,17 @@ def test_every_shipped_scene_passes_parse_scene(path):
     raw = json.loads(path.read_text(encoding="utf-8"))
     for section in ("groups", "subgroups", "subspaces", "candidates", "maps", "probes"):
         assert list(getattr(scene, section)) == list(raw.get(section, {}))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_benchmark_scene_passes_parse_scene(seed, monkeypatch):
+    # The benchmark's scenes workload feeds the CLI scenes from its own
+    # generator; the reader must accept every one of them.
+    monkeypatch.syspath_prepend(str(SCENES.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    for scene in gen.scene_pass(seed, 0):
+        built = parse_scene(json.dumps(scene))
+        assert list(built.candidates) == list(scene["candidates"])
 
 
 def test_subspaces_are_made_canonical_on_first_lookup(monkeypatch):
