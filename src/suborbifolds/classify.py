@@ -16,27 +16,29 @@ strengthens a pointwise condition; ``check_saturated`` is its one
 implementation, and "h agrees with g on W" compares the images of W's
 base point and basis, as integer vectors under the group's integer
 forms, so no Fraction is built or hashed per element of Delta or of
-Gamma. Its work follows the orbit of V rather than
-|Gamma| * |Delta|. W_g = V & g^-1 V depends only on the coset Stab(V) g:
-g^-1 V is reached through the Schreier tree of the group's generators,
-and W_g is solved once per distinct g^-1 V by pulling V's equations
-back through g (x is in g^-1 V exactly when g x satisfies them) and
-solving them in V's own k coordinates (``linalg.meet``). This part
-depends on the chart group and V alone, so it is kept on the group
-(``OrbitOfV.of``) for the ``ORBITS_OF_V_KEPT`` most recently used V, and
-candidates with the same group and V share it whatever their Delta: the
-replay of the complement, each subgroup of the lattice search and later
-calls. With each W_g it keeps every element's images of W_g's points,
-filled on first use, so a candidate only gathers Delta's images into one
-set per W_g. The verdict is constant on each coset Delta g, as V is
-Delta-invariant: W_hg = V & g^-1 h^-1 V = W_g, and if h' covers g then
-h h' covers h g. So the scan tests one g per coset, the first in index
-order, and marks the whole coset decided; the first uncovered g, and so
-the witness, are those of the scan over every element. Witnesses for
-failures are found by bounded deterministic rational sampling and always
-replay: a saturation witness is the first point of
-``linalg.sample_points(W_g)`` whose image under g no element of Delta
-matches, so that order fixes its bytes.
+Gamma. Its work follows the orbit of V rather than |Gamma| * |Delta|.
+W_g = V & g^-1 V depends only on the coset Stab(V) g: g^-1 V is reached
+through the Schreier tree of the group's generators, and W_g is solved
+once per distinct g^-1 V by pulling V's equations back through g (x is
+in g^-1 V exactly when g x satisfies them) and solving them in V's own k
+coordinates (``linalg.meet``). This part depends on the chart group and
+V alone, so it is kept on the group (``OrbitOfV.of``) for the
+``ORBITS_OF_V_KEPT`` most recently used V, and candidates with the same
+group and V share it whatever their Delta: the replay of the complement,
+each subgroup of the lattice search and later calls. The
+Delta-invariance test a candidate runs when it is built reads g V from
+the same store (``_first_moving_element``), so each image of V is
+computed once per chart group. With each W_g the store keeps every
+element's images of W_g's points, filled on first use, so a candidate
+only gathers Delta's images into one set per W_g. The verdict is
+constant on each coset Delta g, as V is Delta-invariant: W_hg = V & g^-1
+h^-1 V = W_g, and if h' covers g then h h' covers h g. So the scan tests
+one g per coset, the first in index order, and marks the whole coset
+decided; the first uncovered g, and so the witness, are those of the
+scan over every element. Witnesses for failures are found by bounded
+deterministic rational sampling and always replay: a saturation witness
+is the first point of ``linalg.sample_points(W_g)`` whose image under g
+no element of Delta matches, so that order fixes its bytes.
 
 Fullness reads the same store: a point of V that g fixes lies in W_g, so
 an element whose W_g is empty is skipped, and Fix(g) & V is solved on
@@ -144,9 +146,10 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
 
 
 def _first_moving_element(sub, v: AffineSubspace):
-    """First element of the group that does not map v onto itself, or None."""
-    d, forms = sub.parent.integer_forms
-    return first_failure(sub, lambda i: transform_subspace((d, forms[i]), v) != v)
+    """First element of the group that does not map v onto itself, or None;
+    g V is read from the parent group's ``OrbitOfV`` for v."""
+    orbit = OrbitOfV.of(sub.parent, v)
+    return first_failure(sub, lambda i: orbit.image(i) != v)
 
 
 @record
@@ -158,7 +161,8 @@ class SuborbifoldCandidate:
     use. The V-only part of saturation (``orbit_of_v``) is kept on the
     chart group instead, for the ``ORBITS_OF_V_KEPT`` most recently used
     V, so candidates with the same group and V share it whatever their
-    Delta.
+    Delta. The invariance test on construction reads g V from it too, so
+    building a candidate enters V in the store.
     """
 
     chart: ChartModel
@@ -271,7 +275,7 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     The elements of Gamma are scanned in index order, and the first g that
     no h in Delta covers on W_g = V & g^-1 V is the witness. Elements of
     Delta are covered by themselves and skipped, so when Delta is the whole
-    group the verdict holds without asking the store. The verdict is the
+    group the verdict holds without solving any W_g. The verdict is the
     same for every element of the coset Delta g (see the module
     docstring), so once g is decided its coset, read off the permutations
     (``coset``), is skipped. W_g depends on V alone: the chart group's

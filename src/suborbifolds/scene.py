@@ -33,7 +33,9 @@ The CLI builds only what its command reads, so such a fault in an entry
 it does not read is not reported. ``parse_scene`` reads, then builds
 every entry in section order, and reports any fault. A failed build
 raises what ``parse_scene`` raises for it, with a ``DimensionMismatch``
-as a ``ParseError``. A ``KeyError`` or ``TypeError``, whether raised
+as a ``ParseError``; a fault of a subgroup, candidate, probe or map
+itself names the entry ("candidate 'c': ..."), a group's closure
+faults do not. A ``KeyError`` or ``TypeError``, whether raised
 while a scene is read or while an entry is built, is a fault of the
 package, not of the scene, and is not translated.
 
@@ -208,12 +210,17 @@ def _subgroup(groups, name, parent, indices, forms) -> Subgroup:
         raise ParseError(f"subgroup {name!r}: {exc}") from exc
 
 
-def _candidate(groups, subgroups, subspaces, group, subgroup, subspace) -> SuborbifoldCandidate:
+def _candidate(groups, subgroups, subspaces, what, group, subgroup, subspace):
     """The candidate on the named group and subspace, with the named
-    subgroup or, when subgroup is None, the whole group."""
+    subgroup or, when subgroup is None, the whole group; its own faults
+    name ``what``, the entry it is built for."""
     group = groups[group]
     delta = group.full_subgroup() if subgroup is None else subgroups[subgroup]
-    return SuborbifoldCandidate(chart_from_group(group), delta, subspaces[subspace])
+    v = subspaces[subspace]
+    try:
+        return SuborbifoldCandidate(chart_from_group(group), delta, v)
+    except SuborbifoldError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
 
 
 def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> EquivariantAffineMap:
@@ -228,13 +235,16 @@ def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> Equivar
     images = _element_indices((theta_pairs[i] for i in range(order)),
                               codomain.group.order, f"map {name!r} theta image")
     theta = GroupHom(domain.group, codomain.group, tuple(images))
-    return map_from_forms(domain, codomain, linear, offset, theta)
+    try:
+        return map_from_forms(domain, codomain, linear, offset, theta)
+    except SuborbifoldError as exc:
+        raise type(exc)(f"map {name!r}: {exc}") from exc
 
 
-def _probe(groups, subgroups, subspaces, group, subgroup, subspace, pairs, depth,
+def _probe(groups, subgroups, subspaces, name, group, subgroup, subspace, pairs, depth,
            tolerance) -> MetricProbe:
-    return MetricProbe(_candidate(groups, subgroups, subspaces, group, subgroup, subspace),
-                       pairs, depth, tolerance)
+    return MetricProbe(_candidate(groups, subgroups, subspaces, f"probe {name!r}", group,
+                                  subgroup, subspace), pairs, depth, tolerance)
 
 
 def read_scene(text: str, max_order: int | None = None) -> SceneFile:
@@ -283,7 +293,7 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
                         if "subgroup" in spec else None)
             subspace = _known(subspaces, spec["subspace"], "subspace")
             candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
-                                               group, subgroup, subspace)
+                                               f"candidate {name!r}", group, subgroup, subspace)
         except SuborbifoldError as exc:
             raise _located(exc, "candidates", name) from exc
     for name, spec in _specs(raw, "maps"):
@@ -317,7 +327,7 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
             depth = spec.get("depth", DEFAULT_DEPTH)
             tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
             check_settings(depth, tolerance, pairs)
-            probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, group,
+            probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, name, group,
                                            subgroup, subspace, pairs, depth, tolerance)
         except SuborbifoldError as exc:
             raise _located(exc, "probes", name) from exc

@@ -37,6 +37,7 @@ from suborbifolds.corpus import (
     complex_axis_candidate,
     diagonal_half_turn_candidate,
     klein_chart,
+    metric_probes,
     product_diagonal_candidate,
     rot4_chart,
     rotation_line_candidate,
@@ -54,6 +55,7 @@ from suborbifolds.errors import (
 import suborbifolds.groups as groups
 from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
 from suborbifolds.maps import product_chart
+from suborbifolds.metric import lemma_metrics_check
 from suborbifolds.scene import (
     candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
 )
@@ -66,6 +68,7 @@ from oracles import (
     hyperoctahedral_generators,
     int_form,
     matrices_of,
+    oracle_canonical_subspace,
     oracle_check_saturated,
     oracle_full,
     oracle_images,
@@ -309,7 +312,8 @@ def test_saturation_computed_once_per_candidate(monkeypatch):
 
 def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
     # complex-axis has no complement of its kernel, so every subgroup of the
-    # chart group is tried; each subgroup candidate reuses the orbit of V.
+    # chart group is tried. The candidate's own invariance test builds the
+    # orbit of V; each subgroup candidate's test and saturation reuse it.
     module = sys.modules["suborbifolds.classify"]
     original_check = module.check_saturated
     original_post_init = SuborbifoldCandidate.__post_init__
@@ -323,10 +327,11 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
         built.append(self)
         original_post_init(self)
 
+    orbits = _counting_orbits(monkeypatch)
     cand = complex_axis_candidate(z4_realified_chart())  # a fresh chart group
+    assert len(orbits) == 1
     monkeypatch.setattr(module, "check_saturated", counting)
     monkeypatch.setattr(SuborbifoldCandidate, "__post_init__", post_init)
-    orbits = _counting_orbits(monkeypatch)
     report = classify(cand, search_all_delta=True)
     embedded = report.embedded
     assert not embedded.holds and embedded.searched_all_delta
@@ -468,22 +473,24 @@ def test_candidates_on_one_group_and_v_build_one_orbit(monkeypatch):
     assert len(orbits) == 1 and a.orbit_of_v is b.orbit_of_v is orbits[0]
 
 
-def test_a_whole_group_candidate_is_saturated_without_the_orbit_store(monkeypatch):
-    # Every g is in Delta, so no W_g is asked for: the store is not built
-    # for V, and keeps the subspaces it held.
+def test_a_whole_group_candidate_is_saturated_without_solving_a_meet(monkeypatch):
+    # Every g is in Delta, so no W_g is asked for and no meet is solved,
+    # although the invariance test has read g V from the store.
+    module = sys.modules["suborbifolds.classify"]
+
+    def refuse(*args):
+        raise AssertionError("a W_g was solved for a whole-group candidate")
+
     group = _b3()
     chart = chart_from_group(group)
     (kept, stab), _ = _store_cases(group)[:2]
     check_saturated(_candidate(chart, stab, kept))
-    orbits = _counting_orbits(monkeypatch)
-    for v in (whole_space(3), affine_subspace([0, 0, 0], [])):
-        cand = SuborbifoldCandidate(chart, group.full_subgroup(), v)
-        assert check_saturated(cand).holds and oracle_check_saturated(cand).holds
-    assert orbits == [] and list(group.orbits_of_v) == [kept]
-    fresh = _b3()
-    assert check_saturated(SuborbifoldCandidate(
-        chart_from_group(fresh), fresh.full_subgroup(), whole_space(3))).holds
-    assert fresh.orbits_of_v == {}
+    monkeypatch.setattr(module.OrbitOfV, "w_g", refuse)
+    monkeypatch.setattr(module, "meet", refuse)
+    for chart in (chart, chart_from_group(_b3())):  # a warm and a fresh store
+        for v in (whole_space(3), affine_subspace([0, 0, 0], [])):
+            cand = SuborbifoldCandidate(chart, chart.group.full_subgroup(), v)
+            assert check_saturated(cand).holds and oracle_check_saturated(cand).holds
 
 
 def test_witnesses_build_only_their_own_element():
@@ -1048,6 +1055,69 @@ def test_invariance_is_tested_on_generators(monkeypatch):
     # The replay of the complement (Delta itself) adds one generator pass.
     result, transforms = _count_transforms(monkeypatch, lambda: check_embedded(cand))
     assert result.effective_delta == delta and transforms <= len(delta.generators)
+
+
+def test_a_warm_corpus_run_transforms_no_subspace(monkeypatch):
+    # The corpus charts are built once per process, and a candidate's
+    # invariance test reads g V from the chart group's orbit-of-V store, as
+    # saturation does: once the stores are warm, no subspace is transformed.
+    def corpus_and_probes():
+        assert run_corpus().ok
+        assert all(lemma_metrics_check(probe).passed for probe in metric_probes().values())
+
+    corpus_and_probes()
+    _, transforms = _count_transforms(monkeypatch, corpus_and_probes)
+    assert transforms == 0
+
+
+def _oracle_image(m, v):
+    """m V in canonical form (base point, basis), by Fraction arithmetic alone."""
+    base, *basis = oracle_images(m, v)
+    return oracle_canonical_subspace(base, basis)[:2]
+
+
+@pytest.mark.parametrize("build, search_all_delta", [
+    (lambda: rotation_line_candidate(rot4_chart()), False),
+    (lambda: complex_axis_candidate(z4_realified_chart()), True),
+    (_b3_plane_z_equals_1, False),
+], ids=["rotation-line", "complex-axis", "b3-plane"])
+def test_a_fresh_chart_transforms_once_per_generator_and_orbit_point(
+        monkeypatch, build, search_all_delta):
+    # Building the candidate on a fresh chart and classifying it, the whole
+    # lattice searched or not, apply each generator to each g V at most once.
+    built = []
+    _, transforms = _count_transforms(monkeypatch, lambda: classify(
+        built.append(build()) or built[0], search_all_delta=search_all_delta))
+    group, v = built[0].chart.group, built[0].v
+    orbit = {_oracle_image(m, v) for m in matrices_of(group)}
+    assert 0 < transforms <= len(group.generators) * len(orbit)
+
+
+def test_first_moving_element_matches_a_fraction_scan():
+    # At orders 96 and 384 and in a rational basis, on stores warmed by the
+    # earlier draws: the store's answer is that of a Fraction scan of the
+    # members in index order, None or the same first moving member.
+    rng = random.Random(53)
+    b4 = hyperoctahedral_generators(4)
+    s, s_inv = random_rational_basis_change(rng, 4)
+    for gens, basis_change in ((_b3_times_z2_generators(), None), (b4, None),
+                               (conjugate_all(b4, s, s_inv), s)):
+        chart = chart_from_group(generate_group(gens))
+        group = chart.group
+        mats = matrices_of(group)
+        found = set()
+        for _ in range(6):
+            cand = stabilizer_candidate(rng, chart, basis_change, dims=(0, 4))
+            v = cand.v
+            other = group.subgroup_generated_by(
+                [rng.randrange(group.order), rng.randrange(group.order)])
+            for delta in (cand.delta, other):
+                want = next((i for i in delta.members
+                             if _oracle_image(mats[i], v) != _oracle_image(mats[group.identity], v)),
+                            None)
+                assert _first_moving_element(delta, v) == want
+                found.add(want is None)
+        assert found == {True, False}
 
 
 def test_b4_whole_group_candidates_embed_without_the_lattice(monkeypatch):

@@ -146,6 +146,48 @@ def test_a_malformed_entry_is_named_by_section_entry_and_key(section, tmp_path, 
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _shifted(entry):
+    """Point the rotation-line scene's entry in section ``entry`` at the line
+    y = 1, which the half turn of its subgroup (element 0 of rot4) moves."""
+    def mutate(raw):
+        raw["subspaces"]["shifted"] = {"base": [0, 1], "basis": [[1, 0]]}
+        raw[entry]["rotation_line"]["subspace"] = "shifted"
+    return mutate
+
+
+def _stretched(raw):
+    raw["maps"]["rot4_identity"]["matrix"][0][0] = 5
+
+
+# (shipped scene, its mutation, a command that builds the faulty entry, the message)
+BUILD_FAULTS = {
+    "candidate": ("rotation_line.json", _shifted("candidates"),
+                  ["classify", "--candidate", "rotation_line"],
+                  "candidate 'rotation_line': subspace is not invariant under subgroup element 0"),
+    "probe": ("rotation_line.json", _shifted("probes"),
+              ["metric-check", "--probe", "rotation_line"],
+              "probe 'rotation_line': subspace is not invariant under subgroup element 0"),
+    "map": ("maps.json", _stretched, ["graph", "--map", "rot4_identity"],
+            "map 'rot4_identity': equivariance fails on element 1 (linear part)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_FAULTS))
+def test_a_build_fault_names_its_entry(case, tmp_path, capsys):
+    # Invariance and equivariance were reported without the entry that
+    # failed them, unlike a subgroup's faults.
+    name, mutate, command, message = BUILD_FAULTS[case]
+    raw = json.loads((SCENES / name).read_text(encoding="utf-8"))
+    mutate(raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SuborbifoldError) as refused:
+        parse_scene(path.read_text())
+    assert str(refused.value) == message
+    assert main(command + ["--scene", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("error", [TypeError, KeyError])
 def test_a_package_fault_in_a_build_exits_3(error, monkeypatch, capsys):
     # Only a DimensionMismatch in a build is a fault of the scene; a KeyError
