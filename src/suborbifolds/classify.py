@@ -16,29 +16,30 @@ strengthens a pointwise condition; ``check_saturated`` is its one
 implementation, and "h agrees with g on W" compares the images of W's
 base point and basis, as integer vectors under the group's integer
 forms, so no Fraction is built or hashed per element of Delta or of
-Gamma. Its work follows the orbit of V rather than |Gamma| * |Delta|.
-W_g = V & g^-1 V depends only on the coset Stab(V) g: g^-1 V is reached
-through the Schreier tree of the group's generators, and W_g is solved
-once per distinct g^-1 V by pulling V's equations back through g (x is
-in g^-1 V exactly when g x satisfies them) and solving them in V's own k
-coordinates (``linalg.meet``). This part depends on the chart group and
-V alone, so it is kept on the group (``OrbitOfV.of``) for the
-``ORBITS_OF_V_KEPT`` most recently used V, and candidates with the same
-group and V share it whatever their Delta: the replay of the complement,
-each subgroup of the lattice search and later calls. The
-Delta-invariance test a candidate runs when it is built reads g V from
-the same store (``_first_moving_element``), so each image of V is
-computed once per chart group. With each W_g the store keeps every
+Gamma. Its work follows the orbit of V rather than
+|Gamma| * |Delta|. W_g = V & g^-1 V depends only on the coset Stab(V) g:
+g^-1 V is reached through the Schreier tree of the group's generators,
+and W_g is solved once per distinct g^-1 V by pulling V's equations
+back through g (x is in g^-1 V exactly when g x satisfies them) and
+solving them in V's own k coordinates (``linalg.meet``). This part
+depends on the chart group and V alone, so it is kept on the group
+(``OrbitOfV.of``) for the ``ORBITS_OF_V_KEPT`` most recently used V, and
+candidates with the same group and V share it whatever their Delta: the
+replay of the complement, each subgroup of the lattice search and later
+calls. The Delta-invariance test a candidate runs when it is built reads
+g V from the same store (``_first_moving_element``), so each image of V
+is computed once per chart group. With each W_g the store keeps every
 element's images of W_g's points, filled on first use, so a candidate
-only gathers Delta's images into one set per W_g. The verdict is
-constant on each coset Delta g, as V is Delta-invariant: W_hg = V & g^-1
-h^-1 V = W_g, and if h' covers g then h h' covers h g. So the scan tests
-one g per coset, the first in index order, and marks the whole coset
-decided; the first uncovered g, and so the witness, are those of the
-scan over every element. Witnesses for failures are found by bounded
-deterministic rational sampling and always replay: a saturation witness
-is the first point of ``linalg.sample_points(W_g)`` whose image under g
-no element of Delta matches, so that order fixes its bytes.
+only gathers Delta's images into one set per W_g.
+The verdict is constant on each coset Delta g, as V is
+Delta-invariant: W_hg = V & g^-1 h^-1 V = W_g, and if h' covers g then
+h h' covers h g. So the scan tests one g per coset, the first in index
+order, and marks the whole coset decided; the first uncovered g, and so
+the witness, are those of the scan over every element. Witnesses for
+failures are found by bounded deterministic rational sampling and always
+replay: a saturation witness is the first point of
+``linalg.sample_points(W_g)`` whose image under g no element of Delta
+matches, so that order fixes its bytes.
 
 Fullness reads the same store: a point of V that g fixes lies in W_g, so
 an element whose W_g is empty is skipped, and Fix(g) & V is solved on

@@ -1085,10 +1085,13 @@ def test_a_fresh_chart_transforms_once_per_generator_and_orbit_point(
         monkeypatch, build, search_all_delta):
     # Building the candidate on a fresh chart and classifying it, the whole
     # lattice searched or not, apply each generator to each g V at most once.
-    built = []
-    _, transforms = _count_transforms(monkeypatch, lambda: classify(
-        built.append(build()) or built[0], search_all_delta=search_all_delta))
-    group, v = built[0].chart.group, built[0].v
+    def build_and_classify():
+        cand = build()
+        classify(cand, search_all_delta=search_all_delta)
+        return cand
+
+    cand, transforms = _count_transforms(monkeypatch, build_and_classify)
+    group, v = cand.chart.group, cand.v
     orbit = {_oracle_image(m, v) for m in matrices_of(group)}
     assert 0 < transforms <= len(group.generators) * len(orbit)
 
@@ -1109,11 +1112,11 @@ def test_first_moving_element_matches_a_fraction_scan():
         for _ in range(6):
             cand = stabilizer_candidate(rng, chart, basis_change, dims=(0, 4))
             v = cand.v
+            target = oracle_canonical_subspace(v.base_point, v.basis)[:2]
             other = group.subgroup_generated_by(
                 [rng.randrange(group.order), rng.randrange(group.order)])
             for delta in (cand.delta, other):
-                want = next((i for i in delta.members
-                             if _oracle_image(mats[i], v) != _oracle_image(mats[group.identity], v)),
+                want = next((i for i in delta.members if _oracle_image(mats[i], v) != target),
                             None)
                 assert _first_moving_element(delta, v) == want
                 found.add(want is None)
