@@ -28,9 +28,10 @@ candidates with the same group and V share it whatever their Delta: the
 replay of the complement, each subgroup of the lattice search and later
 calls. The Delta-invariance test a candidate runs when it is built reads
 g V from the same store (``_first_moving_element``), so each image of V
-is computed once per chart group. With each W_g the store keeps every
-element's images of W_g's points, filled on first use, so a candidate
-only gathers Delta's images into one set per W_g.
+is computed once per chart group while V is kept. With each W_g the store
+keeps a label of each element's images of W_g's points, found on first
+use (equal images, equal labels), so a candidate only gathers Delta's
+labels into one set per W_g.
 The verdict is constant on each coset Delta g, as V is
 Delta-invariant: W_hg = V & g^-1 h^-1 V = W_g, and if h' covers g then
 h h' covers h g. So the scan tests one g per coset, the first in index
@@ -61,6 +62,7 @@ centroid, through ``linalg.coordinates``.
 """
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -281,12 +283,12 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     docstring), so once g is decided its coset, read off the permutations
     (``coset``), is skipped. W_g depends on V alone: the chart group's
     ``OrbitOfV`` for V reads g^-1 V off the Schreier tree, solves W_g once
-    per distinct g^-1 V in V's own coordinates and keeps each element's
+    per distinct g^-1 V in V's own coordinates and labels each element's
     images of W_g's points once asked, for the ``ORBITS_OF_V_KEPT`` most
     recently used V, so candidates with the same group and V share that
-    work whatever their Delta. Only the set of Delta's images is gathered
-    here, once per distinct W_g, and each coset costs one image of W_g's
-    points, one set lookup and |Delta| gathers.
+    work whatever their Delta. Only the set of Delta's labels is gathered
+    here, once per distinct W_g, and each coset costs one label, one set
+    lookup and |Delta| gathers.
     """
     group = cand.chart.group
     delta = cand.delta
@@ -294,7 +296,7 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
         return Verdict(True)
     orbit = cand.orbit_of_v
     image_on = orbit.image_on
-    covers: dict = {}  # W_g -> {h's images of W_g's points : h in Delta}
+    covers: dict = {}  # W_g -> {label of h's images of W_g's points : h in Delta}
     decided = bytearray(group.order)
     for h in delta.members:
         decided[h] = 1
@@ -315,11 +317,13 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     return Verdict(True)
 
 
-# How many subspaces a chart group keeps the OrbitOfV of. On the ladder
-# benchmark (B2, B3 and B3 x Z2 charts; 2-core Xeon, Python 3.11.7) 4 gave
-# most of what an unbounded store gave, 1498 against 1647 queries/s (995
-# with none), for 0.3 MB of peak memory instead of 2.5 MB (13%).
-ORBITS_OF_V_KEPT = 4
+# How many subspaces a chart group keeps the OrbitOfV of. On 20 passes of
+# the ladder benchmark at seed 1 (B2, B3 and B3 x Z2 charts; 940 queries on
+# 155 distinct subspaces) bounds of 4, 8, 16, 32 and 64 build 336, 228, 176,
+# 159 and 155 of them. At 32 the 96 stores kept hold 1334 KB (13.9 KB each,
+# by tracemalloc, Python 3.11.7), against 1849 KB (19.3 KB each) when each
+# W_g set aside a slot per element.
+ORBITS_OF_V_KEPT = 32
 
 
 class OrbitOfV:
@@ -331,17 +335,24 @@ class OrbitOfV:
     Delta, and a dropped V is built again when next asked for.
 
     ``image(x)`` is x V, which is s (y V) for x's Schreier-tree entry
-    (s, y); each generator is applied to each subspace at most once, and
-    equal subspaces are kept as one object, so later lookups of them are
-    decided by identity rather than by comparing their integer forms.
-    ``w_g(g)`` is the entry (W_g, int_points(W_g), images) for
-    W_g = V & g^-1 V, or None when it is empty; equal W_g share one entry.
-    x is in g^-1 V exactly when (c (d g)) x = d e, for V's equations
-    c x = e and the group's integer form d g, so W_g is that system solved
-    on V (``linalg.meet``), once per distinct g^-1 V. ``images`` holds one
-    slot per element of the group, and ``image_on(entry, h)`` fills h's
-    ``int_images`` on W_g's points the first time it is asked.
+    (s, y). Each distinct x V is kept once, in the order reached; an
+    element keeps only the position of its x V, and each generator is
+    applied to each of them at most once, so later lookups compare
+    positions rather than integer forms. ``w_g(g)`` is the entry of
+    W_g = V & g^-1 V, or None when it is empty: x is in g^-1 V exactly
+    when (c (d g)) x = d e, for V's equations c x = e and the group's
+    integer form d g, so W_g is that system solved on V (``linalg.meet``),
+    once per distinct g^-1 V, and equal W_g share one entry.
+    ``image_on(entry, h)`` labels h's ``int_images`` on W_g's points, found
+    the first time it is asked: the entry keeps each distinct tuple of
+    images once and a small-int label per element asked, so equal labels
+    mean equal images. Nothing is set aside per element for a W_g, so a
+    kept V costs memory in proportion to the orbit walked, the W_g solved
+    and the images asked.
     """
+
+    __slots__ = ("_group", "_d", "_forms", "_v", "_equations", "_orbit", "_position",
+                 "_at", "_moves", "_w", "_entries")
 
     @classmethod
     def of(cls, group: FiniteMatrixGroup, v: AffineSubspace) -> OrbitOfV:
@@ -361,52 +372,71 @@ class OrbitOfV:
         self._d, self._forms = group.integer_forms
         self._v = v
         self._equations = equations(v)
-        self._image = {group.identity: v}
-        self._step: dict = {}
-        self._seen = {v: v}
-        self._w: dict = {}  # g^-1 V -> its entry, or None
-        self._w_of: dict = {}  # g -> the same entry
-        self._entry_of: dict = {}  # W_g -> its entry
+        self._orbit = [v]  # the distinct x V, in the order reached
+        self._position = {v: 0}  # each of them -> its position in _orbit
+        self._at = array("i", [-1]) * group.order  # x -> position of x V, or -1
+        self._at[group.identity] = 0
+        # p k + j -> position of s_j (x V), for x V at p and the k generators s_j
+        self._moves = array("i", [-1]) * len(group.generators)
+        self._w: dict = {}  # position of g^-1 V -> the entry of W_g, or None
+        # W_g -> its entry, one per distinct W_g, so that a label means the
+        # same images wherever W_g is met (check_full keys on (W_g, label))
+        self._entries: dict = {}
 
     def image(self, x: int) -> AffineSubspace:
-        tree, path = self._group.schreier_tree, []
-        while x not in self._image:
+        p = self._at[x]
+        return self._orbit[p if p >= 0 else self._place(x)]
+
+    def _place(self, x: int) -> int:
+        """Position of x V in ``_orbit``, for x not yet placed: x's
+        Schreier-tree path is walked down to the first element placed."""
+        at, tree, path = self._at, self._group.schreier_tree, []
+        while at[x] < 0:
             path.append(x)
             x = tree[x][1]
-        u = self._image[x]
+        p = at[x]
+        gens, moves, orbit = self._group.generators, self._moves, self._orbit
         for x in reversed(path):
             s = tree[x][0]
-            if (s, u) not in self._step:
-                moved = transform_subspace((self._d, self._forms[s]), u)
-                self._step[s, u] = self._seen.setdefault(moved, moved)
-            u = self._image[x] = self._step[s, u]
-        return u
+            slot = p * len(gens) + gens.index(s)
+            q = moves[slot]
+            if q < 0:
+                moved = transform_subspace((self._d, self._forms[s]), orbit[p])
+                q = moves[slot] = self._position.setdefault(moved, len(orbit))
+                if q == len(orbit):
+                    orbit.append(moved)
+                    moves.extend(array("i", [-1]) * len(gens))
+            p = at[x] = q
+        return p
 
     def w_g(self, g: int):
+        x = self._group.inv(g)
+        p = self._at[x]
+        if p < 0:
+            p = self._place(x)
         try:
-            return self._w_of[g]
+            return self._w[p]
         except KeyError:
             pass
-        g_inv_v = self.image(self._group.inv(g))
-        if g_inv_v not in self._w:
-            c, e = self._equations
-            w = meet(self._v, pull_back(c, self._forms[g]), [self._d * x for x in e])
-            entry = None
-            if w is not None:
-                entry = self._entry_of.get(w)
-                if entry is None:
-                    entry = self._entry_of[w] = (w, int_points(w), [None] * self._group.order)
-            self._w[g_inv_v] = entry
-        found = self._w_of[g] = self._w[g_inv_v]
-        return found
+        c, e = self._equations
+        w = meet(self._v, pull_back(c, self._forms[g]), [self._d * x for x in e])
+        entry = None
+        if w is not None:
+            entry = self._entries.get(w)
+            if entry is None:
+                entry = self._entries[w] = (w, int_points(w), {}, {})
+        self._w[p] = entry
+        return entry
 
-    def image_on(self, entry, h: int) -> tuple:
-        """Element h's ``int_images`` on the points of the entry's W_g."""
-        _, points, images = entry
-        found = images[h]
-        if found is None:
-            found = images[h] = int_images(self._forms[h], points)
-        return found
+    def image_on(self, entry, h: int) -> int:
+        """A label for element h's ``int_images`` on the points of the
+        entry's W_g: equal labels on one entry mean equal images."""
+        _, points, labels, classes = entry
+        label = labels.get(h)
+        if label is None:
+            images = int_images(self._forms[h], points)
+            label = labels[h] = classes.setdefault(images, len(classes))
+        return label
 
 
 def _require_saturated(cand: SuborbifoldCandidate) -> None:
@@ -445,7 +475,7 @@ def check_full(cand: SuborbifoldCandidate) -> Verdict:
         return Verdict(True)
     d, forms = group.integer_forms
     orbit = cand.orbit_of_v
-    solved: dict = {}  # (W_g, g's images of W_g's points) -> Fix(g) & W_g
+    solved: dict = {}  # (W_g, label of g's images of W_g's points) -> Fix(g) & W_g
     for g in range(group.order):
         if delta.contains(g):
             continue

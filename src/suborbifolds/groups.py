@@ -176,8 +176,9 @@ class FiniteMatrixGroup:
         self.generators = tuple(dict.fromkeys(self._element_of[key] for key in generators))
         self.integer_forms: tuple[int, tuple[IntMat, ...]] = (
             d, tuple([sparse(m) for m, _ in elements]))
-        # The saturation work of the last few subspaces asked about, least
-        # recently used first (``classify.OrbitOfV.of``).
+        # The saturation work of the last ``classify.ORBITS_OF_V_KEPT``
+        # subspaces asked about, least recently used first
+        # (``classify.OrbitOfV.of``).
         self.orbits_of_v: dict = {}
 
     @cached_property

@@ -377,14 +377,34 @@ _STORE_SUBSPACES = {
 }
 
 
-def _store_cases(group):
-    """(V, Delta's members) for each subspace above: its whole setwise
-    stabilizer first, then up to three of its order-2 subgroups."""
+def _translates(n, count):
+    """count distinct subspaces of R^n: those above, then the same moved by
+    t (1, 2, ..., n) for t = 1, 2, ..., in that order."""
+    found = {}
+    t = 0
+    while len(found) < count:
+        for base, basis in _STORE_SUBSPACES[n]:
+            v = affine_subspace([b + t * (i + 1) for i, b in enumerate(base)], basis)
+            found.setdefault(v, None)
+        t += 1
+    return list(found)[:count]
+
+
+def _whole_stabilizer(group, v):
+    """The members of the setwise stabilizer of v, found one element at a time."""
     d, forms = group.integer_forms
+    return tuple(i for i in group.members if transform_subspace((d, forms[i]), v) == v)
+
+
+def _store_cases(group, subspaces=None):
+    """(V, Delta's members) for each subspace (by default those above): its
+    whole setwise stabilizer first, then up to three of its order-2 subgroups."""
+    if subspaces is None:
+        subspaces = [affine_subspace(base, basis)
+                     for base, basis in _STORE_SUBSPACES[group.ambient_dim]]
     cases = []
-    for base, basis in _STORE_SUBSPACES[group.ambient_dim]:
-        v = affine_subspace(base, basis)
-        stab = tuple(i for i in group.members if transform_subspace((d, forms[i]), v) == v)
+    for v in subspaces:
+        stab = _whole_stabilizer(group, v)
         involutions = [i for i in stab
                        if i != group.identity and group.mult(i, i) == group.identity]
         cases.append((v, stab))
@@ -408,9 +428,25 @@ def _outcome(cand):
             dump_machine_report(strip_timing(payload)))
 
 
+def _same_as_the_oracle(cand, verdict):
+    oracle = oracle_check_saturated(cand)
+    if oracle.holds or verdict.holds:
+        return oracle.holds == verdict.holds
+    return ((oracle.witness.element.index, oracle.witness.point)
+            == (verdict.witness.element.index, verdict.witness.point))
+
+
 @pytest.mark.parametrize("make_group", [_b3, _b3_times_z2])
 def test_a_warm_orbit_store_changes_no_verdict_witness_or_report(make_group):
-    cases = _store_cases(make_group())
+    # More subspaces than the store keeps, so the shuffled replays below
+    # both hit kept subspaces and build dropped ones again.
+    kept = sys.modules["suborbifolds.classify"].ORBITS_OF_V_KEPT
+    group = make_group()
+    cases = _store_cases(group)
+    subspaces = _translates(group.ambient_dim, kept + 2)
+    shown = {v for v, _ in cases}
+    cases += [(v, _whole_stabilizer(group, v)) for v in subspaces if v not in shown]
+    assert len({v for v, _ in cases}) > kept
     fresh = [_outcome(_candidate(chart_from_group(make_group()), members, v))
              for v, members in cases]
     # saturated and unsaturated candidates both, so the witness path runs
@@ -425,38 +461,55 @@ def test_a_warm_orbit_store_changes_no_verdict_witness_or_report(make_group):
             cand = _candidate(chart, members, v)
             assert _outcome(cand) == fresh[i]
             if warm:
-                oracle = oracle_check_saturated(cand)
-                assert oracle.holds == fresh[i][0]
-                if not oracle.holds:
-                    assert (oracle.witness.element.index, oracle.witness.point) == fresh[i][1]
+                assert _same_as_the_oracle(cand, cand.saturation)
+                if not cand.saturation.holds:
                     assert verify_saturation_witness(cand, cand.saturation.witness)
-    assert len(chart.group.orbits_of_v) <= 4
+        assert len(chart.group.orbits_of_v) == kept
 
 
-def test_the_orbit_store_keeps_the_four_most_recent_subspaces(monkeypatch):
-    module = sys.modules["suborbifolds.classify"]
-    assert module.ORBITS_OF_V_KEPT == 4
+def test_the_orbit_store_keeps_the_most_recently_used_subspaces(monkeypatch):
+    kept = sys.modules["suborbifolds.classify"].ORBITS_OF_V_KEPT
     group = _b3()
     chart = chart_from_group(group)
-    whole = {}  # V -> its whole stabilizer, in the order of _STORE_SUBSPACES
-    for v, members in _store_cases(group):
-        whole.setdefault(v, members)
-    subspaces = list(whole)
-    assert len(subspaces) > 4
+    subspaces = _translates(3, kept + 2)
+    whole = {v: _whole_stabilizer(group, v) for v in subspaces}
     orbits = _counting_orbits(monkeypatch)
     verdicts = [classify(_candidate(chart, whole[v], v)).saturated for v in subspaces]
     assert len(orbits) == len(subspaces)
-    assert list(group.orbits_of_v) == subspaces[-4:]
+    assert list(group.orbits_of_v) == subspaces[-kept:]
     # A dropped V is built again, with the same verdict, and drops the
     # least recently used one in turn.
     assert check_saturated(_candidate(chart, whole[subspaces[0]], subspaces[0])) == verdicts[0]
     assert len(orbits) == len(subspaces) + 1
-    assert list(group.orbits_of_v) == subspaces[-3:] + subspaces[:1]
+    assert list(group.orbits_of_v) == subspaces[-kept + 1:] + subspaces[:1]
     # A V still kept is not built again, and becomes the most recently used.
-    kept = subspaces[-3]
-    assert check_saturated(_candidate(chart, whole[kept], kept)) == verdicts[-3]
+    hit = subspaces[-kept + 1]
+    assert check_saturated(_candidate(chart, whole[hit], hit)) == verdicts[-kept + 1]
     assert len(orbits) == len(subspaces) + 1
-    assert list(group.orbits_of_v) == subspaces[-2:] + subspaces[:1] + [kept]
+    assert list(group.orbits_of_v) == subspaces[-kept + 2:] + subspaces[:1] + [hit]
+
+
+def test_a_recurring_subspace_keeps_its_orbit_among_other_subspaces(monkeypatch):
+    # One V asked about again after each of more other subspaces than a few,
+    # though fewer than the store keeps: its OrbitOfV is built once.
+    kept = sys.modules["suborbifolds.classify"].ORBITS_OF_V_KEPT
+    group = _b3_times_z2()
+    chart = chart_from_group(group)
+    recurring, *others = _translates(4, 9)
+    assert 4 < len(others) < kept
+    cases = {v: [members for _, members in _store_cases(group, [v])]
+             for v in [recurring] + others}
+    orbits = _counting_orbits(monkeypatch)
+    verdicts = set()
+    for turn, members in enumerate(cases[recurring]):
+        for v, deltas in [(recurring, [members])] + [(v, cases[v]) for v in others]:
+            cand = _candidate(chart, deltas[turn % len(deltas)], v)
+            verdict = check_saturated(cand)
+            assert _same_as_the_oracle(cand, verdict)
+            verdicts.add(verdict.holds)
+    assert len(cases[recurring]) > 1 and verdicts == {True, False}
+    assert [orbit.image(group.identity) for orbit in orbits].count(recurring) == 1
+    assert len(orbits) == len(cases)
 
 
 def test_candidates_on_one_group_and_v_build_one_orbit(monkeypatch):
