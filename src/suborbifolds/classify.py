@@ -40,7 +40,8 @@ the witness, are those of the scan over every element. Witnesses for
 failures are found by bounded deterministic rational sampling and always
 replay: a saturation witness is the first point of
 ``linalg.sample_points(W_g)`` whose image under g no element of Delta
-matches, so that order fixes its bytes.
+matches, so that order fixes its bytes. The samples are integer forms,
+and only the witness is built as Fractions.
 
 Fullness reads the same store: a point of V that g fixes lies in W_g, so
 an element whose W_g is empty is skipped, and Fix(g) & V is solved on
@@ -57,13 +58,13 @@ off a walk of Delta from the identity, x = s y giving f(x) = f(s) f(y),
 one product in the induced group per member. ``_check_restriction`` then
 tests the homomorphism law on every (generator, member) pair, that the map
 is onto and that its kernel is the independently computed pointwise
-stabilizer. Points of the induced chart are coordinates about its
-centroid, through ``linalg.coordinates``.
+stabilizer. Points of the induced chart are coordinates in V's canonical
+basis about its centroid; the chart keeps V and reads points both ways on
+V's integer form (``linalg.coordinates``, ``linalg.point_at``).
 """
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from weakref import proxy
@@ -95,19 +96,20 @@ from .groups import (
 from .linalg import (
     AffineSubspace,
     Vec,
-    affine_subspace,
     contains_point,
     coordinates,
     equations,
     fixed_points,
     form_of_columns,
+    fraction_point,
     identity_form,
     int_images,
     int_mat_vec,
     int_points,
+    int_vector,
     lowest_terms,
     meet,
-    point_from_coordinates,
+    point_at,
     point_in_dim,
     pull_back,
     rat_str,
@@ -116,9 +118,6 @@ from .linalg import (
     scaled,
     transform_subspace,
     vec,
-    vec_add,
-    vec_sub,
-    zero_vec,
 )
 from .records import record, set_field
 
@@ -241,27 +240,27 @@ def _witness_point(w_g: AffineSubspace, group, delta: Subgroup, g_index: int) ->
     For uncovered g each {x in w_g : hx = gx} is a proper affine subspace,
     so the |delta| of them miss one of the (2r+1)^k sample points of
     radius <= r once 2r+1 > |delta| (k = dim w_g). The samples are walked
-    once, in ``sample_points`` order. When the first 8 miss, whether some h
+    once, in ``sample_points`` order, as integer forms; only the point
+    returned is built as Fractions. When the first 8 miss, whether some h
     agrees with g on all of w_g is decided exactly, so a covered g fails at
     once instead of after the whole cube.
     """
     _, forms = group.integer_forms
 
-    def unmatched(x: Vec) -> bool:
-        _, xs = scaled(x)
+    def unmatched(xs) -> bool:
         gx = int_mat_vec(forms[g_index], xs)
         return all(int_mat_vec(forms[h], xs) != gx for h in delta.members)
 
     limit = (2 * ((delta.order + 1) // 2) + 1) ** w_g.dim
     samples = islice(sample_points(w_g), limit)
-    for x in islice(samples, 8):
-        if unmatched(x):
-            return x
+    for den, xs in islice(samples, 8):
+        if unmatched(xs):
+            return fraction_point(den, xs)
     if any(_agrees_on(group, h, g_index, w_g) for h in delta.members):
         raise AssertionError(f"element {g_index} is covered on W_g: no saturation witness")
-    for x in samples:
-        if unmatched(x):
-            return x
+    for den, xs in samples:
+        if unmatched(xs):
+            return fraction_point(den, xs)
     raise AssertionError(f"no saturation witness for element {g_index}")
 
 
@@ -456,7 +455,7 @@ def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded)
             continue
         fixed = fixed_points((d, forms[g]), v)
         if fixed is not None:
-            return g, fixed.base_point
+            return g, fraction_point(fixed.den, fixed.base)
     return None
 
 
@@ -488,7 +487,8 @@ def check_full(cand: SuborbifoldCandidate) -> Verdict:
         else:
             fixed = solved[key] = fixed_points((d, forms[g]), entry[0])
         if fixed is not None:
-            return Verdict(False, FullnessWitness(group.element(g), fixed.base_point))
+            point = fraction_point(fixed.den, fixed.base)
+            return Verdict(False, FullnessWitness(group.element(g), point))
     return Verdict(True)
 
 
@@ -544,32 +544,37 @@ def check_embedded(
 
 @record
 class InducedChart:
-    """The k-dimensional chart induced on the subspace.
+    """The k-dimensional chart induced on the subspace v.
 
-    Points of the chart are basis coordinates; ``embed`` maps them back
-    to the ambient space. The origin of the chart is the subgroup-fixed
-    centroid ``base_point``, which the restricted linear action fixes.
+    Points of the chart are coordinates in v's canonical basis about the
+    subgroup-fixed centroid ``base_point``, which the restricted linear
+    action fixes; ``embed`` maps them back to the ambient space. Both ways
+    are read on v's integer form (``linalg.point_at``,
+    ``linalg.coordinates``).
     """
 
     chart: ChartModel
     kernel: Subgroup
     base_point: Vec
-    basis: tuple[Vec, ...]
+    v: AffineSubspace
     restriction: GroupHom
 
-    @cached_property
-    def directions(self) -> AffineSubspace:
-        """The linear span of ``basis``."""
-        return affine_subspace(zero_vec(len(self.base_point)), self.basis)
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        """v's canonical basis, in which the coordinates are taken."""
+        return self.v.basis
 
     def embed(self, y: Vec) -> Vec:
-        return vec_add(self.base_point, point_from_coordinates(self.directions, y))
+        dy, ys = int_vector(y)
+        dc, cs = scaled(self.base_point)
+        shifted = [dc * a + dy * cs[p] for a, p in zip(ys, self.v.pivots)]
+        return fraction_point(*point_at(self.v, dy * dc, shifted))
 
     def coordinates(self, x: Vec) -> Vec:
-        coords = coordinates(self.directions, vec_sub(vec(x), self.base_point))
+        coords = coordinates(self.v, x)
         if coords is None:
             raise ValueError("point does not lie in the subspace")
-        return coords
+        return tuple([a - self.base_point[p] for a, p in zip(coords, self.v.pivots)])
 
 
 def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
@@ -594,7 +599,7 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     else:
         total = [0] * len(base)
     den = d * cand.v.den * delta.order
-    centroid = tuple(Fraction(t, den) for t in total)
+    centroid = fraction_point(den, total)
     _, fixed = lowest_terms(den, total)
     fixed_image = tuple(d * c for c in fixed)
     # Each restricted generator as the columns of its matrix, the points
@@ -629,7 +634,7 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     restriction = GroupHom(delta, induced_group, tuple([image[i] for i in delta.members]))
     _check_restriction(restriction, cand.kernel)
     return InducedChart(
-        ChartModel(induced_group), cand.kernel, centroid, cand.v.basis, restriction
+        ChartModel(induced_group), cand.kernel, centroid, cand.v, restriction
     )
 
 

@@ -35,11 +35,15 @@ affine solver: a subspace cut by equations is solved in its own
 coordinates through it (``meet``, which serves ``intersect`` and
 ``fixed_points``). ``base_point`` and ``basis`` are Fraction views,
 built on first read for a caller that reads a coordinate. The empty set
-is represented by ``None`` returns; callers must handle it explicitly. A point of a subspace has one coordinates
-helper, ``coordinates``, which is also the membership test.
-``sample_points`` walks the points with integer coordinates in a fixed
-order; the saturation witnesses are the first hits in that order, so the
-order is what fixes their bytes in a report.
+is represented by ``None`` returns; callers must handle it explicitly.
+A subspace's canonical coordinates and its points are related by one
+integer helper each way: ``point_at`` builds the point (den, den x) at
+given coordinates, and ``pivot_read`` reads a point's coordinates, its
+entries at the pivots, and is the membership test (``coordinates``,
+``restricted_matrix``). ``sample_points`` walks the points with integer
+coordinates in a fixed order, as (den, den x); the saturation witnesses
+are the first hits in that order, so the order fixes their bytes in a
+report.
 """
 from __future__ import annotations
 
@@ -236,10 +240,6 @@ def mat(rows) -> Mat:
     return m
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def scaled(x) -> tuple[int, tuple[int, ...]]:
     """(d, d x): the least common denominator of x and x's integer numerators."""
     d = lcm(*[c.denominator for c in x])
@@ -265,23 +265,11 @@ def mat_mul(a, b, n: int) -> tuple[tuple[int, ...], ...]:
                  for r in a)
 
 
-def _fractions(nums, d: int) -> Vec:
-    """The vector nums / d, one Fraction per coordinate."""
+def fraction_point(d: int, xs) -> Vec:
+    """The point xs / d, one Fraction per coordinate."""
     if d == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(x, d) for x in nums)
-
-
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c: Fraction, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
+        return tuple(map(Fraction, xs))
+    return tuple(Fraction(x, d) for x in xs)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -410,7 +398,7 @@ class AffineSubspace:
     def base_point(self) -> Vec:
         point = getattr(self, "_base_point", None)
         if point is None:
-            point = _fractions(self.base, self.den)
+            point = fraction_point(self.den, self.base)
             set_field(self, "_base_point", point)
         return point
 
@@ -419,7 +407,7 @@ class AffineSubspace:
         """The reduced row-echelon basis: 1 at each pivot."""
         basis = getattr(self, "_basis", None)
         if basis is None:
-            basis = tuple(_fractions(row, row[p]) for row, p in zip(self.rows, self.pivots))
+            basis = tuple(fraction_point(row[p], row) for row, p in zip(self.rows, self.pivots))
             set_field(self, "_basis", basis)
         return basis
 
@@ -492,23 +480,36 @@ def point_in_dim(x, n: int) -> Vec:
     return x
 
 
-def coordinates(v: AffineSubspace, x) -> Vec | None:
-    """x's coordinates in v's canonical basis, or None when x is not in v.
+def point_at(v: AffineSubspace, d: int, ys) -> tuple[int, tuple[int, ...]]:
+    """The point x of v with coordinates ys / d in v's canonical basis, as
+    (den, den x) in lowest terms, for d > 0 and integer ys.
 
-    v's base point is zero at the basis pivots, so the coordinates are x's
-    entries there, and x is in v exactly when they rebuild x. The test is
-    on integers: with x = xs / dx, R_i v's rows and s a common multiple of
-    their pivots, dx den s x = dx s base + den sum_i xs[p_i] (s / R_i[p_i]) R_i.
+    With R_i v's rows and s a common multiple of their pivots,
+    d den s x = d s base + den sum_i ys[i] (s / R_i[p_i]) R_i.
     """
-    x = point_in_dim(x, v.ambient_dim)
-    dx, xs = scaled(x)
     scale = lcm(*[row[p] for row, p in zip(v.rows, v.pivots)])
-    weights = [xs[p] * (scale // row[p]) for row, p in zip(v.rows, v.pivots)]
-    for j, b in enumerate(v.base):
-        rebuilt = dx * scale * b + v.den * sum([w * row[j] for w, row in zip(weights, v.rows)])
-        if rebuilt != v.den * scale * xs[j]:
-            return None
-    return tuple(x[p] for p in v.pivots)
+    weights = [y * (scale // row[p]) for y, row, p in zip(ys, v.rows, v.pivots)]
+    xs = [d * scale * b + v.den * sum([w * row[j] for w, row in zip(weights, v.rows) if w])
+          for j, b in enumerate(v.base)]
+    return lowest_terms(v.den * d * scale, xs)
+
+
+def pivot_read(v: AffineSubspace, d: int, xs) -> tuple[int, ...] | None:
+    """The entries of xs at v's pivots, or None when the point xs / d is not in v.
+
+    v's base point is zero at the pivots, so a point's coordinates in v's
+    canonical basis are its entries there, and it is in v exactly when
+    ``point_at`` rebuilds it from them.
+    """
+    entries = tuple([xs[p] for p in v.pivots])
+    return entries if point_at(v, d, entries) == lowest_terms(d, xs) else None
+
+
+def coordinates(v: AffineSubspace, x) -> Vec | None:
+    """x's coordinates in v's canonical basis, or None when x is not in v
+    (``pivot_read`` on x's integer form)."""
+    x = point_in_dim(x, v.ambient_dim)
+    return None if pivot_read(v, *scaled(x)) is None else tuple(x[p] for p in v.pivots)
 
 
 def contains_point(v: AffineSubspace, x) -> bool:
@@ -653,30 +654,20 @@ def restricted_matrix(form: tuple[int, IntMat],
     restricted matrix r.
     """
     d, rows = form
-    pivots = v.pivots
-    basis = [(b[p], b) for b, p in zip(v.rows, pivots)]
-    scale = lcm(*[e for e, _ in basis])
-    spans = [[x * (scale // e) for x in b] for e, b in basis]
     columns = []
-    for e, b in basis:
-        y = int_mat_vec(rows, b)
-        coords = [y[p] for p in pivots]
-        rebuilt = [sum([c * row[j] for c, row in zip(coords, spans)]) for j in range(len(y))]
-        if rebuilt != [scale * t for t in y]:
+    for b, p in zip(v.rows, v.pivots):
+        # m b_j = y / e is in the direction space when v's base point plus it is in v
+        e, y = d * b[p], int_mat_vec(rows, b)
+        coords = pivot_read(v, v.den * e, [e * x + v.den * t for x, t in zip(v.base, y)])
+        if coords is None:
             raise ValueError("image does not lie in the direction space")
-        columns.append(lowest_terms(d * e, coords))
+        columns.append(lowest_terms(v.den * e, coords))
     return tuple(columns)
 
 
-def point_from_coordinates(v: AffineSubspace, y: Vec) -> Vec:
-    p = v.base_point
-    for c, row in zip(y, v.basis):
-        p = vec_add(p, vec_scale(rat(c), row))
-    return p
-
-
-def sample_points(v: AffineSubspace) -> Iterator[Vec]:
-    """v's points with integer coordinates in its canonical basis, lazily.
+def sample_points(v: AffineSubspace) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """v's points with integer coordinates in its canonical basis, lazily,
+    each as (den, den x) in lowest terms (``point_at``).
 
     They come in shells of max norm 0, 1, 2, ... of the coordinates, each
     shell in lexicographic order, so the base point is first; the
@@ -684,9 +675,9 @@ def sample_points(v: AffineSubspace) -> Iterator[Vec]:
     independent, so no point comes twice.
     """
     if v.dim == 0:
-        yield v.base_point
+        yield v.den, v.base
         return
     for radius in _count():
         for coeffs in _cartesian(range(-radius, radius + 1), repeat=v.dim):
             if max(map(abs, coeffs)) == radius:
-                yield point_from_coordinates(v, coeffs)
+                yield point_at(v, 1, coeffs)

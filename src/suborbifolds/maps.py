@@ -275,10 +275,8 @@ def image_suborbifold(
     return result
 
 
-def transverse_candidates(
-    chart: ChartModel, a: SuborbifoldCandidate, b: SuborbifoldCandidate
-) -> bool:
-    if a.chart != chart or b.chart != chart:
+def transverse_candidates(a: SuborbifoldCandidate, b: SuborbifoldCandidate) -> bool:
+    if a.chart != b.chart:
         raise ChartMismatch("candidates do not share the chart")
     for cand in (a, b):
         if not check_full(cand).holds:
@@ -290,7 +288,7 @@ def intersect_full(
     a: SuborbifoldCandidate, b: SuborbifoldCandidate
 ) -> SuborbifoldCandidate:
     """Transverse intersection; dimension k1 + k2 - n is asserted exactly."""
-    if not transverse_candidates(a.chart, a, b):
+    if not transverse_candidates(a, b):
         raise NotTransverse("candidates are not transverse")
     delta = a.chart.group.subgroup_from_indices(
         set(a.delta.members) & set(b.delta.members)

@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count as _count, permutations, product
 
 from suborbifolds import (
     SuborbifoldCandidate,
     chart_from_group,
     generate_group,
 )
-from suborbifolds.classify import SaturationWitness, Verdict, _witness_point
+from suborbifolds.classify import SaturationWitness, Verdict
 from suborbifolds.errors import DimensionMismatch, NonInvertibleGenerator, NotFiniteWithinBound
 from suborbifolds.groups import (
     DEFAULT_MAX_ORDER,
@@ -37,12 +37,10 @@ from suborbifolds.linalg import (
     int_mat_vec,
     is_invertible,
     mat,
-    point_from_coordinates,
     restricted_matrix,
     solve_affine,
     vec,
     whole_space,
-    zero_vec,
 )
 
 
@@ -201,7 +199,37 @@ def oracle_intersect(a: AffineSubspace, b: AffineSubspace):
 
 
 # ---------------------------------------------------------------------------
-# Point sampling inside an affine subspace
+# Points of an affine subspace, on Fractions
+
+
+def zero_vec(n: int):
+    return (Fraction(0),) * n
+
+
+def point_from_coordinates(v: AffineSubspace, coeffs):
+    """v's base point plus sum_i c_i b_i over v's canonical basis b_i."""
+    point = v.base_point
+    for c, row in zip(coeffs, v.basis):
+        point = tuple(p + Fraction(c) * x for p, x in zip(point, row))
+    return point
+
+
+def point_of_form(form):
+    """The point (den, den x) as the Fraction vector x."""
+    den, xs = form
+    return tuple(Fraction(x, den) for x in xs)
+
+
+def oracle_sample_walk(v: AffineSubspace):
+    """v's points with integer coordinates, on Fractions: the coefficient
+    vectors of max norm 0, 1, 2, ... in turn, each shell sorted
+    lexicographically."""
+    for radius in _count():
+        cube = product(range(-radius, radius + 1), repeat=v.dim)
+        for coeffs in sorted(c for c in cube if max(map(abs, c), default=0) == radius):
+            yield point_from_coordinates(v, coeffs)
+        if v.dim == 0:
+            return
 
 
 def sample_in_subspace(v: AffineSubspace, rng: random.Random, count: int):
@@ -246,7 +274,8 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
     For every g in index order: g^-1 V by one transform, W_g by the
     stacked solve ``oracle_intersect``, and the images of W_g under g compared with those under
     each h in Delta in turn; the first uncovered g is the witness, at the
-    package's witness point.
+    first point of ``oracle_sample_walk(W_g)`` that no h in Delta moves
+    where g does.
     """
     group = cand.chart.group
     v = cand.v
@@ -256,10 +285,14 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
         w_g = oracle_intersect(v, g_inv_v)
         if w_g is None:
             continue
-        moved = oracle_images(group.elements[g].matrix, w_g)
-        if not any(oracle_images(h, w_g) == moved for h in matrices_of(cand.delta)):
-            point = _witness_point(w_g, group, cand.delta, g)
-            return Verdict(False, SaturationWitness(group.elements[g], point))
+        g_mat = group.elements[g].matrix
+        moved = oracle_images(g_mat, w_g)
+        delta_mats = matrices_of(cand.delta)
+        if not any(oracle_images(h, w_g) == moved for h in delta_mats):
+            for x in oracle_sample_walk(w_g):
+                gx = oracle_mat_vec(g_mat, x)
+                if all(oracle_mat_vec(h, x) != gx for h in delta_mats):
+                    return Verdict(False, SaturationWitness(group.elements[g], x))
     return Verdict(True)
 
 

@@ -62,6 +62,7 @@ from suborbifolds.classify import chart_from_group
 
 from oracles import (
     oracle_saturated_sampled,
+    point_of_form,
     random_candidate,
     sample_in_subspace,
     verify_saturation_witness,
@@ -117,7 +118,7 @@ def test_criterion_2_dimension_formulas():
             continue
         a = SuborbifoldCandidate(t, full, rand_sub(k1))
         b = SuborbifoldCandidate(t, full, rand_sub(k2))
-        if not transverse_candidates(t, a, b):
+        if not transverse_candidates(a, b):
             continue
         meet = intersect_full(a, b)  # dimension asserted internally too
         assert meet.v.dim == a.v.dim + b.v.dim - n
@@ -197,8 +198,8 @@ def test_criterion_4_two_path_isotropy():
     ]
     checked = 0
     for cand in corpus_candidates:
-        for x in islice(sample_points(cand.v), 4):
-            isotropy_sub_point(cand, x)
+        for point in islice(sample_points(cand.v), 4):
+            isotropy_sub_point(cand, point_of_form(point))
             checked += 1
     rng = random.Random(1004)
     randomized = 0

@@ -60,7 +60,7 @@ from suborbifolds.scene import (
     candidate_json, classification_json, dump_machine_report, parse_scene, strip_timing,
 )
 from suborbifolds.linalg import (
-    affine_subspace, transform_subspace, vec, whole_space, zero_vec,
+    affine_subspace, transform_subspace, vec, whole_space,
 )
 
 from oracles import (
@@ -87,6 +87,7 @@ from oracles import (
     stabilizer_candidate,
     verify_fullness_witness,
     verify_saturation_witness,
+    zero_vec,
 )
 
 
@@ -158,23 +159,47 @@ def test_diagonal_half_turn_obstruction():
     assert abelian_omega_isotropy(cand.chart, cand.v, [0, 0]).order == 4
 
 
+def _rational_b3_candidate():
+    """A saturated candidate on a rational conjugate of B3 whose V has
+    basis rows and an induced-chart centroid with denominators > 1."""
+    rng = random.Random(11)
+    s, s_inv = random_rational_basis_change(rng, 3)
+    chart = chart_from_group(generate_group(conjugate_all(hyperoctahedral_generators(3), s, s_inv)))
+    while True:
+        cand = stabilizer_candidate(rng, chart, s)
+        if (cand.saturation.holds and cand.delta.order > 1
+                and any(x.denominator > 1 for row in cand.v.basis for x in row)
+                and any(c.denominator > 1 for c in cand.induced.base_point)):
+            return cand
+
+
 def test_induced_chart_roundtrip_and_equivariance():
-    cand = rotation_line_candidate(rot4_chart())
-    ind = induced_chart(cand)
-    assert ind.chart.ambient_dim == 1
-    assert ind.chart.group.order == 2
-    for x in sample_in_subspace(cand.v, random.Random(3), 6):
-        coords = ind.coordinates(x)
-        assert ind.embed(coords) == x
-    # embedding intertwines the restricted action with the ambient one
-    for i, parent_mat in enumerate(matrices_of(cand.delta)):
-        local = ind.restriction(i)
-        local_mat = ind.chart.group.elements[local].matrix
-        for x in sample_in_subspace(cand.v, random.Random(4), 4):
+    line = rotation_line_candidate(rot4_chart())
+    assert line.induced.chart.ambient_dim == 1
+    assert line.induced.chart.group.order == 2
+    # The second input's V has basis rows and a centroid that are not
+    # integers, so embed and coordinates read an integer form with den > 1.
+    for cand in (line, _rational_b3_candidate()):
+        ind = induced_chart(cand)
+        assert ind.chart.ambient_dim == cand.v.dim
+        assert ind.chart.group.order == cand.delta.order // cand.kernel.order
+        # embed is the centroid plus the coordinates on V's canonical basis
+        y = tuple(Fraction(i + 1, 3) for i in range(ind.chart.ambient_dim))
+        assert ind.embed(y) == tuple(
+            c + sum(a * row[j] for a, row in zip(y, cand.v.basis))
+            for j, c in enumerate(ind.base_point))
+        for x in sample_in_subspace(cand.v, random.Random(3), 6):
             coords = ind.coordinates(x)
-            assert ind.embed(oracle_mat_vec(local_mat, coords)) == oracle_mat_vec(
-                parent_mat, x
-            )
+            assert ind.embed(coords) == x
+        # embedding intertwines the restricted action with the ambient one
+        for i, parent_mat in enumerate(matrices_of(cand.delta)):
+            local = ind.restriction(i)
+            local_mat = ind.chart.group.elements[local].matrix
+            for x in sample_in_subspace(cand.v, random.Random(4), 4):
+                coords = ind.coordinates(x)
+                assert ind.embed(oracle_mat_vec(local_mat, coords)) == oracle_mat_vec(
+                    parent_mat, x
+                )
 
 
 def test_induced_chart_centered_off_the_canonical_base_point():
@@ -510,6 +535,31 @@ def test_a_recurring_subspace_keeps_its_orbit_among_other_subspaces(monkeypatch)
     assert len(cases[recurring]) > 1 and verdicts == {True, False}
     assert [orbit.image(group.identity) for orbit in orbits].count(recurring) == 1
     assert len(orbits) == len(cases)
+
+
+def test_a_witness_and_an_induced_chart_keep_no_fraction_view_in_the_orbit_store():
+    # The chart group keeps V, each x V and each W_g of the subspaces asked
+    # about. A saturation witness is drawn from W_g's integer points, a
+    # fullness witness (here Fix(g) & W_g = W_g) is built from the integer
+    # form and the induced chart reads V's, so no kept subspace holds the
+    # Fraction views base_point and basis built on first read.
+    group = _b3()
+    chart = chart_from_group(group)
+    line = affine_subspace([0, 0, 1], [[1, 0, 0]])  # the line (t, 0, 1)
+    stab = group.subgroup_from_indices(
+        i for i, m in enumerate(matrices_of(group)) if m[2] == (0, 0, 1) and m[0][0])
+    trivial = group.subgroup_from_indices([group.identity])
+    report = classify(SuborbifoldCandidate(chart, trivial, line))
+    assert not report.saturated.holds and report.saturated.witness.point[2] == 1
+    saturated = SuborbifoldCandidate(chart, stab, line)
+    assert isotropy_sub_point(saturated, [0, 0, 1]).order == 2
+    assert check_full(saturated).witness.point == (0, 0, 1)
+    kept = []
+    for v, orbit in group.orbits_of_v.items():
+        kept += [v, orbit._v, *orbit._orbit, *orbit._entries]
+    assert any(w.dim for w in kept[3:])  # a W_g with points to sample
+    assert [w for w in kept if getattr(w, "_base_point", None) is not None
+            or getattr(w, "_basis", None) is not None] == []
 
 
 def test_candidates_on_one_group_and_v_build_one_orbit(monkeypatch):
@@ -1039,7 +1089,7 @@ def test_saturation_builds_no_fractions(monkeypatch):
         raise AssertionError("a Fraction vector was built")
 
     linalg = sys.modules["suborbifolds.linalg"]
-    monkeypatch.setattr(linalg, "_fractions", refuse)
+    monkeypatch.setattr(linalg, "fraction_point", refuse)
     monkeypatch.setattr(linalg, "vec", refuse)
     assert check_saturated(b3_plane).holds
     assert check_saturated(b4_whole).holds
@@ -1069,7 +1119,7 @@ def test_scene_construction_builds_no_fractions(monkeypatch):
         raise AssertionError("a Fraction or a rank test was used")
 
     linalg = sys.modules["suborbifolds.linalg"]
-    for name in ("mat_rank", "_fractions", "rat", "scaled"):
+    for name in ("mat_rank", "fraction_point", "rat", "scaled"):
         monkeypatch.setattr(linalg, name, refuse)
     scene = parse_scene(text)
     assert scene.groups["b3"].order == 48 and len(scene.candidates) == 2
@@ -1091,7 +1141,7 @@ def test_induced_chart_builds_no_fractions(monkeypatch):
         raise AssertionError("a Fraction matrix was built or scaled")
 
     linalg = sys.modules["suborbifolds.linalg"]
-    monkeypatch.setattr(linalg, "_fractions", refuse)
+    monkeypatch.setattr(linalg, "fraction_point", refuse)
     monkeypatch.setattr(linalg, "scaled", refuse)
     monkeypatch.setattr(FiniteMatrixGroup, "index_of", refuse)
     chart = induced_chart(cand)

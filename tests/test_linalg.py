@@ -25,7 +25,6 @@ from suborbifolds.linalg import (
     mat,
     mat_rank,
     meet,
-    point_from_coordinates,
     pull_back,
     rat,
     rat_str,
@@ -38,7 +37,6 @@ from suborbifolds.linalg import (
     transform_subspace,
     vec,
     whole_space,
-    zero_vec,
 )
 
 from oracles import (
@@ -52,6 +50,9 @@ from oracles import (
     oracle_rank,
     oracle_rref,
     oracle_solve,
+    point_from_coordinates,
+    point_of_form,
+    zero_vec,
 )
 
 rationals = st.builds(
@@ -204,8 +205,8 @@ def test_solve_matches_oracle(m, data):
             shifted = tuple(p + x for p, x in zip(particular, h))
             assert contains_point(got, shifted)
         # and engine points really solve the system
-        for x in islice(sample_points(got), 4):
-            assert oracle_mat_vec(m, x) == b
+        for point in islice(sample_points(got), 4):
+            assert oracle_mat_vec(m, point_of_form(point)) == b
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,7 +253,7 @@ def test_equations_roundtrip(n, data):
         assert solve_affine(c, d) == v
     else:
         assert v == whole_space(n)
-    for x in islice(sample_points(v), 5):
+    for x in map(point_of_form, islice(sample_points(v), 5)):
         assert all(
             sum(ri * xi for ri, xi in zip(row, x)) == di
             for row, di in zip(c, d)
@@ -282,8 +283,29 @@ def test_intersection_contained_in_both(n, data):
 
 def test_coordinates_roundtrip():
     v = affine_subspace([1, 2, 3], [[1, 0, 1], [0, 1, 1]])
-    for x in islice(sample_points(v), 6):
+    for x in map(point_of_form, islice(sample_points(v), 6)):
         assert point_from_coordinates(v, coordinates(v, x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_point_at_and_pivot_read_are_inverse(n, data):
+    # point_at builds the point at coordinates ys / d as (den, den x) in
+    # lowest terms; pivot_read reads the coordinates back, and refuses a
+    # point off v.
+    base = vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    rows = [vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+            for _ in range(data.draw(st.integers(0, n)))]
+    v = affine_subspace(base, rows)
+    d = data.draw(st.integers(1, 6))
+    ys = data.draw(st.lists(st.integers(-20, 20), min_size=v.dim, max_size=v.dim))
+    den, xs = linalg.point_at(v, d, ys)
+    x = point_from_coordinates(v, [Fraction(y, d) for y in ys])
+    assert (den, xs) == scaled(x) and gcd(den, *xs) == 1
+    read = linalg.pivot_read(v, den, xs)
+    assert [Fraction(c, den) for c in read] == [Fraction(y, d) for y in ys]
+    other = vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    assert (linalg.pivot_read(v, *scaled(other)) is None) == (not contains_point(v, other))
 
 
 def test_sample_points_deterministic_and_inside():
@@ -291,7 +313,8 @@ def test_sample_points_deterministic_and_inside():
     a = list(islice(sample_points(v), 7))
     b = list(islice(sample_points(v), 7))
     assert a == b and len(set(a)) == 7
-    assert all(contains_point(v, p) for p in a)
+    assert all(gcd(den, *xs) == 1 for den, xs in a)
+    assert all(contains_point(v, point_of_form(p)) for p in a)
 
 
 @pytest.mark.parametrize("base, basis", [
@@ -314,9 +337,9 @@ def test_sample_points_come_in_shells_of_max_norm(base, basis):
             point = list(v.base_point)
             for c, row in zip(coeffs, v.basis):
                 point = [p + c * x for p, x in zip(point, row)]
-            expected.append(tuple(point))
+            expected.append(scaled(point))
     assert list(islice(sample_points(v), (2 * r + 1) ** k)) == expected
-    assert list(sample_points(single_point(base))) == [vec(base)]
+    assert list(sample_points(single_point(base))) == [scaled(vec(base))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -503,7 +526,7 @@ def test_meet_matches_the_stacked_solve(case):
     assert got == oracle_meet(v, c, e)
     if got is not None:
         assert got.ambient_dim == v.ambient_dim
-        assert all(contains_point(v, x) for x in islice(sample_points(got), 3))
+        assert all(contains_point(v, point_of_form(p)) for p in islice(sample_points(got), 3))
 
 
 def test_meet_hand_cases():

@@ -156,7 +156,7 @@ def _reflection_in_b2():
      ChartMismatch, "theta does not connect the chart groups"),
     (lambda: image_suborbifold(_identity_map(rot4_chart()), _on_klein()),
      ChartMismatch, "candidate does not live in the map's domain chart"),
-    (lambda: transverse_candidates(rot4_chart(), _on_klein(), rotation_line_candidate(rot4_chart())),
+    (lambda: transverse_candidates(_on_klein(), rotation_line_candidate(rot4_chart())),
      ChartMismatch, "candidates do not share the chart"),
     (lambda: preimage_suborbifold(_identity_map(rot4_chart()), _on_klein()),
      ChartMismatch, "target candidate does not live in the codomain chart"),
@@ -586,7 +586,7 @@ def test_intersect_requires_transversality():
     )
     with pytest.raises(NotTransverse):
         intersect_full(a, b)
-    assert not transverse_candidates(t2, a, b)
+    assert not transverse_candidates(a, b)
 
 
 def test_transverse_intersection_dimension_randomized():
@@ -609,7 +609,7 @@ def test_transverse_intersection_dimension_randomized():
             continue
         a = SuborbifoldCandidate(t, full, rand_sub(k1))
         b = SuborbifoldCandidate(t, full, rand_sub(k2))
-        if not transverse_candidates(t, a, b):
+        if not transverse_candidates(a, b):
             continue
         meet = intersect_full(a, b)
         assert meet.v.dim == a.v.dim + b.v.dim - n

@@ -35,7 +35,6 @@ from suborbifolds.linalg import (
     mat,
     vec,
     whole_space,
-    zero_vec,
 )
 from suborbifolds.metric import (
     DEFAULT_DEPTH,
@@ -56,6 +55,7 @@ from oracles import (
     oracle_quotient_distance,
     random_candidate,
     sample_in_subspace,
+    zero_vec,
 )
 
 
