@@ -43,6 +43,14 @@ REPORTS = {
     "isotropy_hyperoctahedral_b5.json": ["isotropy", "--scene",
                                          "scenes/hyperoctahedral_b5.json", "--candidate",
                                          "whole_space", "--point", "0,0,0,0,0"],
+    # Two saturated candidates whose kernel has no complement in Delta: the
+    # B3 one is embedded only through a subgroup outside Delta, the Z4 one
+    # not at all, so --search-all-delta changes the first verdict only.
+    "classify_kernel_without_complement.json": ["classify", "--scene",
+                                                "scenes/kernel_without_complement.json"],
+    "classify_kernel_without_complement_search_all_delta.json": [
+        "classify", "--scene", "scenes/kernel_without_complement.json",
+        "--search-all-delta"],
 }
 # The constructions on scenes/maps.json: each one builds a new chart group
 # (a product group, an isotropy group or an induced chart group).
