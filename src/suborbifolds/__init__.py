@@ -23,7 +23,6 @@ from .classify import (
     check_saturated,
     classify,
     contained_in_regular_part,
-    full_characterization_chart,
     full_obstruction_probe,
     induced_chart,
     isotropy_point,

@@ -25,10 +25,10 @@ solving them in V's own k coordinates (``linalg.meet``). This part
 depends on the chart group and V alone, so it is kept on the group
 (``OrbitOfV.of``) for the ``ORBITS_OF_V_KEPT`` most recently used V, and
 candidates with the same group and V share it whatever their Delta: the
-replay of the complement, each subgroup of the lattice search and later
-calls. The Delta-invariance test a candidate runs when it is built reads
-g V from the same store (``_first_moving_element``), so each image of V
-is computed once per chart group while V is kept. With each W_g the store
+replay of the complement, the stabilizer of V that ``search_all_delta``
+reads off it and later calls. The Delta-invariance test a candidate runs
+when it is built reads g V from the same store (``_first_moving_element``),
+so each image of V is computed once per chart group while V is kept. With each W_g the store
 keeps a label of each element's images of W_g's points, found on first
 use (equal images, equal labels), so a candidate only gathers Delta's
 labels into one set per W_g.
@@ -70,7 +70,6 @@ from itertools import islice
 from weakref import proxy
 
 from .errors import (
-    CandidateNotFull,
     CandidateNotSaturated,
     ChartMismatch,
     GroupNotAbelian,
@@ -84,7 +83,6 @@ from .groups import (
     GroupHom,
     NoComplementCertificate,
     Subgroup,
-    all_subgroups,
     find_complement,
     first_failure,
     group_from_forms,
@@ -515,31 +513,45 @@ def check_embedded(
 ) -> EmbeddedResult:
     """Does some subgroup realize v with an effective action?
 
-    With search_all_delta=False only complements of the kernel inside the
-    given subgroup are considered (the splitting criterion); with True
-    the whole subgroup lattice of the chart group is searched. Verdicts
-    are chart-relative either way.
+    First the kernel K of Delta's action is split off: the least complement
+    of K in Delta (``find_complement``), the splitting criterion. When there
+    is none and search_all_delta is True, every subgroup of the chart group
+    is in question, and the answer is the least complement of P = PFix(V)
+    in S = Stab(V), the elements with g V = V. A subgroup D realizes V with
+    an effective action and (D, V) saturated exactly when it is such a
+    complement, given that (Delta, V) is saturated:
+
+    * D leaves V invariant and meets P trivially, so D <= S and D & P = 1;
+    * each s in S has W_s = V, so (D, V) is saturated only if D restricts
+      onto S's restrictions to V; conversely Delta's covering h of any g may
+      be swapped for the d in D with d = h on V. So D P = S.
+
+    All complements have order |S| / |P|, so the least member tuple is also
+    the first such D in canonical (order, members) order. A complement found
+    is replayed (effective, and its candidate saturated) unless it is Delta
+    itself, whose verdicts are the candidate's own. Verdicts are
+    chart-relative either way.
     """
     _require_saturated(cand)
-    complement = find_complement(cand.delta, cand.kernel)
-    if isinstance(complement, Subgroup):
+    fixing = cand.kernel
+    complement = find_complement(cand.delta, fixing)
+    certificate = None
+    if not isinstance(complement, Subgroup):
+        if not search_all_delta:
+            return EmbeddedResult(False, certificate=complement)
+        certificate = complement
+        group, orbit, v = cand.chart.group, cand.orbit_of_v, cand.v
+        stab = Subgroup(group, tuple([i for i in group.members if orbit.image(i) == v]))
+        fixing = pointwise_stabilizer(group, v)
+        complement = find_complement(stab, fixing)
+        if not isinstance(complement, Subgroup):
+            return EmbeddedResult(False, certificate=certificate, searched_all_delta=True)
+    if complement is not cand.delta:
         replay = SuborbifoldCandidate(cand.chart, complement, cand.v)
-        if not (_acts_effectively(complement, cand.kernel)
-                and check_saturated(replay).holds):
+        if not (_acts_effectively(complement, fixing) and replay.saturation.holds):
             raise AssertionError("complement failed effectiveness re-verification")
-        return EmbeddedResult(True, effective_delta=complement)
-    if not search_all_delta:
-        return EmbeddedResult(False, certificate=complement)
-    subgroups = all_subgroups(cand.chart.group)
-    fixing = pointwise_stabilizer(cand.chart.group, cand.v)
-    for sub in subgroups:
-        try:
-            other = SuborbifoldCandidate(cand.chart, sub, cand.v)
-        except NonInvariant:
-            continue
-        if _acts_effectively(sub, fixing) and check_saturated(other).holds:
-            return EmbeddedResult(True, effective_delta=sub, searched_all_delta=True)
-    return EmbeddedResult(False, certificate=complement, searched_all_delta=True)
+    return EmbeddedResult(True, effective_delta=complement,
+                          searched_all_delta=certificate is not None)
 
 
 @record
@@ -565,7 +577,7 @@ class InducedChart:
         return self.v.basis
 
     def embed(self, y: Vec) -> Vec:
-        dy, ys = int_vector(y)
+        dy, ys = int_vector(point_in_dim(y, self.v.dim))
         dc, cs = scaled(self.base_point)
         shifted = [dc * a + dy * cs[p] for a, p in zip(ys, self.v.pivots)]
         return fraction_point(*point_at(self.v, dy * dc, shifted))
@@ -697,22 +709,6 @@ def full_obstruction_probe(cand: SuborbifoldCandidate, x) -> bool:
     A mismatch rules out fullness at x for abelian chart groups.
     """
     return isotropy_sub_point(cand, x) == abelian_omega_isotropy(cand.chart, cand.v, x)
-
-
-def full_characterization_chart(
-    cand: SuborbifoldCandidate, x
-) -> tuple[ChartModel, Subgroup]:
-    """Localized chart with group the stabilizer of x, for full candidates."""
-    verdict = check_full(cand)
-    if not verdict.holds:
-        raise CandidateNotFull(f"candidate is not full: {verdict.witness}")
-    x = vec(x)
-    if not contains_point(cand.v, x):
-        raise _point_not_in(x, "candidate subspace")
-    stab = stabilizer(cand.chart.group, x)
-    if _first_moving_element(stab, cand.v) is not None:
-        raise NonInvariant("subspace not invariant under the localized group")
-    return ChartModel(stab.promote()), stab
 
 
 def contained_in_regular_part(chart: ChartModel, v: AffineSubspace) -> bool:

@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify candidates from a scene")
     p.add_argument("--candidate", help="candidate name (default: all)")
     p.add_argument("--search-all-delta", action="store_true",
-                   help="search the whole subgroup lattice for embeddedness")
+                   help="for embeddedness, search every subgroup of the chart group, "
+                        "not only the candidate's")
     p.add_argument("--isotropy-point", action="append",
                    help="comma-separated point; repeatable")
     p.set_defaults(handler="cmd_classify")

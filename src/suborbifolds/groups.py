@@ -73,7 +73,8 @@ a coset a k, the least m with a^m in k, is found by pushing a's column
 key through a's permutation until it is the key of a member of k; an
 element's order is that with k trivial. Complements of a normal
 subgroup are found by a search over sections, never by enumerating the
-subgroup lattice.
+subgroup lattice; no verdict walks the lattice (``all_subgroups`` is the
+tests' reference for that search).
 
 Stabilizers, the saturation check, the orbit of a subspace and the
 induced chart apply the integer forms d g (``integer_forms``, sparse
@@ -657,8 +658,9 @@ def _greedy_generators(parent, members, base=()) -> tuple[list[int], list[frozen
 def all_subgroups(g) -> list[Subgroup]:
     """Every subgroup exactly once, in canonical (order, indices) order.
 
-    Only the whole-lattice embeddedness search (``search_all_delta``)
-    walks the lattice; it refuses groups above SUBGROUP_ENUMERATION_BOUND.
+    No verdict walks the lattice: it is the reference the tests check
+    ``find_complement`` against. Groups above SUBGROUP_ENUMERATION_BOUND
+    are refused.
     """
     parent, universe = g.parent, set(g.members)
     if len(universe) > SUBGROUP_ENUMERATION_BOUND:

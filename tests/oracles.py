@@ -17,14 +17,16 @@ from suborbifolds import (
     chart_from_group,
     generate_group,
 )
-from suborbifolds.classify import SaturationWitness, Verdict
+from suborbifolds.classify import EmbeddedResult, SaturationWitness, Verdict
 from suborbifolds.errors import DimensionMismatch, NonInvertibleGenerator, NotFiniteWithinBound
 from suborbifolds.groups import (
     DEFAULT_MAX_ORDER,
     Fingerprint,
     FiniteMatrixGroup,
+    Subgroup,
     _close_permutations,
     all_subgroups,
+    find_complement,
     group_from_forms,
 )
 from suborbifolds.linalg import (
@@ -565,6 +567,42 @@ def oracle_least_complement(d, k):
             if grown is not None and target % len(grown) == 0:
                 stack.append((frozenset(grown), seed, x))
     return best
+
+
+def oracle_setwise_stabilizer(g, v: AffineSubspace) -> tuple[int, ...]:
+    """The members of g mapping v onto itself: each maps v's base point and
+    base point + each basis vector into v (Fraction matrices)."""
+    points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, u)) for u in v.basis]
+    parent = g.parent
+    return tuple(i for i in g.members
+                 if all(contains_point(v, oracle_mat_vec(parent.elements[i].matrix, x))
+                        for x in points))
+
+
+def oracle_embedded_by_lattice(cand: SuborbifoldCandidate) -> EmbeddedResult:
+    """``check_embedded(cand, search_all_delta=True)`` by a walk of the chart
+    group's whole subgroup lattice (order <= 512), for saturated candidates.
+
+    The least complement of Delta's kernel in Delta, if there is one
+    (``oracle_find_complement``); else the first subgroup in canonical
+    (order, members) order that maps V onto itself, meets V's pointwise
+    stabilizer trivially and is saturated (``oracle_check_saturated``). The
+    certificate of a failed search is the section search's count, read
+    from ``find_complement``.
+    """
+    group, v = cand.chart.group, cand.v
+    kernel = Subgroup(group, oracle_pointwise_stabilizer(cand.delta, v))
+    complement = oracle_find_complement(cand.delta, kernel)
+    if complement is not None:
+        return EmbeddedResult(True, effective_delta=complement)
+    invariant = set(oracle_setwise_stabilizer(group, v))
+    fixing = set(oracle_pointwise_stabilizer(group, v))
+    for sub in all_subgroups(group):
+        if (invariant.issuperset(sub.members) and fixing & set(sub.members) == {group.identity}
+                and oracle_check_saturated(SuborbifoldCandidate(cand.chart, sub, v)).holds):
+            return EmbeddedResult(True, effective_delta=sub, searched_all_delta=True)
+    return EmbeddedResult(False, certificate=find_complement(cand.delta, kernel),
+                          searched_all_delta=True)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_criterion_5_splitting_soundness():
         ).holds:
             return False
         if result.searched_all_delta:
-            return True  # lattice hits need not be complements of K in Delta
+            return True  # complements of PFix(V) in Stab(V), not of K in Delta
         if set(dprime.members) & set(kernel.members) != {g.identity}:
             return False
         products = {

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from suborbifolds.classify import (
     check_saturated,
     classify,
     contained_in_regular_part,
-    full_characterization_chart,
     full_obstruction_probe,
     induced_chart,
     isotropy_point,
@@ -31,13 +31,13 @@ from suborbifolds.classify import (
     localize_chart,
 )
 from suborbifolds.corpus import (
-    ROT2,
     ROT4_GEN,
     SIGN_X,
     complex_axis_candidate,
     diagonal_half_turn_candidate,
     klein_chart,
     metric_probes,
+    point_candidate,
     product_diagonal_candidate,
     rot4_chart,
     rotation_line_candidate,
@@ -46,14 +46,16 @@ from suborbifolds.corpus import (
     z4_realified_chart,
 )
 from suborbifolds.errors import (
-    CandidateNotFull,
     CandidateNotSaturated,
+    DimensionMismatch,
     GroupNotAbelian,
     NonInvariant,
     PointNotInV,
 )
 import suborbifolds.groups as groups
-from suborbifolds.groups import FiniteMatrixGroup, generate_group, pointwise_stabilizer
+from suborbifolds.groups import (
+    FiniteMatrixGroup, Subgroup, generate_group, pointwise_stabilizer, stabilizer,
+)
 from suborbifolds.maps import product_chart
 from suborbifolds.metric import lemma_metrics_check
 from suborbifolds.scene import (
@@ -70,15 +72,18 @@ from oracles import (
     matrices_of,
     oracle_canonical_subspace,
     oracle_check_saturated,
+    oracle_embedded_by_lattice,
     oracle_full,
     oracle_images,
     oracle_induced_chart,
     oracle_intersect,
+    oracle_least_complement,
     oracle_map_subspace,
     oracle_mat_mul,
     oracle_mat_vec,
     oracle_pointwise_stabilizer,
     oracle_saturated_sampled,
+    oracle_setwise_stabilizer,
     random_candidate,
     random_rational_basis_change,
     sample_in_subspace,
@@ -202,6 +207,19 @@ def test_induced_chart_roundtrip_and_equivariance():
                 )
 
 
+def test_induced_chart_refuses_points_of_the_wrong_length():
+    # On B3's plane z = 1 the chart has 2 coordinates: embed and
+    # coordinates both refuse a point with another number of them.
+    ind = induced_chart(_b3_plane_z_equals_1())
+    assert ind.embed([1, 2]) == vec([1, 2, 1])
+    for y in ([1], [1, 2, 3]):
+        with pytest.raises(DimensionMismatch, match="expected a point with 2 coordinates"):
+            ind.embed(y)
+    for x in ([1, 2], [1, 2, 1, 0]):
+        with pytest.raises(DimensionMismatch, match="expected a point with 3 coordinates"):
+            ind.coordinates(x)
+
+
 def test_induced_chart_centered_off_the_canonical_base_point():
     # The line y = x - 1 under the reflection (x, y) -> (-y, -x): the fixed
     # centroid (1/2, -1/2) differs from the canonical base point (0, -1).
@@ -322,23 +340,34 @@ def test_saturation_computed_once_per_candidate(monkeypatch):
         cand = rotation_line_candidate(rot4_chart())  # a fresh chart group each time
         report = classify(cand, isotropy_points=points)
         assert len(report.induced_isotropy_at) == expected_isotropy
-        # the candidate's own check, then the replay of the complement
-        assert len(calls) == 2
-        assert calls[0] is cand and calls[1] is not cand
-        assert calls[1].delta == report.embedded.effective_delta
-        # one orbit of V serves both: the replay only gathers its covering sets
-        assert len(orbits) == 1
-        assert calls[0].orbit_of_v is calls[1].orbit_of_v is orbits[0]
+        # the kernel is trivial, so the complement is Delta itself, whose
+        # verdicts are the candidate's own: nothing is replayed
+        assert report.embedded.effective_delta is cand.delta
+        assert calls == [cand]
+        assert len(orbits) == 1 and cand.orbit_of_v is orbits[0]
     # a later verdict on the same candidate reuses the stored one
     check_full(cand)
     induced_chart(cand)
-    assert len(calls) == 2 and len(orbits) == 1
+    assert calls == [cand] and len(orbits) == 1
+    # A kernel with a complement: the candidate's own check, then the replay
+    # of the complement, and one orbit of V serves both.
+    calls.clear()
+    orbits.clear()
+    chart = klein_chart()
+    cand = SuborbifoldCandidate(chart, chart.group.full_subgroup(), x_axis())
+    report = classify(cand)
+    assert cand.kernel.order == 2 and report.embedded.holds
+    assert len(calls) == 2
+    assert calls[0] is cand and calls[1].delta == report.embedded.effective_delta
+    assert len(orbits) == 1
+    assert calls[0].orbit_of_v is calls[1].orbit_of_v is orbits[0]
 
 
 def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
-    # complex-axis has no complement of its kernel, so every subgroup of the
-    # chart group is tried. The candidate's own invariance test builds the
-    # orbit of V; each subgroup candidate's test and saturation reuse it.
+    # complex-axis has no complement of its kernel, so the search asks for
+    # a complement of V's pointwise stabilizer in its stabilizer, read off
+    # the candidate's orbit of V: no subgroup candidate is built, and the
+    # one orbit store serves the whole call.
     module = sys.modules["suborbifolds.classify"]
     original_check = module.check_saturated
     original_post_init = SuborbifoldCandidate.__post_init__
@@ -360,11 +389,86 @@ def test_search_all_delta_shares_the_orbit_of_v(monkeypatch):
     report = classify(cand, search_all_delta=True)
     embedded = report.embedded
     assert not embedded.holds and embedded.searched_all_delta
-    assert len(built) == len(groups.all_subgroups(cand.chart.group))
-    assert calls[0] is cand and len(calls) >= 2
-    assert len(orbits) == 1
-    assert all(other.orbit_of_v is orbits[0] for other in calls)
+    assert built == [] and calls == [cand]
+    assert len(orbits) == 1 and cand.orbit_of_v is orbits[0]
     assert list(cand.chart.group.orbits_of_v) == [cand.v]
+
+
+def _kernel_without_complement_candidates():
+    """The candidates of scenes/kernel_without_complement.json, by name."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scenes", "kernel_without_complement.json")
+    with open(path, encoding="utf-8") as fh:
+        return parse_scene(fh.read()).candidates
+
+
+def test_search_all_delta_matches_the_lattice_walk():
+    # The complement of PFix(V) in Stab(V) against the walk of the whole
+    # subgroup lattice it replaced, on saturated candidates of B2, B3, a
+    # rational conjugate of B3 and the realified Z4: for the last axis and
+    # for V drawn as in ``stabilizer_candidate``, Delta is Stab(V) or any
+    # cyclic subgroup of it, and the two scene candidates are added. On an
+    # axis of B3 a quarter-turn with a sign on the axis gives a cyclic Delta
+    # of order 4 whose kernel has no complement in it.
+    rng = random.Random(7)
+    s, s_inv = random_rational_basis_change(rng, 3)
+    b3 = hyperoctahedral_generators(3)
+    charts = [(chart_from_group(generate_group(hyperoctahedral_generators(2))), None),
+              (chart_from_group(generate_group(b3)), None),
+              (chart_from_group(generate_group(conjugate_all(b3, s, s_inv))), s),
+              (z4_realified_chart(), None)]
+    cands = list(_kernel_without_complement_candidates().values())
+    for chart, basis_change in charts:
+        group, n = chart.group, chart.ambient_dim
+        axis = vec([int(i == n - 1) for i in range(n)])
+        if basis_change is not None:
+            axis = oracle_mat_vec(basis_change, axis)
+        subspaces = [affine_subspace([0] * n, [axis])] + [
+            stabilizer_candidate(rng, chart, basis_change, dims=(0, n)).v for _ in range(6)]
+        for v in subspaces:
+            stab = oracle_setwise_stabilizer(group, v)
+            deltas = {stab} | {group.subgroup_generated_by([g]).members for g in stab}
+            for members in sorted(deltas):
+                cand = SuborbifoldCandidate(chart, Subgroup(group, members), v)
+                if cand.saturation.holds:
+                    cands.append(cand)
+    outcomes = []
+    for cand in cands:
+        got = check_embedded(cand, search_all_delta=True)
+        want = oracle_embedded_by_lattice(cand)
+        assert (got.holds, got.effective_delta, got.certificate, got.searched_all_delta) == (
+            want.holds, want.effective_delta, want.certificate, want.searched_all_delta)
+        outcomes.append((got.holds, got.searched_all_delta))
+    # split in Delta, split only outside it, and not split at all
+    assert set(outcomes) == {(True, False), (True, True), (False, True)}
+    assert outcomes.count((True, True)) >= 3
+
+
+def _quarter_turn_axis(n):
+    """In B_n, Delta = <(x, y, z, ...) -> (y, -x, -z, ...)> on V = span(e_3):
+    its kernel <-1 on x and y> has no complement in the cyclic Delta."""
+    group = generate_group(hyperoctahedral_generators(n))
+    turn = [[int(i == j) for j in range(n)] for i in range(n)]
+    turn[0][:3], turn[1][:3], turn[2][:3] = [0, 1, 0], [-1, 0, 0], [0, 0, -1]
+    v = affine_subspace([0] * n, [[int(i == 2) for i in range(n)]])
+    return SuborbifoldCandidate(chart_from_group(group),
+                                group.subgroup_from_matrices([turn]), v)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_search_all_delta_answers_b4_and_b5_without_the_lattice(n):
+    # Stab(V) has order 2 * |B_(n-1)| and PFix(V) is B_(n-1) on the other
+    # axes; neither chart's whole subgroup lattice can be walked in a test.
+    cand = _quarter_turn_axis(n)
+    group = cand.chart.group
+    start = time.perf_counter()
+    result = check_embedded(cand, search_all_delta=True)
+    assert time.perf_counter() - start < 1
+    assert result.holds and result.searched_all_delta and result.certificate is None
+    stab = Subgroup(group, oracle_setwise_stabilizer(group, cand.v))
+    fixing = Subgroup(group, oracle_pointwise_stabilizer(group, cand.v))
+    assert result.effective_delta.members == oracle_least_complement(stab, fixing)
+    assert not check_embedded(cand).holds
 
 
 def test_public_corpus_builders_return_fresh_charts():
@@ -686,26 +790,23 @@ def test_localize_chart():
     assert localize_chart(chart, [0, 0]).group.order == 4
 
 
-def test_full_characterization_chart():
-    cand = diagonal_half_turn_candidate(klein_chart())
-    with pytest.raises(CandidateNotFull):
-        full_characterization_chart(cand, [0, 0])
-    # a genuinely full candidate: the diagonal with the full sign group
-    chart = klein_chart()
-    full_cand = SuborbifoldCandidate(
-        chart,
-        chart.group.subgroup_from_matrices([ROT2]),
-        affine_subspace([0, 0], [[1, 1]]),
-    )
-    # not full (the reflections swap across the diagonal fixing 0 only
-    # via -I already in delta; sign_x maps diagonal off itself) so use
-    # the rotation chart origin point instead
-    from suborbifolds.corpus import point_candidate
-
-    pc = point_candidate(rot4_chart())
-    local_chart, stab = full_characterization_chart(pc, [0, 0])
-    assert local_chart.group.order == 4
-    assert stab.order == 4
+def test_a_full_candidate_localizes_to_its_subgroup_stabilizer():
+    # For a full candidate and x in V, Gamma_x lies in Delta (an element
+    # outside Delta fixing x would break fullness), so the chart localized
+    # at x has the group Delta_x.
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(40):
+        cand = random_candidate(rng, max_group_order=48)
+        if not (cand.saturation.holds and check_full(cand).holds):
+            continue
+        for x in sample_in_subspace(cand.v, rng, 3):
+            assert localize_chart(cand.chart, x).group.order == stabilizer(cand.delta, x).order
+        seen += 1
+    point = point_candidate(rot4_chart())
+    assert check_full(point).holds
+    assert localize_chart(point.chart, [0, 0]).group.order == 4
+    assert seen > 5
 
 
 def test_contained_in_regular_part():
