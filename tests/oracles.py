@@ -465,9 +465,7 @@ def stabilizer_candidate(rng: random.Random, chart, basis_change=None,
         base = oracle_mat_vec(basis_change, vec(base))
         basis = [oracle_mat_vec(basis_change, vec(d)) for d in basis]
     v = affine_subspace(base, basis)
-    points = [v.base_point] + [tuple(a + b for a, b in zip(v.base_point, d)) for d in v.basis]
-    stab = [i for i, m in enumerate(matrices_of(group))
-            if all(contains_point(v, oracle_mat_vec(m, p)) for p in points)]
+    stab = oracle_setwise_stabilizer(group, v)
     kind = rng.randrange(3)
     seed = stab if kind == 0 else [rng.choice(stab)] if kind == 1 else []
     delta = group.subgroup_from_indices(_closure(group, seed))
