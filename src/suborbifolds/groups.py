@@ -292,9 +292,7 @@ class FiniteMatrixGroup:
         d, rows = form
         index = self.element_with_columns(lowest_terms(d, c) for c in zip(*rows))
         if index is None:
-            text = ", ".join("[" + ", ".join(rat_str(Fraction(x, d)) for x in row) + "]"
-                             for row in rows)
-            raise NotSubgroup(f"matrix [{text}] is not in the group")
+            raise NotSubgroup(f"matrix {_form_text(d, rows)} is not in the group")
         return index
 
     def full_subgroup(self) -> "Subgroup":
@@ -604,8 +602,14 @@ def _refuse_generators(n: int, matrices) -> None:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise NonInvertibleGenerator("generators must be square, equal size")
         if not is_invertible(rows):
-            g = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
-            raise NonInvertibleGenerator(f"generator is singular: {g}")
+            raise NonInvertibleGenerator(f"generator is singular: {_form_text(d, rows)}")
+
+
+def _form_text(d: int, rows) -> str:
+    """The matrix given as (d, d m) in dense integer rows, written as nested
+    lists of rationals: [[1, 0], [0, 1/2]]."""
+    return "[" + ", ".join("[" + ", ".join(rat_str(Fraction(x, d)) for x in row) + "]"
+                           for row in rows) + "]"
 
 
 def trivial_group(n: int) -> FiniteMatrixGroup:

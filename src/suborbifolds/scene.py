@@ -19,25 +19,27 @@ basis vectors as long as its base point, every name an entry refers to
 (``UnresolvedName`` when unknown), and a probe's depth, tolerance and
 pairs. Each value's JSON type is checked where it is read: a list where
 a list belongs (``linalg._entries``), a rational, a name that is a
-string, a theta element that is an int. A fault found while an entry is
-read is raised with its message prefixed by the section and the entry
-(``_located``). A group, subgroup, subspace, candidate, map or probe is
-built the first time it is looked up, and kept, so an entry read twice
-is built once. A subspace's canonical form (``linalg.read_subspace``)
-is computed then, and the closure (``--max-order``, infinite groups,
-singular generators), element indices against the group order,
-subgroup generators in their parent, theta covering the domain,
-candidate invariance, map equivariance and the probe's orthogonality
-and pairs on its subspace are checked then.
+string, a theta element that is an int. A group, subgroup, subspace,
+candidate, map or probe is built the first time it is looked up, and
+kept, so an entry read twice is built once. A subspace's canonical form
+(``linalg.read_subspace``) is computed then, and the closure
+(``--max-order``, infinite groups, singular generators), element indices
+against the group order, subgroup generators in their parent, theta
+covering the domain, candidate invariance, map equivariance and the
+probe's orthogonality and pairs on its subspace are checked then.
 The CLI builds only what its command reads, so such a fault in an entry
 it does not read is not reported. ``parse_scene`` reads, then builds
-every entry in section order, and reports any fault. A failed build
-raises what ``parse_scene`` raises for it, with a ``DimensionMismatch``
-as a ``ParseError``; a fault of a subgroup, candidate, probe or map
-itself names the entry ("candidate 'c': ..."), a group's closure
-faults do not. A ``KeyError`` or ``TypeError``, whether raised
-while a scene is read or while an entry is built, is a fault of the
-package, not of the scene, and is not translated.
+every entry in section order, and reports any fault.
+
+Every fault found while an entry is read or built names that entry in
+one format, "scene section 'groups': entry 'rot4': group closure
+exceeded max_order=2": each section is an ``_Entries``, which prefixes
+the message once and keeps the error's class and attributes, with a
+``DimensionMismatch`` as a ``ParseError``. A fault of an entry that
+another one reads, as a candidate's subgroup, names only the entry it
+is in. A ``KeyError`` or ``TypeError``, whether raised while a scene is
+read or while an entry is built, is a fault of the package, not of the
+scene, and is not translated.
 
 The machine report format is deterministic JSON with sorted keys;
 timing lives under a single "timing" key so reports can be compared
@@ -59,7 +61,7 @@ from .classify import (
     Verdict,
     chart_from_group,
 )
-from .errors import NotSubgroup, ParseError, SuborbifoldError, UnresolvedName
+from .errors import ParseError, SuborbifoldError, UnresolvedName
 from .groups import (
     Fingerprint,
     FiniteMatrixGroup,
@@ -104,13 +106,34 @@ class SceneFile:
 
 
 class _Entries(Mapping):
-    """One section's entries by name. An entry is built by its recipe, a
-    function of no arguments, the first time it is looked up, and kept;
-    a ``DimensionMismatch`` in a build is reported as a ``ParseError``."""
+    """One scene section's entries by name. When the section is made, each
+    entry's JSON value is read by ``read(where, value)`` into its recipe, a
+    function of no arguments that builds the entry the first time it is
+    looked up; the entry is then kept. A ``SuborbifoldError`` raised in
+    either step is raised again with its message prefixed by the section
+    and the entry, once, keeping its class and attributes, apart from a
+    ``DimensionMismatch``, which becomes a ``ParseError``. A fault that
+    another entry has located already, as a candidate's group's, passes
+    unchanged."""
 
-    def __init__(self):
+    def __init__(self, raw: dict, section: str, read):
+        self.section = section
         self.recipes: dict = {}
         self._built: dict = {}
+        for name, value in _section(raw, section).items():
+            try:
+                self.recipes[name] = read(_where(section, name), value)
+            except SuborbifoldError as exc:
+                raise self._located(exc, name)
+
+    def _located(self, exc: SuborbifoldError, name: str) -> SuborbifoldError:
+        message = str(exc)
+        if not message.startswith("scene section "):
+            message = f"{_where(self.section, name)}: {message}"
+        if isinstance(exc, DimensionMismatch):
+            return ParseError(message)
+        exc.args = (message,)
+        return exc
 
     def __getitem__(self, name):
         built = self._built
@@ -118,8 +141,8 @@ class _Entries(Mapping):
             return built[name]
         try:
             entry = built[name] = self.recipes[name]()
-        except DimensionMismatch as exc:
-            raise ParseError(str(exc)) from exc
+        except SuborbifoldError as exc:
+            raise self._located(exc, name)
         return entry
 
     def __contains__(self, name) -> bool:
@@ -157,34 +180,18 @@ def _where(section: str, name: str) -> str:
     return f"scene section {section!r}: entry {name!r}"
 
 
-def _located(exc: SuborbifoldError, section: str, name: str) -> SuborbifoldError:
-    """exc, raised while reading entry ``name`` of ``section``, as the error
-    to report: its message prefixed by both unless it names them already,
-    as a ``_Spec``'s does, and a ``DimensionMismatch`` as a ``ParseError``."""
-    where, message = _where(section, name), str(exc)
-    if not message.startswith(where):
-        message = f"{where}: {message}"
-    return (ParseError if isinstance(exc, DimensionMismatch) else type(exc))(message)
-
-
 class _Spec(dict):
     """A scene entry's JSON object; a key it lacks is a ``ParseError``
-    naming the section, the entry and the key."""
+    naming the section, the entry and the key (``where``)."""
 
-    def __init__(self, section: str, name: str, spec):
-        self.where = _where(section, name)
+    def __init__(self, where: str, spec):
+        self.where = where
         if not isinstance(spec, dict):
-            raise ParseError(f"{self.where} must be a JSON object")
+            raise ParseError(f"{where} must be a JSON object")
         super().__init__(spec)
 
     def __missing__(self, key):
         raise ParseError(f"{self.where} lacks the key {key!r}")
-
-
-def _specs(raw: dict, section: str):
-    """The section's entries as (name, ``_Spec``) pairs."""
-    return [(name, _Spec(section, name, spec))
-            for name, spec in _section(raw, section).items()]
 
 
 def _element_indices(values, order: int, what: str) -> list[int]:
@@ -192,59 +199,49 @@ def _element_indices(values, order: int, what: str) -> list[int]:
     values = list(values)
     for v in values:
         if type(v) is not int or not 0 <= v < order:
-            raise ParseError(f"{what}: element index {v!r} is not in 0..{order - 1}")
+            raise ParseError(f"{what} {v!r} is not in 0..{order - 1}")
     return values
 
 
-def _subgroup(groups, name, parent, indices, forms) -> Subgroup:
-    """Subgroup ``name`` of the group ``parent``, generated by the elements
-    with the given indices, or, when indices is None, by the matrices
-    given as integer forms."""
+def _subgroup(groups, parent, indices, forms) -> Subgroup:
+    """The subgroup of the group ``parent`` generated by the elements with
+    the given indices, or, when indices is None, by the matrices given as
+    integer forms."""
     parent = groups[parent]
-    if indices is not None:
-        return parent.subgroup_generated_by(
-            _element_indices(indices, parent.order, f"subgroup {name!r}"))
-    try:
-        return parent.subgroup_generated_by([parent.index_of_form(m) for m in forms])
-    except NotSubgroup as exc:
-        raise ParseError(f"subgroup {name!r}: {exc}") from exc
+    if indices is None:
+        indices = [parent.index_of_form(m) for m in forms]
+    else:
+        _element_indices(indices, parent.order, "generator index")
+    return parent.subgroup_generated_by(indices)
 
 
-def _candidate(groups, subgroups, subspaces, what, group, subgroup, subspace):
+def _candidate(groups, subgroups, subspaces, group, subgroup, subspace):
     """The candidate on the named group and subspace, with the named
-    subgroup or, when subgroup is None, the whole group; its own faults
-    name ``what``, the entry it is built for."""
+    subgroup or, when subgroup is None, the whole group."""
     group = groups[group]
     delta = group.full_subgroup() if subgroup is None else subgroups[subgroup]
-    v = subspaces[subspace]
-    try:
-        return SuborbifoldCandidate(chart_from_group(group), delta, v)
-    except SuborbifoldError as exc:
-        raise type(exc)(f"{what}: {exc}") from exc
+    return SuborbifoldCandidate(chart_from_group(group), delta, subspaces[subspace])
 
 
-def _map(groups, name, domain, codomain, theta_pairs, linear, offset) -> EquivariantAffineMap:
-    """Map ``name`` between the named groups' charts; theta_pairs maps
-    domain element indices to codomain ones."""
+def _map(groups, domain, codomain, theta_pairs, linear, offset) -> EquivariantAffineMap:
+    """The map between the named groups' charts; theta_pairs maps domain
+    element indices to codomain ones."""
     domain = chart_from_group(groups[domain])
     codomain = chart_from_group(groups[codomain])
     order = domain.group.order
-    _element_indices(theta_pairs, order, f"map {name!r} theta")
+    _element_indices(theta_pairs, order, "theta element")
     if set(theta_pairs) != set(range(order)):
-        raise ParseError(f"map {name!r}: theta must map every domain element index")
+        raise ParseError("theta must map every domain element index")
     images = _element_indices((theta_pairs[i] for i in range(order)),
-                              codomain.group.order, f"map {name!r} theta image")
+                              codomain.group.order, "theta image")
     theta = GroupHom(domain.group, codomain.group, tuple(images))
-    try:
-        return map_from_forms(domain, codomain, linear, offset, theta)
-    except SuborbifoldError as exc:
-        raise type(exc)(f"map {name!r}: {exc}") from exc
+    return map_from_forms(domain, codomain, linear, offset, theta)
 
 
-def _probe(groups, subgroups, subspaces, name, group, subgroup, subspace, pairs, depth,
+def _probe(groups, subgroups, subspaces, group, subgroup, subspace, pairs, depth,
            tolerance) -> MetricProbe:
-    return MetricProbe(_candidate(groups, subgroups, subspaces, f"probe {name!r}", group,
-                                  subgroup, subspace), pairs, depth, tolerance)
+    return MetricProbe(_candidate(groups, subgroups, subspaces, group, subgroup, subspace),
+                       pairs, depth, tolerance)
 
 
 def read_scene(text: str, max_order: int | None = None) -> SceneFile:
@@ -260,77 +257,71 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
         raise ParseError(f"invalid scene JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scene must be a JSON object")
-    groups, subgroups, subspaces = _Entries(), _Entries(), _Entries()
-    candidates, maps, probes = _Entries(), _Entries(), _Entries()
     kwargs = {} if max_order is None else {"max_order": max_order}
-    for name, gens in _section(raw, "groups").items():
-        try:
-            groups.recipes[name] = partial(
-                generate_group, read_generators(_entries(gens, "the generators")), **kwargs)
-        except SuborbifoldError as exc:
-            raise _located(exc, "groups", name) from exc
-    for name, spec in _specs(raw, "subgroups"):
-        try:
-            parent = _known(groups, spec["parent"], "group")
-            if "generator_indices" in spec:
-                indices = list(_entries(spec["generator_indices"], "the generator indices"))
-                forms = None
-            else:
-                indices = None
-                forms = [int_matrix(m) for m in _entries(spec["generators"], "the generators")]
-            subgroups.recipes[name] = partial(_subgroup, groups, name, parent, indices, forms)
-        except SuborbifoldError as exc:
-            raise _located(exc, "subgroups", name) from exc
-    for name, spec in _specs(raw, "subspaces"):
-        try:
-            subspaces.recipes[name] = read_subspace(spec["base"], spec.get("basis", []))
-        except SuborbifoldError as exc:
-            raise _located(exc, "subspaces", name) from exc
-    for name, spec in _specs(raw, "candidates"):
-        try:
-            group = _known(groups, spec["group"], "group")
-            subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
-                        if "subgroup" in spec else None)
-            subspace = _known(subspaces, spec["subspace"], "subspace")
-            candidates.recipes[name] = partial(_candidate, groups, subgroups, subspaces,
-                                               f"candidate {name!r}", group, subgroup, subspace)
-        except SuborbifoldError as exc:
-            raise _located(exc, "candidates", name) from exc
-    for name, spec in _specs(raw, "maps"):
-        try:
-            domain = _known(groups, spec["domain"], "group")
-            codomain = _known(groups, spec["codomain"], "group")
-            theta = _entries(spec["theta"], "theta")
-            if not all(isinstance(p, list) and len(p) == 2 for p in theta):
-                raise ParseError("theta must list [element, image] pairs")
-            theta_pairs = {}
-            for element, image in theta:
-                if type(element) is not int:
-                    raise ParseError(f"theta: element index {element!r} is not an integer")
-                if element in theta_pairs:
-                    raise ParseError(f"theta lists element {element!r} twice")
-                theta_pairs[element] = image
-            maps.recipes[name] = partial(
-                _map, groups, name, domain, codomain, theta_pairs,
-                int_matrix(spec["matrix"]), int_vector(spec["offset"]))
-        except SuborbifoldError as exc:
-            raise _located(exc, "maps", name) from exc
-    for name, spec in _specs(raw, "probes"):
-        try:
-            group = _known(groups, spec["group"], "group")
-            subgroup = _known(subgroups, spec["subgroup"], "subgroup")
-            subspace = _known(subspaces, spec["subspace"], "subspace")
-            pairs = _entries(spec["pairs"], "the sample pairs")
-            if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-                raise ParseError("pairs must list [x, y] point pairs")
-            pairs = tuple((vec(x), vec(y)) for x, y in pairs)
-            depth = spec.get("depth", DEFAULT_DEPTH)
-            tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
-            check_settings(depth, tolerance, pairs)
-            probes.recipes[name] = partial(_probe, groups, subgroups, subspaces, name, group,
-                                           subgroup, subspace, pairs, depth, tolerance)
-        except SuborbifoldError as exc:
-            raise _located(exc, "probes", name) from exc
+
+    def read_group(where, gens):
+        return partial(generate_group, read_generators(_entries(gens, "the generators")),
+                       **kwargs)
+
+    def read_subgroup(where, spec):
+        spec = _Spec(where, spec)
+        parent = _known(groups, spec["parent"], "group")
+        if "generator_indices" in spec:
+            indices = list(_entries(spec["generator_indices"], "the generator indices"))
+            return partial(_subgroup, groups, parent, indices, None)
+        forms = [int_matrix(m) for m in _entries(spec["generators"], "the generators")]
+        return partial(_subgroup, groups, parent, None, forms)
+
+    def read_subspace_entry(where, spec):
+        spec = _Spec(where, spec)
+        return read_subspace(spec["base"], spec.get("basis", []))
+
+    def read_candidate(where, spec):
+        spec = _Spec(where, spec)
+        group = _known(groups, spec["group"], "group")
+        subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
+                    if "subgroup" in spec else None)
+        subspace = _known(subspaces, spec["subspace"], "subspace")
+        return partial(_candidate, groups, subgroups, subspaces, group, subgroup, subspace)
+
+    def read_map(where, spec):
+        spec = _Spec(where, spec)
+        domain = _known(groups, spec["domain"], "group")
+        codomain = _known(groups, spec["codomain"], "group")
+        theta = _entries(spec["theta"], "theta")
+        if not all(isinstance(p, list) and len(p) == 2 for p in theta):
+            raise ParseError("theta must list [element, image] pairs")
+        theta_pairs = {}
+        for element, image in theta:
+            if type(element) is not int:
+                raise ParseError(f"theta: element index {element!r} is not an integer")
+            if element in theta_pairs:
+                raise ParseError(f"theta lists element {element!r} twice")
+            theta_pairs[element] = image
+        return partial(_map, groups, domain, codomain, theta_pairs,
+                       int_matrix(spec["matrix"]), int_vector(spec["offset"]))
+
+    def read_probe(where, spec):
+        spec = _Spec(where, spec)
+        group = _known(groups, spec["group"], "group")
+        subgroup = _known(subgroups, spec["subgroup"], "subgroup")
+        subspace = _known(subspaces, spec["subspace"], "subspace")
+        pairs = _entries(spec["pairs"], "the sample pairs")
+        if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ParseError("pairs must list [x, y] point pairs")
+        pairs = tuple((vec(x), vec(y)) for x, y in pairs)
+        depth = spec.get("depth", DEFAULT_DEPTH)
+        tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
+        check_settings(depth, tolerance, pairs)
+        return partial(_probe, groups, subgroups, subspaces, group, subgroup, subspace, pairs,
+                       depth, tolerance)
+
+    groups = _Entries(raw, "groups", read_group)
+    subgroups = _Entries(raw, "subgroups", read_subgroup)
+    subspaces = _Entries(raw, "subspaces", read_subspace_entry)
+    candidates = _Entries(raw, "candidates", read_candidate)
+    maps = _Entries(raw, "maps", read_map)
+    probes = _Entries(raw, "probes", read_probe)
     return SceneFile(groups, subgroups, subspaces, candidates, maps, probes)
 
 

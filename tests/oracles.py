@@ -667,7 +667,8 @@ def oracle_generate_group(generators, max_order: int = DEFAULT_MAX_ORDER):
         if len(g) != n or any(len(row) != n for row in g):
             raise NonInvertibleGenerator("generators must be square, equal size")
         if not is_invertible(g):
-            raise NonInvertibleGenerator(f"generator is singular: {g}")
+            text = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in g)
+            raise NonInvertibleGenerator(f"generator is singular: [{text}]")
     forms = [int_form(g) for g in gens]
     omega = [(1, tuple(int(i == j) for i in range(n))) for j in range(n)]
     points = {x: k for k, x in enumerate(omega)}

@@ -493,6 +493,18 @@ def test_singular_generator_rejected():
         generate_group([mat([[1, 0], [0, 0]])])
 
 
+@pytest.mark.parametrize("generator, written", [
+    ([[1, 0], [0, 0]], "[[1, 0], [0, 0]]"),
+    ([["1/2", 0], ["-3/4", 0]], "[[1/2, 0], [-3/4, 0]]"),
+    ([[Fraction(4, 2), 0], [0, "0/5"]], "[[2, 0], [0, 0]]"),
+])
+def test_a_singular_generator_is_written_in_rationals(generator, written):
+    # The matrix was printed as a tuple of Fraction reprs.
+    with pytest.raises(NonInvertibleGenerator) as refused:
+        generate_group([ROT4, generator])
+    assert str(refused.value) == f"generator is singular: {written}"
+
+
 def test_infinite_group_bounded():
     with pytest.raises(NotFiniteWithinBound):
         generate_group([mat([[1, 1], [0, 1]])], max_order=100)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import suborbifolds.cli as cli
 from suborbifolds.cli import main
-from suborbifolds.errors import ParseError, SuborbifoldError, UnresolvedName
+from suborbifolds.errors import NotSubgroup, ParseError, SuborbifoldError, UnresolvedName
 from suborbifolds.groups import generate_group
 from suborbifolds.linalg import mat, rat, vec, contains_point
 from suborbifolds.scene import parse_scene, read_scene, strip_timing
@@ -151,7 +151,7 @@ def test_parse_error_on_malformed_entry():
         parse_scene(json.dumps(probe))
     outside = {"groups": rot4,                      # a generator outside the group
                "subgroups": {"s": {"parent": "rot4", "generators": [[[2, 0], [0, 1]]]}}}
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(NotSubgroup) as err:
         parse_scene(json.dumps(outside))
     assert "'s'" in str(err.value) and "Fraction(" not in str(err.value)
 
@@ -522,7 +522,8 @@ def test_cli_refuses_a_scene_group_of_infinite_order_at_once(tmp_path, capsys):
     path = tmp_path / "infinite.json"
     path.write_text(json.dumps(scene))
     assert main(["classify", "--scene", str(path)]) == 2
-    assert capsys.readouterr().err == "error: group closure exceeded max_order=10000\n"
+    assert capsys.readouterr().err == ("error: scene section 'groups': entry 'big': "
+                                       "group closure exceeded max_order=10000\n")
 
 
 MAPS_SCENE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -565,7 +566,8 @@ def test_cli_subgroup_generator_outside_the_group(tmp_path, capsys):
         path.write_text(json.dumps(scene))
         assert main(["classify", "--scene", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: subgroup 'half_turn': matrix [") and err.endswith(
+        assert err.startswith("error: scene section 'subgroups': entry 'half_turn': "
+                              "matrix [") and err.endswith(
             "] is not in the group\n")
 
 
@@ -680,7 +682,8 @@ def test_cli_off_subspace_probe_pair_names_rationals(tmp_path, capsys):
         path.write_text(json.dumps(raw))
         assert main(["metric-check", "--scene", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: sample pair {named} leaves the subspace\n"
+        assert err == ("error: scene section 'probes': entry 'rotation_line': "
+                       f"sample pair {named} leaves the subspace\n")
 
 
 def test_cli_metric_check_scene_probe(scene_path, capsys):
@@ -925,12 +928,40 @@ def test_a_wrong_json_type_in_a_shipped_scene_is_refused_where_it_is(name):
             assert not any(phrase in message for phrase in PYTHON_PHRASES), message
 
 
+# The keys by which an entry names an entry of each section.
+REFERENCES = {"groups": ("parent", "group", "domain", "codomain"), "subgroups": ("subgroup",),
+              "subspaces": ("subspace",)}
+
+
+def _readers(raw, section, entry):
+    """(section, entry) and every entry of the scene raw that reads it,
+    directly or through another entry."""
+    found, todo = set(), [(section, entry)]
+    while todo:
+        at = todo.pop()
+        if at in found:
+            continue
+        found.add(at)
+        for other, entries in raw.items():
+            for name, spec in entries.items() if isinstance(entries, dict) else ():
+                if isinstance(spec, dict) and any(spec.get(key) == at[1]
+                                                  for key in REFERENCES.get(at[0], ())):
+                    todo.append((other, name))
+    return found
+
+
 @pytest.mark.parametrize("name", ["maps.json", "rational_chart.json", "rotation_line.json"])
 def test_a_wrong_json_type_in_a_small_scene_builds_or_is_refused(name):
     # parse_scene builds every entry, so a value that passed the reader
     # reaches the groups, maps and probes; B4 and B5 take too long to build.
-    for _, _, text in _type_mutations(name, first_scalar_only=True):
+    # A refusal names one entry: the changed one or, when the changed one
+    # still builds, as a group of other elements, an entry that reads it.
+    for section, entry, text in _type_mutations(name, first_scalar_only=True):
         try:
             parse_scene(text)
-        except SuborbifoldError:
-            pass
+        except SuborbifoldError as exc:
+            message = str(exc)
+            located = re.match(r"scene section '([^']*)': entry '([^']*)'[: ]", message)
+            assert located, message
+            assert located.groups() in _readers(json.loads(text), section, entry), message
+            assert message.count("scene section ") == 1, message

@@ -12,7 +12,8 @@ import pytest
 
 import suborbifolds.scene as scene_mod
 from suborbifolds.cli import main
-from suborbifolds.errors import ParseError, SuborbifoldError
+from suborbifolds.errors import (NonInvertibleGenerator, NonOrthogonalGroup, NotFiniteWithinBound,
+                                  NotSubgroup, ParseError, PointsNotInSubspace, SuborbifoldError)
 from suborbifolds.scene import parse_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -163,12 +164,15 @@ def _stretched(raw):
 BUILD_FAULTS = {
     "candidate": ("rotation_line.json", _shifted("candidates"),
                   ["classify", "--candidate", "rotation_line"],
-                  "candidate 'rotation_line': subspace is not invariant under subgroup element 0"),
+                  "scene section 'candidates': entry 'rotation_line': "
+                  "subspace is not invariant under subgroup element 0"),
     "probe": ("rotation_line.json", _shifted("probes"),
               ["metric-check", "--probe", "rotation_line"],
-              "probe 'rotation_line': subspace is not invariant under subgroup element 0"),
+              "scene section 'probes': entry 'rotation_line': "
+              "subspace is not invariant under subgroup element 0"),
     "map": ("maps.json", _stretched, ["graph", "--map", "rot4_identity"],
-            "map 'rot4_identity': equivariance fails on element 1 (linear part)"),
+            "scene section 'maps': entry 'rot4_identity': "
+            "equivariance fails on element 1 (linear part)"),
 }
 
 
@@ -186,6 +190,87 @@ def test_a_build_fault_names_its_entry(case, tmp_path, capsys):
     assert str(refused.value) == message
     assert main(command + ["--scene", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SKEW = {"groups": {"skew": [[[1, 1], [0, -1]]]},  # of order 2, not orthogonal
+        "subgroups": {"skew_whole": {"parent": "skew", "generators": [[[1, 1], [0, -1]]]}},
+        "probes": {"bad": dict(BASE["probes"]["line_probe"], group="skew",
+                               subgroup="skew_whole")}}
+
+# (entries added to BASE, --max-order or None, a command that builds the
+# faulty entry, the error class, its message)
+LOCATED_FAULTS = {
+    "singular_generator": (
+        {"groups": {"bad": [[[1, 0], [0, 0]]]}}, None,
+        ["isotropy", "--group", "bad", "--point", "0,0"], NonInvertibleGenerator,
+        "scene section 'groups': entry 'bad': generator is singular: [[1, 0], [0, 0]]"),
+    "infinite_order": (
+        {"groups": {"shear": [[[1, 1], [0, 1]]]}}, None,
+        ["isotropy", "--group", "shear", "--point", "0,0"], NotFiniteWithinBound,
+        "scene section 'groups': entry 'shear': group closure exceeded max_order=10000"),
+    "over_max_order": (
+        {}, 2, CLASSIFY_LINE, NotFiniteWithinBound,
+        "scene section 'groups': entry 'rot4': group closure exceeded max_order=2"),
+    "probe_pair_off_its_subspace": (
+        {"probes": {"bad": dict(BASE["probes"]["line_probe"], pairs=[[[1, 0], [0, 1]]])}},
+        None, ["metric-check", "--probe", "bad"], PointsNotInSubspace,
+        "scene section 'probes': entry 'bad': sample pair [1, 0], [0, 1] leaves the subspace"),
+    "probe_group_not_orthogonal": (
+        SKEW, None, ["metric-check", "--probe", "bad"], NonOrthogonalGroup,
+        "scene section 'probes': entry 'bad': element 1 is not orthogonal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATED_FAULTS))
+def test_a_group_or_probe_fault_names_its_entry(case, tmp_path, capsys):
+    # A group's closure faults and a probe's own faults named no entry.
+    extra, max_order, command, error, message = LOCATED_FAULTS[case]
+    text = json.dumps(_with(extra))
+    with pytest.raises(error) as refused:
+        parse_scene(text, max_order)
+    assert str(refused.value) == message
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    options = ["--scene", str(path)] + ([] if max_order is None else ["--max-order",
+                                                                      str(max_order)])
+    assert main(command + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("max_order", [2, 3])
+def test_a_located_closure_fault_keeps_its_bound(max_order):
+    # The location is added to the error raised, which keeps its class and
+    # its attributes; rebuilding it from its message could not keep them.
+    with pytest.raises(NotFiniteWithinBound) as refused:
+        scene_mod.read_scene(json.dumps(BASE), max_order).candidates["rotation_line"]
+    assert refused.value.max_order == max_order
+    assert str(refused.value).startswith("scene section 'groups': entry 'rot4': ")
+
+
+def test_a_candidate_names_only_its_subgroup_when_that_fails(tmp_path, capsys):
+    # The subgroup's fault is located where it is, once, and passes through
+    # the candidate and the probe that read it unchanged.
+    half = "scene section 'subgroups': entry 'half_turn': "
+    for generators, fault in (
+            ([[["1/2", 0], [0, 1]]], "matrix [[1/2, 0], [0, 1]] is not in the group"),
+            ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+             "matrix [[1, 0, 0], [0, 1, 0], [0, 0, 1]] is not in the group")):
+        raw = _with({"subgroups": {"half_turn": {"parent": "rot4", "generators": generators}}})
+        scene = scene_mod.read_scene(json.dumps(raw))
+        for section, name in (("candidates", "rotation_line"), ("probes", "line_probe")):
+            with pytest.raises(NotSubgroup) as refused:
+                getattr(scene, section)[name]
+            assert str(refused.value) == half + fault
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        assert main(CLASSIFY_LINE + ["--scene", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {half}{fault}\n"
+    raw = _with({"subgroups": {"half_turn": {"parent": "rot4", "generator_indices": [4]}}})
+    with pytest.raises(ParseError) as refused:
+        scene_mod.read_scene(json.dumps(raw)).candidates["rotation_line"]
+    assert str(refused.value) == half + "generator index 4 is not in 0..3"
 
 
 @pytest.mark.parametrize("error", [TypeError, KeyError])
