@@ -109,8 +109,8 @@ from .linalg import (
     meet,
     point_at,
     point_in_dim,
+    point_str,
     pull_back,
-    rat_str,
     restricted_matrix,
     sample_points,
     scaled,
@@ -585,7 +585,7 @@ class InducedChart:
     def coordinates(self, x: Vec) -> Vec:
         coords = coordinates(self.v, x)
         if coords is None:
-            raise ValueError("point does not lie in the subspace")
+            raise _point_not_in(vec(x), "subspace")
         return tuple([a - self.base_point[p] for a, p in zip(coords, self.v.pivots)])
 
 
@@ -667,7 +667,7 @@ def _check_restriction(f: GroupHom, kernel: Subgroup) -> None:
 
 
 def _point_not_in(x: Vec, where: str) -> PointNotInV:
-    return PointNotInV(f"[{', '.join(map(rat_str, x))}] is not in the {where}")
+    return PointNotInV(f"{point_str(x)} is not in the {where}")
 
 
 def isotropy_point(chart: ChartModel, x) -> Fingerprint:

@@ -19,7 +19,7 @@ from .classify import (
 )
 from .errors import NotFiniteWithinBound, SuborbifoldError
 from .groups import DEFAULT_MAX_ORDER
-from .linalg import contains_point, rat, rat_str, vec
+from .linalg import contains_point, point_str, rat, rat_str, vec
 from .maps import (
     fibered_product,
     graph_suborbifold,
@@ -144,13 +144,13 @@ def cmd_classify(args) -> int:
         if report.saturated.witness is not None:
             lines.append(f"  saturation witness: element "
                          f"{report.saturated.witness.element.index} at "
-                         f"{[rat_str(c) for c in report.saturated.witness.point]}")
+                         f"{point_str(report.saturated.witness.point)}")
         if report.full is not None and report.full.witness is not None:
             lines.append(f"  fullness witness: element "
                          f"{report.full.witness.element.index} at "
-                         f"{[rat_str(c) for c in report.full.witness.point]}")
+                         f"{point_str(report.full.witness.point)}")
         for point, fp in report.induced_isotropy_at:
-            lines.append(f"  isotropy at {[rat_str(c) for c in point]}: "
+            lines.append(f"  isotropy at {point_str(point)}: "
                          f"{fp.describe()}")
     _emit(args, {"command": "classify", "results": results,
                  "timing": {"seconds": None}}, lines)
@@ -175,14 +175,11 @@ def cmd_isotropy(args) -> int:
         "fingerprint": fingerprint_json(fp),
         "timing": {"seconds": None},
     }
-    _emit(args, payload, [f"isotropy of {subject} at "
-                          f"{[rat_str(c) for c in point]}: {fp.describe()}"])
+    _emit(args, payload, [f"isotropy of {subject} at {point_str(point)}: {fp.describe()}"])
     return EXIT_OK
 
 
-def _construction(args, name: str, build) -> int:
-    scene = _load_scene(args)
-    result = build(scene)
+def _construction(args, name: str, result) -> int:
     payload = {
         "command": name,
         "result": candidate_json(result),
@@ -199,48 +196,39 @@ def _construction(args, name: str, build) -> int:
 
 
 def cmd_intersect(args) -> int:
-    def build(scene):
-        a = _lookup(scene.candidates, args.left, "candidate")
-        b = _lookup(scene.candidates, args.right, "candidate")
-        return intersect_full(a, b)
-
-    return _construction(args, "intersect", build)
+    scene = _load_scene(args)
+    a = _lookup(scene.candidates, args.left, "candidate")
+    b = _lookup(scene.candidates, args.right, "candidate")
+    return _construction(args, "intersect", intersect_full(a, b))
 
 
 def cmd_preimage(args) -> int:
-    def build(scene):
-        f = _lookup(scene.maps, args.map, "map")
-        if args.value is not None:
-            return regular_value_preimage(f, _parse_point(args.value))
-        q = _lookup(scene.candidates, args.target, "candidate")
-        return preimage_suborbifold(f, q)
-
-    return _construction(args, "preimage", build)
+    scene = _load_scene(args)
+    f = _lookup(scene.maps, args.map, "map")
+    if args.value is not None:
+        result = regular_value_preimage(f, _parse_point(args.value))
+    else:
+        result = preimage_suborbifold(f, _lookup(scene.candidates, args.target, "candidate"))
+    return _construction(args, "preimage", result)
 
 
 def cmd_graph(args) -> int:
-    def build(scene):
-        return graph_suborbifold(_lookup(scene.maps, args.map, "map"), args.max_order)
-
-    return _construction(args, "graph", build)
+    f = _lookup(_load_scene(args).maps, args.map, "map")
+    return _construction(args, "graph", graph_suborbifold(f, args.max_order))
 
 
 def cmd_image(args) -> int:
-    def build(scene):
-        f = _lookup(scene.maps, args.map, "map")
-        cand = _lookup(scene.candidates, args.candidate, "candidate")
-        return image_suborbifold(f, cand)
-
-    return _construction(args, "image", build)
+    scene = _load_scene(args)
+    f = _lookup(scene.maps, args.map, "map")
+    cand = _lookup(scene.candidates, args.candidate, "candidate")
+    return _construction(args, "image", image_suborbifold(f, cand))
 
 
 def cmd_fibered(args) -> int:
-    def build(scene):
-        f1 = _lookup(scene.maps, args.left_map, "map")
-        f2 = _lookup(scene.maps, args.right_map, "map")
-        return fibered_product(f1, f2, args.max_order)
-
-    return _construction(args, "fibered-product", build)
+    maps = _load_scene(args).maps
+    f1 = _lookup(maps, args.left_map, "map")
+    f2 = _lookup(maps, args.right_map, "map")
+    return _construction(args, "fibered-product", fibered_product(f1, f2, args.max_order))
 
 
 def cmd_metric_check(args) -> int:

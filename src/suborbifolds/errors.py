@@ -62,10 +62,9 @@ class NotSubmersion(SuborbifoldError):
 class NotInjectiveOnQuotient(SuborbifoldError):
     """The map identifies orbits: a = ``point`` and g a (g = ``element``) lie
     in the image hull, but no theta(g') maps a to g a. The message names g's
-    index and a, so the pair replays from the CLI's output. Both are None
-    when theta itself is not injective."""
+    index and a, so the pair replays from the CLI's output."""
 
-    def __init__(self, message, element=None, point=None):
+    def __init__(self, message, element, point):
         super().__init__(message)
         self.element = element
         self.point = point

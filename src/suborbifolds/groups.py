@@ -117,8 +117,8 @@ from .linalg import (
     lowest_terms,
     mat,
     mat_mul,
+    point_str,
     rat,
-    rat_str,
     single_point,
     sparse,
 )
@@ -608,8 +608,7 @@ def _refuse_generators(n: int, matrices) -> None:
 def _form_text(d: int, rows) -> str:
     """The matrix given as (d, d m) in dense integer rows, written as nested
     lists of rationals: [[1, 0], [0, 1/2]]."""
-    return "[" + ", ".join("[" + ", ".join(rat_str(Fraction(x, d)) for x in row) + "]"
-                           for row in rows) + "]"
+    return "[" + ", ".join(point_str(Fraction(x, d) for x in row) for row in rows) + "]"
 
 
 def trivial_group(n: int) -> FiniteMatrixGroup:

@@ -228,6 +228,11 @@ def rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def point_str(x) -> str:
+    """The point written as [a, b], each coordinate by ``rat_str``."""
+    return "[" + ", ".join(map(rat_str, x)) + "]"
+
+
 def vec(xs) -> Vec:
     return tuple(rat(x) for x in _entries(xs, "a vector"))
 

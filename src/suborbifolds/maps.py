@@ -63,7 +63,7 @@ from .linalg import (
     mat_mul,
     mat_rank,
     point_in_dim,
-    rat_str,
+    point_str,
     single_point,
     solve_affine,
     sparse,
@@ -247,8 +247,10 @@ def image_suborbifold(
     _require_saturated(cand)
     if not is_immersion(f):
         raise NotImmersion("linear part has rank below the domain dimension")
+    # If theta(g) = e, equivariance gives A g = A, and A has full column
+    # rank, so g = I: an immersion's theta is injective.
     if not f.theta.is_injective():
-        raise NotInjectiveOnQuotient("theta is not injective")
+        raise AssertionError("an immersion's theta must be injective")
     # Quotient-level injectivity. As f is injective, f(x) = g f(y) means
     # a = f(y) and g a lie in the hull, and x = g' y means g a = theta(g') a:
     # the hull must be saturated under theta(Gamma_1).
@@ -258,10 +260,10 @@ def image_suborbifold(
     )
     witness = check_saturated(hull).witness
     if witness is not None:
-        i, point = witness.element.index, ", ".join(map(rat_str, witness.point))
         raise NotInjectiveOnQuotient(
-            f"map identifies distinct orbits: codomain element {i} moves the "
-            f"image point [{point}] within the image, and no theta(g) does",
+            f"map identifies distinct orbits: codomain element {witness.element.index} "
+            f"moves the image point {point_str(witness.point)} within the image, "
+            "and no theta(g) does",
             element=witness.element, point=witness.point)
     image_delta = gamma2.subgroup_from_indices(
         f.theta(i) for i in cand.delta.members
@@ -334,10 +336,12 @@ def preimage_suborbifold(
         raise EmptyPreimage("the preimage is empty")
     if not direction_sum_is_full(f.image_subspace(), q.v):
         raise NotTransverseToQ("map is not transverse to the target subspace")
+    # q uses all of Gamma_2 (_require_localized), so q.V is Gamma_2-invariant,
+    # and f(g x) = theta(g) f(x) makes the preimage Gamma_1-invariant.
     try:
         result = SuborbifoldCandidate(f.domain, f.domain.group.full_subgroup(), pre)
     except NonInvariant:
-        raise NonInvariant("preimage is not invariant under the domain group") from None
+        raise AssertionError("the preimage of an invariant subspace must be invariant") from None
     expected = f.domain.ambient_dim - (f.codomain.ambient_dim - q.v.dim)
     if pre.dim != expected:
         raise AssertionError("preimage dimension formula violated")

@@ -17,6 +17,10 @@ refinement sums are monotone in the partition depth, mirroring the sup
 over partitions; the float sums computed here are not, so every depth
 counts, but a sum at any one depth bounds the sup from below, and a
 subgroup element whose sum already reaches the best sup is dropped.
+The walk takes the segments from x to h y shortest first, so the
+quotient distance min over h of |x - h y| is the first segment's length,
+read off the same integers; ``lemma_metrics_check`` makes one integer
+walk per pair for both distances.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .linalg import (
     dense,
     int_mat_vec,
     point_in_dim,
-    rat_str,
+    point_str,
     scaled,
     vec,
 )
@@ -74,7 +78,7 @@ class MetricProbe:
         v = self.candidate.v
         for x, y in self.sample_pairs:
             if not (contains_point(v, x) and contains_point(v, y)):
-                pair = ", ".join("[" + ", ".join(map(rat_str, p)) + "]" for p in (x, y))
+                pair = ", ".join(map(point_str, (x, y)))
                 raise PointsNotInSubspace(f"sample pair {pair} leaves the subspace")
 
     def with_settings(self, depth: int | None = None,
@@ -125,11 +129,6 @@ def _int_dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
-def _scaled_pair(n: int, x, y):
-    """x = xs / dx and y = ys / dy as (dx, xs), (dy, ys), each of length n."""
-    return scaled(point_in_dim(x, n)), scaled(point_in_dim(y, n))
-
-
 def quotient_distance(group, x, y) -> float:
     """min over the group of the Euclidean distance |x - g y|.
 
@@ -139,14 +138,9 @@ def quotient_distance(group, x, y) -> float:
     int division.
     """
     _require_orthogonal(group)
-    return _quotient_distance(group, x, y)
-
-
-def _quotient_distance(group, x, y) -> float:
-    """``quotient_distance`` for a group known to be orthogonal, such as a
-    probe's Delta, whose whole group the probe checked."""
     den, forms = group.parent.integer_forms
-    (dx, xs), (dy, ys) = _scaled_pair(group.parent.ambient_dim, x, y)
+    n = group.parent.ambient_dim
+    (dx, xs), (dy, ys) = scaled(point_in_dim(x, n)), scaled(point_in_dim(y, n))
     kx = [den * dy * c for c in xs]
     best = min(sum([(a - dx * b) ** 2 for a, b in zip(kx, int_mat_vec(forms[i], ys))])
                for i in group.members)
@@ -279,15 +273,19 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     x, y, v = vec(x), vec(y), probe.candidate.v
     if not (contains_point(v, x) and contains_point(v, y)):
         raise PointsNotInSubspace("query points must lie in the subspace")
-    return _intrinsic_distance(probe, x, y)
+    return _intrinsic_distance(probe, x, y)[1]
 
 
-def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
-    """``intrinsic_quotient_distance`` for points known to lie in the
-    subspace, such as a probe's sample pairs, which the probe checked."""
+def _intrinsic_distance(probe: MetricProbe, x, y) -> tuple[float, float]:
+    """(``quotient_distance``, ``intrinsic_quotient_distance``) for points
+    known to lie in the subspace, such as a probe's sample pairs, which the
+    probe checked. The quotient distance is the shortest segment's length:
+    |sd|^2 for sd = S (h y - x) is the integer ``quotient_distance``
+    minimises over Delta, over the same S^2 = (den dx dy)^2."""
     group = probe.candidate.chart.group
     den, forms = group.integer_forms
-    (dx, xs), (dy, ys) = _scaled_pair(group.ambient_dim, x, y)
+    n = group.ambient_dim
+    (dx, xs), (dy, ys) = scaled(point_in_dim(x, n)), scaled(point_in_dim(y, n))
     # S = den dx dy: S x = den dy xs and S h y = dx (den h) ys are integers.
     sx = [den * dy * c for c in xs]
     parts_of_x = []
@@ -301,6 +299,8 @@ def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
     directions = sorted(([dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
                          for h in probe.candidate.delta.members),
                         key=lambda sd: _int_dot(sd, sd))
+    nearest = directions[0]
+    quotient = math.sqrt(_int_dot(nearest, nearest) / (den * dx * dy) ** 2)
     depth = probe.partition_depth
     best = math.inf
     for sd in directions:
@@ -314,7 +314,7 @@ def _intrinsic_distance(probe: MetricProbe, x, y) -> float:
             sup = max(sup, _segment_sum(scale, segment, 2 ** k))
         if sup < best:
             best = sup
-    return best
+    return quotient, best
 
 
 @record
@@ -355,10 +355,6 @@ def lemma_metrics_check(probe: MetricProbe) -> MetricReport:
     """Per-pair comparison of the two metrics on the quotient of the subspace."""
     if not probe.candidate.saturation.holds:
         raise CandidateNotSaturated("metric lemma requires a saturated candidate")
-    delta = probe.candidate.delta
-    results = []
-    for x, y in probe.sample_pairs:
-        quotient = _quotient_distance(delta, x, y)
-        intrinsic = _intrinsic_distance(probe, x, y)
-        results.append(PairResult(vec(x), vec(y), quotient, intrinsic))
-    return MetricReport(tuple(results), probe.tolerance)
+    pairs = tuple(PairResult(vec(x), vec(y), *_intrinsic_distance(probe, x, y))
+                  for x, y in probe.sample_pairs)
+    return MetricReport(pairs, probe.tolerance)

@@ -19,9 +19,11 @@ basis vectors as long as its base point, every name an entry refers to
 (``UnresolvedName`` when unknown), and a probe's depth, tolerance and
 pairs. Each value's JSON type is checked where it is read: a list where
 a list belongs (``linalg._entries``), a rational, a name that is a
-string, a theta element that is an int. A group, subgroup, subspace,
-candidate, map or probe is built the first time it is looked up, and
-kept, so an entry read twice is built once. A subspace's canonical form
+string, a theta element that is an int. Each section's reader returns
+its entry's builder, a function of no arguments that holds the checked
+values (a probe's reuses the candidate reader's). A group, subgroup,
+subspace, candidate, map or probe is built the first time it is looked
+up, and kept, so an entry read twice is built once. A subspace's canonical form
 (``linalg.read_subspace``) is computed then, and the closure
 (``--max-order``, infinite groups, singular generators), element indices
 against the group order, subgroup generators in their parent, theta
@@ -203,47 +205,6 @@ def _element_indices(values, order: int, what: str) -> list[int]:
     return values
 
 
-def _subgroup(groups, parent, indices, forms) -> Subgroup:
-    """The subgroup of the group ``parent`` generated by the elements with
-    the given indices, or, when indices is None, by the matrices given as
-    integer forms."""
-    parent = groups[parent]
-    if indices is None:
-        indices = [parent.index_of_form(m) for m in forms]
-    else:
-        _element_indices(indices, parent.order, "generator index")
-    return parent.subgroup_generated_by(indices)
-
-
-def _candidate(groups, subgroups, subspaces, group, subgroup, subspace):
-    """The candidate on the named group and subspace, with the named
-    subgroup or, when subgroup is None, the whole group."""
-    group = groups[group]
-    delta = group.full_subgroup() if subgroup is None else subgroups[subgroup]
-    return SuborbifoldCandidate(chart_from_group(group), delta, subspaces[subspace])
-
-
-def _map(groups, domain, codomain, theta_pairs, linear, offset) -> EquivariantAffineMap:
-    """The map between the named groups' charts; theta_pairs maps domain
-    element indices to codomain ones."""
-    domain = chart_from_group(groups[domain])
-    codomain = chart_from_group(groups[codomain])
-    order = domain.group.order
-    _element_indices(theta_pairs, order, "theta element")
-    if set(theta_pairs) != set(range(order)):
-        raise ParseError("theta must map every domain element index")
-    images = _element_indices((theta_pairs[i] for i in range(order)),
-                              codomain.group.order, "theta image")
-    theta = GroupHom(domain.group, codomain.group, tuple(images))
-    return map_from_forms(domain, codomain, linear, offset, theta)
-
-
-def _probe(groups, subgroups, subspaces, group, subgroup, subspace, pairs, depth,
-           tolerance) -> MetricProbe:
-    return MetricProbe(_candidate(groups, subgroups, subspaces, group, subgroup, subspace),
-                       pairs, depth, tolerance)
-
-
 def read_scene(text: str, max_order: int | None = None) -> SceneFile:
     """The scene in text, read and checked for structure, with each group,
     subgroup, candidate, map and probe built the first time it is looked
@@ -268,21 +229,35 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
         parent = _known(groups, spec["parent"], "group")
         if "generator_indices" in spec:
             indices = list(_entries(spec["generator_indices"], "the generator indices"))
-            return partial(_subgroup, groups, parent, indices, None)
-        forms = [int_matrix(m) for m in _entries(spec["generators"], "the generators")]
-        return partial(_subgroup, groups, parent, None, forms)
+            forms = None
+        else:
+            forms = [int_matrix(m) for m in _entries(spec["generators"], "the generators")]
+
+        def build():
+            group = groups[parent]
+            if forms is None:
+                return group.subgroup_generated_by(
+                    _element_indices(indices, group.order, "generator index"))
+            return group.subgroup_generated_by([group.index_of_form(m) for m in forms])
+        return build
 
     def read_subspace_entry(where, spec):
         spec = _Spec(where, spec)
         return read_subspace(spec["base"], spec.get("basis", []))
 
-    def read_candidate(where, spec):
+    def read_candidate(where, spec, needs_subgroup=False):
         spec = _Spec(where, spec)
         group = _known(groups, spec["group"], "group")
         subgroup = (_known(subgroups, spec["subgroup"], "subgroup")
-                    if "subgroup" in spec else None)
+                    if "subgroup" in spec or needs_subgroup else None)
         subspace = _known(subspaces, spec["subspace"], "subspace")
-        return partial(_candidate, groups, subgroups, subspaces, group, subgroup, subspace)
+
+        def build():
+            chart_group = groups[group]
+            delta = chart_group.full_subgroup() if subgroup is None else subgroups[subgroup]
+            return SuborbifoldCandidate(chart_from_group(chart_group), delta,
+                                        subspaces[subspace])
+        return build
 
     def read_map(where, spec):
         spec = _Spec(where, spec)
@@ -298,14 +273,24 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
             if element in theta_pairs:
                 raise ParseError(f"theta lists element {element!r} twice")
             theta_pairs[element] = image
-        return partial(_map, groups, domain, codomain, theta_pairs,
-                       int_matrix(spec["matrix"]), int_vector(spec["offset"]))
+        linear, offset = int_matrix(spec["matrix"]), int_vector(spec["offset"])
+
+        def build():
+            source = chart_from_group(groups[domain])
+            target = chart_from_group(groups[codomain])
+            order = source.group.order
+            _element_indices(theta_pairs, order, "theta element")
+            if set(theta_pairs) != set(range(order)):
+                raise ParseError("theta must map every domain element index")
+            images = _element_indices((theta_pairs[i] for i in range(order)),
+                                      target.group.order, "theta image")
+            theta = GroupHom(source.group, target.group, tuple(images))
+            return map_from_forms(source, target, linear, offset, theta)
+        return build
 
     def read_probe(where, spec):
+        candidate = read_candidate(where, spec, needs_subgroup=True)
         spec = _Spec(where, spec)
-        group = _known(groups, spec["group"], "group")
-        subgroup = _known(subgroups, spec["subgroup"], "subgroup")
-        subspace = _known(subspaces, spec["subspace"], "subspace")
         pairs = _entries(spec["pairs"], "the sample pairs")
         if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
             raise ParseError("pairs must list [x, y] point pairs")
@@ -313,8 +298,7 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
         depth = spec.get("depth", DEFAULT_DEPTH)
         tolerance = spec.get("tolerance", DEFAULT_TOLERANCE)
         check_settings(depth, tolerance, pairs)
-        return partial(_probe, groups, subgroups, subspaces, group, subgroup, subspace, pairs,
-                       depth, tolerance)
+        return lambda: MetricProbe(candidate(), pairs, depth, tolerance)
 
     groups = _Entries(raw, "groups", read_group)
     subgroups = _Entries(raw, "subgroups", read_subgroup)

@@ -220,6 +220,16 @@ def test_induced_chart_refuses_points_of_the_wrong_length():
             ind.coordinates(x)
 
 
+def test_induced_chart_refuses_a_point_off_v_as_point_not_in_v():
+    # It raised a plain ValueError, the one refusal outside SuborbifoldError.
+    ind = rotation_line_candidate(rot4_chart()).induced
+    assert ind.coordinates([1, 0]) == vec([1])
+    for x, text in (([0, 1], "[0, 1]"), (["1/2", "-1/3"], "[1/2, -1/3]")):
+        with pytest.raises(PointNotInV) as refused:
+            ind.coordinates(x)
+        assert str(refused.value) == f"{text} is not in the subspace"
+
+
 def test_induced_chart_centered_off_the_canonical_base_point():
     # The line y = x - 1 under the reflection (x, y) -> (-y, -x): the fixed
     # centroid (1/2, -1/2) differs from the canonical base point (0, -1).

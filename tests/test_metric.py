@@ -301,6 +301,29 @@ def test_closed_form_equals_per_point_oracle_on_random_probes():
     assert off_origin >= 5 and nontrivial_h >= 10 and deepest == 8
 
 
+def test_each_pairs_quotient_is_quotient_distance_bit_for_bit():
+    # lemma_metrics_check reads a pair's quotient distance off the intrinsic
+    # walk's shortest segment; it must be the float quotient_distance gives,
+    # on the shipped probes and on the random probes of the tests above.
+    probes = _shipped_probes()
+    for seed, max_order, max_dim in ((77, 8, 3), (2024, 48, 4)):
+        rng = random.Random(seed)
+        found = 0
+        while found < 10:
+            cand = random_candidate(rng, max_group_order=max_order, max_dim=max_dim)
+            if cand.v.dim == 0 or not cand.saturation.holds:
+                continue
+            pts = sample_in_subspace(cand.v, rng, 3)
+            probes.append(MetricProbe(cand, tuple((pts[0], p) for p in pts[1:]),
+                                      partition_depth=rng.randint(0, 4)))
+            found += 1
+    for probe in probes:
+        report = lemma_metrics_check(probe)
+        assert len(report.pairs) == len(probe.sample_pairs)
+        for pair, (x, y) in zip(report.pairs, probe.sample_pairs):
+            assert pair.quotient == quotient_distance(probe.candidate.delta, x, y), (x, y)
+
+
 def test_metric_probe_work_does_not_grow_with_depth(monkeypatch):
     # One int_mat_vec per group element for x, and per subgroup element h
     # one for h y and one per group element for the segment direction; the

@@ -12,9 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import suborbifolds.cli as cli
+import suborbifolds.maps as maps
 from suborbifolds.cli import main
-from suborbifolds.errors import NotSubgroup, ParseError, SuborbifoldError, UnresolvedName
-from suborbifolds.groups import generate_group
+from suborbifolds.errors import (
+    NonInvariant,
+    NotSubgroup,
+    ParseError,
+    SuborbifoldError,
+    UnresolvedName,
+)
+from suborbifolds.groups import GroupHom, generate_group
 from suborbifolds.linalg import mat, rat, vec, contains_point
 from suborbifolds.scene import parse_scene, read_scene, strip_timing
 
@@ -617,7 +624,7 @@ def test_cli_point_option_from_the_command_line(scene_path, monkeypatch, capsys)
     monkeypatch.setattr("sys.argv", ["suborb", "isotropy", "--scene", scene_path,
                                      "--group", "rot4", "--point", "-1,0"])
     assert main() == 0
-    assert "at ['-1', '0']: order 1" in capsys.readouterr().out
+    assert "at [-1, 0]: order 1" in capsys.readouterr().out
     # a missing value is still argparse's error, not a rational to parse
     with pytest.raises(SystemExit) as exc:
         main(["isotropy", "--scene", scene_path, "--group", "rot4", "--point"])
@@ -724,6 +731,80 @@ def test_cli_image_rejects_an_unsaturated_candidate(capsys):
     assert main(["image", "--scene", MAPS_SCENE, "--map", "rot4_identity",
                  "--candidate", "unsaturated_x_axis"]) == 2
     assert capsys.readouterr().err.startswith("error: candidate is not saturated")
+
+
+def test_cli_text_writes_points_as_rationals(scene_path, capsys):
+    # Witness and isotropy points were printed as lists of strings, such as
+    # ['1/2', '0'], while every error message wrote [1/2, 0].
+    assert main(["classify", "--scene", ROTATION_SCENE, "--candidate", "rotation_line",
+                 "--isotropy-point", "1/2,0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  fullness witness: element 1 at [0, 0]",
+        "  isotropy at [1/2, 0]: order 1, element orders [1], abelian"]
+    assert main(["classify", "--scene", scene_path, "--candidate", "bad_line"]) == 0
+    witness = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"  saturation witness: element \d+ at \[-?\d+(/\d+)?, 0\]", witness)
+    assert main(["isotropy", "--scene", ROTATION_SCENE, "--group", "rot4",
+                 "--point", "1/2,0"]) == 0
+    assert capsys.readouterr().out == (
+        "isotropy of group rot4 at [1/2, 0]: order 1, element orders [1], abelian\n")
+
+
+def _refusal(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+def test_cli_refusals_name_their_input(scene_path, tmp_path, capsys):
+    assert _refusal(["classify"], capsys) == (2, "error: this command requires --scene\n")
+    path = tmp_path / "refused.json"
+    path.write_text("[]")
+    assert _refusal(["classify", "--scene", str(path)], capsys) == (
+        2, "error: scene must be a JSON object\n")
+    # theta sends the half turn (element 0) to itself and the quarter turns to
+    # the identity (element 3): theta(1) theta(1) = 3, but theta(1 1) = theta(0) = 0.
+    raw = dict(SCENE, maps={"M": dict(SCENE["maps"]["identity"],
+                                      theta=[[0, 0], [1, 3], [2, 3], [3, 3]])})
+    path.write_text(json.dumps(raw))
+    assert _refusal(["graph", "--scene", str(path), "--map", "M"], capsys) == (
+        2, "error: scene section 'maps': entry 'M': theta is not a homomorphism\n")
+    # the x-axis under the half turn is saturated, but a quarter turn fixes
+    # the origin on it
+    assert _refusal(["preimage", "--scene", scene_path, "--map", "identity",
+                     "--target", "rotation_line"], capsys) == (
+        2, "error: preimage requires a full target candidate\n")
+    raw = dict(SCENE, subspaces=dict(SCENE["subspaces"], point={"base": [1, 0]}),
+               candidates={"point": {"group": "rot4", "subgroup": "trivial",
+                                     "subspace": "point"}})
+    path.write_text(json.dumps(raw))
+    assert _refusal(["preimage", "--scene", str(path), "--map", "identity",
+                     "--target", "point"], capsys) == (
+        2, "error: preimage requires the target candidate to use the whole chart group\n")
+
+
+def test_cli_an_image_theta_that_is_not_injective_is_a_package_fault(monkeypatch, capsys):
+    # An immersion's theta is injective (theta(g) = e gives A g = A, so g = I);
+    # were it not, the package would be at fault, not the scene.
+    monkeypatch.setattr(GroupHom, "is_injective", lambda self: False)
+    assert _refusal(["image", "--scene", MAPS_SCENE, "--map", "rot4_identity",
+                     "--candidate", "rotation_line"], capsys) == (
+        3, "internal invariant violation: an immersion's theta must be injective\n")
+
+
+def test_cli_a_preimage_that_is_not_invariant_is_a_package_fault(scene_path, monkeypatch,
+                                                                 capsys):
+    # A localized full target is Gamma_2-invariant and f is equivariant, so
+    # its preimage is invariant; were it not, the package would be at fault.
+    def not_invariant(*args):
+        raise NonInvariant("subspace is not invariant")
+
+    monkeypatch.setattr(maps, "SuborbifoldCandidate", not_invariant)
+    assert _refusal(["preimage", "--scene", scene_path, "--map", "identity",
+                     "--target", "origin_point"], capsys) == (
+        3, "internal invariant violation: the preimage of an invariant subspace "
+           "must be invariant\n")
 
 
 ENTRY = st.sampled_from([0, "1/2", "-1/2", 1, -1, 2, -2])
