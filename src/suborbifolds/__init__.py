@@ -11,11 +11,10 @@ from .classify import (
     ChartModel,
     ClassificationReport,
     EmbeddedResult,
-    FullnessWitness,
     InducedChart,
-    SaturationWitness,
     SuborbifoldCandidate,
     Verdict,
+    Witness,
     abelian_omega_isotropy,
     chart_from_group,
     check_embedded,

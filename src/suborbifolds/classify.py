@@ -207,19 +207,16 @@ class SuborbifoldCandidate:
 
 
 @record
-class SaturationWitness:
-    """g maps point into the subspace but no subgroup element matches it."""
+class Witness:
+    """Why a verdict fails: for saturation, g = ``element`` maps ``point``
+    into V and no element of Delta matches it; for fullness, g lies outside
+    Delta and fixes ``point``."""
 
     element: GroupElement
     point: Vec
 
-
-@record
-class FullnessWitness:
-    """g outside the subgroup fixing a point of the subspace."""
-
-    element: GroupElement
-    point: Vec
+    def describe(self) -> str:
+        return f"element {self.element.index} at {point_str(self.point)}"
 
 
 @record
@@ -308,7 +305,7 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
                 covered = covers[w_g] = {image_on(entry, h) for h in delta.members}
             if image_on(entry, g) not in covered:
                 point = _witness_point(w_g, group, delta, g)
-                return Verdict(False, SaturationWitness(group.element(g), point))
+                return Verdict(False, Witness(group.element(g), point))
         for x in group.coset(delta.members, g):
             decided[x] = 1
     return Verdict(True)
@@ -439,7 +436,8 @@ class OrbitOfV:
 def _require_saturated(cand: SuborbifoldCandidate) -> None:
     verdict = cand.saturation
     if not verdict.holds:
-        raise CandidateNotSaturated(f"candidate is not saturated: {verdict.witness}")
+        raise CandidateNotSaturated(
+            f"candidate is not saturated (witness: {verdict.witness.describe()})")
 
 
 def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded):
@@ -486,7 +484,7 @@ def check_full(cand: SuborbifoldCandidate) -> Verdict:
             fixed = solved[key] = fixed_points((d, forms[g]), entry[0])
         if fixed is not None:
             point = fraction_point(fixed.den, fixed.base)
-            return Verdict(False, FullnessWitness(group.element(g), point))
+            return Verdict(False, Witness(group.element(g), point))
     return Verdict(True)
 
 
@@ -616,10 +614,13 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
     fixed_image = tuple(d * c for c in fixed)
     # Each restricted generator as the columns of its matrix, the points
     # its group looks it up by; a point the generators fix, Delta fixes.
+    # This cannot fail: V is Delta-invariant (checked when the candidate was
+    # built), so the base point's orbit lies in V, and s only reorders the
+    # terms (s h) base of its mean.
     restricted = []
     for s in delta.generators:
         if any(fixed) and int_mat_vec(forms[s], fixed) != fixed_image:
-            raise NonInvariant("centroid is not fixed by the subgroup")
+            raise AssertionError("the centroid of a Delta-orbit in V is not fixed by Delta")
         restricted.append(restricted_matrix((d, forms[s]), cand.v))
     if k == group.ambient_dim and delta.order == group.order:
         # V = R^n has the standard basis, so each restricted generator is

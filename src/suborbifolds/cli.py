@@ -19,7 +19,7 @@ from .classify import (
 )
 from .errors import NotFiniteWithinBound, SuborbifoldError
 from .groups import DEFAULT_MAX_ORDER
-from .linalg import contains_point, point_str, rat, rat_str, vec
+from .linalg import contains_point, point_str, rat, vec
 from .maps import (
     fibered_product,
     graph_suborbifold,
@@ -37,6 +37,7 @@ from .scene import (
     fingerprint_json,
     metric_report_json,
     read_scene,
+    vec_json,
 )
 
 EXIT_OK = 0
@@ -90,13 +91,15 @@ def _load_scene(args):
     return read_scene(text, max_order=args.max_order)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    """Write the report file, if one is asked for, then stdout; a report
-    that cannot be written is not printed."""
+def _emit(args, body: dict, lines: list[str], seconds=None) -> None:
+    """Write the report to the --report file, if asked, then to stdout (a
+    report that cannot be written is not printed): ``lines`` as text, or
+    JSON ``body`` plus the subcommand as "command" and ``seconds`` in "timing"."""
     if args.format == "machine":
-        output = dump_machine_report(payload)
+        output = dump_machine_report({**body, "command": args.command,
+                                      "timing": {"seconds": seconds}})
     else:
-        output = "\n".join(text_lines) + "\n"
+        output = "\n".join(lines) + "\n"
     if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
@@ -141,19 +144,13 @@ def cmd_classify(args) -> int:
         lines.append("  " + _verdict_text("saturated", report.saturated))
         lines.append("  " + _verdict_text("full", report.full))
         lines.append("  " + _verdict_text("embedded", report.embedded))
-        if report.saturated.witness is not None:
-            lines.append(f"  saturation witness: element "
-                         f"{report.saturated.witness.element.index} at "
-                         f"{point_str(report.saturated.witness.point)}")
-        if report.full is not None and report.full.witness is not None:
-            lines.append(f"  fullness witness: element "
-                         f"{report.full.witness.element.index} at "
-                         f"{point_str(report.full.witness.point)}")
+        for label, verdict in (("saturation", report.saturated), ("fullness", report.full)):
+            if verdict is not None and verdict.witness is not None:
+                lines.append(f"  {label} witness: {verdict.witness.describe()}")
         for point, fp in report.induced_isotropy_at:
             lines.append(f"  isotropy at {point_str(point)}: "
                          f"{fp.describe()}")
-    _emit(args, {"command": "classify", "results": results,
-                 "timing": {"seconds": None}}, lines)
+    _emit(args, {"results": results}, lines)
     return EXIT_OK
 
 
@@ -168,30 +165,23 @@ def cmd_isotropy(args) -> int:
         group = _lookup(scene.groups, args.group, "group")
         fp = isotropy_point(chart_from_group(group), point)
         subject = f"group {args.group}"
-    payload = {
-        "command": "isotropy",
+    body = {
         "subject": subject,
-        "point": [rat_str(c) for c in point],
+        "point": vec_json(point),
         "fingerprint": fingerprint_json(fp),
-        "timing": {"seconds": None},
     }
-    _emit(args, payload, [f"isotropy of {subject} at {point_str(point)}: {fp.describe()}"])
+    _emit(args, body, [f"isotropy of {subject} at {point_str(point)}: {fp.describe()}"])
     return EXIT_OK
 
 
-def _construction(args, name: str, result) -> int:
-    payload = {
-        "command": name,
-        "result": candidate_json(result),
-        "timing": {"seconds": None},
-    }
+def _construction(args, result) -> int:
     lines = [
-        f"{name}: candidate of dimension {result.v.dim} "
+        f"{args.command}: candidate of dimension {result.v.dim} "
         f"in ambient dimension {result.chart.ambient_dim}",
         f"  subgroup order {result.delta.order} "
         f"of chart group order {result.chart.group.order}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, {"result": candidate_json(result)}, lines)
     return EXIT_OK
 
 
@@ -199,7 +189,7 @@ def cmd_intersect(args) -> int:
     scene = _load_scene(args)
     a = _lookup(scene.candidates, args.left, "candidate")
     b = _lookup(scene.candidates, args.right, "candidate")
-    return _construction(args, "intersect", intersect_full(a, b))
+    return _construction(args, intersect_full(a, b))
 
 
 def cmd_preimage(args) -> int:
@@ -209,26 +199,26 @@ def cmd_preimage(args) -> int:
         result = regular_value_preimage(f, _parse_point(args.value))
     else:
         result = preimage_suborbifold(f, _lookup(scene.candidates, args.target, "candidate"))
-    return _construction(args, "preimage", result)
+    return _construction(args, result)
 
 
 def cmd_graph(args) -> int:
     f = _lookup(_load_scene(args).maps, args.map, "map")
-    return _construction(args, "graph", graph_suborbifold(f, args.max_order))
+    return _construction(args, graph_suborbifold(f, args.max_order))
 
 
 def cmd_image(args) -> int:
     scene = _load_scene(args)
     f = _lookup(scene.maps, args.map, "map")
     cand = _lookup(scene.candidates, args.candidate, "candidate")
-    return _construction(args, "image", image_suborbifold(f, cand))
+    return _construction(args, image_suborbifold(f, cand))
 
 
 def cmd_fibered(args) -> int:
     maps = _load_scene(args).maps
     f1 = _lookup(maps, args.left_map, "map")
     f2 = _lookup(maps, args.right_map, "map")
-    return _construction(args, "fibered-product", fibered_product(f1, f2, args.max_order))
+    return _construction(args, fibered_product(f1, f2, args.max_order))
 
 
 def cmd_metric_check(args) -> int:
@@ -257,8 +247,7 @@ def cmd_metric_check(args) -> int:
                      f"{report.max_deviation:.3e} (tol {report.tolerance:.1e})")
         if report.hint:
             lines.append(f"  hint: {report.hint}")
-    _emit(args, {"command": "metric-check", "results": results,
-                 "timing": {"seconds": None}}, lines)
+    _emit(args, {"results": results}, lines)
     return EXIT_OK if all_passed else EXIT_MISMATCH
 
 
@@ -276,9 +265,8 @@ def cmd_corpus(args) -> int:
         f"{len(report.results)} cases, {len(report.mismatches)} mismatches "
         f"({report.elapsed_seconds:.2f}s)"
     )
-    _emit(args, {"command": "corpus", "results": report.results,
-                 "ok": report.ok,
-                 "timing": {"seconds": report.elapsed_seconds}}, lines)
+    _emit(args, {"results": report.results, "ok": report.ok}, lines,
+          report.elapsed_seconds)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 

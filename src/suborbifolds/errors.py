@@ -36,7 +36,7 @@ class CandidateNotFull(SuborbifoldError):
 
 
 class PointNotInV(SuborbifoldError):
-    pass
+    """A point off V: an isotropy or chart point, a metric query point or sample pair."""
 
 
 class GroupNotAbelian(SuborbifoldError):
@@ -44,7 +44,7 @@ class GroupNotAbelian(SuborbifoldError):
 
 
 class NonInvariant(SuborbifoldError):
-    pass
+    """A candidate's V is not invariant under Delta, or a map not equivariant."""
 
 
 class ChartMismatch(SuborbifoldError):
@@ -98,10 +98,6 @@ class NotLocalized(SuborbifoldError):
 
 
 class NonOrthogonalGroup(SuborbifoldError):
-    pass
-
-
-class PointsNotInSubspace(SuborbifoldError):
     pass
 
 

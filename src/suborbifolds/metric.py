@@ -29,12 +29,12 @@ from functools import reduce
 from itertools import repeat
 from operator import add, mul
 
-from .classify import SuborbifoldCandidate
+from .classify import SuborbifoldCandidate, _point_not_in
 from .errors import (
     CandidateNotSaturated,
     InvalidMetricSetting,
     NonOrthogonalGroup,
-    PointsNotInSubspace,
+    PointNotInV,
 )
 from .groups import first_failure
 from .linalg import (
@@ -79,7 +79,7 @@ class MetricProbe:
         for x, y in self.sample_pairs:
             if not (contains_point(v, x) and contains_point(v, y)):
                 pair = ", ".join(map(point_str, (x, y)))
-                raise PointsNotInSubspace(f"sample pair {pair} leaves the subspace")
+                raise PointNotInV(f"sample pair {pair} leaves the subspace")
 
     def with_settings(self, depth: int | None = None,
                       tolerance: float | None = None) -> "MetricProbe":
@@ -271,8 +271,9 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     corpus pairs need 100 sums at the default depth instead of 180.
     """
     x, y, v = vec(x), vec(y), probe.candidate.v
-    if not (contains_point(v, x) and contains_point(v, y)):
-        raise PointsNotInSubspace("query points must lie in the subspace")
+    for p in (x, y):
+        if not contains_point(v, p):
+            raise _point_not_in(p, "subspace")
     return _intrinsic_distance(probe, x, y)[1]
 
 

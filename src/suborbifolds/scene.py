@@ -57,10 +57,9 @@ from json.encoder import encode_basestring_ascii
 from .classify import (
     ClassificationReport,
     EmbeddedResult,
-    FullnessWitness,
-    SaturationWitness,
     SuborbifoldCandidate,
     Verdict,
+    Witness,
     chart_from_group,
 )
 from .errors import ParseError, SuborbifoldError, UnresolvedName
@@ -351,7 +350,7 @@ def subgroup_json(s: Subgroup) -> dict:
     return {"member_indices": list(s.members)}
 
 
-def witness_json(w: SaturationWitness | FullnessWitness | None) -> dict | None:
+def witness_json(w: Witness | None) -> dict | None:
     if w is None:
         return None
     return {

@@ -17,7 +17,7 @@ from suborbifolds import (
     chart_from_group,
     generate_group,
 )
-from suborbifolds.classify import EmbeddedResult, SaturationWitness, Verdict
+from suborbifolds.classify import EmbeddedResult, Verdict, Witness
 from suborbifolds.errors import DimensionMismatch, NonInvertibleGenerator, NotFiniteWithinBound
 from suborbifolds.groups import (
     DEFAULT_MAX_ORDER,
@@ -294,7 +294,7 @@ def oracle_check_saturated(cand: SuborbifoldCandidate) -> Verdict:
             for x in oracle_sample_walk(w_g):
                 gx = oracle_mat_vec(g_mat, x)
                 if all(oracle_mat_vec(h, x) != gx for h in delta_mats):
-                    return Verdict(False, SaturationWitness(group.elements[g], x))
+                    return Verdict(False, Witness(group.elements[g], x))
     return Verdict(True)
 
 

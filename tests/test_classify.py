@@ -244,6 +244,22 @@ def test_induced_chart_centered_off_the_canonical_base_point():
     assert isotropy_sub_point(cand, [0, -1]).order == 1
 
 
+def test_induced_chart_basis_is_the_one_its_coordinates_are_taken_in():
+    # On the line y = x - 1 and on a plane with rational rows, a point of V
+    # is the centroid plus its coordinates times ``basis``, V's canonical basis.
+    group = generate_group([[[0, -1], [-1, 0]]])
+    line = SuborbifoldCandidate(chart_from_group(group), group.full_subgroup(),
+                                affine_subspace([0, -1], [[1, 1]]))
+    assert induced_chart(line).basis == (vec([1, 1]),)
+    for cand in (line, _rational_b3_candidate()):
+        ind = induced_chart(cand)
+        assert ind.basis == cand.v.basis and len(ind.basis) == cand.v.dim
+        for x in sample_in_subspace(cand.v, random.Random(5), 4):
+            coords = ind.coordinates(x)
+            assert x == tuple(c + sum(a * row[j] for a, row in zip(coords, ind.basis))
+                              for j, c in enumerate(ind.base_point))
+
+
 def test_isotropy_of_the_b5_whole_space_multiplies_in_few_rows():
     # Delta_x / K with K trivial, read from cosets in B5 (order 3840): a
     # coset table filled every one of the group's product rows.

@@ -7,6 +7,7 @@ import pytest
 
 from suborbifolds.classify import (
     SuborbifoldCandidate,
+    abelian_omega_isotropy,
     chart_from_group,
     check_embedded,
     check_full,
@@ -26,6 +27,7 @@ from suborbifolds.corpus import (
 from suborbifolds.errors import (
     ChartMismatch,
     CodomainNotManifold,
+    DimensionMismatch,
     EmptyPreimage,
     GroupTooLarge,
     NonInvariant,
@@ -33,18 +35,22 @@ from suborbifolds.errors import (
     NotInjectiveOnQuotient,
     NotLocalized,
     NotNormal,
+    NotSubgroup,
     NotSubmersion,
     NotTransverse,
     NotTransverseToQ,
     ParseError,
+    PointNotInV,
     RankDeficient,
 )
 from suborbifolds.groups import (
     GroupHom,
+    Subgroup,
     all_subgroups,
     find_complement,
     generate_group,
     group_from_forms,
+    pointwise_stabilizer,
     quotient_group,
     trivial_group,
 )
@@ -52,10 +58,17 @@ from suborbifolds.linalg import (
     Monomial,
     affine_subspace,
     contains_point,
+    direction_sum_is_full,
+    fixed_points,
+    int_matrix,
+    int_vector,
+    intersect,
     map_subspace,
     mat,
     mat_rank,
     single_point,
+    solve_affine,
+    transform_subspace,
     vec,
     whole_space,
 )
@@ -139,6 +152,17 @@ def _reflection_in_b2():
     return b2.full_subgroup(), b2.subgroup_from_matrices([mat([[1, 0], [0, -1]])])
 
 
+def _trivial_and_whole():
+    """The trivial subgroup of the quarter-turn group, then the whole group."""
+    group = rot4_chart().group
+    return group.subgroup_from_indices([group.identity]), group.full_subgroup()
+
+
+def _without_identity():
+    group = rot4_chart().group
+    return Subgroup(group, tuple(i for i in group.members if i != group.identity))
+
+
 @pytest.mark.parametrize("refused, error, message", [
     (lambda: SuborbifoldCandidate(rot4_chart(), klein_chart().group.full_subgroup(), x_axis()),
      ChartMismatch, "subgroup does not live in the chart group"),
@@ -164,6 +188,30 @@ def _reflection_in_b2():
      ChartMismatch, "submersions must share the codomain"),
     (lambda: quotient_group(*_reflection_in_b2()), NotNormal, "k is not normal in d"),
     (lambda: find_complement(*_reflection_in_b2()), NotNormal, "k is not normal in d"),
+    (lambda: quotient_group(rot4_chart().group.full_subgroup(),
+                            klein_chart().group.full_subgroup()),
+     NotSubgroup, "subgroups live in different parent groups"),
+    (lambda: quotient_group(*_trivial_and_whole()), NotSubgroup, "k is not contained in d"),
+    (lambda: find_complement(*_trivial_and_whole()), NotSubgroup, "k is not contained in d"),
+    (_without_identity, NotSubgroup, "subgroup must contain the identity"),
+    (lambda: pointwise_stabilizer(rot4_chart().group.full_subgroup(), whole_space(3)),
+     DimensionMismatch, "matrix/vector shape mismatch"),
+    (lambda: solve_affine(mat([[1, 0]]), [0, 0]),
+     DimensionMismatch, "rows of a and length of b differ"),
+    (lambda: intersect(whole_space(2), whole_space(3)),
+     DimensionMismatch, "ambient dimensions differ"),
+    (lambda: fixed_points(int_form(identity(3)), whole_space(2)),
+     DimensionMismatch, "ambient dimensions differ"),
+    (lambda: direction_sum_is_full(whole_space(2), whole_space(3)),
+     DimensionMismatch, "ambient dimensions differ"),
+    (lambda: map_subspace(int_matrix([[1, 0]]), int_vector([0]), whole_space(1)),
+     DimensionMismatch, "matrix/vector shape mismatch"),
+    (lambda: transform_subspace(int_form(identity(3)), whole_space(2)),
+     DimensionMismatch, "matrix/vector shape mismatch"),
+    (lambda: _identity_map(rot4_chart()).preimage_subspace(whole_space(3)),
+     DimensionMismatch, "matrix product shape mismatch"),
+    (lambda: abelian_omega_isotropy(klein_chart(), x_axis(), [0, 1]),
+     PointNotInV, "[0, 1] is not in the subspace"),
     (lambda: all_subgroups(generate_group(hyperoctahedral_generators(5)).full_subgroup()),
      GroupTooLarge, "subgroup enumeration bounded at order 512"),
     (lambda: fibered_product(trivial_map(1, 1, [[0]]), trivial_map(1, 1, [[1]])),

@@ -26,7 +26,7 @@ from suborbifolds.errors import (
     DimensionMismatch,
     InvalidMetricSetting,
     NonOrthogonalGroup,
-    PointsNotInSubspace,
+    PointNotInV,
 )
 from suborbifolds.groups import all_subgroups, generate_group
 from suborbifolds.linalg import (
@@ -110,7 +110,7 @@ def test_orthogonality_required():
 
 
 def test_probe_validates_points():
-    with pytest.raises(PointsNotInSubspace):
+    with pytest.raises(PointNotInV, match=r"^sample pair \[0, 1\], \[1, 0\] leaves the subspace$"):
         MetricProbe(
             rotation_line_candidate(rot4_chart()),
             ((vec([0, 1]), vec([1, 0])),),
@@ -370,8 +370,10 @@ def test_metric_check_tests_each_sample_point_once(monkeypatch, capsys):
             assert len(calls) == 2 * sum(len(p.sample_pairs) for p in probes.values())
     capsys.readouterr()
     probe = metric_probes()["rotation-line"]
-    with pytest.raises(PointsNotInSubspace, match="query points must lie in the subspace"):
+    with pytest.raises(PointNotInV, match=r"^\[0, 1\] is not in the subspace$"):
         intrinsic_quotient_distance(probe, vec([0, 1]), vec([1, 0]))
+    with pytest.raises(PointNotInV, match=r"^\[1/2, 1\] is not in the subspace$"):
+        intrinsic_quotient_distance(probe, vec([1, 0]), vec(["1/2", 1]))
 
 
 def test_metric_check_tests_orthogonality_once_per_probe(monkeypatch, capsys):

@@ -8,10 +8,9 @@ from suborbifolds import records
 from suborbifolds.classify import (
     ChartModel,
     EmbeddedResult,
-    FullnessWitness,
-    SaturationWitness,
     SuborbifoldCandidate,
     Verdict,
+    Witness,
     _require_saturated,
     check_saturated,
 )
@@ -61,12 +60,23 @@ def test_the_hash_is_the_hash_of_the_fields():
 
 
 def test_records_of_different_classes_are_never_equal():
+    @records.record
+    class Left:
+        element: GroupElement
+        point: tuple
+
+    @records.record
+    class Right:
+        element: GroupElement
+        point: tuple
+
     element = GroupElement(((1,),), 0)
-    saturation, fullness = SaturationWitness(element, (0,)), FullnessWitness(element, (0,))
-    assert saturation != fullness and not saturation == fullness
-    assert saturation == SaturationWitness(GroupElement(((1,),), 0), (0,))
+    left, right = Left(element, (0,)), Right(element, (0,))
+    assert left != right and not left == right
+    assert left == Left(GroupElement(((1,),), 0), (0,))
+    assert Witness(element, (0,)) != left
     assert Verdict(True) != (True, None)
-    assert SaturationWitness.__eq__(saturation, fullness) is NotImplemented
+    assert Left.__eq__(left, right) is NotImplemented
     assert _empty_scene() == _empty_scene() and _empty_scene() != CorpusReport([], [], 0.0)
 
 
@@ -98,14 +108,15 @@ def test_fields_of_a_frozen_record_cannot_be_set_or_deleted():
 
 def test_a_witness_repr_is_the_former_dataclass_repr():
     verdict = check_saturated(_unsaturated())
-    expected = ("SaturationWitness(element=GroupElement(matrix=((Fraction(-1, 1), "
+    expected = ("Witness(element=GroupElement(matrix=((Fraction(-1, 1), "
                 "Fraction(0, 1)), (Fraction(0, 1), Fraction(-1, 1))), index=0), "
                 "point=(Fraction(-1, 1), Fraction(0, 1)))")
     assert repr(verdict.witness) == expected
     assert repr(verdict) == f"Verdict(holds=False, witness={expected})"
     with pytest.raises(CandidateNotSaturated) as err:
         _require_saturated(_unsaturated())
-    assert str(err.value) == f"candidate is not saturated: {expected}"
+    assert str(err.value) == "candidate is not saturated (witness: element 0 at [-1, 0])"
+    assert verdict.witness.describe() == "element 0 at [-1, 0]"
     assert repr(Fingerprint(4, (1, 2, 4, 4), True)) == (
         "Fingerprint(order=4, element_orders=(1, 2, 4, 4), abelian=True)")
     assert repr(x_axis()) == (

@@ -807,6 +807,39 @@ def test_cli_a_preimage_that_is_not_invariant_is_a_package_fault(scene_path, mon
            "must be invariant\n")
 
 
+def test_cli_an_induced_centroid_that_is_not_fixed_is_a_package_fault(monkeypatch, capsys):
+    # The centroid of the orbit of V's base point is fixed by Delta, as each
+    # element only reorders the orbit; were it not, the package would be at
+    # fault. A point off the origin stands in for the centroid here, and the
+    # half turn moves it.
+    # (suborbifolds.classify is the classify function, so the module is
+    # looked up by name.)
+    monkeypatch.setattr(sys.modules["suborbifolds.classify"], "lowest_terms",
+                        lambda den, total: (1, (1, 0)))
+    assert _refusal(["isotropy", "--scene", MAPS_SCENE, "--candidate", "rotation_line",
+                     "--point", "1,0"], capsys) == (
+        3, "internal invariant violation: the centroid of a Delta-orbit in V is not fixed "
+           "by Delta\n")
+
+
+def test_cli_an_unsaturated_candidate_is_refused_with_its_witness(capsys):
+    # The witness reads as in the classify text, with no Python repr.
+    refused = (2, "error: candidate is not saturated (witness: element 0 at [-1, 0])\n")
+    assert _refusal(["image", "--scene", MAPS_SCENE, "--map", "rot4_identity",
+                     "--candidate", "unsaturated_x_axis"], capsys) == refused
+    assert _refusal(["isotropy", "--scene", MAPS_SCENE, "--candidate", "unsaturated_x_axis",
+                     "--point", "1,0"], capsys) == refused
+    assert main(["classify", "--scene", MAPS_SCENE, "--candidate", "unsaturated_x_axis"]) == 0
+    assert "  saturation witness: element 0 at [-1, 0]\n" in capsys.readouterr().out
+
+
+def test_cli_intersect_refuses_a_candidate_that_is_not_full(capsys):
+    # rotation_line is saturated, but the quarter turns fix the origin on it
+    assert _refusal(["intersect", "--scene", MAPS_SCENE, "--left", "rotation_line",
+                     "--right", "rotation_line"], capsys) == (
+        2, "error: transversality is defined for full candidates\n")
+
+
 ENTRY = st.sampled_from([0, "1/2", "-1/2", 1, -1, 2, -2])
 
 

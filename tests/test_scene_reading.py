@@ -13,7 +13,7 @@ import pytest
 import suborbifolds.scene as scene_mod
 from suborbifolds.cli import main
 from suborbifolds.errors import (NonInvertibleGenerator, NonOrthogonalGroup, NotFiniteWithinBound,
-                                  NotSubgroup, ParseError, PointsNotInSubspace, SuborbifoldError)
+                                  NotSubgroup, ParseError, PointNotInV, SuborbifoldError)
 from suborbifolds.scene import parse_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -213,7 +213,7 @@ LOCATED_FAULTS = {
         "scene section 'groups': entry 'rot4': group closure exceeded max_order=2"),
     "probe_pair_off_its_subspace": (
         {"probes": {"bad": dict(BASE["probes"]["line_probe"], pairs=[[[1, 0], [0, 1]]])}},
-        None, ["metric-check", "--probe", "bad"], PointsNotInSubspace,
+        None, ["metric-check", "--probe", "bad"], PointNotInV,
         "scene section 'probes': entry 'bad': sample pair [1, 0], [0, 1] leaves the subspace"),
     "probe_group_not_orthogonal": (
         SKEW, None, ["metric-check", "--probe", "bad"], NonOrthogonalGroup,
