@@ -60,7 +60,7 @@ tests the homomorphism law on every (generator, member) pair, that the map
 is onto and that its kernel is the independently computed pointwise
 stabilizer. Points of the induced chart are coordinates in V's canonical
 basis about its centroid; the chart keeps V and reads points both ways on
-V's integer form (``linalg.coordinates``, ``linalg.point_at``).
+V's integer form (``linalg.contains_point``, ``linalg.point_at``).
 """
 from __future__ import annotations
 
@@ -95,7 +95,6 @@ from .linalg import (
     AffineSubspace,
     Vec,
     contains_point,
-    coordinates,
     equations,
     fixed_points,
     form_of_columns,
@@ -560,7 +559,7 @@ class InducedChart:
     subgroup-fixed centroid ``base_point``, which the restricted linear
     action fixes; ``embed`` maps them back to the ambient space. Both ways
     are read on v's integer form (``linalg.point_at``,
-    ``linalg.coordinates``).
+    ``linalg.contains_point``).
     """
 
     chart: ChartModel
@@ -581,10 +580,8 @@ class InducedChart:
         return fraction_point(*point_at(self.v, dy * dc, shifted))
 
     def coordinates(self, x: Vec) -> Vec:
-        coords = coordinates(self.v, x)
-        if coords is None:
-            raise _point_not_in(vec(x), "subspace")
-        return tuple([a - self.base_point[p] for a, p in zip(coords, self.v.pivots)])
+        x = _point_on(self.v, x)
+        return tuple([x[p] - self.base_point[p] for p in self.v.pivots])
 
 
 def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
@@ -667,8 +664,12 @@ def _check_restriction(f: GroupHom, kernel: Subgroup) -> None:
         raise AssertionError("kernel of the restriction is not the pointwise stabilizer")
 
 
-def _point_not_in(x: Vec, where: str) -> PointNotInV:
-    return PointNotInV(f"{point_str(x)} is not in the {where}")
+def _point_on(v: AffineSubspace, x, where: str = "subspace") -> Vec:
+    """x as a point of v's ambient space, refused unless it lies on v."""
+    x = point_in_dim(x, v.ambient_dim)
+    if not contains_point(v, x):
+        raise PointNotInV(f"{point_str(x)} is not in the {where}")
+    return x
 
 
 def isotropy_point(chart: ChartModel, x) -> Fingerprint:
@@ -677,9 +678,7 @@ def isotropy_point(chart: ChartModel, x) -> Fingerprint:
 
 def isotropy_sub_point(cand: SuborbifoldCandidate, x) -> Fingerprint:
     """Isotropy of a point inside the induced suborbifold chart (Delta_x / K)."""
-    x = vec(x)
-    if not contains_point(cand.v, x):
-        raise _point_not_in(x, "candidate subspace")
+    x = _point_on(cand.v, x, "candidate subspace")
     _require_saturated(cand)
     stab = stabilizer(cand.delta, x)
     fingerprint = quotient_group(stab, cand.kernel)
@@ -696,9 +695,7 @@ def abelian_omega_isotropy(chart: ChartModel, v: AffineSubspace, x) -> Fingerpri
     """Gamma_x / Omega with Omega the pointwise stabilizer of v (Gamma abelian)."""
     if not chart.group.is_abelian():
         raise GroupNotAbelian("criterion requires an abelian chart group")
-    x = vec(x)
-    if not contains_point(v, x):
-        raise _point_not_in(x, "subspace")
+    x = _point_on(v, x)
     omega = pointwise_stabilizer(chart.group, v)
     stab = stabilizer(chart.group, x)
     return quotient_group(stab, omega)
@@ -732,10 +729,7 @@ def classify(
     isotropy_points: tuple = (),
 ) -> ClassificationReport:
     """Full classification; fullness/embeddedness only apply when saturated."""
-    points = tuple(point_in_dim(p, cand.chart.ambient_dim) for p in isotropy_points)
-    for p in points:
-        if not contains_point(cand.v, p):
-            raise _point_not_in(p, "candidate subspace")
+    points = tuple(_point_on(cand.v, p, "candidate subspace") for p in isotropy_points)
     kernel = cand.kernel
     saturated = cand.saturation
     if not saturated.holds:

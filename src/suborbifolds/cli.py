@@ -214,7 +214,7 @@ def cmd_image(args) -> int:
     return _construction(args, image_suborbifold(f, cand))
 
 
-def cmd_fibered(args) -> int:
+def cmd_fibered_product(args) -> int:
     maps = _load_scene(args).maps
     f1 = _lookup(maps, args.left_map, "map")
     f2 = _lookup(maps, args.right_map, "map")
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "not only the candidate's")
     p.add_argument("--isotropy-point", action="append",
                    help="comma-separated point; repeatable")
-    p.set_defaults(handler="cmd_classify")
 
     p = sub.add_parser("isotropy", parents=common,
                        help="isotropy fingerprint at a point")
@@ -302,13 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     subject.add_argument("--candidate", help="candidate name (suborbifold isotropy)")
     subject.add_argument("--group", help="group name (ambient isotropy)")
     p.add_argument("--point", required=True, help="comma-separated point")
-    p.set_defaults(handler="cmd_isotropy")
 
     p = sub.add_parser("intersect", parents=common,
                        help="transverse intersection of two full candidates")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(handler="cmd_intersect")
 
     p = sub.add_parser("preimage", parents=common,
                        help="preimage of a full candidate or a regular value")
@@ -316,24 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--target", help="target candidate name")
     target.add_argument("--value", help="regular value, comma-separated")
-    p.set_defaults(handler="cmd_preimage")
 
     p = sub.add_parser("graph", parents=common,
                        help="graph of an equivariant map as a candidate")
     p.add_argument("--map", required=True)
-    p.set_defaults(handler="cmd_graph")
 
     p = sub.add_parser("image", parents=common,
                        help="image of a candidate under an injective immersion")
     p.add_argument("--map", required=True)
     p.add_argument("--candidate", required=True)
-    p.set_defaults(handler="cmd_image")
 
     p = sub.add_parser("fibered-product", parents=common,
                        help="fibered product of two submersions")
     p.add_argument("--left-map", required=True)
     p.add_argument("--right-map", required=True)
-    p.set_defaults(handler="cmd_fibered")
 
     p = sub.add_parser("metric-check", parents=common,
                        help="quotient vs intrinsic metric coincidence")
@@ -342,12 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition depth (default: the probe's)")
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance (default: the probe's)")
-    p.set_defaults(handler="cmd_metric_check")
 
     p = sub.add_parser("corpus", parents=[output],
                        help="run the built-in example corpus")
     p.add_argument("--filter", help="substring filter on case names")
-    p.set_defaults(handler="cmd_corpus")
 
     return parser
 
@@ -362,9 +353,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(_attach_negative_points(argv))
     try:
-        # The handler is named in the parser and looked up per call, so the
-        # shared parser always runs the module's current cmd_* function.
-        return globals()[args.handler](args)
+        # Each subcommand runs cmd_ plus its name with "-" as "_", looked up
+        # per call, so the shared parser always runs the current function.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SuborbifoldError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -707,15 +707,20 @@ def pointwise_stabilizer(g, v: AffineSubspace) -> Subgroup:
     return Subgroup(g.parent, tuple(kept))
 
 
-def quotient_group(d: Subgroup, k: Subgroup) -> "Fingerprint":
-    """The fingerprint of d/k for k normal in d, read from the cosets of k
-    in the parent; no coset table is built."""
+def _require_normal(d: Subgroup, k: Subgroup) -> None:
+    """Raise unless d and k share a parent group and k is normal in d."""
     if d.parent is not k.parent and d.parent != k.parent:
         raise NotSubgroup("subgroups live in different parent groups")
     if not k.is_subset_of(d):
         raise NotSubgroup("k is not contained in d")
     if not k.is_normal_in(d):
         raise NotNormal("k is not normal in d")
+
+
+def quotient_group(d: Subgroup, k: Subgroup) -> "Fingerprint":
+    """The fingerprint of d/k for k normal in d, read from the cosets of k
+    in the parent; no coset table is built."""
+    _require_normal(d, k)
     return _fingerprint(d, k)
 
 
@@ -750,11 +755,11 @@ def find_complement(d: Subgroup, k: Subgroup):
     complements are the solutions of a linear system over GF(p) on the
     cocycles d/k -> k (Holt, Eick & O'Brien, Handbook of Computational
     Group Theory, section 7.6); that method is not implemented here.
+
+    The pair is refused as ``quotient_group`` refuses it: d and k from two
+    parent groups, k not contained in d, or k not normal in d.
     """
-    if not k.is_subset_of(d):
-        raise NotSubgroup("k is not contained in d")
-    if not k.is_normal_in(d):
-        raise NotNormal("k is not normal in d")
+    _require_normal(d, k)
     parent = d.parent
     if k.order == 1:
         return d

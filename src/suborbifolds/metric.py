@@ -17,10 +17,10 @@ refinement sums are monotone in the partition depth, mirroring the sup
 over partitions; the float sums computed here are not, so every depth
 counts, but a sum at any one depth bounds the sup from below, and a
 subgroup element whose sum already reaches the best sup is dropped.
-The walk takes the segments from x to h y shortest first, so the
-quotient distance min over h of |x - h y| is the first segment's length,
-read off the same integers; ``lemma_metrics_check`` makes one integer
-walk per pair for both distances.
+One helper (``_directions``) scales x and the h y to integers and sorts
+the segments from x to h y shortest first; the quotient distance min over
+h of |x - h y| is the first one's length, and the intrinsic walk takes
+them all, so ``lemma_metrics_check`` makes one walk per pair for both.
 """
 from __future__ import annotations
 
@@ -29,13 +29,8 @@ from functools import reduce
 from itertools import repeat
 from operator import add, mul
 
-from .classify import SuborbifoldCandidate, _point_not_in
-from .errors import (
-    CandidateNotSaturated,
-    InvalidMetricSetting,
-    NonOrthogonalGroup,
-    PointNotInV,
-)
+from .classify import SuborbifoldCandidate, _point_on, _require_saturated
+from .errors import InvalidMetricSetting, NonOrthogonalGroup, PointNotInV
 from .groups import first_failure
 from .linalg import (
     Vec,
@@ -132,19 +127,25 @@ def _int_dot(x, y) -> int:
 def quotient_distance(group, x, y) -> float:
     """min over the group of the Euclidean distance |x - g y|.
 
-    On integers: with the group's common denominator den, x = xs/dx and
-    y = ys/dy, K = den dx dy makes K x and every K g y integer vectors, and
-    the exact minimum of |K x - K g y|^2 over K^2 is one correctly rounded
-    int division.
-    """
+    It is the length of the first of ``_directions``, all of which
+    ``_intrinsic_distance`` walks: |S (g y - x)|^2 over S^2 is one correctly
+    rounded int division."""
     _require_orthogonal(group)
+    s, _, directions = _directions(group, x, y)
+    return math.sqrt(_int_dot(directions[0], directions[0]) / s ** 2)
+
+
+def _directions(group, x, y) -> tuple[int, list[int], list[list[int]]]:
+    """(S, S x, the S (h y - x) over the members h shortest first) for
+    S = den dx dy, with the parent's common denominator den, x = xs/dx and
+    y = ys/dy: S x = den dy xs and S h y = dx (den h) ys are integers."""
     den, forms = group.parent.integer_forms
     n = group.parent.ambient_dim
     (dx, xs), (dy, ys) = scaled(point_in_dim(x, n)), scaled(point_in_dim(y, n))
-    kx = [den * dy * c for c in xs]
-    best = min(sum([(a - dx * b) ** 2 for a, b in zip(kx, int_mat_vec(forms[i], ys))])
-               for i in group.members)
-    return math.sqrt(best / (den * dx * dy) ** 2)
+    sx = [den * dy * c for c in xs]
+    directions = sorted(([dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
+                         for h in group.members), key=lambda sd: _int_dot(sd, sd))
+    return den * dx * dy, sx, directions
 
 
 def _segment_forms(den: int, forms, parts_of_x, sd) -> set:
@@ -270,40 +271,28 @@ def intrinsic_quotient_distance(probe: MetricProbe, x, y) -> float:
     the segments shortest first, each from its deepest sum down, the ten
     corpus pairs need 100 sums at the default depth instead of 180.
     """
-    x, y, v = vec(x), vec(y), probe.candidate.v
-    for p in (x, y):
-        if not contains_point(v, p):
-            raise _point_not_in(p, "subspace")
-    return _intrinsic_distance(probe, x, y)[1]
+    v = probe.candidate.v
+    return _intrinsic_distance(probe, _point_on(v, x), _point_on(v, y))[1]
 
 
 def _intrinsic_distance(probe: MetricProbe, x, y) -> tuple[float, float]:
     """(``quotient_distance``, ``intrinsic_quotient_distance``) for points
     known to lie in the subspace, such as a probe's sample pairs, which the
-    probe checked. The quotient distance is the shortest segment's length:
-    |sd|^2 for sd = S (h y - x) is the integer ``quotient_distance``
-    minimises over Delta, over the same S^2 = (den dx dy)^2."""
-    group = probe.candidate.chart.group
-    den, forms = group.integer_forms
-    n = group.ambient_dim
-    (dx, xs), (dy, ys) = scaled(point_in_dim(x, n)), scaled(point_in_dim(y, n))
-    # S = den dx dy: S x = den dy xs and S h y = dx (den h) ys are integers.
-    sx = [den * dy * c for c in xs]
+    probe checked: both read Delta's ``_directions``, the quotient distance
+    the first one's length, the walk all of them."""
+    den, forms = probe.candidate.chart.group.integer_forms
+    s, sx, directions = _directions(probe.candidate.delta, x, y)
     parts_of_x = []
     for rows in forms:
         ka = [den * a - b for a, b in zip(sx, int_mat_vec(rows, sx))]
         parts_of_x.append((ka, _int_dot(ka, ka)))
-    scale = (den * den * dx * dy) ** 2
-    # A segment's sums are at most about its length |x - h y|, as each
-    # piece's minimum is at most the piece's length, and on a saturated
-    # probe the least sup is the least of these lengths.
-    directions = sorted(([dx * a - b for a, b in zip(int_mat_vec(forms[h], ys), sx)]
-                         for h in probe.candidate.delta.members),
-                        key=lambda sd: _int_dot(sd, sd))
-    nearest = directions[0]
-    quotient = math.sqrt(_int_dot(nearest, nearest) / (den * dx * dy) ** 2)
+    scale = (den * s) ** 2
+    quotient = math.sqrt(_int_dot(directions[0], directions[0]) / s ** 2)
     depth = probe.partition_depth
     best = math.inf
+    # Shortest first: a segment's sums are at most about its length
+    # |x - h y|, as each piece's minimum is at most the piece's length, and
+    # on a saturated probe the least sup is the least of these lengths.
     for sd in directions:
         segment = _segment_forms(den, forms, parts_of_x, sd)
         # Any one sum bounds h's sup from below; the deepest is nearly always
@@ -354,8 +343,7 @@ class MetricReport:
 
 def lemma_metrics_check(probe: MetricProbe) -> MetricReport:
     """Per-pair comparison of the two metrics on the quotient of the subspace."""
-    if not probe.candidate.saturation.holds:
-        raise CandidateNotSaturated("metric lemma requires a saturated candidate")
+    _require_saturated(probe.candidate)
     pairs = tuple(PairResult(vec(x), vec(y), *_intrinsic_distance(probe, x, y))
                   for x, y in probe.sample_pairs)
     return MetricReport(pairs, probe.tolerance)

@@ -9,6 +9,7 @@ regenerate them from the root of a checkout with
 
 and say in CHANGES.md what changed and why.
 """
+import argparse
 import contextlib
 import io
 import json
@@ -134,6 +135,19 @@ def test_every_shipped_scene_has_a_golden_report():
     reported = {argv[i + 1] for argv in REPORTS.values()
                 for i, arg in enumerate(argv) if arg == "--scene"}
     assert shipped and shipped <= reported, shipped - reported
+
+
+def test_every_subcommand_dispatches_by_name_and_has_a_golden_report():
+    # main runs cli.cmd_ plus the subcommand with "-" as "_". The CI golden
+    # step runs every REPORTS command through the installed script, so with
+    # this test it checks each subcommand's dispatch end to end.
+    (subcommands,) = [action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    missing = [name for name in subcommands
+               if not callable(getattr(cli, "cmd_" + name.replace("-", "_"), None))]
+    assert not missing, missing
+    reported = {argv[0] for argv in REPORTS.values()}
+    assert subcommands and set(subcommands) <= reported, set(subcommands) - reported
 
 
 def test_strip_timing_drops_only_the_timing_key():

@@ -14,6 +14,7 @@ from suborbifolds.classify import (
     check_saturated,
     classify,
     contained_in_regular_part,
+    isotropy_sub_point,
 )
 from suborbifolds.corpus import (
     ROT2,
@@ -85,6 +86,7 @@ from suborbifolds.maps import (
     transverse_candidates,
     trivial_hom,
 )
+from suborbifolds.metric import MetricProbe, intrinsic_quotient_distance
 from suborbifolds.scene import parse_scene
 
 from oracles import (
@@ -163,6 +165,15 @@ def _without_identity():
     return Subgroup(group, tuple(i for i in group.members if i != group.identity))
 
 
+def _rotation_line():
+    """The rotation line, the x-axis in rot4, and a metric probe on it."""
+    cand = rotation_line_candidate(rot4_chart())
+    return cand, MetricProbe(cand, ((vec([1, 0]), vec([2, 0])),))
+
+
+OFF_V, TOO_LONG = "[0, 1] is not in the", "expected a point with 2 coordinates, got 3"
+
+
 @pytest.mark.parametrize("refused, error, message", [
     (lambda: SuborbifoldCandidate(rot4_chart(), klein_chart().group.full_subgroup(), x_axis()),
      ChartMismatch, "subgroup does not live in the chart group"),
@@ -191,6 +202,11 @@ def _without_identity():
     (lambda: quotient_group(rot4_chart().group.full_subgroup(),
                             klein_chart().group.full_subgroup()),
      NotSubgroup, "subgroups live in different parent groups"),
+    # find_complement lacked this check and returned rot4's trivial subgroup
+    pytest.param(lambda: find_complement(rot4_chart().group.full_subgroup(),
+                                         klein_chart().group.full_subgroup()),
+                 NotSubgroup, "subgroups live in different parent groups",
+                 id="find_complement-different-parents"),
     (lambda: quotient_group(*_trivial_and_whole()), NotSubgroup, "k is not contained in d"),
     (lambda: find_complement(*_trivial_and_whole()), NotSubgroup, "k is not contained in d"),
     (_without_identity, NotSubgroup, "subgroup must contain the identity"),
@@ -212,6 +228,30 @@ def _without_identity():
      DimensionMismatch, "matrix product shape mismatch"),
     (lambda: abelian_omega_isotropy(klein_chart(), x_axis(), [0, 1]),
      PointNotInV, "[0, 1] is not in the subspace"),
+    # The five entry points that read a point on V, on the rotation line.
+    pytest.param(lambda: classify(_rotation_line()[0], isotropy_points=([0, 1],)),
+                 PointNotInV, f"{OFF_V} candidate subspace", id="classify-off-v"),
+    pytest.param(lambda: classify(_rotation_line()[0], isotropy_points=([1, 0, 0],)),
+                 DimensionMismatch, TOO_LONG, id="classify-too-long"),
+    # each point is read and checked in turn, so the first bad one is named
+    pytest.param(lambda: classify(_rotation_line()[0], isotropy_points=([0, 1], [1, 0, 0])),
+                 PointNotInV, f"{OFF_V} candidate subspace", id="classify-first-bad-point"),
+    pytest.param(lambda: isotropy_sub_point(_rotation_line()[0], [0, 1]),
+                 PointNotInV, f"{OFF_V} candidate subspace", id="isotropy_sub_point-off-v"),
+    pytest.param(lambda: isotropy_sub_point(_rotation_line()[0], [1, 0, 0]),
+                 DimensionMismatch, TOO_LONG, id="isotropy_sub_point-too-long"),
+    pytest.param(lambda: abelian_omega_isotropy(rot4_chart(), x_axis(), [0, 1]),
+                 PointNotInV, f"{OFF_V} subspace", id="abelian_omega_isotropy-off-v"),
+    pytest.param(lambda: abelian_omega_isotropy(rot4_chart(), x_axis(), [1, 0, 0]),
+                 DimensionMismatch, TOO_LONG, id="abelian_omega_isotropy-too-long"),
+    pytest.param(lambda: _rotation_line()[0].induced.coordinates([0, 1]),
+                 PointNotInV, f"{OFF_V} subspace", id="coordinates-off-v"),
+    pytest.param(lambda: _rotation_line()[0].induced.coordinates([1, 0, 0]),
+                 DimensionMismatch, TOO_LONG, id="coordinates-too-long"),
+    pytest.param(lambda: intrinsic_quotient_distance(_rotation_line()[1], [0, 1], [1, 0]),
+                 PointNotInV, f"{OFF_V} subspace", id="intrinsic_quotient_distance-off-v"),
+    pytest.param(lambda: intrinsic_quotient_distance(_rotation_line()[1], [1, 0, 0], [1, 0]),
+                 DimensionMismatch, TOO_LONG, id="intrinsic_quotient_distance-too-long"),
     (lambda: all_subgroups(generate_group(hyperoctahedral_generators(5)).full_subgroup()),
      GroupTooLarge, "subgroup enumeration bounded at order 512"),
     (lambda: fibered_product(trivial_map(1, 1, [[0]]), trivial_map(1, 1, [[1]])),

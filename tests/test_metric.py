@@ -1,6 +1,7 @@
 """Quotient metric vs intrinsic metric on invariant subspaces."""
 import json
 import random
+import re
 import sys
 from itertools import accumulate
 from fractions import Fraction
@@ -152,7 +153,8 @@ def test_lemma_requires_saturated():
     probe = MetricProbe(
         SuborbifoldCandidate(chart, trivial, x_axis()), ((vec([0, 0]), vec([1, 0])),)
     )
-    with pytest.raises(CandidateNotSaturated):
+    with pytest.raises(CandidateNotSaturated,
+                       match=re.escape("candidate is not saturated (witness: element 0 at [-1, 0])")):
         lemma_metrics_check(probe)
 
 

@@ -822,13 +822,22 @@ def test_cli_an_induced_centroid_that_is_not_fixed_is_a_package_fault(monkeypatc
            "by Delta\n")
 
 
-def test_cli_an_unsaturated_candidate_is_refused_with_its_witness(capsys):
+def test_cli_an_unsaturated_candidate_is_refused_with_its_witness(capsys, tmp_path):
     # The witness reads as in the classify text, with no Python repr.
     refused = (2, "error: candidate is not saturated (witness: element 0 at [-1, 0])\n")
     assert _refusal(["image", "--scene", MAPS_SCENE, "--map", "rot4_identity",
                      "--candidate", "unsaturated_x_axis"], capsys) == refused
     assert _refusal(["isotropy", "--scene", MAPS_SCENE, "--candidate", "unsaturated_x_axis",
                      "--point", "1,0"], capsys) == refused
+    # metric-check refused without the witness: "metric lemma requires a
+    # saturated candidate"
+    with open(MAPS_SCENE, encoding="utf-8") as fh:
+        scene = json.load(fh)
+    scene["probes"] = {"unsaturated": {"group": "rot4", "subgroup": "rot4_trivial",
+                                       "subspace": "x_axis", "pairs": [[[1, 0], [2, 0]]]}}
+    probed = tmp_path / "unsaturated_probe.json"
+    probed.write_text(json.dumps(scene), encoding="utf-8")
+    assert _refusal(["metric-check", "--scene", str(probed)], capsys) == refused
     assert main(["classify", "--scene", MAPS_SCENE, "--candidate", "unsaturated_x_axis"]) == 0
     assert "  saturation witness: element 0 at [-1, 0]\n" in capsys.readouterr().out
 
