@@ -360,7 +360,8 @@ class OrbitOfV:
 
     def __init__(self, group: FiniteMatrixGroup, v: AffineSubspace):
         # The group's store holds this object, so it refers back weakly: a
-        # group no longer in use is freed at once, not by the cycle collector.
+        # group that has left ``groups.group_from_forms``'s table and has no
+        # other user is freed at once, not by the cycle collector.
         self._group = proxy(group)
         self._d, self._forms = group.integer_forms
         self._v = v

@@ -10,6 +10,14 @@ the integer forms of matrices they already hold, so no Fraction is built
 on the way. A caller with no generators, such as
 ``trivial_group``, passes the identity of its dimension.
 
+``group_from_forms`` keeps the ``GROUPS_KEPT`` groups it built last,
+keyed by their generator forms as given, so a generator list that recurs
+in a process (a scene read again, a product or induced chart built again)
+is closed once, and its group keeps its product rows, Schreier tree and
+orbit-of-V stores for every later caller. A group depends on its
+generator list alone, so no verdict, witness or report tells whether it
+was kept.
+
 Element order is canonical (lexicographic on matrix entries), so equal
 groups have identical element lists whatever generated them, and every
 reported witness is reproducible. A matrix group and its subgroups
@@ -132,6 +140,14 @@ SUBGROUP_ENUMERATION_BOUND = 512
 # (about 1 s at the default bound), and one of infinite order is refused.
 # A signed permutation group has 2 points per dimension.
 CHECK_ORBIT_PAST = 64
+# How many groups ``group_from_forms`` keeps (see there). On 40 passes at
+# seed 1 the benchmark workloads ask for 2240 groups from 16 distinct
+# generator lists (scenes), 875 from 20 (ladder) and 365 from 5 (corpus);
+# bounds of 8, 16, 32 and 64 close 667, 16, 16 and 16 groups on scenes and
+# 188, 23, 20 and 20 on ladder, and 5 at each bound on corpus. 64 leaves
+# room above the 32 at which ladder stops closing a group twice.
+GROUPS_KEPT = 64
+_kept: dict = {}  # generator forms as given -> their group, least recently used first
 
 
 def first_failure(group, fails):
@@ -156,8 +172,11 @@ class GroupElement:
 class FiniteMatrixGroup:
     """A finite group of invertible rational n x n matrices.
 
-    Built only by ``generate_group``, which has closed the group and
-    checked its generators.
+    Built only by ``group_from_forms``, which has closed the group and
+    checked its generators, and which hands the same object to every later
+    caller with the same generators. So what a group holds beyond its
+    elements (product rows, Schreier tree, orbit-of-V stores) is a cache
+    that any caller may fill and none may change.
     """
 
     def __init__(self, points, d, elements, generators):
@@ -508,6 +527,27 @@ def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatr
 def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
     """The group generated by n x n matrices given as (d, d g) with sparse
     integer rows (see ``linalg.sparse``), at least one of them.
+
+    The ``GROUPS_KEPT`` groups built last are kept, keyed by the forms as
+    given and in order, least recently used first. A kept group is served
+    only when its order is at most ``max_order``; otherwise the forms are
+    closed again, which refuses them as a first build does and leaves the
+    kept group in place. A build that raises keeps nothing.
+    """
+    key = tuple(forms)
+    group = _kept.get(key)
+    if group is None or group.order > max_order:
+        group = _close(forms, max_order)
+        if len(_kept) >= GROUPS_KEPT:
+            del _kept[next(iter(_kept))]
+    else:
+        del _kept[key]
+    _kept[key] = group
+    return group
+
+
+def _close(forms, max_order: int) -> FiniteMatrixGroup:
+    """The group the forms generate, built anew.
 
     The orbit Omega of the standard basis is found with one integer
     matrix-vector product per point and generator; it is capped at

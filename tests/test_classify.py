@@ -363,6 +363,7 @@ def test_saturation_computed_once_per_candidate(monkeypatch):
     for points, expected_isotropy in (((), 0), (((0, 0),), 1)):
         calls.clear()
         orbits.clear()
+        monkeypatch.setattr(groups, "_kept", {})
         cand = rotation_line_candidate(rot4_chart())  # a fresh chart group each time
         report = classify(cand, isotropy_points=points)
         assert len(report.induced_isotropy_at) == expected_isotropy
@@ -497,13 +498,17 @@ def test_search_all_delta_answers_b4_and_b5_without_the_lattice(n):
     assert not check_embedded(cand).holds
 
 
-def test_public_corpus_builders_return_fresh_charts():
-    # The corpus cases share one chart per process; the chart builders do
-    # not, and each candidate builder uses the chart it is given, so the
-    # counting tests above start from an empty orbit store.
-    assert rot4_chart().group is not rot4_chart().group
-    assert klein_chart().group is not klein_chart().group
-    assert z4_realified_chart().group is not z4_realified_chart().group
+def test_public_corpus_builders_return_fresh_charts(monkeypatch):
+    # The corpus cases share one chart per process; the chart builders
+    # return a fresh chart each time, over the one group kept for their
+    # generators, and each candidate builder uses the chart it is given.
+    # Once the table of kept groups is emptied the next build is a new
+    # group, so the counting tests above start from an empty orbit store.
+    for builder in (rot4_chart, klein_chart, z4_realified_chart):
+        first, second = builder(), builder()
+        assert first is not second and first.group is second.group
+        monkeypatch.setattr(groups, "_kept", {})
+        assert builder().group is not first.group
     rot = rot4_chart()
     assert rotation_line_candidate(rot).chart is rot
     product = product_chart(rot, rot)
@@ -745,6 +750,7 @@ def test_a_chart_group_is_freed_once_its_candidates_are_gone():
     classify(cand)
     assert cand.chart.group.orbits_of_v
     group = weakref.ref(cand.chart.group)
+    groups._kept.clear()  # the group leaves the table of kept groups
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -20,7 +20,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suborbifolds import cli
+from suborbifolds import cli, groups
 from suborbifolds.scene import dump_machine_report, strip_timing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -101,30 +101,65 @@ def stripped_report(argv) -> str:
     return dump_machine_report(strip_timing(json.loads(out.getvalue())))
 
 
+def _golden(name) -> str:
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_machine_report_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
-        golden = fh.read()
-    assert stripped_report(REPORTS[name]) == golden
+    assert stripped_report(REPORTS[name]) == _golden(name)
 
 
-def test_corpus_report_matches_golden_on_warm_charts(monkeypatch):
-    # The corpus charts are built once per process and shared by every case,
-    # so neither an earlier run nor the order the cases ran in may change
-    # a report.
+def test_every_report_matches_golden_on_warm_groups(monkeypatch):
+    # A process keeps the groups it built (groups.group_from_forms) and the
+    # corpus charts, with their product rows and orbit-of-V stores, so
+    # neither an earlier command nor the order the commands ran in may
+    # change a report.
     monkeypatch.chdir(ROOT)
-    with open(os.path.join(GOLDEN_DIR, "corpus.json"), encoding="utf-8", newline="") as fh:
-        golden = fh.read()
-    stripped_report(["corpus"])
-    assert stripped_report(["corpus"]) == golden
+    names = sorted(REPORTS)
+    for name in names + names[::-1]:
+        assert stripped_report(REPORTS[name]) == _golden(name), name
+    golden = _golden("corpus.json")
     results = json.loads(golden)["results"]
-    names = sorted(results)
-    random.Random(5).shuffle(names)
-    for name in names:
-        report = json.loads(stripped_report(["corpus", "--filter", name]))
-        assert report["results"] == {name: results[name]}
+    cases = sorted(results)
+    random.Random(5).shuffle(cases)
+    for case in cases:
+        report = json.loads(stripped_report(["corpus", "--filter", case]))
+        assert report["results"] == {case: results[case]}
         assert stripped_report(["corpus"]) == golden
+
+
+def test_scenes_sharing_their_groups_but_not_v_report_as_they_do_alone(tmp_path,
+                                                                      monkeypatch):
+    # scenes/maps.json and a copy whose subspaces are moved: the same
+    # generator lists, so the second scene reads the groups the first one
+    # built, with orbit stores of other subspaces.
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join("scenes", "maps.json"), encoding="utf-8") as fh:
+        scene = json.load(fh)
+    scene["subspaces"].update({"x_axis": {"base": [0, 0], "basis": [[0, 1]]},
+                               "vertical_line": {"base": [-2, 0], "basis": [[0, 1]]}})
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(scene))
+    commands = [["classify", *MAPS], ["classify", "--scene", str(moved)]]
+    closed = []
+    close = groups._close
+    monkeypatch.setattr(groups, "_close", lambda *args: closed.append(args) or close(*args))
+    alone, closed_alone = [], []
+    for argv in commands:
+        monkeypatch.setattr(groups, "_kept", {})
+        closed.clear()
+        alone.append(stripped_report(argv))
+        closed_alone.append(len(closed))
+    assert alone[0] != alone[1] and closed_alone[0] == closed_alone[1] > 0
+    monkeypatch.setattr(groups, "_kept", {})
+    closed.clear()
+    for argv, report in zip(commands + commands[::-1], alone + alone[::-1]):
+        assert stripped_report(argv) == report, argv
+    # only the first command closed its groups; every later one was served them
+    assert len(closed) == closed_alone[0]
 
 
 def test_every_shipped_scene_has_a_golden_report():

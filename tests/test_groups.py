@@ -1,6 +1,7 @@
 """Finite matrix groups: hand-counted lattices, Lagrange, complements,
 fingerprints under relabeling, and the permutation-action core against
 matrix-product and sympy references."""
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from suborbifolds.classify import SuborbifoldCandidate, chart_from_group, induced_chart
+from suborbifolds.cli import main
 from suborbifolds.errors import (
     DimensionMismatch,
     NonInvertibleGenerator,
@@ -185,6 +187,109 @@ def test_generated_group_is_closed_once(monkeypatch):
         group = build()
         assert len(closures) == 1
         assert matrices_of(group) == oracle_group_closure(list(matrices))
+
+
+def _counting_closures(monkeypatch):
+    """Record the generator forms of every group closed from now on."""
+    closed = []
+    real = groups._close
+
+    def counting(forms, max_order):
+        closed.append(tuple(forms))
+        return real(forms, max_order)
+
+    monkeypatch.setattr(groups, "_close", counting)
+    return closed
+
+
+def test_equal_generator_forms_give_the_one_kept_group(monkeypatch):
+    closed = _counting_closures(monkeypatch)
+    b3 = generate_group(hyperoctahedral_generators(3))
+    assert generate_group(hyperoctahedral_generators(3)) is b3
+    # the same matrices written as strings read into the same forms
+    written = [[[str(x) for x in row] for row in m] for m in hyperoctahedral_generators(3)]
+    assert generate_group(written) is b3
+    rot4, klein = chart_from_group(rot4_group()), chart_from_group(klein_group())
+    product = product_chart(rot4, klein).combined.group
+    assert product_chart(chart_from_group(rot4_group()), klein).combined.group is product
+    flips = b3.subgroup_from_indices(
+        i for i, m in enumerate(matrices_of(b3))
+        if all(m[a][b] == 0 for a in range(3) for b in range(3) if a != b))
+    assert flips.promote() is flips.promote()
+    assert b3.subgroup_from_indices(flips.members).promote() is flips.promote()
+    assert len(closed) == 5 == len(set(closed))
+
+
+def test_generators_in_another_order_give_their_own_group():
+    # The Schreier tree spells elements in the generators, in order, so a
+    # group is kept per ordered generator list.
+    forward, backward = klein_group(), generate_group([SIGN_Y, SIGN_X])
+    assert backward is not forward and matrices_of(backward) == matrices_of(forward)
+    assert [forward.elements[i].matrix for i in forward.generators] == [SIGN_X, SIGN_Y]
+    assert [backward.elements[i].matrix for i in backward.generators] == [SIGN_Y, SIGN_X]
+    assert generate_group([SIGN_Y, SIGN_X]) is backward and klein_group() is forward
+
+
+def test_a_kept_group_past_max_order_is_refused_as_a_cold_build(monkeypatch):
+    b2_generators = hyperoctahedral_generators(2)
+    with pytest.raises(NotFiniteWithinBound) as cold:
+        generate_group(b2_generators, max_order=4)
+    assert not groups._kept
+    b2 = generate_group(b2_generators)
+    assert b2.order == 8
+    closed = _counting_closures(monkeypatch)
+    with pytest.raises(NotFiniteWithinBound) as warm:
+        generate_group(b2_generators, max_order=4)
+    assert str(warm.value) == str(cold.value) == "group closure exceeded max_order=4"
+    assert len(closed) == 1  # refused by a build, as a first build is
+    assert generate_group(b2_generators, max_order=8) is b2
+    assert list(groups._kept.values()) == [b2] and len(closed) == 1
+
+
+def test_a_kept_group_past_max_order_is_refused_through_the_cli(tmp_path, capsys):
+    scene = {"groups": {"b2": hyperoctahedral_generators(2)},
+             "subspaces": {"origin": {"base": [0, 0]}},
+             "candidates": {"origin": {"group": "b2", "subspace": "origin"}}}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene, default=str))
+    command = ["classify", "--scene", str(path)]
+    assert main(command) == 0
+    key = groups.read_generators(hyperoctahedral_generators(2)).forms
+    b2 = groups._kept[key]
+    capsys.readouterr()
+    assert main(command + ["--max-order", "4"]) == 2
+    assert capsys.readouterr().err == ("error: scene section 'groups': entry 'b2': "
+                                       "group closure exceeded max_order=4\n")
+    assert groups._kept[key] is b2
+    assert main(command + ["--max-order", "8"]) == 0
+    assert groups._kept[key] is b2
+
+
+@pytest.mark.parametrize("generators, error", [
+    ([ROT4, mat([[1, 0], [0, 0]])], NonInvertibleGenerator),
+    ([mat([[1, 1], [0, 1]])], NotFiniteWithinBound),
+    ([mat([[2, 0], [0, 1]])], NotFiniteWithinBound),
+])
+def test_a_refused_generator_list_is_refused_every_time_and_never_kept(monkeypatch,
+                                                                       generators, error):
+    closed = _counting_closures(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(error):
+            generate_group(generators, max_order=100)
+    assert len(closed) == 3 and not groups._kept
+
+
+def test_the_least_recently_used_group_leaves_the_table_first(monkeypatch):
+    monkeypatch.setattr(groups, "GROUPS_KEPT", 3)
+    closed = _counting_closures(monkeypatch)
+    rot4, klein, half_turn = rot4_group(), klein_group(), generate_group([ROT2])
+    assert rot4_group() is rot4  # klein is now the least recently used
+    flip = generate_group([SIGN_X])
+    assert list(groups._kept.values()) == [half_turn, rot4, flip]
+    assert generate_group([ROT2]) is half_turn and rot4_group() is rot4
+    assert klein_group() is not klein  # built again; flip leaves
+    assert len(groups._kept) == 3 and flip not in groups._kept.values()
+    assert len(closed) == 5
 
 
 def test_schreier_tree_spells_every_element():
