@@ -53,8 +53,12 @@ every element would give.
 
 The induced chart restricts only Delta's generators (``restricted_matrix``)
 and the centroid is tested on them alone: what the generators fix, Delta
-fixes. Restriction to V is a homomorphism, so each member's image is read
-off a walk of Delta from the identity, x = s y giving f(x) = f(s) f(y),
+fixes. The induced group is the one ``group_from_forms`` keeps for the
+restricted generators; for V = R^n and Delta = Gamma they are the chart
+group's own generators in lowest terms, so a chart read from its
+generator matrices gets its own group back, with no closure. Restriction
+to V is a homomorphism, so each member's image is read off a walk of
+Delta from the identity, x = s y giving f(x) = f(s) f(y),
 one product in the induced group per member. ``_check_restriction`` then
 tests the homomorphism law on every (generator, member) pair, that the map
 is onto and that its kernel is the independently computed pointwise
@@ -590,8 +594,9 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
 
     Only Delta's generators are restricted; a member x = s y (s a
     generator) has image f(s) f(y), read off a walk of Delta from the
-    identity (see the module docstring). For V = R^n and Delta = Gamma the
-    induced group is the chart group itself.
+    identity (see the module docstring). For V = R^n and Delta = Gamma
+    each restricted generator is its own form, so ``group_from_forms``
+    serves the chart group itself when that was read from those forms.
     """
     _require_saturated(cand)
     group = cand.chart.group
@@ -620,13 +625,8 @@ def induced_chart(cand: SuborbifoldCandidate) -> InducedChart:
         if any(fixed) and int_mat_vec(forms[s], fixed) != fixed_image:
             raise AssertionError("the centroid of a Delta-orbit in V is not fixed by Delta")
         restricted.append(restricted_matrix((d, forms[s]), cand.v))
-    if k == group.ambient_dim and delta.order == group.order:
-        # V = R^n has the standard basis, so each restricted generator is
-        # its generator and the group they generate is the chart group.
-        induced_group = group
-    else:
-        gens = [form_of_columns(columns) for columns in restricted] or [identity_form(k)]
-        induced_group = group_from_forms(gens, max_order=delta.order)
+    gens = [form_of_columns(columns) for columns in restricted] or [identity_form(k)]
+    induced_group = group_from_forms(gens, max_order=delta.order)
     image = {group.identity: induced_group.identity}
     steps = []
     for s, columns in zip(delta.generators, restricted):

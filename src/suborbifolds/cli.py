@@ -17,7 +17,7 @@ from .classify import (
     isotropy_point,
     isotropy_sub_point,
 )
-from .errors import NotFiniteWithinBound, SuborbifoldError
+from .errors import SuborbifoldError
 from .groups import DEFAULT_MAX_ORDER
 from .linalg import contains_point, point_str, rat, vec
 from .maps import (
@@ -225,12 +225,7 @@ def cmd_metric_check(args) -> int:
     if args.scene is not None:
         probes = _load_scene(args).probes
     else:
-        probes = corpus_mod.metric_probes()
-        # The corpus charts are built once per process without the bound, so
-        # the bound is checked on their orders, as a scene's groups are when built.
-        if any(probe.candidate.chart.group.order > args.max_order
-               for probe in probes.values()):
-            raise NotFiniteWithinBound(args.max_order)
+        probes = corpus_mod.metric_probes(args.max_order)
     if not probes:
         raise SuborbifoldError("the scene has no metric probes to check")
     if args.probe is not None:

@@ -4,23 +4,19 @@ Each case builds a candidate, classifies it and compares against the
 expected verdicts. The corpus doubles as the ground truth for the
 acceptance suite and the `corpus` CLI command.
 
-The charts of the cases and of the metric probes are constants: each is
-built once per process, on first use, and every case and probe reads that
-one copy with its product rows and orbit-of-V stores. Candidates, probes
-and verdicts are still built on every call. The chart builders
-(``rot4_chart()``, ``klein_chart()``, ...) return fresh charts, and each
+The chart builders (``rot4_chart()``, ``klein_chart()``, ...) read their
+generators into integer forms once, at import (reading the Fractions on
+every build cost the ``corpus`` benchmark 7% of its queries/s,
+``BENCH_group_table.json``), and return a fresh chart on every call,
+whose group comes from ``groups.group_from_forms``'s table. So every case
+and probe shares one group per chart, with its product rows and orbit-of-V
+stores, while its candidate, probe and verdicts are built on every call
+(product-diagonal's product chart too, over the kept product group). Each
 candidate builder (``rotation_line_candidate(chart)``, ...) uses the chart
-it is given; their groups come from ``groups.group_from_forms``'s table,
-so a fresh chart of a builder shares its group with ``_shared``'s. The
-table shares groups only: without ``_shared`` every case reads its
-Fraction generators and builds its chart again, and over 3 pairs of 20 s
-``corpus`` benchmark runs the median p50 went from 0.304 to 0.351 ms, p90
-from 1.29 to 1.49 ms and queries/s from 1806 to 1683 (shared 2-core Xeon,
-Python 3.11; ``BENCH_group_table.json``).
+it is given.
 """
 from __future__ import annotations
 
-import functools
 import time
 from fractions import Fraction
 
@@ -30,7 +26,7 @@ from .classify import (
     classify,
     full_obstruction_probe,
 )
-from .groups import generate_group, realify
+from .groups import DEFAULT_MAX_ORDER, group_from_forms, read_generators, realify
 from .linalg import (
     affine_subspace,
     mat,
@@ -48,21 +44,21 @@ SIGN_X = mat([[-1, 0], [0, 1]])
 SIGN_Y = mat([[1, 0], [0, -1]])
 
 
-def rot4_chart() -> ChartModel:
-    return ChartModel(generate_group([ROT4_GEN]))
+def _chart_builder(generators):
+    """A builder of the chart the generators generate: they are read into
+    integer forms once, here, and each build asks ``group_from_forms``."""
+    forms = read_generators(generators)
+
+    def build(max_order: int = DEFAULT_MAX_ORDER) -> ChartModel:
+        return ChartModel(group_from_forms(forms, max_order))
+
+    return build
 
 
-def line_chart() -> ChartModel:
-    return ChartModel(generate_group([mat([[-1]])]))
-
-
-def klein_chart() -> ChartModel:
-    return ChartModel(generate_group([SIGN_X, SIGN_Y]))
-
-
-def z4_realified_chart() -> ChartModel:
-    gen = realify([[(0, 1), (0, 0)], [(0, 0), (-1, 0)]])
-    return ChartModel(generate_group([gen]))
+rot4_chart = _chart_builder([ROT4_GEN])
+line_chart = _chart_builder([[[-1]]])
+klein_chart = _chart_builder([SIGN_X, SIGN_Y])
+z4_realified_chart = _chart_builder([realify([[(0, 1), (0, 0)], [(0, 0), (-1, 0)]])])
 
 
 def x_axis():
@@ -79,17 +75,6 @@ def r4_diagonal():
 
 def second_complex_axis():
     return affine_subspace([0, 0, 0, 0], [[0, 0, 1, 0], [0, 0, 0, 1]])
-
-
-@functools.cache
-def _shared(build):
-    """What ``build()`` returns, built once per process on first use."""
-    return build()
-
-
-def _rot4_squared():
-    rot4 = _shared(rot4_chart)
-    return product_chart(rot4, rot4)
 
 
 def rotation_line_candidate(chart: ChartModel) -> SuborbifoldCandidate:
@@ -189,56 +174,56 @@ def _no_complement_check(cand, report):
 CASES = (
     CorpusCase(
         "rotation-line",
-        lambda: rotation_line_candidate(_shared(rot4_chart)),
+        lambda: rotation_line_candidate(rot4_chart()),
         {"saturated": True, "full": False, "embedded": True,
          "fullness_witness": True},
         checks=(_fullness_witness_check(ROT4_GEN, [0, 0]),),
     ),
     CorpusCase(
         "point-in-rotation-chart",
-        lambda: point_candidate(_shared(rot4_chart)),
+        lambda: point_candidate(rot4_chart()),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "point-in-line-chart",
-        lambda: point_candidate(_shared(line_chart)),
+        lambda: point_candidate(line_chart()),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "point-in-sign-chart",
-        lambda: point_candidate(_shared(klein_chart)),
+        lambda: point_candidate(klein_chart()),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "open-rotation-chart",
-        lambda: open_candidate(_shared(rot4_chart)),
+        lambda: open_candidate(rot4_chart()),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "open-line-chart",
-        lambda: open_candidate(_shared(line_chart)),
+        lambda: open_candidate(line_chart()),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "open-sign-chart",
-        lambda: open_candidate(_shared(klein_chart)),
+        lambda: open_candidate(klein_chart()),
         {"saturated": True, "full": True, "embedded": True},
     ),
     CorpusCase(
         "product-diagonal",
-        lambda: product_diagonal_candidate(_shared(_rot4_squared)),
+        lambda: product_diagonal_candidate(product_chart(rot4_chart(), rot4_chart())),
         {"saturated": True, "full": False, "embedded": True},
     ),
     CorpusCase(
         "diagonal-half-turn",
-        lambda: diagonal_half_turn_candidate(_shared(klein_chart)),
+        lambda: diagonal_half_turn_candidate(klein_chart()),
         {"saturated": True, "full": False, "embedded": True,
          "obstruction_expected": True, "obstruction_consistent": False},
         checks=(_obstruction_check([0, 0], expect_consistent=False),),
     ),
     CorpusCase(
         "complex-axis",
-        lambda: complex_axis_candidate(_shared(z4_realified_chart)),
+        lambda: complex_axis_candidate(z4_realified_chart()),
         {"saturated": True, "full": True, "embedded": False,
          "no_complement_certificate": True, "searched_all_delta": True},
         search_all_delta=True,
@@ -247,16 +232,17 @@ CASES = (
 )
 
 
-def metric_probes() -> dict[str, MetricProbe]:
+def metric_probes(max_order: int = DEFAULT_MAX_ORDER) -> dict[str, MetricProbe]:
     """Corpus probes for the metric-coincidence lemma.
 
     The probes are on the candidates of the corpus cases of the same name,
-    on the rot4 and Klein charts those cases read, built once per process;
-    each candidate and probe is built, with its checks, on every call.
+    on the rot4 and Klein charts those cases read, whose groups are bounded
+    by ``max_order`` as a scene's are; each candidate and probe is built,
+    with its checks, on every call.
     """
     return {
         "rotation-line": MetricProbe(
-            rotation_line_candidate(_shared(rot4_chart)),
+            rotation_line_candidate(rot4_chart(max_order)),
             tuple(
                 (vec([a, 0]), vec([b, 0]))
                 for a, b in [(1, -2), (0, 1), (Fraction(1, 2), Fraction(-1, 3)),
@@ -264,7 +250,7 @@ def metric_probes() -> dict[str, MetricProbe]:
             ),
         ),
         "diagonal-half-turn": MetricProbe(
-            diagonal_half_turn_candidate(_shared(klein_chart)),
+            diagonal_half_turn_candidate(klein_chart(max_order)),
             tuple(
                 (vec([a, a]), vec([b, b]))
                 for a, b in [(1, -1), (0, 2), (Fraction(1, 3), Fraction(-1, 2)),

@@ -3,20 +3,29 @@
 Every group is built by ``group_from_forms`` from generators given as
 integer forms (d, d g), the one place that checks them.
 ``read_generators`` reads generators written as ints, Fractions or "p/q"
-strings into those forms (``linalg.int_matrix``, one reader with
-``affine_subspace``) for ``generate_group``, and the package's own
-constructions (product charts, promoted subgroups, induced charts) pass
-the integer forms of matrices they already hold, so no Fraction is built
-on the way. A caller with no generators, such as
-``trivial_group``, passes the identity of its dimension.
+strings into a tuple of those forms (``linalg.int_matrix``, one reader
+with ``affine_subspace``): ``generate_group`` closes them at once, while
+a scene reads its groups' forms when it is read and the corpus its
+charts' when it is imported, and each asks ``group_from_forms`` for a
+group when one is used. The package's own constructions (product charts,
+promoted subgroups, induced charts) pass the integer forms of matrices
+they already hold, so no Fraction is built on the way. A caller with no
+generators, such as ``trivial_group``, passes the identity of its
+dimension.
 
 ``group_from_forms`` keeps the ``GROUPS_KEPT`` groups it built last,
 keyed by their generator forms as given, so a generator list that recurs
-in a process (a scene read again, a product or induced chart built again)
-is closed once, and its group keeps its product rows, Schreier tree and
-orbit-of-V stores for every later caller. A group depends on its
-generator list alone, so no verdict, witness or report tells whether it
-was kept.
+in a process (a scene read again, a corpus chart, a product or induced
+chart built again) is closed once, and its group keeps its product rows,
+Schreier tree and orbit-of-V stores for every later caller. It is the one
+place that keeps groups and the one that bounds them: a kept group is
+served only within ``max_order``, so no caller keeps a chart of its own or
+checks an order after the fact. The induced chart of V = R^n with
+Delta = Gamma restricts each generator to its own form in lowest terms,
+as ``read_generators`` reads it, so on a chart read from distinct
+generator matrices it is served the chart group itself. A group depends
+on its generator list alone, so no verdict, witness or report tells
+whether it was kept.
 
 Element order is canonical (lexicographic on matrix entries), so equal
 groups have identical element lists whatever generated them, and every
@@ -142,9 +151,9 @@ SUBGROUP_ENUMERATION_BOUND = 512
 CHECK_ORBIT_PAST = 64
 # How many groups ``group_from_forms`` keeps (see there). On 40 passes at
 # seed 1 the benchmark workloads ask for 2240 groups from 16 distinct
-# generator lists (scenes), 875 from 20 (ladder) and 365 from 5 (corpus);
+# generator lists (scenes), 955 from 20 (ladder) and 1400 from 5 (corpus);
 # bounds of 8, 16, 32 and 64 close 667, 16, 16 and 16 groups on scenes and
-# 188, 23, 20 and 20 on ladder, and 5 at each bound on corpus. 64 leaves
+# 289, 35, 20 and 20 on ladder, and 5 at each bound on corpus. 64 leaves
 # room above the 32 at which ladder stops closing a group twice.
 GROUPS_KEPT = 64
 _kept: dict = {}  # generator forms as given -> their group, least recently used first
@@ -249,9 +258,6 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __eq__(self, other) -> bool:
         return (other.__class__ is self.__class__
                 and self.integer_forms == other.integer_forms)
@@ -353,9 +359,6 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.members)
-
-    def __len__(self) -> int:
         return len(self.members)
 
     @cached_property
@@ -487,19 +490,12 @@ def _close_permutations(generators, degree: int, limit: int) -> set[tuple[int, .
     return seen
 
 
-@record
-class GeneratorForms:
-    """Generators as ``read_generators`` returns them: integer forms
-    (d, d g) with sparse rows, all n x n."""
-
-    forms: tuple[tuple[int, IntMat], ...]
-
-
-def read_generators(generators) -> GeneratorForms:
-    """The generators, each read once into integer rows over its own
-    denominator (``int_matrix``: ints, Fractions and "p/q" strings) and
-    checked to be square and of one size. The trivial group needs the
-    identity as its generator: an empty list has no dimension.
+def read_generators(generators) -> tuple[tuple[int, IntMat], ...]:
+    """The generators as integer forms (d, d g) with sparse rows, each read
+    once over its own denominator (``int_matrix``: ints, Fractions and
+    "p/q" strings) and checked to be square and of one size. The trivial
+    group needs the identity as its generator: an empty list has no
+    dimension.
     """
     matrices = [int_matrix(g) for g in generators]
     if not matrices:
@@ -508,20 +504,13 @@ def read_generators(generators) -> GeneratorForms:
     n = len(matrices[0][1])
     if any(len(rows) != n or any(len(row) != n for row in rows) for _, rows in matrices):
         _refuse_generators(n, matrices)
-    return GeneratorForms(tuple([(d, sparse(rows)) for d, rows in matrices]))
+    return tuple([(d, sparse(rows)) for d, rows in matrices])
 
 
 def generate_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
-    """Closure of the generators, with canonical ordering.
-
-    The generators are matrices, read by ``read_generators``, or what
-    ``read_generators`` returned for them (a scene reads its groups when
-    it is read and builds each on first use); ``group_from_forms`` closes
-    them.
-    """
-    if type(generators) is not GeneratorForms:
-        generators = read_generators(generators)
-    return group_from_forms(generators.forms, max_order)
+    """Closure of the generator matrices, with canonical ordering: they are
+    read by ``read_generators`` and closed by ``group_from_forms``."""
+    return group_from_forms(read_generators(generators), max_order)
 
 
 def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:

@@ -653,10 +653,9 @@ def restricted_matrix(form: tuple[int, IntMat],
     canonical basis, each as a point (den, den c) in lowest terms.
 
     m is given as (d, d m) in sparse rows (``sparse``). Column j holds the
-    coordinates of m b_j, its entries at the basis pivots; ValueError is
-    raised when some m b_j is not in the direction space.
-    ``form_of_columns`` turns the columns into (d', d' r) for the
-    restricted matrix r.
+    coordinates of m b_j, its entries at the basis pivots, and m must map
+    the direction space into itself. ``form_of_columns`` turns the columns
+    into (d', d' r) for the restricted matrix r.
     """
     d, rows = form
     columns = []
@@ -665,7 +664,10 @@ def restricted_matrix(form: tuple[int, IntMat],
         e, y = d * b[p], int_mat_vec(rows, b)
         coords = pivot_read(v, v.den * e, [e * x + v.den * t for x, t in zip(v.base, y)])
         if coords is None:
-            raise ValueError("image does not lie in the direction space")
+            # Unreachable: the package's one caller, ``classify.induced_chart``,
+            # passes a generator g of Delta and a Delta-invariant V, so
+            # g V = V and g maps V's direction space onto itself.
+            raise AssertionError("image does not lie in the direction space")
         columns.append(lowest_terms(v.den * e, coords))
     return tuple(columns)
 

@@ -68,7 +68,7 @@ from .groups import (
     FiniteMatrixGroup,
     GroupHom,
     Subgroup,
-    generate_group,
+    group_from_forms,
     read_generators,
 )
 from .linalg import (
@@ -220,7 +220,7 @@ def read_scene(text: str, max_order: int | None = None) -> SceneFile:
     kwargs = {} if max_order is None else {"max_order": max_order}
 
     def read_group(where, gens):
-        return partial(generate_group, read_generators(_entries(gens, "the generators")),
+        return partial(group_from_forms, read_generators(_entries(gens, "the generators")),
                        **kwargs)
 
     def read_subgroup(where, spec):

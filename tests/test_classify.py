@@ -499,9 +499,9 @@ def test_search_all_delta_answers_b4_and_b5_without_the_lattice(n):
 
 
 def test_public_corpus_builders_return_fresh_charts(monkeypatch):
-    # The corpus cases share one chart per process; the chart builders
-    # return a fresh chart each time, over the one group kept for their
-    # generators, and each candidate builder uses the chart it is given.
+    # The chart builders return a fresh chart each time, over the one group
+    # kept for their generators, and each candidate builder uses the chart
+    # it is given.
     # Once the table of kept groups is emptied the next build is a new
     # group, so the counting tests above start from an empty orbit store.
     for builder in (rot4_chart, klein_chart, z4_realified_chart):

@@ -254,7 +254,7 @@ def test_a_kept_group_past_max_order_is_refused_through_the_cli(tmp_path, capsys
     path.write_text(json.dumps(scene, default=str))
     command = ["classify", "--scene", str(path)]
     assert main(command) == 0
-    key = groups.read_generators(hyperoctahedral_generators(2)).forms
+    key = groups.read_generators(hyperoctahedral_generators(2))
     b2 = groups._kept[key]
     capsys.readouterr()
     assert main(command + ["--max-order", "4"]) == 2

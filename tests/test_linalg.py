@@ -374,6 +374,9 @@ def test_direction_sum():
     b = affine_subspace([0, 0], [[0, 1]])
     assert direction_sum_is_full(a, b)
     assert not direction_sum_is_full(a, a)
+    # two points stack no direction: full only in R^0
+    assert not direction_sum_is_full(single_point([0, 0]), single_point([1, 2]))
+    assert direction_sum_is_full(single_point([]), single_point([]))
 
 
 # ---------------------------------------------------------------------------

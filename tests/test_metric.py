@@ -20,7 +20,7 @@ from suborbifolds.corpus import (
     rotation_line_candidate,
     x_axis,
 )
-from suborbifolds import linalg, metric
+from suborbifolds import groups, linalg, metric
 from suborbifolds.errors import (
     CandidateNotSaturated,
     ChartMismatch,
@@ -409,10 +409,11 @@ def test_metric_check_tests_orthogonality_once_per_probe(monkeypatch, capsys):
 
 
 def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
-    # The corpus charts are constants, shared by the cases and the probes: a
-    # later call builds no group, but it still builds both probes and runs
-    # their orthogonality checks, and still classifies every case. Each
-    # probe is on the candidate its corpus case classifies.
+    # The corpus charts' groups are kept by groups.group_from_forms and
+    # shared by the cases and the probes: a later call closes no group, but
+    # it still builds both probes and runs their orthogonality checks, and
+    # still classifies every case. Each probe is on the candidate its corpus
+    # case classifies, over the same group.
     corpus = sys.modules["suborbifolds.corpus"]
     first = metric_probes()
     assert corpus.run_corpus().ok
@@ -420,26 +421,25 @@ def test_corpus_probe_charts_are_built_once_per_process(monkeypatch):
     require_orthogonal = metric._require_orthogonal
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a corpus chart was built again")
+        raise AssertionError("a corpus group was closed again")
 
-    monkeypatch.setattr(corpus, "generate_group", refuse)
-    monkeypatch.setattr(corpus, "product_chart", refuse)
+    monkeypatch.setattr(groups, "_close", refuse)
     monkeypatch.setattr(metric, "_require_orthogonal",
                         lambda group: checked.append(group) or require_orthogonal(group))
     second = metric_probes()
     assert len(checked) == len(second) == 2
     for name, probe in second.items():
         assert probe is not first[name] and probe == first[name]
-        assert probe.candidate.chart is first[name].candidate.chart
+        assert probe.candidate.chart.group is first[name].candidate.chart.group
     assert corpus.run_corpus().ok
     candidates = {case.name: case.build() for case in corpus.CASES}
-    charts = {name: cand.chart for name, cand in candidates.items()}
+    chart_groups = {name: cand.chart.group for name, cand in candidates.items()}
     for name, probe in second.items():
         assert candidates[name] == probe.candidate
-        assert charts[name] is probe.candidate.chart
-    assert charts["point-in-rotation-chart"] is charts["rotation-line"]
-    assert charts["open-sign-chart"] is charts["diagonal-half-turn"]
-    assert charts["open-line-chart"] is charts["point-in-line-chart"]
+        assert chart_groups[name] is probe.candidate.chart.group
+    assert chart_groups["point-in-rotation-chart"] is chart_groups["rotation-line"]
+    assert chart_groups["open-sign-chart"] is chart_groups["diagonal-half-turn"]
+    assert chart_groups["open-line-chart"] is chart_groups["point-in-line-chart"]
 
 
 # A reflection with denominator 3: I - (2/3) J fixes the plane x + y + z = 0

@@ -510,14 +510,17 @@ def test_cli_max_order_bounds_the_scene_groups(scene_path, capsys):
 
 
 def test_cli_max_order_bounds_the_corpus_probe_groups(capsys):
-    # Without --scene the probes read the corpus charts, built once per
-    # process, so the bound is checked on their orders (4) before any distance.
+    # Without --scene the probes read the corpus charts, whose groups (order
+    # 4) are bounded as a scene's are, before any distance: first on an
+    # empty table of kept groups, then with the groups kept.
+    assert main(["metric-check", "--max-order", "3"]) == 2
+    cold = capsys.readouterr()
     assert main(["metric-check", "--max-order", "4"]) == 0
     capsys.readouterr()
     assert main(["metric-check", "--max-order", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: group closure exceeded max_order=3\n"
+    warm = capsys.readouterr()
+    assert cold.out == warm.out == ""
+    assert cold.err == warm.err == "error: group closure exceeded max_order=3\n"
 
 
 def test_cli_refuses_a_scene_group_of_infinite_order_at_once(tmp_path, capsys):

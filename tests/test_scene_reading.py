@@ -278,14 +278,12 @@ def test_a_package_fault_in_a_build_exits_3(error, monkeypatch, capsys):
     # Only a DimensionMismatch in a build is a fault of the scene; a KeyError
     # or TypeError there, or while the scene was read, was reported as a
     # malformed scene entry (exit 2).
-    groups = sys.modules["suborbifolds.groups"]
-
     def broken(*args, **kwargs):
         raise error("boom")
 
     scene = str(SCENES / "rotation_line.json")
     internal = f"internal error: {error.__name__}: {error('boom')}\n"
-    monkeypatch.setattr(groups, "group_from_forms", broken)
+    monkeypatch.setattr(scene_mod, "group_from_forms", broken)
     assert main(["classify", "--scene", scene]) == 3
     assert capsys.readouterr().err == internal
     monkeypatch.undo()
@@ -318,13 +316,13 @@ WORKLOAD_SCENE = {
 def built(monkeypatch):
     """The arguments of each group the scene module builds."""
     calls = []
-    generate = scene_mod.generate_group
+    generate = scene_mod.group_from_forms
 
     def counted(*args, **kwargs):
         calls.append(args)
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(scene_mod, "generate_group", counted)
+    monkeypatch.setattr(scene_mod, "group_from_forms", counted)
     return calls
 
 
