@@ -43,13 +43,13 @@ replay: a saturation witness is the first point of
 matches, so that order fixes its bytes. The samples are integer forms,
 and only the witness is built as Fractions.
 
-Fullness reads the same store: a point of V that g fixes lies in W_g, so
-an element whose W_g is empty is skipped, and Fix(g) & V is solved on
-W_g, once per W_g and image of W_g's points (elements with equal images
-act alike on W_g). Every element is still scanned, in index order (fixing
-a point of V is not constant on a coset Delta g), and the canonical form
-of the fixed set is unique, so the witness is the one a solve on V for
-every element would give.
+Fullness (Delta) and the regular part (the trivial subgroup) share one
+scan of the same store, ``OrbitOfV.first_fixing``: the first g outside a
+subgroup, in index order, that fixes a point of V, which then lies in
+W_g. So an element whose W_g is empty is skipped, and Fix(g) & V is
+solved on W_g once per W_g and label (equal images act alike on W_g) and
+kept with W_g while V is kept. The canonical form of the fixed set is
+unique, so the witness is the one a solve on V for every element gives.
 
 The induced chart restricts only Delta's generators (``restricted_matrix``)
 and the centroid is tested on them alone: what the generators fix, Delta
@@ -76,6 +76,7 @@ from weakref import proxy
 from .errors import (
     CandidateNotSaturated,
     ChartMismatch,
+    DimensionMismatch,
     GroupNotAbelian,
     NonInvariant,
     PointNotInV,
@@ -142,10 +143,11 @@ def localize_chart(chart: ChartModel, x0) -> ChartModel:
     """Chart re-centered at x0: group becomes the stabilizer of x0.
 
     Conjugating a linear map fixing x0 by the translation to x0 leaves
-    its matrix unchanged, so only the group shrinks.
+    its matrix unchanged, so only the group shrinks; a chart whose group
+    fixes x0 is its own localization.
     """
     stab = stabilizer(chart.group, vec(x0))
-    return ChartModel(stab.promote())
+    return chart if stab.order == chart.group.order else ChartModel(stab.promote())
 
 
 def _first_moving_element(sub, v: AffineSubspace):
@@ -161,10 +163,10 @@ class SuborbifoldCandidate:
 
     The candidate is immutable, so its saturation verdict, the kernel of
     its action and its induced chart are computed at most once, on first
-    use. The V-only part of saturation (``orbit_of_v``) is kept on the
-    chart group instead, for the ``ORBITS_OF_V_KEPT`` most recently used
-    V, so candidates with the same group and V share it whatever their
-    Delta. The invariance test on construction reads g V from it too, so
+    use. The V-only part of saturation and fullness (``orbit_of_v``) is
+    kept on the chart group instead, for the ``ORBITS_OF_V_KEPT`` most
+    recently used V, so candidates with the same group and V share it
+    whatever their Delta. The invariance test on construction reads g V from it too, so
     building a candidate enters V in the store.
     """
 
@@ -317,9 +319,9 @@ def check_saturated(cand: SuborbifoldCandidate) -> Verdict:
 # How many subspaces a chart group keeps the OrbitOfV of. On 20 passes of
 # the ladder benchmark at seed 1 (B2, B3 and B3 x Z2 charts; 940 queries on
 # 155 distinct subspaces) bounds of 4, 8, 16, 32 and 64 build 336, 228, 176,
-# 159 and 155 of them. At 32 the 96 stores kept hold 1334 KB (13.9 KB each,
-# by tracemalloc, Python 3.11.7), against 1849 KB (19.3 KB each) when each
-# W_g set aside a slot per element.
+# 159 and 155 of them. At 32 the 96 stores kept hold 1309 KB (13.6 KB each,
+# by tracemalloc, Python 3.11.7; 1259 KB without the fixed sets), against
+# 1849 KB when each W_g set aside a slot per element.
 ORBITS_OF_V_KEPT = 32
 
 
@@ -343,9 +345,10 @@ class OrbitOfV:
     ``image_on(entry, h)`` labels h's ``int_images`` on W_g's points, found
     the first time it is asked: the entry keeps each distinct tuple of
     images once and a small-int label per element asked, so equal labels
-    mean equal images. Nothing is set aside per element for a W_g, so a
-    kept V costs memory in proportion to the orbit walked, the W_g solved
-    and the images asked.
+    mean equal images; the entry keeps Fix(g) & W_g per label too, once
+    ``first_fixing`` asks. Nothing is set aside per element for a W_g, so
+    a kept V costs memory in proportion to the orbit walked, the W_g
+    solved and the images and fixed sets asked.
     """
 
     __slots__ = ("_group", "_d", "_forms", "_v", "_equations", "_orbit", "_position",
@@ -377,8 +380,8 @@ class OrbitOfV:
         # p k + j -> position of s_j (x V), for x V at p and the k generators s_j
         self._moves = array("i", [-1]) * len(group.generators)
         self._w: dict = {}  # position of g^-1 V -> the entry of W_g, or None
-        # W_g -> its entry, one per distinct W_g, so that a label means the
-        # same images wherever W_g is met (check_full keys on (W_g, label))
+        # W_g -> (W_g, its points, labels, images -> label, label -> Fix & W_g),
+        # one per distinct W_g, so a label means the same wherever W_g is met
         self._entries: dict = {}
 
     def image(self, x: int) -> AffineSubspace:
@@ -422,19 +425,35 @@ class OrbitOfV:
         if w is not None:
             entry = self._entries.get(w)
             if entry is None:
-                entry = self._entries[w] = (w, int_points(w), {}, {})
+                entry = self._entries[w] = (w, int_points(w), {}, {}, {})
         self._w[p] = entry
         return entry
 
     def image_on(self, entry, h: int) -> int:
         """A label for element h's ``int_images`` on the points of the
         entry's W_g: equal labels on one entry mean equal images."""
-        _, points, labels, classes = entry
+        _, points, labels, classes, _ = entry
         label = labels.get(h)
         if label is None:
             images = int_images(self._forms[h], points)
             label = labels[h] = classes.setdefault(images, len(classes))
         return label
+
+    def first_fixing(self, excluded: Subgroup):
+        """(g, Fix(g) & V) for the first g outside ``excluded``, in index
+        order, with Fix(g) & V nonempty, or None (see the module docstring)."""
+        for g in range(self._group.order):
+            if excluded.contains(g):
+                continue
+            entry = self.w_g(g)
+            if entry is None:
+                continue
+            label, fixed = self.image_on(entry, g), entry[4]
+            if label not in fixed:
+                fixed[label] = fixed_points((self._d, self._forms[g]), entry[0])
+            if fixed[label] is not None:
+                return g, fixed[label]
+        return None
 
 
 def _require_saturated(cand: SuborbifoldCandidate) -> None:
@@ -444,52 +463,22 @@ def _require_saturated(cand: SuborbifoldCandidate) -> None:
             f"candidate is not saturated (witness: {verdict.witness.describe()})")
 
 
-def _first_fixing_element(group: FiniteMatrixGroup, v: AffineSubspace, excluded):
-    """First element outside ``excluded`` fixing a point of v, with that point.
-
-    The point is the canonical base point of Fix(g) & v.
-    """
-    d, forms = group.integer_forms
-    for g in range(group.order):
-        if g in excluded:
-            continue
-        fixed = fixed_points((d, forms[g]), v)
-        if fixed is not None:
-            return g, fraction_point(fixed.den, fixed.base)
-    return None
-
-
 def check_full(cand: SuborbifoldCandidate) -> Verdict:
     """For saturated candidates: does any outside element fix a point of v?
 
     The first such element in index order is the witness, with the
-    canonical base point of its fixed points on v, as
-    ``_first_fixing_element`` would find them; each Fix(g) & v is solved
-    on W_g from the chart group's ``OrbitOfV`` (see the module docstring).
+    canonical base point of its fixed points on v, from the chart group's
+    ``OrbitOfV`` for v (``first_fixing``, see the module docstring).
     """
     _require_saturated(cand)
     group = cand.chart.group
-    delta = cand.delta
-    if delta.order == group.order:  # no element outside Delta
+    if cand.delta.order == group.order:  # no element outside Delta
         return Verdict(True)
-    d, forms = group.integer_forms
-    orbit = cand.orbit_of_v
-    solved: dict = {}  # (W_g, label of g's images of W_g's points) -> Fix(g) & W_g
-    for g in range(group.order):
-        if delta.contains(g):
-            continue
-        entry = orbit.w_g(g)
-        if entry is None:
-            continue
-        key = (entry[0], orbit.image_on(entry, g))
-        if key in solved:
-            fixed = solved[key]
-        else:
-            fixed = solved[key] = fixed_points((d, forms[g]), entry[0])
-        if fixed is not None:
-            point = fraction_point(fixed.den, fixed.base)
-            return Verdict(False, Witness(group.element(g), point))
-    return Verdict(True)
+    found = cand.orbit_of_v.first_fixing(cand.delta)
+    if found is None:
+        return Verdict(True)
+    g, fixed = found
+    return Verdict(False, Witness(group.element(g), fraction_point(fixed.den, fixed.base)))
 
 
 @record
@@ -711,8 +700,12 @@ def full_obstruction_probe(cand: SuborbifoldCandidate, x) -> bool:
 
 
 def contained_in_regular_part(chart: ChartModel, v: AffineSubspace) -> bool:
-    """True iff no nontrivial element fixes any point of v."""
-    return _first_fixing_element(chart.group, v, {chart.group.identity}) is None
+    """True iff no nontrivial element fixes any point of v (``check_full``'s
+    scan with the trivial subgroup for Delta)."""
+    group = chart.group
+    if v.ambient_dim != group.ambient_dim:  # refused before V enters the store
+        raise DimensionMismatch("ambient dimensions differ")
+    return OrbitOfV.of(group, v).first_fixing(Subgroup(group, (group.identity,))) is None
 
 
 @record

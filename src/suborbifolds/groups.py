@@ -519,16 +519,21 @@ def group_from_forms(forms, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixG
 
     The ``GROUPS_KEPT`` groups built last are kept, keyed by the forms as
     given and in order, least recently used first. A kept group is served
-    only when its order is at most ``max_order``; otherwise the forms are
-    closed again, which refuses them as a first build does and leaves the
-    kept group in place. A build that raises keeps nothing.
+    only when its order is at most ``max_order``; otherwise it is refused
+    as a first build refuses it, and stays in place. A build that raises
+    keeps nothing.
     """
     key = tuple(forms)
     group = _kept.get(key)
-    if group is None or group.order > max_order:
+    if group is None:
         group = _close(forms, max_order)
         if len(_kept) >= GROUPS_KEPT:
             del _kept[next(iter(_kept))]
+    elif group.order > max_order:
+        # What a cold build raises: the generators passed ``_close``'s checks
+        # once, so closed again they stop only at the orbit cap or the
+        # closure's bound, which both raise this, and the group is too big.
+        raise NotFiniteWithinBound(max_order)
     else:
         del _kept[key]
     _kept[key] = group

@@ -22,6 +22,7 @@ from .classify import (
     check_full,
     check_saturated,
     contained_in_regular_part,
+    localize_chart,
 )
 from .errors import (
     ChartMismatch,
@@ -46,7 +47,6 @@ from .groups import (
     first_failure,
     group_from_forms,
     pointwise_stabilizer,
-    stabilizer,
 )
 from .linalg import (
     AffineSubspace,
@@ -399,23 +399,19 @@ def regular_value_preimage(
     # preimage is solved once, in preimage_suborbifold.
     if rank_at(f) != f.codomain.ambient_dim:
         raise RankDeficient("rank of the lift is below the codomain dimension")
-    gamma2 = f.codomain.group
-    stab = stabilizer(gamma2, q)
-    if stab.order != gamma2.order:
-        # Localize the codomain so its group is the isotropy of q: theta(g)
-        # must fix q, and is found in the promoted stabilizer by its columns.
-        if first_failure(f.domain.group, lambda g: not stab.contains(f.theta(g))) is not None:
+    local = localize_chart(f.codomain, q)
+    if local is not f.codomain:
+        # theta(g) must fix q, so it is found in the localized group by its
+        # columns, and None means theta moves q.
+        gamma2 = f.codomain.group
+        theta = tuple([local.group.element_with_columns(gamma2.columns(f.theta(g)))
+                       for g in range(f.domain.group.order)])
+        if None in theta:
             raise NotLocalized(
                 "theta moves the regular value; localize the codomain chart"
             )
-        local = stab.promote()
-        theta = GroupHom(
-            f.domain.group,
-            local,
-            tuple(local.element_with_columns(gamma2.columns(f.theta(g)))
-                  for g in range(f.domain.group.order)),
-        )
-        f = map_from_forms(f.domain, ChartModel(local), f.linear, f.offset, theta)
+        f = map_from_forms(f.domain, local, f.linear, f.offset,
+                           GroupHom(f.domain.group, local.group, theta))
     point = SuborbifoldCandidate(f.codomain, f.codomain.group.full_subgroup(), single_point(q))
     result = preimage_suborbifold(f, point)
     expected = f.domain.ambient_dim - f.codomain.ambient_dim

@@ -34,7 +34,9 @@ from suborbifolds.linalg import (
     affine_subspace,
     contains_point,
     equations,
+    fixed_points,
     form_of_columns,
+    fraction_point,
     identity_form,
     int_mat_vec,
     is_invertible,
@@ -336,6 +338,20 @@ def oracle_full(cand: SuborbifoldCandidate) -> bool:
         if oracle_solve(rows, rhs) is not None:
             return False  # some outside element fixes a point of V
     return True
+
+
+def first_fixing_element(group, v: AffineSubspace, excluded):
+    """First element outside ``excluded``, in index order, fixing a point of
+    v, with the canonical base point of Fix(g) & v, or None: one solve on v
+    per element (the reference for the orbit store's solves on W_g)."""
+    d, forms = group.integer_forms
+    for g in range(group.order):
+        if g in excluded:
+            continue
+        fixed = fixed_points((d, forms[g]), v)
+        if fixed is not None:
+            return g, fraction_point(fixed.den, fixed.base)
+    return None
 
 
 def verify_fullness_witness(cand: SuborbifoldCandidate, witness) -> bool:

@@ -14,7 +14,6 @@ import pytest
 from suborbifolds.classify import (
     SuborbifoldCandidate,
     _agrees_on,
-    _first_fixing_element,
     _first_moving_element,
     _witness_point,
     abelian_omega_isotropy,
@@ -67,6 +66,7 @@ from suborbifolds.linalg import (
 
 from oracles import (
     conjugate_all,
+    first_fixing_element,
     hyperoctahedral_generators,
     int_form,
     matrices_of,
@@ -846,6 +846,10 @@ def test_contained_in_regular_part():
     assert not contained_in_regular_part(chart, x_axis())  # hits the origin
     shifted = affine_subspace([0, 1], [[1, 0]])
     assert contained_in_regular_part(chart, shifted)
+    kept = dict(chart.group.orbits_of_v)
+    with pytest.raises(DimensionMismatch, match="^ambient dimensions differ$"):
+        contained_in_regular_part(chart, whole_space(3))
+    assert chart.group.orbits_of_v == kept
 
 
 @pytest.mark.parametrize("max_group_order", [16, 48])
@@ -956,11 +960,11 @@ def test_induced_chart_matches_the_per_member_restriction(monkeypatch):
     module = sys.modules["suborbifolds.classify"]
     restricted = []
     real = module.restricted_matrix
-    monkeypatch.setattr(module, "restricted_matrix",
-                        lambda *args: restricted.append(None) or real(*args))
-    chart = induced_chart(whole)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "restricted_matrix",
+                      lambda *args: restricted.append(None) or real(*args))
+        chart = induced_chart(whole)
     assert len(restricted) == len(whole.delta.generators) < 8
-    monkeypatch.undo()
     assert chart.chart.group.order == 3840
     for cand in cases + [whole, axis]:
         chart = induced_chart(cand)
@@ -1015,8 +1019,9 @@ def test_whole_space_whole_group_induced_chart_is_the_chart_group():
 def test_fullness_matches_the_per_element_scan():
     # check_full solves on W_g, once per W_g and image, where the scan
     # solves on V for every element outside Delta: the same first element
-    # and the same point; and pointwise_stabilizer filtering point by point
-    # keeps the members a per-member test keeps.
+    # and the same point; contained_in_regular_part agrees with the scan
+    # outside the identity; and pointwise_stabilizer filtering point by
+    # point keeps the members a per-member test keeps.
     rng = random.Random(80)
     b4 = hyperoctahedral_generators(4)
     s, s_inv = random_rational_basis_change(rng, 4)
@@ -1031,10 +1036,12 @@ def test_fullness_matches_the_per_element_scan():
             for g in (cand.delta, group):
                 assert pointwise_stabilizer(g, cand.v).members == \
                     oracle_pointwise_stabilizer(g, cand.v)
+            regular = first_fixing_element(group, cand.v, {group.identity}) is None
+            assert contained_in_regular_part(chart, cand.v) == regular
             if not cand.saturation.holds:
                 continue
             got = check_full(cand)
-            want = _first_fixing_element(group, cand.v, set(cand.delta.members))
+            want = first_fixing_element(group, cand.v, set(cand.delta.members))
             if want is None:
                 assert got.holds
             else:
@@ -1072,6 +1079,28 @@ def test_fullness_solves_fewer_systems_than_elements_outside_delta(monkeypatch):
     got = check_full(cand)
     assert not got.holds and verify_fullness_witness(cand, got.witness)
     assert 0 < len(solves) < b4.order - stab.order
+
+
+def test_fixed_sets_are_solved_once_per_group_and_v(monkeypatch):
+    # Fix(g) & V is kept with the orbit store of V, so a second check_full
+    # on a fresh candidate with the same group and V, and a second
+    # contained_in_regular_part, solve nothing; before, they solved again
+    # (1 and 8 systems for these two subspaces of B3).
+    plane = _b3_plane_z_equals_1()
+    b3 = plane.chart
+    line = affine_subspace([1, 2, 3], [[1, 3, 5]])
+    module = sys.modules["suborbifolds.classify"]
+    solves = []
+    real = module.fixed_points
+    monkeypatch.setattr(module, "fixed_points",
+                        lambda *args: solves.append(None) or real(*args))
+    for run in (lambda: check_full(SuborbifoldCandidate(b3, plane.delta, plane.v)),
+                lambda: contained_in_regular_part(b3, line)):
+        first = run()
+        assert solves
+        solves.clear()
+        assert run() == first
+        assert solves == []
 
 
 def _count_transforms(monkeypatch, run):
@@ -1146,13 +1175,13 @@ def test_saturation_covering_loop_builds_no_fraction(monkeypatch):
         return images_of(rows, points)
 
     images_of = module.int_images
-    monkeypatch.setattr(module, "int_images", key)
-    monkeypatch.setattr(module, "meet", allowed(module.meet))
-    monkeypatch.setattr(module.OrbitOfV, "image", allowed(module.OrbitOfV.image))
-    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__, "built"))
-    monkeypatch.setattr(Fraction, "__hash__", counted(Fraction.__hash__, "hashed"))
-    assert check_saturated(cand).holds
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "int_images", key)
+        patch.setattr(module, "meet", allowed(module.meet))
+        patch.setattr(module.OrbitOfV, "image", allowed(module.OrbitOfV.image))
+        patch.setattr(Fraction, "__new__", counted(Fraction.__new__, "built"))
+        patch.setattr(Fraction, "__hash__", counted(Fraction.__hash__, "hashed"))
+        assert check_saturated(cand).holds
     # Four lines W_g (x = +-1, y = +-1 on the plane), 8 images each, and one
     # key for each of the 4 cosets Delta g that reach them: the scan tests
     # one element per coset.

@@ -241,9 +241,9 @@ def test_a_kept_group_past_max_order_is_refused_as_a_cold_build(monkeypatch):
     with pytest.raises(NotFiniteWithinBound) as warm:
         generate_group(b2_generators, max_order=4)
     assert str(warm.value) == str(cold.value) == "group closure exceeded max_order=4"
-    assert len(closed) == 1  # refused by a build, as a first build is
+    assert not closed  # refused as a first build is, without closing again
     assert generate_group(b2_generators, max_order=8) is b2
-    assert list(groups._kept.values()) == [b2] and len(closed) == 1
+    assert list(groups._kept.values()) == [b2] and not closed
 
 
 def test_a_kept_group_past_max_order_is_refused_through_the_cli(tmp_path, capsys):

@@ -186,13 +186,13 @@ def test_lemma_reads_the_saturation_of_the_probes_candidate(monkeypatch):
     check_saturated = classify.check_saturated
     for probe in _shipped_probes():
         verdicts = []
-        monkeypatch.setattr(classify, "check_saturated",
-                            lambda cand: verdicts.append(cand) or check_saturated(cand))
-        monkeypatch.setattr(classify.ChartModel, "__init__", refuse)
-        monkeypatch.setattr(classify.SuborbifoldCandidate, "__init__", refuse)
-        for depth, tolerance in ((None, None), (0, None), (MAX_DEPTH, 1e-6), (None, 0.5)):
-            assert lemma_metrics_check(probe.with_settings(depth, tolerance)).passed
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "check_saturated",
+                          lambda cand: verdicts.append(cand) or check_saturated(cand))
+            patch.setattr(classify.ChartModel, "__init__", refuse)
+            patch.setattr(classify.SuborbifoldCandidate, "__init__", refuse)
+            for depth, tolerance in ((None, None), (0, None), (MAX_DEPTH, 1e-6), (None, 0.5)):
+                assert lemma_metrics_check(probe.with_settings(depth, tolerance)).passed
         assert len(verdicts) == 1 and verdicts[0] is probe.candidate
 
 
@@ -365,10 +365,10 @@ def test_metric_check_tests_each_sample_point_once(monkeypatch, capsys):
                           parse_scene(ROTATION_SCENE.read_text()).probes)):
         for settings_argv in ([], ["--depth", "12"], ["--tol", "1e-6"],
                               ["--depth", "0", "--tol", "0"]):
-            monkeypatch.setattr(linalg, "coordinates", counting)
             calls.clear()
-            assert main(argv + settings_argv) == 0
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "coordinates", counting)
+                assert main(argv + settings_argv) == 0
             assert len(calls) == 2 * sum(len(p.sample_pairs) for p in probes.values())
     capsys.readouterr()
     probe = metric_probes()["rotation-line"]

@@ -283,13 +283,11 @@ def test_a_package_fault_in_a_build_exits_3(error, monkeypatch, capsys):
 
     scene = str(SCENES / "rotation_line.json")
     internal = f"internal error: {error.__name__}: {error('boom')}\n"
-    monkeypatch.setattr(scene_mod, "group_from_forms", broken)
-    assert main(["classify", "--scene", scene]) == 3
-    assert capsys.readouterr().err == internal
-    monkeypatch.undo()
-    monkeypatch.setattr(scene_mod, "read_generators", broken)
-    assert main(["classify", "--scene", scene]) == 3
-    assert capsys.readouterr().err == internal
+    for name in ("group_from_forms", "read_generators"):
+        with monkeypatch.context() as patch:
+            patch.setattr(scene_mod, name, broken)
+            assert main(["classify", "--scene", scene]) == 3
+        assert capsys.readouterr().err == internal
 
 
 # One scene of the benchmark's scenes workload: a main group G with two
